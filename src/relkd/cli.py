@@ -17,20 +17,14 @@ import copy
 import json
 import os
 import sys
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 
 from .evalmetrics import retention
 from .longdoc import ChunkConfig, summarize_long
-from .losses import (
-    AdaptiveTauConfig,
-    LossWeights,
-    TokenBatch,
-    cpdp_loss,
-    ewad_loss,
-)
-from .reliability import ReliabilityConfig
-from .teachercache import MixingConfig, read_cache, write_cache
+from .losses import CpdpAnchor, TokenBatch, cpdp_loss, ewad_loss
+from .teachercache import read_cache, write_cache
 from .toymodel import (
     ROUTE_DIRECT,
     forward,
@@ -43,20 +37,32 @@ from .training import (
     CorpusConfig,
     SupervisionBundle,
     TrainConfig,
-    _compute_cpdp_anchor,
-    _prepare_example,
     build_pseudo_records,
     build_pseudo_variant_topk,
     build_topk_records,
     evaluate_rouge,
     index_pseudo,
     index_topk,
+    prepare_supervision,
     synthetic_corpus,
     synthetic_document,
     train,
 )
 
 CONFIG_VERSION = 1
+
+# TrainConfig's nested config objects, by field name.
+_TRAIN_PARTS = {f.name: f.default_factory for f in fields(TrainConfig)
+                if is_dataclass(f.default_factory)}
+# Training fields set from outside the "training" section.
+_DERIVED_TRAINING = ("seed", "hidden_dim", "rng_seed")
+
+
+def _field_defaults(cls, skip=()) -> dict:
+    """The constructor fields of a dataclass that have plain defaults."""
+    return {f.name: f.default for f in fields(cls)
+            if f.init and f.default is not MISSING and f.name not in skip}
+
 
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
@@ -66,13 +72,7 @@ DEFAULT_CONFIG = {
         "n_train": 200,
         "n_test": 50,
         "n_val": 0,
-        "vocab_size": 64,
-        "min_sentences": 2,
-        "max_sentences": 3,
-        "min_sentence_len": 4,
-        "max_sentence_len": 7,
-        "stride": 2,
-        "task": "compress",
+        **_field_defaults(CorpusConfig, skip=("seed", "id_prefix")),
     },
     "student": {"hidden_dim": 16},
     "teacher1": {"hidden_dim": 24, "checkpoint": "teacher1.json",
@@ -83,26 +83,11 @@ DEFAULT_CONFIG = {
     "cache_k": 8,
     "beam_width": 4,
     "training": {
-        "loss_mode": "CE",
-        "learning_rate": 0.2,
-        "epochs": 20,
-        "batch_size": 32,
-        "fixed_tau": 0.8,
-        "alpha_kd": 0.01,
-        "alpha_inter": 0.0,
-        "mu": 0.05,
-        "cpdp_clamp": 100.0,
+        **{k: v for cls in (TrainConfig, *_TRAIN_PARTS.values())
+           for k, v in _field_defaults(cls, skip=_DERIVED_TRAINING).items()},
+        # MixingConfig's 0.3 would make a config that names A3-A5 without a
+        # preset require a pseudo-label cache; the presets set it instead.
         "p_pseudo": 0.0,
-        "gate_steepness": 5.0,
-        "gate_threshold": 0.5,
-        "weight_temperature": 1.0,
-        "tau_min": 0.5,
-        "tau_max": 2.0,
-        "anchor_tokens": 512,
-        "lambda_override": None,
-        "equal_teacher_weights": False,
-        "context_limit": 64,
-        "gen_max_len": 16,
     },
     "mapreduce": {
         "chunk_capacity": 60,
@@ -155,6 +140,23 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _unknown_keys(user: dict, defaults: dict, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys in ``user`` that ``defaults`` does not have."""
+    out = []
+    for key, value in user.items():
+        path = prefix + key
+        if key not in defaults:
+            out.append(path)
+        elif isinstance(value, dict) and isinstance(defaults[key], dict):
+            out.extend(_unknown_keys(value, defaults[key], path + "."))
+        elif key == "pseudo_teachers" and isinstance(value, list):
+            for i, entry in enumerate(value):
+                if isinstance(entry, dict):
+                    out.extend(_unknown_keys(entry, {"id": None, "checkpoint": None},
+                                             f"{path}[{i}]."))
+    return out
+
+
 def load_config(path: str | None, seed_override: int | None) -> dict:
     user: dict = {}
     if path is not None:
@@ -167,6 +169,9 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
             raise CliError(f"config {path} is not valid JSON: {exc}") from exc
         if user.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise CliError(f"unsupported config version {user.get('version')!r}")
+        unknown = _unknown_keys(user, DEFAULT_CONFIG)
+        if unknown:
+            raise CliError(f"config {path} has unknown keys: {', '.join(unknown)}")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     preset = user.get("preset")
     if preset is not None:
@@ -186,51 +191,32 @@ def derive_seed(root: int, stream: int) -> int:
     return int(np.random.SeedSequence([root, stream]).generate_state(1)[0])
 
 
+# seed stream and example id prefix of each corpus split
+_SPLITS = {"train": (0, "tr"), "test": (1, "te"), "val": (2, "va")}
+
+
+def _build(cls, values: dict):
+    """Construct a dataclass from the entries of ``values`` naming its fields."""
+    names = {f.name for f in fields(cls) if f.init}
+    return cls(**{k: v for k, v in values.items() if k in names})
+
+
 def _corpus_cfg(cfg: dict, split: str) -> CorpusConfig:
+    stream, prefix = _SPLITS[split]
     c = cfg["corpus"]
-    n = {"train": c["n_train"], "test": c["n_test"], "val": c["n_val"]}[split]
-    stream = {"train": 0, "test": 1, "val": 2}[split]
-    return CorpusConfig(
-        n_examples=n,
-        vocab_size=c["vocab_size"],
-        min_sentences=c["min_sentences"],
-        max_sentences=c["max_sentences"],
-        min_sentence_len=c["min_sentence_len"],
-        max_sentence_len=c["max_sentence_len"],
-        stride=c["stride"],
-        seed=derive_seed(cfg["seed"], stream),
-        task=c["task"],
-        id_prefix={"train": "tr", "test": "te", "val": "va"}[split],
-    )
+    return _build(CorpusConfig, {**c, "n_examples": c[f"n_{split}"],
+                                 "seed": derive_seed(cfg["seed"], stream),
+                                 "id_prefix": prefix})
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["training"]
-    return TrainConfig(
-        loss_mode=t["loss_mode"],
-        weights=LossWeights(
-            alpha_kd=t["alpha_kd"], alpha_inter=t["alpha_inter"],
-            mu=t["mu"], cpdp_clamp=t["cpdp_clamp"],
-        ),
-        reliability=ReliabilityConfig(
-            gate_steepness=t["gate_steepness"],
-            gate_threshold=t["gate_threshold"],
-            weight_temperature=t["weight_temperature"],
-        ),
-        adaptive_tau_cfg=AdaptiveTauConfig(tau_min=t["tau_min"], tau_max=t["tau_max"]),
-        mixing=MixingConfig(p_pseudo=t["p_pseudo"], rng_seed=derive_seed(cfg["seed"], 3)),
-        learning_rate=t["learning_rate"],
-        epochs=t["epochs"],
-        batch_size=t["batch_size"],
-        seed=cfg["seed"],
-        context_limit=t["context_limit"],
-        hidden_dim=cfg["student"]["hidden_dim"],
-        fixed_tau=t["fixed_tau"],
-        anchor_tokens=t["anchor_tokens"],
-        lambda_override=t["lambda_override"],
-        equal_teacher_weights=t["equal_teacher_weights"],
-        gen_max_len=t["gen_max_len"],
-    )
+    """Route each training key to the TrainConfig field, or the field of one
+    of its nested config objects, of the same name."""
+    values = {**cfg["training"], "seed": cfg["seed"],
+              "hidden_dim": cfg["student"]["hidden_dim"],
+              "rng_seed": derive_seed(cfg["seed"], 3)}
+    parts = {name: _build(cls, values) for name, cls in _TRAIN_PARTS.items()}
+    return _build(TrainConfig, {**values, **parts})
 
 
 def _resolve(path: str | None, out_dir: str) -> str | None:
@@ -260,19 +246,20 @@ def _write_json(path: str, obj: dict) -> None:
         f.write("\n")
 
 
-def _load_bundle(cfg: dict, out_dir: str, mode: str) -> SupervisionBundle:
+def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
     """Read whatever caches the loss mode consumes, validating first."""
+    spec = tc.spec
     bundle = SupervisionBundle()
-    if mode in ("A2", "A3", "A4", "A5", "EWAD", "EWAD_CPDP"):
+    if spec.teacher1:
         path = _require_file(_resolve(cfg["teacher1"]["cache"], out_dir), "teacher1 cache")
         bundle.topk1 = index_topk(read_cache(path))
-    if mode in ("EWAD", "EWAD_CPDP"):
+    if spec.teacher2:
         path = _require_file(_resolve(cfg["teacher2"]["cache"], out_dir), "teacher2 cache")
         bundle.topk2 = index_topk(read_cache(path))
-    if mode in ("A3", "A4", "A5") and cfg["training"]["p_pseudo"] > 0:
+    if tc.mixes_pseudo:
         path = _require_file(_resolve(cfg["pseudo_cache"], out_dir), "pseudo-label cache")
         bundle.pseudo = index_pseudo(read_cache(path))
-    if mode == "A5":
+    if spec.hidden:
         path = _require_file(
             _resolve(cfg["teacher1"]["checkpoint"], out_dir), "teacher1 checkpoint"
         )
@@ -338,7 +325,7 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, trace: bool) -> int:
 
 def cmd_distill(cfg: dict, out_dir: str, trace: bool) -> int:
     tc = _train_config(cfg)
-    bundle = _load_bundle(cfg, out_dir, tc.loss_mode)
+    bundle = _load_bundle(cfg, out_dir, tc)
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
     val_corpus = None
     if cfg["corpus"]["n_val"] > 0:
@@ -455,27 +442,27 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
 def cmd_gate_trace(cfg: dict, out_dir: str, trace: bool, samples: list[str]) -> int:
     if not samples:
         raise CliError("gate-trace requires at least one sample id")
-    bundle = _load_bundle(cfg, out_dir, "EWAD_CPDP")
+    # tracing always needs both teachers and the CPDP anchor
+    tc = replace(_train_config(cfg), loss_mode=PRESETS["ewad_cpdp"]["loss_mode"])
+    bundle = _load_bundle(cfg, out_dir, tc)
     ckpt = _require_file(_resolve(cfg["outputs"]["checkpoint"], out_dir), "checkpoint")
-    params, _ = load_checkpoint(ckpt)
+    params, extras = load_checkpoint(ckpt)
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
-    by_id = {ex.example_id: (i, ex) for i, ex in enumerate(corpus.examples)}
+    by_id = {ex.example_id: i for i, ex in enumerate(corpus.examples)}
     for sid in samples:
         if sid not in by_id:
             raise CliError(f"unknown sample id {sid!r}")
 
-    tc = _train_config(cfg)
-    tc.loss_mode = "EWAD_CPDP"  # tracing always needs both teachers
-    prepared = {
-        sid: (_prepare_example(by_id[sid][0], by_id[sid][1], tc, bundle), by_id[sid][1])
-        for sid in samples
-    }
-    anchor = _compute_cpdp_anchor([p for p, _ in prepared.values()], tc.anchor_tokens)
+    prepared, anchor = prepare_supervision(tc, corpus, bundle)
+    # report against the anchor the student was trained with, when it had one
+    delta_star = extras["meta"].get("delta_star")
+    if delta_star is not None:
+        anchor = CpdpAnchor(delta_star)
 
     rows = []
     for sid in samples:
-        prep, ex = prepared[sid]
-        logits, _ = forward(params, ex.document, prep.target)
+        prep = prepared[by_id[sid]]
+        logits, _ = forward(params, corpus.examples[by_id[sid]].document, prep.target)
         tb = TokenBatch(
             gold_ids=prep.target,
             mask=[True] * len(prep.target),

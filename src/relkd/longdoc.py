@@ -2,15 +2,11 @@
 per-chunk MAP summarization, Jaccard deduplication, recursive REDUCE.
 
 MAP and REDUCE are injected as plain token-to-token callables so any model
-(or a stub) can fill the roles. The MAP phase may run on a thread pool,
-capped by the REL_KD_THREADS environment variable; outputs are reassembled
-in chunk order so parallelism never changes the result.
+(or a stub) can fill the roles.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,11 +124,6 @@ def dedup(sentences: list[list[int]], cfg: ChunkConfig) -> list[list[int]]:
     return kept
 
 
-def _map_workers(n_chunks: int) -> int:
-    cap = int(os.environ.get("REL_KD_THREADS", "1"))
-    return max(1, min(cap, n_chunks))
-
-
 def summarize_long(
     document,
     map_fn: Callable[[list[int]], list[int]],
@@ -178,12 +169,7 @@ def _summarize_sentences(
             )
         return summary
 
-    workers = _map_workers(len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            map_outputs = list(pool.map(lambda c: list(map_fn(list(c.tokens))), chunks))
-    else:
-        map_outputs = [list(map_fn(list(c.tokens))) for c in chunks]
+    map_outputs = [list(map_fn(list(c.tokens))) for c in chunks]
 
     candidate_sentences: list[list[int]] = []
     for out in map_outputs:

@@ -207,8 +207,8 @@ class CpdpTrace:
 
 @dataclass
 class StandardGrads:
-    """Gradients of the composite baseline objective, plus the unweighted
-    per-component values (for metrics logging without recomputation)."""
+    """Gradients of a training objective, plus the unweighted per-component
+    values (for metrics logging without recomputation)."""
 
     logits: np.ndarray
     hidden: np.ndarray | None = None

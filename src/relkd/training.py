@@ -1,15 +1,9 @@
 """Training loop for the toy student: corpus synthesis, supervision bundles,
 loss-mode wiring, and plain gradient descent.
 
-Loss modes mirror the staged experiment arms:
-
-  CE          gold cross-entropy only (baseline)
-  A2          + fixed-temperature logit distillation from teacher 1
-  A3          + stochastic pseudo-label target replacement
-  A4          + per-sample adaptive temperature
-  A5          + projected hidden-state matching
-  EWAD        reliability-gated dual-teacher routing
-  EWAD_CPDP   gated routing plus the divergence-gap regularizer
+Loss modes mirror the staged experiment arms (CE, A2-A5, EWAD, EWAD_CPDP).
+The ``MODES`` table below describes each one once: what it consumes and its
+per-sequence loss step.
 
 Everything is deterministic given (seed, config, corpus): rng streams are
 derived from the seed per consumer, batch order is a seeded permutation, and
@@ -19,6 +13,8 @@ gradient reductions run in fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +25,7 @@ from .losses import (
     CpdpAnchor,
     LossWeights,
     HiddenPair,
+    StandardGrads,
     TokenBatch,
     adaptive_tau,
     ce_loss,
@@ -57,14 +54,6 @@ from .toymodel import (
     generate,
     init_params,
 )
-
-LOSS_MODES = ("CE", "A2", "A3", "A4", "A5", "EWAD", "EWAD_CPDP")
-
-# Modes that densify a first-teacher top-k cache into logit supervision.
-_NEEDS_T1 = ("A2", "A3", "A4", "A5", "EWAD", "EWAD_CPDP")
-_NEEDS_T2 = ("EWAD", "EWAD_CPDP")
-_NEEDS_PSEUDO = ("A3", "A4", "A5")
-_ADAPTIVE_TAU = ("A4", "A5")
 
 _LOGIT_FLOOR = 1e-12
 
@@ -335,7 +324,7 @@ class TrainConfig:
     gen_max_len: int = 16
 
     def __post_init__(self) -> None:
-        if self.loss_mode not in LOSS_MODES:
+        if self.loss_mode not in MODES:
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
@@ -346,22 +335,95 @@ class TrainConfig:
         if self.context_limit < 1:
             raise ValueError("context_limit must be >= 1")
 
+    @property
+    def spec(self) -> ModeSpec:
+        return MODES[self.loss_mode]
+
+    @property
+    def mixes_pseudo(self) -> bool:
+        """Whether the mode mixes pseudo-labels in with a positive rate."""
+        return self.spec.pseudo and self.mixing.p_pseudo > 0
+
+
+def _ce_step(config, tb, tau, hp, anchor):
+    value, g = ce_loss(tb)
+    return value, StandardGrads(g, components={"ce": value}), None
+
+
+def _standard_step(config, tb, tau, hp, anchor):
+    return (*standard_total(tb, hp, config.weights, tau), None)
+
+
+def _ewad_step(config, tb, tau, hp, anchor):
+    """Gated routing, plus the divergence-gap regularizer given an anchor."""
+    kw = {"lambda_override": config.lambda_override,
+          "equal_weights": config.equal_teacher_weights}
+    cpdp = 0.0
+    if anchor is None:
+        value, g, tr = ewad_loss(tb, config.reliability, tau, **kw)
+    else:
+        value, g, tr, cp = combined_total(
+            tb, config.reliability, anchor, config.weights, tau, **kw
+        )
+        cpdp = float(cp.value.mean())
+    components = {"ce": float(tr.ce_term.mean()), "kd": float(tr.kd_term.mean()),
+                  "cpdp": cpdp}
+    return value, StandardGrads(g, components=components), tr.gate
+
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """What one loss mode consumes, and its per-sequence loss step.
+
+    ``step(config, token_batch, tau, hidden_pair, anchor)`` returns the
+    sequence's loss, its gradients with the logged loss components, and the
+    per-position gate (None for ungated modes). ``tau`` is the adaptive
+    per-sample value when ``adaptive_tau`` is set, else ``config.fixed_tau``.
+    """
+
+    step: Callable[..., tuple[float, StandardGrads, np.ndarray | None]]
+    teacher1: bool = False      # first-teacher top-k cache
+    teacher2: bool = False      # second-teacher top-k cache
+    pseudo: bool = False        # pseudo-label target mixing (when p_pseudo > 0)
+    adaptive_tau: bool = False  # per-sample temperature from teacher entropy
+    hidden: bool = False        # teacher hidden states and a learned projection
+    anchor: bool = False        # CPDP anchor over the first calibration tokens
+
+
+MODES: dict[str, ModeSpec] = {
+    # gold cross-entropy only (baseline)
+    "CE": ModeSpec(_ce_step),
+    # + fixed-temperature logit distillation from teacher 1
+    "A2": ModeSpec(_standard_step, teacher1=True),
+    # + stochastic pseudo-label target replacement
+    "A3": ModeSpec(_standard_step, teacher1=True, pseudo=True),
+    # + per-sample adaptive temperature
+    "A4": ModeSpec(_standard_step, teacher1=True, pseudo=True, adaptive_tau=True),
+    # + projected hidden-state matching
+    "A5": ModeSpec(_standard_step, teacher1=True, pseudo=True, adaptive_tau=True,
+                   hidden=True),
+    # reliability-gated dual-teacher routing
+    "EWAD": ModeSpec(_ewad_step, teacher1=True, teacher2=True),
+    # gated routing plus the divergence-gap regularizer
+    "EWAD_CPDP": ModeSpec(_ewad_step, teacher1=True, teacher2=True, anchor=True),
+}
+
 
 def validate_supervision(config: TrainConfig, bundle: SupervisionBundle) -> None:
     """Check the bundle supplies what the loss mode consumes, before any work."""
-    mode = config.loss_mode
-    if mode in _NEEDS_T1 and not bundle.topk1:
+    spec, mode = config.spec, config.loss_mode
+    if spec.teacher1 and not bundle.topk1:
         raise ValueError(f"loss_mode {mode} requires a first-teacher top-k cache")
-    if mode in _NEEDS_T2 and not bundle.topk2:
+    if spec.teacher2 and not bundle.topk2:
         raise ValueError(f"loss_mode {mode} requires a second-teacher top-k cache")
-    if mode in _NEEDS_PSEUDO and config.mixing.p_pseudo > 0 and not bundle.pseudo:
+    if config.mixes_pseudo and not bundle.pseudo:
         raise ValueError(f"loss_mode {mode} requires pseudo-label records")
-    if mode == "A5" and bundle.teacher_params is None:
-        raise ValueError("loss_mode A5 requires teacher parameters for hidden states")
+    if spec.hidden and bundle.teacher_params is None:
+        raise ValueError(f"loss_mode {mode} requires teacher parameters for hidden states")
 
 
 @dataclass
-class _Prepared:
+class PreparedExample:
     """Per-example supervision resolved once before the epoch loop."""
 
     target: list[int]            # selected summary + EOS
@@ -371,56 +433,57 @@ class _Prepared:
     teacher_entropy: float | None
 
 
-def _prepare_example(
-    i: int, ex: CorpusExample, config: TrainConfig, bundle: SupervisionBundle
-) -> _Prepared:
-    mode = config.loss_mode
-    summary, provenance = list(ex.summary), "gold"
-    if mode in _NEEDS_PSEUDO and config.mixing.p_pseudo > 0:
-        summary, provenance = sample_target(
-            ex.summary, bundle.pseudo.get(ex.example_id, []), config.mixing, i
-        )
-    target = _target_with_eos(summary)
+def prepare_supervision(
+    config: TrainConfig, corpus: Corpus, bundle: SupervisionBundle
+) -> tuple[list[PreparedExample], CpdpAnchor | None]:
+    """Validate the bundle, then resolve every example's target and teacher
+    logits in corpus order, plus the CPDP anchor when the mode uses one.
 
-    rec_id = ex.example_id
-    if provenance.startswith("pseudo:"):
-        rec_id = pseudo_variant_id(ex.example_id, provenance.split(":", 1)[1])
+    The anchor is the mean inter-teacher KL over the first
+    ``config.anchor_tokens`` target positions (at least one), in corpus order.
+    """
+    validate_supervision(config, bundle)
+    spec = config.spec
+    prepared = []
+    for i, ex in enumerate(corpus.examples):
+        summary, provenance = list(ex.summary), "gold"
+        if config.mixes_pseudo:
+            summary, provenance = sample_target(
+                ex.summary, bundle.pseudo.get(ex.example_id, []), config.mixing, i
+            )
+        target = _target_with_eos(summary)
 
-    t1 = t2 = None
-    h_bar = None
-    if mode in _NEEDS_T1:
-        if rec_id not in bundle.topk1:
-            raise ValueError(f"missing cache record {rec_id} for teacher 1")
-        t1 = cached_teacher_logits(bundle.topk1[rec_id], len(target))
-        if mode in _ADAPTIVE_TAU:
+        rec_id = ex.example_id
+        if provenance.startswith("pseudo:"):
+            rec_id = pseudo_variant_id(ex.example_id, provenance.split(":", 1)[1])
+
+        t1 = t2 = h_bar = None
+        if spec.teacher1:
+            if rec_id not in bundle.topk1:
+                raise ValueError(f"missing cache record {rec_id} for teacher 1")
+            t1 = cached_teacher_logits(bundle.topk1[rec_id], len(target))
+        if spec.adaptive_tau:
             p = np.exp(t1)
             p = p / p.sum(axis=1, keepdims=True)
             h_bar = float(np.atleast_1d(entropy(p)).mean())
-    if mode in _NEEDS_T2:
-        if rec_id not in bundle.topk2:
-            raise ValueError(f"missing cache record {rec_id} for teacher 2")
-        t2 = cached_teacher_logits(bundle.topk2[rec_id], len(target))
-    return _Prepared(target, provenance, t1, t2, h_bar)
+        if spec.teacher2:
+            if rec_id not in bundle.topk2:
+                raise ValueError(f"missing cache record {rec_id} for teacher 2")
+            t2 = cached_teacher_logits(bundle.topk2[rec_id], len(target))
+        prepared.append(PreparedExample(target, provenance, t1, t2, h_bar))
 
-
-def _compute_cpdp_anchor(prepared: list[_Prepared], n_tokens: int) -> CpdpAnchor:
-    """Mean inter-teacher KL over the first calibration tokens, corpus order."""
+    if not spec.anchor:
+        return prepared, None
+    positions = ((p.t1_logits[t], p.t2_logits[t])
+                 for p in prepared for t in range(len(p.target)))
     d1, d2 = [], []
-    for prep in prepared:
-        if prep.t1_logits is None or prep.t2_logits is None:
-            continue
-        for t in range(len(prep.target)):
-            e1 = np.exp(prep.t1_logits[t])
-            e2 = np.exp(prep.t2_logits[t])
-            d1.append(e1 / e1.sum())
-            d2.append(e2 / e2.sum())
-            if len(d1) >= n_tokens:
-                break
-        if len(d1) >= n_tokens:
-            break
+    for z1, z2 in islice(positions, max(config.anchor_tokens, 1)):
+        e1, e2 = np.exp(z1), np.exp(z2)
+        d1.append(e1 / e1.sum())
+        d2.append(e2 / e2.sum())
     if not d1:
         raise ValueError("no calibration tokens available for the anchor")
-    return compute_anchor(np.array(d1), np.array(d2))
+    return prepared, compute_anchor(np.array(d1), np.array(d2))
 
 
 @dataclass
@@ -444,28 +507,21 @@ def train(
     TrainingDiverged if the loss leaves the finite range.
     """
     bundle = bundle or SupervisionBundle()
-    validate_supervision(config, bundle)
-    mode = config.loss_mode
+    spec = config.spec
     v = corpus.vocab_size
     n = len(corpus.examples)
     if n == 0:
         raise ValueError("cannot train on an empty corpus")
+    prepared, anchor = prepare_supervision(config, corpus, bundle)
 
     params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
     projection = None
-    if mode == "A5":
+    if spec.hidden:
         d_t = bundle.teacher_params.hidden_dim
         projection = 0.2 * np.random.default_rng([config.seed, 3]).standard_normal(
             (config.hidden_dim, d_t)
         )
     order_rng = np.random.default_rng([config.seed, 2])
-
-    prepared = [
-        _prepare_example(i, ex, config, bundle) for i, ex in enumerate(corpus.examples)
-    ]
-    anchor = None
-    if mode == "EWAD_CPDP":
-        anchor = _compute_cpdp_anchor(prepared, config.anchor_tokens)
 
     hbar_sum, hbar_count = 0.0, 0
     metrics: list[dict] = []
@@ -497,23 +553,22 @@ def train(
                 tgt_mask[j, : len(t_seq)] = True
 
             logits, hidden, fcache = forward_batch(params, src, src_mask, tgt_in, tgt_mask)
-            teacher_hidden = None
-            if mode == "A5":
+            teacher_hidden = dhidden = dproj = None
+            if spec.hidden:
                 _, teacher_hidden, _ = forward_batch(
                     bundle.teacher_params, src, src_mask, tgt_in, tgt_mask
                 )
+                dhidden = np.zeros_like(hidden)
+                dproj = np.zeros_like(projection)
 
             hbar_batch_mean = None
-            if mode in _ADAPTIVE_TAU:
+            if spec.adaptive_tau:
                 batch_hbars = [prepared[i].teacher_entropy for i in batch_idx]
                 hbar_batch_mean = float(np.mean(batch_hbars))
                 hbar_sum += float(np.sum(batch_hbars))
                 hbar_count += bsz
 
             dlogits = np.zeros_like(logits)
-            dhidden = np.zeros_like(hidden) if mode == "A5" else None
-            dproj = np.zeros_like(projection) if projection is not None else None
-
             for j, i in enumerate(batch_idx):
                 prep = prepared[i]
                 tb = TokenBatch(
@@ -523,54 +578,26 @@ def train(
                     teacher1_logits=_padded(prep.t1_logits, lt, v),
                     teacher2_logits=_padded(prep.t2_logits, lt, v),
                 )
-                if mode == "CE":
-                    value, g = ce_loss(tb)
-                    dlogits[j] = g / bsz
-                    sums["loss"] += value
-                    sums["ce"] += value
-                elif mode in ("A2", "A3", "A4", "A5"):
-                    if mode in _ADAPTIVE_TAU:
-                        p1 = np.exp(tb.teacher1_logits)
-                        p1 = p1 / p1.sum(axis=1, keepdims=True)
-                        tau = adaptive_tau(
-                            p1, tgt_mask[j], hbar_batch_mean, config.adaptive_tau_cfg
-                        )
-                    else:
-                        tau = config.fixed_tau
-                    hp = None
-                    if mode == "A5":
-                        hp = HiddenPair(hidden[j], teacher_hidden[j], projection)
-                    value, grads = standard_total(tb, hp, config.weights, tau)
-                    dlogits[j] = grads.logits / bsz
-                    if grads.hidden is not None:
-                        dhidden[j] = grads.hidden / bsz
-                        dproj += grads.projection / bsz
-                    sums["loss"] += value
-                    for key in ("ce", "kd", "inter"):
-                        sums[key] += grads.components[key]
-                else:
-                    if mode == "EWAD":
-                        value, g, tr = ewad_loss(
-                            tb, config.reliability, config.fixed_tau,
-                            lambda_override=config.lambda_override,
-                            equal_weights=config.equal_teacher_weights,
-                        )
-                        cp_value = 0.0
-                    else:
-                        value, g, tr, cp = combined_total(
-                            tb, config.reliability, anchor, config.weights,
-                            config.fixed_tau,
-                            lambda_override=config.lambda_override,
-                            equal_weights=config.equal_teacher_weights,
-                        )
-                        cp_value = float(cp.value.mean())
-                    dlogits[j] = g / bsz
-                    sums["loss"] += value
-                    sums["ce"] += float(tr.ce_term.mean())
-                    sums["kd"] += float(tr.kd_term.mean())
-                    sums["cpdp"] += cp_value
-                    lam_sum += float(tr.gate.sum())
-                    lam_count += tr.gate.size
+                tau = config.fixed_tau
+                if spec.adaptive_tau:
+                    p1 = np.exp(tb.teacher1_logits)
+                    p1 = p1 / p1.sum(axis=1, keepdims=True)
+                    tau = adaptive_tau(p1, tgt_mask[j], hbar_batch_mean, config.adaptive_tau_cfg)
+                hp = None
+                if spec.hidden:
+                    hp = HiddenPair(hidden[j], teacher_hidden[j], projection)
+
+                value, g, gate = spec.step(config, tb, tau, hp, anchor)
+                dlogits[j] = g.logits / bsz
+                if g.hidden is not None:
+                    dhidden[j] = g.hidden / bsz
+                    dproj += g.projection / bsz
+                sums["loss"] += value
+                for key, component in g.components.items():
+                    sums[key] += component
+                if gate is not None:
+                    lam_sum += float(gate.sum())
+                    lam_count += gate.size
 
             grads = backward_batch(params, fcache, dlogits, dhidden)
             params.embed -= config.learning_rate * grads.embed
@@ -599,10 +626,6 @@ def train(
             "cpdp": sums["cpdp"] / n,
             "lambda_mean": (lam_sum / lam_count) if lam_count else None,
         }
-        if not np.isfinite(row["loss"]):
-            raise TrainingDiverged(
-                f"non-finite training loss at epoch {epoch}: {row['loss']}"
-            )
         if val_corpus is not None:
             row["val_rougeL"] = evaluate_rouge(
                 params, val_corpus, max_len=config.gen_max_len

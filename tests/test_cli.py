@@ -1,10 +1,12 @@
 import json
+import os
 
 import pytest
 
 from relkd.cli import main
 from relkd.teachercache import read_cache
 from relkd.toymodel import generate, load_checkpoint
+from relkd.training import MODES
 
 
 def write_config(path, **overrides):
@@ -293,3 +295,102 @@ class TestGateTrace:
                          "gate-trace", "--samples", "tr00002"]) == 0
         assert (out1 / "gate_trace.jsonl").read_bytes() == \
                (out2 / "gate_trace.jsonl").read_bytes()
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("overrides, path", [
+        ({"training": {"epoch": 1, "epochs": 2}}, "training.epoch"),
+        ({"trainig": {"epochs": 2}}, "trainig"),
+        ({"pseudo_teachers": [{"id": "p1", "ckpt": "t.json"}]}, "pseudo_teachers[0].ckpt"),
+    ])
+    def test_unknown_key_fails_before_any_output(self, tmp_path, capsys, overrides, path):
+        cfg = write_config(tmp_path / "c.json", preset="A1", **overrides)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "distill"]) == 1
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
+    # a valid value other than the default for every training key
+    NON_DEFAULT = {
+        "loss_mode": "A2", "learning_rate": 0.3, "epochs": 3, "batch_size": 5,
+        "fixed_tau": 1.5, "alpha_kd": 0.2, "alpha_inter": 0.1, "mu": 0.5,
+        "cpdp_clamp": 10.0, "p_pseudo": 0.5, "gate_steepness": 2.0,
+        "gate_threshold": 0.25, "weight_temperature": 2.0, "tau_min": 0.25,
+        "tau_max": 3.0, "anchor_tokens": 7, "lambda_override": 0.5,
+        "equal_teacher_weights": True, "context_limit": 32, "gen_max_len": 5,
+    }
+
+    def test_every_training_key_reaches_its_train_config_field(self):
+        from relkd.cli import DEFAULT_CONFIG, _train_config, load_config
+
+        assert set(self.NON_DEFAULT) == set(DEFAULT_CONFIG["training"])
+        for key, value in self.NON_DEFAULT.items():
+            assert value != DEFAULT_CONFIG["training"][key]
+            cfg = load_config(None, None)
+            cfg["training"][key] = value
+            tc = _train_config(cfg)
+            holders = (tc, tc.weights, tc.reliability, tc.adaptive_tau_cfg, tc.mixing)
+            assert [getattr(h, key) for h in holders if hasattr(h, key)] == [value], key
+
+    def test_every_preset_key_is_a_training_key(self):
+        from relkd.cli import DEFAULT_CONFIG, PRESETS
+
+        for name, preset in PRESETS.items():
+            assert set(preset) <= set(DEFAULT_CONFIG["training"]), name
+            assert preset["loss_mode"] in MODES, name
+
+
+class TestLoadBundle:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_reads_exactly_what_the_mode_row_requires(self, tmp_path, monkeypatch, mode):
+        import relkd.cli as cli
+
+        read = []
+        monkeypatch.setattr(cli, "read_cache", lambda p: read.append(p) or [])
+        monkeypatch.setattr(cli, "load_checkpoint", lambda p: read.append(p) or (object(), {}))
+        cfg = cli.load_config(None, None)
+        cfg["training"].update(loss_mode=mode, p_pseudo=0.3)
+        for name in ("teacher1_topk.jsonl", "teacher2_topk.jsonl", "pseudo_labels.jsonl",
+                     "teacher1.json"):
+            (tmp_path / name).write_text("")
+        bundle = cli._load_bundle(cfg, str(tmp_path), cli._train_config(cfg))
+
+        spec = MODES[mode]
+        expected = [name for flag, name in (
+            (spec.teacher1, "teacher1_topk.jsonl"), (spec.teacher2, "teacher2_topk.jsonl"),
+            (spec.pseudo, "pseudo_labels.jsonl"), (spec.hidden, "teacher1.json"),
+        ) if flag]
+        assert [os.path.basename(p) for p in read] == expected
+        assert (bundle.topk1 is not None) == spec.teacher1
+        assert (bundle.topk2 is not None) == spec.teacher2
+        assert (bundle.pseudo is not None) == spec.pseudo
+        assert (bundle.teacher_params is not None) == spec.hidden
+
+
+class TestGateTraceAnchor:
+    def test_header_reports_the_anchor_the_student_was_trained_with(self, workspace, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json", preset="ewad_cpdp",
+            teacher1={"checkpoint": str(workspace / "teacher1.json"),
+                      "cache": str(workspace / "teacher1_topk.jsonl"), "hidden_dim": 8},
+            teacher2={"checkpoint": str(workspace / "teacher2.json"),
+                      "cache": str(workspace / "teacher2_topk.jsonl"), "hidden_dim": 7},
+            outputs={"checkpoint": "cpdp.json", "metrics": "cpdp.jsonl"},
+            training={"epochs": 2, "batch_size": 8},
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 0
+        delta_star = load_checkpoint(tmp_path / "cpdp.json")[1]["meta"]["delta_star"]
+        assert delta_star is not None
+
+        def traced(checkpoint):
+            c = json.loads(cfg.read_text())
+            c["outputs"]["checkpoint"] = checkpoint
+            cfg.write_text(json.dumps(c))
+            assert main(["--config", str(cfg), "--out", str(tmp_path),
+                         "gate-trace", "--samples", "tr00000"]) == 0
+            lines = (tmp_path / "gate_trace.jsonl").read_text().splitlines()
+            return json.loads(lines[0])["delta_star"]
+
+        assert traced("cpdp.json") == delta_star
+        # a student trained without CPDP gets the anchor distill would compute
+        assert traced(str(workspace / "student.json")) == delta_star

@@ -199,11 +199,3 @@ class TestSummarizeLong:
         a = summarize_long(doc, self.ECHO, self.ECHO, c)
         b = summarize_long(doc, self.ECHO, self.ECHO, c)
         assert a == b
-
-    def test_map_parallelism_does_not_change_result(self, monkeypatch):
-        c = cfg(chunk_capacity=60, context_limit=64)
-        doc = synthetic_document(1500, vocab_size=16, seed=11, distinct_sentences=6)
-        sequential = summarize_long(doc, self.ECHO, self.ECHO, c)
-        monkeypatch.setenv("REL_KD_THREADS", "4")
-        parallel = summarize_long(doc, self.ECHO, self.ECHO, c)
-        assert sequential == parallel

@@ -21,6 +21,7 @@ from relkd.toymodel import (
     init_params,
 )
 from relkd.training import (
+    MODES,
     Corpus,
     CorpusConfig,
     SupervisionBundle,
@@ -397,3 +398,29 @@ class TestCacheBridge:
         rec = records[corpus.examples[0].example_id]
         with pytest.raises(ValueError, match="positions"):
             cached_teacher_logits(rec, len(rec.positions) + 3)
+
+
+class TestModeTable:
+    # (ModeSpec flag, SupervisionBundle field it requires)
+    REQUIREMENTS = (("teacher1", "topk1"), ("teacher2", "topk2"),
+                    ("pseudo", "pseudo"), ("hidden", "teacher_params"))
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_validation_requires_exactly_what_the_row_names(self, mode):
+        cfg = TrainConfig(loss_mode=mode, mixing=MixingConfig(p_pseudo=0.3))
+        full = {"topk1": {"x": None}, "topk2": {"x": None}, "pseudo": {"x": []},
+                "teacher_params": object()}
+        validate_supervision(cfg, SupervisionBundle(**full))
+        for flag, attr in self.REQUIREMENTS:
+            lacking = SupervisionBundle(**{**full, attr: None})
+            if getattr(MODES[mode], flag):
+                with pytest.raises(ValueError, match=f"loss_mode {mode} requires"):
+                    validate_supervision(cfg, lacking)
+            else:
+                validate_supervision(cfg, lacking)
+
+    @pytest.mark.parametrize("mode", [m for m in sorted(MODES) if MODES[m].pseudo])
+    def test_pseudo_labels_are_optional_without_mixing(self, mode):
+        cfg = TrainConfig(loss_mode=mode, mixing=MixingConfig(p_pseudo=0.0))
+        validate_supervision(cfg, SupervisionBundle(
+            topk1={"x": None}, topk2={"x": None}, teacher_params=object()))
