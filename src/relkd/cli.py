@@ -21,6 +21,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 
+from .atomic import write_text_atomic
 from .evalmetrics import retention
 from .longdoc import ChunkConfig, summarize_long
 from .losses import CpdpAnchor, TokenBatch, cpdp_loss, ewad_loss
@@ -140,20 +141,43 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _unknown_keys(user: dict, defaults: dict, prefix: str = "") -> list[str]:
-    """Dotted paths of the keys in ``user`` that ``defaults`` does not have."""
+# The type of each key whose default is None, and the keys of list entries.
+_NULLABLE = {"preset": str, "teacher2.checkpoint": str, "mapreduce.map_checkpoint": str,
+             "mapreduce.reduce_checkpoint": str, "training.lambda_override": float}
+_LIST_ENTRIES = {"pseudo_teachers": {"id": "", "checkpoint": ""}}
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               dict: "an object", list: "an array"}
+
+
+def _fits(value, expected: type) -> bool:
+    """Whether a JSON value has the type: an int is a float, a bool is neither."""
+    if isinstance(value, bool) or expected is bool:
+        return type(value) is expected
+    return isinstance(value, (int, float) if expected is float else expected)
+
+
+def _config_problems(user: dict, defaults: dict, prefix: str = "") -> list[str]:
+    """The keys in ``user`` that ``defaults`` does not have, and the values
+    whose type is not their default's, by dotted path."""
     out = []
     for key, value in user.items():
         path = prefix + key
         if key not in defaults:
-            out.append(path)
-        elif isinstance(value, dict) and isinstance(defaults[key], dict):
-            out.extend(_unknown_keys(value, defaults[key], path + "."))
-        elif key == "pseudo_teachers" and isinstance(value, list):
+            out.append(f"unknown key {path}")
+            continue
+        default = defaults[key]
+        expected = type(default) if default is not None else _NULLABLE[path]
+        if not ((default is None and value is None) or _fits(value, expected)):
+            null = " or null" if default is None else ""
+            out.append(f"{path} must be {_JSON_TYPES[expected]}{null}")
+        elif isinstance(value, dict):
+            out.extend(_config_problems(value, default, path + "."))
+        elif isinstance(value, list):
             for i, entry in enumerate(value):
-                if isinstance(entry, dict):
-                    out.extend(_unknown_keys(entry, {"id": None, "checkpoint": None},
-                                             f"{path}[{i}]."))
+                if not isinstance(entry, dict):
+                    out.append(f"{path}[{i}] must be an object")
+                else:
+                    out.extend(_config_problems(entry, _LIST_ENTRIES[path], f"{path}[{i}]."))
     return out
 
 
@@ -167,11 +191,13 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
             raise CliError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise CliError(f"config {path} must be a JSON object")
         if user.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise CliError(f"unsupported config version {user.get('version')!r}")
-        unknown = _unknown_keys(user, DEFAULT_CONFIG)
-        if unknown:
-            raise CliError(f"config {path} has unknown keys: {', '.join(unknown)}")
+        problems = _config_problems(user, DEFAULT_CONFIG)
+        if problems:
+            raise CliError(f"config {path}: {'; '.join(problems)}")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     preset = user.get("preset")
     if preset is not None:
@@ -236,14 +262,11 @@ def _require_file(path: str | None, what: str) -> str:
 def _write_jsonl(path: str, header: dict, rows: list[dict]) -> None:
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(row, sort_keys=True) for row in rows)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
@@ -453,7 +476,7 @@ def cmd_gate_trace(cfg: dict, out_dir: str, trace: bool, samples: list[str]) -> 
         if sid not in by_id:
             raise CliError(f"unknown sample id {sid!r}")
 
-    prepared, anchor = prepare_supervision(tc, corpus, bundle)
+    prepared, teachers, anchor = prepare_supervision(tc, corpus, bundle)
     # report against the anchor the student was trained with, when it had one
     delta_star = extras["meta"].get("delta_star")
     if delta_star is not None:
@@ -463,13 +486,8 @@ def cmd_gate_trace(cfg: dict, out_dir: str, trace: bool, samples: list[str]) -> 
     for sid in samples:
         prep = prepared[by_id[sid]]
         logits, _ = forward(params, corpus.examples[by_id[sid]].document, prep.target)
-        tb = TokenBatch(
-            gold_ids=prep.target,
-            mask=[True] * len(prep.target),
-            student_logits=logits,
-            teacher1_logits=prep.t1_logits,
-            teacher2_logits=prep.t2_logits,
-        )
+        tb = TokenBatch(prep.target, [True] * len(prep.target), logits,
+                        teachers=teachers.take(prep.offset + np.arange(len(prep.target))))
         _, _, etr = ewad_loss(tb, tc.reliability, tc.fixed_tau,
                               lambda_override=tc.lambda_override,
                               equal_weights=tc.equal_teacher_weights)

@@ -32,27 +32,35 @@ def check_prob_dist(p: np.ndarray, name: str = "p") -> np.ndarray:
     return p
 
 
-def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature softmax over the last axis, stabilized by max-subtraction."""
+def _checked(logits: np.ndarray, tau: float) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    x = z / tau
+    return z
+
+
+def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Temperature softmax over the last axis, stabilized by max-subtraction."""
+    return softmax_scaled(_checked(logits, tau) / tau)
+
+
+def log_softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
+    """log(softmax_t(logits, tau)), computed without exponentiating first."""
+    return log_softmax_scaled(_checked(logits, tau) / tau)
+
+
+def softmax_scaled(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of finite logits already divided by the
+    temperature. Unchecked: callers validate their logits once, up front."""
     x = x - x.max(axis=-1, keepdims=True)
     e = np.exp(x)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
-    """log(softmax_t(logits, tau)), computed without exponentiating first."""
-    z = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-    if not tau > 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    x = z / tau
+def log_softmax_scaled(x: np.ndarray) -> np.ndarray:
+    """log(softmax_scaled(x)), computed without exponentiating first."""
     x = x - x.max(axis=-1, keepdims=True)
     return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
 

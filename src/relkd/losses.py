@@ -6,7 +6,9 @@ hiddens and the projection). Teachers are frozen supervision: no gradient
 flows into teacher distributions, reliability weights, or the trust gate.
 
 Conventions shared by all losses:
-  * aggregation is the mean over masked (non-padding) positions;
+  * aggregation is the mean over masked (non-padding) positions; a batch of
+    flattened sequences gets the sum of its per-sequence means (see
+    ``TokenBatch``);
   * reliability quantities (confidence, agreement, gate) are computed from
     raw teacher softmaxes, while distillation KL terms use the distillation
     temperature;
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distmath import entropy, kl, log_softmax_t, sigmoid, softmax_t
+from .distmath import entropy, kl, log_softmax_scaled, sigmoid, softmax_scaled, softmax_t
 from .reliability import (
     ReliabilityConfig,
     TokenReliability,
@@ -90,11 +92,86 @@ class CpdpAnchor:
             raise ValueError("delta_star must be finite")
 
 
-class TokenBatch:
-    """One teacher-forced sequence: gold ids, padding mask, per-position logits.
+class Teachers:
+    """Frozen teacher logits, (T, V) each, and what the losses derive from them.
 
-    ``student_logits`` has shape (T, V); teacher logits, when present, share
-    it. The mask selects the non-padding positions every loss averages over.
+    Teachers receive no gradient, so each derived quantity is computed at
+    most once: ``take(rows)`` gives the teachers at some of the positions,
+    and anything asked of it is computed over every position of the parent
+    on first use, then gathered. Logits are checked once, on construction.
+    """
+
+    def __init__(self, teacher1_logits=None, teacher2_logits=None) -> None:
+        self._parent, self._rows, self._memo = None, None, {}
+        for which, z in ((1, teacher1_logits), (2, teacher2_logits)):
+            if z is not None:
+                z = np.asarray(z, dtype=float)
+                if z.ndim != 2 or not np.all(np.isfinite(z)):
+                    raise ValueError(f"teacher{which} logits must be finite, of shape (T, V)")
+                self._memo[("logits", which)] = z
+        shapes = {z.shape for z in self._memo.values()}
+        if len(shapes) > 1:
+            raise ValueError("teacher logits must share one shape")
+        self.shape = shapes.pop() if shapes else None
+        self.present = frozenset(key[1] for key in self._memo)
+
+    def take(self, rows) -> Teachers:
+        """The teachers at ``rows``, sharing everything computed for these."""
+        view = Teachers()
+        view._parent, view._rows, view.present = self, np.asarray(rows, dtype=int), self.present
+        view.shape = self.shape and (view._rows.size, self.shape[1])
+        return view
+
+    def _get(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = (compute(self) if self._parent is None
+                               else self._parent._get(key, compute)[self._rows])
+        return self._memo[key]
+
+    def logits(self, which: int) -> np.ndarray:
+        if which not in self.present:
+            raise ValueError(f"requires teacher{which} logits")
+        return self._get(("logits", which), None)
+
+    def probs(self, which: int, tau=1.0) -> np.ndarray:
+        """Softmax of one teacher at ``tau``: a scalar, or a (T, 1) column of
+        per-position temperatures (computed for these rows only)."""
+        if np.ndim(tau):
+            return softmax_scaled(self.logits(which) / tau)
+        return self._get(("probs", which, float(tau)), lambda t: softmax_t(t.logits(which), tau))
+
+    def reliability(self, rcfg: ReliabilityConfig, lambda_override: float | None = None,
+                    equal_weights: bool = False) -> tuple[np.ndarray, ...]:
+        """Per-position (c1, c2, w1, w2, agreement, gate) from the raw
+        (temperature-1) softmaxes; the overrides pin the gate or the weights."""
+
+        def compute(t: Teachers) -> np.ndarray:
+            p1, p2 = t.probs(1), t.probs(2)
+            c1, c2 = confidence_array(p1), confidence_array(p2)
+            w1, w2 = weights_array(c1, c2, rcfg)
+            if equal_weights:
+                w1 = w2 = np.full(c1.shape, 0.5)
+            a = agreement_array(p1, p2)
+            lam = gate_array(a, rcfg)
+            if lambda_override is not None:
+                lam = np.full(a.shape, float(lambda_override))
+            return np.stack([c1, c2, w1, w2, a, lam], axis=1)
+
+        return tuple(self._get(("reliability", rcfg, lambda_override, equal_weights), compute).T)
+
+    def divergence_gap_direction(self) -> np.ndarray:
+        """p_T2 - p_T1 at temperature 1: d(KL1 - KL2)/dz_S with H held fixed."""
+        return self._get(("gap",), lambda t: t.probs(2) - t.probs(1))
+
+
+class TokenBatch:
+    """Teacher-forced positions: gold ids, padding mask, (T, V) student
+    logits, each position's ``sequence`` and the teachers at the positions.
+
+    Masked positions of sequence j weigh 1/m_j, so every loss is the masked
+    mean of one sequence, or the sum of the per-sequence means of a batch
+    flattened into the rows (the caller divides by B). Weighting divides by
+    m_j as a per-sequence call does, so the rows match it bit for bit.
     """
 
     def __init__(
@@ -104,16 +181,13 @@ class TokenBatch:
         student_logits,
         teacher1_logits=None,
         teacher2_logits=None,
+        *,
+        sequence=None,
+        teachers: Teachers | None = None,
     ) -> None:
         self.gold_ids = np.asarray(gold_ids, dtype=int)
         self.mask = np.asarray(mask, dtype=bool)
         self.student_logits = np.asarray(student_logits, dtype=float)
-        self.teacher1_logits = (
-            None if teacher1_logits is None else np.asarray(teacher1_logits, dtype=float)
-        )
-        self.teacher2_logits = (
-            None if teacher2_logits is None else np.asarray(teacher2_logits, dtype=float)
-        )
         if self.student_logits.ndim != 2:
             raise ValueError("student_logits must have shape (T, V)")
         t, v = self.student_logits.shape
@@ -123,23 +197,38 @@ class TokenBatch:
             raise ValueError("gold_ids and mask must have length T")
         if np.any(self.gold_ids < 0) or np.any(self.gold_ids >= v):
             raise ValueError("gold ids must lie in [0, vocab)")
-        for name, z in (("student", self.student_logits),
-                        ("teacher1", self.teacher1_logits),
-                        ("teacher2", self.teacher2_logits)):
-            if z is None:
-                continue
-            if z.shape != (t, v):
-                raise ValueError(f"{name} logits must have shape (T, V)")
-            if not np.all(np.isfinite(z)):
-                raise ValueError(f"{name} logits must be finite")
+        if not np.all(np.isfinite(self.student_logits)):
+            raise ValueError("student logits must be finite")
+        if teachers is None:
+            teachers = Teachers(teacher1_logits, teacher2_logits)
+        elif teacher1_logits is not None or teacher2_logits is not None:
+            raise ValueError("pass teacher logits or teachers, not both")
+        if teachers.shape not in (None, (t, v)):
+            raise ValueError("teacher logits must have shape (T, V)")
+        self.teachers = teachers
+        self.positions = _masked_positions(self.mask)
+        seq = np.zeros(t, dtype=int) if sequence is None else np.asarray(sequence, dtype=int)
+        if seq.shape != (t,) or np.any(seq < 0):
+            raise ValueError("sequence must hold one non-negative index per position")
+        # m_j of the sequence of each masked position
+        self.seq_lengths = np.bincount(seq[self.positions])[seq[self.positions]].astype(float)
 
-    @property
-    def seq_len(self) -> int:
-        return self.student_logits.shape[0]
+    def weigh(self, rows: np.ndarray) -> np.ndarray:
+        """Values or gradient rows, one per masked position, weighted 1/m_j
+        (divided by m_j)."""
+        return rows / (self.seq_lengths if rows.ndim == 1 else self.seq_lengths[:, None])
 
-    @property
-    def vocab_size(self) -> int:
-        return self.student_logits.shape[1]
+    def aggregate(self, values: np.ndarray) -> float:
+        """The loss of one value per masked position: the masked mean, summed
+        over the sequences."""
+        return float(self.weigh(values).sum())
+
+    def temperature(self, tau):
+        """``tau`` checked: a scalar, or a (T, 1) column of one per position."""
+        tau = np.asarray(tau, dtype=float)
+        if tau.shape not in ((), self.mask.shape) or not np.all(tau > 0):
+            raise ValueError("temperatures must be positive, a scalar or one per position")
+        return float(tau) if tau.ndim == 0 else tau[:, None]
 
 
 class HiddenPair:
@@ -225,43 +314,45 @@ def _masked_positions(mask: np.ndarray) -> np.ndarray:
 
 def ce_loss(batch: TokenBatch) -> tuple[float, np.ndarray]:
     """Gold negative log-likelihood, averaged over masked positions."""
-    idx = _masked_positions(batch.mask)
-    m = idx.size
-    logp = log_softmax_t(batch.student_logits[idx], 1.0)
-    value = -logp[np.arange(m), batch.gold_ids[idx]].sum() / m
+    idx = batch.positions
+    rows, gold = np.arange(idx.size), batch.gold_ids[idx]
+    logp = log_softmax_scaled(batch.student_logits[idx])
+    value = -batch.aggregate(logp[rows, gold])
 
     grad = np.zeros_like(batch.student_logits)
     p = np.exp(logp)
-    p[np.arange(m), batch.gold_ids[idx]] -= 1.0
-    grad[idx] = p / m
-    return float(value), grad
+    p[rows, gold] -= 1.0
+    grad[idx] = batch.weigh(p)
+    return value, grad
 
 
-def kd_loss(batch: TokenBatch, tau: float) -> tuple[float, np.ndarray]:
-    """tau^2-scaled KL between temperature-softened teacher and student."""
-    if batch.teacher1_logits is None:
-        raise ValueError("kd_loss requires teacher1 logits")
-    idx = _masked_positions(batch.mask)
-    m = idx.size
-    p_t = softmax_t(batch.teacher1_logits[idx], tau)
-    p_s = softmax_t(batch.student_logits[idx], tau)
-    value = tau * tau * kl(p_t, p_s).sum() / m
+def kd_loss(batch: TokenBatch, tau) -> tuple[float, np.ndarray]:
+    """tau^2-scaled KL between temperature-softened teacher and student;
+    ``tau`` is a scalar or one temperature per position."""
+    tau = batch.temperature(tau)
+    idx = batch.positions
+    p_t = batch.teachers.probs(1, tau)[idx]
+    tau_m = tau if np.ndim(tau) == 0 else tau[idx]
+    p_s = softmax_scaled(batch.student_logits[idx] / tau_m)
+    value = batch.aggregate(np.ravel(tau_m * tau_m) * kl(p_t, p_s))
 
     grad = np.zeros_like(batch.student_logits)
-    grad[idx] = tau * (p_s - p_t) / m
-    return float(value), grad
+    grad[idx] = batch.weigh(tau_m * (p_s - p_t))
+    return value, grad
 
 
 def inter_match_loss(
-    h: HiddenPair, mask
+    h: HiddenPair, mask, seq_lengths=None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Squared distance between unit-normalized projected student hiddens and
-    unit-normalized teacher hiddens; returns (value, d/d_hidden, d/d_proj)."""
+    unit-normalized teacher hiddens, averaged over masked positions; returns
+    (value, d/d_hidden, d/d_proj). ``seq_lengths`` (``TokenBatch.seq_lengths``)
+    weighs each masked position 1/m_j instead, for a batch of sequences."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (h.student_hidden.shape[0],):
         raise ValueError("mask must have one entry per position")
     idx = _masked_positions(mask)
-    m = idx.size
+    m = np.full(idx.size, float(idx.size)) if seq_lengths is None else np.asarray(seq_lengths)
 
     hs = h.student_hidden[idx]
     ht = h.teacher_hidden[idx]
@@ -272,27 +363,28 @@ def inter_match_loss(
         raise ValueError("zero-norm hidden vector; normalization undefined")
     u = a / na[:, None]
     v = ht / nt[:, None]
-    value = ((u - v) ** 2).sum() / m
+    value = float((((u - v) ** 2).sum(axis=1) / m).sum())
 
     # d||u - v||^2 / da = 2((u.v) u - v) / ||a||, with u = a/||a||.
     uv = (u * v).sum(axis=1)
     da = 2.0 * (uv[:, None] * u - v) / na[:, None]
     grad_hidden = np.zeros_like(h.student_hidden)
-    grad_hidden[idx] = da @ h.projection.T / m
-    grad_proj = hs.T @ da / m
-    return float(value), grad_hidden, grad_proj
+    grad_hidden[idx] = da @ h.projection.T / m[:, None]
+    grad_proj = hs.T @ (da / m[:, None])
+    return value, grad_hidden, grad_proj
 
 
 def standard_total(
     batch: TokenBatch,
     h: HiddenPair | None,
     weights: LossWeights,
-    tau: float,
+    tau,
 ) -> tuple[float, StandardGrads]:
     """alpha_hard*CE + alpha_kd*KD + alpha_inter*InterMatch.
 
     Zero-weighted components are skipped entirely, so the degenerate weight
-    settings reproduce the surviving components exactly.
+    settings reproduce the surviving components exactly. ``tau`` is a
+    scalar or one temperature per position.
     """
     ce_v, grad_logits = ce_loss(batch)
     value = weights.alpha_hard * ce_v
@@ -310,7 +402,7 @@ def standard_total(
     if weights.alpha_inter > 0:
         if h is None:
             raise ValueError("alpha_inter > 0 requires hidden states")
-        iv, gh, gw = inter_match_loss(h, batch.mask)
+        iv, gh, gw = inter_match_loss(h, batch.mask, batch.seq_lengths)
         value += weights.alpha_inter * iv
         grads.hidden = weights.alpha_inter * gh
         grads.projection = weights.alpha_inter * gw
@@ -338,50 +430,38 @@ def ewad_loss(
     ``lambda_override`` pins the gate (ablation arms); ``equal_weights``
     pins w1 = w2 = 0.5.
     """
-    if batch.teacher1_logits is None or batch.teacher2_logits is None:
-        raise ValueError("ewad_loss requires both teacher logit sequences")
-    idx = _masked_positions(batch.mask)
-    m = idx.size
+    tau = batch.temperature(tau)
+    teachers = batch.teachers
+    idx = batch.positions
+    rows, gold = np.arange(idx.size), batch.gold_ids[idx]
+    c1, c2, w1, w2, a, lam = (
+        x[idx] for x in teachers.reliability(rcfg, lambda_override, equal_weights)
+    )
 
-    t1_raw = softmax_t(batch.teacher1_logits[idx], 1.0)
-    t2_raw = softmax_t(batch.teacher2_logits[idx], 1.0)
-    c1 = confidence_array(t1_raw)
-    c2 = confidence_array(t2_raw)
-    if equal_weights:
-        w1 = np.full(m, 0.5)
-        w2 = np.full(m, 0.5)
-    else:
-        w1, w2 = weights_array(c1, c2, rcfg)
-    a = agreement_array(t1_raw, t2_raw)
-    if lambda_override is None:
-        lam = gate_array(a, rcfg)
-    else:
-        lam = np.full(m, float(lambda_override))
-
-    t1_soft = softmax_t(batch.teacher1_logits[idx], tau)
-    t2_soft = softmax_t(batch.teacher2_logits[idx], tau)
-    s_soft = softmax_t(batch.student_logits[idx], tau)
+    t1_soft = teachers.probs(1, tau)[idx]
+    t2_soft = teachers.probs(2, tau)[idx]
+    tau_m = tau if np.ndim(tau) == 0 else tau[idx]
+    z = batch.student_logits[idx]
+    s_soft = softmax_scaled(z / tau_m)
     kd_term = w1 * kl(t1_soft, s_soft) + w2 * kl(t2_soft, s_soft)
 
-    logp = log_softmax_t(batch.student_logits[idx], 1.0)
-    gold = batch.gold_ids[idx]
-    ce_term = -logp[np.arange(m), gold]
+    logp = log_softmax_scaled(z)
+    ce_term = -logp[rows, gold]
 
-    value = (lam * kd_term + (1.0 - lam) * ce_term).sum() / m
+    value = batch.aggregate(lam * kd_term + (1.0 - lam) * ce_term)
 
-    s_raw = np.exp(logp)
-    ce_g = s_raw.copy()
-    ce_g[np.arange(m), gold] -= 1.0
+    ce_g = np.exp(logp)
+    ce_g[rows, gold] -= 1.0
     mix = w1[:, None] * t1_soft + w2[:, None] * t2_soft
-    kd_g = (s_soft - mix) / tau
+    kd_g = (s_soft - mix) / tau_m
     grad = np.zeros_like(batch.student_logits)
-    grad[idx] = (lam[:, None] * kd_g + (1.0 - lam)[:, None] * ce_g) / m
+    grad[idx] = batch.weigh(lam[:, None] * kd_g + (1.0 - lam)[:, None] * ce_g)
 
     trace = EwadTrace(
         positions=idx, c1=c1, c2=c2, w1=w1, w2=w2,
         agreement=a, gate=lam, kd_term=kd_term, ce_term=ce_term,
     )
-    return float(value), grad, trace
+    return value, grad, trace
 
 
 def cpdp_loss(
@@ -396,18 +476,13 @@ def cpdp_loss(
     constant during differentiation, blocking the trivial raise-the-entropy
     escape; clamped positions contribute zero gradient.
     """
-    if batch.teacher1_logits is None or batch.teacher2_logits is None:
-        raise ValueError("cpdp_loss requires both teacher logit sequences")
-    idx = _masked_positions(batch.mask)
-    m = idx.size
+    teachers = batch.teachers
+    idx = batch.positions
 
-    p_t1 = softmax_t(batch.teacher1_logits[idx], 1.0)
-    p_t2 = softmax_t(batch.teacher2_logits[idx], 1.0)
-    p_s = softmax_t(batch.student_logits[idx], 1.0)
-
-    kl1 = np.atleast_1d(kl(p_t1, p_s))
-    kl2 = np.atleast_1d(kl(p_t2, p_s))
-    h_s = np.atleast_1d(entropy(p_s))
+    p_s = softmax_scaled(batch.student_logits[idx])
+    kl1 = kl(teachers.probs(1)[idx], p_s)
+    kl2 = kl(teachers.probs(2)[idx], p_s)
+    h_s = entropy(p_s)
     floored = h_s < ENTROPY_FLOOR
     h_eff = np.where(floored, ENTROPY_FLOOR, h_s)
 
@@ -415,19 +490,19 @@ def cpdp_loss(
     raw = ratio**2
     clamped = raw >= weights.cpdp_clamp
     value_tok = np.where(clamped, weights.cpdp_clamp, raw)
-    value = value_tok.sum() / m
+    value = batch.aggregate(value_tok)
 
     # With H held constant, d(KL1 - KL2)/dz_S = p_T2 - p_T1: the student
     # softmax cancels between the two divergences.
     coeff = np.where(clamped, 0.0, 2.0 * ratio / h_eff)
     grad = np.zeros_like(batch.student_logits)
-    grad[idx] = coeff[:, None] * (p_t2 - p_t1) / m
+    grad[idx] = batch.weigh(coeff[:, None] * teachers.divergence_gap_direction()[idx])
 
     trace = CpdpTrace(
         positions=idx, kl_t1=kl1, kl_t2=kl2, student_entropy=h_s,
         ratio=ratio, value=value_tok, clamped=clamped, entropy_floored=floored,
     )
-    return float(value), grad, trace
+    return value, grad, trace
 
 
 def compute_anchor(
@@ -470,14 +545,18 @@ def adaptive_tau(
     batch_mean_entropy: float,
     cfg: AdaptiveTauConfig,
 ) -> float:
-    """Per-sample temperature interpolated by teacher entropy vs. batch mean.
-
-    tau = tau_min + (tau_max - tau_min) * sigmoid(H_sample - H_batch); the
-    interpolant is clipped so tau stays strictly inside the open interval.
-    """
+    """Per-sample temperature from the sample's mean teacher entropy over its
+    masked positions; see ``tau_from_entropy``."""
     mask = np.asarray(mask, dtype=bool)
     idx = _masked_positions(mask)
     h_bar = float(np.atleast_1d(entropy(np.asarray(teacher_dists)[idx])).mean())
-    t = float(sigmoid(h_bar - batch_mean_entropy))
-    t = min(max(t, _OPEN_EPS), 1.0 - _OPEN_EPS)
+    return float(tau_from_entropy(h_bar, batch_mean_entropy, cfg))
+
+
+def tau_from_entropy(sample_entropy, batch_mean_entropy: float, cfg: AdaptiveTauConfig):
+    """tau = tau_min + (tau_max - tau_min) * sigmoid(H_sample - H_batch),
+    elementwise over ``sample_entropy``; the interpolant is clipped so tau
+    stays strictly inside the open interval."""
+    t = sigmoid(np.asarray(sample_entropy, dtype=float) - batch_mean_entropy)
+    t = np.clip(t, _OPEN_EPS, 1.0 - _OPEN_EPS)
     return cfg.tau_min + (cfg.tau_max - cfg.tau_min) * t

@@ -6,8 +6,9 @@ Cache files are UTF-8 JSON Lines. The first line is a header::
 
 Top-k data lines carry per-position (token_id, logprob) pairs sorted by
 descending log-probability; pseudo data lines carry a teacher-generated
-summary as token ids plus its decoded text. Files are immutable once
-written; readers validate every line and report failures by line number.
+summary as token ids plus its decoded text. Files are written atomically
+and are immutable once written; readers validate every line and report
+failures by line number.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .atomic import write_text_atomic
 
 CACHE_VERSION = 1
 
@@ -176,8 +179,7 @@ def write_cache(
             )
 
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        write_text_atomic(path, "\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write cache {path}: {exc}") from exc
     return len(records)
@@ -241,22 +243,31 @@ def read_cache(path) -> list[TopKRecord] | list[PseudoLabelRecord]:
     return records
 
 
-def densify(record: TopKRecord, position: int) -> np.ndarray:
-    """Expand one cached position into a full distribution over the vocabulary.
+def densify(record: TopKRecord, position: int | None = None) -> np.ndarray:
+    """Expand cached positions into full distributions over the vocabulary:
+    every position as (T, V) rows, or one ``position`` as a (V,) vector.
 
     The cached masses are renormalized over their own support; tokens outside
     the top-k receive exactly zero.
     """
-    if position < 0 or position >= len(record.positions):
-        raise IndexError(f"position {position} out of range for {record.example_id}")
-    pairs = record.positions[position]
-    if len(pairs) == 0:
-        raise CacheFormatError(f"{record.example_id} position {position}: empty pair list")
-    p = np.zeros(record.vocab_size)
-    ids = np.array([t for t, _ in pairs], dtype=int)
-    mass = np.exp(np.array([lp for _, lp in pairs], dtype=float))
-    p[ids] = mass / mass.sum()
-    return p
+    positions = record.positions
+    if position is not None:
+        if position < 0 or position >= len(positions):
+            raise IndexError(f"position {position} out of range for {record.example_id}")
+        positions = [positions[position]]
+    counts = np.array([len(pairs) for pairs in positions], dtype=int)
+    if np.any(counts == 0):
+        where = position if position is not None else int(np.argmin(counts))
+        raise CacheFormatError(f"{record.example_id} position {where}: empty pair list")
+    pairs = np.array([pair for pos in positions for pair in pos], dtype=float).reshape(-1, 2)
+    # the cached masses as zero-padded rows, one per position
+    rows = np.repeat(np.arange(len(positions)), counts)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    mass = np.zeros((len(positions), counts.max(initial=1)))
+    mass[rows, cols] = np.exp(pairs[:, 1])
+    p = np.zeros((len(positions), record.vocab_size))
+    p[rows, pairs[:, 0].astype(int)] = mass[rows, cols] / mass.sum(axis=1)[rows]
+    return p if position is None else p[0]
 
 
 def sample_target(

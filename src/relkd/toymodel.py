@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_text_atomic
 from .distmath import log_softmax_t
 
 EOS_ID = 0
@@ -300,9 +301,7 @@ def save_checkpoint(
         else {"shape": list(projection.shape), "data": np.ravel(projection).tolist()},
         "meta": meta or {},
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True)
-        f.write("\n")
+    write_text_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[ToyModelParams, dict]:

@@ -3,7 +3,7 @@ loss-mode wiring, and plain gradient descent.
 
 Loss modes mirror the staged experiment arms (CE, A2-A5, EWAD, EWAD_CPDP).
 The ``MODES`` table below describes each one once: what it consumes and its
-per-sequence loss step.
+loss step, one call per batch over the batch's flattened target positions.
 
 Everything is deterministic given (seed, config, corpus): rng streams are
 derived from the seed per consumer, batch order is a seeded permutation, and
@@ -13,7 +13,6 @@ gradient reductions run in fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -26,13 +25,14 @@ from .losses import (
     LossWeights,
     HiddenPair,
     StandardGrads,
+    Teachers,
     TokenBatch,
-    adaptive_tau,
     ce_loss,
     combined_total,
     compute_anchor,
     ewad_loss,
     standard_total,
+    tau_from_entropy,
 )
 from .reliability import ReliabilityConfig
 from .teachercache import (
@@ -294,10 +294,12 @@ def cached_teacher_logits(record: TopKRecord, length: int) -> np.ndarray:
             f"cache record {record.example_id} covers {len(record.positions)} positions, "
             f"target has {length}"
         )
-    arr = np.empty((length, record.vocab_size))
-    for t in range(length):
-        arr[t] = np.log(np.maximum(densify(record, t), _LOGIT_FLOOR))
-    return arr
+    return np.log(np.maximum(densify(record), _LOGIT_FLOOR))
+
+
+def _exp_normalized(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -347,41 +349,42 @@ class TrainConfig:
 
 def _ce_step(config, tb, tau, hp, anchor):
     value, g = ce_loss(tb)
-    return value, StandardGrads(g, components={"ce": value}), None
+    return value, StandardGrads(g, components={"ce": value}), None, None
 
 
 def _standard_step(config, tb, tau, hp, anchor):
-    return (*standard_total(tb, hp, config.weights, tau), None)
+    return (*standard_total(tb, hp, config.weights, tau), None, None)
 
 
 def _ewad_step(config, tb, tau, hp, anchor):
     """Gated routing, plus the divergence-gap regularizer given an anchor."""
     kw = {"lambda_override": config.lambda_override,
           "equal_weights": config.equal_teacher_weights}
-    cpdp = 0.0
+    cp = None
     if anchor is None:
         value, g, tr = ewad_loss(tb, config.reliability, tau, **kw)
     else:
         value, g, tr, cp = combined_total(
             tb, config.reliability, anchor, config.weights, tau, **kw
         )
-        cpdp = float(cp.value.mean())
-    components = {"ce": float(tr.ce_term.mean()), "kd": float(tr.kd_term.mean()),
-                  "cpdp": cpdp}
-    return value, StandardGrads(g, components=components), tr.gate
+    components = {"ce": tb.aggregate(tr.ce_term), "kd": tb.aggregate(tr.kd_term),
+                  "cpdp": 0.0 if cp is None else tb.aggregate(cp.value)}
+    return value, StandardGrads(g, components=components), tr, cp
 
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """What one loss mode consumes, and its per-sequence loss step.
+    """What one loss mode consumes, and its loss step.
 
-    ``step(config, token_batch, tau, hidden_pair, anchor)`` returns the
-    sequence's loss, its gradients with the logged loss components, and the
-    per-position gate (None for ungated modes). ``tau`` is the adaptive
-    per-sample value when ``adaptive_tau`` is set, else ``config.fixed_tau``.
+    ``step(config, token_batch, tau, hidden_pair, anchor)`` takes one whole
+    batch and returns its loss, its gradients with the logged loss
+    components (each summed over the batch's sequences, as the loss is), and
+    the EWAD and CPDP traces (None where the mode has none). ``tau`` holds
+    one value per position, the adaptive per-sample temperature, when
+    ``adaptive_tau`` is set, else it is ``config.fixed_tau``.
     """
 
-    step: Callable[..., tuple[float, StandardGrads, np.ndarray | None]]
+    step: Callable[..., tuple]
     teacher1: bool = False      # first-teacher top-k cache
     teacher2: bool = False      # second-teacher top-k cache
     pseudo: bool = False        # pseudo-label target mixing (when p_pseudo > 0)
@@ -428,23 +431,27 @@ class PreparedExample:
 
     target: list[int]            # selected summary + EOS
     provenance: str
-    t1_logits: np.ndarray | None
-    t2_logits: np.ndarray | None
+    offset: int                  # row of the first target position in the teachers
     teacher_entropy: float | None
 
 
 def prepare_supervision(
     config: TrainConfig, corpus: Corpus, bundle: SupervisionBundle
-) -> tuple[list[PreparedExample], CpdpAnchor | None]:
+) -> tuple[list[PreparedExample], Teachers, CpdpAnchor | None]:
     """Validate the bundle, then resolve every example's target and teacher
     logits in corpus order, plus the CPDP anchor when the mode uses one.
 
-    The anchor is the mean inter-teacher KL over the first
-    ``config.anchor_tokens`` target positions (at least one), in corpus order.
+    The teachers hold one row per target position, examples in corpus order.
+    Their logits are checked here, once; everything the losses derive from
+    them is computed once over all the rows (see ``Teachers``). The anchor
+    is the mean inter-teacher KL over the first ``config.anchor_tokens``
+    target positions (at least one), in corpus order.
     """
     validate_supervision(config, bundle)
     spec = config.spec
-    prepared = []
+    wanted = [(which, topk) for which, flag, topk in
+              ((1, spec.teacher1, bundle.topk1), (2, spec.teacher2, bundle.topk2)) if flag]
+    examples, logits, offset = [], {1: [], 2: []}, 0
     for i, ex in enumerate(corpus.examples):
         summary, provenance = list(ex.summary), "gold"
         if config.mixes_pseudo:
@@ -457,33 +464,25 @@ def prepare_supervision(
         if provenance.startswith("pseudo:"):
             rec_id = pseudo_variant_id(ex.example_id, provenance.split(":", 1)[1])
 
-        t1 = t2 = h_bar = None
-        if spec.teacher1:
-            if rec_id not in bundle.topk1:
-                raise ValueError(f"missing cache record {rec_id} for teacher 1")
-            t1 = cached_teacher_logits(bundle.topk1[rec_id], len(target))
+        for which, topk in wanted:
+            if rec_id not in topk:
+                raise ValueError(f"missing cache record {rec_id} for teacher {which}")
+            logits[which].append(cached_teacher_logits(topk[rec_id], len(target)))
+        h_bar = None
         if spec.adaptive_tau:
-            p = np.exp(t1)
-            p = p / p.sum(axis=1, keepdims=True)
-            h_bar = float(np.atleast_1d(entropy(p)).mean())
-        if spec.teacher2:
-            if rec_id not in bundle.topk2:
-                raise ValueError(f"missing cache record {rec_id} for teacher 2")
-            t2 = cached_teacher_logits(bundle.topk2[rec_id], len(target))
-        prepared.append(PreparedExample(target, provenance, t1, t2, h_bar))
+            h_bar = float(np.atleast_1d(entropy(_exp_normalized(logits[1][-1]))).mean())
+        examples.append(PreparedExample(target, provenance, offset, h_bar))
+        offset += len(target)
 
+    teachers = Teachers(*(np.concatenate(logits[w]) if logits[w] else None for w in (1, 2)))
     if not spec.anchor:
-        return prepared, None
-    positions = ((p.t1_logits[t], p.t2_logits[t])
-                 for p in prepared for t in range(len(p.target)))
-    d1, d2 = [], []
-    for z1, z2 in islice(positions, max(config.anchor_tokens, 1)):
-        e1, e2 = np.exp(z1), np.exp(z2)
-        d1.append(e1 / e1.sum())
-        d2.append(e2 / e2.sum())
-    if not d1:
+        return examples, teachers, None
+    n = min(max(config.anchor_tokens, 1), offset)
+    if n == 0:
         raise ValueError("no calibration tokens available for the anchor")
-    return prepared, compute_anchor(np.array(d1), np.array(d2))
+    anchor = compute_anchor(_exp_normalized(teachers.logits(1)[:n]),
+                            _exp_normalized(teachers.logits(2)[:n]))
+    return examples, teachers, anchor
 
 
 @dataclass
@@ -503,8 +502,10 @@ def train(
 ) -> TrainResult:
     """Plain gradient descent under the configured loss mode.
 
-    Deterministic for a fixed (config, corpus, bundle). Raises
-    TrainingDiverged if the loss leaves the finite range.
+    Each batch is one loss call over its flattened target positions; the
+    objective is the mean of the per-sequence means. Deterministic for
+    a fixed (config, corpus, bundle). Raises TrainingDiverged if the loss
+    leaves the finite range.
     """
     bundle = bundle or SupervisionBundle()
     spec = config.spec
@@ -512,7 +513,14 @@ def train(
     n = len(corpus.examples)
     if n == 0:
         raise ValueError("cannot train on an empty corpus")
-    prepared, anchor = prepare_supervision(config, corpus, bundle)
+    prepared, teachers, anchor = prepare_supervision(config, corpus, bundle)
+    offsets = np.array([p.offset for p in prepared])
+    # every example padded once; a batch slices its rows to its longest one
+    src_all, src_len = _padded_rows([ex.document for ex in corpus.examples])
+    tgt_all, tgt_len = _padded_rows([p.target for p in prepared])
+    # teacher forcing: BOS, then the target shifted right (it ends in EOS)
+    tgt_in_all = np.concatenate([np.full((n, 1), BOS_ID), tgt_all[:, :-1]], axis=1)
+    entropies = np.array([p.teacher_entropy for p in prepared]) if spec.adaptive_tau else None
 
     params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
     projection = None
@@ -529,83 +537,66 @@ def train(
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
         sums = {"loss": 0.0, "ce": 0.0, "kd": 0.0, "inter": 0.0, "cpdp": 0.0}
-        lam_sum, lam_count, n_batches = 0.0, 0, 0
+        # per-position counts: gate sum and size, CPDP clamp/floor hits and size
+        lam_sum, lam_count, clamped, floored, cpdp_count = 0.0, 0, 0, 0, 0
+        n_batches = 0
 
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             bsz = len(batch_idx)
-            docs = [corpus.examples[i].document for i in batch_idx]
-            tgts = [prepared[i].target for i in batch_idx]
-            ls = max(len(d) for d in docs)
-            lt = max(len(t) for t in tgts)
-
-            src = np.full((bsz, ls), EOS_ID, dtype=int)
-            src_mask = np.zeros((bsz, ls), dtype=bool)
-            tgt = np.full((bsz, lt), EOS_ID, dtype=int)
-            tgt_in = np.full((bsz, lt), EOS_ID, dtype=int)
-            tgt_mask = np.zeros((bsz, lt), dtype=bool)
-            for j, (doc, t_seq) in enumerate(zip(docs, tgts)):
-                src[j, : len(doc)] = doc
-                src_mask[j, : len(doc)] = True
-                tgt[j, : len(t_seq)] = t_seq
-                tgt_in[j, 0] = BOS_ID
-                tgt_in[j, 1 : len(t_seq)] = t_seq[:-1]
-                tgt_mask[j, : len(t_seq)] = True
+            ls, lt = src_len[batch_idx].max(), tgt_len[batch_idx].max()
+            src, src_mask = src_all[batch_idx, :ls], np.arange(ls) < src_len[batch_idx, None]
+            tgt, tgt_in = tgt_all[batch_idx, :lt], tgt_in_all[batch_idx, :lt]
+            tgt_mask = np.arange(lt) < tgt_len[batch_idx, None]
 
             logits, hidden, fcache = forward_batch(params, src, src_mask, tgt_in, tgt_mask)
-            teacher_hidden = dhidden = dproj = None
+            m = tgt_len[batch_idx]
+            tau = config.fixed_tau
+            if spec.adaptive_tau:
+                h = entropies[batch_idx]
+                hbar_sum += float(np.sum(h))
+                hbar_count += bsz
+                tau = np.repeat(
+                    tau_from_entropy(h, float(np.mean(h)), config.adaptive_tau_cfg), m
+                )
+            tb = TokenBatch(
+                tgt[tgt_mask], np.ones(m.sum(), dtype=bool), logits[tgt_mask],
+                sequence=np.repeat(np.arange(bsz), m),
+                teachers=teachers.take((offsets[batch_idx, None] + np.arange(lt))[tgt_mask]),
+            )
+            hp = None
             if spec.hidden:
                 _, teacher_hidden, _ = forward_batch(
                     bundle.teacher_params, src, src_mask, tgt_in, tgt_mask
                 )
-                dhidden = np.zeros_like(hidden)
-                dproj = np.zeros_like(projection)
+                hp = HiddenPair(hidden[tgt_mask], teacher_hidden[tgt_mask], projection)
 
-            hbar_batch_mean = None
-            if spec.adaptive_tau:
-                batch_hbars = [prepared[i].teacher_entropy for i in batch_idx]
-                hbar_batch_mean = float(np.mean(batch_hbars))
-                hbar_sum += float(np.sum(batch_hbars))
-                hbar_count += bsz
-
+            # the loss sums the per-sequence means; the objective is their mean
+            value, g, etr, ctr = spec.step(config, tb, tau, hp, anchor)
             dlogits = np.zeros_like(logits)
-            for j, i in enumerate(batch_idx):
-                prep = prepared[i]
-                tb = TokenBatch(
-                    gold_ids=tgt[j],
-                    mask=tgt_mask[j],
-                    student_logits=logits[j],
-                    teacher1_logits=_padded(prep.t1_logits, lt, v),
-                    teacher2_logits=_padded(prep.t2_logits, lt, v),
-                )
-                tau = config.fixed_tau
-                if spec.adaptive_tau:
-                    p1 = np.exp(tb.teacher1_logits)
-                    p1 = p1 / p1.sum(axis=1, keepdims=True)
-                    tau = adaptive_tau(p1, tgt_mask[j], hbar_batch_mean, config.adaptive_tau_cfg)
-                hp = None
-                if spec.hidden:
-                    hp = HiddenPair(hidden[j], teacher_hidden[j], projection)
-
-                value, g, gate = spec.step(config, tb, tau, hp, anchor)
-                dlogits[j] = g.logits / bsz
-                if g.hidden is not None:
-                    dhidden[j] = g.hidden / bsz
-                    dproj += g.projection / bsz
-                sums["loss"] += value
-                for key, component in g.components.items():
-                    sums[key] += component
-                if gate is not None:
-                    lam_sum += float(gate.sum())
-                    lam_count += gate.size
+            dlogits[tgt_mask] = g.logits / bsz
+            dhidden = None
+            if g.hidden is not None:
+                dhidden = np.zeros_like(hidden)
+                dhidden[tgt_mask] = g.hidden / bsz
 
             grads = backward_batch(params, fcache, dlogits, dhidden)
             params.embed -= config.learning_rate * grads.embed
             params.recur -= config.learning_rate * grads.recur
             params.out -= config.learning_rate * grads.out
-            if dproj is not None:
-                projection -= config.learning_rate * dproj
+            if g.projection is not None:
+                projection -= config.learning_rate * (g.projection / bsz)
             n_batches += 1
+            sums["loss"] += value
+            for key, component in g.components.items():
+                sums[key] += component
+            if etr is not None:
+                lam_sum += float(etr.gate.sum())
+                lam_count += etr.gate.size
+            if ctr is not None:
+                clamped += int(ctr.clamped.sum())
+                floored += int(ctr.entropy_floored.sum())
+                cpdp_count += ctr.clamped.size
             if not (
                 np.isfinite(sums["loss"])
                 and np.all(np.isfinite(params.out))
@@ -625,6 +616,8 @@ def train(
             "inter": sums["inter"] / n,
             "cpdp": sums["cpdp"] / n,
             "lambda_mean": (lam_sum / lam_count) if lam_count else None,
+            "cpdp_clamped_frac": (clamped / cpdp_count) if cpdp_count else None,
+            "entropy_floored_frac": (floored / cpdp_count) if cpdp_count else None,
         }
         if val_corpus is not None:
             row["val_rougeL"] = evaluate_rouge(
@@ -639,14 +632,12 @@ def train(
     )
 
 
-def _padded(arr: np.ndarray | None, length: int, vocab: int) -> np.ndarray | None:
-    if arr is None:
-        return None
-    if arr.shape[0] == length:
-        return arr
-    out = np.zeros((length, vocab))
-    out[: arr.shape[0]] = arr
-    return out
+def _padded_rows(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Token sequences as EOS-padded rows of one int array, and their lengths."""
+    lengths = np.array([len(seq) for seq in seqs])
+    rows = np.full((len(seqs), lengths.max()), EOS_ID, dtype=int)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.concatenate(seqs)
+    return rows, lengths
 
 
 def evaluate_rouge(
