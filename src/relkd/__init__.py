@@ -46,6 +46,7 @@ from .toymodel import (
     ToyModelParams,
     forward,
     generate,
+    generate_batch,
     init_params,
     load_checkpoint,
     route,

@@ -30,6 +30,7 @@ from .toymodel import (
     ROUTE_DIRECT,
     forward,
     generate,
+    generate_batch,
     load_checkpoint,
     route,
     save_checkpoint,
@@ -147,6 +148,9 @@ _NULLABLE = {"preset": str, "teacher2.checkpoint": str, "mapreduce.map_checkpoin
 _LIST_ENTRIES = {"pseudo_teachers": {"id": "", "checkpoint": ""}}
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                dict: "an object", list: "an array"}
+# Settings that must be at least 1. A decoding length of 0 scores every
+# summary as empty, and a beam or a top-k cache of width 0 keeps nothing.
+_POSITIVE = ("training.gen_max_len", "beam_width", "cache_k")
 
 
 def _fits(value, expected: type) -> bool:
@@ -209,6 +213,12 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
         cfg["seed"] = seed_override
     if cfg["seed"] < 0:
         raise CliError("seed must be non-negative")
+    for path in _POSITIVE:
+        value = cfg
+        for key in path.split("."):
+            value = value[key]
+        if value < 1:
+            raise CliError(f"{path} must be >= 1, got {value}")
     return cfg
 
 
@@ -338,11 +348,16 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, trace: bool) -> int:
             vocab_size=corpus.vocab_size,
         )
         print(f"wrote {n} pseudo-label records to {cfg['pseudo_cache']}")
-    n = write_cache(records1, _resolve(cfg["teacher1"]["cache"], out_dir), k=k)
-    print(f"wrote {n} top-k records to {cfg['teacher1']['cache']}")
-    if records2 is not None:
-        n = write_cache(records2, _resolve(cfg["teacher2"]["cache"], out_dir), k=k)
-        print(f"wrote {n} top-k records to {cfg['teacher2']['cache']}")
+    for teacher, records in (("teacher1", records1), ("teacher2", records2)):
+        if records is None:
+            continue
+        path = _resolve(cfg[teacher]["cache"], out_dir)
+        n = write_cache(records, path, k=k)
+        with open(path, "r", encoding="utf-8") as f:
+            mass = json.loads(f.readline())["mass_kept"]
+        kept = ("" if mass is None
+                else f" (top-{k} mass kept: mean {mass['mean']:.4f}, min {mass['min']:.4f})")
+        print(f"wrote {n} top-k records to {cfg[teacher]['cache']}{kept}")
     return 0
 
 
@@ -442,8 +457,8 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
     else:
         summary = summarize_long(
             tokens,
-            lambda c: generate(map_params, c, mode="greedy", max_len=gen_len),
-            lambda c: generate(reduce_params, c, mode="greedy", max_len=gen_len),
+            lambda docs: generate_batch(map_params, docs, mode="greedy", max_len=gen_len),
+            lambda docs: generate_batch(reduce_params, docs, mode="greedy", max_len=gen_len),
             ccfg,
             trace=trace_rows if trace else None,
         )

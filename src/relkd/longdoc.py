@@ -1,8 +1,10 @@
 """Long-document MapReduce pipeline: sentence-aligned chunking with overlap,
-per-chunk MAP summarization, Jaccard deduplication, recursive REDUCE.
+batched MAP summarization, Jaccard deduplication, recursive REDUCE.
 
-MAP and REDUCE are injected as plain token-to-token callables so any model
-(or a stub) can fill the roles.
+MAP and REDUCE are injected as batch callables so any model (or a stub) can
+fill the roles: each takes a list of token lists and returns one summary
+(a token list) per input, in order. Every MAP phase is one call over all of
+its level's chunks.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .toymodel import BOUNDARY_ID
+
+# a batch of token lists in, one summary per input out, in order
+Summarizer = Callable[[list[list[int]]], list[list[int]]]
 
 MAX_REDUCE_DEPTH = 8
 
@@ -126,20 +131,21 @@ def dedup(sentences: list[list[int]], cfg: ChunkConfig) -> list[list[int]]:
 
 def summarize_long(
     document,
-    map_fn: Callable[[list[int]], list[int]],
-    reduce_fn: Callable[[list[int]], list[int]],
+    map_fn: Summarizer,
+    reduce_fn: Summarizer,
     cfg: ChunkConfig,
     trace: list | None = None,
 ) -> list[int]:
     """Chunk, MAP-summarize, deduplicate, then REDUCE (recursively if needed).
 
-    The single-chunk case degenerates to one direct MAP call. When the
-    deduplicated concatenation still exceeds the context limit, the kept
-    sentences are re-chunked and summarized again with the REDUCE model in
-    the MAP role (model summaries need not contain boundary tokens, so their
-    sentence structure is carried forward rather than re-derived). Recursion
-    requires strict shrinkage and is capped at MAX_REDUCE_DEPTH levels;
-    either failure aborts with a diagnostic.
+    Each level's chunks go to ``map_fn`` in one call. The single-chunk case
+    degenerates to one direct MAP call. When the deduplicated concatenation
+    still exceeds the context limit, the kept sentences are re-chunked and
+    summarized again with the REDUCE model in the MAP role (model summaries
+    need not contain boundary tokens, so their sentence structure is carried
+    forward rather than re-derived). Recursion requires strict shrinkage and
+    is capped at MAX_REDUCE_DEPTH levels; either failure aborts with a
+    diagnostic.
     """
     document = [int(t) for t in document]
     sentences = split_sentences(document, cfg.boundary_id)
@@ -148,8 +154,8 @@ def summarize_long(
 
 def _summarize_sentences(
     sentences: list[list[int]],
-    map_fn: Callable[[list[int]], list[int]],
-    reduce_fn: Callable[[list[int]], list[int]],
+    map_fn: Summarizer,
+    reduce_fn: Summarizer,
     cfg: ChunkConfig,
     trace: list | None,
     depth: int,
@@ -160,7 +166,7 @@ def _summarize_sentences(
 
     chunks = chunk(sentences, cfg)
     if len(chunks) == 1:
-        summary = list(map_fn([t for s in sentences for t in s]))
+        summary, = _summarize(map_fn, [[t for s in sentences for t in s]])
         if trace is not None:
             trace.append(
                 {"depth": depth, "chunks": [_chunk_info(chunks[0])],
@@ -169,7 +175,7 @@ def _summarize_sentences(
             )
         return summary
 
-    map_outputs = [list(map_fn(list(c.tokens))) for c in chunks]
+    map_outputs = _summarize(map_fn, [list(c.tokens) for c in chunks])
 
     candidate_sentences: list[list[int]] = []
     for out in map_outputs:
@@ -197,7 +203,18 @@ def _summarize_sentences(
                 f"({n_input_tokens} -> {concat_length} tokens)"
             )
         return _summarize_sentences(kept, reduce_fn, reduce_fn, cfg, trace, depth + 1)
-    return list(reduce_fn([t for s in kept for t in s]))
+    summary, = _summarize(reduce_fn, [[t for s in kept for t in s]])
+    return summary
+
+
+def _summarize(fn: Summarizer, batch: list[list[int]]) -> list[list[int]]:
+    """Apply a batch summarizer, checking that it answered every input."""
+    outputs = [list(out) for out in fn(batch)]
+    if len(outputs) != len(batch):
+        raise PipelineError(
+            f"summarizer returned {len(outputs)} summaries for {len(batch)} inputs"
+        )
+    return outputs
 
 
 def _chunk_info(c: Chunk) -> dict:

@@ -4,11 +4,13 @@ Cache files are UTF-8 JSON Lines. The first line is a header::
 
     {"version": 1, "kind": "topk"|"pseudo", "vocab_size": int, "k": int}
 
-Top-k data lines carry per-position (token_id, logprob) pairs sorted by
-descending log-probability; pseudo data lines carry a teacher-generated
-summary as token ids plus its decoded text. Files are written atomically
-and are immutable once written; readers validate every line and report
-failures by line number.
+A top-k header also records ``"mass_kept": {"mean": float, "min": float}``,
+the probability mass the cached entries keep per position (null for a cache
+without positions); readers ignore it. Top-k data lines carry per-position
+(token_id, logprob) pairs sorted by descending log-probability; pseudo data
+lines carry a teacher-generated summary as token ids plus its decoded text.
+Files are written atomically and are immutable once written; readers
+validate every line and report failures by line number.
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ class MixingConfig:
             raise ValueError("rng_seed must be non-negative")
 
 
-def validate_topk_record(rec: TopKRecord, k: int | None = None) -> None:
-    """Raise CacheFormatError unless the record satisfies all invariants."""
+def validate_topk_record(rec: TopKRecord, k: int | None = None) -> list[float]:
+    """Raise CacheFormatError unless the record satisfies all invariants.
+    Returns the probability mass each position keeps, sum(exp(logprob))."""
     if not rec.example_id:
         raise CacheFormatError("record id must be non-empty")
     if rec.vocab_size < 2:
         raise CacheFormatError(f"{rec.example_id}: vocab_size must be >= 2")
+    masses = []
     for pos, pairs in enumerate(rec.positions):
         if len(pairs) == 0:
             raise CacheFormatError(f"{rec.example_id} position {pos}: empty pair list")
@@ -90,10 +94,12 @@ def validate_topk_record(rec: TopKRecord, k: int | None = None) -> None:
             raise CacheFormatError(
                 f"{rec.example_id} position {pos}: logprobs not sorted descending"
             )
-        if sum(math.exp(lp) for lp in lps) > 1.0 + MASS_TOL:
+        masses.append(sum(math.exp(lp) for lp in lps))
+        if masses[-1] > 1.0 + MASS_TOL:
             raise CacheFormatError(
                 f"{rec.example_id} position {pos}: probability mass exceeds 1"
             )
+    return masses
 
 
 def validate_pseudo_record(rec: PseudoLabelRecord) -> None:
@@ -143,20 +149,17 @@ def write_cache(
     if vocab_size is None or k is None:
         raise CacheFormatError("vocab_size and k are required when they cannot be inferred")
 
-    lines = [
-        json.dumps(
-            {"version": CACHE_VERSION, "kind": kind, "vocab_size": int(vocab_size),
-             "k": int(k)},
-            sort_keys=True,
-        )
-    ]
+    header = {"version": CACHE_VERSION, "kind": kind, "vocab_size": int(vocab_size),
+              "k": int(k)}
+    lines = []
+    masses: list[float] = []
     for rec in records:
         if kind == "topk":
             if not isinstance(rec, TopKRecord):
                 raise CacheFormatError("mixed record kinds in one cache")
             if rec.vocab_size != vocab_size:
                 raise CacheFormatError(f"{rec.example_id}: vocab_size differs from header")
-            validate_topk_record(rec, k=int(k))
+            masses.extend(validate_topk_record(rec, k=int(k)))
             lines.append(
                 json.dumps(
                     {"id": rec.example_id,
@@ -178,8 +181,13 @@ def write_cache(
                 )
             )
 
+    if kind == "topk":
+        # the mass the cached entries keep, before densify renormalizes it
+        header["mass_kept"] = (
+            {"mean": math.fsum(masses) / len(masses), "min": min(masses)} if masses else None
+        )
     try:
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        write_text_atomic(path, "\n".join([json.dumps(header, sort_keys=True), *lines]) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write cache {path}: {exc}") from exc
     return len(records)

@@ -86,6 +86,37 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
         raise ValueError("token id out of range for vocabulary")
 
 
+def _step(params: ToyModelParams, h: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """One recurrence step for every row: h (..., d), tokens (...)."""
+    return np.tanh(h @ params.recur.T + params.embed[tokens])
+
+
+def _recur(
+    params: ToyModelParams,
+    h: np.ndarray,
+    tokens: np.ndarray,
+    mask: np.ndarray,
+    states: np.ndarray | None = None,
+) -> np.ndarray:
+    """Consume padded token columns (B, L) from hidden states h (B, d);
+    masked-off steps keep h. Step s's state goes to ``states[:, s + 1]``
+    when given. Returns the final states."""
+    for s in range(tokens.shape[1]):
+        h = np.where(mask[:, s, None], _step(params, h, tokens[:, s]), h)
+        if states is not None:
+            states[:, s + 1] = h
+    return h
+
+
+def padded_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Token sequences as EOS-padded rows of one int array, and their lengths."""
+    seqs = [np.asarray(seq, dtype=int) for seq in seqs]
+    lengths = np.array([seq.size for seq in seqs], dtype=int)
+    rows = np.full((len(seqs), lengths.max(initial=0)), EOS_ID, dtype=int)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.concatenate(seqs)
+    return rows, lengths
+
+
 @dataclass
 class ForwardCache:
     """Per-step activations retained for backpropagation."""
@@ -122,18 +153,10 @@ def forward_batch(
     d = params.hidden_dim
 
     enc_states = np.zeros((b, ls + 1, d))
-    h = np.zeros((b, d))
-    for s in range(ls):
-        upd = np.tanh(h @ params.recur.T + params.embed[src[:, s]])
-        h = np.where(src_mask[:, s, None], upd, h)
-        enc_states[:, s + 1] = h
-
+    h = _recur(params, np.zeros((b, d)), src, src_mask, enc_states)
     dec_states = np.zeros((b, lt + 1, d))
     dec_states[:, 0] = h
-    for t in range(lt):
-        upd = np.tanh(h @ params.recur.T + params.embed[tgt_in[:, t]])
-        h = np.where(tgt_mask[:, t, None], upd, h)
-        dec_states[:, t + 1] = h
+    _recur(params, h, tgt_in, tgt_mask, dec_states)
 
     hidden = dec_states[:, 1:]
     logits = hidden @ params.out
@@ -212,13 +235,6 @@ def route(document, context_limit: int) -> str:
     return ROUTE_DIRECT if len(document) <= context_limit else ROUTE_MAPREDUCE
 
 
-def _encode(params: ToyModelParams, tokens: np.ndarray) -> np.ndarray:
-    h = np.zeros(params.hidden_dim)
-    for tok in tokens:
-        h = np.tanh(params.recur @ h + params.embed[tok])
-    return h
-
-
 def generate(
     params: ToyModelParams,
     document,
@@ -226,56 +242,93 @@ def generate(
     beam_width: int = 4,
     max_len: int = 32,
 ) -> list[int]:
-    """Decode a summary for the document; EOS terminates and is stripped.
+    """Decode a summary for one document: generate_batch on a batch of one."""
+    return generate_batch(params, [document], mode, beam_width, max_len)[0]
 
-    Greedy takes the argmax at every step. Beam keeps ``beam_width``
-    hypotheses ranked by summed log-probability, breaking ties toward the
-    lexicographically smallest token sequence.
+
+def generate_batch(
+    params: ToyModelParams,
+    documents,
+    mode: str = "greedy",
+    beam_width: int = 4,
+    max_len: int = 32,
+) -> list[list[int]]:
+    """Decode a summary for each document; EOS terminates and is stripped.
+
+    The documents are encoded as one padded, masked batch, and each decoding
+    step is one product over every row. Greedy takes the argmax at every
+    step. Beam keeps ``beam_width`` hypotheses per document ranked by summed
+    log-probability, breaking ties toward the lexicographically smallest
+    token sequence.
     """
-    doc = np.asarray(list(document), dtype=int)
-    _check_tokens(doc, params.vocab_size)
-    h0 = _encode(params, doc)
-
-    if mode == "greedy":
-        h, prev = h0, BOS_ID
-        toks: list[int] = []
-        for _ in range(max_len):
-            h = np.tanh(params.recur @ h + params.embed[prev])
-            nxt = int(np.argmax(h @ params.out))
-            if nxt == EOS_ID:
-                break
-            toks.append(nxt)
-            prev = nxt
-        return toks
-
-    if mode != "beam":
+    if mode not in ("greedy", "beam"):
         raise ValueError(f"unknown generation mode {mode!r}")
-    if beam_width < 1:
+    if mode == "beam" and beam_width < 1:
         raise ValueError("beam width must be >= 1")
+    documents = [list(doc) for doc in documents]
+    if not documents:
+        return []
+    rows, lengths = padded_rows(documents)
+    _check_tokens(rows, params.vocab_size)
+    h0 = _recur(params, np.zeros((len(documents), params.hidden_dim)), rows,
+                np.arange(rows.shape[1]) < lengths[:, None])
+    if mode == "greedy":
+        return _greedy(params, h0, max_len)
+    return _beam(params, h0, beam_width, max_len)
 
-    # (score, tokens, state); tokens include any terminal EOS until selection.
-    active: list[tuple[float, tuple[int, ...], np.ndarray]] = [(0.0, (), h0)]
-    completed: list[tuple[float, tuple[int, ...]]] = []
-    for _ in range(max_len):
-        expansions: list[tuple[float, tuple[int, ...], np.ndarray]] = []
-        for score, toks, h in active:
-            prev = toks[-1] if toks else BOS_ID
-            h2 = np.tanh(params.recur @ h + params.embed[prev])
-            logp = log_softmax_t(h2 @ params.out, 1.0)
-            for v in range(params.vocab_size):
-                expansions.append((score + float(logp[v]), toks + (v,), h2))
-        expansions.sort(key=lambda e: (-e[0], e[1]))
-        active = []
-        for score, toks, h2 in expansions[:beam_width]:
-            if toks[-1] == EOS_ID:
-                completed.append((score, toks[:-1]))
-            else:
-                active.append((score, toks, h2))
-        if not active:
+
+def _greedy(params: ToyModelParams, h: np.ndarray, max_len: int) -> list[list[int]]:
+    b = h.shape[0]
+    toks = np.zeros((b, max(max_len, 0)), dtype=int)
+    n_out = np.zeros(b, dtype=int)
+    alive = np.ones(b, dtype=bool)
+    prev = np.full(b, BOS_ID)
+    for t in range(max_len):
+        h = _step(params, h, prev)
+        prev = np.argmax(h @ params.out, axis=1)
+        alive &= prev != EOS_ID
+        if not alive.any():
             break
-    completed.extend((score, toks) for score, toks, _ in active)
-    completed.sort(key=lambda e: (-e[0], e[1]))
-    return list(completed[0][1])
+        toks[:, t] = prev
+        n_out += alive
+    return [row[:n].tolist() for row, n in zip(toks, n_out)]
+
+
+def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[list[int]]:
+    """Beam search over (B, k) hypothesis slots; a dead slot scores -inf.
+
+    The live hypotheses of a document all have the same length, and its
+    slots hold them in lexicographic order. So the order of the flattened
+    (slot, token) candidates is the order of their token sequences: a stable
+    sort by score breaks ties toward the smaller sequence, and the selected
+    candidates, put back in flattened order, keep the slots sorted.
+    """
+    b, v = h0.shape[0], params.vocab_size
+    score = np.full((b, k), -np.inf)
+    score[:, 0] = 0.0
+    h = np.repeat(h0[:, None], k, axis=1)
+    prev = np.full((b, k), BOS_ID)
+    seqs = np.zeros((b, k, 0), dtype=int)
+    done: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(b)]
+    for _ in range(max_len):
+        h = _step(params, h, prev)
+        cand = (score[:, :, None] + log_softmax_t(h @ params.out, 1.0)).reshape(b, k * v)
+        pick = np.sort(np.argsort(-cand, axis=1, kind="stable")[:, :k], axis=1)
+        parent, prev = pick // v, pick % v
+        score = np.take_along_axis(cand, pick, axis=1)
+        h = np.take_along_axis(h, parent[:, :, None], axis=1)
+        seqs = np.concatenate(
+            [np.take_along_axis(seqs, parent[:, :, None], axis=1), prev[:, :, None]], axis=2
+        )
+        ended = (prev == EOS_ID) & np.isfinite(score)
+        for i, j in zip(*np.nonzero(ended)):
+            done[i].append((float(score[i, j]), tuple(seqs[i, j, :-1].tolist())))
+        score[ended] = -np.inf
+        if not np.isfinite(score).any():
+            break
+    for i, j in zip(*np.nonzero(np.isfinite(score))):
+        done[i].append((float(score[i, j]), tuple(seqs[i, j].tolist())))
+    return [list(min(row, key=lambda e: (-e[0], e[1]))[1]) for row in done]
 
 
 def save_checkpoint(

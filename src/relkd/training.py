@@ -51,8 +51,9 @@ from .toymodel import (
     backward_batch,
     forward,
     forward_batch,
-    generate,
+    generate_batch,
     init_params,
+    padded_rows,
 )
 
 _LOGIT_FLOOR = 1e-12
@@ -213,24 +214,48 @@ def topk_from_logits(logits: np.ndarray, k: int) -> list[list[tuple[int, float]]
     """Per-position top-k (token, logprob) pairs, sorted by descending
     log-probability with ties broken toward lower token ids."""
     logp = log_softmax_t(np.asarray(logits, dtype=float), 1.0)
-    out = []
-    for row in logp:
-        order = np.lexsort((np.arange(row.size), -row))[:k]
-        out.append([(int(t), float(row[t])) for t in order])
-    return out
+    order = np.argsort(-logp, axis=-1, kind="stable")[:, :k]
+    top = np.take_along_axis(logp, order, axis=-1)
+    return [list(zip(ids, lps)) for ids, lps in zip(order.tolist(), top.tolist())]
+
+
+def _forcing_rows(documents, targets):
+    """Documents and their targets as padded rows for teacher forcing:
+    (src, src_len, tgt, tgt_in, tgt_len), where tgt_in is BOS followed by
+    the target shifted right (each target ends in EOS)."""
+    src, src_len = padded_rows(documents)
+    tgt, tgt_len = padded_rows(targets)
+    tgt_in = np.concatenate([np.full((len(tgt), 1), BOS_ID), tgt[:, :-1]], axis=1)
+    return src, src_len, tgt, tgt_in, tgt_len
+
+
+def _topk_records(
+    params: ToyModelParams, ids: list[str], documents, summaries, k: int, vocab_size: int
+) -> list[TopKRecord]:
+    """Teacher-force every summary on its document in one batch and cache
+    the top-k logprobs of each target position."""
+    if not ids:
+        return []
+    src, src_len, _, tgt_in, tgt_len = _forcing_rows(
+        documents, [_target_with_eos(s) for s in summaries]
+    )
+    tgt_mask = np.arange(tgt_in.shape[1]) < tgt_len[:, None]
+    logits, _, _ = forward_batch(
+        params, src, np.arange(src.shape[1]) < src_len[:, None], tgt_in, tgt_mask
+    )
+    positions = topk_from_logits(logits[tgt_mask], k)
+    ends = np.cumsum(tgt_len).tolist()
+    return [TopKRecord(eid, positions[end - n : end], vocab_size)
+            for eid, end, n in zip(ids, ends, tgt_len.tolist())]
 
 
 def build_topk_records(
     params: ToyModelParams, corpus: Corpus, k: int
 ) -> list[TopKRecord]:
     """Teacher-force the model on every gold target and cache top-k logprobs."""
-    records = []
-    for ex in corpus.examples:
-        logits, _ = forward(params, ex.document, _target_with_eos(ex.summary))
-        records.append(
-            TopKRecord(ex.example_id, topk_from_logits(logits, k), corpus.vocab_size)
-        )
-    return records
+    exs = corpus.examples
+    return _topk_records(params, [ex.example_id for ex in exs], [ex.document for ex in exs],
+                         [ex.summary for ex in exs], k, corpus.vocab_size)
 
 
 def build_pseudo_records(
@@ -245,9 +270,10 @@ def build_pseudo_records(
     An empty generation (immediate end-of-sequence) is replaced by the
     strongest non-terminal first token so the record stays non-empty.
     """
+    summaries = generate_batch(params, [ex.document for ex in corpus.examples], mode="beam",
+                               beam_width=beam_width, max_len=max_len)
     records = []
-    for ex in corpus.examples:
-        toks = generate(params, ex.document, mode="beam", beam_width=beam_width, max_len=max_len)
+    for ex, toks in zip(corpus.examples, summaries):
         if not toks:
             logits, _ = forward(params, ex.document, [EOS_ID])
             row = logits[0].copy()
@@ -273,18 +299,12 @@ def build_pseudo_variant_topk(
 ) -> list[TopKRecord]:
     """Teacher-force the model on each pseudo-label sequence so logit
     distillation can target whichever sequence the mixer selects."""
-    records = []
-    for ex in corpus.examples:
-        for rec in pseudo.get(ex.example_id, []):
-            logits, _ = forward(params, ex.document, _target_with_eos(rec.tokens))
-            records.append(
-                TopKRecord(
-                    pseudo_variant_id(ex.example_id, rec.teacher_id),
-                    topk_from_logits(logits, k),
-                    corpus.vocab_size,
-                )
-            )
-    return records
+    pairs = [(ex, rec) for ex in corpus.examples for rec in pseudo.get(ex.example_id, [])]
+    return _topk_records(
+        params, [pseudo_variant_id(ex.example_id, rec.teacher_id) for ex, rec in pairs],
+        [ex.document for ex, _ in pairs], [rec.tokens for _, rec in pairs],
+        k, corpus.vocab_size,
+    )
 
 
 def cached_teacher_logits(record: TopKRecord, length: int) -> np.ndarray:
@@ -516,10 +536,9 @@ def train(
     prepared, teachers, anchor = prepare_supervision(config, corpus, bundle)
     offsets = np.array([p.offset for p in prepared])
     # every example padded once; a batch slices its rows to its longest one
-    src_all, src_len = _padded_rows([ex.document for ex in corpus.examples])
-    tgt_all, tgt_len = _padded_rows([p.target for p in prepared])
-    # teacher forcing: BOS, then the target shifted right (it ends in EOS)
-    tgt_in_all = np.concatenate([np.full((n, 1), BOS_ID), tgt_all[:, :-1]], axis=1)
+    src_all, src_len, tgt_all, tgt_in_all, tgt_len = _forcing_rows(
+        [ex.document for ex in corpus.examples], [p.target for p in prepared]
+    )
     entropies = np.array([p.teacher_entropy for p in prepared]) if spec.adaptive_tau else None
 
     params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
@@ -632,23 +651,16 @@ def train(
     )
 
 
-def _padded_rows(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Token sequences as EOS-padded rows of one int array, and their lengths."""
-    lengths = np.array([len(seq) for seq in seqs])
-    rows = np.full((len(seqs), lengths.max()), EOS_ID, dtype=int)
-    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.concatenate(seqs)
-    return rows, lengths
-
-
 def evaluate_rouge(
     params: ToyModelParams, corpus: Corpus, max_len: int = 16
 ) -> RougeScores:
     """Greedy-decode every example and average token-level F1 scores."""
     if not corpus.examples:
         raise ValueError("cannot evaluate on an empty corpus")
+    hyps = generate_batch(params, [ex.document for ex in corpus.examples], mode="greedy",
+                          max_len=max_len)
     r1 = r2 = rl = 0.0
-    for ex in corpus.examples:
-        hyp = generate(params, ex.document, mode="greedy", max_len=max_len)
+    for ex, hyp in zip(corpus.examples, hyps):
         r1 += rouge_n(hyp, ex.summary, 1)
         r2 += rouge_n(hyp, ex.summary, 2)
         rl += rouge_l(hyp, ex.summary)

@@ -45,7 +45,7 @@ from relkd.teachercache import (
     sample_target,
     write_cache,
 )
-from relkd.toymodel import ROUTE_MAPREDUCE, generate, init_params, route
+from relkd.toymodel import ROUTE_MAPREDUCE, generate_batch, init_params, route
 from relkd.training import (
     CorpusConfig,
     SupervisionBundle,
@@ -430,8 +430,8 @@ class TestCriterion9MapReduceEndToEnd:
         trace = []
         summary = summarize_long(
             doc,
-            lambda c: generate(params, c, mode="greedy", max_len=16),
-            lambda c: generate(params, c, mode="greedy", max_len=16),
+            lambda cs: generate_batch(params, cs, mode="greedy", max_len=16),
+            lambda cs: generate_batch(params, cs, mode="greedy", max_len=16),
             cfg, trace=trace,
         )
         assert isinstance(summary, list)

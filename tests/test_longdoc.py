@@ -151,11 +151,13 @@ class TestDedup:
 
 
 class TestSummarizeLong:
-    ECHO = staticmethod(lambda toks: list(toks))
+    # MAP and REDUCE are batch callables: a list of token lists in, one
+    # summary per input out
+    ECHO = staticmethod(lambda docs: [list(toks) for toks in docs])
 
     def test_single_chunk_degenerates_to_direct_map(self):
         doc = [5, 6, B, 7, 8]
-        out = summarize_long(doc, lambda t: t[:2], self.ECHO, cfg(chunk_capacity=50,
+        out = summarize_long(doc, lambda docs: [t[:2] for t in docs], self.ECHO, cfg(chunk_capacity=50,
                                                                   context_limit=64))
         assert out == [5, 6]
 
@@ -176,10 +178,9 @@ class TestSummarizeLong:
         c = cfg(chunk_capacity=30, context_limit=32, overlap_sentences=1)
         doc = synthetic_document(600, vocab_size=16, seed=8, distinct_sentences=40)
 
-        def shrink(toks):
+        def shrink(docs):
             # keep every third sentence: slow enough to need two levels
-            sents = split_sentences(toks)
-            return [t for s in sents[::3] for t in s]
+            return [[t for s in split_sentences(toks)[::3] for t in s] for toks in docs]
 
         trace = []
         out = summarize_long(doc, shrink, shrink, c, trace=trace)

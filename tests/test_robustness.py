@@ -36,6 +36,24 @@ class TestConfigTypes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "cache-teacher"])
+    @pytest.mark.parametrize("text, path", [
+        ('{"training": {"gen_max_len": 0}}', "training.gen_max_len"),
+        ('{"training": {"gen_max_len": -3}}', "training.gen_max_len"),
+        ('{"beam_width": 0}', "beam_width"),
+        ('{"beam_width": -1}', "beam_width"),
+        ('{"cache_k": 0}', "cache_k"),
+        ('{"cache_k": -2}', "cache_k"),
+    ])
+    def test_out_of_range_width_fails_before_any_output(self, tmp_path, capsys, text, path,
+                                                         command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+        assert f"{path} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ints_fit_floats_and_nullable_keys_take_their_type(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", preset="A1",
                            training={"epochs": 1, "learning_rate": 1, "lambda_override": 1},

@@ -14,6 +14,7 @@ from relkd.teachercache import (
     sample_target,
     write_cache,
 )
+from relkd.training import topk_from_logits
 
 
 def topk_record(example_id="ex0", vocab=5):
@@ -181,3 +182,33 @@ class TestMixingConfig:
             MixingConfig(p_pseudo=1.5)
         with pytest.raises(ValueError):
             MixingConfig(p_pseudo=-0.1)
+
+
+class TestMassKept:
+    def _write(self, tmp_path, k, seed=0):
+        logits = np.random.default_rng(seed).standard_normal((12, 6)) * 2.0
+        records = [TopKRecord(f"ex{i}", topk_from_logits(logits[3 * i: 3 * i + 3], k), 6)
+                   for i in range(4)]
+        path = tmp_path / "c.jsonl"
+        write_cache(records, path, k=k)
+        header = json.loads(path.read_text().splitlines()[0])
+        return logits, records, path, header["mass_kept"]
+
+    def test_full_support_keeps_all_mass(self, tmp_path):
+        _, records, path, mass = self._write(tmp_path, k=6)
+        assert abs(mass["mean"] - 1.0) <= 1e-12 and abs(mass["min"] - 1.0) <= 1e-12
+        assert read_cache(path) == records
+
+    def test_top1_keeps_the_max_probability(self, tmp_path):
+        logits, records, path, mass = self._write(tmp_path, k=1, seed=1)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        top = (p / p.sum(axis=1, keepdims=True)).max(axis=1)
+        assert mass["mean"] == pytest.approx(top.mean(), rel=1e-12)
+        assert mass["min"] == pytest.approx(top.min(), rel=1e-12)
+        assert read_cache(path) == records
+
+    def test_null_without_positions_and_absent_from_pseudo_caches(self, tmp_path):
+        write_cache([], tmp_path / "c.jsonl", kind="topk", vocab_size=5, k=2)
+        assert json.loads((tmp_path / "c.jsonl").read_text())["mass_kept"] is None
+        write_cache([pseudo_record()], tmp_path / "p.jsonl", vocab_size=5)
+        assert "mass_kept" not in json.loads((tmp_path / "p.jsonl").read_text().splitlines()[0])
