@@ -31,9 +31,12 @@ from .reliability import (
 from .teachercache import (
     MixingConfig,
     PseudoLabelRecord,
+    TopKCache,
     TopKRecord,
     densify,
+    index_topk,
     read_cache,
+    read_topk,
     sample_target,
     write_cache,
 )

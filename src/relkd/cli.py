@@ -25,7 +25,7 @@ from .atomic import write_text_atomic
 from .evalmetrics import retention
 from .longdoc import ChunkConfig, summarize_long
 from .losses import CpdpAnchor, TokenBatch, cpdp_loss, ewad_loss
-from .teachercache import read_cache, write_cache
+from .teachercache import index_topk, read_cache, write_cache
 from .toymodel import (
     ROUTE_DIRECT,
     forward,
@@ -44,7 +44,6 @@ from .training import (
     build_topk_records,
     evaluate_rouge,
     index_pseudo,
-    index_topk,
     prepare_supervision,
     synthetic_corpus,
     synthetic_document,
@@ -321,7 +320,7 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, trace: bool) -> int:
     if t2_ckpt is not None:
         t2_params, _ = load_checkpoint(_require_file(t2_ckpt, "teacher2 checkpoint"))
 
-    # build every record first so a failure cannot leave partial cache files
+    # build and check every record first so a failure cannot leave partial cache files
     pseudo_records = []
     for tid, path in pseudo_teachers:
         params, _ = load_checkpoint(path)
@@ -339,8 +338,9 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, trace: bool) -> int:
             records.extend(build_pseudo_variant_topk(params, corpus, pseudo_idx, k))
         return records
 
-    records1 = topk_for(t1_params)
-    records2 = topk_for(t2_params) if t2_params is not None else None
+    caches = {"teacher1": index_topk(topk_for(t1_params), k=k)}
+    if t2_params is not None:
+        caches["teacher2"] = index_topk(topk_for(t2_params), k=k)
 
     if pseudo_records:
         n = write_cache(
@@ -348,13 +348,9 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, trace: bool) -> int:
             vocab_size=corpus.vocab_size,
         )
         print(f"wrote {n} pseudo-label records to {cfg['pseudo_cache']}")
-    for teacher, records in (("teacher1", records1), ("teacher2", records2)):
-        if records is None:
-            continue
-        path = _resolve(cfg[teacher]["cache"], out_dir)
-        n = write_cache(records, path, k=k)
-        with open(path, "r", encoding="utf-8") as f:
-            mass = json.loads(f.readline())["mass_kept"]
+    for teacher, cache in caches.items():
+        n = write_cache(cache, _resolve(cfg[teacher]["cache"], out_dir))
+        mass = cache.mass_kept
         kept = ("" if mass is None
                 else f" (top-{k} mass kept: mean {mass['mean']:.4f}, min {mass['min']:.4f})")
         print(f"wrote {n} top-k records to {cfg[teacher]['cache']}{kept}")

@@ -9,15 +9,24 @@ the probability mass the cached entries keep per position (null for a cache
 without positions); readers ignore it. Top-k data lines carry per-position
 (token_id, logprob) pairs sorted by descending log-probability; pseudo data
 lines carry a teacher-generated summary as token ids plus its decoded text.
-Files are written atomically and are immutable once written; readers
-validate every line and report failures by line number.
+Token ids, pseudo tokens and beam widths are JSON integers, logprobs JSON
+numbers. Files are written atomically and are immutable once written;
+readers validate every line and report failures by line number.
+
+A top-k cache is held as one ``TopKCache``: every cached entry in flat
+arrays, checked by one vectorized pass over all positions and densified in
+one step. ``read_topk``/``read_cache`` build it from a file, ``index_topk``
+from ``TopKRecord``s; ``write_cache``, ``validate_topk_record`` and
+``densify`` go through the same checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +36,13 @@ CACHE_VERSION = 1
 
 # exp(logprobs) at one position may exceed 1 by at most this much.
 MASS_TOL = 1e-6
+
+# What is wrong with a position, one entry per check of ``_check`` in order.
+_FAULTS = ("empty pair list", "{n} entries exceed k={k}", "duplicate token ids",
+           "token id out of range", "non-finite logprob", "logprobs not sorted descending",
+           "probability mass exceeds 1")
+_INTEGER = (int, np.integer)
+_NUMBER = (int, float, np.integer, np.floating)
 
 
 class CacheFormatError(ValueError):
@@ -67,50 +83,204 @@ class MixingConfig:
             raise ValueError("rng_seed must be non-negative")
 
 
+def _all_of(values, types) -> bool:
+    """Whether every value is an instance of ``types``; a bool never is."""
+    return all(t is not bool and issubclass(t, types) for t in set(map(type, values)))
+
+
+class TopKCache(Sequence):
+    """Checked top-k records as flat arrays (build one with ``read_topk`` or
+    ``index_topk``). ``ids``/``logprobs`` hold every entry, position after
+    position; position j has entries ``bounds[j]:bounds[j + 1]`` and keeps
+    mass ``mass[j]``; record r has positions ``first[r]:first[r + 1]``, and
+    ``index`` maps example ids to records. It is also the sequence of its
+    ``TopKRecord``s, built on access; ``cache[example_id]`` finds one by id.
+    """
+
+    def __init__(self, example_ids, first, counts, ids, logprobs, mass, vocab_size, k):
+        self.example_ids = example_ids
+        self.first = first
+        self.bounds = np.concatenate([[0], np.cumsum(counts)])
+        self.ids = ids
+        self.logprobs = logprobs
+        self.mass = mass
+        self.vocab_size = vocab_size
+        self.k = k
+        self.index = {eid: r for r, eid in enumerate(example_ids)}
+
+    def __len__(self) -> int:
+        return len(self.example_ids)
+
+    def __getitem__(self, key: int | str) -> TopKRecord:
+        r = self.index[key] if isinstance(key, str) else range(len(self))[key]
+        cuts = self.bounds[self.first[r]:self.first[r + 1] + 1].tolist()
+        lo, hi = cuts[0], cuts[-1]
+        pairs = list(zip(self.ids[lo:hi].tolist(), self.logprobs[lo:hi].tolist()))
+        return TopKRecord(self.example_ids[r],
+                          [pairs[a - lo:b - lo] for a, b in zip(cuts, cuts[1:])],
+                          self.vocab_size)
+
+    def __contains__(self, key) -> bool:
+        return key in self.index if isinstance(key, str) else super().__contains__(key)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (TopKCache, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    @property
+    def mass_kept(self) -> dict | None:
+        """Mean and minimum over positions of the probability mass the cached
+        entries keep, before densify renormalizes it; None without positions."""
+        if not self.mass.size:
+            return None
+        return {"mean": math.fsum(self.mass.tolist()) / self.mass.size,
+                "min": float(self.mass.min())}
+
+    def densify(self, positions=None) -> np.ndarray:
+        """Expand positions (all of them by default) into (n, V) rows: the
+        cached masses renormalized over their own support, zero elsewhere."""
+        pos = np.arange(self.mass.size) if positions is None else np.asarray(positions, dtype=int)
+        counts = self.bounds[pos + 1] - self.bounds[pos]
+        rows = np.repeat(np.arange(pos.size), counts)
+        entries = np.arange(rows.size) + np.repeat(self.bounds[pos] - np.cumsum(counts) + counts,
+                                                  counts)
+        p = np.zeros((pos.size, self.vocab_size))
+        p[rows, self.ids[entries]] = np.exp(self.logprobs[entries]) / self.mass[pos][rows]
+        return p
+
+
+def _entries(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry count of each position, and every entry's token id and
+    logprob, position after position; raises on an ill-typed entry."""
+    pairs = list(chain.from_iterable(positions))
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("each entry must be a [token_id, logprob] pair")
+    flat = list(chain.from_iterable(pairs))
+    ids, logprobs = flat[0::2], flat[1::2]
+    if not _all_of(ids, _INTEGER):
+        raise TypeError("token ids must be integers")
+    if not _all_of(logprobs, _NUMBER):
+        raise TypeError("logprobs must be numbers")
+    return (np.array(list(map(len, positions)), dtype=np.int64),
+            np.array(ids, dtype=np.int64), np.array(logprobs, dtype=float))
+
+
+def _build(example_ids: list, positions: list, vocab_size, k, context) -> TopKCache:
+    """Pack and check records given as their ids and position lists.
+    ``context(r)`` starts each message about record r. Without a ``k`` no
+    position is too long, and the cache takes its longest one as its k."""
+    try:
+        counts, ids, logprobs = _entries(list(chain.from_iterable(positions)))
+        first = np.cumsum([0, *map(len, positions)], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        for r, pos in enumerate(positions):  # name the first record at fault
+            try:
+                _entries(pos)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CacheFormatError(f"{context(r)}{exc}") from exc
+        raise
+    if k is None and example_ids:
+        k = int(counts.max(initial=0))
+    mass = _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context)
+    return TopKCache(example_ids, first, counts, ids, logprobs, mass, vocab_size, k)
+
+
+def _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context) -> np.ndarray:
+    """Check every position at once; returns the probability mass each keeps.
+    Raises on the fault that checking one record at a time meets first: in
+    each record its id, the vocabulary size, then each position through the
+    checks of ``_FAULTS`` in order."""
+    if not example_ids:
+        return np.zeros(0)
+    # one row per position, its entries left-aligned
+    cell = np.arange(counts.max(initial=0)) < counts[:, None]
+    tok = np.full(cell.shape, np.nan)
+    tok[cell] = ids
+    lp = np.zeros(cell.shape)
+    lp[cell] = logprobs
+    p = np.zeros(cell.shape)
+    with np.errstate(over="ignore"):
+        p[cell] = np.exp(logprobs)
+    mass = p.sum(axis=1)
+    ordered = np.sort(tok, axis=1)
+    bad = np.stack([
+        counts == 0,
+        counts > k,
+        (ordered[:, 1:] == ordered[:, :-1]).any(axis=1),
+        ((tok < 0) | (tok >= vocab_size)).any(axis=1),
+        (cell & ~np.isfinite(lp)).any(axis=1),
+        (cell[:, 1:] & (lp[:, :-1] < lp[:, 1:])).any(axis=1),
+        mass > 1.0 + MASS_TOL,
+    ])
+    faulty = np.flatnonzero(bad.any(axis=0))
+    n = len(example_ids)
+    r = min(int(np.searchsorted(first, faulty[0], side="right")) - 1 if faulty.size else n,
+            next((r for r, eid in enumerate(example_ids) if type(eid) is not str or not eid), n),
+            0 if vocab_size < 2 else n)
+    if r == n:
+        return mass
+    eid, j = example_ids[r], faulty[0] if faulty.size else None
+    if not isinstance(eid, str):
+        what = "record id must be a string"
+    elif not eid:
+        what = "record id must be non-empty"
+    elif vocab_size < 2:
+        what = f"{eid}: vocab_size must be >= 2"
+    else:
+        what = (f"{eid} position {j - first[r]}: "
+                + _FAULTS[int(np.argmax(bad[:, j]))].format(n=counts[j], k=k))
+    raise CacheFormatError(context(r) + what)
+
+
+def index_topk(records, k: int | None = None, vocab_size: int | None = None) -> TopKCache:
+    """Pack and check records as one TopKCache.
+
+    Every record must have ``vocab_size`` (default: the first record's) and
+    no position more than ``k`` entries (default: no limit). A TopKCache
+    whose own k and vocab_size agree is returned as it is.
+    """
+    if (isinstance(records, TopKCache) and k in (None, records.k)
+            and vocab_size in (None, records.vocab_size)):
+        return records
+    records = list(records)
+    if vocab_size is None and records:
+        vocab_size = records[0].vocab_size
+    for rec in records:
+        if rec.vocab_size != vocab_size:
+            raise CacheFormatError(f"{rec.example_id}: vocab_size differs from header")
+    return _build([r.example_id for r in records], [r.positions for r in records],
+                  vocab_size, k, lambda r: "")
+
+
 def validate_topk_record(rec: TopKRecord, k: int | None = None) -> list[float]:
     """Raise CacheFormatError unless the record satisfies all invariants.
     Returns the probability mass each position keeps, sum(exp(logprob))."""
-    if not rec.example_id:
-        raise CacheFormatError("record id must be non-empty")
-    if rec.vocab_size < 2:
-        raise CacheFormatError(f"{rec.example_id}: vocab_size must be >= 2")
-    masses = []
-    for pos, pairs in enumerate(rec.positions):
-        if len(pairs) == 0:
-            raise CacheFormatError(f"{rec.example_id} position {pos}: empty pair list")
-        if k is not None and len(pairs) > k:
-            raise CacheFormatError(
-                f"{rec.example_id} position {pos}: {len(pairs)} entries exceed k={k}"
-            )
-        ids = [t for t, _ in pairs]
-        lps = [lp for _, lp in pairs]
-        if len(set(ids)) != len(ids):
-            raise CacheFormatError(f"{rec.example_id} position {pos}: duplicate token ids")
-        if any(t < 0 or t >= rec.vocab_size for t in ids):
-            raise CacheFormatError(f"{rec.example_id} position {pos}: token id out of range")
-        if not all(math.isfinite(lp) for lp in lps):
-            raise CacheFormatError(f"{rec.example_id} position {pos}: non-finite logprob")
-        if any(lps[i] < lps[i + 1] for i in range(len(lps) - 1)):
-            raise CacheFormatError(
-                f"{rec.example_id} position {pos}: logprobs not sorted descending"
-            )
-        masses.append(sum(math.exp(lp) for lp in lps))
-        if masses[-1] > 1.0 + MASS_TOL:
-            raise CacheFormatError(
-                f"{rec.example_id} position {pos}: probability mass exceeds 1"
-            )
-    return masses
+    return index_topk([rec], k=k).mass.tolist()
 
 
-def validate_pseudo_record(rec: PseudoLabelRecord) -> None:
+def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None) -> None:
+    """Raise CacheFormatError unless the record is well formed, with every
+    token in [0, vocab_size) when a vocabulary size is given."""
+    if not isinstance(rec.example_id, str):
+        raise CacheFormatError("record id must be a string")
     if not rec.example_id:
         raise CacheFormatError("record id must be non-empty")
     if not rec.teacher_id:
         raise CacheFormatError(f"{rec.example_id}: teacher id must be non-empty")
     if len(rec.tokens) == 0:
         raise CacheFormatError(f"{rec.example_id}: pseudo summary must be non-empty")
+    if not _all_of(rec.tokens, _INTEGER):
+        raise CacheFormatError(f"{rec.example_id}: pseudo tokens must be integers")
+    if vocab_size is not None and not all(0 <= t < vocab_size for t in rec.tokens):
+        raise CacheFormatError(f"{rec.example_id}: pseudo token outside [0, {vocab_size})")
+    if not _all_of([rec.beam_width], _INTEGER):
+        raise CacheFormatError(f"{rec.example_id}: beam_width must be an integer")
     if rec.beam_width < 1:
         raise CacheFormatError(f"{rec.example_id}: beam_width must be >= 1")
+
+
+_RECORD_TYPES = {"topk": TopKRecord, "pseudo": PseudoLabelRecord}
 
 
 def write_cache(
@@ -121,71 +291,49 @@ def write_cache(
     vocab_size: int | None = None,
     k: int | None = None,
 ) -> int:
-    """Validate then write records as a JSONL cache file; returns the count.
+    """Validate then write records (or a TopKCache) as a JSONL cache file;
+    returns the count. Nothing is written unless every record passes.
 
     ``kind``/``vocab_size``/``k`` are inferred from the records when possible
     and are required for empty record lists (nothing to infer from).
     """
-    records = list(records)
-    if records:
-        first = records[0]
-        if isinstance(first, TopKRecord):
-            inferred_kind = "topk"
-            inferred_vocab = first.vocab_size
-            inferred_k = max(
-                (len(pairs) for r in records for pairs in r.positions), default=0
-            )
-        elif isinstance(first, PseudoLabelRecord):
-            inferred_kind = "pseudo"
-            inferred_vocab = vocab_size
-            inferred_k = 0
-        else:
-            raise CacheFormatError(f"unsupported record type {type(first).__name__}")
-        kind = kind or inferred_kind
-        vocab_size = vocab_size if vocab_size is not None else inferred_vocab
-        k = k if k is not None else inferred_k
-    if kind not in ("topk", "pseudo"):
+    if isinstance(records, TopKCache):
+        kind, types = kind or "topk", {TopKRecord}
+    else:
+        records = list(records)
+        types = set(map(type, records))
+        unknown = types - set(_RECORD_TYPES.values())
+        if unknown:
+            raise CacheFormatError(f"unsupported record type {unknown.pop().__name__}")
+        kind = kind or (("topk" if TopKRecord in types else "pseudo") if records else None)
+    if kind not in _RECORD_TYPES:
         raise CacheFormatError("kind must be 'topk' or 'pseudo'")
+    if types - {_RECORD_TYPES[kind]}:
+        raise CacheFormatError("mixed record kinds in one cache")
+    if not _all_of([v for v in (vocab_size, k) if v is not None], _INTEGER):
+        raise CacheFormatError("vocab_size and k must be integers")
+
+    header: dict = {"version": CACHE_VERSION, "kind": kind}
+    if kind == "topk":
+        cache = index_topk(records, k=k, vocab_size=vocab_size)
+        vocab_size, k = cache.vocab_size, cache.k
+        # the mass the cached entries keep, before densify renormalizes it
+        header["mass_kept"] = cache.mass_kept
+        lines = [json.dumps({"id": rec.example_id, "positions": rec.positions}, sort_keys=True)
+                 for rec in cache]
+    elif k is None and records:
+        k = 0
     if vocab_size is None or k is None:
         raise CacheFormatError("vocab_size and k are required when they cannot be inferred")
+    if kind == "pseudo":
+        for rec in records:
+            validate_pseudo_record(rec, vocab_size)
+        lines = [json.dumps({"id": rec.example_id, "teacher": rec.teacher_id,
+                             "beam": int(rec.beam_width), "tokens": [int(t) for t in rec.tokens],
+                             "text": rec.text}, sort_keys=True)
+                 for rec in records]
 
-    header = {"version": CACHE_VERSION, "kind": kind, "vocab_size": int(vocab_size),
-              "k": int(k)}
-    lines = []
-    masses: list[float] = []
-    for rec in records:
-        if kind == "topk":
-            if not isinstance(rec, TopKRecord):
-                raise CacheFormatError("mixed record kinds in one cache")
-            if rec.vocab_size != vocab_size:
-                raise CacheFormatError(f"{rec.example_id}: vocab_size differs from header")
-            masses.extend(validate_topk_record(rec, k=int(k)))
-            lines.append(
-                json.dumps(
-                    {"id": rec.example_id,
-                     "positions": [[[int(t), float(lp)] for t, lp in pairs]
-                                   for pairs in rec.positions]},
-                    sort_keys=True,
-                )
-            )
-        else:
-            if not isinstance(rec, PseudoLabelRecord):
-                raise CacheFormatError("mixed record kinds in one cache")
-            validate_pseudo_record(rec)
-            lines.append(
-                json.dumps(
-                    {"id": rec.example_id, "teacher": rec.teacher_id,
-                     "beam": int(rec.beam_width),
-                     "tokens": [int(t) for t in rec.tokens], "text": rec.text},
-                    sort_keys=True,
-                )
-            )
-
-    if kind == "topk":
-        # the mass the cached entries keep, before densify renormalizes it
-        header["mass_kept"] = (
-            {"mean": math.fsum(masses) / len(masses), "min": min(masses)} if masses else None
-        )
+    header.update(vocab_size=int(vocab_size), k=int(k))
     try:
         write_text_atomic(path, "\n".join([json.dumps(header, sort_keys=True), *lines]) + "\n")
     except OSError as exc:
@@ -193,8 +341,9 @@ def write_cache(
     return len(records)
 
 
-def read_cache(path) -> list[TopKRecord] | list[PseudoLabelRecord]:
-    """Read and validate a cache file; errors name the offending line."""
+def read_cache(path) -> TopKCache | list[PseudoLabelRecord]:
+    """Read and validate a cache file: a top-k cache as one TopKCache, a
+    pseudo-label cache as its records. Errors name the offending line."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = f.read().splitlines()
@@ -208,18 +357,18 @@ def read_cache(path) -> list[TopKRecord] | list[PseudoLabelRecord]:
     except json.JSONDecodeError as exc:
         raise CacheFormatError(f"{path} line 1: malformed header ({exc})") from exc
     if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
-        raise CacheFormatError(
-            f"{path} line 1: unsupported cache version {header.get('version')!r}"
-        )
+        version = header.get("version") if isinstance(header, dict) else None
+        raise CacheFormatError(f"{path} line 1: unsupported cache version {version!r}")
     kind = header.get("kind")
     if kind not in ("topk", "pseudo"):
         raise CacheFormatError(f"{path} line 1: unknown kind {kind!r}")
     vocab_size = header.get("vocab_size")
     k = header.get("k")
-    if not isinstance(vocab_size, int) or not isinstance(k, int):
+    if not _all_of([vocab_size, k], int):
         raise CacheFormatError(f"{path} line 1: vocab_size and k must be integers")
 
     records: list = []
+    lines: list[int] = []
     for lineno, line in enumerate(raw[1:], start=2):
         if not line.strip():
             continue
@@ -229,52 +378,41 @@ def read_cache(path) -> list[TopKRecord] | list[PseudoLabelRecord]:
             raise CacheFormatError(f"{path} line {lineno}: malformed record ({exc})") from exc
         try:
             if kind == "topk":
-                rec = TopKRecord(
-                    example_id=obj["id"],
-                    positions=[[(int(t), float(lp)) for t, lp in pairs]
-                               for pairs in obj["positions"]],
-                    vocab_size=vocab_size,
-                )
-                validate_topk_record(rec, k=k)
+                records.append((obj["id"], obj["positions"]))
             else:
                 rec = PseudoLabelRecord(
                     example_id=obj["id"],
                     teacher_id=obj["teacher"],
-                    tokens=[int(t) for t in obj["tokens"]],
+                    tokens=list(obj["tokens"]),
                     text=obj["text"],
-                    beam_width=int(obj["beam"]),
+                    beam_width=obj["beam"],
                 )
-                validate_pseudo_record(rec)
+                validate_pseudo_record(rec, vocab_size)
+                records.append(rec)
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"{path} line {lineno}: {exc}") from exc
-        records.append(rec)
-    return records
+        lines.append(lineno)
+    if kind == "pseudo":
+        return records
+    return _build([eid for eid, _ in records], [pos for _, pos in records], vocab_size, k,
+                  lambda r: f"{path} line {lines[r]}: ")
+
+
+def read_topk(path) -> TopKCache:
+    """Read and validate a top-k cache file (see ``read_cache``)."""
+    cache = read_cache(path)
+    if not isinstance(cache, TopKCache):
+        raise CacheFormatError(f"{path} line 1: a pseudo-label cache, not a top-k cache")
+    return cache
 
 
 def densify(record: TopKRecord, position: int | None = None) -> np.ndarray:
     """Expand cached positions into full distributions over the vocabulary:
-    every position as (T, V) rows, or one ``position`` as a (V,) vector.
-
-    The cached masses are renormalized over their own support; tokens outside
-    the top-k receive exactly zero.
-    """
-    positions = record.positions
-    if position is not None:
-        if position < 0 or position >= len(positions):
-            raise IndexError(f"position {position} out of range for {record.example_id}")
-        positions = [positions[position]]
-    counts = np.array([len(pairs) for pairs in positions], dtype=int)
-    if np.any(counts == 0):
-        where = position if position is not None else int(np.argmin(counts))
-        raise CacheFormatError(f"{record.example_id} position {where}: empty pair list")
-    pairs = np.array([pair for pos in positions for pair in pos], dtype=float).reshape(-1, 2)
-    # the cached masses as zero-padded rows, one per position
-    rows = np.repeat(np.arange(len(positions)), counts)
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    mass = np.zeros((len(positions), counts.max(initial=1)))
-    mass[rows, cols] = np.exp(pairs[:, 1])
-    p = np.zeros((len(positions), record.vocab_size))
-    p[rows, pairs[:, 0].astype(int)] = mass[rows, cols] / mass.sum(axis=1)[rows]
+    every position as (T, V) rows, or one ``position`` as a (V,) vector
+    (see ``TopKCache.densify``)."""
+    if position is not None and not 0 <= position < len(record.positions):
+        raise IndexError(f"position {position} out of range for {record.example_id}")
+    p = index_topk([record]).densify(None if position is None else [position])
     return p if position is None else p[0]
 
 

@@ -35,11 +35,13 @@ from .losses import (
     tau_from_entropy,
 )
 from .reliability import ReliabilityConfig
-from .teachercache import (
+from .teachercache import (  # index_topk is re-exported for callers of this module
     MixingConfig,
     PseudoLabelRecord,
+    TopKCache,
     TopKRecord,
     densify,
+    index_topk,
     sample_target,
 )
 from .toymodel import (
@@ -185,14 +187,10 @@ def synthetic_document(
 class SupervisionBundle:
     """Everything the trainer may consume besides the gold corpus."""
 
-    topk1: dict[str, TopKRecord] | None = None
-    topk2: dict[str, TopKRecord] | None = None
+    topk1: TopKCache | None = None
+    topk2: TopKCache | None = None
     pseudo: dict[str, list[PseudoLabelRecord]] | None = None
     teacher_params: ToyModelParams | None = None
-
-
-def index_topk(records: list[TopKRecord]) -> dict[str, TopKRecord]:
-    return {r.example_id: r for r in records}
 
 
 def index_pseudo(records: list[PseudoLabelRecord]) -> dict[str, list[PseudoLabelRecord]]:
@@ -314,7 +312,11 @@ def cached_teacher_logits(record: TopKRecord, length: int) -> np.ndarray:
             f"cache record {record.example_id} covers {len(record.positions)} positions, "
             f"target has {length}"
         )
-    return np.log(np.maximum(densify(record), _LOGIT_FLOOR))
+    return _floored_log(densify(record))
+
+
+def _floored_log(p: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(p, _LOGIT_FLOOR))
 
 
 def _exp_normalized(z: np.ndarray) -> np.ndarray:
@@ -471,7 +473,8 @@ def prepare_supervision(
     spec = config.spec
     wanted = [(which, topk) for which, flag, topk in
               ((1, spec.teacher1, bundle.topk1), (2, spec.teacher2, bundle.topk2)) if flag]
-    examples, logits, offset = [], {1: [], 2: []}, 0
+    firsts = {which: topk.first.tolist() for which, topk in wanted}
+    targets, provenances, starts = [], [], {1: [], 2: []}
     for i, ex in enumerate(corpus.examples):
         summary, provenance = list(ex.summary), "gold"
         if config.mixes_pseudo:
@@ -485,19 +488,34 @@ def prepare_supervision(
             rec_id = pseudo_variant_id(ex.example_id, provenance.split(":", 1)[1])
 
         for which, topk in wanted:
-            if rec_id not in topk:
+            r = topk.index.get(rec_id)
+            if r is None:
                 raise ValueError(f"missing cache record {rec_id} for teacher {which}")
-            logits[which].append(cached_teacher_logits(topk[rec_id], len(target)))
-        h_bar = None
-        if spec.adaptive_tau:
-            h_bar = float(np.atleast_1d(entropy(_exp_normalized(logits[1][-1]))).mean())
-        examples.append(PreparedExample(target, provenance, offset, h_bar))
-        offset += len(target)
+            first, end = firsts[which][r], firsts[which][r + 1]
+            if end - first != len(target):
+                raise ValueError(f"cache record {rec_id} covers {end - first} positions, "
+                                 f"target has {len(target)}")
+            starts[which].append(first)
+        targets.append(target)
+        provenances.append(provenance)
 
-    teachers = Teachers(*(np.concatenate(logits[w]) if logits[w] else None for w in (1, 2)))
+    # every example's rows of each cache, densified in one step
+    lengths = np.array([len(t) for t in targets])
+    offsets = np.cumsum(lengths) - lengths
+    within = np.arange(lengths.sum()) - np.repeat(offsets, lengths)
+    logits = {which: _floored_log(topk.densify(np.repeat(starts[which], lengths) + within))
+              for which, topk in wanted}
+    h_bar = [None] * len(targets)
+    if spec.adaptive_tau:
+        h = np.atleast_1d(entropy(_exp_normalized(logits[1])))
+        h_bar = [float(h[a:a + n].mean()) for a, n in zip(offsets.tolist(), lengths.tolist())]
+    examples = [PreparedExample(*fields)
+                for fields in zip(targets, provenances, offsets.tolist(), h_bar)]
+
+    teachers = Teachers(logits.get(1), logits.get(2))
     if not spec.anchor:
         return examples, teachers, None
-    n = min(max(config.anchor_tokens, 1), offset)
+    n = min(max(config.anchor_tokens, 1), int(lengths.sum()))
     if n == 0:
         raise ValueError("no calibration tokens available for the anchor")
     anchor = compute_anchor(_exp_normalized(teachers.logits(1)[:n]),
@@ -540,6 +558,15 @@ def train(
         [ex.document for ex in corpus.examples], [p.target for p in prepared]
     )
     entropies = np.array([p.teacher_entropy for p in prepared]) if spec.adaptive_tau else None
+    teacher_hidden = None
+    if spec.hidden:
+        # the teacher is frozen: its hidden state at every target position, once
+        tgt_mask_all = np.arange(tgt_all.shape[1]) < tgt_len[:, None]
+        _, hidden_all, _ = forward_batch(
+            bundle.teacher_params, src_all, np.arange(src_all.shape[1]) < src_len[:, None],
+            tgt_in_all, tgt_mask_all,
+        )
+        teacher_hidden = hidden_all[tgt_mask_all]
 
     params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
     projection = None
@@ -578,17 +605,14 @@ def train(
                 tau = np.repeat(
                     tau_from_entropy(h, float(np.mean(h)), config.adaptive_tau_cfg), m
                 )
+            rows = (offsets[batch_idx, None] + np.arange(lt))[tgt_mask]
             tb = TokenBatch(
                 tgt[tgt_mask], np.ones(m.sum(), dtype=bool), logits[tgt_mask],
-                sequence=np.repeat(np.arange(bsz), m),
-                teachers=teachers.take((offsets[batch_idx, None] + np.arange(lt))[tgt_mask]),
+                sequence=np.repeat(np.arange(bsz), m), teachers=teachers.take(rows),
             )
             hp = None
             if spec.hidden:
-                _, teacher_hidden, _ = forward_batch(
-                    bundle.teacher_params, src, src_mask, tgt_in, tgt_mask
-                )
-                hp = HiddenPair(hidden[tgt_mask], teacher_hidden[tgt_mask], projection)
+                hp = HiddenPair(hidden[tgt_mask], teacher_hidden[rows], projection)
 
             # the loss sums the per-sequence means; the objective is their mean
             value, g, etr, ctr = spec.step(config, tb, tau, hp, anchor)

@@ -166,3 +166,48 @@ def random_instance(rng, vocab=None, seq_len=None, scale=2.0):
         "z_t1": scale * rng.standard_normal((seq_len, vocab)),
         "z_t2": scale * rng.standard_normal((seq_len, vocab)),
     }
+
+
+def validate_topk_record_oracle(example_id, positions, vocab_size, k=None, mass_tol=1e-6):
+    """The per-record top-k checks, one position and one pair at a time.
+    Raises ValueError naming the record and position of the first fault;
+    returns the probability mass each position keeps."""
+    if not example_id:
+        raise ValueError("record id must be non-empty")
+    if vocab_size < 2:
+        raise ValueError(f"{example_id}: vocab_size must be >= 2")
+    masses = []
+    for pos, pairs in enumerate(positions):
+        if len(pairs) == 0:
+            raise ValueError(f"{example_id} position {pos}: empty pair list")
+        if k is not None and len(pairs) > k:
+            raise ValueError(f"{example_id} position {pos}: {len(pairs)} entries exceed k={k}")
+        ids = [t for t, _ in pairs]
+        lps = [lp for _, lp in pairs]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"{example_id} position {pos}: duplicate token ids")
+        if any(t < 0 or t >= vocab_size for t in ids):
+            raise ValueError(f"{example_id} position {pos}: token id out of range")
+        if not all(math.isfinite(lp) for lp in lps):
+            raise ValueError(f"{example_id} position {pos}: non-finite logprob")
+        if any(lps[i] < lps[i + 1] for i in range(len(lps) - 1)):
+            raise ValueError(f"{example_id} position {pos}: logprobs not sorted descending")
+        masses.append(sum(math.exp(lp) for lp in lps))
+        if masses[-1] > 1.0 + mass_tol:
+            raise ValueError(f"{example_id} position {pos}: probability mass exceeds 1")
+    return masses
+
+
+def densify_oracle(positions, vocab_size):
+    """One record's positions as (T, V) rows: the cached masses renormalized
+    over their own support, zero elsewhere; the masses are exponentiated and
+    summed as zero-padded rows of the record's widest position."""
+    counts = np.array([len(pairs) for pairs in positions], dtype=int)
+    pairs = np.array([pair for pos in positions for pair in pos], dtype=float).reshape(-1, 2)
+    rows = np.repeat(np.arange(len(positions)), counts)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    mass = np.zeros((len(positions), counts.max(initial=1)))
+    mass[rows, cols] = np.exp(pairs[:, 1])
+    p = np.zeros((len(positions), vocab_size))
+    p[rows, pairs[:, 0].astype(int)] = mass[rows, cols] / mass.sum(axis=1)[rows]
+    return p

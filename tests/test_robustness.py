@@ -121,3 +121,27 @@ def test_written_files_get_the_usual_mode(tmp_path):
     finally:
         os.umask(umask)
     assert (tmp_path / "f.json").stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rec: '{"id": "' + rec["id"],                                   # truncated line
+    lambda rec: json.dumps({**rec, "positions": rec["positions"][::-1] + [[]]}),  # empty position
+    lambda rec: json.dumps({**rec, "positions": [[[3.7, -0.5]]]}),       # ill-typed token id
+    lambda rec: json.dumps({**rec, "positions": [p[::-1] for p in rec["positions"]]}),  # unsorted
+])
+def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, capsys, corrupt):
+    for name, dim in (("teacher1.json", 8), ("teacher2.json", 7)):
+        save_checkpoint(tmp_path / name, init_params(16, dim, np.random.default_rng(dim)))
+    cfg = write_config(tmp_path / "c.json", preset="A2")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    cache = tmp_path / "teacher1_topk.jsonl"
+    lines = cache.read_text().splitlines()
+    lines[4] = corrupt(json.loads(lines[4]))
+    cache.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
+    err = capsys.readouterr().err
+    assert f"{cache} line 5:" in err
+    assert not (tmp_path / "student.json").exists()
+    assert not (tmp_path / "metrics.jsonl").exists()

@@ -212,3 +212,85 @@ class TestMassKept:
         assert json.loads((tmp_path / "c.jsonl").read_text())["mass_kept"] is None
         write_cache([pseudo_record()], tmp_path / "p.jsonl", vocab_size=5)
         assert "mass_kept" not in json.loads((tmp_path / "p.jsonl").read_text().splitlines()[0])
+
+
+class TestIllTypedValues:
+    """Token ids, pseudo tokens and beam widths must be JSON integers (never a
+    bool, a float or a string), logprobs JSON numbers, and pseudo tokens must
+    lie in the vocabulary; bad values fail on read with their line and on
+    write before any file exists."""
+
+    def _lines(self, path, header, *records):
+        path.write_text("\n".join(json.dumps(o) for o in (header, *records)) + "\n")
+        return path
+
+    def _topk(self, tmp_path, positions, **header):
+        return self._lines(tmp_path / "c.jsonl",
+                           {"version": 1, "kind": "topk", "vocab_size": 5, "k": 2, **header},
+                           {"id": "ok", "positions": [[[1, -0.5]]]},
+                           {"id": "ex1", "positions": positions})
+
+    def _pseudo(self, tmp_path, **fields):
+        return self._lines(tmp_path / "p.jsonl",
+                           {"version": 1, "kind": "pseudo", "vocab_size": 64, "k": 0},
+                           {"id": "ok", "teacher": "t1", "tokens": [5], "text": "5", "beam": 4},
+                           {"id": "ex1", "teacher": "t1", "tokens": [5, 7], "text": "5 7",
+                            "beam": 4, **fields})
+
+    @pytest.mark.parametrize("pair", [[3.7, -0.5], [True, -0.5], ["2", "-0.5"], [2, "-0.5"],
+                                      [2, True], [2, None], [2], [2, -0.5, 1], [2, -10**400],
+                                      [2**70, -0.5]])
+    def test_ill_typed_topk_entry_names_its_line(self, tmp_path, pair):
+        with pytest.raises(CacheFormatError, match="line 3"):
+            read_cache(self._topk(tmp_path, [[pair]]))
+
+    @pytest.mark.parametrize("fields", [{"tokens": [5.5, 7]}, {"tokens": [True]},
+                                        {"tokens": ["5"]}, {"beam": 4.9}, {"beam": True},
+                                        {"beam": "4"}, {"tokens": [999]}, {"tokens": [-4]},
+                                        {"tokens": [5, 64]}])
+    def test_ill_typed_pseudo_value_names_its_line(self, tmp_path, fields):
+        with pytest.raises(CacheFormatError, match="line 3"):
+            read_cache(self._pseudo(tmp_path, **fields))
+
+    def test_pseudo_tokens_at_the_vocabulary_edges_are_read(self, tmp_path):
+        [_, rec] = read_cache(self._pseudo(tmp_path, tokens=[0, 63]))
+        assert rec.tokens == [0, 63] and rec.beam_width == 4
+
+    @pytest.mark.parametrize("header", [{"vocab_size": True}, {"k": True}, {"k": 2.0}])
+    def test_ill_typed_header_is_rejected(self, tmp_path, header):
+        with pytest.raises(CacheFormatError, match="line 1"):
+            read_cache(self._topk(tmp_path, [[[1, -0.5]]], **header))
+
+    def test_header_that_is_not_an_object_is_rejected(self, tmp_path):
+        path = self._lines(tmp_path / "c.jsonl", [1, "topk"])
+        with pytest.raises(CacheFormatError, match="line 1"):
+            read_cache(path)
+
+    @pytest.mark.parametrize("pair", [(3.7, -0.5), (True, -0.5), ("2", "-0.5"), (2, None)])
+    def test_ill_typed_topk_record_is_not_written(self, tmp_path, pair):
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(CacheFormatError):
+            write_cache([topk_record(), TopKRecord("ex1", [[pair]], 5)], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("tokens, beam", [([5.5, 7], 4), ([True], 4), ([5], 4.9),
+                                              ([5], True), ([999], 4), ([-4], 4), ([64], 4)])
+    def test_ill_typed_pseudo_record_is_not_written(self, tmp_path, tokens, beam):
+        path = tmp_path / "p.jsonl"
+        bad = PseudoLabelRecord("ex1", "t1", tokens, "x", beam)
+        with pytest.raises(CacheFormatError):
+            write_cache([pseudo_record(), bad], path, vocab_size=64)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header", [{"vocab_size": True}, {"k": True}])
+    def test_ill_typed_header_is_not_written(self, tmp_path, header):
+        path = tmp_path / "p.jsonl"
+        with pytest.raises(CacheFormatError):
+            write_cache([pseudo_record()], path, **{"vocab_size": 64, **header})
+        assert not path.exists()
+
+    def test_numpy_integers_are_written_as_json_integers(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rec = TopKRecord("ex0", [[(np.int64(1), np.float64(-0.5))]], 5)
+        write_cache([rec], path)
+        assert read_cache(path) == [TopKRecord("ex0", [[(1, -0.5)]], 5)]

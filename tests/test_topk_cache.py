@@ -1,0 +1,185 @@
+"""The array-backed top-k cache against the per-record oracles: the same
+inputs accepted and rejected, the same line and position named, and the
+same densified rows."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from relkd.teachercache import (
+    CacheFormatError,
+    TopKRecord,
+    densify,
+    index_topk,
+    read_topk,
+    validate_topk_record,
+    write_cache,
+)
+
+from oracles import densify_oracle, validate_topk_record_oracle
+
+FAULTS = ("unsorted", "duplicate", "out_of_range", "non_finite", "over_k", "excess_mass",
+          "empty_position", "empty_id", "small_vocab")
+
+
+@st.composite
+def caches(draw, uniform=False):
+    """Records of one vocabulary, each position a distribution's top entries
+    sorted by descending log-probability, and the cache's k. With
+    ``uniform`` every position holds the same number of entries."""
+    vocab = draw(st.integers(2, 12))
+    k = draw(st.integers(1, vocab))
+    width = draw(st.integers(1, k))
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        positions = []
+        for _ in range(draw(st.integers(0, 4))):
+            weights = draw(st.lists(st.integers(1, 1000), min_size=vocab, max_size=vocab))
+            ids = draw(st.permutations(range(vocab)))[: width if uniform else draw(
+                st.integers(1, k))]
+            total = sum(weights)
+            positions.append(sorted(((t, math.log(weights[t] / total)) for t in ids),
+                                    key=lambda e: -e[1]))
+        records.append(TopKRecord(f"ex{i}", positions, vocab))
+    return records, k
+
+
+@st.composite
+def faulty_caches(draw):
+    """A cache, unchanged or with one fault of FAULTS at a drawn spot."""
+    records, k = draw(caches())
+    fault = draw(st.sampled_from((None, *FAULTS)))
+    if fault == "empty_id":
+        records[draw(st.integers(0, len(records) - 1))].example_id = ""
+    elif fault == "small_vocab":
+        for rec in records:
+            rec.vocab_size = 1
+    elif fault is not None:
+        spots = [(r, p) for r, rec in enumerate(records) for p in range(len(rec.positions))]
+        assume(spots)
+        r, p = draw(st.sampled_from(spots))
+        pairs = records[r].positions[p]
+        j = draw(st.integers(0, len(pairs) - 1))
+        vocab = records[r].vocab_size
+        if fault == "unsorted":
+            pairs.reverse()
+        elif fault == "duplicate":
+            pairs.append((pairs[j][0], pairs[-1][1] - 1.0))
+        elif fault == "out_of_range":
+            pairs[j] = (draw(st.sampled_from((-1, vocab, vocab + 7))), pairs[j][1])
+        elif fault == "non_finite":
+            pairs[j] = (pairs[j][0], draw(st.sampled_from((math.nan, math.inf, -math.inf))))
+        elif fault == "over_k":
+            k = len(pairs) - 1
+        elif fault == "excess_mass":
+            pairs[0] = (pairs[0][0], 0.5)
+        else:
+            records[r].positions[p] = []
+    return records, k
+
+
+def _write_raw(path, records, k):
+    """The records as a cache file, unchecked, so that faults reach the reader."""
+    header = {"version": 1, "kind": "topk", "vocab_size": records[0].vocab_size, "k": k}
+    lines = [json.dumps({"id": r.example_id, "positions": r.positions}) for r in records]
+    path.write_text("\n".join([json.dumps(header), *lines]) + "\n")
+
+
+def _oracle(records, k):
+    """(line, message) of the first fault, or None, and the masses kept."""
+    masses = []
+    for line, rec in enumerate(records, start=2):
+        try:
+            masses += validate_topk_record_oracle(rec.example_id, rec.positions,
+                                                  rec.vocab_size, k)
+        except ValueError as exc:
+            return (line, str(exc)), masses
+    return None, masses
+
+
+@given(faulty_caches())
+def test_checks_match_the_per_record_oracle(tmp_path_factory, case):
+    records, k = case
+    path = tmp_path_factory.mktemp("c") / "topk.jsonl"
+    _write_raw(path, records, k)
+    fault, masses = _oracle(records, k)
+    out = path.with_name("written.jsonl")
+    if fault is None:
+        cache = read_topk(path)
+        assert cache == records
+        assert np.allclose(cache.mass, masses, rtol=0, atol=1e-14)
+        assert index_topk(records, k=k) == records
+        write_cache(records, out, k=k)
+        assert out.exists()
+        return
+    line, message = fault
+    with pytest.raises(CacheFormatError) as read_err:
+        read_topk(path)
+    assert str(read_err.value) == f"{path} line {line}: {message}"
+    with pytest.raises(CacheFormatError) as write_err:
+        write_cache(records, out, k=k)
+    assert str(write_err.value) == message
+    assert not out.exists()
+    # the batch of one agrees record by record
+    bad = records[line - 2]
+    with pytest.raises(CacheFormatError) as one_err:
+        validate_topk_record(bad, k)
+    assert str(one_err.value) == message
+
+
+@given(caches(uniform=True), st.integers(0, 2**32 - 1))
+def test_whole_table_densify_is_the_oracle_bit_for_bit(tmp_path_factory, case, seed):
+    records, k = case
+    path = tmp_path_factory.mktemp("c") / "topk.jsonl"
+    write_cache(records, path, k=k)
+    cache = read_topk(path)
+    vocab = records[0].vocab_size
+    rows = cache.densify()
+    expected = [densify_oracle(r.positions, vocab) for r in records if r.positions]
+    assert np.array_equal(rows, np.concatenate(expected) if expected else np.zeros((0, vocab)))
+    # any gather of positions is those rows, and a record alone densifies the same
+    order = np.random.default_rng(seed).permutation(len(rows))
+    assert np.array_equal(cache.densify(order), rows[order])
+    for rec in records:
+        if rec.positions:
+            assert np.array_equal(densify(rec), densify_oracle(rec.positions, vocab))
+
+
+@given(caches())
+def test_ragged_densify_is_the_oracle_to_rounding(records_k):
+    records, _ = records_k
+    for rec in records:
+        if rec.positions:
+            rows = densify(rec)
+            assert np.allclose(rows, densify_oracle(rec.positions, rec.vocab_size),
+                               rtol=0, atol=1e-15)
+            assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+
+
+def test_records_are_found_by_index_and_by_example_id():
+    recs = [TopKRecord(f"ex{i}", [[(i, -0.5)]] * i, 5) for i in range(4)]
+    cache = index_topk(recs)
+    assert len(cache) == 4 and list(cache) == recs
+    assert cache[-1] == recs[3] and cache["ex2"] == recs[2]
+    assert "ex2" in cache and "ex9" not in cache and recs[1] in cache
+    assert index_topk(cache) is cache
+    assert index_topk(cache, k=5).k == 5
+    with pytest.raises(IndexError):
+        cache[4]
+    with pytest.raises(KeyError):
+        cache["ex9"]
+
+
+def test_records_of_another_vocabulary_are_rejected():
+    with pytest.raises(CacheFormatError, match="ex1: vocab_size differs"):
+        index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5), TopKRecord("ex1", [[(1, -0.5)]], 6)])
+
+
+def test_read_topk_rejects_a_pseudo_cache(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"version": 1, "kind": "pseudo", "vocab_size": 5, "k": 0}\n')
+    with pytest.raises(CacheFormatError, match="line 1: a pseudo-label cache"):
+        read_topk(path)
