@@ -33,10 +33,8 @@ from .teachercache import (
     PseudoLabelRecord,
     TopKCache,
     TopKRecord,
-    densify,
     index_topk,
     read_cache,
-    read_topk,
     sample_target,
     write_cache,
 )

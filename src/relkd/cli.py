@@ -284,13 +284,13 @@ def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
     bundle = SupervisionBundle()
     if spec.teacher1:
         path = _require_file(_resolve(cfg["teacher1"]["cache"], out_dir), "teacher1 cache")
-        bundle.topk1 = index_topk(read_cache(path))
+        bundle.topk1 = read_cache(path, "topk")
     if spec.teacher2:
         path = _require_file(_resolve(cfg["teacher2"]["cache"], out_dir), "teacher2 cache")
-        bundle.topk2 = index_topk(read_cache(path))
+        bundle.topk2 = read_cache(path, "topk")
     if tc.mixes_pseudo:
         path = _require_file(_resolve(cfg["pseudo_cache"], out_dir), "pseudo-label cache")
-        bundle.pseudo = index_pseudo(read_cache(path))
+        bundle.pseudo = index_pseudo(read_cache(path, "pseudo"))
     if spec.hidden:
         path = _require_file(
             _resolve(cfg["teacher1"]["checkpoint"], out_dir), "teacher1 checkpoint"

@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distmath import entropy, kl, log_softmax_scaled, sigmoid, softmax_scaled, softmax_t
-from .reliability import (
-    ReliabilityConfig,
-    TokenReliability,
-    agreement_array,
-    confidence_array,
-    gate_array,
-    weights_array,
-)
+from .reliability import ReliabilityConfig, agreement, confidence, confidence_weights, gate
 
 # Floor for the student entropy in the divergence-gap ratio; the ratio is
 # undefined at H = 0 and a (near-)deterministic student would otherwise blow
@@ -147,12 +140,12 @@ class Teachers:
 
         def compute(t: Teachers) -> np.ndarray:
             p1, p2 = t.probs(1), t.probs(2)
-            c1, c2 = confidence_array(p1), confidence_array(p2)
-            w1, w2 = weights_array(c1, c2, rcfg)
+            c1, c2 = confidence(p1), confidence(p2)
+            w1, w2 = confidence_weights(c1, c2, rcfg)
             if equal_weights:
                 w1 = w2 = np.full(c1.shape, 0.5)
-            a = agreement_array(p1, p2)
-            lam = gate_array(a, rcfg)
+            a = agreement(p1, p2)
+            lam = gate(a, rcfg)
             if lambda_override is not None:
                 lam = np.full(a.shape, float(lambda_override))
             return np.stack([c1, c2, w1, w2, a, lam], axis=1)
@@ -265,19 +258,6 @@ class EwadTrace:
     gate: np.ndarray
     kd_term: np.ndarray
     ce_term: np.ndarray
-
-    def records(self) -> list[TokenReliability]:
-        return [
-            TokenReliability(
-                c1=float(self.c1[i]),
-                c2=float(self.c2[i]),
-                w1=float(self.w1[i]),
-                w2=float(self.w2[i]),
-                agreement=float(self.agreement[i]),
-                gate=float(self.gate[i]),
-            )
-            for i in range(len(self.positions))
-        ]
 
 
 @dataclass

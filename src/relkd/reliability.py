@@ -1,9 +1,10 @@
 """Two-axis token reliability: teacher confidence, confidence-proportional
 weights, inter-teacher agreement, and the sigmoid trust gate.
 
-Scalar functions validate their inputs and serve the public API; the
-``*_array`` variants run the same formulas over (T, V) position batches and
-are what the loss routines call in their inner loops.
+Each quantity is one function over the last axis, as in ``distmath``: a
+(V,) distribution gives a float, a (T, V) batch of positions an array. Every
+call validates its distributions; the losses call these once per run, over
+all target positions (see ``losses.Teachers``).
 """
 
 from __future__ import annotations
@@ -52,59 +53,38 @@ class TokenReliability:
     gate: float
 
 
-def confidence_array(p: np.ndarray) -> np.ndarray:
-    """1 - H(p)/ln|V| over the last axis, clipped into [0, 1]."""
-    p = np.asarray(p, dtype=float)
-    c = 1.0 - entropy(p) / np.log(p.shape[-1])
-    return np.clip(np.atleast_1d(c), 0.0, 1.0)
+def confidence(p: np.ndarray) -> float | np.ndarray:
+    """1 - H(p)/ln|V| over the last axis, clipped into [0, 1]: 0 for uniform,
+    1 for one-hot."""
+    p = check_prob_dist(p)
+    c = np.clip(1.0 - entropy(p) / np.log(p.shape[-1]), 0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
-def weights_array(
-    c1: np.ndarray, c2: np.ndarray, cfg: ReliabilityConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-way softmax of paired confidences at the weight temperature."""
-    w1 = np.atleast_1d(sigmoid((np.asarray(c1) - np.asarray(c2)) / cfg.weight_temperature))
+def confidence_weights(c1, c2, cfg: ReliabilityConfig) -> tuple[float | np.ndarray, ...]:
+    """(w1, w2): the two-way softmax of paired confidences (floats, or arrays)
+    at the weight temperature; w1 > w2 iff c1 > c2."""
+    w1 = sigmoid((np.asarray(c1, dtype=float) - c2) / cfg.weight_temperature)
     return w1, 1.0 - w1
 
 
-def agreement_array(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """1 - JSD(p1, p2)/ln 2 over the last axis, clipped into [0, 1]."""
-    a = 1.0 - jsd(p1, p2) / np.log(2.0)
-    return np.clip(np.atleast_1d(a), 0.0, 1.0)
-
-
-def gate_array(a: np.ndarray, cfg: ReliabilityConfig) -> np.ndarray:
-    """sigmoid(k * (a - delta)), clipped to stay strictly inside (0, 1)."""
-    g = sigmoid(cfg.gate_steepness * (np.asarray(a, dtype=float) - cfg.gate_threshold))
-    return np.clip(np.atleast_1d(g), _OPEN_EPS, 1.0 - _OPEN_EPS)
-
-
-def confidence(p: np.ndarray) -> float:
-    """1 - H(p)/ln|V|: 0 for uniform, 1 for one-hot."""
-    p = check_prob_dist(p)
-    return float(confidence_array(p)[0])
-
-
-def confidence_weights(
-    c1: float, c2: float, cfg: ReliabilityConfig
-) -> tuple[float, float]:
-    """Two-way softmax of (c1, c2); w1 > w2 iff c1 > c2."""
-    w1, w2 = weights_array(np.array([c1]), np.array([c2]), cfg)
-    return float(w1[0]), float(w2[0])
-
-
-def agreement(p1: np.ndarray, p2: np.ndarray) -> float:
-    """1 - JSD(p1, p2)/ln 2: 1 for identical teachers, 0 for disjoint."""
+def agreement(p1: np.ndarray, p2: np.ndarray) -> float | np.ndarray:
+    """1 - JSD(p1, p2)/ln 2 over the last axis, clipped into [0, 1]: 1 for
+    identical teachers, 0 for disjoint."""
     p1 = check_prob_dist(p1, "p1")
     p2 = check_prob_dist(p2, "p2")
     if p1.shape[-1] != p2.shape[-1]:
         raise ValueError("teacher distributions must share a vocabulary")
-    return float(agreement_array(p1, p2)[0])
+    a = np.clip(1.0 - jsd(p1, p2) / np.log(2.0), 0.0, 1.0)
+    return float(a) if a.ndim == 0 else a
 
 
-def gate(a: float, cfg: ReliabilityConfig) -> float:
-    """sigmoid(k * (a - delta)); strictly increasing, inside (0, 1)."""
-    return float(gate_array(np.array([a]), cfg)[0])
+def gate(a: float | np.ndarray, cfg: ReliabilityConfig) -> float | np.ndarray:
+    """sigmoid(k * (a - delta)); strictly increasing, clipped to stay
+    strictly inside (0, 1)."""
+    g = sigmoid(cfg.gate_steepness * (np.asarray(a, dtype=float) - cfg.gate_threshold))
+    g = np.clip(g, _OPEN_EPS, 1.0 - _OPEN_EPS)
+    return float(g) if g.ndim == 0 else g
 
 
 def token_reliability(

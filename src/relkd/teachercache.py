@@ -15,16 +15,15 @@ readers validate every line and report failures by line number.
 
 A top-k cache is held as one ``TopKCache``: every cached entry in flat
 arrays, checked by one vectorized pass over all positions and densified in
-one step. ``read_topk``/``read_cache`` build it from a file, ``index_topk``
-from ``TopKRecord``s; ``write_cache``, ``validate_topk_record`` and
-``densify`` go through the same checks.
+one step. ``read_cache`` builds it from a file, rejecting one of the wrong
+``kind`` at line 1, and ``index_topk`` from ``TopKRecord``s; ``write_cache``
+goes through the same checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -88,13 +87,12 @@ def _all_of(values, types) -> bool:
     return all(t is not bool and issubclass(t, types) for t in set(map(type, values)))
 
 
-class TopKCache(Sequence):
-    """Checked top-k records as flat arrays (build one with ``read_topk`` or
+class TopKCache:
+    """Checked top-k records as flat arrays (build one with ``read_cache`` or
     ``index_topk``). ``ids``/``logprobs`` hold every entry, position after
     position; position j has entries ``bounds[j]:bounds[j + 1]`` and keeps
     mass ``mass[j]``; record r has positions ``first[r]:first[r + 1]``, and
-    ``index`` maps example ids to records. It is also the sequence of its
-    ``TopKRecord``s, built on access; ``cache[example_id]`` finds one by id.
+    ``index`` maps example ids to records. Its length is its record count.
     """
 
     def __init__(self, example_ids, first, counts, ids, logprobs, mass, vocab_size, k):
@@ -110,23 +108,6 @@ class TopKCache(Sequence):
 
     def __len__(self) -> int:
         return len(self.example_ids)
-
-    def __getitem__(self, key: int | str) -> TopKRecord:
-        r = self.index[key] if isinstance(key, str) else range(len(self))[key]
-        cuts = self.bounds[self.first[r]:self.first[r + 1] + 1].tolist()
-        lo, hi = cuts[0], cuts[-1]
-        pairs = list(zip(self.ids[lo:hi].tolist(), self.logprobs[lo:hi].tolist()))
-        return TopKRecord(self.example_ids[r],
-                          [pairs[a - lo:b - lo] for a, b in zip(cuts, cuts[1:])],
-                          self.vocab_size)
-
-    def __contains__(self, key) -> bool:
-        return key in self.index if isinstance(key, str) else super().__contains__(key)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (TopKCache, list)):
-            return list(self) == list(other)
-        return NotImplemented
 
     @property
     def mass_kept(self) -> dict | None:
@@ -237,11 +218,12 @@ def index_topk(records, k: int | None = None, vocab_size: int | None = None) -> 
     """Pack and check records as one TopKCache.
 
     Every record must have ``vocab_size`` (default: the first record's) and
-    no position more than ``k`` entries (default: no limit). A TopKCache
-    whose own k and vocab_size agree is returned as it is.
+    no position more than ``k`` entries (default: no limit). A TopKCache is
+    returned as it is, and only with its own k and vocab_size.
     """
-    if (isinstance(records, TopKCache) and k in (None, records.k)
-            and vocab_size in (None, records.vocab_size)):
+    if isinstance(records, TopKCache):
+        if k not in (None, records.k) or vocab_size not in (None, records.vocab_size):
+            raise CacheFormatError("a TopKCache keeps its own k and vocab_size")
         return records
     records = list(records)
     if vocab_size is None and records:
@@ -251,12 +233,6 @@ def index_topk(records, k: int | None = None, vocab_size: int | None = None) -> 
             raise CacheFormatError(f"{rec.example_id}: vocab_size differs from header")
     return _build([r.example_id for r in records], [r.positions for r in records],
                   vocab_size, k, lambda r: "")
-
-
-def validate_topk_record(rec: TopKRecord, k: int | None = None) -> list[float]:
-    """Raise CacheFormatError unless the record satisfies all invariants.
-    Returns the probability mass each position keeps, sum(exp(logprob))."""
-    return index_topk([rec], k=k).mass.tolist()
 
 
 def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None) -> None:
@@ -281,6 +257,7 @@ def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None
 
 
 _RECORD_TYPES = {"topk": TopKRecord, "pseudo": PseudoLabelRecord}
+_KINDS = {"topk": "top-k", "pseudo": "pseudo-label"}
 
 
 def write_cache(
@@ -319,8 +296,11 @@ def write_cache(
         vocab_size, k = cache.vocab_size, cache.k
         # the mass the cached entries keep, before densify renormalizes it
         header["mass_kept"] = cache.mass_kept
-        lines = [json.dumps({"id": rec.example_id, "positions": rec.positions}, sort_keys=True)
-                 for rec in cache]
+        pairs = list(zip(cache.ids.tolist(), cache.logprobs.tolist()))
+        cuts, first = cache.bounds.tolist(), cache.first.tolist()
+        positions = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
+        lines = [json.dumps({"id": eid, "positions": positions[a:b]}, sort_keys=True)
+                 for eid, a, b in zip(cache.example_ids, first, first[1:])]
     elif k is None and records:
         k = 0
     if vocab_size is None or k is None:
@@ -341,9 +321,11 @@ def write_cache(
     return len(records)
 
 
-def read_cache(path) -> TopKCache | list[PseudoLabelRecord]:
+def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRecord]:
     """Read and validate a cache file: a top-k cache as one TopKCache, a
-    pseudo-label cache as its records. Errors name the offending line."""
+    pseudo-label cache as its records. A file that is not of the ``kind``
+    asked for ("topk" or "pseudo", default either) is rejected at its header.
+    Errors name the offending line."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = f.read().splitlines()
@@ -359,9 +341,12 @@ def read_cache(path) -> TopKCache | list[PseudoLabelRecord]:
     if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
         version = header.get("version") if isinstance(header, dict) else None
         raise CacheFormatError(f"{path} line 1: unsupported cache version {version!r}")
-    kind = header.get("kind")
-    if kind not in ("topk", "pseudo"):
-        raise CacheFormatError(f"{path} line 1: unknown kind {kind!r}")
+    found = header.get("kind")
+    if found not in _KINDS:
+        raise CacheFormatError(f"{path} line 1: unknown kind {found!r}")
+    if kind not in (None, found):
+        raise CacheFormatError(
+            f"{path} line 1: a {_KINDS[found]} cache, not a {_KINDS[kind]} cache")
     vocab_size = header.get("vocab_size")
     k = header.get("k")
     if not _all_of([vocab_size, k], int):
@@ -377,7 +362,7 @@ def read_cache(path) -> TopKCache | list[PseudoLabelRecord]:
         except json.JSONDecodeError as exc:
             raise CacheFormatError(f"{path} line {lineno}: malformed record ({exc})") from exc
         try:
-            if kind == "topk":
+            if found == "topk":
                 records.append((obj["id"], obj["positions"]))
             else:
                 rec = PseudoLabelRecord(
@@ -392,28 +377,10 @@ def read_cache(path) -> TopKCache | list[PseudoLabelRecord]:
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"{path} line {lineno}: {exc}") from exc
         lines.append(lineno)
-    if kind == "pseudo":
+    if found == "pseudo":
         return records
     return _build([eid for eid, _ in records], [pos for _, pos in records], vocab_size, k,
                   lambda r: f"{path} line {lines[r]}: ")
-
-
-def read_topk(path) -> TopKCache:
-    """Read and validate a top-k cache file (see ``read_cache``)."""
-    cache = read_cache(path)
-    if not isinstance(cache, TopKCache):
-        raise CacheFormatError(f"{path} line 1: a pseudo-label cache, not a top-k cache")
-    return cache
-
-
-def densify(record: TopKRecord, position: int | None = None) -> np.ndarray:
-    """Expand cached positions into full distributions over the vocabulary:
-    every position as (T, V) rows, or one ``position`` as a (V,) vector
-    (see ``TopKCache.densify``)."""
-    if position is not None and not 0 <= position < len(record.positions):
-        raise IndexError(f"position {position} out of range for {record.example_id}")
-    p = index_topk([record]).densify(None if position is None else [position])
-    return p if position is None else p[0]
 
 
 def sample_target(

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .distmath import entropy, log_softmax_t
-from .evalmetrics import RougeScores, rouge_l, rouge_n
+from .evalmetrics import RougeScores, score_pairs
 from .losses import (
     AdaptiveTauConfig,
     CpdpAnchor,
@@ -40,7 +40,6 @@ from .teachercache import (  # index_topk is re-exported for callers of this mod
     PseudoLabelRecord,
     TopKCache,
     TopKRecord,
-    densify,
     index_topk,
     sample_target,
 )
@@ -303,16 +302,6 @@ def build_pseudo_variant_topk(
         [ex.document for ex, _ in pairs], [rec.tokens for _, rec in pairs],
         k, corpus.vocab_size,
     )
-
-
-def cached_teacher_logits(record: TopKRecord, length: int) -> np.ndarray:
-    """Densify a cached record into (length, V) logit rows (floored log)."""
-    if len(record.positions) != length:
-        raise ValueError(
-            f"cache record {record.example_id} covers {len(record.positions)} positions, "
-            f"target has {length}"
-        )
-    return _floored_log(densify(record))
 
 
 def _floored_log(p: np.ndarray) -> np.ndarray:
@@ -683,10 +672,4 @@ def evaluate_rouge(
         raise ValueError("cannot evaluate on an empty corpus")
     hyps = generate_batch(params, [ex.document for ex in corpus.examples], mode="greedy",
                           max_len=max_len)
-    r1 = r2 = rl = 0.0
-    for ex, hyp in zip(corpus.examples, hyps):
-        r1 += rouge_n(hyp, ex.summary, 1)
-        r2 += rouge_n(hyp, ex.summary, 2)
-        rl += rouge_l(hyp, ex.summary)
-    n = len(corpus.examples)
-    return RougeScores(rouge1=r1 / n, rouge2=r2 / n, rougeL=rl / n)
+    return score_pairs(zip(hyps, [ex.summary for ex in corpus.examples]))

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from relkd.teachercache import TopKRecord
+
 KL_FLOOR = 1e-12
 ENTROPY_FLOOR = 1e-8
 GATE_EPS = 1e-12
@@ -196,6 +198,19 @@ def validate_topk_record_oracle(example_id, positions, vocab_size, k=None, mass_
         if masses[-1] > 1.0 + mass_tol:
             raise ValueError(f"{example_id} position {pos}: probability mass exceeds 1")
     return masses
+
+
+def records_of(cache):
+    """A TopKCache's records, rebuilt from its flat arrays one position and
+    one entry at a time, token ids as ints and logprobs as floats."""
+    records = []
+    for r, example_id in enumerate(cache.example_ids):
+        positions = []
+        for j in range(int(cache.first[r]), int(cache.first[r + 1])):
+            entries = range(int(cache.bounds[j]), int(cache.bounds[j + 1]))
+            positions.append([(int(cache.ids[e]), float(cache.logprobs[e])) for e in entries])
+        records.append(TopKRecord(example_id, positions, cache.vocab_size))
+    return records
 
 
 def densify_oracle(positions, vocab_size):

@@ -65,6 +65,7 @@ from oracles import (
     max_rel_err,
     lcs_bruteforce,
     random_instance,
+    records_of,
 )
 
 RCFG = ReliabilityConfig()
@@ -318,7 +319,7 @@ class TestCriterion6InvariantSuites:
             for v, recs in by_v.items():
                 path = os.path.join(d, f"c{v}.jsonl")
                 write_cache(recs, path)
-                assert read_cache(path) == recs
+                assert records_of(read_cache(path)) == recs
 
         # chunk coverage and capacity
         for _ in range(800):

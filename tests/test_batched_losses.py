@@ -23,9 +23,16 @@ from relkd.losses import (
     standard_total,
 )
 from relkd.reliability import ReliabilityConfig
-from relkd.teachercache import MixingConfig, TopKRecord, densify
+from relkd.teachercache import MixingConfig, TopKRecord, index_topk
 from relkd.toymodel import EOS_ID
-from relkd.training import TrainConfig, cached_teacher_logits, train
+from relkd.training import (
+    Corpus,
+    CorpusExample,
+    SupervisionBundle,
+    TrainConfig,
+    prepare_supervision,
+    train,
+)
 import relkd.training as training
 
 from test_training import teacher_and_bundle, tiny_corpus
@@ -239,12 +246,16 @@ def test_densify_all_positions_matches_each_position():
         lps = np.sort(np.log(rng.dirichlet(np.ones(k + 1))[:k]))[::-1]
         positions.append([(int(t), float(lp)) for t, lp in zip(ids, lps)])
     rec = TopKRecord("x", positions, 12)
-    rows = densify(rec)
+    cache = index_topk([rec])
+    rows = cache.densify()
     assert rows.shape == (9, 12)
     for t in range(len(positions)):
-        assert np.allclose(rows[t], densify(rec, t), rtol=0, atol=1e-16)
-    logits = cached_teacher_logits(rec, len(positions))
-    assert np.array_equal(logits, np.log(np.maximum(rows, 1e-12)))
+        assert np.allclose(rows[t], cache.densify([t])[0], rtol=0, atol=1e-16)
+    # an example whose target (8 tokens, then EOS) covers the record's 9 positions
+    corpus = Corpus([CorpusExample("x", [5, 6, 7], [6] * 8)], 12)
+    _, teachers, _ = prepare_supervision(TrainConfig(loss_mode="A2"), corpus,
+                                         SupervisionBundle(topk1=cache))
+    assert np.array_equal(teachers.logits(1), np.log(np.maximum(rows, 1e-12)))
 
 
 def test_cpdp_telemetry_in_metrics():

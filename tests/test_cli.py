@@ -345,8 +345,9 @@ class TestLoadBundle:
     def test_reads_exactly_what_the_mode_row_requires(self, tmp_path, monkeypatch, mode):
         import relkd.cli as cli
 
-        read = []
-        monkeypatch.setattr(cli, "read_cache", lambda p: read.append(p) or [])
+        read, kinds = [], []
+        monkeypatch.setattr(cli, "read_cache",
+                            lambda p, kind: read.append(p) or kinds.append(kind) or [])
         monkeypatch.setattr(cli, "load_checkpoint", lambda p: read.append(p) or (object(), {}))
         cfg = cli.load_config(None, None)
         cfg["training"].update(loss_mode=mode, p_pseudo=0.3)
@@ -361,6 +362,8 @@ class TestLoadBundle:
             (spec.pseudo, "pseudo_labels.jsonl"), (spec.hidden, "teacher1.json"),
         ) if flag]
         assert [os.path.basename(p) for p in read] == expected
+        assert kinds == [kind for flag, kind in ((spec.teacher1, "topk"), (spec.teacher2, "topk"),
+                                                 (spec.pseudo, "pseudo")) if flag]
         assert (bundle.topk1 is not None) == spec.teacher1
         assert (bundle.topk2 is not None) == spec.teacher2
         assert (bundle.pseudo is not None) == spec.pseudo

@@ -10,11 +10,13 @@ from relkd.teachercache import (
     MixingConfig,
     PseudoLabelRecord,
     TopKRecord,
-    densify,
+    index_topk,
     read_cache,
     sample_target,
     write_cache,
 )
+
+from oracles import records_of
 
 
 @st.composite
@@ -52,7 +54,7 @@ def test_topk_cache_round_trip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("c") / "topk.jsonl"
     write_cache(records, path, kind="topk", vocab_size=records[0].vocab_size if records else 5,
                 k=max((len(p) for r in records for p in r.positions), default=1))
-    assert read_cache(path) == records
+    assert records_of(read_cache(path)) == records
 
 
 @given(pseudo_records)
@@ -65,7 +67,7 @@ def test_pseudo_cache_round_trip(tmp_path_factory, records):
 @given(topk_records(min_positions=1))
 def test_densify_rows_are_distributions_on_the_cached_support(records):
     for rec in records:
-        p = densify(rec)
+        p = index_topk([rec]).densify()
         assert p.shape == (len(rec.positions), rec.vocab_size)
         for row, pairs in zip(p, rec.positions):
             support = [t for t, _ in pairs]

@@ -179,3 +179,50 @@ class TestTokenReliability:
             assert 0.0 <= r.w1 <= 1.0 and abs(r.w1 + r.w2 - 1.0) <= 1e-12
             assert 0.0 <= r.agreement <= 1.0
             assert 0.0 < r.gate < 1.0
+
+
+class TestBatches:
+    """A (T, V) batch of positions gives, bit for bit, the per-row values,
+    and is validated row by row like a single distribution."""
+
+    @staticmethod
+    def batch(rng, t, v):
+        p = np.array([random_dist(rng, v) for _ in range(t)])
+        p[0] = 1.0 / v                    # uniform: confidence clipped at 0
+        p[1] = np.eye(v)[int(rng.integers(v))]  # one-hot: confidence 1
+        return p
+
+    @pytest.mark.parametrize("v", [2, 5, 64])
+    def test_rows_equal_per_row_calls(self, v):
+        rng = np.random.default_rng(v)
+        p1, p2 = self.batch(rng, 500, v), self.batch(rng, 500, v)
+        p2[2] = p1[2]                     # identical teachers: agreement 1
+        c1, c2 = confidence(p1), confidence(p2)
+        assert c1.shape == (500,) and isinstance(confidence(p1[3]), float)
+        assert np.array_equal(c1, [confidence(row) for row in p1])
+        w1, w2 = confidence_weights(c1, c2, CFG)
+        rows = [confidence_weights(float(a), float(b), CFG) for a, b in zip(c1, c2)]
+        assert np.array_equal(np.stack([w1, w2], axis=1), rows)
+        a = agreement(p1, p2)
+        assert np.array_equal(a, [agreement(r1, r2) for r1, r2 in zip(p1, p2)])
+        assert np.array_equal(gate(a, CFG), [gate(float(x), CFG) for x in a])
+        assert c1[0] == 0.0 and c1[1] == 1.0 and a[2] == 1.0
+
+    @pytest.mark.parametrize("fault, message", [("negative", "must be non-negative"),
+                                                ("not_normalized", "must sum to 1")])
+    def test_one_invalid_row_is_rejected(self, fault, message):
+        rng = np.random.default_rng(5)
+        p, q = self.batch(rng, 50, 6), self.batch(rng, 50, 6)
+        bad = p.copy()
+        if fault == "negative":
+            bad[17, :2] = [-0.1, bad[17, 0] + bad[17, 1] + 0.1]
+        else:
+            bad[17] *= 1.01
+        with pytest.raises(ValueError, match=f"p: entries {message}"):
+            confidence(bad)
+        with pytest.raises(ValueError, match=f"p1: entries {message}"):
+            agreement(bad, q)
+        with pytest.raises(ValueError, match=f"p2: entries {message}"):
+            agreement(q, bad)
+        confidence(p)
+        agreement(p, q)

@@ -145,3 +145,24 @@ def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, ca
     assert f"{cache} line 5:" in err
     assert not (tmp_path / "student.json").exists()
     assert not (tmp_path / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("preset, override, wrong", [
+    ("A2", {"teacher1": {"cache": "pseudo_labels.jsonl"}}, "pseudo_labels.jsonl"),
+    ("A3", {"pseudo_cache": "teacher1_topk.jsonl"}, "teacher1_topk.jsonl"),
+], ids=["pseudo-as-teacher1", "topk-as-pseudo"])
+def test_distill_on_a_cache_of_the_wrong_kind_fails_before_any_output(tmp_path, capsys, preset,
+                                                                      override, wrong):
+    for name, dim in (("teacher1.json", 8), ("teacher2.json", 7)):
+        save_checkpoint(tmp_path / name, init_params(16, dim, np.random.default_rng(dim)))
+    cache_cfg = write_config(tmp_path / "cache.json",
+                             pseudo_teachers=[{"id": "p1", "checkpoint": "teacher1.json"}])
+    assert main(["--config", str(cache_cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    cfg = write_config(tmp_path / "c.json", preset=preset, **override)
+    capsys.readouterr()
+
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / wrong} line 1:" in err
+    assert not (tmp_path / "student.json").exists()
+    assert not (tmp_path / "metrics.jsonl").exists()

@@ -9,12 +9,14 @@ from relkd.teachercache import (
     MixingConfig,
     PseudoLabelRecord,
     TopKRecord,
-    densify,
+    index_topk,
     read_cache,
     sample_target,
     write_cache,
 )
 from relkd.training import topk_from_logits
+
+from oracles import records_of
 
 
 def topk_record(example_id="ex0", vocab=5):
@@ -32,14 +34,14 @@ class TestWriteRead:
         n = write_cache([], path, kind="topk", vocab_size=5, k=2)
         assert n == 0
         assert len(path.read_text().splitlines()) == 1
-        assert read_cache(path) == []
+        assert records_of(read_cache(path)) == []
 
     def test_topk_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         records = [topk_record(f"ex{i}") for i in range(3)]
         assert write_cache(records, path) == 3
         assert len(path.read_text().splitlines()) == 4
-        assert read_cache(path) == records
+        assert records_of(read_cache(path)) == records
 
     def test_pseudo_round_trip(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -108,12 +110,12 @@ class TestDensify:
             [(i, math.log(v)) for i, v in enumerate(p)], key=lambda e: -e[1]
         )
         rec = TopKRecord("ex0", [pairs], 4)
-        assert np.allclose(densify(rec, 0), p, atol=1e-12)
+        assert np.allclose(index_topk([rec]).densify([0])[0], p, atol=1e-12)
 
     def test_top2_renormalization(self):
         # top-2 of (0.6, 0.3, 0.1) renormalizes to (2/3, 1/3, 0)
         rec = TopKRecord("ex0", [[(0, math.log(0.6)), (1, math.log(0.3))]], 3)
-        assert np.allclose(densify(rec, 0), [2 / 3, 1 / 3, 0.0], atol=1e-12)
+        assert np.allclose(index_topk([rec]).densify([0])[0], [2 / 3, 1 / 3, 0.0], atol=1e-12)
 
     def test_output_is_valid_distribution(self):
         rng = np.random.default_rng(0)
@@ -123,18 +125,18 @@ class TestDensify:
             logp = np.log(rng.dirichlet(np.ones(v)))
             order = np.argsort(-logp)[:k]
             rec = TopKRecord("ex0", [[(int(i), float(logp[i])) for i in order]], v)
-            p = densify(rec, 0)
+            p = index_topk([rec]).densify([0])[0]
             assert np.all(p >= 0)
             assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_position_out_of_range(self):
         with pytest.raises(IndexError):
-            densify(topk_record(), 5)
+            index_topk([topk_record()]).densify([5])
 
     def test_empty_position(self):
         rec = TopKRecord("ex0", [[]], 5)
         with pytest.raises(CacheFormatError):
-            densify(rec, 0)
+            index_topk([rec]).densify([0])
 
 
 class TestSampleTarget:
@@ -197,7 +199,7 @@ class TestMassKept:
     def test_full_support_keeps_all_mass(self, tmp_path):
         _, records, path, mass = self._write(tmp_path, k=6)
         assert abs(mass["mean"] - 1.0) <= 1e-12 and abs(mass["min"] - 1.0) <= 1e-12
-        assert read_cache(path) == records
+        assert records_of(read_cache(path)) == records
 
     def test_top1_keeps_the_max_probability(self, tmp_path):
         logits, records, path, mass = self._write(tmp_path, k=1, seed=1)
@@ -205,7 +207,7 @@ class TestMassKept:
         top = (p / p.sum(axis=1, keepdims=True)).max(axis=1)
         assert mass["mean"] == pytest.approx(top.mean(), rel=1e-12)
         assert mass["min"] == pytest.approx(top.min(), rel=1e-12)
-        assert read_cache(path) == records
+        assert records_of(read_cache(path)) == records
 
     def test_null_without_positions_and_absent_from_pseudo_caches(self, tmp_path):
         write_cache([], tmp_path / "c.jsonl", kind="topk", vocab_size=5, k=2)
@@ -293,4 +295,4 @@ class TestIllTypedValues:
         path = tmp_path / "c.jsonl"
         rec = TopKRecord("ex0", [[(np.int64(1), np.float64(-0.5))]], 5)
         write_cache([rec], path)
-        assert read_cache(path) == [TopKRecord("ex0", [[(1, -0.5)]], 5)]
+        assert records_of(read_cache(path)) == [TopKRecord("ex0", [[(1, -0.5)]], 5)]

@@ -4,6 +4,7 @@ same densified rows."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,14 +13,12 @@ from hypothesis import assume, given, strategies as st
 from relkd.teachercache import (
     CacheFormatError,
     TopKRecord,
-    densify,
     index_topk,
-    read_topk,
-    validate_topk_record,
+    read_cache,
     write_cache,
 )
 
-from oracles import densify_oracle, validate_topk_record_oracle
+from oracles import densify_oracle, records_of, validate_topk_record_oracle
 
 FAULTS = ("unsorted", "duplicate", "out_of_range", "non_finite", "over_k", "excess_mass",
           "empty_position", "empty_id", "small_vocab")
@@ -108,16 +107,16 @@ def test_checks_match_the_per_record_oracle(tmp_path_factory, case):
     fault, masses = _oracle(records, k)
     out = path.with_name("written.jsonl")
     if fault is None:
-        cache = read_topk(path)
-        assert cache == records
+        cache = read_cache(path, "topk")
+        assert records_of(cache) == records
         assert np.allclose(cache.mass, masses, rtol=0, atol=1e-14)
-        assert index_topk(records, k=k) == records
+        assert records_of(index_topk(records, k=k)) == records
         write_cache(records, out, k=k)
         assert out.exists()
         return
     line, message = fault
     with pytest.raises(CacheFormatError) as read_err:
-        read_topk(path)
+        read_cache(path, "topk")
     assert str(read_err.value) == f"{path} line {line}: {message}"
     with pytest.raises(CacheFormatError) as write_err:
         write_cache(records, out, k=k)
@@ -126,7 +125,7 @@ def test_checks_match_the_per_record_oracle(tmp_path_factory, case):
     # the batch of one agrees record by record
     bad = records[line - 2]
     with pytest.raises(CacheFormatError) as one_err:
-        validate_topk_record(bad, k)
+        index_topk([bad], k=k)
     assert str(one_err.value) == message
 
 
@@ -135,7 +134,7 @@ def test_whole_table_densify_is_the_oracle_bit_for_bit(tmp_path_factory, case, s
     records, k = case
     path = tmp_path_factory.mktemp("c") / "topk.jsonl"
     write_cache(records, path, k=k)
-    cache = read_topk(path)
+    cache = read_cache(path, "topk")
     vocab = records[0].vocab_size
     rows = cache.densify()
     expected = [densify_oracle(r.positions, vocab) for r in records if r.positions]
@@ -145,7 +144,8 @@ def test_whole_table_densify_is_the_oracle_bit_for_bit(tmp_path_factory, case, s
     assert np.array_equal(cache.densify(order), rows[order])
     for rec in records:
         if rec.positions:
-            assert np.array_equal(densify(rec), densify_oracle(rec.positions, vocab))
+            assert np.array_equal(index_topk([rec]).densify(),
+                                  densify_oracle(rec.positions, vocab))
 
 
 @given(caches())
@@ -153,7 +153,7 @@ def test_ragged_densify_is_the_oracle_to_rounding(records_k):
     records, _ = records_k
     for rec in records:
         if rec.positions:
-            rows = densify(rec)
+            rows = index_topk([rec]).densify()
             assert np.allclose(rows, densify_oracle(rec.positions, rec.vocab_size),
                                rtol=0, atol=1e-15)
             assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
@@ -162,15 +162,24 @@ def test_ragged_densify_is_the_oracle_to_rounding(records_k):
 def test_records_are_found_by_index_and_by_example_id():
     recs = [TopKRecord(f"ex{i}", [[(i, -0.5)]] * i, 5) for i in range(4)]
     cache = index_topk(recs)
-    assert len(cache) == 4 and list(cache) == recs
-    assert cache[-1] == recs[3] and cache["ex2"] == recs[2]
-    assert "ex2" in cache and "ex9" not in cache and recs[1] in cache
+    records = records_of(cache)
+    assert len(cache) == 4 and records == recs
+    assert records[-1] == recs[3] and records[cache.index["ex2"]] == recs[2]
+    assert "ex2" in cache.index and "ex9" not in cache.index and recs[1] in records
     assert index_topk(cache) is cache
-    assert index_topk(cache, k=5).k == 5
+    assert index_topk(records, k=5).k == 5
     with pytest.raises(IndexError):
-        cache[4]
+        records[4]
     with pytest.raises(KeyError):
-        cache["ex9"]
+        cache.index["ex9"]
+
+
+def test_a_cache_is_indexed_again_only_with_its_own_k_and_vocab_size():
+    cache = index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5)])
+    assert index_topk(cache, k=1, vocab_size=5) is cache
+    for other in ({"k": 5}, {"vocab_size": 6}):
+        with pytest.raises(CacheFormatError, match="its own k and vocab_size"):
+            index_topk(cache, **other)
 
 
 def test_records_of_another_vocabulary_are_rejected():
@@ -178,8 +187,17 @@ def test_records_of_another_vocabulary_are_rejected():
         index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5), TopKRecord("ex1", [[(1, -0.5)]], 6)])
 
 
-def test_read_topk_rejects_a_pseudo_cache(tmp_path):
+def test_read_cache_of_kind_topk_rejects_a_pseudo_cache(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text('{"version": 1, "kind": "pseudo", "vocab_size": 5, "k": 0}\n')
     with pytest.raises(CacheFormatError, match="line 1: a pseudo-label cache"):
-        read_topk(path)
+        read_cache(path, "topk")
+    assert read_cache(path, "pseudo") == read_cache(path) == []
+
+
+def test_read_cache_of_kind_pseudo_rejects_a_topk_cache(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_cache([TopKRecord("ex0", [[(1, -0.5)]], 5)], path)
+    with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 1: a top-k cache")):
+        read_cache(path, "pseudo")
+    assert records_of(read_cache(path, "topk")) == records_of(read_cache(path))

@@ -24,15 +24,16 @@ from relkd.training import (
     MODES,
     Corpus,
     CorpusConfig,
+    CorpusExample,
     SupervisionBundle,
     TrainConfig,
     TrainingDiverged,
     build_pseudo_records,
     build_topk_records,
     build_pseudo_variant_topk,
-    cached_teacher_logits,
     index_pseudo,
     index_topk,
+    prepare_supervision,
     synthetic_corpus,
     synthetic_document,
     train,
@@ -388,16 +389,21 @@ class TestCacheBridge:
         ex = corpus.examples[0]
         target = ex.summary + [EOS_ID]
         logits, _ = forward(t1, ex.document, target)
-        cached = cached_teacher_logits(records[ex.example_id], len(target))
+        _, teachers, _ = prepare_supervision(TrainConfig(loss_mode="A2"), corpus,
+                                             SupervisionBundle(topk1=records))
+        cached = teachers.logits(1)[:len(target)]  # the first example's rows
         assert np.allclose(softmax_t(cached, 1.0), softmax_t(logits, 1.0), atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         corpus = tiny_corpus(n=2)
         t1 = init_params(corpus.vocab_size, 5, np.random.default_rng(0))
         records = index_topk(build_topk_records(t1, corpus, 4))
-        rec = records[corpus.examples[0].example_id]
+        ex = corpus.examples[0]
+        summary = ex.summary + ex.summary[:1] * 3  # 3 positions more than the cache holds
+        longer = Corpus([CorpusExample(ex.example_id, ex.document, summary)], corpus.vocab_size)
         with pytest.raises(ValueError, match="positions"):
-            cached_teacher_logits(rec, len(rec.positions) + 3)
+            prepare_supervision(TrainConfig(loss_mode="A2"), longer,
+                                SupervisionBundle(topk1=records))
 
 
 class TestModeTable:
