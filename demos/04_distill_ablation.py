@@ -7,11 +7,9 @@ from relkd.training import (
     SupervisionBundle,
     TrainConfig,
     build_pseudo_records,
-    build_pseudo_variant_topk,
-    build_topk_records,
+    build_topk_cache,
     evaluate_rouge,
     index_pseudo,
-    index_topk,
     synthetic_corpus,
     train,
 )
@@ -34,10 +32,8 @@ t2 = train(TrainConfig(loss_mode="CE", epochs=30, seed=101, hidden_dim=20,
 print("caching top-8 logits and beam-4 pseudo-labels offline ...")
 pseudo = index_pseudo(build_pseudo_records(t1.params, "p1", train_corpus, beam_width=4))
 bundle = SupervisionBundle(
-    topk1=index_topk(build_topk_records(t1.params, train_corpus, 8)
-                     + build_pseudo_variant_topk(t1.params, train_corpus, pseudo, 8)),
-    topk2=index_topk(build_topk_records(t2.params, train_corpus, 8)
-                     + build_pseudo_variant_topk(t2.params, train_corpus, pseudo, 8)),
+    topk1=build_topk_cache(t1.params, train_corpus, 8, pseudo),
+    topk2=build_topk_cache(t2.params, train_corpus, 8, pseudo),
     pseudo=pseudo,
     teacher_params=t1.params,
 )

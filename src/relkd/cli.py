@@ -25,7 +25,7 @@ from .atomic import write_text_atomic
 from .evalmetrics import retention
 from .longdoc import ChunkConfig, summarize_long
 from .losses import CpdpAnchor, TokenBatch, cpdp_loss, ewad_loss
-from .teachercache import index_topk, read_cache, write_cache
+from .teachercache import read_cache, write_cache
 from .toymodel import (
     ROUTE_DIRECT,
     forward,
@@ -40,8 +40,7 @@ from .training import (
     SupervisionBundle,
     TrainConfig,
     build_pseudo_records,
-    build_pseudo_variant_topk,
-    build_topk_records,
+    build_topk_cache,
     evaluate_rouge,
     index_pseudo,
     prepare_supervision,
@@ -76,9 +75,8 @@ DEFAULT_CONFIG = {
         **_field_defaults(CorpusConfig, skip=("seed", "id_prefix")),
     },
     "student": {"hidden_dim": 16},
-    "teacher1": {"hidden_dim": 24, "checkpoint": "teacher1.json",
-                 "cache": "teacher1_topk.jsonl"},
-    "teacher2": {"hidden_dim": 20, "checkpoint": None, "cache": "teacher2_topk.jsonl"},
+    "teacher1": {"checkpoint": "teacher1.json", "cache": "teacher1_topk.jsonl"},
+    "teacher2": {"checkpoint": None, "cache": "teacher2_topk.jsonl"},
     "pseudo_teachers": [],
     "pseudo_cache": "pseudo_labels.jsonl",
     "cache_k": 8,
@@ -218,6 +216,7 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
             value = value[key]
         if value < 1:
             raise CliError(f"{path} must be >= 1, got {value}")
+    _train_config(cfg)  # the training settings' own range checks, before any output exists
     return cfg
 
 
@@ -303,22 +302,18 @@ def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
 # Subcommands
 
 
-def cmd_cache_teacher(cfg: dict, out_dir: str, trace: bool) -> int:
-    t1_path = _require_file(
-        _resolve(cfg["teacher1"]["checkpoint"], out_dir), "teacher1 checkpoint"
-    )
-    t2_ckpt = _resolve(cfg["teacher2"]["checkpoint"], out_dir)
+def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
+    teachers = {t: _require_file(_resolve(cfg[t]["checkpoint"], out_dir), f"{t} checkpoint")
+                for t in ("teacher1", "teacher2") if cfg[t]["checkpoint"] is not None}
     pseudo_teachers = [
         (p["id"], _require_file(_resolve(p["checkpoint"], out_dir), f"pseudo teacher {p['id']}"))
         for p in cfg["pseudo_teachers"]
     ]
 
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
+    if not corpus.examples:
+        raise CliError("training split is empty; configure corpus.n_train > 0")
     k = cfg["cache_k"]
-    t1_params, _ = load_checkpoint(t1_path)
-    t2_params = None
-    if t2_ckpt is not None:
-        t2_params, _ = load_checkpoint(_require_file(t2_ckpt, "teacher2 checkpoint"))
 
     # build and check every record first so a failure cannot leave partial cache files
     pseudo_records = []
@@ -330,17 +325,9 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, trace: bool) -> int:
                 beam_width=cfg["beam_width"], max_len=cfg["training"]["gen_max_len"],
             )
         )
-    pseudo_idx = index_pseudo(pseudo_records) if pseudo_records else None
-
-    def topk_for(params):
-        records = build_topk_records(params, corpus, k)
-        if pseudo_idx:
-            records.extend(build_pseudo_variant_topk(params, corpus, pseudo_idx, k))
-        return records
-
-    caches = {"teacher1": index_topk(topk_for(t1_params), k=k)}
-    if t2_params is not None:
-        caches["teacher2"] = index_topk(topk_for(t2_params), k=k)
+    pseudo_idx = index_pseudo(pseudo_records)
+    caches = {t: build_topk_cache(load_checkpoint(path)[0], corpus, k, pseudo_idx)
+              for t, path in teachers.items()}
 
     if pseudo_records:
         n = write_cache(
@@ -357,7 +344,7 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, trace: bool) -> int:
     return 0
 
 
-def cmd_distill(cfg: dict, out_dir: str, trace: bool) -> int:
+def cmd_distill(cfg: dict, out_dir: str) -> int:
     tc = _train_config(cfg)
     bundle = _load_bundle(cfg, out_dir, tc)
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
@@ -387,8 +374,8 @@ def cmd_distill(cfg: dict, out_dir: str, trace: bool) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: dict, out_dir: str, trace: bool,
-                 checkpoint: str | None, teacher_checkpoint: str | None) -> int:
+def cmd_evaluate(cfg: dict, out_dir: str, checkpoint: str | None,
+                 teacher_checkpoint: str | None) -> int:
     ckpt = _require_file(
         _resolve(checkpoint or cfg["outputs"]["checkpoint"], out_dir), "checkpoint"
     )
@@ -430,13 +417,18 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
 
     if document is not None:
         with open(_require_file(document, "document file"), "r", encoding="utf-8") as f:
-            obj = json.load(f)
-        tokens = obj["tokens"] if isinstance(obj, dict) else obj
+            try:
+                obj = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"document {document} is not valid JSON: {exc}") from exc
+        tokens = obj.get("tokens") if isinstance(obj, dict) else obj
+        if not isinstance(tokens, list) or not tokens or any(type(t) is not int for t in tokens):
+            raise CliError(f"document {document} must be a non-empty list of integer tokens, "
+                           'bare or as {"tokens": [...]}')
     else:
         tokens = synthetic_document(
             3000, vocab_size=cfg["corpus"]["vocab_size"], seed=cfg["seed"]
         )
-    tokens = [int(t) for t in tokens]
 
     limit = cfg["training"]["context_limit"]
     ccfg = ChunkConfig(
@@ -473,7 +465,7 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
     return 0
 
 
-def cmd_gate_trace(cfg: dict, out_dir: str, trace: bool, samples: list[str]) -> int:
+def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
     if not samples:
         raise CliError("gate-trace requires at least one sample id")
     # tracing always needs both teachers and the CPDP anchor
@@ -561,17 +553,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.seed)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "cache-teacher":
-            return cmd_cache_teacher(cfg, args.out, args.trace)
+            return cmd_cache_teacher(cfg, args.out)
         if args.command == "distill":
-            return cmd_distill(cfg, args.out, args.trace)
+            return cmd_distill(cfg, args.out)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.out, args.trace,
-                                args.checkpoint, args.teacher_checkpoint)
+            return cmd_evaluate(cfg, args.out, args.checkpoint, args.teacher_checkpoint)
         if args.command == "mapreduce":
             return cmd_mapreduce(cfg, args.out, args.trace, args.document)
         if args.command == "gate-trace":
-            return cmd_gate_trace(cfg, args.out, args.trace,
-                                  [s for s in args.samples.split(",") if s])
+            return cmd_gate_trace(cfg, args.out, [s for s in args.samples.split(",") if s])
         raise CliError(f"unknown command {args.command!r}")
     except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ class ChunkConfig:
     overlap_sentences: int = 3
     jaccard_threshold: float = 0.75
     context_limit: int = 1024
-    boundary_id: int = BOUNDARY_ID
 
     def __post_init__(self) -> None:
         if not 0 < self.chunk_capacity <= self.context_limit:
@@ -52,7 +51,7 @@ class PipelineError(RuntimeError):
     """The reduce recursion failed to make progress or exceeded its depth."""
 
 
-def split_sentences(tokens, boundary_id: int = BOUNDARY_ID) -> list[list[int]]:
+def split_sentences(tokens) -> list[list[int]]:
     """Partition a token stream at boundary tokens (kept with their sentence).
 
     Concatenating the result reproduces the input exactly; a stream with no
@@ -65,7 +64,7 @@ def split_sentences(tokens, boundary_id: int = BOUNDARY_ID) -> list[list[int]]:
     cur: list[int] = []
     for t in tokens:
         cur.append(t)
-        if t == boundary_id:
+        if t == BOUNDARY_ID:
             sentences.append(cur)
             cur = []
     if cur:
@@ -148,7 +147,7 @@ def summarize_long(
     diagnostic.
     """
     document = [int(t) for t in document]
-    sentences = split_sentences(document, cfg.boundary_id)
+    sentences = split_sentences(document)
     return _summarize_sentences(sentences, map_fn, reduce_fn, cfg, trace, 1)
 
 
@@ -180,7 +179,7 @@ def _summarize_sentences(
     candidate_sentences: list[list[int]] = []
     for out in map_outputs:
         if out:
-            candidate_sentences.extend(split_sentences(out, cfg.boundary_id))
+            candidate_sentences.extend(split_sentences(out))
     kept = dedup(candidate_sentences, cfg)
     concat_length = sum(len(s) for s in kept)
 

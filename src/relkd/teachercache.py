@@ -15,9 +15,12 @@ readers validate every line and report failures by line number.
 
 A top-k cache is held as one ``TopKCache``: every cached entry in flat
 arrays, checked by one vectorized pass over all positions and densified in
-one step. ``read_cache`` builds it from a file, rejecting one of the wrong
-``kind`` at line 1, and ``index_topk`` from ``TopKRecord``s; ``write_cache``
-goes through the same checks.
+one step. Three builders make one, all through the same checks:
+``read_cache`` from a file (rejecting one of the wrong ``kind`` at line 1),
+``topk_cache`` from a model's top-k rows, one row per position, and
+``index_topk`` from hand-built ``TopKRecord``s. ``write_cache`` takes either
+a ``TopKCache`` or a list of ``PseudoLabelRecord``s. Only this module knows
+the (token_id, logprob) pairs of the file format.
 """
 
 from __future__ import annotations
@@ -88,11 +91,11 @@ def _all_of(values, types) -> bool:
 
 
 class TopKCache:
-    """Checked top-k records as flat arrays (build one with ``read_cache`` or
-    ``index_topk``). ``ids``/``logprobs`` hold every entry, position after
-    position; position j has entries ``bounds[j]:bounds[j + 1]`` and keeps
-    mass ``mass[j]``; record r has positions ``first[r]:first[r + 1]``, and
-    ``index`` maps example ids to records. Its length is its record count.
+    """Checked top-k records as flat arrays (build one with ``read_cache``,
+    ``topk_cache`` or ``index_topk``). ``ids``/``logprobs`` hold every entry,
+    position after position; position j has entries ``bounds[j]:bounds[j + 1]``
+    and keeps mass ``mass[j]``; record r has positions ``first[r]:first[r + 1]``,
+    and ``index`` maps example ids to records. Its length is its record count.
     """
 
     def __init__(self, example_ids, first, counts, ids, logprobs, mass, vocab_size, k):
@@ -149,11 +152,9 @@ def _entries(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _build(example_ids: list, positions: list, vocab_size, k, context) -> TopKCache:
     """Pack and check records given as their ids and position lists.
-    ``context(r)`` starts each message about record r. Without a ``k`` no
-    position is too long, and the cache takes its longest one as its k."""
+    ``context(r)`` starts each message about record r."""
     try:
         counts, ids, logprobs = _entries(list(chain.from_iterable(positions)))
-        first = np.cumsum([0, *map(len, positions)], dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         for r, pos in enumerate(positions):  # name the first record at fault
             try:
@@ -161,6 +162,16 @@ def _build(example_ids: list, positions: list, vocab_size, k, context) -> TopKCa
             except (TypeError, ValueError, OverflowError) as exc:
                 raise CacheFormatError(f"{context(r)}{exc}") from exc
         raise
+    return _pack(example_ids, list(map(len, positions)), counts, ids, logprobs, vocab_size, k,
+                 context)
+
+
+def _pack(example_ids, lengths, counts, ids, logprobs, vocab_size, k, context) -> TopKCache:
+    """Check flat entries, ``counts[j]`` of them for position j and
+    ``lengths[r]`` positions for record r, and hold them as one TopKCache.
+    Without a ``k`` no position is too long, and the cache takes its longest
+    one as its k."""
+    first = np.cumsum([0, *lengths], dtype=np.int64)
     if k is None and example_ids:
         k = int(counts.max(initial=0))
     mass = _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context)
@@ -215,16 +226,13 @@ def _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context) ->
 
 
 def index_topk(records, k: int | None = None, vocab_size: int | None = None) -> TopKCache:
-    """Pack and check records as one TopKCache.
+    """Pack and check hand-built TopKRecords as one TopKCache.
 
     Every record must have ``vocab_size`` (default: the first record's) and
-    no position more than ``k`` entries (default: no limit). A TopKCache is
-    returned as it is, and only with its own k and vocab_size.
+    no position more than ``k`` entries (default: no limit).
     """
-    if isinstance(records, TopKCache):
-        if k not in (None, records.k) or vocab_size not in (None, records.vocab_size):
-            raise CacheFormatError("a TopKCache keeps its own k and vocab_size")
-        return records
+    if not _all_of([v for v in (vocab_size, k) if v is not None], _INTEGER):
+        raise CacheFormatError("vocab_size and k must be integers")
     records = list(records)
     if vocab_size is None and records:
         vocab_size = records[0].vocab_size
@@ -233,6 +241,17 @@ def index_topk(records, k: int | None = None, vocab_size: int | None = None) -> 
             raise CacheFormatError(f"{rec.example_id}: vocab_size differs from header")
     return _build([r.example_id for r in records], [r.positions for r in records],
                   vocab_size, k, lambda r: "")
+
+
+def topk_cache(example_ids, lengths, ids, logprobs, vocab_size: int, k: int) -> TopKCache:
+    """Pack and check rows of equal width as one TopKCache: row j of the
+    (positions, width) arrays ``ids``/``logprobs`` is position j's entries,
+    and record r has the next ``lengths[r]`` positions."""
+    ids, logprobs = np.asarray(ids), np.asarray(logprobs, dtype=float)
+    if ids.shape != logprobs.shape or ids.ndim != 2 or sum(lengths) != len(ids):
+        raise CacheFormatError("rows must be two equal 2-D arrays, one row per position")
+    return _pack(list(example_ids), lengths, np.full(len(ids), ids.shape[1], dtype=np.int64),
+                 ids.ravel(), logprobs.ravel(), vocab_size, k, lambda r: "")
 
 
 def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None) -> None:
@@ -256,63 +275,39 @@ def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None
         raise CacheFormatError(f"{rec.example_id}: beam_width must be >= 1")
 
 
-_RECORD_TYPES = {"topk": TopKRecord, "pseudo": PseudoLabelRecord}
 _KINDS = {"topk": "top-k", "pseudo": "pseudo-label"}
 
 
-def write_cache(
-    records,
-    path,
-    *,
-    kind: str | None = None,
-    vocab_size: int | None = None,
-    k: int | None = None,
-) -> int:
-    """Validate then write records (or a TopKCache) as a JSONL cache file;
-    returns the count. Nothing is written unless every record passes.
-
-    ``kind``/``vocab_size``/``k`` are inferred from the records when possible
-    and are required for empty record lists (nothing to infer from).
-    """
+def write_cache(records, path, *, vocab_size: int | None = None) -> int:
+    """Validate then write a TopKCache, or a list of PseudoLabelRecords over
+    a vocabulary of ``vocab_size`` tokens, as a JSONL cache file; returns the
+    record count. Nothing is written unless every record passes."""
     if isinstance(records, TopKCache):
-        kind, types = kind or "topk", {TopKRecord}
-    else:
-        records = list(records)
-        types = set(map(type, records))
-        unknown = types - set(_RECORD_TYPES.values())
-        if unknown:
-            raise CacheFormatError(f"unsupported record type {unknown.pop().__name__}")
-        kind = kind or (("topk" if TopKRecord in types else "pseudo") if records else None)
-    if kind not in _RECORD_TYPES:
-        raise CacheFormatError("kind must be 'topk' or 'pseudo'")
-    if types - {_RECORD_TYPES[kind]}:
-        raise CacheFormatError("mixed record kinds in one cache")
-    if not _all_of([v for v in (vocab_size, k) if v is not None], _INTEGER):
-        raise CacheFormatError("vocab_size and k must be integers")
-
-    header: dict = {"version": CACHE_VERSION, "kind": kind}
-    if kind == "topk":
-        cache = index_topk(records, k=k, vocab_size=vocab_size)
-        vocab_size, k = cache.vocab_size, cache.k
+        if vocab_size not in (None, records.vocab_size):
+            raise CacheFormatError("a TopKCache is written with its own vocab_size")
+        cache, vocab_size, k = records, records.vocab_size, records.k
         # the mass the cached entries keep, before densify renormalizes it
-        header["mass_kept"] = cache.mass_kept
+        header = {"version": CACHE_VERSION, "kind": "topk", "mass_kept": cache.mass_kept}
         pairs = list(zip(cache.ids.tolist(), cache.logprobs.tolist()))
         cuts, first = cache.bounds.tolist(), cache.first.tolist()
         positions = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
         lines = [json.dumps({"id": eid, "positions": positions[a:b]}, sort_keys=True)
                  for eid, a, b in zip(cache.example_ids, first, first[1:])]
-    elif k is None and records:
-        k = 0
-    if vocab_size is None or k is None:
-        raise CacheFormatError("vocab_size and k are required when they cannot be inferred")
-    if kind == "pseudo":
+    else:
+        records, header, k = list(records), {"version": CACHE_VERSION, "kind": "pseudo"}, 0
+        unknown = set(map(type, records)) - {PseudoLabelRecord}
+        if unknown:
+            raise CacheFormatError(f"unsupported record type {unknown.pop().__name__}")
+        if vocab_size is not None and not _all_of([vocab_size], _INTEGER):
+            raise CacheFormatError("vocab_size must be an integer")
         for rec in records:
             validate_pseudo_record(rec, vocab_size)
         lines = [json.dumps({"id": rec.example_id, "teacher": rec.teacher_id,
                              "beam": int(rec.beam_width), "tokens": [int(t) for t in rec.tokens],
                              "text": rec.text}, sort_keys=True)
                  for rec in records]
-
+    if vocab_size is None or k is None:
+        raise CacheFormatError("vocab_size and k are required when they cannot be inferred")
     header.update(vocab_size=int(vocab_size), k=int(k))
     try:
         write_text_atomic(path, "\n".join([json.dumps(header, sort_keys=True), *lines]) + "\n")

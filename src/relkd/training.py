@@ -35,13 +35,12 @@ from .losses import (
     tau_from_entropy,
 )
 from .reliability import ReliabilityConfig
-from .teachercache import (  # index_topk is re-exported for callers of this module
+from .teachercache import (
     MixingConfig,
     PseudoLabelRecord,
     TopKCache,
-    TopKRecord,
-    index_topk,
     sample_target,
+    topk_cache,
 )
 from .toymodel import (
     BOS_ID,
@@ -207,13 +206,13 @@ def _target_with_eos(summary: list[int]) -> list[int]:
     return list(summary) + [EOS_ID]
 
 
-def topk_from_logits(logits: np.ndarray, k: int) -> list[list[tuple[int, float]]]:
-    """Per-position top-k (token, logprob) pairs, sorted by descending
-    log-probability with ties broken toward lower token ids."""
+def topk_from_logits(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position top-k token ids and their logprobs, each of shape
+    (positions, min(k, V)), sorted by descending log-probability with ties
+    broken toward lower token ids."""
     logp = log_softmax_t(np.asarray(logits, dtype=float), 1.0)
     order = np.argsort(-logp, axis=-1, kind="stable")[:, :k]
-    top = np.take_along_axis(logp, order, axis=-1)
-    return [list(zip(ids, lps)) for ids, lps in zip(order.tolist(), top.tolist())]
+    return order, np.take_along_axis(logp, order, axis=-1)
 
 
 def _forcing_rows(documents, targets):
@@ -226,33 +225,40 @@ def _forcing_rows(documents, targets):
     return src, src_len, tgt, tgt_in, tgt_len
 
 
-def _topk_records(
-    params: ToyModelParams, ids: list[str], documents, summaries, k: int, vocab_size: int
-) -> list[TopKRecord]:
-    """Teacher-force every summary on its document in one batch and cache
-    the top-k logprobs of each target position."""
-    if not ids:
-        return []
-    src, src_len, _, tgt_in, tgt_len = _forcing_rows(
-        documents, [_target_with_eos(s) for s in summaries]
-    )
-    tgt_mask = np.arange(tgt_in.shape[1]) < tgt_len[:, None]
-    logits, _, _ = forward_batch(
-        params, src, np.arange(src.shape[1]) < src_len[:, None], tgt_in, tgt_mask
-    )
-    positions = topk_from_logits(logits[tgt_mask], k)
-    ends = np.cumsum(tgt_len).tolist()
-    return [TopKRecord(eid, positions[end - n : end], vocab_size)
-            for eid, end, n in zip(ids, ends, tgt_len.tolist())]
-
-
-def build_topk_records(
-    params: ToyModelParams, corpus: Corpus, k: int
-) -> list[TopKRecord]:
-    """Teacher-force the model on every gold target and cache top-k logprobs."""
+def build_topk_cache(
+    params: ToyModelParams,
+    corpus: Corpus,
+    k: int,
+    pseudo: dict[str, list[PseudoLabelRecord]] | None = None,
+) -> TopKCache:
+    """Teacher-force the model on every gold target, then on each pseudo-label
+    sequence in ``pseudo`` (so logit distillation can target whichever
+    sequence the mixer selects), and cache the top-k logprobs of each target
+    position. The gold targets and the pseudo-label sequences are two
+    batches: another batch composition can move the logits in the last bit,
+    and with them the cache bytes."""
     exs = corpus.examples
-    return _topk_records(params, [ex.example_id for ex in exs], [ex.document for ex in exs],
-                         [ex.summary for ex in exs], k, corpus.vocab_size)
+    pairs = [(ex, rec) for ex in exs for rec in (pseudo or {}).get(ex.example_id, [])]
+    batches = (
+        ([ex.example_id for ex in exs], [ex.document for ex in exs], [ex.summary for ex in exs]),
+        ([pseudo_variant_id(ex.example_id, rec.teacher_id) for ex, rec in pairs],
+         [ex.document for ex, _ in pairs], [rec.tokens for _, rec in pairs]),
+    )
+    example_ids, lengths, rows = [], [], [np.zeros((0, corpus.vocab_size))]
+    for ids, documents, summaries in batches:
+        if ids:
+            src, src_len, _, tgt_in, tgt_len = _forcing_rows(
+                documents, [_target_with_eos(s) for s in summaries]
+            )
+            tgt_mask = np.arange(tgt_in.shape[1]) < tgt_len[:, None]
+            logits, _, _ = forward_batch(
+                params, src, np.arange(src.shape[1]) < src_len[:, None], tgt_in, tgt_mask
+            )
+            example_ids += ids
+            lengths += tgt_len.tolist()
+            rows.append(logits[tgt_mask])
+    return topk_cache(example_ids, lengths, *topk_from_logits(np.concatenate(rows), k),
+                      corpus.vocab_size, k)
 
 
 def build_pseudo_records(
@@ -286,22 +292,6 @@ def build_pseudo_records(
             )
         )
     return records
-
-
-def build_pseudo_variant_topk(
-    params: ToyModelParams,
-    corpus: Corpus,
-    pseudo: dict[str, list[PseudoLabelRecord]],
-    k: int,
-) -> list[TopKRecord]:
-    """Teacher-force the model on each pseudo-label sequence so logit
-    distillation can target whichever sequence the mixer selects."""
-    pairs = [(ex, rec) for ex in corpus.examples for rec in pseudo.get(ex.example_id, [])]
-    return _topk_records(
-        params, [pseudo_variant_id(ex.example_id, rec.teacher_id) for ex, rec in pairs],
-        [ex.document for ex, _ in pairs], [rec.tokens for _, rec in pairs],
-        k, corpus.vocab_size,
-    )
 
 
 def _floored_log(p: np.ndarray) -> np.ndarray:
@@ -347,6 +337,12 @@ class TrainConfig:
             raise ValueError("fixed_tau must be positive")
         if self.context_limit < 1:
             raise ValueError("context_limit must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.lambda_override is not None and not 0.0 <= self.lambda_override <= 1.0:
+            raise ValueError(f"lambda_override must lie in [0, 1], got {self.lambda_override}")
+        if self.anchor_tokens < 1:
+            raise ValueError(f"anchor_tokens must be >= 1, got {self.anchor_tokens}")
 
     @property
     def spec(self) -> ModeSpec:
@@ -456,7 +452,7 @@ def prepare_supervision(
     Their logits are checked here, once; everything the losses derive from
     them is computed once over all the rows (see ``Teachers``). The anchor
     is the mean inter-teacher KL over the first ``config.anchor_tokens``
-    target positions (at least one), in corpus order.
+    target positions, in corpus order.
     """
     validate_supervision(config, bundle)
     spec = config.spec
@@ -504,7 +500,7 @@ def prepare_supervision(
     teachers = Teachers(logits.get(1), logits.get(2))
     if not spec.anchor:
         return examples, teachers, None
-    n = min(max(config.anchor_tokens, 1), int(lengths.sum()))
+    n = min(config.anchor_tokens, int(lengths.sum()))
     if n == 0:
         raise ValueError("no calibration tokens available for the anchor")
     anchor = compute_anchor(_exp_normalized(teachers.logits(1)[:n]),

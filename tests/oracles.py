@@ -213,6 +213,12 @@ def records_of(cache):
     return records
 
 
+def topk_pairs(ids, logprobs):
+    """Rows of top-k token ids and logprobs as per-position lists of
+    (token_id, logprob) pairs, token ids as ints and logprobs as floats."""
+    return [list(zip(*row)) for row in zip(ids.tolist(), logprobs.tolist())]
+
+
 def densify_oracle(positions, vocab_size):
     """One record's positions as (T, V) rows: the cached masses renormalized
     over their own support, zero elsewhere; the masses are exponentiated and

@@ -41,6 +41,7 @@ from relkd.teachercache import (
     MixingConfig,
     PseudoLabelRecord,
     TopKRecord,
+    index_topk,
     read_cache,
     sample_target,
     write_cache,
@@ -50,9 +51,8 @@ from relkd.training import (
     CorpusConfig,
     SupervisionBundle,
     TrainConfig,
-    build_topk_records,
+    build_topk_cache,
     evaluate_rouge,
-    index_topk,
     synthetic_corpus,
     synthetic_document,
     train,
@@ -318,7 +318,7 @@ class TestCriterion6InvariantSuites:
                 by_v.setdefault(r.vocab_size, []).append(r)
             for v, recs in by_v.items():
                 path = os.path.join(d, f"c{v}.jsonl")
-                write_cache(recs, path)
+                write_cache(index_topk(recs), path)
                 assert records_of(read_cache(path)) == recs
 
         # chunk coverage and capacity
@@ -381,7 +381,7 @@ class TestCriterion7DirectionalDeskScale:
                 train_corpus,
             )
             bundle = SupervisionBundle(
-                topk1=index_topk(build_topk_records(teacher.params, train_corpus, 8))
+                topk1=build_topk_cache(teacher.params, train_corpus, 8)
             )
             a1 = train(
                 TrainConfig(loss_mode="CE", epochs=40, seed=seed, hidden_dim=16,
@@ -473,8 +473,8 @@ class TestCriterion11Determinism:
             "corpus": {"n_train": 16, "n_test": 6, "n_val": 0, "vocab_size": 16,
                        "task": "copy", "min_sentence_len": 3, "max_sentence_len": 5},
             "student": {"hidden_dim": 6},
-            "teacher1": {"hidden_dim": 8, "checkpoint": "teacher1.json"},
-            "teacher2": {"hidden_dim": 7, "checkpoint": "teacher1.json",
+            "teacher1": {"checkpoint": "teacher1.json"},
+            "teacher2": {"checkpoint": "teacher1.json",
                          "cache": "teacher1_topk.jsonl"},
             "training": {"epochs": 3, "batch_size": 8},
         }

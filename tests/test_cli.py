@@ -16,8 +16,8 @@ def write_config(path, **overrides):
         "corpus": {"n_train": 24, "n_test": 8, "n_val": 0, "vocab_size": 16,
                    "task": "copy", "min_sentence_len": 3, "max_sentence_len": 5},
         "student": {"hidden_dim": 6},
-        "teacher1": {"hidden_dim": 8, "checkpoint": "teacher1.json"},
-        "teacher2": {"hidden_dim": 7, "checkpoint": "teacher2.json"},
+        "teacher1": {"checkpoint": "teacher1.json"},
+        "teacher2": {"checkpoint": "teacher2.json"},
         "cache_k": 16,
         "training": {"epochs": 6, "batch_size": 8},
     }
@@ -73,15 +73,15 @@ class TestCacheTeacher:
 
     def test_missing_checkpoint_fails_before_output(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
-                           teacher1={"checkpoint": "absent.json", "hidden_dim": 8})
+                           teacher1={"checkpoint": "absent.json"})
         assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 1
         assert not (tmp_path / "teacher1_topk.jsonl").exists()
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
-            teacher1={"checkpoint": str(workspace / "teacher1.json"), "hidden_dim": 8},
-            teacher2={"checkpoint": None, "hidden_dim": 7},
+            teacher1={"checkpoint": str(workspace / "teacher1.json")},
+            teacher2={"checkpoint": None},
         )
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -104,8 +104,7 @@ class TestDistill:
         cfg = write_config(
             tmp_path / "c.json", preset="A2",
             teacher1={"checkpoint": str(workspace / "teacher1.json"),
-                      "cache": str(workspace / "teacher1_topk.jsonl"),
-                      "hidden_dim": 8},
+                      "cache": str(workspace / "teacher1_topk.jsonl")},
             training={"epochs": 3, "batch_size": 8},
         )
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -211,9 +210,9 @@ class TestGateTrace:
         return write_config(
             path, preset="ewad_cpdp",
             teacher1={"checkpoint": str(workspace / "teacher1.json"),
-                      "cache": str(workspace / "teacher1_topk.jsonl"), "hidden_dim": 8},
+                      "cache": str(workspace / "teacher1_topk.jsonl")},
             teacher2={"checkpoint": str(workspace / "teacher2.json"),
-                      "cache": str(workspace / "teacher2_topk.jsonl"), "hidden_dim": 7},
+                      "cache": str(workspace / "teacher2_topk.jsonl")},
             outputs={"checkpoint": str(workspace / "student.json"),
                      "gate_trace": "gate_trace.jsonl"},
             **kw,
@@ -256,7 +255,7 @@ class TestGateTrace:
     def test_disjoint_teacher_caches_close_the_gate(self, workspace, tmp_path):
         # hand-built caches: teacher 1 certain of token 3, teacher 2 of token 4
         from relkd.cli import _corpus_cfg, load_config
-        from relkd.teachercache import TopKRecord, write_cache
+        from relkd.teachercache import TopKRecord, index_topk, write_cache
         from relkd.training import synthetic_corpus
 
         cfg_path = self._config(workspace, tmp_path / "c.json")
@@ -270,7 +269,7 @@ class TestGateTrace:
                            corpus.vocab_size)
                 for ex in corpus.examples
             ]
-            write_cache(records, tmp_path / name, k=1)
+            write_cache(index_topk(records, k=1), tmp_path / name)
             cfg[f"teacher{n + 1}"]["cache"] = str(tmp_path / name)
         cfg_path.write_text(json.dumps(cfg))
 
@@ -375,9 +374,9 @@ class TestGateTraceAnchor:
         cfg = write_config(
             tmp_path / "c.json", preset="ewad_cpdp",
             teacher1={"checkpoint": str(workspace / "teacher1.json"),
-                      "cache": str(workspace / "teacher1_topk.jsonl"), "hidden_dim": 8},
+                      "cache": str(workspace / "teacher1_topk.jsonl")},
             teacher2={"checkpoint": str(workspace / "teacher2.json"),
-                      "cache": str(workspace / "teacher2_topk.jsonl"), "hidden_dim": 7},
+                      "cache": str(workspace / "teacher2_topk.jsonl")},
             outputs={"checkpoint": "cpdp.json", "metrics": "cpdp.jsonl"},
             training={"epochs": 2, "batch_size": 8},
         )

@@ -19,14 +19,15 @@ from relkd.toymodel import (
 from relkd.training import (
     CorpusConfig,
     build_pseudo_records,
-    build_pseudo_variant_topk,
-    build_topk_records,
+    build_topk_cache,
     index_pseudo,
     pseudo_variant_id,
     synthetic_corpus,
     synthetic_document,
     topk_from_logits,
 )
+
+from oracles import records_of, topk_pairs
 
 
 def oracle_generate(params, document, mode="greedy", beam_width=4, max_len=32):
@@ -169,16 +170,19 @@ def assert_same_topk(got, expected):
 
 def test_topk_from_logits_breaks_ties_toward_lower_ids():
     logits = np.array([[0.0, 1.0, 1.0, 0.0], [2.0, 2.0, 2.0, 2.0]])
-    assert [[t for t, _ in pos] for pos in topk_from_logits(logits, 3)] == [[1, 2, 0], [0, 1, 2]]
+    assert topk_from_logits(logits, 3)[0].tolist() == [[1, 2, 0], [0, 1, 2]]
     rng = np.random.default_rng(1)
     logits = rng.integers(-2, 3, (20, 7)).astype(float)
-    assert topk_from_logits(logits, 4) == oracle_topk(logits, 4)
+    ids, logprobs = topk_from_logits(logits, 4)
+    assert ids.shape == logprobs.shape == (20, 4)
+    assert topk_pairs(ids, logprobs) == oracle_topk(logits, 4)
+    assert topk_from_logits(logits, 9)[0].shape == (20, 7)
 
 
 def test_topk_records_match_one_forward_per_example():
     corpus = small_corpus()
     params = init_params(16, 5, np.random.default_rng(2))
-    records = build_topk_records(params, corpus, 4)
+    records = records_of(build_topk_cache(params, corpus, 4))
     assert [r.example_id for r in records] == [ex.example_id for ex in corpus.examples]
     for rec, ex in zip(records, corpus.examples):
         logits, _ = forward(params, ex.document, list(ex.summary) + [EOS_ID])
@@ -186,14 +190,14 @@ def test_topk_records_match_one_forward_per_example():
 
     pseudo = index_pseudo(build_pseudo_records(params, "p1", corpus, beam_width=3, max_len=5)
                           + build_pseudo_records(params, "p2", corpus, beam_width=1, max_len=4))
-    variants = build_pseudo_variant_topk(params, corpus, pseudo, 4)
+    variants = records_of(build_topk_cache(params, corpus, 4, pseudo))[len(records):]
     expected = [(ex, rec) for ex in corpus.examples for rec in pseudo[ex.example_id]]
     assert len(variants) == 2 * len(corpus.examples)
     for var, (ex, rec) in zip(variants, expected):
         assert var.example_id == pseudo_variant_id(ex.example_id, rec.teacher_id)
         logits, _ = forward(params, ex.document, rec.tokens + [EOS_ID])
         assert_same_topk(var.positions, oracle_topk(logits, 4))
-    assert build_pseudo_variant_topk(params, corpus, {}, 4) == []
+    assert records_of(build_topk_cache(params, corpus, 4, {})) == records
 
 
 def test_pseudo_records_are_the_per_document_beam():

@@ -52,15 +52,16 @@ pseudo_records = st.lists(st.builds(
 @given(topk_records())
 def test_topk_cache_round_trip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("c") / "topk.jsonl"
-    write_cache(records, path, kind="topk", vocab_size=records[0].vocab_size if records else 5,
-                k=max((len(p) for r in records for p in r.positions), default=1))
+    write_cache(index_topk(records, vocab_size=records[0].vocab_size if records else 5,
+                           k=max((len(p) for r in records for p in r.positions), default=1)),
+                path)
     assert records_of(read_cache(path)) == records
 
 
 @given(pseudo_records)
 def test_pseudo_cache_round_trip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("c") / "pseudo.jsonl"
-    write_cache(records, path, kind="pseudo", vocab_size=12, k=0)
+    write_cache(records, path, vocab_size=12)
     assert read_cache(path) == records
 
 

@@ -54,6 +54,31 @@ class TestConfigTypes:
         assert f"{path} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("training, key", [
+        ({"learning_rate": -0.5}, "learning_rate"),
+        ({"learning_rate": 0}, "learning_rate"),
+        ({"lambda_override": 1.5}, "lambda_override"),
+        ({"lambda_override": -2.0}, "lambda_override"),
+        ({"anchor_tokens": -3}, "anchor_tokens"),
+        ({"anchor_tokens": 0}, "anchor_tokens"),
+    ])
+    def test_out_of_range_training_value_fails_before_any_output(self, tmp_path, capsys,
+                                                                 training, key):
+        cfg = write_config(tmp_path / "c.json", preset="ewad_cpdp", training=training)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "distill"]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("teacher", ["teacher1", "teacher2"])
+    def test_a_teacher_hidden_dim_is_an_unknown_key(self, tmp_path, capsys, teacher):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({teacher: {"hidden_dim": 999}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "distill"]) == 1
+        assert f"unknown key {teacher}.hidden_dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ints_fit_floats_and_nullable_keys_take_their_type(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", preset="A1",
                            training={"epochs": 1, "learning_rate": 1, "lambda_override": 1},
@@ -166,3 +191,51 @@ def test_distill_on_a_cache_of_the_wrong_kind_fails_before_any_output(tmp_path, 
     assert f"{tmp_path / wrong} line 1:" in err
     assert not (tmp_path / "student.json").exists()
     assert not (tmp_path / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"tokens": [3.7, 4.2, 2, 5, 9.9, 2]}', "must be a non-empty list of integer tokens"),
+    ("[true, 4, 2]", "must be a non-empty list of integer tokens"),
+    ('{"tokens": [3, "4", 2]}', "must be a non-empty list of integer tokens"),
+    ('{"tokens": 7}', "must be a non-empty list of integer tokens"),
+    ('{"words": [3, 4]}', "must be a non-empty list of integer tokens"),
+    ('"3 4 2"', "must be a non-empty list of integer tokens"),
+    ('{"tokens": []}', "must be a non-empty list of integer tokens"),
+    ('{"tokens": [3, 4,', "is not valid JSON"),
+], ids=["floats", "bools", "strings", "not-a-list", "no-tokens-key", "text", "empty",
+        "malformed"])
+def test_mapreduce_rejects_a_document_that_is_not_integer_tokens(tmp_path, capsys, text,
+                                                                  message):
+    save_checkpoint(tmp_path / "m.json", init_params(16, 4, np.random.default_rng(0)))
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    cfg = write_config(tmp_path / "c.json", mapreduce={"map_checkpoint": "m.json"})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "m.json").write_bytes((tmp_path / "m.json").read_bytes())
+    assert main(["--config", str(cfg), "--out", str(out), "--trace", "mapreduce",
+                 "--document", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert f"document {doc} {message}" in err
+    assert os.listdir(out) == ["m.json"]
+
+
+def test_mapreduce_reads_integer_tokens_bare_or_as_an_object(tmp_path):
+    save_checkpoint(tmp_path / "m.json", init_params(16, 4, np.random.default_rng(0)))
+    cfg = write_config(tmp_path / "c.json", mapreduce={"map_checkpoint": "m.json"})
+    summaries = []
+    for name, obj in (("bare.json", [3, 4, 2, 5]), ("object.json", {"tokens": [3, 4, 2, 5]})):
+        (tmp_path / name).write_text(json.dumps(obj))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "mapreduce",
+                     "--document", str(tmp_path / name)]) == 0
+        summaries.append((tmp_path / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+
+
+def test_cache_teacher_on_an_empty_training_split_fails_before_any_output(tmp_path, capsys):
+    save_checkpoint(tmp_path / "teacher1.json", init_params(16, 4, np.random.default_rng(0)))
+    cfg = write_config(tmp_path / "c.json", corpus={"n_train": 0},
+                       teacher2={"checkpoint": None})
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 1
+    assert "corpus.n_train" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "teacher1.json"]

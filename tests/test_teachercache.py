@@ -16,7 +16,7 @@ from relkd.teachercache import (
 )
 from relkd.training import topk_from_logits
 
-from oracles import records_of
+from oracles import records_of, topk_pairs
 
 
 def topk_record(example_id="ex0", vocab=5):
@@ -31,7 +31,7 @@ def pseudo_record(example_id="ex0", teacher="t1"):
 class TestWriteRead:
     def test_empty_writes_header_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        n = write_cache([], path, kind="topk", vocab_size=5, k=2)
+        n = write_cache(index_topk([], k=2, vocab_size=5), path)
         assert n == 0
         assert len(path.read_text().splitlines()) == 1
         assert records_of(read_cache(path)) == []
@@ -39,7 +39,7 @@ class TestWriteRead:
     def test_topk_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         records = [topk_record(f"ex{i}") for i in range(3)]
-        assert write_cache(records, path) == 3
+        assert write_cache(index_topk(records), path) == 3
         assert len(path.read_text().splitlines()) == 4
         assert records_of(read_cache(path)) == records
 
@@ -53,18 +53,18 @@ class TestWriteRead:
         path = tmp_path / "c.jsonl"
         bad = TopKRecord("ex0", [[(1, -2.0), (3, -0.5)]], 5)
         with pytest.raises(CacheFormatError):
-            write_cache([bad], path)
+            write_cache(index_topk([bad]), path)
         assert not path.exists()
 
     def test_duplicate_token_ids_rejected(self, tmp_path):
         bad = TopKRecord("ex0", [[(1, -0.5), (1, -2.0)]], 5)
         with pytest.raises(CacheFormatError):
-            write_cache([bad], tmp_path / "c.jsonl")
+            write_cache(index_topk([bad]), tmp_path / "c.jsonl")
 
     def test_excess_mass_rejected(self, tmp_path):
         bad = TopKRecord("ex0", [[(1, 0.1), (2, -0.1)]], 5)
         with pytest.raises(CacheFormatError):
-            write_cache([bad], tmp_path / "c.jsonl")
+            write_cache(index_topk([bad]), tmp_path / "c.jsonl")
 
     def test_empty_pseudo_rejected(self, tmp_path):
         bad = PseudoLabelRecord("ex0", "t1", [], "", 4)
@@ -73,7 +73,7 @@ class TestWriteRead:
 
     def test_truncated_final_line_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_cache([topk_record("ex0"), topk_record("ex1")], path)
+        write_cache(index_topk([topk_record("ex0"), topk_record("ex1")]), path)
         text = path.read_text()
         path.write_text(text[: text.rindex('"positions"') + 4])
         with pytest.raises(CacheFormatError, match="line 3"):
@@ -98,8 +98,8 @@ class TestWriteRead:
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         records = [topk_record(f"ex{i}") for i in range(4)]
-        write_cache(records, a)
-        write_cache(records, b)
+        write_cache(index_topk(records), a)
+        write_cache(index_topk(records), b)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -189,10 +189,11 @@ class TestMixingConfig:
 class TestMassKept:
     def _write(self, tmp_path, k, seed=0):
         logits = np.random.default_rng(seed).standard_normal((12, 6)) * 2.0
-        records = [TopKRecord(f"ex{i}", topk_from_logits(logits[3 * i: 3 * i + 3], k), 6)
+        records = [TopKRecord(f"ex{i}", topk_pairs(*topk_from_logits(logits[3 * i: 3 * i + 3], k)),
+                              6)
                    for i in range(4)]
         path = tmp_path / "c.jsonl"
-        write_cache(records, path, k=k)
+        write_cache(index_topk(records, k=k), path)
         header = json.loads(path.read_text().splitlines()[0])
         return logits, records, path, header["mass_kept"]
 
@@ -210,7 +211,7 @@ class TestMassKept:
         assert records_of(read_cache(path)) == records
 
     def test_null_without_positions_and_absent_from_pseudo_caches(self, tmp_path):
-        write_cache([], tmp_path / "c.jsonl", kind="topk", vocab_size=5, k=2)
+        write_cache(index_topk([], k=2, vocab_size=5), tmp_path / "c.jsonl")
         assert json.loads((tmp_path / "c.jsonl").read_text())["mass_kept"] is None
         write_cache([pseudo_record()], tmp_path / "p.jsonl", vocab_size=5)
         assert "mass_kept" not in json.loads((tmp_path / "p.jsonl").read_text().splitlines()[0])
@@ -272,7 +273,7 @@ class TestIllTypedValues:
     def test_ill_typed_topk_record_is_not_written(self, tmp_path, pair):
         path = tmp_path / "c.jsonl"
         with pytest.raises(CacheFormatError):
-            write_cache([topk_record(), TopKRecord("ex1", [[pair]], 5)], path)
+            write_cache(index_topk([topk_record(), TopKRecord("ex1", [[pair]], 5)]), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("tokens, beam", [([5.5, 7], 4), ([True], 4), ([5], 4.9),
@@ -284,7 +285,7 @@ class TestIllTypedValues:
             write_cache([pseudo_record(), bad], path, vocab_size=64)
         assert not path.exists()
 
-    @pytest.mark.parametrize("header", [{"vocab_size": True}, {"k": True}])
+    @pytest.mark.parametrize("header", [{"vocab_size": True}])
     def test_ill_typed_header_is_not_written(self, tmp_path, header):
         path = tmp_path / "p.jsonl"
         with pytest.raises(CacheFormatError):
@@ -294,5 +295,5 @@ class TestIllTypedValues:
     def test_numpy_integers_are_written_as_json_integers(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = TopKRecord("ex0", [[(np.int64(1), np.float64(-0.5))]], 5)
-        write_cache([rec], path)
+        write_cache(index_topk([rec]), path)
         assert records_of(read_cache(path)) == [TopKRecord("ex0", [[(1, -0.5)]], 5)]

@@ -12,13 +12,16 @@ from hypothesis import assume, given, strategies as st
 
 from relkd.teachercache import (
     CacheFormatError,
+    PseudoLabelRecord,
     TopKRecord,
     index_topk,
     read_cache,
+    topk_cache,
     write_cache,
 )
+from relkd.training import topk_from_logits
 
-from oracles import densify_oracle, records_of, validate_topk_record_oracle
+from oracles import densify_oracle, records_of, topk_pairs, validate_topk_record_oracle
 
 FAULTS = ("unsorted", "duplicate", "out_of_range", "non_finite", "over_k", "excess_mass",
           "empty_position", "empty_id", "small_vocab")
@@ -111,7 +114,7 @@ def test_checks_match_the_per_record_oracle(tmp_path_factory, case):
         assert records_of(cache) == records
         assert np.allclose(cache.mass, masses, rtol=0, atol=1e-14)
         assert records_of(index_topk(records, k=k)) == records
-        write_cache(records, out, k=k)
+        write_cache(index_topk(records, k=k), out)
         assert out.exists()
         return
     line, message = fault
@@ -119,7 +122,7 @@ def test_checks_match_the_per_record_oracle(tmp_path_factory, case):
         read_cache(path, "topk")
     assert str(read_err.value) == f"{path} line {line}: {message}"
     with pytest.raises(CacheFormatError) as write_err:
-        write_cache(records, out, k=k)
+        write_cache(index_topk(records, k=k), out)
     assert str(write_err.value) == message
     assert not out.exists()
     # the batch of one agrees record by record
@@ -133,7 +136,7 @@ def test_checks_match_the_per_record_oracle(tmp_path_factory, case):
 def test_whole_table_densify_is_the_oracle_bit_for_bit(tmp_path_factory, case, seed):
     records, k = case
     path = tmp_path_factory.mktemp("c") / "topk.jsonl"
-    write_cache(records, path, k=k)
+    write_cache(index_topk(records, k=k), path)
     cache = read_cache(path, "topk")
     vocab = records[0].vocab_size
     rows = cache.densify()
@@ -166,20 +169,11 @@ def test_records_are_found_by_index_and_by_example_id():
     assert len(cache) == 4 and records == recs
     assert records[-1] == recs[3] and records[cache.index["ex2"]] == recs[2]
     assert "ex2" in cache.index and "ex9" not in cache.index and recs[1] in records
-    assert index_topk(cache) is cache
     assert index_topk(records, k=5).k == 5
     with pytest.raises(IndexError):
         records[4]
     with pytest.raises(KeyError):
         cache.index["ex9"]
-
-
-def test_a_cache_is_indexed_again_only_with_its_own_k_and_vocab_size():
-    cache = index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5)])
-    assert index_topk(cache, k=1, vocab_size=5) is cache
-    for other in ({"k": 5}, {"vocab_size": 6}):
-        with pytest.raises(CacheFormatError, match="its own k and vocab_size"):
-            index_topk(cache, **other)
 
 
 def test_records_of_another_vocabulary_are_rejected():
@@ -197,7 +191,87 @@ def test_read_cache_of_kind_topk_rejects_a_pseudo_cache(tmp_path):
 
 def test_read_cache_of_kind_pseudo_rejects_a_topk_cache(tmp_path):
     path = tmp_path / "c.jsonl"
-    write_cache([TopKRecord("ex0", [[(1, -0.5)]], 5)], path)
+    write_cache(index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5)]), path)
     with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 1: a top-k cache")):
         read_cache(path, "pseudo")
     assert records_of(read_cache(path, "topk")) == records_of(read_cache(path))
+
+
+@st.composite
+def topk_rows(draw):
+    """A model's top-k rows over records of drawn lengths, unchanged or with
+    one fault at a drawn position: an id outside the vocabulary, or a row
+    out of order."""
+    vocab = draw(st.integers(2, 12))
+    k = draw(st.integers(1, vocab + 2))
+    lengths = draw(st.lists(st.integers(0, 4), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.standard_normal((sum(lengths), vocab)) * draw(st.sampled_from((0.5, 3.0, 30.0)))
+    if draw(st.booleans()):
+        logits = np.round(logits)  # ties, broken toward lower ids
+    ids, logprobs = topk_from_logits(logits, k)
+    fault = draw(st.sampled_from((None, "out_of_range", "unsorted")))
+    if fault is not None and len(ids):
+        j = draw(st.integers(0, len(ids) - 1))
+        if fault == "out_of_range":
+            ids[j, draw(st.integers(0, ids.shape[1] - 1))] = vocab + draw(st.integers(0, 3))
+        else:
+            assume(ids.shape[1] > 1 and logprobs[j, 0] > logprobs[j, 1])
+            ids[j, :2], logprobs[j, :2] = ids[j, 1::-1].copy(), logprobs[j, 1::-1].copy()
+    return vocab, k, lengths, ids, logprobs
+
+
+@given(topk_rows())
+def test_rows_pack_as_their_pairs_do(case):
+    vocab, k, lengths, ids, logprobs = case
+    example_ids = [f"ex{i}" for i in range(len(lengths))]
+    pairs, ends = topk_pairs(ids, logprobs), np.cumsum(lengths).tolist()
+    records = [TopKRecord(eid, pairs[end - n:end], vocab)
+               for eid, end, n in zip(example_ids, ends, lengths)]
+    try:
+        expected = index_topk(records, k=k, vocab_size=vocab)
+    except CacheFormatError as exc:
+        with pytest.raises(CacheFormatError) as err:
+            topk_cache(example_ids, lengths, ids, logprobs, vocab, k)
+        assert str(err.value) == str(exc)
+        return
+    cache = topk_cache(example_ids, lengths, ids, logprobs, vocab, k)
+    assert records_of(cache) == records_of(expected) == records
+    assert cache.mass.tobytes() == expected.mass.tobytes()
+    assert (cache.k, cache.vocab_size) == (expected.k, expected.vocab_size) == (k, vocab)
+
+
+def test_rows_must_match_the_record_lengths():
+    ids, logprobs = topk_from_logits(np.zeros((3, 5)), 2)
+    for lengths, rows in (([2], (ids, logprobs)), ([3], (ids, logprobs[:, :1])),
+                          ([3], (ids.ravel(), logprobs.ravel()))):
+        with pytest.raises(CacheFormatError, match="one row per position"):
+            topk_cache(["ex0"], lengths, *rows, 5, 2)
+
+
+@pytest.mark.parametrize("options", [{"k": True}, {"k": 2.0}, {"vocab_size": True},
+                                     {"vocab_size": "5"}])
+def test_ill_typed_k_or_vocab_size_is_rejected(options):
+    with pytest.raises(CacheFormatError, match="vocab_size and k must be integers"):
+        index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5)], **options)
+
+
+@pytest.mark.parametrize("cache", [index_topk([]), index_topk([], k=2),
+                                   index_topk([], vocab_size=5)])
+def test_an_empty_cache_without_vocab_size_or_k_is_not_written(tmp_path, cache):
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(CacheFormatError, match="vocab_size and k are required"):
+        write_cache(cache, path)
+    assert not path.exists()
+
+
+def test_what_write_cache_does_not_take_is_not_written(tmp_path):
+    path = tmp_path / "c.jsonl"
+    rec = TopKRecord("ex0", [[(1, -0.5)]], 5)
+    with pytest.raises(CacheFormatError, match="unsupported record type TopKRecord"):
+        write_cache([rec], path)
+    with pytest.raises(CacheFormatError, match="its own vocab_size"):
+        write_cache(index_topk([rec]), path, vocab_size=6)
+    with pytest.raises(CacheFormatError, match="vocab_size and k are required"):
+        write_cache([PseudoLabelRecord("ex0", "t1", [4], "4", 1)], path)
+    assert not path.exists()

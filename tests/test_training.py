@@ -29,10 +29,8 @@ from relkd.training import (
     TrainConfig,
     TrainingDiverged,
     build_pseudo_records,
-    build_topk_records,
-    build_pseudo_variant_topk,
+    build_topk_cache,
     index_pseudo,
-    index_topk,
     prepare_supervision,
     synthetic_corpus,
     synthetic_document,
@@ -68,16 +66,10 @@ def teacher_and_bundle(corpus, seed=7, dim=5, k=None, two_teachers=False,
         recs = build_pseudo_records(t1, "p1", corpus, beam_width=2, max_len=8)
         pseudo_idx = index_pseudo(recs)
         bundle.pseudo = pseudo_idx
-    topk1 = build_topk_records(t1, corpus, k)
-    if pseudo_idx:
-        topk1 += build_pseudo_variant_topk(t1, corpus, pseudo_idx, k)
-    bundle.topk1 = index_topk(topk1)
+    bundle.topk1 = build_topk_cache(t1, corpus, k, pseudo_idx)
     if two_teachers:
         t2 = init_params(corpus.vocab_size, dim - 1, np.random.default_rng([seed, 1]))
-        topk2 = build_topk_records(t2, corpus, k)
-        if pseudo_idx:
-            topk2 += build_pseudo_variant_topk(t2, corpus, pseudo_idx, k)
-        bundle.topk2 = index_topk(topk2)
+        bundle.topk2 = build_topk_cache(t2, corpus, k, pseudo_idx)
     return bundle
 
 
@@ -385,7 +377,7 @@ class TestCacheBridge:
 
         corpus = tiny_corpus(n=4)
         t1 = init_params(corpus.vocab_size, 5, np.random.default_rng(0))
-        records = index_topk(build_topk_records(t1, corpus, corpus.vocab_size))
+        records = build_topk_cache(t1, corpus, corpus.vocab_size)
         ex = corpus.examples[0]
         target = ex.summary + [EOS_ID]
         logits, _ = forward(t1, ex.document, target)
@@ -397,7 +389,7 @@ class TestCacheBridge:
     def test_length_mismatch_rejected(self):
         corpus = tiny_corpus(n=2)
         t1 = init_params(corpus.vocab_size, 5, np.random.default_rng(0))
-        records = index_topk(build_topk_records(t1, corpus, 4))
+        records = build_topk_cache(t1, corpus, 4)
         ex = corpus.examples[0]
         summary = ex.summary + ex.summary[:1] * 3  # 3 positions more than the cache holds
         longer = Corpus([CorpusExample(ex.example_id, ex.document, summary)], corpus.vocab_size)
