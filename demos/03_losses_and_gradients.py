@@ -11,7 +11,6 @@ from relkd import (
     TokenBatch,
     adaptive_tau,
     ce_loss,
-    combined_total,
     compute_anchor,
     cpdp_loss,
     ewad_loss,
@@ -82,7 +81,7 @@ v, g, ctr = cpdp_loss(batch, anchor, w)
 print(f"  value {v:.4f}; clamped tokens: {int(ctr.clamped.sum())}")
 
 print("== combined objective ==")
-v, g, _, _ = combined_total(batch, rcfg, anchor, w, 1.0)
+v = ewad_loss(batch, rcfg, 1.0)[0] + w.mu * cpdp_loss(batch, anchor, w)[0]
 print(f"  value {v:.4f} (gated routing + mu * regularizer)")
 
 print("== per-sample adaptive temperature ==")

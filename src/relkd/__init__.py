@@ -11,7 +11,6 @@ from .losses import (
     TokenBatch,
     adaptive_tau,
     ce_loss,
-    combined_total,
     compute_anchor,
     cpdp_loss,
     ewad_loss,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: cache-teacher, distill, evaluate, mapreduce, gate-trace.
-Global flags: --config PATH, --seed INT, --out DIR, --trace.
+Global flags: --config PATH, --seed INT, --out DIR. ``mapreduce --trace``
+also writes the chunk-level trace of the MapReduce pipeline.
 
 Configs are a single versioned JSON document. Every constant has a default,
 so naming a preset ("A2", "ewad_cpdp", ...) is a complete experiment; any
@@ -24,7 +25,7 @@ import numpy as np
 from .atomic import write_text_atomic
 from .evalmetrics import retention
 from .longdoc import ChunkConfig, summarize_long
-from .losses import CpdpAnchor, TokenBatch, cpdp_loss, ewad_loss
+from .losses import CpdpAnchor, TokenBatch
 from .teachercache import read_cache, write_cache
 from .toymodel import (
     ROUTE_DIRECT,
@@ -253,15 +254,11 @@ def _train_config(cfg: dict) -> TrainConfig:
     return _build(TrainConfig, {**values, **parts})
 
 
-def _resolve(path: str | None, out_dir: str) -> str | None:
-    if path is None:
-        return None
-    return path if os.path.isabs(path) else os.path.join(out_dir, path)
-
-
-def _require_file(path: str | None, what: str) -> str:
+def _input(path: str | None, out_dir: str, what: str) -> str:
+    """An input file: ``path`` under ``out_dir`` (or absolute), which must exist."""
     if path is None:
         raise CliError(f"{what} is not configured")
+    path = os.path.join(out_dir, path)
     if not os.path.exists(path):
         raise CliError(f"{what} not found: {path}")
     return path
@@ -282,18 +279,16 @@ def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
     spec = tc.spec
     bundle = SupervisionBundle()
     if spec.teacher1:
-        path = _require_file(_resolve(cfg["teacher1"]["cache"], out_dir), "teacher1 cache")
+        path = _input(cfg["teacher1"]["cache"], out_dir, "teacher1 cache")
         bundle.topk1 = read_cache(path, "topk")
     if spec.teacher2:
-        path = _require_file(_resolve(cfg["teacher2"]["cache"], out_dir), "teacher2 cache")
+        path = _input(cfg["teacher2"]["cache"], out_dir, "teacher2 cache")
         bundle.topk2 = read_cache(path, "topk")
     if tc.mixes_pseudo:
-        path = _require_file(_resolve(cfg["pseudo_cache"], out_dir), "pseudo-label cache")
+        path = _input(cfg["pseudo_cache"], out_dir, "pseudo-label cache")
         bundle.pseudo = index_pseudo(read_cache(path, "pseudo"))
     if spec.hidden:
-        path = _require_file(
-            _resolve(cfg["teacher1"]["checkpoint"], out_dir), "teacher1 checkpoint"
-        )
+        path = _input(cfg["teacher1"]["checkpoint"], out_dir, "teacher1 checkpoint")
         bundle.teacher_params, _ = load_checkpoint(path)
     return bundle
 
@@ -303,12 +298,10 @@ def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
 
 
 def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
-    teachers = {t: _require_file(_resolve(cfg[t]["checkpoint"], out_dir), f"{t} checkpoint")
+    teachers = {t: _input(cfg[t]["checkpoint"], out_dir, f"{t} checkpoint")
                 for t in ("teacher1", "teacher2") if cfg[t]["checkpoint"] is not None}
-    pseudo_teachers = [
-        (p["id"], _require_file(_resolve(p["checkpoint"], out_dir), f"pseudo teacher {p['id']}"))
-        for p in cfg["pseudo_teachers"]
-    ]
+    pseudo_teachers = [(p["id"], _input(p["checkpoint"], out_dir, f"pseudo teacher {p['id']}"))
+                       for p in cfg["pseudo_teachers"]]
 
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
     if not corpus.examples:
@@ -331,12 +324,12 @@ def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
 
     if pseudo_records:
         n = write_cache(
-            pseudo_records, _resolve(cfg["pseudo_cache"], out_dir),
+            pseudo_records, os.path.join(out_dir, cfg["pseudo_cache"]),
             vocab_size=corpus.vocab_size,
         )
         print(f"wrote {n} pseudo-label records to {cfg['pseudo_cache']}")
     for teacher, cache in caches.items():
-        n = write_cache(cache, _resolve(cfg[teacher]["cache"], out_dir))
+        n = write_cache(cache, os.path.join(out_dir, cfg[teacher]["cache"]))
         mass = cache.mass_kept
         kept = ("" if mass is None
                 else f" (top-{k} mass kept: mean {mass['mean']:.4f}, min {mass['min']:.4f})")
@@ -354,18 +347,16 @@ def cmd_distill(cfg: dict, out_dir: str) -> int:
 
     result = train(tc, corpus, bundle, val_corpus=val_corpus)
 
-    ckpt_path = _resolve(cfg["outputs"]["checkpoint"], out_dir)
     save_checkpoint(
-        ckpt_path, result.params,
+        os.path.join(out_dir, cfg["outputs"]["checkpoint"]), result.params,
         hbar_batch=result.hbar_batch,
         projection=result.projection,
         meta={"loss_mode": tc.loss_mode, "seed": cfg["seed"],
               "preset": cfg.get("preset"),
               "delta_star": None if result.anchor is None else result.anchor.delta_star},
     )
-    metrics_path = _resolve(cfg["outputs"]["metrics"], out_dir)
     _write_jsonl(
-        metrics_path,
+        os.path.join(out_dir, cfg["outputs"]["metrics"]),
         {"version": 1, "kind": "metrics", "loss_mode": tc.loss_mode, "seed": cfg["seed"]},
         result.metrics,
     )
@@ -376,10 +367,8 @@ def cmd_distill(cfg: dict, out_dir: str) -> int:
 
 def cmd_evaluate(cfg: dict, out_dir: str, checkpoint: str | None,
                  teacher_checkpoint: str | None) -> int:
-    ckpt = _require_file(
-        _resolve(checkpoint or cfg["outputs"]["checkpoint"], out_dir), "checkpoint"
-    )
-    params, _ = load_checkpoint(ckpt)
+    params, _ = load_checkpoint(
+        _input(checkpoint or cfg["outputs"]["checkpoint"], out_dir, "checkpoint"))
     corpus = synthetic_corpus(_corpus_cfg(cfg, "test"))
     if not corpus.examples:
         raise CliError("test split is empty; configure corpus.n_test > 0")
@@ -394,29 +383,28 @@ def cmd_evaluate(cfg: dict, out_dir: str, checkpoint: str | None,
         "rougeL": scores.rougeL,
     }
     if teacher_checkpoint is not None:
-        t_params, _ = load_checkpoint(_require_file(
-            _resolve(teacher_checkpoint, out_dir), "teacher checkpoint"))
+        t_params, _ = load_checkpoint(_input(teacher_checkpoint, out_dir, "teacher checkpoint"))
         t_scores = evaluate_rouge(t_params, corpus, max_len=cfg["training"]["gen_max_len"])
         rep = retention(scores, t_scores)
         report["teacher_rougeL"] = rep.teacher
         report["retention_pct"] = rep.retention_pct
-    _write_json(_resolve(cfg["outputs"]["report"], out_dir), report)
+    _write_json(os.path.join(out_dir, cfg["outputs"]["report"]), report)
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
 def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) -> int:
     mr = cfg["mapreduce"]
-    map_ckpt = _require_file(
-        _resolve(mr["map_checkpoint"] or cfg["outputs"]["checkpoint"], out_dir),
-        "map checkpoint",
-    )
-    reduce_ckpt = _resolve(mr["reduce_checkpoint"], out_dir) or map_ckpt
+    map_ckpt = _input(mr["map_checkpoint"] or cfg["outputs"]["checkpoint"], out_dir,
+                      "map checkpoint")
+    reduce_ckpt = map_ckpt
+    if mr["reduce_checkpoint"] is not None:
+        reduce_ckpt = _input(mr["reduce_checkpoint"], out_dir, "reduce checkpoint")
     map_params, _ = load_checkpoint(map_ckpt)
-    reduce_params, _ = load_checkpoint(_require_file(reduce_ckpt, "reduce checkpoint"))
+    reduce_params, _ = load_checkpoint(reduce_ckpt)
 
     if document is not None:
-        with open(_require_file(document, "document file"), "r", encoding="utf-8") as f:
+        with open(_input(document, "", "document file"), "r", encoding="utf-8") as f:
             try:
                 obj = json.load(f)
             except json.JSONDecodeError as exc:
@@ -425,6 +413,11 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
         if not isinstance(tokens, list) or not tokens or any(type(t) is not int for t in tokens):
             raise CliError(f"document {document} must be a non-empty list of integer tokens, "
                            'bare or as {"tokens": [...]}')
+        vocab = min(map_params.vocab_size, reduce_params.vocab_size)
+        bad = next((t for t in tokens if not 0 <= t < vocab), None)
+        if bad is not None:
+            raise CliError(f"document {document} has token {bad}, outside the checkpoints' "
+                           f"vocabulary [0, {vocab})")
     else:
         tokens = synthetic_document(
             3000, vocab_size=cfg["corpus"]["vocab_size"], seed=cfg["seed"]
@@ -451,13 +444,13 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
             trace=trace_rows if trace else None,
         )
     _write_json(
-        _resolve(cfg["outputs"]["summary"], out_dir),
+        os.path.join(out_dir, cfg["outputs"]["summary"]),
         {"version": 1, "kind": "summary", "route": decided,
          "n_input_tokens": len(tokens), "summary": [int(t) for t in summary]},
     )
     if trace:
         _write_jsonl(
-            _resolve(cfg["outputs"]["mapreduce_trace"], out_dir),
+            os.path.join(out_dir, cfg["outputs"]["mapreduce_trace"]),
             {"version": 1, "kind": "mapreduce_trace", "route": decided},
             trace_rows,
         )
@@ -471,8 +464,7 @@ def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
     # tracing always needs both teachers and the CPDP anchor
     tc = replace(_train_config(cfg), loss_mode=PRESETS["ewad_cpdp"]["loss_mode"])
     bundle = _load_bundle(cfg, out_dir, tc)
-    ckpt = _require_file(_resolve(cfg["outputs"]["checkpoint"], out_dir), "checkpoint")
-    params, extras = load_checkpoint(ckpt)
+    params, extras = load_checkpoint(_input(cfg["outputs"]["checkpoint"], out_dir, "checkpoint"))
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
     by_id = {ex.example_id: i for i, ex in enumerate(corpus.examples)}
     for sid in samples:
@@ -491,11 +483,8 @@ def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
         logits, _ = forward(params, corpus.examples[by_id[sid]].document, prep.target)
         tb = TokenBatch(prep.target, [True] * len(prep.target), logits,
                         teachers=teachers.take(prep.offset + np.arange(len(prep.target))))
-        _, _, etr = ewad_loss(tb, tc.reliability, tc.fixed_tau,
-                              lambda_override=tc.lambda_override,
-                              equal_weights=tc.equal_teacher_weights)
-        _, _, ctr = cpdp_loss(tb, anchor, tc.weights)
-        for i, pos in enumerate(etr.positions):
+        _, _, etr, ctr = tc.spec.step(tc, tb, tc.fixed_tau, None, anchor)
+        for i, pos in enumerate(tb.positions):
             rows.append({
                 "id": sid,
                 "position": int(pos),
@@ -510,7 +499,7 @@ def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
                 "cpdp_term": float(ctr.value[i]),
             })
     _write_jsonl(
-        _resolve(cfg["outputs"]["gate_trace"], out_dir),
+        os.path.join(out_dir, cfg["outputs"]["gate_trace"]),
         {"version": 1, "kind": "gate_trace", "delta_star": anchor.delta_star},
         rows,
     )
@@ -529,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--trace", action="store_true", help="dump intermediate artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("cache-teacher", help="score teachers offline into JSONL caches")
@@ -541,6 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mr = sub.add_parser("mapreduce", help="length-routed long-document summarization")
     p_mr.add_argument("--document", default=None, help="JSON token file (default: synthetic)")
+    p_mr.add_argument("--trace", action="store_true",
+                      help="also write the chunk-level trace (outputs.mapreduce_trace)")
 
     p_gt = sub.add_parser("gate-trace", help="per-token reliability records for samples")
     p_gt.add_argument("--samples", required=True, help="comma-separated sample ids")

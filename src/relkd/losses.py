@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distmath import entropy, kl, log_softmax_scaled, sigmoid, softmax_scaled, softmax_t
-from .reliability import ReliabilityConfig, agreement, confidence, confidence_weights, gate
+from .reliability import ReliabilityConfig, token_reliability
 
 # Floor for the student entropy in the divergence-gap ratio; the ratio is
 # undefined at H = 0 and a (near-)deterministic student would otherwise blow
@@ -139,16 +139,10 @@ class Teachers:
         (temperature-1) softmaxes; the overrides pin the gate or the weights."""
 
         def compute(t: Teachers) -> np.ndarray:
-            p1, p2 = t.probs(1), t.probs(2)
-            c1, c2 = confidence(p1), confidence(p2)
-            w1, w2 = confidence_weights(c1, c2, rcfg)
-            if equal_weights:
-                w1 = w2 = np.full(c1.shape, 0.5)
-            a = agreement(p1, p2)
-            lam = gate(a, rcfg)
-            if lambda_override is not None:
-                lam = np.full(a.shape, float(lambda_override))
-            return np.stack([c1, c2, w1, w2, a, lam], axis=1)
+            r = token_reliability(t.probs(1), t.probs(2), rcfg)
+            w1, w2 = (np.full(r.c1.shape, 0.5),) * 2 if equal_weights else (r.w1, r.w2)
+            lam = r.gate if lambda_override is None else np.full(r.gate.shape, lambda_override)
+            return np.stack([r.c1, r.c2, w1, w2, r.agreement, lam], axis=1)
 
         return tuple(self._get(("reliability", rcfg, lambda_override, equal_weights), compute).T)
 
@@ -247,9 +241,9 @@ class HiddenPair:
 
 @dataclass
 class EwadTrace:
-    """Per-masked-position reliability and loss components, as arrays."""
+    """Per-masked-position reliability and loss components, as arrays in the
+    order of ``TokenBatch.positions``."""
 
-    positions: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     w1: np.ndarray
@@ -262,9 +256,9 @@ class EwadTrace:
 
 @dataclass
 class CpdpTrace:
-    """Per-masked-position regularizer diagnostics."""
+    """Per-masked-position regularizer diagnostics, in the order of
+    ``TokenBatch.positions``."""
 
-    positions: np.ndarray
     kl_t1: np.ndarray
     kl_t2: np.ndarray
     student_entropy: np.ndarray
@@ -437,10 +431,8 @@ def ewad_loss(
     grad = np.zeros_like(batch.student_logits)
     grad[idx] = batch.weigh(lam[:, None] * kd_g + (1.0 - lam)[:, None] * ce_g)
 
-    trace = EwadTrace(
-        positions=idx, c1=c1, c2=c2, w1=w1, w2=w2,
-        agreement=a, gate=lam, kd_term=kd_term, ce_term=ce_term,
-    )
+    trace = EwadTrace(c1=c1, c2=c2, w1=w1, w2=w2, agreement=a, gate=lam,
+                      kd_term=kd_term, ce_term=ce_term)
     return value, grad, trace
 
 
@@ -478,10 +470,8 @@ def cpdp_loss(
     grad = np.zeros_like(batch.student_logits)
     grad[idx] = batch.weigh(coeff[:, None] * teachers.divergence_gap_direction()[idx])
 
-    trace = CpdpTrace(
-        positions=idx, kl_t1=kl1, kl_t2=kl2, student_entropy=h_s,
-        ratio=ratio, value=value_tok, clamped=clamped, entropy_floored=floored,
-    )
+    trace = CpdpTrace(kl_t1=kl1, kl_t2=kl2, student_entropy=h_s, ratio=ratio,
+                      value=value_tok, clamped=clamped, entropy_floored=floored)
     return value, grad, trace
 
 
@@ -496,27 +486,6 @@ def compute_anchor(
     if p1.shape != p2.shape:
         raise ValueError("calibration sets must have matching shapes")
     return CpdpAnchor(delta_star=float(np.atleast_1d(kl(p1, p2)).mean()))
-
-
-def combined_total(
-    batch: TokenBatch,
-    rcfg: ReliabilityConfig,
-    anchor: CpdpAnchor,
-    weights: LossWeights,
-    tau: float,
-    *,
-    lambda_override: float | None = None,
-    equal_weights: bool = False,
-) -> tuple[float, np.ndarray, EwadTrace, CpdpTrace]:
-    """Gated routing objective plus mu times the divergence-gap regularizer."""
-    e_value, e_grad, e_trace = ewad_loss(
-        batch, rcfg, tau,
-        lambda_override=lambda_override, equal_weights=equal_weights,
-    )
-    c_value, c_grad, c_trace = cpdp_loss(batch, anchor, weights)
-    value = e_value + weights.mu * c_value
-    grad = e_grad + weights.mu * c_grad
-    return float(value), grad, e_trace, c_trace
 
 
 def adaptive_tau(

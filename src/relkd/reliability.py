@@ -43,14 +43,15 @@ class ReliabilityConfig:
 
 @dataclass(frozen=True)
 class TokenReliability:
-    """Per-token reliability record: confidences, weights, agreement, gate."""
+    """Reliability record: confidences, weights, agreement, gate; floats for
+    one position, arrays for a (T, V) batch of positions."""
 
-    c1: float
-    c2: float
-    w1: float
-    w2: float
-    agreement: float
-    gate: float
+    c1: float | np.ndarray
+    c2: float | np.ndarray
+    w1: float | np.ndarray
+    w2: float | np.ndarray
+    agreement: float | np.ndarray
+    gate: float | np.ndarray
 
 
 def confidence(p: np.ndarray) -> float | np.ndarray:
@@ -90,7 +91,7 @@ def gate(a: float | np.ndarray, cfg: ReliabilityConfig) -> float | np.ndarray:
 def token_reliability(
     p1: np.ndarray, p2: np.ndarray, cfg: ReliabilityConfig
 ) -> TokenReliability:
-    """Full reliability decomposition for one token position."""
+    """Full reliability decomposition, over the last axis."""
     c1 = confidence(p1)
     c2 = confidence(p2)
     w1, w2 = confidence_weights(c1, c2, cfg)

@@ -117,6 +117,16 @@ def padded_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
     return rows, lengths
 
 
+def forcing_rows(documents, targets):
+    """Documents and their targets as padded rows for teacher forcing:
+    (src, src_len, tgt, tgt_in, tgt_len), where tgt_in is BOS followed by
+    the target shifted right."""
+    src, src_len = padded_rows(documents)
+    tgt, tgt_len = padded_rows(targets)
+    tgt_in = np.concatenate([np.full((len(tgt), 1), BOS_ID), tgt[:, :-1]], axis=1)
+    return src, src_len, tgt, tgt_in, tgt_len
+
+
 @dataclass
 class ForwardCache:
     """Per-step activations retained for backpropagation."""
@@ -207,24 +217,15 @@ def backward_batch(
 def forward(
     params: ToyModelParams, input_tokens, target_tokens
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-example teacher-forced pass.
-
-    The decoder consumes BOS followed by the targets shifted right; returns
-    (logits, hidden) of shape (T, V) and (T, d) aligned with target_tokens.
-    """
-    inp = np.asarray(list(input_tokens), dtype=int)
-    tgt = np.asarray(list(target_tokens), dtype=int)
+    """Single-example teacher-forced pass: forward_batch on the batch of one
+    that ``forcing_rows`` lays out. Returns (logits, hidden) of shape (T, V)
+    and (T, d) aligned with target_tokens."""
+    src, _, tgt, tgt_in, _ = forcing_rows([list(input_tokens)], [list(target_tokens)])
     _check_tokens(tgt, params.vocab_size)
     if tgt.size < 1:
         raise ValueError("target must contain at least one token")
-    tgt_in = np.concatenate([[BOS_ID], tgt[:-1]])
-    logits, hidden, _ = forward_batch(
-        params,
-        inp.reshape(1, -1),
-        np.ones((1, inp.size), dtype=bool),
-        tgt_in.reshape(1, -1),
-        np.ones((1, tgt.size), dtype=bool),
-    )
+    logits, hidden, _ = forward_batch(params, src, np.ones(src.shape, dtype=bool),
+                                      tgt_in, np.ones(tgt.shape, dtype=bool))
     return logits[0], hidden[0]
 
 
@@ -359,21 +360,31 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
     """Read a checkpoint; returns (params, extras) where extras carries
-    hbar_batch, the projection matrix (if any), and meta."""
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
-    if obj.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {obj.get('version')!r}")
-    v, d = obj["vocab_size"], obj["hidden_dim"]
-    params = ToyModelParams(
-        embed=np.array(obj["embed"]).reshape(v, d),
-        recur=np.array(obj["recur"]).reshape(d, d),
-        out=np.array(obj["out"]).reshape(d, v),
-    )
-    proj = None
-    if obj.get("projection") is not None:
-        shape = tuple(obj["projection"]["shape"])
-        proj = np.array(obj["projection"]["data"]).reshape(shape)
+    hbar_batch, the projection matrix (if any), and meta. A malformed
+    checkpoint raises ValueError naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            obj = json.load(f)
+        if not isinstance(obj, dict):
+            raise ValueError("checkpoint must be a JSON object")
+        if obj.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
+        v, d = obj["vocab_size"], obj["hidden_dim"]
+        params = ToyModelParams(
+            embed=np.array(obj["embed"]).reshape(v, d),
+            recur=np.array(obj["recur"]).reshape(d, d),
+            out=np.array(obj["out"]).reshape(d, v),
+        )
+        proj = None
+        if obj.get("projection") is not None:
+            shape = tuple(obj["projection"]["shape"])
+            proj = np.array(obj["projection"]["data"]).reshape(shape)
+        if not isinstance(obj.get("meta", {}), dict):
+            raise ValueError("checkpoint meta must be a JSON object")
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     extras = {
         "hbar_batch": obj.get("hbar_batch"),
         "projection": proj,

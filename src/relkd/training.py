@@ -28,8 +28,8 @@ from .losses import (
     Teachers,
     TokenBatch,
     ce_loss,
-    combined_total,
     compute_anchor,
+    cpdp_loss,
     ewad_loss,
     standard_total,
     tau_from_entropy,
@@ -43,17 +43,16 @@ from .teachercache import (
     topk_cache,
 )
 from .toymodel import (
-    BOS_ID,
     BOUNDARY_ID,
     EOS_ID,
     FIRST_CONTENT_ID,
     ToyModelParams,
     backward_batch,
+    forcing_rows,
     forward,
     forward_batch,
     generate_batch,
     init_params,
-    padded_rows,
 )
 
 _LOGIT_FLOOR = 1e-12
@@ -215,16 +214,6 @@ def topk_from_logits(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return order, np.take_along_axis(logp, order, axis=-1)
 
 
-def _forcing_rows(documents, targets):
-    """Documents and their targets as padded rows for teacher forcing:
-    (src, src_len, tgt, tgt_in, tgt_len), where tgt_in is BOS followed by
-    the target shifted right (each target ends in EOS)."""
-    src, src_len = padded_rows(documents)
-    tgt, tgt_len = padded_rows(targets)
-    tgt_in = np.concatenate([np.full((len(tgt), 1), BOS_ID), tgt[:, :-1]], axis=1)
-    return src, src_len, tgt, tgt_in, tgt_len
-
-
 def build_topk_cache(
     params: ToyModelParams,
     corpus: Corpus,
@@ -247,7 +236,7 @@ def build_topk_cache(
     example_ids, lengths, rows = [], [], [np.zeros((0, corpus.vocab_size))]
     for ids, documents, summaries in batches:
         if ids:
-            src, src_len, _, tgt_in, tgt_len = _forcing_rows(
+            src, src_len, _, tgt_in, tgt_len = forcing_rows(
                 documents, [_target_with_eos(s) for s in summaries]
             )
             tgt_mask = np.arange(tgt_in.shape[1]) < tgt_len[:, None]
@@ -364,18 +353,17 @@ def _standard_step(config, tb, tau, hp, anchor):
 
 
 def _ewad_step(config, tb, tau, hp, anchor):
-    """Gated routing, plus the divergence-gap regularizer given an anchor."""
-    kw = {"lambda_override": config.lambda_override,
-          "equal_weights": config.equal_teacher_weights}
+    """Gated routing, plus mu times the divergence-gap regularizer given an
+    anchor: the one place where EWAD and CPDP are combined."""
+    value, g, tr = ewad_loss(tb, config.reliability, tau,
+                             lambda_override=config.lambda_override,
+                             equal_weights=config.equal_teacher_weights)
+    components = {"ce": tb.aggregate(tr.ce_term), "kd": tb.aggregate(tr.kd_term), "cpdp": 0.0}
     cp = None
-    if anchor is None:
-        value, g, tr = ewad_loss(tb, config.reliability, tau, **kw)
-    else:
-        value, g, tr, cp = combined_total(
-            tb, config.reliability, anchor, config.weights, tau, **kw
-        )
-    components = {"ce": tb.aggregate(tr.ce_term), "kd": tb.aggregate(tr.kd_term),
-                  "cpdp": 0.0 if cp is None else tb.aggregate(cp.value)}
+    if anchor is not None:
+        components["cpdp"], c_grad, cp = cpdp_loss(tb, anchor, config.weights)
+        mu = config.weights.mu
+        value, g = value + mu * components["cpdp"], g + mu * c_grad
     return value, StandardGrads(g, components=components), tr, cp
 
 
@@ -539,7 +527,7 @@ def train(
     prepared, teachers, anchor = prepare_supervision(config, corpus, bundle)
     offsets = np.array([p.offset for p in prepared])
     # every example padded once; a batch slices its rows to its longest one
-    src_all, src_len, tgt_all, tgt_in_all, tgt_len = _forcing_rows(
+    src_all, src_len, tgt_all, tgt_in_all, tgt_len = forcing_rows(
         [ex.document for ex in corpus.examples], [p.target for p in prepared]
     )
     entropies = np.array([p.teacher_entropy for p in prepared]) if spec.adaptive_tau else None

@@ -29,7 +29,6 @@ from relkd.losses import (
     TokenBatch,
     adaptive_tau,
     ce_loss,
-    combined_total,
     cpdp_loss,
     ewad_loss,
     inter_match_loss,
@@ -67,6 +66,7 @@ from oracles import (
     random_instance,
     records_of,
 )
+from test_training import ewad_cpdp_step
 
 RCFG = ReliabilityConfig()
 
@@ -144,18 +144,20 @@ class TestCriterion1GradientCorrectness:
 
             anchor = CpdpAnchor(float(rng.uniform(-0.5, 0.5)))
             w = LossWeights(mu=0.05)
-            _, g, ctr = cpdp_loss(_batch(inst, 2), anchor, w)
+            b = _batch(inst, 2)
+            _, g, ctr = cpdp_loss(b, anchor, w)
             frozen = np.zeros(t)
-            frozen[ctr.positions] = ctr.student_entropy
+            frozen[b.positions] = ctr.student_entropy
             record("cpdp(frozen-H)", g,
                    lambda z: cpdp_forward_scalar(inst["mask"], z, inst["z_t1"],
                                                  inst["z_t2"], anchor.delta_star,
                                                  frozen_entropy=frozen),
                    inst["z_s"])
 
-            _, g, _, ctr = combined_total(_batch(inst, 2), RCFG, anchor, w, tau)
+            b = _batch(inst, 2)
+            _, g, _, ctr = ewad_cpdp_step(b, anchor, w, tau)
             frozen = np.zeros(t)
-            frozen[ctr.positions] = ctr.student_entropy
+            frozen[b.positions] = ctr.student_entropy
             record("combined", g,
                    lambda z: ewad_forward_scalar(inst["gold"], inst["mask"], z,
                                                  inst["z_t1"], inst["z_t2"], tau=tau)
@@ -231,9 +233,10 @@ class TestCriterion5CpdpGuard:
         for _ in range(25):
             inst = random_instance(rng)
             anchor = CpdpAnchor(float(rng.uniform(-0.5, 0.5)))
-            _, g, ctr = cpdp_loss(_batch(inst, 2), anchor, LossWeights())
+            b = _batch(inst, 2)
+            _, g, ctr = cpdp_loss(b, anchor, LossWeights())
             frozen = np.zeros(len(inst["gold"]))
-            frozen[ctr.positions] = ctr.student_entropy
+            frozen[b.positions] = ctr.student_entropy
             err = max_rel_err(g, central_diff(
                 lambda z: cpdp_forward_scalar(inst["mask"], z, inst["z_t1"],
                                               inst["z_t2"], anchor.delta_star,
@@ -503,7 +506,7 @@ class TestCriterion11Determinism:
             p.write_text(json.dumps(a_cfg))
             run(out, ["--config", str(p), "distill"])
             run(out, ["--config", str(p), "evaluate"])
-            run(out, ["--config", str(p), "--trace", "mapreduce"])
+            run(out, ["--config", str(p), "mapreduce", "--trace"])
 
             g_cfg = dict(base, preset="ewad_cpdp",
                          outputs={"checkpoint": "student.json"})

@@ -15,7 +15,6 @@ from relkd.losses import (
     TokenBatch,
     adaptive_tau,
     ce_loss,
-    combined_total,
     cpdp_loss,
     ewad_loss,
     inter_match_loss,
@@ -35,7 +34,7 @@ from relkd.training import (
 )
 import relkd.training as training
 
-from test_training import teacher_and_bundle, tiny_corpus
+from test_training import ewad_cpdp_step, teacher_and_bundle, tiny_corpus
 
 TOL = 1e-12
 RCFG = ReliabilityConfig()
@@ -172,14 +171,14 @@ def test_cpdp_and_combined(seed):
     r = Ragged(seed)
     anchor, w = CpdpAnchor(0.2), LossWeights(mu=0.05)
     r.check(cpdp_loss(r.batch(), anchor, w)[:2], lambda j: cpdp_loss(r.single(j), anchor, w)[:2])
-    r.check(combined_total(r.batch(), RCFG, anchor, w, 0.9)[:2],
-            lambda j: combined_total(r.single(j), RCFG, anchor, w, 0.9)[:2])
+    r.check(ewad_cpdp_step(r.batch(), anchor, w, 0.9)[:2],
+            lambda j: ewad_cpdp_step(r.single(j), anchor, w, 0.9)[:2])
 
 
 def test_traces_concatenate_the_per_sequence_traces():
     r = Ragged(11)
-    _, _, etr, ctr = combined_total(r.batch(), RCFG, CpdpAnchor(0.2), LossWeights(), 1.1)
-    singles = [combined_total(r.single(j), RCFG, CpdpAnchor(0.2), LossWeights(), 1.1)
+    _, _, etr, ctr = ewad_cpdp_step(r.batch(), CpdpAnchor(0.2), LossWeights(), 1.1)
+    singles = [ewad_cpdp_step(r.single(j), CpdpAnchor(0.2), LossWeights(), 1.1)
                for j in range(len(r.seqs))]
     for name in ("c1", "c2", "w1", "w2", "agreement", "gate", "kd_term", "ce_term"):
         expected = np.concatenate([getattr(s[2], name) for s in singles])

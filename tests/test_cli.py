@@ -182,8 +182,8 @@ class TestMapReduce:
                        "chunk_capacity": 60, "overlap_sentences": 3,
                        "jaccard_threshold": 0.75, "reduce_checkpoint": None},
         )
-        assert main(["--config", str(cfg), "--out", str(tmp_path), "--trace",
-                     "mapreduce"]) == 0
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "mapreduce",
+                     "--trace"]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["route"] == "mapreduce"
         assert summary["n_input_tokens"] == 3000
@@ -191,6 +191,16 @@ class TestMapReduce:
                 (tmp_path / "mapreduce_trace.jsonl").read_text().splitlines()]
         assert rows[0]["kind"] == "mapreduce_trace"
         assert len(rows[1]["chunks"]) >= 2
+
+    @pytest.mark.parametrize("command", [["cache-teacher"], ["distill"], ["evaluate"],
+                                         ["mapreduce"], ["gate-trace", "--samples", "tr00001"]])
+    def test_trace_is_a_mapreduce_option_not_a_global_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), "--trace", *command])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_input_twice_identical(self, workspace, tmp_path):
         cfg = write_config(

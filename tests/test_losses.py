@@ -12,7 +12,6 @@ from relkd.losses import (
     TokenBatch,
     adaptive_tau,
     ce_loss,
-    combined_total,
     compute_anchor,
     cpdp_loss,
     ewad_loss,
@@ -31,6 +30,7 @@ from oracles import (
     random_instance,
     sigmoid_scalar,
 )
+from test_training import ewad_cpdp_step
 
 RCFG = ReliabilityConfig()
 SIG_25 = 0.9241418199787566
@@ -391,7 +391,7 @@ class TestCpdpLoss:
             value, grad, trace = cpdp_loss(b, CpdpAnchor(delta), LossWeights())
 
             frozen = np.zeros(len(inst["gold"]))
-            frozen[trace.positions] = trace.student_entropy
+            frozen[b.positions] = trace.student_entropy
 
             def f(z, inst=inst, delta=delta, frozen=frozen):
                 return cpdp_forward_scalar(
@@ -411,7 +411,7 @@ class TestCpdpLoss:
         b = batch_from(inst, teachers=2)
         value, grad, trace = cpdp_loss(b, CpdpAnchor(0.1), LossWeights())
         frozen = np.zeros(len(inst["gold"]))
-        frozen[trace.positions] = trace.student_entropy
+        frozen[b.positions] = trace.student_entropy
 
         def f_frozen(z):
             return cpdp_forward_scalar(
@@ -468,13 +468,35 @@ class TestComputeAnchor:
             compute_anchor(np.zeros((0, 4)), np.zeros((0, 4)))
 
 
-class TestCombinedTotal:
+class TestEwadCpdpStep:
+    """The EWAD_CPDP mode step, the one place EWAD and CPDP are combined."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"lambda_override": 0.7},
+                                           {"equal_teacher_weights": True}])
+    def test_is_ewad_plus_mu_cpdp_bit_for_bit(self, overrides):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            inst = random_instance(rng)
+            tau = float(rng.uniform(0.5, 2.0))
+            anchor = CpdpAnchor(float(rng.uniform(-0.5, 0.5)))
+            w = LossWeights(mu=float(rng.uniform(0.01, 0.2)))
+            b = batch_from(inst, teachers=2)
+            value, grad, etr, ctr = ewad_cpdp_step(b, anchor, w, tau, **overrides)
+            v_e, g_e, etr_e = ewad_loss(
+                b, RCFG, tau, lambda_override=overrides.get("lambda_override"),
+                equal_weights=overrides.get("equal_teacher_weights", False))
+            v_p, g_p, ctr_p = cpdp_loss(b, anchor, w)
+            assert value == v_e + w.mu * v_p
+            assert np.array_equal(grad, g_e + w.mu * g_p)
+            assert np.array_equal(etr.gate, etr_e.gate) and np.array_equal(etr.w1, etr_e.w1)
+            assert np.array_equal(ctr.value, ctr_p.value)
+
     def test_mu_zero_equals_ewad(self):
         rng = np.random.default_rng(8)
         inst = random_instance(rng)
         b = batch_from(inst, teachers=2)
         w = LossWeights(mu=0.0)
-        v_c, g_c, _, _ = combined_total(b, RCFG, CpdpAnchor(0.3), w, 1.0)
+        v_c, g_c, _, _ = ewad_cpdp_step(b, CpdpAnchor(0.3), w, 1.0)
         v_e, g_e, _ = ewad_loss(b, RCFG, 1.0)
         assert v_c == v_e
         assert np.array_equal(g_c, g_e)
@@ -485,7 +507,7 @@ class TestCombinedTotal:
         b = batch_from(inst, teachers=2)
         w = LossWeights(mu=0.05)
         anchor = CpdpAnchor(0.2)
-        v_c, _, _, _ = combined_total(b, RCFG, anchor, w, 1.1)
+        v_c, _, _, _ = ewad_cpdp_step(b, anchor, w, 1.1)
         v_e, _, _ = ewad_loss(b, RCFG, 1.1)
         v_p, _, _ = cpdp_loss(b, anchor, w)
         assert abs(v_c - (v_e + 0.05 * v_p)) < 1e-12
@@ -498,10 +520,10 @@ class TestCombinedTotal:
             anchor = CpdpAnchor(float(rng.uniform(-0.5, 0.5)))
             w = LossWeights(mu=0.05)
             b = batch_from(inst, teachers=2)
-            value, grad, _, ctr = combined_total(b, RCFG, anchor, w, tau)
+            value, grad, _, ctr = ewad_cpdp_step(b, anchor, w, tau)
 
             frozen = np.zeros(len(inst["gold"]))
-            frozen[ctr.positions] = ctr.student_entropy
+            frozen[b.positions] = ctr.student_entropy
 
             def f(z, inst=inst, tau=tau, anchor=anchor, frozen=frozen):
                 e = ewad_forward_scalar(

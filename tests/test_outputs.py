@@ -78,7 +78,7 @@ def outputs(root: str) -> dict[str, str]:
         _run(out, _config(os.path.join(configs, "mapreduce.json"),
                           mapreduce={"map_checkpoint": "ewad_cpdp.json",
                                      "reduce_checkpoint": "A2.json"}),
-             "--trace", "mapreduce")
+             "mapreduce", "--trace")
     digests = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as f:

@@ -202,8 +202,10 @@ def test_distill_on_a_cache_of_the_wrong_kind_fails_before_any_output(tmp_path, 
     ('"3 4 2"', "must be a non-empty list of integer tokens"),
     ('{"tokens": []}', "must be a non-empty list of integer tokens"),
     ('{"tokens": [3, 4,', "is not valid JSON"),
+    ("[3, 4, 99]", "has token 99, outside the checkpoints' vocabulary [0, 16)"),
+    ('{"tokens": [3, -1, 5, 16]}', "has token -1, outside the checkpoints' vocabulary [0, 16)"),
 ], ids=["floats", "bools", "strings", "not-a-list", "no-tokens-key", "text", "empty",
-        "malformed"])
+        "malformed", "beyond-vocabulary", "negative"])
 def test_mapreduce_rejects_a_document_that_is_not_integer_tokens(tmp_path, capsys, text,
                                                                   message):
     save_checkpoint(tmp_path / "m.json", init_params(16, 4, np.random.default_rng(0)))
@@ -213,11 +215,38 @@ def test_mapreduce_rejects_a_document_that_is_not_integer_tokens(tmp_path, capsy
     out = tmp_path / "out"
     out.mkdir()
     (out / "m.json").write_bytes((tmp_path / "m.json").read_bytes())
-    assert main(["--config", str(cfg), "--out", str(out), "--trace", "mapreduce",
+    assert main(["--config", str(cfg), "--out", str(out), "mapreduce", "--trace",
                  "--document", str(doc)]) == 1
     err = capsys.readouterr().err
     assert f"document {doc} {message}" in err
     assert os.listdir(out) == ["m.json"]
+
+
+def _malformed_checkpoint(text, fault):
+    obj = json.loads(text)
+    if fault == "array":
+        return json.dumps([obj])
+    if fault == "truncated":
+        return text[:100]
+    if fault == "no-recur":
+        del obj["recur"]
+    if fault == "hidden-dim-5":
+        obj["hidden_dim"] = 5
+    if fault == "meta-array":
+        obj["meta"] = []
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("fault", ["array", "truncated", "no-recur", "hidden-dim-5",
+                                   "meta-array"])
+def test_evaluate_on_a_malformed_checkpoint_names_it_before_any_output(tmp_path, capsys, fault):
+    ckpt = tmp_path / "student.json"
+    save_checkpoint(ckpt, init_params(64, 16, np.random.default_rng(0)))
+    ckpt.write_text(_malformed_checkpoint(ckpt.read_text(), fault))
+    cfg = write_config(tmp_path / "c.json", corpus={"vocab_size": 64})
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "evaluate"]) == 1
+    assert f"error: {ckpt}: " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "student.json"]
 
 
 def test_mapreduce_reads_integer_tokens_bare_or_as_an_object(tmp_path):

@@ -7,7 +7,6 @@ from relkd.losses import (
     LossWeights,
     TokenBatch,
     ce_loss,
-    combined_total,
     ewad_loss,
     standard_total,
 )
@@ -47,6 +46,14 @@ from oracles import (
 
 SIG_25 = 0.9241418199787566
 RCFG = ReliabilityConfig()
+
+
+def ewad_cpdp_step(batch, anchor, weights, tau, **overrides):
+    """The EWAD_CPDP mode's loss step on one batch: (value, logit gradient,
+    EWAD trace, CPDP trace)."""
+    config = TrainConfig(loss_mode="EWAD_CPDP", weights=weights, reliability=RCFG, **overrides)
+    value, grads, etr, ctr = MODES["EWAD_CPDP"].step(config, batch, tau, None, anchor)
+    return value, grads.logits, etr, ctr
 
 
 def tiny_corpus(n=24, vocab=12, seed=0, task="copy"):
@@ -221,7 +228,7 @@ class TestEndToEndGradients:
         logits, hidden, cache = self._run(params, doc, tgt)
         tb = TokenBatch(tgt, [True] * len(tgt), logits[0],
                         teacher1_logits=z_t1, teacher2_logits=z_t2)
-        value, dlog, etr, ctr = combined_total(tb, RCFG, anchor, w, 1.0)
+        value, dlog, etr, ctr = ewad_cpdp_step(tb, anchor, w, 1.0)
         grads = backward_batch(params, cache, dlog[None])
         frozen = ctr.student_entropy
 
@@ -346,6 +353,7 @@ class TestTrainLoop:
                     corpus, val_corpus=val)
         assert all(0.0 <= m["val_rougeL"] <= 1.0 for m in res.metrics)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         corpus = tiny_corpus(n=64)
         cfg = TrainConfig(loss_mode="CE", epochs=50, learning_rate=1e307,
