@@ -29,6 +29,7 @@ from .losses import CpdpAnchor, TokenBatch
 from .teachercache import read_cache, write_cache
 from .toymodel import (
     ROUTE_DIRECT,
+    ToyModelParams,
     forward,
     generate,
     generate_batch,
@@ -264,6 +265,15 @@ def _input(path: str | None, out_dir: str, what: str) -> str:
     return path
 
 
+def _check_vocab(cfg: dict, params: ToyModelParams, path: str) -> ToyModelParams:
+    """``params``, once checked to cover every token of the synthetic corpora."""
+    vocab = cfg["corpus"]["vocab_size"]
+    if vocab > params.vocab_size:
+        raise CliError(f"corpus.vocab_size {vocab} exceeds the vocabulary size "
+                       f"{params.vocab_size} of checkpoint {path}")
+    return params
+
+
 def _write_jsonl(path: str, header: dict, rows: list[dict]) -> None:
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(row, sort_keys=True) for row in rows)
@@ -311,7 +321,7 @@ def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
     # build and check every record first so a failure cannot leave partial cache files
     pseudo_records = []
     for tid, path in pseudo_teachers:
-        params, _ = load_checkpoint(path)
+        params = _check_vocab(cfg, load_checkpoint(path)[0], path)
         pseudo_records.extend(
             build_pseudo_records(
                 params, tid, corpus,
@@ -319,7 +329,8 @@ def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
             )
         )
     pseudo_idx = index_pseudo(pseudo_records)
-    caches = {t: build_topk_cache(load_checkpoint(path)[0], corpus, k, pseudo_idx)
+    caches = {t: build_topk_cache(_check_vocab(cfg, load_checkpoint(path)[0], path), corpus, k,
+                                  pseudo_idx)
               for t, path in teachers.items()}
 
     if pseudo_records:
@@ -367,8 +378,11 @@ def cmd_distill(cfg: dict, out_dir: str) -> int:
 
 def cmd_evaluate(cfg: dict, out_dir: str, checkpoint: str | None,
                  teacher_checkpoint: str | None) -> int:
-    params, _ = load_checkpoint(
-        _input(checkpoint or cfg["outputs"]["checkpoint"], out_dir, "checkpoint"))
+    path = _input(checkpoint or cfg["outputs"]["checkpoint"], out_dir, "checkpoint")
+    params = _check_vocab(cfg, load_checkpoint(path)[0], path)
+    if teacher_checkpoint is not None:
+        path = _input(teacher_checkpoint, out_dir, "teacher checkpoint")
+        t_params = _check_vocab(cfg, load_checkpoint(path)[0], path)
     corpus = synthetic_corpus(_corpus_cfg(cfg, "test"))
     if not corpus.examples:
         raise CliError("test split is empty; configure corpus.n_test > 0")
@@ -383,7 +397,6 @@ def cmd_evaluate(cfg: dict, out_dir: str, checkpoint: str | None,
         "rougeL": scores.rougeL,
     }
     if teacher_checkpoint is not None:
-        t_params, _ = load_checkpoint(_input(teacher_checkpoint, out_dir, "teacher checkpoint"))
         t_scores = evaluate_rouge(t_params, corpus, max_len=cfg["training"]["gen_max_len"])
         rep = retention(scores, t_scores)
         report["teacher_rougeL"] = rep.teacher
@@ -419,6 +432,8 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
             raise CliError(f"document {document} has token {bad}, outside the checkpoints' "
                            f"vocabulary [0, {vocab})")
     else:
+        _check_vocab(cfg, map_params, map_ckpt)
+        _check_vocab(cfg, reduce_params, reduce_ckpt)
         tokens = synthetic_document(
             3000, vocab_size=cfg["corpus"]["vocab_size"], seed=cfg["seed"]
         )
@@ -464,7 +479,14 @@ def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
     # tracing always needs both teachers and the CPDP anchor
     tc = replace(_train_config(cfg), loss_mode=PRESETS["ewad_cpdp"]["loss_mode"])
     bundle = _load_bundle(cfg, out_dir, tc)
-    params, extras = load_checkpoint(_input(cfg["outputs"]["checkpoint"], out_dir, "checkpoint"))
+    path = _input(cfg["outputs"]["checkpoint"], out_dir, "checkpoint")
+    params, extras = load_checkpoint(path)
+    _check_vocab(cfg, params, path)
+    delta_star = extras["meta"].get("delta_star")
+    if delta_star is not None and (type(delta_star) not in (int, float)
+                                   or not abs(delta_star) <= sys.float_info.max):
+        raise ValueError(f"{path}: meta.delta_star must be a finite number or null, "
+                         f"got {delta_star!r}")
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
     by_id = {ex.example_id: i for i, ex in enumerate(corpus.examples)}
     for sid in samples:
@@ -473,7 +495,6 @@ def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
 
     prepared, teachers, anchor = prepare_supervision(tc, corpus, bundle)
     # report against the anchor the student was trained with, when it had one
-    delta_star = extras["meta"].get("delta_star")
     if delta_star is not None:
         anchor = CpdpAnchor(delta_star)
 

@@ -13,6 +13,7 @@ gradient reductions run in fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -116,31 +117,62 @@ def salient_threshold(vocab_size: int) -> int:
     return vocab_size // 2
 
 
+_WORD = 1 << 32
+_BLOCK = 1024  # words fetched from the generator at a time
+
+
+def _draws(rng: np.random.Generator) -> Callable[[int, int, int], list[int]]:
+    """``take(low, high, n)``: the next ``n`` values that ``n`` calls of
+    ``rng.integers(low, high)`` would return, for ``high - low < 2**32``.
+
+    numpy draws such a value by Lemire's multiply-and-reject rule on the
+    generator's 32-bit stream: a word ``w`` is kept iff ``(w * span) % 2**32
+    >= 2**32 % span`` and gives ``low + (w * span >> 32)``; a span of 1 reads
+    no word. ``take`` applies the rule to words fetched ``_BLOCK`` at a time,
+    so ``rng`` runs ahead of the values handed out and must not be used again.
+    """
+    word = chain.from_iterable(iter(
+        lambda: rng.integers(0, _WORD, _BLOCK, dtype=np.uint32).tolist(), None)).__next__
+
+    def take(low: int, high: int, n: int) -> list[int]:
+        span = high - low
+        if not 0 < span < _WORD or n < 0:
+            raise ValueError(f"cannot draw {n} integers from [{low}, {high})")
+        if span == 1:
+            return [low] * n
+        reject_below = _WORD % span
+        out: list[int] = []
+        while len(out) < n:
+            m = word() * span
+            if m & 0xFFFFFFFF >= reject_below:
+                out.append(low + (m >> 32))
+        return out
+
+    return take
+
+
 def synthetic_corpus(cfg: CorpusConfig) -> Corpus:
-    """Deterministic toy corpus; identical config gives identical examples."""
-    rng = np.random.default_rng([cfg.seed, 11])
+    """Deterministic toy corpus; identical config gives identical examples.
+    Each value is the one that a call of ``rng.integers`` per draw on
+    ``default_rng([seed, 11])`` would give."""
+    take = _draws(np.random.default_rng([cfg.seed, 11]))
     thresh = salient_threshold(cfg.vocab_size)
+    lens = (cfg.min_sentence_len, cfg.max_sentence_len + 1)
     examples = []
     for i in range(cfg.n_examples):
         while True:
             if cfg.task == "copy":
-                ln = int(rng.integers(cfg.min_sentence_len, cfg.max_sentence_len + 1))
-                doc = rng.integers(FIRST_CONTENT_ID, cfg.vocab_size, ln).tolist()
+                doc = take(FIRST_CONTENT_ID, cfg.vocab_size, take(*lens, 1)[0])
                 summary = list(doc)
             else:
-                n_sent = int(rng.integers(cfg.min_sentences, cfg.max_sentences + 1))
                 doc = []
-                for _ in range(n_sent):
-                    ln = int(rng.integers(cfg.min_sentence_len, cfg.max_sentence_len + 1))
-                    doc.extend(rng.integers(FIRST_CONTENT_ID, cfg.vocab_size, ln).tolist())
+                for _ in range(take(cfg.min_sentences, cfg.max_sentences + 1, 1)[0]):
+                    doc += take(FIRST_CONTENT_ID, cfg.vocab_size, take(*lens, 1)[0])
                     doc.append(BOUNDARY_ID)
-                salient = [t for t in doc if t >= thresh]
-                summary = salient[:: cfg.stride]
+                summary = [t for t in doc if t >= thresh][:: cfg.stride]
             if summary:
                 break
-        examples.append(
-            CorpusExample(f"{cfg.id_prefix}{i:05d}", [int(t) for t in doc], [int(t) for t in summary])
-        )
+        examples.append(CorpusExample(f"{cfg.id_prefix}{i:05d}", doc, summary))
     return Corpus(examples=examples, vocab_size=cfg.vocab_size)
 
 
@@ -155,24 +187,22 @@ def synthetic_document(
     """A long boundary-delimited token stream for the MapReduce pipeline.
 
     With ``distinct_sentences`` set, sentences repeat from that small pool so
-    deduplication has real work to do.
+    deduplication has real work to do. Values are drawn as in
+    ``synthetic_corpus``, from ``default_rng([seed, 13])``.
     """
-    rng = np.random.default_rng([seed, 13])
+    take = _draws(np.random.default_rng([seed, 13]))
+    lens = (min_sentence_len, max_sentence_len + 1)
     pool = None
     if distinct_sentences is not None:
-        pool = []
-        for _ in range(distinct_sentences):
-            ln = int(rng.integers(min_sentence_len, max_sentence_len + 1))
-            s = rng.integers(FIRST_CONTENT_ID, vocab_size, ln).tolist() + [BOUNDARY_ID]
-            pool.append([int(t) for t in s])
+        pool = [take(FIRST_CONTENT_ID, vocab_size, take(*lens, 1)[0]) + [BOUNDARY_ID]
+                for _ in range(distinct_sentences)]
     doc: list[int] = []
     while len(doc) < n_tokens:
         if pool is not None:
-            s = pool[int(rng.integers(len(pool)))]
+            doc += pool[take(0, len(pool), 1)[0]]
         else:
-            ln = int(rng.integers(min_sentence_len, max_sentence_len + 1))
-            s = rng.integers(FIRST_CONTENT_ID, vocab_size, ln).tolist() + [BOUNDARY_ID]
-        doc.extend(int(t) for t in s)
+            doc += take(FIRST_CONTENT_ID, vocab_size, take(*lens, 1)[0])
+            doc.append(BOUNDARY_ID)
     return doc[:n_tokens]
 
 

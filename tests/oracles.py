@@ -13,6 +13,8 @@ import math
 import numpy as np
 
 from relkd.teachercache import TopKRecord
+from relkd.toymodel import BOUNDARY_ID, FIRST_CONTENT_ID
+from relkd.training import Corpus, CorpusConfig, CorpusExample, salient_threshold
 
 KL_FLOOR = 1e-12
 ENTROPY_FLOOR = 1e-8
@@ -232,3 +234,59 @@ def densify_oracle(positions, vocab_size):
     p = np.zeros((len(positions), vocab_size))
     p[rows, pairs[:, 0].astype(int)] = mass[rows, cols] / mass.sum(axis=1)[rows]
     return p
+
+
+def synthetic_corpus_oracle(cfg: CorpusConfig) -> Corpus:
+    """The corpus generator drawing one ``rng.integers`` call per value."""
+    rng = np.random.default_rng([cfg.seed, 11])
+    thresh = salient_threshold(cfg.vocab_size)
+    examples = []
+    for i in range(cfg.n_examples):
+        while True:
+            if cfg.task == "copy":
+                ln = int(rng.integers(cfg.min_sentence_len, cfg.max_sentence_len + 1))
+                doc = rng.integers(FIRST_CONTENT_ID, cfg.vocab_size, ln).tolist()
+                summary = list(doc)
+            else:
+                n_sent = int(rng.integers(cfg.min_sentences, cfg.max_sentences + 1))
+                doc = []
+                for _ in range(n_sent):
+                    ln = int(rng.integers(cfg.min_sentence_len, cfg.max_sentence_len + 1))
+                    doc.extend(rng.integers(FIRST_CONTENT_ID, cfg.vocab_size, ln).tolist())
+                    doc.append(BOUNDARY_ID)
+                salient = [t for t in doc if t >= thresh]
+                summary = salient[:: cfg.stride]
+            if summary:
+                break
+        examples.append(
+            CorpusExample(f"{cfg.id_prefix}{i:05d}", [int(t) for t in doc], [int(t) for t in summary])
+        )
+    return Corpus(examples=examples, vocab_size=cfg.vocab_size)
+
+
+def synthetic_document_oracle(
+    n_tokens: int,
+    vocab_size: int = 64,
+    seed: int = 0,
+    min_sentence_len: int = 4,
+    max_sentence_len: int = 8,
+    distinct_sentences: int | None = None,
+) -> list[int]:
+    """The long-document generator drawing one ``rng.integers`` call per value."""
+    rng = np.random.default_rng([seed, 13])
+    pool = None
+    if distinct_sentences is not None:
+        pool = []
+        for _ in range(distinct_sentences):
+            ln = int(rng.integers(min_sentence_len, max_sentence_len + 1))
+            s = rng.integers(FIRST_CONTENT_ID, vocab_size, ln).tolist() + [BOUNDARY_ID]
+            pool.append([int(t) for t in s])
+    doc: list[int] = []
+    while len(doc) < n_tokens:
+        if pool is not None:
+            s = pool[int(rng.integers(len(pool)))]
+        else:
+            ln = int(rng.integers(min_sentence_len, max_sentence_len + 1))
+            s = rng.integers(FIRST_CONTENT_ID, vocab_size, ln).tolist() + [BOUNDARY_ID]
+        doc.extend(int(t) for t in s)
+    return doc[:n_tokens]

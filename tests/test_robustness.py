@@ -268,3 +268,52 @@ def test_cache_teacher_on_an_empty_training_split_fails_before_any_output(tmp_pa
     assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 1
     assert "corpus.n_train" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["c.json", "teacher1.json"]
+
+
+@pytest.mark.parametrize("command, small", [
+    (["evaluate"], "student.json"),
+    (["evaluate", "--teacher-checkpoint", "teacher.json"], "teacher.json"),
+    (["mapreduce"], "student.json"),
+    (["mapreduce"], "reduce.json"),
+    (["cache-teacher"], "teacher1.json"),
+], ids=["evaluate", "evaluate-teacher", "mapreduce-map", "mapreduce-reduce", "cache-teacher"])
+def test_a_checkpoint_that_cannot_read_the_corpus_fails_before_any_output(tmp_path, capsys,
+                                                                          command, small):
+    for name in ("student.json", "teacher.json", "reduce.json", "teacher1.json"):
+        vocab = 16 if name == small else 64
+        save_checkpoint(tmp_path / name, init_params(vocab, 4, np.random.default_rng(0)))
+    cfg = write_config(tmp_path / "c.json", corpus={"vocab_size": 64},
+                       teacher2={"checkpoint": None},
+                       mapreduce={"reduce_checkpoint": "reduce.json"})
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), *command]) == 1
+    assert (f"corpus.vocab_size 64 exceeds the vocabulary size 16 of checkpoint "
+            f"{tmp_path / small}") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def _gate_trace_inputs(tmp_path, student_vocab, meta):
+    """Two teachers, their caches, and a student.json for ``gate-trace``."""
+    for i, name in enumerate(("teacher1.json", "teacher2.json")):
+        save_checkpoint(tmp_path / name, init_params(16, 4, np.random.default_rng(i)))
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    save_checkpoint(tmp_path / "student.json",
+                    init_params(student_vocab, 4, np.random.default_rng(1)), meta=meta)
+    return ["--config", str(cfg), "--out", str(tmp_path), "gate-trace", "--samples", "tr00000"]
+
+
+@pytest.mark.parametrize("delta_star", ["abc", True, [1.0], float("nan")],
+                         ids=["string", "bool", "array", "nan"])
+def test_gate_trace_rejects_a_delta_star_that_is_not_a_number(tmp_path, capsys, delta_star):
+    assert main(_gate_trace_inputs(tmp_path, 16, {"delta_star": delta_star})) == 1
+    assert (f"error: {tmp_path / 'student.json'}: meta.delta_star must be a finite number "
+            "or null") in capsys.readouterr().err
+    assert not (tmp_path / "gate_trace.jsonl").exists()
+
+
+def test_gate_trace_on_a_student_that_cannot_read_the_corpus_fails(tmp_path, capsys):
+    assert main(_gate_trace_inputs(tmp_path, 8, None)) == 1
+    assert ("corpus.vocab_size 16 exceeds the vocabulary size 8 of checkpoint "
+            f"{tmp_path / 'student.json'}") in capsys.readouterr().err
+    assert not (tmp_path / "gate_trace.jsonl").exists()
