@@ -147,9 +147,10 @@ _NULLABLE = {"preset": str, "teacher2.checkpoint": str, "mapreduce.map_checkpoin
 _LIST_ENTRIES = {"pseudo_teachers": {"id": "", "checkpoint": ""}}
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                dict: "an object", list: "an array"}
-# Settings that must be at least 1. A decoding length of 0 scores every
+# The least value of some settings. A decoding length of 0 scores every
 # summary as empty, and a beam or a top-k cache of width 0 keeps nothing.
-_POSITIVE = ("training.gen_max_len", "beam_width", "cache_k")
+_MINIMUM = {"training.gen_max_len": 1, "beam_width": 1, "cache_k": 1,
+            "corpus.n_train": 0, "corpus.n_test": 0, "corpus.n_val": 0}
 
 
 def _fits(value, expected: type) -> bool:
@@ -212,13 +213,18 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
         cfg["seed"] = seed_override
     if cfg["seed"] < 0:
         raise CliError("seed must be non-negative")
-    for path in _POSITIVE:
+    for path, least in _MINIMUM.items():
         value = cfg
         for key in path.split("."):
             value = value[key]
-        if value < 1:
-            raise CliError(f"{path} must be >= 1, got {value}")
-    _train_config(cfg)  # the training settings' own range checks, before any output exists
+        if value < least:
+            raise CliError(f"{path} must be >= {least}, got {value}")
+    # the corpus and training settings' own range checks, before any output exists
+    try:
+        _corpus_cfg(cfg, "train")
+    except ValueError as exc:
+        raise CliError(f"corpus.{exc}") from exc
+    _train_config(cfg)
     return cfg
 
 
@@ -414,7 +420,7 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
     if mr["reduce_checkpoint"] is not None:
         reduce_ckpt = _input(mr["reduce_checkpoint"], out_dir, "reduce checkpoint")
     map_params, _ = load_checkpoint(map_ckpt)
-    reduce_params, _ = load_checkpoint(reduce_ckpt)
+    reduce_params = map_params if reduce_ckpt == map_ckpt else load_checkpoint(reduce_ckpt)[0]
 
     if document is not None:
         with open(_input(document, "", "document file"), "r", encoding="utf-8") as f:
@@ -423,12 +429,12 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
             except json.JSONDecodeError as exc:
                 raise CliError(f"document {document} is not valid JSON: {exc}") from exc
         tokens = obj.get("tokens") if isinstance(obj, dict) else obj
-        if not isinstance(tokens, list) or not tokens or any(type(t) is not int for t in tokens):
+        if not isinstance(tokens, list) or not tokens or set(map(type, tokens)) != {int}:
             raise CliError(f"document {document} must be a non-empty list of integer tokens, "
                            'bare or as {"tokens": [...]}')
         vocab = min(map_params.vocab_size, reduce_params.vocab_size)
-        bad = next((t for t in tokens if not 0 <= t < vocab), None)
-        if bad is not None:
+        if min(tokens) < 0 or max(tokens) >= vocab:
+            bad = next(t for t in tokens if not 0 <= t < vocab)
             raise CliError(f"document {document} has token {bad}, outside the checkpoints' "
                            f"vocabulary [0, {vocab})")
     else:

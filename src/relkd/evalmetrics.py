@@ -7,8 +7,8 @@ plain means of per-example F1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,25 @@ def _f1(match: float, hyp_total: int, ref_total: int) -> float:
 
 
 def rouge_n(hyp, ref, n: int) -> float:
-    """Clipped n-gram overlap F1 (n in {1, 2})."""
+    """Clipped n-gram overlap F1 (n in {1, 2}): the match count is the sum over
+    n-grams g of min(count_hyp(g), count_ref(g)) (Lin 2004), found by a merge
+    of the two sorted n-gram lists; each side's total is its n-gram count."""
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
     hyp, ref = list(hyp), list(ref)
-    hyp_grams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
-    ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
-    match = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
-    return _f1(match, sum(hyp_grams.values()), sum(ref_grams.values()))
+    if n == 2:
+        hyp, ref = zip(hyp, hyp[1:]), zip(ref, ref[1:])
+    hyp, ref = sorted(hyp), sorted(ref)
+    n_hyp, n_ref = len(hyp), len(ref)
+    i = j = match = 0
+    while i < n_hyp and j < n_ref:
+        if hyp[i] < ref[j]:
+            i += 1
+        elif ref[j] < hyp[i]:
+            j += 1
+        else:
+            match, i, j = match + 1, i + 1, j + 1
+    return _f1(match, n_hyp, n_ref)
 
 
 def lcs_length(a, b) -> int:
@@ -55,9 +66,10 @@ def lcs_length(a, b) -> int:
     a, b = list(a), list(b)
     prev = [0] * (len(b) + 1)
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b):
-            cur[j + 1] = prev[j] + 1 if x == y else max(prev[j + 1], cur[j])
+        cur, left = [0], 0
+        for y, diag, up in zip(b, prev, islice(prev, 1, None)):
+            left = diag + 1 if x == y else (up if up > left else left)
+            cur.append(left)
         prev = cur
     return prev[-1]
 

@@ -10,6 +10,7 @@ its level's chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 from .toymodel import BOUNDARY_ID
@@ -99,7 +100,7 @@ def chunk(sentences: list[list[int]], cfg: ChunkConfig) -> list[Chunk]:
         while end + 1 < n and total + lens[end + 1] <= cfg.chunk_capacity:
             end += 1
             total += lens[end]
-        toks = tuple(t for s in sentences[start : end + 1] for t in s)
+        toks = tuple(chain.from_iterable(sentences[start : end + 1]))
         chunks.append(Chunk(first_sentence=start, last_sentence=end, tokens=toks))
         if end >= n - 1:
             return chunks
@@ -113,18 +114,25 @@ def chunk(sentences: list[list[int]], cfg: ChunkConfig) -> list[Chunk]:
 
 def jaccard(a, b) -> float:
     """Set Jaccard similarity over token ids; two empty sets count as 1."""
-    sa, sb = set(a), set(b)
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
+    return _set_jaccard(set(a), set(b))
+
+
+def _set_jaccard(sa: set, sb: set) -> float:
+    common = len(sa & sb)
+    union = len(sa) + len(sb) - common
+    return common / union if union else 1.0
 
 
 def dedup(sentences: list[list[int]], cfg: ChunkConfig) -> list[list[int]]:
-    """Scan in order, dropping any sentence too similar to one already kept."""
+    """Scan in order, dropping any sentence too similar to one already kept.
+    Each sentence's token set is built once and kept with the sentence."""
     kept: list[list[int]] = []
+    kept_sets: list[set] = []
     for s in sentences:
-        if all(jaccard(s, k) <= cfg.jaccard_threshold for k in kept):
+        ss = set(s)
+        if all(_set_jaccard(ss, k) <= cfg.jaccard_threshold for k in kept_sets):
             kept.append(s)
+            kept_sets.append(ss)
     return kept
 
 
@@ -146,8 +154,7 @@ def summarize_long(
     is capped at MAX_REDUCE_DEPTH levels; either failure aborts with a
     diagnostic.
     """
-    document = [int(t) for t in document]
-    sentences = split_sentences(document)
+    sentences = split_sentences(map(int, document))
     return _summarize_sentences(sentences, map_fn, reduce_fn, cfg, trace, 1)
 
 
@@ -161,11 +168,11 @@ def _summarize_sentences(
 ) -> list[int]:
     if depth > MAX_REDUCE_DEPTH:
         raise PipelineError(f"reduce recursion exceeded depth {MAX_REDUCE_DEPTH}")
-    n_input_tokens = sum(len(s) for s in sentences)
+    n_input_tokens = sum(map(len, sentences))
 
     chunks = chunk(sentences, cfg)
     if len(chunks) == 1:
-        summary, = _summarize(map_fn, [[t for s in sentences for t in s]])
+        summary, = _summarize(map_fn, [list(chain.from_iterable(sentences))])
         if trace is not None:
             trace.append(
                 {"depth": depth, "chunks": [_chunk_info(chunks[0])],
@@ -181,7 +188,7 @@ def _summarize_sentences(
         if out:
             candidate_sentences.extend(split_sentences(out))
     kept = dedup(candidate_sentences, cfg)
-    concat_length = sum(len(s) for s in kept)
+    concat_length = sum(map(len, kept))
 
     if trace is not None:
         trace.append(
@@ -202,7 +209,7 @@ def _summarize_sentences(
                 f"({n_input_tokens} -> {concat_length} tokens)"
             )
         return _summarize_sentences(kept, reduce_fn, reduce_fn, cfg, trace, depth + 1)
-    summary, = _summarize(reduce_fn, [[t for s in kept for t in s]])
+    summary, = _summarize(reduce_fn, [list(chain.from_iterable(kept))])
     return summary
 
 

@@ -90,11 +90,25 @@ class CorpusConfig:
 
     def __post_init__(self) -> None:
         if self.vocab_size < FIRST_CONTENT_ID + 2 or self.vocab_size > 64:
-            raise ValueError("vocab_size must lie in [5, 64]")
+            raise ValueError(f"vocab_size must lie in [5, 64], got {self.vocab_size}")
         if self.task not in ("compress", "copy"):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise ValueError(f"task must be 'compress' or 'copy', got {self.task!r}")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+        for name in ("n_examples", "min_sentences", "min_sentence_len"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for low in ("min_sentences", "min_sentence_len"):
+            high = low.replace("min", "max")
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"{high} must be >= {low} ({getattr(self, low)}), "
+                                 f"got {getattr(self, high)}")
+        # synthetic_corpus redraws an empty summary, so a config that gives
+        # nothing else would never return
+        if self.task == "compress" and self.max_sentences == 0:
+            raise ValueError("max_sentences must be >= 1, or every summary is empty")
+        if self.max_sentence_len == 0:
+            raise ValueError("max_sentence_len must be >= 1, or every summary is empty")
 
 
 @dataclass

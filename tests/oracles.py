@@ -9,6 +9,7 @@ differences at double precision.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -290,3 +291,89 @@ def synthetic_document_oracle(
             s = rng.integers(FIRST_CONTENT_ID, vocab_size, ln).tolist() + [BOUNDARY_ID]
         doc.extend(int(t) for t in s)
     return doc[:n_tokens]
+
+
+# ---------------------------------------------------------------------------
+# ROUGE, sentence splitting and dedup as they were first written: Counter-based
+# n-gram counts, a max() DP row, a per-token sentence scan and a set rebuilt
+# per comparison.
+
+
+def _f1_oracle(match: float, hyp_total: int, ref_total: int) -> float:
+    if match == 0 or hyp_total == 0 or ref_total == 0:
+        return 0.0
+    p = match / hyp_total
+    r = match / ref_total
+    return 2.0 * p * r / (p + r)
+
+
+def rouge_n_oracle(hyp, ref, n: int) -> float:
+    """Clipped n-gram overlap F1 (n in {1, 2})."""
+    if n not in (1, 2):
+        raise ValueError("n must be 1 or 2")
+    hyp, ref = list(hyp), list(ref)
+    hyp_grams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
+    ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+    match = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
+    return _f1_oracle(match, sum(hyp_grams.values()), sum(ref_grams.values()))
+
+
+def lcs_length_oracle(a, b) -> int:
+    """Longest common subsequence length by dynamic programming."""
+    a, b = list(a), list(b)
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b):
+            cur[j + 1] = prev[j] + 1 if x == y else max(prev[j + 1], cur[j])
+        prev = cur
+    return prev[-1]
+
+
+def rouge_l_oracle(hyp, ref) -> float:
+    """LCS-based F1: P = LCS/|hyp|, R = LCS/|ref|."""
+    hyp, ref = list(hyp), list(ref)
+    return _f1_oracle(lcs_length_oracle(hyp, ref), len(hyp), len(ref))
+
+
+def score_pairs_oracle(pairs):
+    """Mean ROUGE-1/2/L F1 over (hypothesis, reference) token sequences."""
+    pairs = list(pairs)
+    n = len(pairs)
+    return (sum(rouge_n_oracle(h, r, 1) for h, r in pairs) / n,
+            sum(rouge_n_oracle(h, r, 2) for h, r in pairs) / n,
+            sum(rouge_l_oracle(h, r) for h, r in pairs) / n)
+
+
+def split_sentences_oracle(tokens) -> list[list[int]]:
+    """Partition a token stream at boundary tokens (kept with their sentence)."""
+    tokens = list(tokens)
+    if not tokens:
+        raise ValueError("document must be non-empty")
+    sentences: list[list[int]] = []
+    cur: list[int] = []
+    for t in tokens:
+        cur.append(t)
+        if t == BOUNDARY_ID:
+            sentences.append(cur)
+            cur = []
+    if cur:
+        sentences.append(cur)
+    return sentences
+
+
+def jaccard_oracle(a, b) -> float:
+    """Set Jaccard similarity over token ids; two empty sets count as 1."""
+    sa, sb = set(a), set(b)
+    if not sa and not sb:
+        return 1.0
+    return len(sa & sb) / len(sa | sb)
+
+
+def dedup_oracle(sentences: list[list[int]], cfg) -> list[list[int]]:
+    """Scan in order, dropping any sentence too similar to one already kept."""
+    kept: list[list[int]] = []
+    for s in sentences:
+        if all(jaccard_oracle(s, k) <= cfg.jaccard_threshold for k in kept):
+            kept.append(s)
+    return kept

@@ -3,9 +3,10 @@ import os
 
 import pytest
 
+from relkd import cli
 from relkd.cli import main
 from relkd.teachercache import read_cache
-from relkd.toymodel import generate, load_checkpoint
+from relkd.toymodel import generate, generate_batch, load_checkpoint
 from relkd.training import MODES
 
 
@@ -201,6 +202,36 @@ class TestMapReduce:
         assert exc.value.code == 2
         assert "unrecognized arguments: --trace" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("reduce", [None, "teacher1.json", "teacher2.json"],
+                             ids=["unset", "same-as-map", "other"])
+    def test_each_checkpoint_is_loaded_once_and_plays_its_role(self, workspace, tmp_path,
+                                                               monkeypatch, reduce):
+        loads, decoders = [], []
+
+        def load(path):
+            result = load_checkpoint(path)
+            loads.append((path, result[0]))
+            return result
+
+        def decode(params, docs, **kw):
+            decoders.append(params)
+            return generate_batch(params, docs, **kw)
+
+        monkeypatch.setattr(cli, "load_checkpoint", load)
+        monkeypatch.setattr(cli, "generate_batch", decode)
+        map_path = str(workspace / "teacher1.json")
+        reduce_path = map_path if reduce is None else str(workspace / reduce)
+        cfg = write_config(tmp_path / "c.json",
+                           mapreduce={"map_checkpoint": map_path,
+                                      "reduce_checkpoint": reduce and reduce_path})
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "mapreduce"]) == 0
+        assert [path for path, _ in loads] == list(dict.fromkeys([map_path, reduce_path]))
+        # the first call maps the chunks; every later one reduces
+        params = dict(loads)
+        assert len(decoders) >= 2
+        assert decoders[0] is params[map_path]
+        assert all(p is params[reduce_path] for p in decoders[1:])
 
     def test_same_input_twice_identical(self, workspace, tmp_path):
         cfg = write_config(

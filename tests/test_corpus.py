@@ -1,5 +1,11 @@
 """The synthetic corpora: the bulk sampler reproduces numpy's bounded-integer
-stream, and every corpus and document equals the one-call-per-value oracle."""
+stream, every corpus and document equals the one-call-per-value oracle, and a
+config that cannot give a corpus is rejected when it is built."""
+
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ from hypothesis import given, strategies as st
 from relkd.training import CorpusConfig, _draws, synthetic_corpus, synthetic_document
 
 from oracles import synthetic_corpus_oracle, synthetic_document_oracle
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # 2**31 + 1 rejects about half of all words and 3 * 2**30 a quarter, and in the
 # latter a quarter of all words sit exactly on the rejection threshold.
@@ -89,3 +97,33 @@ def test_an_empty_sentence_pool_is_rejected_as_before():
         synthetic_document_oracle(10, distinct_sentences=0)
     with pytest.raises(ValueError):
         synthetic_document(10, distinct_sentences=0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(min_sentences=3, max_sentences=2), "max_sentences must be >= min_sentences (3)"),
+    (dict(min_sentence_len=8), "max_sentence_len must be >= min_sentence_len (8)"),
+    (dict(min_sentence_len=-3), "min_sentence_len must be >= 0"),
+    (dict(min_sentences=-1, max_sentences=-1), "min_sentences must be >= 0"),
+    (dict(n_examples=-1), "n_examples must be >= 0"),
+    (dict(task="translate"), "task must be 'compress' or 'copy'"),
+])
+def test_a_config_outside_its_ranges_is_rejected(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CorpusConfig(**{"n_examples": 2, **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(min_sentences=0, max_sentences=0), "max_sentences must be >= 1"),
+    (dict(min_sentence_len=0, max_sentence_len=0), "max_sentence_len must be >= 1"),
+    (dict(task="copy", min_sentence_len=0, max_sentence_len=0), "max_sentence_len must be >= 1"),
+], ids=["compress-no-sentences", "compress-empty-sentences", "copy-empty-documents"])
+def test_a_config_that_gives_only_empty_summaries_is_rejected(fields, message):
+    # such a config used to make synthetic_corpus redraw forever, so it runs
+    # in its own interpreter under a time limit
+    code = ("from relkd.training import CorpusConfig, synthetic_corpus\n"
+            f"synthetic_corpus(CorpusConfig(n_examples=2, **{fields!r}))")
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert f"ValueError: {message}" in run.stderr

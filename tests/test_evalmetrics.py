@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from relkd.evalmetrics import (
     RougeScores,
@@ -10,7 +11,52 @@ from relkd.evalmetrics import (
     score_pairs,
 )
 
-from oracles import lcs_bruteforce
+from oracles import (
+    lcs_bruteforce,
+    lcs_length_oracle,
+    rouge_l_oracle,
+    rouge_n_oracle,
+    score_pairs_oracle,
+)
+
+
+def token_seqs(alphabet: int):
+    """Token lists of length 0-60 over ``alphabet`` ids, as ints or numpy ints."""
+    seq = st.lists(st.integers(40, 39 + alphabet), max_size=60)
+    return st.one_of(seq, seq.map(lambda s: [np.int64(t) for t in s]))
+
+
+# small alphabets, so that ties and repeated n-grams are common
+seq_pairs = st.integers(1, 6).flatmap(lambda a: st.tuples(token_seqs(a), token_seqs(a)))
+EDGES = [([], []), ([], [40]), ([40], []), ([40], [40]), ([40], [41]), ([40, 40], [40])]
+
+
+def with_edges(test):
+    for pair in EDGES:
+        test = example(pair)(test)
+    return test
+
+
+class TestAgainstOracles:
+    """The merge-based counts and the append-built DP rows give exactly the
+    values of the Counter and max() versions they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @given(pair=seq_pairs)
+    @with_edges
+    def test_rouge_n(self, n, pair):
+        assert rouge_n(*pair, n) == rouge_n_oracle(*pair, n)
+
+    @given(pair=seq_pairs)
+    @with_edges
+    def test_rouge_l_and_lcs(self, pair):
+        assert lcs_length(*pair) == lcs_length_oracle(*pair)
+        assert rouge_l(*pair) == rouge_l_oracle(*pair)
+
+    @given(pairs=st.lists(seq_pairs, min_size=1, max_size=8))
+    def test_score_pairs(self, pairs):
+        s = score_pairs(pairs)
+        assert (s.rouge1, s.rouge2, s.rougeL) == score_pairs_oracle(pairs)
 
 
 class TestRougeN:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from relkd.longdoc import (
     ChunkConfig,
@@ -12,6 +13,8 @@ from relkd.longdoc import (
 )
 from relkd.toymodel import BOUNDARY_ID
 from relkd.training import synthetic_document
+
+from oracles import dedup_oracle, jaccard_oracle, split_sentences_oracle
 
 B = BOUNDARY_ID
 
@@ -148,6 +151,45 @@ class TestDedup:
             for i in range(len(kept)):
                 for j in range(i + 1, len(kept)):
                     assert jaccard(kept[i], kept[j]) <= 0.75
+
+
+def token_lists(alphabet: int, min_size: int = 0):
+    """Lists of up to 60 ids from ``alphabet`` ids that include the boundary,
+    as ints or numpy ints."""
+    seq = st.lists(st.integers(B, B + alphabet - 1), min_size=min_size, max_size=60)
+    return st.one_of(seq, seq.map(lambda s: [np.int64(t) for t in s]))
+
+
+class TestAgainstOracles:
+    """Splitting, Jaccard and dedup give exactly what their first versions
+    gave: the shared set-level Jaccard and the kept sets built once change no
+    result."""
+
+    @given(tokens=st.integers(1, 6).flatmap(lambda a: token_lists(a, min_size=1)))
+    @example(tokens=[B])
+    @example(tokens=[5])
+    @example(tokens=[B, B])
+    @example(tokens=[5, B, 5])
+    def test_split_sentences(self, tokens):
+        assert split_sentences(tokens) == split_sentences_oracle(tokens)
+
+    @given(pair=st.integers(1, 6).flatmap(lambda a: st.tuples(token_lists(a), token_lists(a))))
+    @example(pair=([], []))
+    @example(pair=([], [B]))
+    @example(pair=([5, 5], [5]))
+    def test_jaccard(self, pair):
+        assert jaccard(*pair) == jaccard_oracle(*pair)
+
+    # short sentences over small alphabets, so that near-duplicates are common
+    @pytest.mark.parametrize("threshold", [0.0, 0.75, 1.0])
+    @given(sentences=st.integers(1, 6).flatmap(
+        lambda a: st.lists(token_lists(a).map(lambda s: s[:6]), max_size=40)))
+    @example(sentences=[])
+    @example(sentences=[[], []])
+    @example(sentences=[[], [5], []])
+    def test_dedup(self, threshold, sentences):
+        c = cfg(jaccard_threshold=threshold)
+        assert dedup(sentences, c) == dedup_oracle(sentences, c)
 
 
 class TestSummarizeLong:

@@ -79,6 +79,29 @@ class TestConfigTypes:
         assert f"unknown key {teacher}.hidden_dim" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corpus, message", [
+        ({"min_sentences": 0, "max_sentences": 0}, "corpus.max_sentences must be >= 1"),
+        ({"task": "copy", "min_sentence_len": 0, "max_sentence_len": 0},
+         "corpus.max_sentence_len must be >= 1"),
+        ({"min_sentences": 3, "max_sentences": 2},
+         "corpus.max_sentences must be >= min_sentences (3), got 2"),
+        ({"min_sentence_len": -3}, "corpus.min_sentence_len must be >= 0, got -3"),
+        ({"vocab_size": 100}, "corpus.vocab_size must lie in [5, 64], got 100"),
+        ({"vocab_size": 4}, "corpus.vocab_size must lie in [5, 64], got 4"),
+        ({"task": "translate"}, "corpus.task must be 'compress' or 'copy'"),
+        ({"stride": 0}, "corpus.stride must be >= 1"),
+        ({"n_train": -1}, "corpus.n_train must be >= 0, got -1"),
+        ({"n_test": -2}, "corpus.n_test must be >= 0, got -2"),
+    ])
+    def test_a_corpus_that_cannot_be_drawn_fails_before_any_output(self, tmp_path, capsys,
+                                                                   corpus, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"corpus": corpus}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "evaluate"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ints_fit_floats_and_nullable_keys_take_their_type(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", preset="A1",
                            training={"epochs": 1, "learning_rate": 1, "lambda_override": 1},
@@ -204,8 +227,10 @@ def test_distill_on_a_cache_of_the_wrong_kind_fails_before_any_output(tmp_path, 
     ('{"tokens": [3, 4,', "is not valid JSON"),
     ("[3, 4, 99]", "has token 99, outside the checkpoints' vocabulary [0, 16)"),
     ('{"tokens": [3, -1, 5, 16]}', "has token -1, outside the checkpoints' vocabulary [0, 16)"),
+    ('[3, 99, 4, "5"]', "must be a non-empty list of integer tokens"),
+    ("[-1, 3, 2.5]", "must be a non-empty list of integer tokens"),
 ], ids=["floats", "bools", "strings", "not-a-list", "no-tokens-key", "text", "empty",
-        "malformed", "beyond-vocabulary", "negative"])
+        "malformed", "beyond-vocabulary", "negative", "range-then-string", "range-then-float"])
 def test_mapreduce_rejects_a_document_that_is_not_integer_tokens(tmp_path, capsys, text,
                                                                   message):
     save_checkpoint(tmp_path / "m.json", init_params(16, 4, np.random.default_rng(0)))
