@@ -377,3 +377,64 @@ def dedup_oracle(sentences: list[list[int]], cfg) -> list[list[int]]:
         if all(jaccard_oracle(s, k) <= cfg.jaccard_threshold for k in kept):
             kept.append(s)
     return kept
+
+
+def forward_batch_oracle(params, src, src_mask, tgt_in, tgt_mask):
+    """The batched teacher-forced pass with batch-major (B, L + 1, d) state
+    arrays, one recurrence for the source and one for the target. Returns
+    logits, hidden states and the cache tuple for backward_batch_oracle."""
+    b, ls = src.shape
+    lt = tgt_in.shape[1]
+    d = params.hidden_dim
+
+    def recur(h, tokens, mask, states):
+        for s in range(tokens.shape[1]):
+            step = np.tanh(h @ params.recur.T + params.embed[tokens[:, s]])
+            h = np.where(mask[:, s, None], step, h)
+            states[:, s + 1] = h
+        return h
+
+    enc_states = np.zeros((b, ls + 1, d))
+    h = recur(np.zeros((b, d)), src, src_mask, enc_states)
+    dec_states = np.zeros((b, lt + 1, d))
+    dec_states[:, 0] = h
+    recur(h, tgt_in, tgt_mask, dec_states)
+    hidden = dec_states[:, 1:]
+    return hidden @ params.out, hidden, (src, src_mask, tgt_in, tgt_mask, enc_states, dec_states)
+
+
+def backward_batch_oracle(params, cache, dlogits, dhidden=None):
+    """Backpropagation one step at a time, every parameter gradient summed
+    inside the step loop and the embedding gradient scattered with one
+    np.add.at per step. Returns (g_embed, g_recur, g_out)."""
+    src, src_mask, tgt_in, tgt_mask, enc_states, dec_states = cache
+    b, lt, _ = dlogits.shape
+    g_embed = np.zeros_like(params.embed)
+    g_recur = np.zeros_like(params.recur)
+    g_out = np.zeros_like(params.out)
+
+    dh = np.zeros((b, params.hidden_dim))
+    for t in reversed(range(lt)):
+        h_t = dec_states[:, t + 1]
+        h_prev = dec_states[:, t]
+        g = dlogits[:, t]
+        g_out += h_t.T @ g
+        dh = dh + g @ params.out.T
+        if dhidden is not None:
+            dh = dh + dhidden[:, t]
+        active = tgt_mask[:, t, None]
+        dpre = np.where(active, dh * (1.0 - h_t**2), 0.0)
+        g_recur += dpre.T @ h_prev
+        np.add.at(g_embed, tgt_in[:, t], dpre)
+        dh = np.where(active, dpre @ params.recur, dh)
+
+    for s in reversed(range(src.shape[1])):
+        h_s = enc_states[:, s + 1]
+        h_prev = enc_states[:, s]
+        active = src_mask[:, s, None]
+        dpre = np.where(active, dh * (1.0 - h_s**2), 0.0)
+        g_recur += dpre.T @ h_prev
+        np.add.at(g_embed, src[:, s], dpre)
+        dh = np.where(active, dpre @ params.recur, dh)
+
+    return g_embed, g_recur, g_out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relkd.losses import TokenBatch, ce_loss
 from relkd.toymodel import (
@@ -20,11 +21,20 @@ from relkd.toymodel import (
     save_checkpoint,
 )
 
-from oracles import central_diff, max_rel_err
+from oracles import backward_batch_oracle, central_diff, forward_batch_oracle, max_rel_err
 
 
 def small_params(seed=0, vocab=6, dim=3):
     return init_params(vocab, dim, np.random.default_rng(seed))
+
+
+def ragged_batch(rng, vocab, src_len, tgt_len):
+    """Random src, src_mask, tgt_in, tgt_mask padded to the longest row;
+    the padded cells hold random tokens too."""
+    src_len, tgt_len = np.asarray(src_len), np.asarray(tgt_len)
+    ls, lt = src_len.max(initial=0), tgt_len.max(initial=0)
+    return (rng.integers(0, vocab, (len(src_len), ls)), np.arange(ls) < src_len[:, None],
+            rng.integers(0, vocab, (len(tgt_len), lt)), np.arange(lt) < tgt_len[:, None])
 
 
 class TestForward:
@@ -122,6 +132,139 @@ class TestBackward:
         assert value < 1e-12
         for g in (grads.embed, grads.recur, grads.out):
             assert np.abs(g).max() < 1e-9
+
+    def test_padded_ragged_batch_matches_finite_differences(self):
+        # every position of a padded batch is weighted, padded ones included:
+        # a padded step keeps the state, so its logits still depend on the
+        # parameters, and its gradient must pass through to the last real step
+        rng = np.random.default_rng(11)
+        params = small_params(seed=12, vocab=5, dim=3)
+        batch = ragged_batch(rng, 5, [3, 1, 4], [2, 4, 1])
+        gold = rng.integers(0, 5, (3, 4))
+        w_logit = rng.uniform(0.5, 1.5, (3, 4))
+        w_hidden, target = rng.uniform(0.5, 1.5, (3, 4)), rng.standard_normal((3, 4, 3))
+
+        def objective(p):
+            logits, hidden, cache = forward_batch(p, *batch)
+            z = logits - logits.max(axis=2, keepdims=True)
+            lse = np.log(np.exp(z).sum(axis=2))
+            ce = lse - np.take_along_axis(z, gold[:, :, None], axis=2)[:, :, 0]
+            gap = hidden - target
+            value = np.sum(w_logit * ce) + 0.5 * np.sum(w_hidden[:, :, None] * gap**2)
+            dlogits = w_logit[:, :, None] * (np.exp(z - lse[:, :, None]) - np.eye(5)[gold])
+            dhidden = w_hidden[:, :, None] * gap
+            return value, cache, dlogits, dhidden
+
+        _, cache, dlogits, dhidden = objective(params)
+        grads = backward_batch(params, cache, dlogits, dhidden)
+        for name in ("embed", "recur", "out"):
+            def f(x, name=name):
+                trial_params = params.copy()
+                setattr(trial_params, name, x)
+                return objective(trial_params)[0]
+
+            numeric = central_diff(f, getattr(params, name))
+            assert max_rel_err(getattr(grads, name), numeric) <= 1e-5, name
+
+
+@st.composite
+def ragged_problems(draw, dims=st.integers(2, 5)):
+    """A model and a ragged batch: 1-6 rows, source rows of 0-5 tokens and
+    target rows of 1-5, random gradients at every position (padded ones
+    included), with or without hidden-state gradients."""
+    b = draw(st.integers(1, 6))
+    vocab, dim = draw(st.integers(3, 8)), draw(dims)
+    src_len = draw(st.lists(st.integers(0, 5), min_size=b, max_size=b))
+    tgt_len = draw(st.lists(st.integers(1, 5), min_size=b, max_size=b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(vocab, dim, rng, scale=draw(st.sampled_from([0.2, 1.0, 3.0])))
+    batch = ragged_batch(rng, vocab, src_len, tgt_len)
+    lt = max(tgt_len)
+    dlogits = rng.standard_normal((b, lt, vocab))
+    dhidden = rng.standard_normal((b, lt, dim)) if draw(st.booleans()) else None
+    return params, batch, dlogits, dhidden
+
+
+def against_oracle(params, batch, dlogits, dhidden):
+    """(new, oracle) pairs of logits, hidden states and the three gradients."""
+    logits, hidden, cache = forward_batch(params, *batch)
+    grads = backward_batch(params, cache, dlogits, dhidden)
+    o_logits, o_hidden, o_cache = forward_batch_oracle(params, *batch)
+    o_grads = backward_batch_oracle(params, o_cache, dlogits, dhidden)
+    return zip((logits, hidden, grads.embed, grads.recur, grads.out),
+               (o_logits, o_hidden, *o_grads))
+
+
+class TestBatchedOracle:
+    """forward_batch and backward_batch against the step-at-a-time oracle."""
+
+    @settings(max_examples=300)
+    @given(ragged_problems())
+    def test_bit_identical_on_ragged_batches(self, problem):
+        for new, oracle in against_oracle(*problem):
+            assert np.array_equal(new, oracle)
+
+    @pytest.mark.parametrize("seed,dim", [(0, 16), (1, 16), (2, 24)])
+    def test_bit_identical_at_training_sizes(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        params = init_params(64, dim, rng)
+        batch = ragged_batch(rng, 64, rng.integers(0, 25, 32), rng.integers(1, 9, 32))
+        lt = batch[2].shape[1]
+        dhidden = rng.standard_normal((32, lt, dim)) if seed else None
+        for new, oracle in against_oracle(params, batch, rng.standard_normal((32, lt, 64)),
+                                          dhidden):
+            assert np.array_equal(new, oracle)
+
+    @settings(max_examples=100)
+    @given(ragged_problems(dims=st.just(1)))
+    def test_width_one_within_rounding(self, problem):
+        # with d = 1 the per-step gradient products are vector dot products,
+        # and BLAS sums those in an order that depends on the stride of the
+        # state vector, which the oracle's batch-major layout sets
+        for new, oracle in against_oracle(*problem):
+            assert np.allclose(new, oracle, rtol=1e-12, atol=1e-15)
+
+
+class TestBatchShapes:
+    """The batched passes reject arrays that do not fit the batch (V=8, d=3)."""
+
+    def _cache(self):
+        rng = np.random.default_rng(3)
+        params = small_params(3, vocab=8)
+        return params, forward_batch(params, *ragged_batch(rng, 8, [2, 3], [3, 1]))[2]
+
+    @pytest.mark.parametrize("shape", [(2, 2, 8), (2, 4, 8), (2, 3, 7), (1, 3, 8), (2, 3)])
+    def test_backward_rejects_misshaped_dlogits(self, shape):
+        params, cache = self._cache()
+        with pytest.raises(ValueError, match="dlogits has shape"):
+            backward_batch(params, cache, np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 4), (1, 3, 3), (2, 3)])
+    def test_backward_rejects_misshaped_dhidden(self, shape):
+        params, cache = self._cache()
+        with pytest.raises(ValueError, match="dhidden has shape"):
+            backward_batch(params, cache, np.ones((2, 3, 8)), np.ones(shape))
+
+    @pytest.mark.parametrize("which,shape", [
+        ("src", (2, 4)), ("src", (2, 2)), ("src", (1, 3)),
+        ("tgt", (2, 4)), ("tgt", (2, 2)), ("tgt", (3, 3)),
+    ])
+    def test_forward_rejects_a_mask_of_another_shape(self, which, shape):
+        params = small_params(3, vocab=8)
+        src, src_mask, tgt_in, tgt_mask = ragged_batch(np.random.default_rng(4), 8,
+                                                       [2, 3], [3, 1])
+        if which == "src":
+            src_mask = np.ones(shape, dtype=bool)
+        else:
+            tgt_mask = np.ones(shape, dtype=bool)
+        with pytest.raises(ValueError, match=f"{which}_mask has shape"):
+            forward_batch(params, src, src_mask, tgt_in, tgt_mask)
+
+    def test_forward_rejects_row_counts_that_differ(self):
+        params = small_params(3, vocab=8)
+        with pytest.raises(ValueError, match="same number of rows"):
+            forward_batch(params, np.ones((2, 3), dtype=int), np.ones((2, 3), dtype=bool),
+                          np.ones((3, 2), dtype=int), np.ones((3, 2), dtype=bool))
 
 
 class TestGenerate:
