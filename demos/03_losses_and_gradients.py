@@ -9,15 +9,16 @@ from relkd import (
     LossWeights,
     ReliabilityConfig,
     TokenBatch,
-    adaptive_tau,
     ce_loss,
     compute_anchor,
     cpdp_loss,
+    entropy,
     ewad_loss,
     inter_match_loss,
     kd_loss,
     softmax_t,
     standard_total,
+    tau_from_entropy,
 )
 
 rng = np.random.default_rng(0)
@@ -88,6 +89,6 @@ print("== per-sample adaptive temperature ==")
 cfg = AdaptiveTauConfig()
 dists = softmax_t(z_t1, 1.0)
 for h_batch in (0.5, 1.0, 1.5):
-    tau = adaptive_tau(dists, mask, h_batch, cfg)
+    tau = tau_from_entropy(entropy(dists[mask]).mean(), h_batch, cfg)
     print(f"  batch-mean entropy {h_batch:.1f} -> tau {tau:.4f}")
 print("confident samples (entropy below the batch mean) get sharper supervision.")

@@ -9,7 +9,6 @@ from .losses import (
     HiddenPair,
     LossWeights,
     TokenBatch,
-    adaptive_tau,
     ce_loss,
     compute_anchor,
     cpdp_loss,
@@ -17,6 +16,7 @@ from .losses import (
     inter_match_loss,
     kd_loss,
     standard_total,
+    tau_from_entropy,
 )
 from .reliability import (
     ReliabilityConfig,
@@ -31,8 +31,6 @@ from .teachercache import (
     MixingConfig,
     PseudoLabelRecord,
     TopKCache,
-    TopKRecord,
-    index_topk,
     read_cache,
     sample_target,
     write_cache,

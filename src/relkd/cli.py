@@ -148,8 +148,8 @@ _LIST_ENTRIES = {"pseudo_teachers": {"id": "", "checkpoint": ""}}
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                dict: "an object", list: "an array"}
 # The least value of some settings. A decoding length of 0 scores every
-# summary as empty, and a beam or a top-k cache of width 0 keeps nothing.
-_MINIMUM = {"training.gen_max_len": 1, "beam_width": 1, "cache_k": 1,
+# summary as empty, and a beam, a top-k cache or a student of width 0 keeps nothing.
+_MINIMUM = {"training.gen_max_len": 1, "beam_width": 1, "cache_k": 1, "student.hidden_dim": 1,
             "corpus.n_train": 0, "corpus.n_test": 0, "corpus.n_val": 0}
 
 
@@ -271,11 +271,14 @@ def _input(path: str | None, out_dir: str, what: str) -> str:
     return path
 
 
-def _check_vocab(cfg: dict, params: ToyModelParams, path: str) -> ToyModelParams:
-    """``params``, once checked to cover every token of the synthetic corpora."""
+def _check_vocab(cfg: dict, params: ToyModelParams, path: str,
+                 exact: bool = False) -> ToyModelParams:
+    """``params``, once checked to cover every token of the synthetic corpora,
+    and with ``exact`` (a top-k teacher, scored against the student) no more."""
     vocab = cfg["corpus"]["vocab_size"]
-    if vocab > params.vocab_size:
-        raise CliError(f"corpus.vocab_size {vocab} exceeds the vocabulary size "
+    if vocab > params.vocab_size or (exact and vocab != params.vocab_size):
+        relation = "exceeds" if vocab > params.vocab_size else "differs from"
+        raise CliError(f"corpus.vocab_size {vocab} {relation} the vocabulary size "
                        f"{params.vocab_size} of checkpoint {path}")
     return params
 
@@ -335,8 +338,8 @@ def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
             )
         )
     pseudo_idx = index_pseudo(pseudo_records)
-    caches = {t: build_topk_cache(_check_vocab(cfg, load_checkpoint(path)[0], path), corpus, k,
-                                  pseudo_idx)
+    caches = {t: build_topk_cache(_check_vocab(cfg, load_checkpoint(path)[0], path, exact=True),
+                                  corpus, k, pseudo_idx)
               for t, path in teachers.items()}
 
     if pseudo_records:

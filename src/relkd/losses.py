@@ -488,20 +488,6 @@ def compute_anchor(
     return CpdpAnchor(delta_star=float(np.atleast_1d(kl(p1, p2)).mean()))
 
 
-def adaptive_tau(
-    teacher_dists: np.ndarray,
-    mask,
-    batch_mean_entropy: float,
-    cfg: AdaptiveTauConfig,
-) -> float:
-    """Per-sample temperature from the sample's mean teacher entropy over its
-    masked positions; see ``tau_from_entropy``."""
-    mask = np.asarray(mask, dtype=bool)
-    idx = _masked_positions(mask)
-    h_bar = float(np.atleast_1d(entropy(np.asarray(teacher_dists)[idx])).mean())
-    return float(tau_from_entropy(h_bar, batch_mean_entropy, cfg))
-
-
 def tau_from_entropy(sample_entropy, batch_mean_entropy: float, cfg: AdaptiveTauConfig):
     """tau = tau_min + (tau_max - tau_min) * sigmoid(H_sample - H_batch),
     elementwise over ``sample_entropy``; the interpolant is clipped so tau

@@ -15,12 +15,12 @@ readers validate every line and report failures by line number.
 
 A top-k cache is held as one ``TopKCache``: every cached entry in flat
 arrays, checked by one vectorized pass over all positions and densified in
-one step. Three builders make one, all through the same checks:
+one step. Two builders make one, both through the same checks:
 ``read_cache`` from a file (rejecting one of the wrong ``kind`` at line 1),
-``topk_cache`` from a model's top-k rows, one row per position, and
-``index_topk`` from hand-built ``TopKRecord``s. ``write_cache`` takes either
-a ``TopKCache`` or a list of ``PseudoLabelRecord``s. Only this module knows
-the (token_id, logprob) pairs of the file format.
+and ``topk_cache`` from a model's top-k rows, one row per position.
+``write_cache`` takes either a ``TopKCache`` or a list of
+``PseudoLabelRecord``s. Only this module knows the (token_id, logprob) pairs
+of the file format.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ _NUMBER = (int, float, np.integer, np.floating)
 
 class CacheFormatError(ValueError):
     """A cache file or record violates the schema."""
-
-
-@dataclass
-class TopKRecord:
-    """Per-position top-k teacher log-probabilities for one example."""
-
-    example_id: str
-    positions: list[list[tuple[int, float]]]
-    vocab_size: int
 
 
 @dataclass
@@ -91,11 +82,11 @@ def _all_of(values, types) -> bool:
 
 
 class TopKCache:
-    """Checked top-k records as flat arrays (build one with ``read_cache``,
-    ``topk_cache`` or ``index_topk``). ``ids``/``logprobs`` hold every entry,
-    position after position; position j has entries ``bounds[j]:bounds[j + 1]``
-    and keeps mass ``mass[j]``; record r has positions ``first[r]:first[r + 1]``,
-    and ``index`` maps example ids to records. Its length is its record count.
+    """Checked top-k records as flat arrays (build one with ``read_cache`` or
+    ``topk_cache``). ``ids``/``logprobs`` hold every entry, position after
+    position; position j has entries ``bounds[j]:bounds[j + 1]`` and keeps
+    mass ``mass[j]``; record r has positions ``first[r]:first[r + 1]``, and
+    ``index`` maps example ids to records. Its length is its record count.
     """
 
     def __init__(self, example_ids, first, counts, ids, logprobs, mass, vocab_size, k):
@@ -168,12 +159,8 @@ def _build(example_ids: list, positions: list, vocab_size, k, context) -> TopKCa
 
 def _pack(example_ids, lengths, counts, ids, logprobs, vocab_size, k, context) -> TopKCache:
     """Check flat entries, ``counts[j]`` of them for position j and
-    ``lengths[r]`` positions for record r, and hold them as one TopKCache.
-    Without a ``k`` no position is too long, and the cache takes its longest
-    one as its k."""
+    ``lengths[r]`` positions for record r, and hold them as one TopKCache."""
     first = np.cumsum([0, *lengths], dtype=np.int64)
-    if k is None and example_ids:
-        k = int(counts.max(initial=0))
     mass = _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context)
     return TopKCache(example_ids, first, counts, ids, logprobs, mass, vocab_size, k)
 
@@ -223,24 +210,6 @@ def _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context) ->
         what = (f"{eid} position {j - first[r]}: "
                 + _FAULTS[int(np.argmax(bad[:, j]))].format(n=counts[j], k=k))
     raise CacheFormatError(context(r) + what)
-
-
-def index_topk(records, k: int | None = None, vocab_size: int | None = None) -> TopKCache:
-    """Pack and check hand-built TopKRecords as one TopKCache.
-
-    Every record must have ``vocab_size`` (default: the first record's) and
-    no position more than ``k`` entries (default: no limit).
-    """
-    if not _all_of([v for v in (vocab_size, k) if v is not None], _INTEGER):
-        raise CacheFormatError("vocab_size and k must be integers")
-    records = list(records)
-    if vocab_size is None and records:
-        vocab_size = records[0].vocab_size
-    for rec in records:
-        if rec.vocab_size != vocab_size:
-            raise CacheFormatError(f"{rec.example_id}: vocab_size differs from header")
-    return _build([r.example_id for r in records], [r.positions for r in records],
-                  vocab_size, k, lambda r: "")
 
 
 def topk_cache(example_ids, lengths, ids, logprobs, vocab_size: int, k: int) -> TopKCache:

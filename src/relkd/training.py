@@ -370,6 +370,8 @@ class TrainConfig:
             raise ValueError("fixed_tau must be positive")
         if self.context_limit < 1:
             raise ValueError("context_limit must be >= 1")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.lambda_override is not None and not 0.0 <= self.lambda_override <= 1.0:
@@ -490,6 +492,10 @@ def prepare_supervision(
     spec = config.spec
     wanted = [(which, topk) for which, flag, topk in
               ((1, spec.teacher1, bundle.topk1), (2, spec.teacher2, bundle.topk2)) if flag]
+    for which, topk in wanted:
+        if topk.vocab_size != corpus.vocab_size:
+            raise ValueError(f"teacher {which} cache has vocab_size {topk.vocab_size}, "
+                             f"corpus.vocab_size is {corpus.vocab_size}")
     firsts = {which: topk.first.tolist() for which, topk in wanted}
     targets, provenances, starts = [], [], {1: [], 2: []}
     for i, ex in enumerate(corpus.examples):

@@ -8,12 +8,14 @@ differences at double precision.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 
 import numpy as np
 
-from relkd.teachercache import TopKRecord
+from relkd.distmath import entropy
+from relkd.losses import tau_from_entropy
 from relkd.toymodel import BOUNDARY_ID, FIRST_CONTENT_ID
 from relkd.training import Corpus, CorpusConfig, CorpusExample, salient_threshold
 
@@ -204,22 +206,43 @@ def validate_topk_record_oracle(example_id, positions, vocab_size, k=None, mass_
 
 
 def records_of(cache):
-    """A TopKCache's records, rebuilt from its flat arrays one position and
-    one entry at a time, token ids as ints and logprobs as floats."""
+    """A TopKCache's records as (example_id, positions) pairs, rebuilt from
+    its flat arrays one position and one entry at a time, token ids as ints
+    and logprobs as floats."""
     records = []
     for r, example_id in enumerate(cache.example_ids):
         positions = []
         for j in range(int(cache.first[r]), int(cache.first[r + 1])):
             entries = range(int(cache.bounds[j]), int(cache.bounds[j + 1]))
             positions.append([(int(cache.ids[e]), float(cache.logprobs[e])) for e in entries])
-        records.append(TopKRecord(example_id, positions, cache.vocab_size))
+        records.append((example_id, positions))
     return records
+
+
+def write_raw(path, records, vocab_size, k):
+    """(example_id, positions) records as a top-k cache file, unchecked, so
+    that faults reach the reader; returns the path."""
+    header = {"version": 1, "kind": "topk", "vocab_size": vocab_size, "k": k}
+    lines = [json.dumps({"id": example_id, "positions": positions})
+             for example_id, positions in records]
+    path.write_text("\n".join([json.dumps(header), *lines]) + "\n")
+    return path
 
 
 def topk_pairs(ids, logprobs):
     """Rows of top-k token ids and logprobs as per-position lists of
     (token_id, logprob) pairs, token ids as ints and logprobs as floats."""
     return [list(zip(*row)) for row in zip(ids.tolist(), logprobs.tolist())]
+
+
+def adaptive_tau_oracle(teacher_dists, mask, batch_mean_entropy, cfg):
+    """Per-sample temperature from the sample's mean teacher entropy over its
+    masked positions, through the package's ``tau_from_entropy``: the
+    per-sequence value that each position's temperature in ``train`` equals."""
+    mask = np.asarray(mask, dtype=bool)
+    idx = np.flatnonzero(mask)
+    h_bar = float(np.atleast_1d(entropy(np.asarray(teacher_dists)[idx])).mean())
+    return float(tau_from_entropy(h_bar, batch_mean_entropy, cfg))
 
 
 def densify_oracle(positions, vocab_size):

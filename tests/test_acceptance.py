@@ -27,20 +27,18 @@ from relkd.losses import (
     HiddenPair,
     LossWeights,
     TokenBatch,
-    adaptive_tau,
     ce_loss,
     cpdp_loss,
     ewad_loss,
     inter_match_loss,
     kd_loss,
     standard_total,
+    tau_from_entropy,
 )
 from relkd.reliability import ReliabilityConfig, gate, token_reliability
 from relkd.teachercache import (
     MixingConfig,
     PseudoLabelRecord,
-    TopKRecord,
-    index_topk,
     read_cache,
     sample_target,
     write_cache,
@@ -65,6 +63,7 @@ from oracles import (
     lcs_bruteforce,
     random_instance,
     records_of,
+    write_raw,
 )
 from test_training import ewad_cpdp_step
 
@@ -211,7 +210,8 @@ class TestCriterion4AdaptiveTemperature:
         cfg = AdaptiveTauConfig(tau_min=0.5, tau_max=2.0)
         p = np.full((4, 8), 1 / 8)
         h = float(entropy(p[0]))
-        tau = adaptive_tau(p, [True] * 4, h, cfg)
+        h_p = entropy(p).mean()  # the masked mean entropy; every position is masked in
+        tau = tau_from_entropy(h_p, h, cfg)
         assert abs(tau - 1.25) <= 1e-9
 
         rng = np.random.default_rng(1004)
@@ -219,9 +219,8 @@ class TestCriterion4AdaptiveTemperature:
         for _ in range(500):
             dists = softmax_t(4.0 * rng.standard_normal((5, 8)), 1.0)
             h_batch = float(rng.uniform(-100.0, 100.0))
-            taus.append(adaptive_tau(dists, [True] * 5, h_batch, cfg))
-        taus += [adaptive_tau(p, [True] * 4, -1e6, cfg),
-                 adaptive_tau(p, [True] * 4, 1e6, cfg)]
+            taus.append(tau_from_entropy(entropy(dists).mean(), h_batch, cfg))
+        taus += [tau_from_entropy(h_p, -1e6, cfg), tau_from_entropy(h_p, 1e6, cfg)]
         assert all(0.5 < t < 2.0 for t in taus)
         _report(4, f"tau(H=H_batch)=1.25 within 1e-9; {len(taus)} emitted taus all "
                    "strictly inside (0.5, 2.0)")
@@ -300,8 +299,9 @@ class TestCriterion6InvariantSuites:
                     LossWeights(alpha_kd=a, alpha_inter=b)
             cases += 1
 
-        # cache round-trip
-        records = []
+        # cache round-trip: read -> write -> read, and a rewrite is byte-identical
+        # homogeneous vocab per file: bucket by vocabulary size
+        by_v = {}
         for i in range(300):
             v = int(rng.integers(3, 10))
             k = int(rng.integers(1, v + 1))
@@ -310,19 +310,19 @@ class TestCriterion6InvariantSuites:
                 logp = np.log(rng.dirichlet(np.ones(v)))
                 order = np.argsort(-logp)[:k]
                 positions.append([(int(t), float(logp[t])) for t in order])
-            records.append(TopKRecord(f"r{i}", positions, v))
-        cases += len(records)
+            by_v.setdefault(v, []).append((f"r{i}", positions))
+        cases += sum(map(len, by_v.values()))
 
-        import tempfile, os
+        import tempfile
+        from pathlib import Path
         with tempfile.TemporaryDirectory() as d:
-            # homogeneous vocab per file: bucket by vocabulary size
-            by_v = {}
-            for r in records:
-                by_v.setdefault(r.vocab_size, []).append(r)
             for v, recs in by_v.items():
-                path = os.path.join(d, f"c{v}.jsonl")
-                write_cache(index_topk(recs), path)
-                assert records_of(read_cache(path)) == recs
+                raw, out, again = (Path(d) / f"{name}{v}.jsonl" for name in ("raw", "a", "b"))
+                write_cache(read_cache(write_raw(raw, recs, v, v), "topk"), out)
+                back = read_cache(out, "topk")
+                assert records_of(back) == records_of(read_cache(raw, "topk")) == recs
+                write_cache(back, again)
+                assert again.read_bytes() == out.read_bytes()
 
         # chunk coverage and capacity
         for _ in range(800):

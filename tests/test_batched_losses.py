@@ -13,7 +13,6 @@ from relkd.losses import (
     LossWeights,
     Teachers,
     TokenBatch,
-    adaptive_tau,
     ce_loss,
     cpdp_loss,
     ewad_loss,
@@ -22,7 +21,7 @@ from relkd.losses import (
     standard_total,
 )
 from relkd.reliability import ReliabilityConfig
-from relkd.teachercache import MixingConfig, TopKRecord, index_topk
+from relkd.teachercache import MixingConfig, read_cache
 from relkd.toymodel import EOS_ID
 from relkd.training import (
     Corpus,
@@ -34,6 +33,7 @@ from relkd.training import (
 )
 import relkd.training as training
 
+from oracles import adaptive_tau_oracle, write_raw
 from test_training import ewad_cpdp_step, teacher_and_bundle, tiny_corpus
 
 TOL = 1e-12
@@ -231,12 +231,12 @@ def test_training_tau_equals_adaptive_tau_per_sequence(monkeypatch, mode):
         dists = [np.exp(z[s]) / np.exp(z[s]).sum(axis=1, keepdims=True) for s in seqs]
         h_batch = np.mean([np.mean(entropy(d)) for d in dists])
         for s, d in zip(seqs, dists):
-            expected = adaptive_tau(d, [True] * len(s), h_batch, cfg.adaptive_tau_cfg)
+            expected = adaptive_tau_oracle(d, [True] * len(s), h_batch, cfg.adaptive_tau_cfg)
             assert np.all(np.abs(tau[s] - expected) <= TOL)
             assert np.all(tb.seq_lengths[s] == len(s))
 
 
-def test_densify_all_positions_matches_each_position():
+def test_densify_all_positions_matches_each_position(tmp_path):
     rng = np.random.default_rng(4)
     positions = []
     for _ in range(9):
@@ -244,8 +244,7 @@ def test_densify_all_positions_matches_each_position():
         ids = rng.choice(12, size=k, replace=False)
         lps = np.sort(np.log(rng.dirichlet(np.ones(k + 1))[:k]))[::-1]
         positions.append([(int(t), float(lp)) for t, lp in zip(ids, lps)])
-    rec = TopKRecord("x", positions, 12)
-    cache = index_topk([rec])
+    cache = read_cache(write_raw(tmp_path / "c.jsonl", [("x", positions)], 12, 8), "topk")
     rows = cache.densify()
     assert rows.shape == (9, 12)
     for t in range(len(positions)):

@@ -9,6 +9,8 @@ from relkd.teachercache import read_cache
 from relkd.toymodel import generate, generate_batch, load_checkpoint
 from relkd.training import MODES
 
+from oracles import write_raw
+
 
 def write_config(path, **overrides):
     cfg = {
@@ -296,7 +298,6 @@ class TestGateTrace:
     def test_disjoint_teacher_caches_close_the_gate(self, workspace, tmp_path):
         # hand-built caches: teacher 1 certain of token 3, teacher 2 of token 4
         from relkd.cli import _corpus_cfg, load_config
-        from relkd.teachercache import TopKRecord, index_topk, write_cache
         from relkd.training import synthetic_corpus
 
         cfg_path = self._config(workspace, tmp_path / "c.json")
@@ -304,13 +305,9 @@ class TestGateTrace:
         corpus = synthetic_corpus(_corpus_cfg(load_config(str(cfg_path), None), "train"))
 
         for n, (tok, name) in enumerate([(3, "t1.jsonl"), (4, "t2.jsonl")]):
-            records = [
-                TopKRecord(ex.example_id,
-                           [[(tok, 0.0)]] * (len(ex.summary) + 1),
-                           corpus.vocab_size)
-                for ex in corpus.examples
-            ]
-            write_cache(index_topk(records, k=1), tmp_path / name)
+            records = [(ex.example_id, [[(tok, 0.0)]] * (len(ex.summary) + 1))
+                       for ex in corpus.examples]
+            write_raw(tmp_path / name, records, corpus.vocab_size, 1)
             cfg[f"teacher{n + 1}"]["cache"] = str(tmp_path / name)
         cfg_path.write_text(json.dumps(cfg))
 

@@ -183,20 +183,20 @@ def test_topk_records_match_one_forward_per_example():
     corpus = small_corpus()
     params = init_params(16, 5, np.random.default_rng(2))
     records = records_of(build_topk_cache(params, corpus, 4))
-    assert [r.example_id for r in records] == [ex.example_id for ex in corpus.examples]
-    for rec, ex in zip(records, corpus.examples):
+    assert [eid for eid, _ in records] == [ex.example_id for ex in corpus.examples]
+    for (_, positions), ex in zip(records, corpus.examples):
         logits, _ = forward(params, ex.document, list(ex.summary) + [EOS_ID])
-        assert_same_topk(rec.positions, oracle_topk(logits, 4))
+        assert_same_topk(positions, oracle_topk(logits, 4))
 
     pseudo = index_pseudo(build_pseudo_records(params, "p1", corpus, beam_width=3, max_len=5)
                           + build_pseudo_records(params, "p2", corpus, beam_width=1, max_len=4))
     variants = records_of(build_topk_cache(params, corpus, 4, pseudo))[len(records):]
     expected = [(ex, rec) for ex in corpus.examples for rec in pseudo[ex.example_id]]
     assert len(variants) == 2 * len(corpus.examples)
-    for var, (ex, rec) in zip(variants, expected):
-        assert var.example_id == pseudo_variant_id(ex.example_id, rec.teacher_id)
+    for (var_id, positions), (ex, rec) in zip(variants, expected):
+        assert var_id == pseudo_variant_id(ex.example_id, rec.teacher_id)
         logits, _ = forward(params, ex.document, rec.tokens + [EOS_ID])
-        assert_same_topk(var.positions, oracle_topk(logits, 4))
+        assert_same_topk(positions, oracle_topk(logits, 4))
     assert records_of(build_topk_cache(params, corpus, 4, {})) == records
 
 

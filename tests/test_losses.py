@@ -10,7 +10,6 @@ from relkd.losses import (
     HiddenPair,
     LossWeights,
     TokenBatch,
-    adaptive_tau,
     ce_loss,
     compute_anchor,
     cpdp_loss,
@@ -18,6 +17,7 @@ from relkd.losses import (
     inter_match_loss,
     kd_loss,
     standard_total,
+    tau_from_entropy,
 )
 from relkd.reliability import ReliabilityConfig
 
@@ -544,12 +544,12 @@ class TestAdaptiveTau:
     def test_midpoint(self):
         p = np.full((3, 4), 0.25)
         h = float(entropy(p[0]))
-        tau = adaptive_tau(p, [True] * 3, h, self.CFG)
+        tau = tau_from_entropy(entropy(p).mean(), h, self.CFG)
         assert abs(tau - 1.25) < 1e-9
 
     def test_saturation_toward_max(self):
         p = np.full((2, 4), 0.25)
-        tau = adaptive_tau(p, [True] * 2, -1e4, self.CFG)
+        tau = tau_from_entropy(entropy(p).mean(), -1e4, self.CFG)
         assert tau < 2.0
         assert abs(tau - 2.0) < 1e-9
 
@@ -558,7 +558,7 @@ class TestAdaptiveTau:
         for _ in range(200):
             p = softmax_t(3.0 * rng.standard_normal((4, 6)), 1.0)
             hb = float(rng.uniform(-50.0, 50.0))
-            tau = adaptive_tau(p, [True] * 4, hb, self.CFG)
+            tau = tau_from_entropy(entropy(p).mean(), hb, self.CFG)
             assert 0.5 < tau < 2.0
 
     def test_per_sample_scalar_oracle(self):
@@ -574,12 +574,8 @@ class TestAdaptiveTau:
         h_batch = sum(h_bars) / len(h_bars)
         for s, m, hb in zip(samples, masks, h_bars):
             expected = 0.5 + 1.5 * sigmoid_scalar(hb - h_batch)
-            got = adaptive_tau(s, m, h_batch, self.CFG)
+            got = tau_from_entropy(entropy(s[m]).mean(), h_batch, self.CFG)
             assert abs(got - expected) < 1e-12
-
-    def test_empty_mask(self):
-        with pytest.raises(ValueError):
-            adaptive_tau(np.full((2, 4), 0.25), [False, False], 1.0, self.CFG)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -9,14 +9,12 @@ from relkd.longdoc import ChunkConfig, dedup
 from relkd.teachercache import (
     MixingConfig,
     PseudoLabelRecord,
-    TopKRecord,
-    index_topk,
     read_cache,
     sample_target,
     write_cache,
 )
 
-from oracles import records_of
+from oracles import records_of, write_raw
 
 
 @st.composite
@@ -32,11 +30,12 @@ def topk_positions(draw, vocab):
 
 @st.composite
 def topk_records(draw, min_positions=0):
+    """(example_id, positions) records over a drawn vocabulary, and its size."""
     vocab = draw(st.integers(2, 12))
     n = draw(st.integers(0, 4))
-    return [TopKRecord(f"ex{i}", draw(st.lists(topk_positions(vocab), min_size=min_positions,
-                                                max_size=5)), vocab)
-            for i in range(n)]
+    return [(f"ex{i}", draw(st.lists(topk_positions(vocab), min_size=min_positions,
+                                     max_size=5)))
+            for i in range(n)], vocab
 
 
 pseudo_records = st.lists(st.builds(
@@ -50,11 +49,12 @@ pseudo_records = st.lists(st.builds(
 
 
 @given(topk_records())
-def test_topk_cache_round_trip(tmp_path_factory, records):
-    path = tmp_path_factory.mktemp("c") / "topk.jsonl"
-    write_cache(index_topk(records, vocab_size=records[0].vocab_size if records else 5,
-                           k=max((len(p) for r in records for p in r.positions), default=1)),
-                path)
+def test_topk_cache_round_trip(tmp_path_factory, case):
+    records, vocab = case
+    tmp = tmp_path_factory.mktemp("c")
+    k = max((len(p) for _, positions in records for p in positions), default=1)
+    path = tmp / "topk.jsonl"
+    write_cache(read_cache(write_raw(tmp / "raw.jsonl", records, vocab, k), "topk"), path)
     assert records_of(read_cache(path)) == records
 
 
@@ -66,11 +66,14 @@ def test_pseudo_cache_round_trip(tmp_path_factory, records):
 
 
 @given(topk_records(min_positions=1))
-def test_densify_rows_are_distributions_on_the_cached_support(records):
-    for rec in records:
-        p = index_topk([rec]).densify()
-        assert p.shape == (len(rec.positions), rec.vocab_size)
-        for row, pairs in zip(p, rec.positions):
+def test_densify_rows_are_distributions_on_the_cached_support(tmp_path_factory, case):
+    records, vocab = case
+    tmp = tmp_path_factory.mktemp("c")
+    for r, (example_id, positions) in enumerate(records):
+        path = write_raw(tmp / f"{r}.jsonl", [(example_id, positions)], vocab, vocab)
+        p = read_cache(path, "topk").densify()
+        assert p.shape == (len(positions), vocab)
+        for row, pairs in zip(p, positions):
             support = [t for t, _ in pairs]
             assert abs(row.sum() - 1.0) <= 1e-12
             assert np.all(np.delete(row, support) == 0.0)

@@ -36,7 +36,7 @@ class TestConfigTypes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "cache-teacher"])
+    @pytest.mark.parametrize("command", ["evaluate", "cache-teacher", "distill"])
     @pytest.mark.parametrize("text, path", [
         ('{"training": {"gen_max_len": 0}}', "training.gen_max_len"),
         ('{"training": {"gen_max_len": -3}}', "training.gen_max_len"),
@@ -44,6 +44,8 @@ class TestConfigTypes:
         ('{"beam_width": -1}', "beam_width"),
         ('{"cache_k": 0}', "cache_k"),
         ('{"cache_k": -2}', "cache_k"),
+        ('{"student": {"hidden_dim": 0}}', "student.hidden_dim"),
+        ('{"student": {"hidden_dim": -3}}', "student.hidden_dim"),
     ])
     def test_out_of_range_width_fails_before_any_output(self, tmp_path, capsys, text, path,
                                                          command):
@@ -317,6 +319,17 @@ def test_a_checkpoint_that_cannot_read_the_corpus_fails_before_any_output(tmp_pa
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def test_a_topk_teacher_of_a_larger_vocabulary_fails_before_any_output(tmp_path, capsys):
+    save_checkpoint(tmp_path / "teacher1.json", init_params(80, 16, np.random.default_rng(0)))
+    cfg = write_config(tmp_path / "c.json", corpus={"vocab_size": 64},
+                       teacher2={"checkpoint": None})
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 1
+    assert (f"corpus.vocab_size 64 differs from the vocabulary size 80 of checkpoint "
+            f"{tmp_path / 'teacher1.json'}") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def _gate_trace_inputs(tmp_path, student_vocab, meta):
     """Two teachers, their caches, and a student.json for ``gate-trace``."""
     for i, name in enumerate(("teacher1.json", "teacher2.json")):
@@ -342,3 +355,19 @@ def test_gate_trace_on_a_student_that_cannot_read_the_corpus_fails(tmp_path, cap
     assert ("corpus.vocab_size 16 exceeds the vocabulary size 8 of checkpoint "
             f"{tmp_path / 'student.json'}") in capsys.readouterr().err
     assert not (tmp_path / "gate_trace.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", [["distill"], ["gate-trace", "--samples", "tr00000"]])
+def test_a_topk_cache_of_another_vocabulary_is_named(tmp_path, capsys, command):
+    _gate_trace_inputs(tmp_path, 16, None)
+    cfg = write_config(tmp_path / "c.json", preset="ewad_cpdp")
+    # a valid cache whose header claims a vocabulary other than the corpus's
+    path = tmp_path / "teacher1_topk.jsonl"
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([json.dumps({**json.loads(header), "vocab_size": 80}), *lines])
+                    + "\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), *command]) == 1
+    assert ("teacher 1 cache has vocab_size 80, corpus.vocab_size is 16"
+            in capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == before

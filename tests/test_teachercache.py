@@ -8,20 +8,24 @@ from relkd.teachercache import (
     CacheFormatError,
     MixingConfig,
     PseudoLabelRecord,
-    TopKRecord,
-    index_topk,
     read_cache,
     sample_target,
+    topk_cache,
     write_cache,
 )
 from relkd.training import topk_from_logits
 
-from oracles import records_of, topk_pairs
+from oracles import records_of, topk_pairs, write_raw
 
 
-def topk_record(example_id="ex0", vocab=5):
+def topk_record(example_id="ex0"):
     lp = [math.log(0.6), math.log(0.3)]
-    return TopKRecord(example_id, [[(1, lp[0]), (3, lp[1])], [(0, lp[0]), (2, lp[1])]], vocab)
+    return (example_id, [[(1, lp[0]), (3, lp[1])], [(0, lp[0]), (2, lp[1])]])
+
+
+def topk(tmp_path, records, vocab=5, k=2):
+    """The records read back, as the CLI reads them, from a cache file."""
+    return read_cache(write_raw(tmp_path / "raw.jsonl", records, vocab, k), "topk")
 
 
 def pseudo_record(example_id="ex0", teacher="t1"):
@@ -31,7 +35,7 @@ def pseudo_record(example_id="ex0", teacher="t1"):
 class TestWriteRead:
     def test_empty_writes_header_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        n = write_cache(index_topk([], k=2, vocab_size=5), path)
+        n = write_cache(topk(tmp_path, []), path)
         assert n == 0
         assert len(path.read_text().splitlines()) == 1
         assert records_of(read_cache(path)) == []
@@ -39,7 +43,7 @@ class TestWriteRead:
     def test_topk_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         records = [topk_record(f"ex{i}") for i in range(3)]
-        assert write_cache(index_topk(records), path) == 3
+        assert write_cache(topk(tmp_path, records), path) == 3
         assert len(path.read_text().splitlines()) == 4
         assert records_of(read_cache(path)) == records
 
@@ -51,20 +55,20 @@ class TestWriteRead:
 
     def test_unsorted_logprobs_rejected_before_write(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        bad = TopKRecord("ex0", [[(1, -2.0), (3, -0.5)]], 5)
+        bad = ("ex0", [[(1, -2.0), (3, -0.5)]])
         with pytest.raises(CacheFormatError):
-            write_cache(index_topk([bad]), path)
+            write_cache(topk(tmp_path, [bad]), path)
         assert not path.exists()
 
     def test_duplicate_token_ids_rejected(self, tmp_path):
-        bad = TopKRecord("ex0", [[(1, -0.5), (1, -2.0)]], 5)
+        bad = ("ex0", [[(1, -0.5), (1, -2.0)]])
         with pytest.raises(CacheFormatError):
-            write_cache(index_topk([bad]), tmp_path / "c.jsonl")
+            write_cache(topk(tmp_path, [bad]), tmp_path / "c.jsonl")
 
     def test_excess_mass_rejected(self, tmp_path):
-        bad = TopKRecord("ex0", [[(1, 0.1), (2, -0.1)]], 5)
+        bad = ("ex0", [[(1, 0.1), (2, -0.1)]])
         with pytest.raises(CacheFormatError):
-            write_cache(index_topk([bad]), tmp_path / "c.jsonl")
+            write_cache(topk(tmp_path, [bad]), tmp_path / "c.jsonl")
 
     def test_empty_pseudo_rejected(self, tmp_path):
         bad = PseudoLabelRecord("ex0", "t1", [], "", 4)
@@ -73,7 +77,7 @@ class TestWriteRead:
 
     def test_truncated_final_line_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_cache(index_topk([topk_record("ex0"), topk_record("ex1")]), path)
+        write_cache(topk(tmp_path, [topk_record("ex0"), topk_record("ex1")]), path)
         text = path.read_text()
         path.write_text(text[: text.rindex('"positions"') + 4])
         with pytest.raises(CacheFormatError, match="line 3"):
@@ -98,45 +102,46 @@ class TestWriteRead:
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         records = [topk_record(f"ex{i}") for i in range(4)]
-        write_cache(index_topk(records), a)
-        write_cache(index_topk(records), b)
+        write_cache(topk(tmp_path, records), a)
+        write_cache(topk(tmp_path, records), b)
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestDensify:
-    def test_complete_record_reproduces_distribution(self):
+    def test_complete_record_reproduces_distribution(self, tmp_path):
         p = np.array([0.5, 0.2, 0.2, 0.1])
         pairs = sorted(
             [(i, math.log(v)) for i, v in enumerate(p)], key=lambda e: -e[1]
         )
-        rec = TopKRecord("ex0", [pairs], 4)
-        assert np.allclose(index_topk([rec]).densify([0])[0], p, atol=1e-12)
+        rec = ("ex0", [pairs])
+        assert np.allclose(topk(tmp_path, [rec], 4, 4).densify([0])[0], p, atol=1e-12)
 
-    def test_top2_renormalization(self):
+    def test_top2_renormalization(self, tmp_path):
         # top-2 of (0.6, 0.3, 0.1) renormalizes to (2/3, 1/3, 0)
-        rec = TopKRecord("ex0", [[(0, math.log(0.6)), (1, math.log(0.3))]], 3)
-        assert np.allclose(index_topk([rec]).densify([0])[0], [2 / 3, 1 / 3, 0.0], atol=1e-12)
+        rec = ("ex0", [[(0, math.log(0.6)), (1, math.log(0.3))]])
+        assert np.allclose(topk(tmp_path, [rec], 3).densify([0])[0], [2 / 3, 1 / 3, 0.0],
+                           atol=1e-12)
 
-    def test_output_is_valid_distribution(self):
+    def test_output_is_valid_distribution(self, tmp_path):
         rng = np.random.default_rng(0)
         for _ in range(100):
             v = int(rng.integers(3, 10))
             k = int(rng.integers(1, v + 1))
             logp = np.log(rng.dirichlet(np.ones(v)))
             order = np.argsort(-logp)[:k]
-            rec = TopKRecord("ex0", [[(int(i), float(logp[i])) for i in order]], v)
-            p = index_topk([rec]).densify([0])[0]
+            rec = ("ex0", [[(int(i), float(logp[i])) for i in order]])
+            p = topk(tmp_path, [rec], v, k).densify([0])[0]
             assert np.all(p >= 0)
             assert abs(p.sum() - 1.0) <= 1e-12
 
-    def test_position_out_of_range(self):
+    def test_position_out_of_range(self, tmp_path):
         with pytest.raises(IndexError):
-            index_topk([topk_record()]).densify([5])
+            topk(tmp_path, [topk_record()]).densify([5])
 
-    def test_empty_position(self):
-        rec = TopKRecord("ex0", [[]], 5)
+    def test_empty_position(self, tmp_path):
+        rec = ("ex0", [[]])
         with pytest.raises(CacheFormatError):
-            index_topk([rec]).densify([0])
+            topk(tmp_path, [rec]).densify([0])
 
 
 class TestSampleTarget:
@@ -189,11 +194,10 @@ class TestMixingConfig:
 class TestMassKept:
     def _write(self, tmp_path, k, seed=0):
         logits = np.random.default_rng(seed).standard_normal((12, 6)) * 2.0
-        records = [TopKRecord(f"ex{i}", topk_pairs(*topk_from_logits(logits[3 * i: 3 * i + 3], k)),
-                              6)
+        records = [(f"ex{i}", topk_pairs(*topk_from_logits(logits[3 * i: 3 * i + 3], k)))
                    for i in range(4)]
         path = tmp_path / "c.jsonl"
-        write_cache(index_topk(records, k=k), path)
+        write_cache(topk(tmp_path, records, 6, k), path)
         header = json.loads(path.read_text().splitlines()[0])
         return logits, records, path, header["mass_kept"]
 
@@ -211,7 +215,7 @@ class TestMassKept:
         assert records_of(read_cache(path)) == records
 
     def test_null_without_positions_and_absent_from_pseudo_caches(self, tmp_path):
-        write_cache(index_topk([], k=2, vocab_size=5), tmp_path / "c.jsonl")
+        write_cache(topk(tmp_path, []), tmp_path / "c.jsonl")
         assert json.loads((tmp_path / "c.jsonl").read_text())["mass_kept"] is None
         write_cache([pseudo_record()], tmp_path / "p.jsonl", vocab_size=5)
         assert "mass_kept" not in json.loads((tmp_path / "p.jsonl").read_text().splitlines()[0])
@@ -269,13 +273,6 @@ class TestIllTypedValues:
         with pytest.raises(CacheFormatError, match="line 1"):
             read_cache(path)
 
-    @pytest.mark.parametrize("pair", [(3.7, -0.5), (True, -0.5), ("2", "-0.5"), (2, None)])
-    def test_ill_typed_topk_record_is_not_written(self, tmp_path, pair):
-        path = tmp_path / "c.jsonl"
-        with pytest.raises(CacheFormatError):
-            write_cache(index_topk([topk_record(), TopKRecord("ex1", [[pair]], 5)]), path)
-        assert not path.exists()
-
     @pytest.mark.parametrize("tokens, beam", [([5.5, 7], 4), ([True], 4), ([5], 4.9),
                                               ([5], True), ([999], 4), ([-4], 4), ([64], 4)])
     def test_ill_typed_pseudo_record_is_not_written(self, tmp_path, tokens, beam):
@@ -294,6 +291,7 @@ class TestIllTypedValues:
 
     def test_numpy_integers_are_written_as_json_integers(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        rec = TopKRecord("ex0", [[(np.int64(1), np.float64(-0.5))]], 5)
-        write_cache(index_topk([rec]), path)
-        assert records_of(read_cache(path)) == [TopKRecord("ex0", [[(1, -0.5)]], 5)]
+        cache = topk_cache(["ex0"], [1], np.array([[1]], dtype=np.int64),
+                           np.array([[-0.5]], dtype=np.float64), 5, 1)
+        write_cache(cache, path)
+        assert records_of(read_cache(path)) == [("ex0", [[(1, -0.5)]])]

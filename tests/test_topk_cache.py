@@ -2,7 +2,6 @@
 inputs accepted and rejected, the same line and position named, and the
 same densified rows."""
 
-import json
 import math
 import re
 
@@ -13,15 +12,19 @@ from hypothesis import assume, given, strategies as st
 from relkd.teachercache import (
     CacheFormatError,
     PseudoLabelRecord,
-    TopKRecord,
-    index_topk,
     read_cache,
     topk_cache,
     write_cache,
 )
 from relkd.training import topk_from_logits
 
-from oracles import densify_oracle, records_of, topk_pairs, validate_topk_record_oracle
+from oracles import (
+    densify_oracle,
+    records_of,
+    topk_pairs,
+    validate_topk_record_oracle,
+    write_raw,
+)
 
 FAULTS = ("unsorted", "duplicate", "out_of_range", "non_finite", "over_k", "excess_mass",
           "empty_position", "empty_id", "small_vocab")
@@ -29,9 +32,10 @@ FAULTS = ("unsorted", "duplicate", "out_of_range", "non_finite", "over_k", "exce
 
 @st.composite
 def caches(draw, uniform=False):
-    """Records of one vocabulary, each position a distribution's top entries
-    sorted by descending log-probability, and the cache's k. With
-    ``uniform`` every position holds the same number of entries."""
+    """(example_id, positions) records, each position a distribution's top
+    entries sorted by descending log-probability, their vocabulary size and
+    the cache's k. With ``uniform`` every position holds the same number of
+    entries."""
     vocab = draw(st.integers(2, 12))
     k = draw(st.integers(1, vocab))
     width = draw(st.integers(1, k))
@@ -45,27 +49,27 @@ def caches(draw, uniform=False):
             total = sum(weights)
             positions.append(sorted(((t, math.log(weights[t] / total)) for t in ids),
                                     key=lambda e: -e[1]))
-        records.append(TopKRecord(f"ex{i}", positions, vocab))
-    return records, k
+        records.append((f"ex{i}", positions))
+    return records, vocab, k
 
 
 @st.composite
 def faulty_caches(draw):
     """A cache, unchanged or with one fault of FAULTS at a drawn spot."""
-    records, k = draw(caches())
+    records, vocab, k = draw(caches())
     fault = draw(st.sampled_from((None, *FAULTS)))
     if fault == "empty_id":
-        records[draw(st.integers(0, len(records) - 1))].example_id = ""
+        r = draw(st.integers(0, len(records) - 1))
+        records[r] = ("", records[r][1])
     elif fault == "small_vocab":
-        for rec in records:
-            rec.vocab_size = 1
+        vocab = 1
     elif fault is not None:
-        spots = [(r, p) for r, rec in enumerate(records) for p in range(len(rec.positions))]
+        spots = [(r, p) for r, (_, positions) in enumerate(records)
+                 for p in range(len(positions))]
         assume(spots)
         r, p = draw(st.sampled_from(spots))
-        pairs = records[r].positions[p]
+        pairs = records[r][1][p]
         j = draw(st.integers(0, len(pairs) - 1))
-        vocab = records[r].vocab_size
         if fault == "unsorted":
             pairs.reverse()
         elif fault == "duplicate":
@@ -79,24 +83,16 @@ def faulty_caches(draw):
         elif fault == "excess_mass":
             pairs[0] = (pairs[0][0], 0.5)
         else:
-            records[r].positions[p] = []
-    return records, k
+            records[r][1][p] = []
+    return records, vocab, k
 
 
-def _write_raw(path, records, k):
-    """The records as a cache file, unchecked, so that faults reach the reader."""
-    header = {"version": 1, "kind": "topk", "vocab_size": records[0].vocab_size, "k": k}
-    lines = [json.dumps({"id": r.example_id, "positions": r.positions}) for r in records]
-    path.write_text("\n".join([json.dumps(header), *lines]) + "\n")
-
-
-def _oracle(records, k):
+def _oracle(records, vocab, k):
     """(line, message) of the first fault, or None, and the masses kept."""
     masses = []
-    for line, rec in enumerate(records, start=2):
+    for line, (example_id, positions) in enumerate(records, start=2):
         try:
-            masses += validate_topk_record_oracle(rec.example_id, rec.positions,
-                                                  rec.vocab_size, k)
+            masses += validate_topk_record_oracle(example_id, positions, vocab, k)
         except ValueError as exc:
             return (line, str(exc)), masses
     return None, masses
@@ -104,81 +100,68 @@ def _oracle(records, k):
 
 @given(faulty_caches())
 def test_checks_match_the_per_record_oracle(tmp_path_factory, case):
-    records, k = case
-    path = tmp_path_factory.mktemp("c") / "topk.jsonl"
-    _write_raw(path, records, k)
-    fault, masses = _oracle(records, k)
-    out = path.with_name("written.jsonl")
+    records, vocab, k = case
+    tmp = tmp_path_factory.mktemp("c")
+    path = write_raw(tmp / "topk.jsonl", records, vocab, k)
+    fault, masses = _oracle(records, vocab, k)
     if fault is None:
         cache = read_cache(path, "topk")
         assert records_of(cache) == records
         assert np.allclose(cache.mass, masses, rtol=0, atol=1e-14)
-        assert records_of(index_topk(records, k=k)) == records
-        write_cache(index_topk(records, k=k), out)
-        assert out.exists()
+        out = tmp / "written.jsonl"
+        write_cache(cache, out)
+        assert records_of(read_cache(out, "topk")) == records
         return
     line, message = fault
     with pytest.raises(CacheFormatError) as read_err:
         read_cache(path, "topk")
     assert str(read_err.value) == f"{path} line {line}: {message}"
-    with pytest.raises(CacheFormatError) as write_err:
-        write_cache(index_topk(records, k=k), out)
-    assert str(write_err.value) == message
-    assert not out.exists()
-    # the batch of one agrees record by record
-    bad = records[line - 2]
+    # the file of the faulty record alone agrees
+    one = write_raw(tmp / "one.jsonl", [records[line - 2]], vocab, k)
     with pytest.raises(CacheFormatError) as one_err:
-        index_topk([bad], k=k)
-    assert str(one_err.value) == message
+        read_cache(one, "topk")
+    assert str(one_err.value) == f"{one} line 2: {message}"
 
 
 @given(caches(uniform=True), st.integers(0, 2**32 - 1))
 def test_whole_table_densify_is_the_oracle_bit_for_bit(tmp_path_factory, case, seed):
-    records, k = case
-    path = tmp_path_factory.mktemp("c") / "topk.jsonl"
-    write_cache(index_topk(records, k=k), path)
-    cache = read_cache(path, "topk")
-    vocab = records[0].vocab_size
+    records, vocab, k = case
+    tmp = tmp_path_factory.mktemp("c")
+    cache = read_cache(write_raw(tmp / "topk.jsonl", records, vocab, k), "topk")
     rows = cache.densify()
-    expected = [densify_oracle(r.positions, vocab) for r in records if r.positions]
+    expected = [densify_oracle(positions, vocab) for _, positions in records if positions]
     assert np.array_equal(rows, np.concatenate(expected) if expected else np.zeros((0, vocab)))
     # any gather of positions is those rows, and a record alone densifies the same
     order = np.random.default_rng(seed).permutation(len(rows))
     assert np.array_equal(cache.densify(order), rows[order])
-    for rec in records:
-        if rec.positions:
-            assert np.array_equal(index_topk([rec]).densify(),
-                                  densify_oracle(rec.positions, vocab))
+    for r, rec in enumerate(records):
+        if rec[1]:
+            alone = read_cache(write_raw(tmp / f"{r}.jsonl", [rec], vocab, k), "topk")
+            assert np.array_equal(alone.densify(), densify_oracle(rec[1], vocab))
 
 
 @given(caches())
-def test_ragged_densify_is_the_oracle_to_rounding(records_k):
-    records, _ = records_k
-    for rec in records:
-        if rec.positions:
-            rows = index_topk([rec]).densify()
-            assert np.allclose(rows, densify_oracle(rec.positions, rec.vocab_size),
-                               rtol=0, atol=1e-15)
+def test_ragged_densify_is_the_oracle_to_rounding(tmp_path_factory, case):
+    records, vocab, k = case
+    tmp = tmp_path_factory.mktemp("c")
+    for r, rec in enumerate(records):
+        if rec[1]:
+            rows = read_cache(write_raw(tmp / f"{r}.jsonl", [rec], vocab, k), "topk").densify()
+            assert np.allclose(rows, densify_oracle(rec[1], vocab), rtol=0, atol=1e-15)
             assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
 
 
-def test_records_are_found_by_index_and_by_example_id():
-    recs = [TopKRecord(f"ex{i}", [[(i, -0.5)]] * i, 5) for i in range(4)]
-    cache = index_topk(recs)
+def test_records_are_found_by_index_and_by_example_id(tmp_path):
+    recs = [(f"ex{i}", [[(i, -0.5)]] * i) for i in range(4)]
+    cache = read_cache(write_raw(tmp_path / "c.jsonl", recs, 5, 1), "topk")
     records = records_of(cache)
     assert len(cache) == 4 and records == recs
     assert records[-1] == recs[3] and records[cache.index["ex2"]] == recs[2]
     assert "ex2" in cache.index and "ex9" not in cache.index and recs[1] in records
-    assert index_topk(records, k=5).k == 5
     with pytest.raises(IndexError):
         records[4]
     with pytest.raises(KeyError):
         cache.index["ex9"]
-
-
-def test_records_of_another_vocabulary_are_rejected():
-    with pytest.raises(CacheFormatError, match="ex1: vocab_size differs"):
-        index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5), TopKRecord("ex1", [[(1, -0.5)]], 6)])
 
 
 def test_read_cache_of_kind_topk_rejects_a_pseudo_cache(tmp_path):
@@ -190,8 +173,7 @@ def test_read_cache_of_kind_topk_rejects_a_pseudo_cache(tmp_path):
 
 
 def test_read_cache_of_kind_pseudo_rejects_a_topk_cache(tmp_path):
-    path = tmp_path / "c.jsonl"
-    write_cache(index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5)]), path)
+    path = write_raw(tmp_path / "c.jsonl", [("ex0", [[(1, -0.5)]])], 5, 1)
     with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 1: a top-k cache")):
         read_cache(path, "pseudo")
     assert records_of(read_cache(path, "topk")) == records_of(read_cache(path))
@@ -222,18 +204,19 @@ def topk_rows(draw):
 
 
 @given(topk_rows())
-def test_rows_pack_as_their_pairs_do(case):
+def test_rows_pack_as_their_pairs_do(tmp_path_factory, case):
     vocab, k, lengths, ids, logprobs = case
     example_ids = [f"ex{i}" for i in range(len(lengths))]
     pairs, ends = topk_pairs(ids, logprobs), np.cumsum(lengths).tolist()
-    records = [TopKRecord(eid, pairs[end - n:end], vocab)
-               for eid, end, n in zip(example_ids, ends, lengths)]
+    records = [(eid, pairs[end - n:end]) for eid, end, n in zip(example_ids, ends, lengths)]
+    path = write_raw(tmp_path_factory.mktemp("c") / "topk.jsonl", records, vocab, k)
     try:
-        expected = index_topk(records, k=k, vocab_size=vocab)
+        expected = read_cache(path, "topk")
     except CacheFormatError as exc:
         with pytest.raises(CacheFormatError) as err:
             topk_cache(example_ids, lengths, ids, logprobs, vocab, k)
-        assert str(err.value) == str(exc)
+        line = example_ids.index(str(err.value).split()[0]) + 2
+        assert str(exc) == f"{path} line {line}: {err.value}"
         return
     cache = topk_cache(example_ids, lengths, ids, logprobs, vocab, k)
     assert records_of(cache) == records_of(expected) == records
@@ -249,29 +232,14 @@ def test_rows_must_match_the_record_lengths():
             topk_cache(["ex0"], lengths, *rows, 5, 2)
 
 
-@pytest.mark.parametrize("options", [{"k": True}, {"k": 2.0}, {"vocab_size": True},
-                                     {"vocab_size": "5"}])
-def test_ill_typed_k_or_vocab_size_is_rejected(options):
-    with pytest.raises(CacheFormatError, match="vocab_size and k must be integers"):
-        index_topk([TopKRecord("ex0", [[(1, -0.5)]], 5)], **options)
-
-
-@pytest.mark.parametrize("cache", [index_topk([]), index_topk([], k=2),
-                                   index_topk([], vocab_size=5)])
-def test_an_empty_cache_without_vocab_size_or_k_is_not_written(tmp_path, cache):
-    path = tmp_path / "c.jsonl"
-    with pytest.raises(CacheFormatError, match="vocab_size and k are required"):
-        write_cache(cache, path)
-    assert not path.exists()
-
-
 def test_what_write_cache_does_not_take_is_not_written(tmp_path):
     path = tmp_path / "c.jsonl"
-    rec = TopKRecord("ex0", [[(1, -0.5)]], 5)
-    with pytest.raises(CacheFormatError, match="unsupported record type TopKRecord"):
+    rec = ("ex0", [[(1, -0.5)]])
+    with pytest.raises(CacheFormatError, match="unsupported record type tuple"):
         write_cache([rec], path)
+    cache = read_cache(write_raw(tmp_path / "raw.jsonl", [rec], 5, 1), "topk")
     with pytest.raises(CacheFormatError, match="its own vocab_size"):
-        write_cache(index_topk([rec]), path, vocab_size=6)
+        write_cache(cache, path, vocab_size=6)
     with pytest.raises(CacheFormatError, match="vocab_size and k are required"):
         write_cache([PseudoLabelRecord("ex0", "t1", [4], "4", 1)], path)
     assert not path.exists()

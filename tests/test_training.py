@@ -38,6 +38,7 @@ from relkd.training import (
 )
 
 from oracles import (
+    adaptive_tau_oracle,
     central_diff,
     cpdp_forward_scalar,
     ewad_forward_scalar,
@@ -167,12 +168,12 @@ class TestEndToEndGradients:
         # the adaptive temperature depends only on teacher entropy, so it is
         # a constant during differentiation; the check runs at that tau
         from relkd.distmath import softmax_t
-        from relkd.losses import AdaptiveTauConfig, adaptive_tau
+        from relkd.losses import AdaptiveTauConfig
 
         params, doc, tgt, z_t1, _ = self._setup(7)
         w = LossWeights(alpha_kd=0.3)
-        tau = adaptive_tau(softmax_t(z_t1, 1.0), [True] * len(tgt), 1.0,
-                           AdaptiveTauConfig())
+        tau = adaptive_tau_oracle(softmax_t(z_t1, 1.0), [True] * len(tgt), 1.0,
+                                  AdaptiveTauConfig())
         assert 0.5 < tau < 2.0
 
         def mode_fn(logits, hidden):
@@ -377,6 +378,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(loss_mode="CE", seed=-1)
 
+    @pytest.mark.parametrize("hidden_dim", [0, -3])
+    def test_student_without_width_rejected(self, hidden_dim):
+        with pytest.raises(ValueError, match=f"hidden_dim must be >= 1, got {hidden_dim}"):
+            TrainConfig(loss_mode="CE", hidden_dim=hidden_dim)
+
 
 class TestCacheBridge:
     def test_full_k_cache_reproduces_teacher_distributions(self):
@@ -393,6 +399,17 @@ class TestCacheBridge:
                                              SupervisionBundle(topk1=records))
         cached = teachers.logits(1)[:len(target)]  # the first example's rows
         assert np.allclose(softmax_t(cached, 1.0), softmax_t(logits, 1.0), atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["A2", "EWAD"])
+    def test_cache_of_another_vocabulary_rejected(self, mode):
+        corpus = tiny_corpus(n=2)
+        t1 = init_params(corpus.vocab_size, 5, np.random.default_rng(0))
+        cache = build_topk_cache(t1, corpus, 4)
+        wider = Corpus(corpus.examples, corpus.vocab_size + 4)
+        with pytest.raises(ValueError, match=f"teacher 1 cache has vocab_size {corpus.vocab_size}, "
+                                             f"corpus.vocab_size is {corpus.vocab_size + 4}"):
+            prepare_supervision(TrainConfig(loss_mode=mode), wider,
+                                SupervisionBundle(topk1=cache, topk2=cache))
 
     def test_length_mismatch_rejected(self):
         corpus = tiny_corpus(n=2)
