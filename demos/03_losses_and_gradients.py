@@ -8,6 +8,7 @@ from relkd import (
     HiddenPair,
     LossWeights,
     ReliabilityConfig,
+    Teachers,
     TokenBatch,
     ce_loss,
     compute_anchor,
@@ -28,7 +29,7 @@ mask = np.array([True, True, True, True, False])  # final position is padding
 z_s = 1.5 * rng.standard_normal((T, V))
 z_t1 = 1.5 * rng.standard_normal((T, V))
 z_t2 = 1.5 * rng.standard_normal((T, V))
-batch = TokenBatch(gold, mask, z_s, teacher1_logits=z_t1, teacher2_logits=z_t2)
+batch = TokenBatch(gold, mask, z_s, Teachers(z_t1, z_t2))
 rcfg = ReliabilityConfig()
 
 
@@ -44,7 +45,7 @@ def fd_check(name, grad, value_fn, h=1e-6):
 
 
 def rebuild(z):
-    return TokenBatch(gold, mask, z, teacher1_logits=z_t1, teacher2_logits=z_t2)
+    return TokenBatch(gold, mask, z, Teachers(z_t1, z_t2))
 
 
 print("== gold cross-entropy ==")
@@ -60,7 +61,7 @@ fd_check("kd", g, lambda z: kd_loss(rebuild(z), 0.8)[0])
 print("== hidden-state match through a learned projection ==")
 hp = HiddenPair(rng.standard_normal((T, 3)), rng.standard_normal((T, 4)),
                 rng.standard_normal((3, 4)))
-v, gh, gw = inter_match_loss(hp, mask)
+v, gh, gw = inter_match_loss(batch, hp)
 print(f"  value {v:.4f} (0 when projected student is parallel to teacher)")
 
 print("== composite baseline: 0.89*CE + 0.01*KD + 0.10*Inter ==")

@@ -8,6 +8,7 @@ from .losses import (
     CpdpAnchor,
     HiddenPair,
     LossWeights,
+    Teachers,
     TokenBatch,
     ce_loss,
     compute_anchor,

@@ -308,7 +308,7 @@ def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
         bundle.pseudo = index_pseudo(read_cache(path, "pseudo"))
     if spec.hidden:
         path = _input(cfg["teacher1"]["checkpoint"], out_dir, "teacher1 checkpoint")
-        bundle.teacher_params, _ = load_checkpoint(path)
+        bundle.teacher_params = _check_vocab(cfg, load_checkpoint(path)[0], path)
     return bundle
 
 
@@ -331,12 +331,14 @@ def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
     pseudo_records = []
     for tid, path in pseudo_teachers:
         params = _check_vocab(cfg, load_checkpoint(path)[0], path)
-        pseudo_records.extend(
-            build_pseudo_records(
-                params, tid, corpus,
-                beam_width=cfg["beam_width"], max_len=cfg["training"]["gen_max_len"],
-            )
-        )
+        records = build_pseudo_records(params, tid, corpus, beam_width=cfg["beam_width"],
+                                       max_len=cfg["training"]["gen_max_len"])
+        for rec in records:
+            if max(rec.tokens) >= corpus.vocab_size:
+                raise CliError(f"pseudo teacher {tid} (checkpoint {path}) emits token "
+                               f"{max(rec.tokens)} for example {rec.example_id}, outside "
+                               f"corpus.vocab_size {corpus.vocab_size}")
+        pseudo_records.extend(records)
     pseudo_idx = index_pseudo(pseudo_records)
     caches = {t: build_topk_cache(_check_vocab(cfg, load_checkpoint(path)[0], path, exact=True),
                                   corpus, k, pseudo_idx)

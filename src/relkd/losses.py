@@ -6,9 +6,12 @@ hiddens and the projection). Teachers are frozen supervision: no gradient
 flows into teacher distributions, reliability weights, or the trust gate.
 
 Conventions shared by all losses:
-  * aggregation is the mean over masked (non-padding) positions; a batch of
-    flattened sequences gets the sum of its per-sequence means (see
-    ``TokenBatch``);
+  * every loss reads only the masked (non-padding) rows that ``TokenBatch``
+    gathers, and gets its gradient rows laid back out over all positions by
+    ``TokenBatch.expand``;
+  * aggregation is the mean over masked positions; a batch of sequences
+    laid out in the rows, padded or not, gets the sum of its per-sequence
+    means (see ``TokenBatch``);
   * reliability quantities (confidence, agreement, gate) are computed from
     raw teacher softmaxes, while distillation KL terms use the distillation
     temperature;
@@ -109,10 +112,14 @@ class Teachers:
         self.present = frozenset(key[1] for key in self._memo)
 
     def take(self, rows) -> Teachers:
-        """The teachers at ``rows``, sharing everything computed for these."""
+        """The teachers at ``rows``, sharing everything computed for these. A
+        view's rows are composed onto its parent's, so views do not nest."""
+        rows = np.asarray(rows, dtype=int)
+        if self._parent is not None:
+            return self._parent.take(self._rows[rows])
         view = Teachers()
-        view._parent, view._rows, view.present = self, np.asarray(rows, dtype=int), self.present
-        view.shape = self.shape and (view._rows.size, self.shape[1])
+        view._parent, view._rows, view.present = self, rows, self.present
+        view.shape = self.shape and (rows.size, self.shape[1])
         return view
 
     def _get(self, key, compute):
@@ -153,12 +160,17 @@ class Teachers:
 
 class TokenBatch:
     """Teacher-forced positions: gold ids, padding mask, (T, V) student
-    logits, each position's ``sequence`` and the teachers at the positions.
+    logits, the teachers at the positions and each position's ``sequence``.
 
-    Masked positions of sequence j weigh 1/m_j, so every loss is the masked
-    mean of one sequence, or the sum of the per-sequence means of a batch
-    flattened into the rows (the caller divides by B). Weighting divides by
-    m_j as a per-sequence call does, so the rows match it bit for bit.
+    The full arrays are checked, then only the masked rows are kept:
+    ``gold_ids``, ``student_logits``, ``teachers`` and ``seq_lengths`` hold
+    one row per entry of ``positions``, and ``expand`` lays such rows back
+    out over all T. ``mask`` keeps its full length. Masked positions of
+    sequence j weigh 1/m_j, so every loss is the masked mean of one
+    sequence, or the sum of the per-sequence means of a batch of sequences
+    laid out in the rows, padded or not (the caller divides by B).
+    Weighting divides by m_j as a per-sequence call does, so the rows match
+    it bit for bit.
     """
 
     def __init__(
@@ -166,39 +178,37 @@ class TokenBatch:
         gold_ids,
         mask,
         student_logits,
-        teacher1_logits=None,
-        teacher2_logits=None,
+        teachers: Teachers | None = None,
         *,
         sequence=None,
-        teachers: Teachers | None = None,
     ) -> None:
-        self.gold_ids = np.asarray(gold_ids, dtype=int)
+        gold_ids = np.asarray(gold_ids, dtype=int)
         self.mask = np.asarray(mask, dtype=bool)
-        self.student_logits = np.asarray(student_logits, dtype=float)
-        if self.student_logits.ndim != 2:
+        student_logits = np.asarray(student_logits, dtype=float)
+        if student_logits.ndim != 2:
             raise ValueError("student_logits must have shape (T, V)")
-        t, v = self.student_logits.shape
+        t, v = student_logits.shape
         if t < 1:
             raise ValueError("batch must contain at least one position")
-        if self.gold_ids.shape != (t,) or self.mask.shape != (t,):
+        if gold_ids.shape != (t,) or self.mask.shape != (t,):
             raise ValueError("gold_ids and mask must have length T")
-        if np.any(self.gold_ids < 0) or np.any(self.gold_ids >= v):
+        if np.any(gold_ids < 0) or np.any(gold_ids >= v):
             raise ValueError("gold ids must lie in [0, vocab)")
-        if not np.all(np.isfinite(self.student_logits)):
+        if not np.all(np.isfinite(student_logits)):
             raise ValueError("student logits must be finite")
-        if teachers is None:
-            teachers = Teachers(teacher1_logits, teacher2_logits)
-        elif teacher1_logits is not None or teacher2_logits is not None:
-            raise ValueError("pass teacher logits or teachers, not both")
+        teachers = Teachers() if teachers is None else teachers
         if teachers.shape not in (None, (t, v)):
             raise ValueError("teacher logits must have shape (T, V)")
-        self.teachers = teachers
-        self.positions = _masked_positions(self.mask)
+        self.positions = p = np.flatnonzero(self.mask)
+        if p.size == 0:
+            raise ValueError("mask selects no positions; masked mean is undefined")
         seq = np.zeros(t, dtype=int) if sequence is None else np.asarray(sequence, dtype=int)
         if seq.shape != (t,) or np.any(seq < 0):
             raise ValueError("sequence must hold one non-negative index per position")
+        self.gold_ids, self.student_logits = gold_ids[p], student_logits[p]
+        self.teachers = teachers.take(p)
         # m_j of the sequence of each masked position
-        self.seq_lengths = np.bincount(seq[self.positions])[seq[self.positions]].astype(float)
+        self.seq_lengths = np.bincount(seq[p])[seq[p]].astype(float)
 
     def weigh(self, rows: np.ndarray) -> np.ndarray:
         """Values or gradient rows, one per masked position, weighted 1/m_j
@@ -210,12 +220,20 @@ class TokenBatch:
         over the sequences."""
         return float(self.weigh(values).sum())
 
+    def expand(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of any width, one per masked position, laid out over all T
+        positions with zeros at padding."""
+        out = np.zeros((self.mask.size, *rows.shape[1:]))
+        out[self.positions] = rows
+        return out
+
     def temperature(self, tau):
-        """``tau`` checked: a scalar, or a (T, 1) column of one per position."""
+        """``tau`` checked: a scalar, or one per position (all T), returned
+        as a column over the masked positions."""
         tau = np.asarray(tau, dtype=float)
         if tau.shape not in ((), self.mask.shape) or not np.all(tau > 0):
             raise ValueError("temperatures must be positive, a scalar or one per position")
-        return float(tau) if tau.ndim == 0 else tau[:, None]
+        return float(tau) if tau.ndim == 0 else tau[self.positions, None]
 
 
 class HiddenPair:
@@ -279,57 +297,36 @@ class StandardGrads:
     components: dict[str, float] = field(default_factory=dict)
 
 
-def _masked_positions(mask: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("mask selects no positions; masked mean is undefined")
-    return idx
-
-
 def ce_loss(batch: TokenBatch) -> tuple[float, np.ndarray]:
     """Gold negative log-likelihood, averaged over masked positions."""
-    idx = batch.positions
-    rows, gold = np.arange(idx.size), batch.gold_ids[idx]
-    logp = log_softmax_scaled(batch.student_logits[idx])
+    rows, gold = np.arange(batch.gold_ids.size), batch.gold_ids
+    logp = log_softmax_scaled(batch.student_logits)
     value = -batch.aggregate(logp[rows, gold])
 
-    grad = np.zeros_like(batch.student_logits)
     p = np.exp(logp)
     p[rows, gold] -= 1.0
-    grad[idx] = batch.weigh(p)
-    return value, grad
+    return value, batch.expand(batch.weigh(p))
 
 
 def kd_loss(batch: TokenBatch, tau) -> tuple[float, np.ndarray]:
     """tau^2-scaled KL between temperature-softened teacher and student;
     ``tau`` is a scalar or one temperature per position."""
     tau = batch.temperature(tau)
-    idx = batch.positions
-    p_t = batch.teachers.probs(1, tau)[idx]
-    tau_m = tau if np.ndim(tau) == 0 else tau[idx]
-    p_s = softmax_scaled(batch.student_logits[idx] / tau_m)
-    value = batch.aggregate(np.ravel(tau_m * tau_m) * kl(p_t, p_s))
-
-    grad = np.zeros_like(batch.student_logits)
-    grad[idx] = batch.weigh(tau_m * (p_s - p_t))
-    return value, grad
+    p_t = batch.teachers.probs(1, tau)
+    p_s = softmax_scaled(batch.student_logits / tau)
+    value = batch.aggregate(np.ravel(tau * tau) * kl(p_t, p_s))
+    return value, batch.expand(batch.weigh(tau * (p_s - p_t)))
 
 
-def inter_match_loss(
-    h: HiddenPair, mask, seq_lengths=None
-) -> tuple[float, np.ndarray, np.ndarray]:
+def inter_match_loss(batch: TokenBatch, h: HiddenPair) -> tuple[float, np.ndarray, np.ndarray]:
     """Squared distance between unit-normalized projected student hiddens and
-    unit-normalized teacher hiddens, averaged over masked positions; returns
-    (value, d/d_hidden, d/d_proj). ``seq_lengths`` (``TokenBatch.seq_lengths``)
-    weighs each masked position 1/m_j instead, for a batch of sequences."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (h.student_hidden.shape[0],):
-        raise ValueError("mask must have one entry per position")
-    idx = _masked_positions(mask)
-    m = np.full(idx.size, float(idx.size)) if seq_lengths is None else np.asarray(seq_lengths)
-
-    hs = h.student_hidden[idx]
-    ht = h.teacher_hidden[idx]
+    unit-normalized teacher hiddens at the batch's masked positions, weighed
+    as the other losses are; ``h`` holds one row per batch position.
+    Returns (value, d/d_hidden, d/d_proj)."""
+    if h.student_hidden.shape[0] != batch.mask.size:
+        raise ValueError("hidden states must have one row per batch position")
+    hs = h.student_hidden[batch.positions]
+    ht = h.teacher_hidden[batch.positions]
     a = hs @ h.projection
     na = np.linalg.norm(a, axis=1)
     nt = np.linalg.norm(ht, axis=1)
@@ -337,15 +334,12 @@ def inter_match_loss(
         raise ValueError("zero-norm hidden vector; normalization undefined")
     u = a / na[:, None]
     v = ht / nt[:, None]
-    value = float((((u - v) ** 2).sum(axis=1) / m).sum())
+    value = batch.aggregate(((u - v) ** 2).sum(axis=1))
 
     # d||u - v||^2 / da = 2((u.v) u - v) / ||a||, with u = a/||a||.
     uv = (u * v).sum(axis=1)
     da = 2.0 * (uv[:, None] * u - v) / na[:, None]
-    grad_hidden = np.zeros_like(h.student_hidden)
-    grad_hidden[idx] = da @ h.projection.T / m[:, None]
-    grad_proj = hs.T @ (da / m[:, None])
-    return value, grad_hidden, grad_proj
+    return value, batch.expand(batch.weigh(da @ h.projection.T)), hs.T @ batch.weigh(da)
 
 
 def standard_total(
@@ -376,7 +370,7 @@ def standard_total(
     if weights.alpha_inter > 0:
         if h is None:
             raise ValueError("alpha_inter > 0 requires hidden states")
-        iv, gh, gw = inter_match_loss(h, batch.mask, batch.seq_lengths)
+        iv, gh, gw = inter_match_loss(batch, h)
         value += weights.alpha_inter * iv
         grads.hidden = weights.alpha_inter * gh
         grads.projection = weights.alpha_inter * gw
@@ -406,17 +400,13 @@ def ewad_loss(
     """
     tau = batch.temperature(tau)
     teachers = batch.teachers
-    idx = batch.positions
-    rows, gold = np.arange(idx.size), batch.gold_ids[idx]
-    c1, c2, w1, w2, a, lam = (
-        x[idx] for x in teachers.reliability(rcfg, lambda_override, equal_weights)
-    )
+    rows, gold = np.arange(batch.gold_ids.size), batch.gold_ids
+    c1, c2, w1, w2, a, lam = teachers.reliability(rcfg, lambda_override, equal_weights)
 
-    t1_soft = teachers.probs(1, tau)[idx]
-    t2_soft = teachers.probs(2, tau)[idx]
-    tau_m = tau if np.ndim(tau) == 0 else tau[idx]
-    z = batch.student_logits[idx]
-    s_soft = softmax_scaled(z / tau_m)
+    t1_soft = teachers.probs(1, tau)
+    t2_soft = teachers.probs(2, tau)
+    z = batch.student_logits
+    s_soft = softmax_scaled(z / tau)
     kd_term = w1 * kl(t1_soft, s_soft) + w2 * kl(t2_soft, s_soft)
 
     logp = log_softmax_scaled(z)
@@ -427,9 +417,8 @@ def ewad_loss(
     ce_g = np.exp(logp)
     ce_g[rows, gold] -= 1.0
     mix = w1[:, None] * t1_soft + w2[:, None] * t2_soft
-    kd_g = (s_soft - mix) / tau_m
-    grad = np.zeros_like(batch.student_logits)
-    grad[idx] = batch.weigh(lam[:, None] * kd_g + (1.0 - lam)[:, None] * ce_g)
+    kd_g = (s_soft - mix) / tau
+    grad = batch.expand(batch.weigh(lam[:, None] * kd_g + (1.0 - lam)[:, None] * ce_g))
 
     trace = EwadTrace(c1=c1, c2=c2, w1=w1, w2=w2, agreement=a, gate=lam,
                       kd_term=kd_term, ce_term=ce_term)
@@ -449,11 +438,9 @@ def cpdp_loss(
     escape; clamped positions contribute zero gradient.
     """
     teachers = batch.teachers
-    idx = batch.positions
-
-    p_s = softmax_scaled(batch.student_logits[idx])
-    kl1 = kl(teachers.probs(1)[idx], p_s)
-    kl2 = kl(teachers.probs(2)[idx], p_s)
+    p_s = softmax_scaled(batch.student_logits)
+    kl1 = kl(teachers.probs(1), p_s)
+    kl2 = kl(teachers.probs(2), p_s)
     h_s = entropy(p_s)
     floored = h_s < ENTROPY_FLOOR
     h_eff = np.where(floored, ENTROPY_FLOOR, h_s)
@@ -467,8 +454,7 @@ def cpdp_loss(
     # With H held constant, d(KL1 - KL2)/dz_S = p_T2 - p_T1: the student
     # softmax cancels between the two divergences.
     coeff = np.where(clamped, 0.0, 2.0 * ratio / h_eff)
-    grad = np.zeros_like(batch.student_logits)
-    grad[idx] = batch.weigh(coeff[:, None] * teachers.divergence_gap_direction()[idx])
+    grad = batch.expand(batch.weigh(coeff[:, None] * teachers.divergence_gap_direction()))
 
     trace = CpdpTrace(kl_t1=kl1, kl_t2=kl2, student_entropy=h_s, ratio=ratio,
                       value=value_tok, clamped=clamped, entropy_floored=floored)

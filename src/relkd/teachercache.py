@@ -267,7 +267,10 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         unknown = set(map(type, records)) - {PseudoLabelRecord}
         if unknown:
             raise CacheFormatError(f"unsupported record type {unknown.pop().__name__}")
-        if vocab_size is not None and not _all_of([vocab_size], _INTEGER):
+        if vocab_size is None:
+            raise CacheFormatError("pseudo-label records are written with a vocab_size, "
+                                   "the vocabulary their tokens must lie in")
+        if not _all_of([vocab_size], _INTEGER):
             raise CacheFormatError("vocab_size must be an integer")
         for rec in records:
             validate_pseudo_record(rec, vocab_size)
@@ -275,8 +278,6 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
                              "beam": int(rec.beam_width), "tokens": [int(t) for t in rec.tokens],
                              "text": rec.text}, sort_keys=True)
                  for rec in records]
-    if vocab_size is None or k is None:
-        raise CacheFormatError("vocab_size and k are required when they cannot be inferred")
     header.update(vocab_size=int(vocab_size), k=int(k))
     try:
         write_text_atomic(path, "\n".join([json.dumps(header, sort_keys=True), *lines]) + "\n")

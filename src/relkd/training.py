@@ -3,7 +3,7 @@ loss-mode wiring, and plain gradient descent.
 
 Loss modes mirror the staged experiment arms (CE, A2-A5, EWAD, EWAD_CPDP).
 The ``MODES`` table below describes each one once: what it consumes and its
-loss step, one call per batch over the batch's flattened target positions.
+loss step, one call per batch over the batch's padded target positions.
 
 Everything is deterministic given (seed, config, corpus): rng streams are
 derived from the seed per consumer, batch order is a seeded permutation, and
@@ -563,7 +563,7 @@ def train(
 ) -> TrainResult:
     """Plain gradient descent under the configured loss mode.
 
-    Each batch is one loss call over its flattened target positions; the
+    Each batch is one loss call over its padded target positions; the
     objective is the mean of the per-sequence means. Deterministic for
     a fixed (config, corpus, bundle). Raises TrainingDiverged if the loss
     leaves the finite range.
@@ -584,12 +584,10 @@ def train(
     teacher_hidden = None
     if spec.hidden:
         # the teacher is frozen: its hidden state at every target position, once
-        tgt_mask_all = np.arange(tgt_all.shape[1]) < tgt_len[:, None]
-        _, hidden_all, _ = forward_batch(
+        _, teacher_hidden, _ = forward_batch(
             bundle.teacher_params, src_all, np.arange(src_all.shape[1]) < src_len[:, None],
-            tgt_in_all, tgt_mask_all,
+            tgt_in_all, np.arange(tgt_all.shape[1]) < tgt_len[:, None],
         )
-        teacher_hidden = hidden_all[tgt_mask_all]
 
     params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
     projection = None
@@ -619,32 +617,27 @@ def train(
             tgt_mask = np.arange(lt) < tgt_len[batch_idx, None]
 
             logits, hidden, fcache = forward_batch(params, src, src_mask, tgt_in, tgt_mask)
-            m = tgt_len[batch_idx]
             tau = config.fixed_tau
             if spec.adaptive_tau:
                 h = entropies[batch_idx]
                 hbar_sum += float(np.sum(h))
                 hbar_count += bsz
                 tau = np.repeat(
-                    tau_from_entropy(h, float(np.mean(h)), config.adaptive_tau_cfg), m
+                    tau_from_entropy(h, float(np.mean(h)), config.adaptive_tau_cfg), lt
                 )
-            rows = (offsets[batch_idx, None] + np.arange(lt))[tgt_mask]
-            tb = TokenBatch(
-                tgt[tgt_mask], np.ones(m.sum(), dtype=bool), logits[tgt_mask],
-                sequence=np.repeat(np.arange(bsz), m), teachers=teachers.take(rows),
-            )
+            # padded positions point at teacher row 0, which TokenBatch never reads
+            rows = np.where(tgt_mask, offsets[batch_idx, None] + np.arange(lt), 0)
+            tb = TokenBatch(tgt.ravel(), tgt_mask.ravel(), logits.reshape(bsz * lt, v),
+                            teachers.take(rows.ravel()), sequence=np.repeat(np.arange(bsz), lt))
             hp = None
             if spec.hidden:
-                hp = HiddenPair(hidden[tgt_mask], teacher_hidden[rows], projection)
+                hp = HiddenPair(hidden.reshape(bsz * lt, -1),
+                                teacher_hidden[batch_idx, :lt].reshape(bsz * lt, -1), projection)
 
             # the loss sums the per-sequence means; the objective is their mean
             value, g, etr, ctr = spec.step(config, tb, tau, hp, anchor)
-            dlogits = np.zeros_like(logits)
-            dlogits[tgt_mask] = g.logits / bsz
-            dhidden = None
-            if g.hidden is not None:
-                dhidden = np.zeros_like(hidden)
-                dhidden[tgt_mask] = g.hidden / bsz
+            dlogits = g.logits.reshape(logits.shape) / bsz
+            dhidden = None if g.hidden is None else g.hidden.reshape(hidden.shape) / bsz
 
             grads = backward_batch(params, fcache, dlogits, dhidden)
             params.embed -= config.learning_rate * grads.embed

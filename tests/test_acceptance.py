@@ -26,6 +26,7 @@ from relkd.losses import (
     CpdpAnchor,
     HiddenPair,
     LossWeights,
+    Teachers,
     TokenBatch,
     ce_loss,
     cpdp_loss,
@@ -77,8 +78,8 @@ def _report(n, text):
 def _batch(inst, teachers=0):
     return TokenBatch(
         inst["gold"], inst["mask"], inst["z_s"],
-        teacher1_logits=inst["z_t1"] if teachers >= 1 else None,
-        teacher2_logits=inst["z_t2"] if teachers >= 2 else None,
+        teachers=Teachers(inst["z_t1"] if teachers >= 1 else None,
+                          inst["z_t2"] if teachers >= 2 else None),
     )
 
 
@@ -108,21 +109,21 @@ class TestCriterion1GradientCorrectness:
             _, g = kd_loss(_batch(inst, 1), tau)
             record("kd", g,
                    lambda z: kd_loss(TokenBatch(inst["gold"], inst["mask"], z,
-                                                teacher1_logits=inst["z_t1"]), tau)[0],
+                                                teachers=Teachers(inst["z_t1"])), tau)[0],
                    inst["z_s"])
 
             t = len(inst["gold"])
             hp = HiddenPair(rng.standard_normal((t, 3)) + 0.1,
                             rng.standard_normal((t, 4)) + 0.1,
                             rng.standard_normal((3, 4)))
-            _, gh, gw = inter_match_loss(hp, inst["mask"])
+            _, gh, gw = inter_match_loss(_batch(inst), hp)
             record("inter/hidden", gh,
                    lambda x: inter_match_loss(
-                       HiddenPair(x, hp.teacher_hidden, hp.projection), inst["mask"])[0],
+                       _batch(inst), HiddenPair(x, hp.teacher_hidden, hp.projection))[0],
                    hp.student_hidden)
             record("inter/proj", gw,
                    lambda w: inter_match_loss(
-                       HiddenPair(hp.student_hidden, hp.teacher_hidden, w), inst["mask"])[0],
+                       _batch(inst), HiddenPair(hp.student_hidden, hp.teacher_hidden, w))[0],
                    hp.projection)
 
             weights = LossWeights(alpha_kd=0.2, alpha_inter=0.1)
@@ -130,14 +131,13 @@ class TestCriterion1GradientCorrectness:
             record("standard", grads.logits,
                    lambda z: standard_total(
                        TokenBatch(inst["gold"], inst["mask"], z,
-                                  teacher1_logits=inst["z_t1"]), hp, weights, tau)[0],
+                                  teachers=Teachers(inst["z_t1"])), hp, weights, tau)[0],
                    inst["z_s"])
 
             _, g, _ = ewad_loss(_batch(inst, 2), RCFG, tau)
             record("ewad", g,
                    lambda z: ewad_loss(TokenBatch(inst["gold"], inst["mask"], z,
-                                                  teacher1_logits=inst["z_t1"],
-                                                  teacher2_logits=inst["z_t2"]),
+                                                  teachers=Teachers(inst["z_t1"], inst["z_t2"])),
                                        RCFG, tau)[0],
                    inst["z_s"])
 

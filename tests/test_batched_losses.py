@@ -1,7 +1,10 @@
-"""One loss call per batch: over the flattened positions of B ragged
-sequences, each masked position weighted 1/m_j, every loss, gradient and
-logged component must equal the sum of the per-sequence calls (the batch
-objective divides both by B), with a scalar or a per-position temperature."""
+"""One loss call per batch: over the positions of B ragged sequences, each
+masked position weighted 1/m_j, every loss, gradient and logged component
+must equal the sum of the per-sequence calls (the batch objective divides
+both by B), with a scalar or a per-position temperature. A padded batch
+gives exactly what its flattened masked rows give."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -78,7 +81,7 @@ class Ragged:
     def single(self, j):
         s = self.seqs[j]
         return TokenBatch(s["gold"], s["mask"], s["z_s"],
-                          teacher1_logits=s["z_t1"], teacher2_logits=s["z_t2"])
+                          teachers=Teachers(s["z_t1"], s["z_t2"]))
 
     def batch(self):
         c = self.cat
@@ -129,9 +132,68 @@ def test_kd(seed, per_position):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_inter_match(seed):
     r = Ragged(seed)
-    lengths = r.batch().seq_lengths
-    r.check(inter_match_loss(r.hidden(), r.cat["mask"], lengths),
-            lambda j: inter_match_loss(r.hidden(j), r.seqs[j]["mask"]), exact_rows=False)
+    r.check(inter_match_loss(r.batch(), r.hidden()),
+            lambda j: inter_match_loss(r.single(j), r.hidden(j)), exact_rows=False)
+
+
+def padded_and_flat(r, seed):
+    """r's sequences in the two layouts a training batch can take: padded,
+    B rows of the longest length with padding and r's masked-out positions
+    masked, and flattened to the masked rows alone. Padding holds stray
+    logits and hiddens; teacher rows there point at row 0 of the table.
+    Returns the two (batch, hidden pair, per-position tau) and the mask."""
+    rng = np.random.default_rng([seed, 1])
+    lengths = np.diff(r.bounds)
+    inside = np.arange(lengths.max()) < lengths[:, None]
+    src = np.where(inside, r.bounds[:-1, None] + np.arange(lengths.max()), 0).ravel()
+    inside = inside.ravel()
+    mask = inside & r.cat["mask"][src]
+    sequence = np.repeat(np.arange(len(lengths)), lengths.max())
+    z_s, hs = r.cat["z_s"][src], r.cat["hs"][src]
+    z_s[~inside] = 50.0 * rng.standard_normal((np.sum(~inside), V))
+    hs[~inside] = rng.standard_normal((np.sum(~inside), D_S))
+    padded = (TokenBatch(r.cat["gold"][src], mask, z_s,
+                         r.table.take(np.where(inside, r.rows[src], 0)), sequence=sequence),
+              HiddenPair(hs, r.cat["ht"][src], r.proj), r.tau[src])
+    keep = src[mask]
+    flat = (TokenBatch(r.cat["gold"][keep], np.ones(keep.size, dtype=bool), r.cat["z_s"][keep],
+                       r.table.take(r.rows[keep]), sequence=sequence[mask]),
+            HiddenPair(r.cat["hs"][keep], r.cat["ht"][keep], r.proj), r.tau[keep])
+    return padded, flat, mask
+
+
+def _ewad_step_out(b, h, tau):
+    config = TrainConfig(loss_mode="EWAD_CPDP", reliability=RCFG)
+    value, g, etr, ctr = training._ewad_step(config, b, tau, h, CpdpAnchor(0.2))
+    traces = [getattr(tr, f.name) for tr in (etr, ctr) for f in dataclasses.fields(tr)]
+    return (value, *g.components.values(), *traces), (g.logits,)
+
+
+# each loss on one layout: (values and arrays over the masked positions),
+# (gradients with one row per position)
+LAYOUT_LOSSES = {
+    "ce": lambda b, h, tau: ((v := ce_loss(b))[:1], v[1:]),
+    "kd": lambda b, h, tau: ((v := kd_loss(b, 0.8))[:1], v[1:]),
+    "kd_per_position": lambda b, h, tau: ((v := kd_loss(b, tau))[:1], v[1:]),
+    "inter_match": lambda b, h, tau: ((v := inter_match_loss(b, h))[::2], v[1:2]),
+    "ewad": lambda b, h, tau: ((v := ewad_loss(b, RCFG, tau))[:1], v[1:2]),
+    "cpdp": lambda b, h, tau: ((v := cpdp_loss(b, CpdpAnchor(0.2), LossWeights()))[:1],
+                               v[1:2]),
+    "ewad_step": _ewad_step_out,
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("loss", sorted(LAYOUT_LOSSES))
+def test_a_padded_batch_equals_its_flattened_rows(seed, loss):
+    padded, flat, mask = padded_and_flat(Ragged(seed), seed)
+    (p_values, p_grads), (f_values, f_grads) = (LAYOUT_LOSSES[loss](*x) for x in (padded, flat))
+    for p, f in zip(p_values, f_values, strict=True):
+        assert np.array_equal(p, f)
+    for p, f in zip(p_grads, f_grads, strict=True):
+        assert p.shape[0] == mask.size and f.shape[0] == mask.sum()
+        assert np.array_equal(p[mask], f)
+        assert np.all(p[~mask] == 0.0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -232,7 +294,7 @@ def test_training_tau_equals_adaptive_tau_per_sequence(monkeypatch, mode):
         h_batch = np.mean([np.mean(entropy(d)) for d in dists])
         for s, d in zip(seqs, dists):
             expected = adaptive_tau_oracle(d, [True] * len(s), h_batch, cfg.adaptive_tau_cfg)
-            assert np.all(np.abs(tau[s] - expected) <= TOL)
+            assert np.all(np.abs(tau[tb.positions][s] - expected) <= TOL)
             assert np.all(tb.seq_lengths[s] == len(s))
 
 

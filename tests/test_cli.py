@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -385,8 +386,10 @@ class TestLoadBundle:
         read, kinds = [], []
         monkeypatch.setattr(cli, "read_cache",
                             lambda p, kind: read.append(p) or kinds.append(kind) or [])
-        monkeypatch.setattr(cli, "load_checkpoint", lambda p: read.append(p) or (object(), {}))
         cfg = cli.load_config(None, None)
+        # a stand-in checkpoint that covers the corpus vocabulary
+        params = SimpleNamespace(vocab_size=cfg["corpus"]["vocab_size"])
+        monkeypatch.setattr(cli, "load_checkpoint", lambda p: read.append(p) or (params, {}))
         cfg["training"].update(loss_mode=mode, p_pseudo=0.3)
         for name in ("teacher1_topk.jsonl", "teacher2_topk.jsonl", "pseudo_labels.jsonl",
                      "teacher1.json"):

@@ -9,6 +9,7 @@ from relkd.losses import (
     CpdpAnchor,
     HiddenPair,
     LossWeights,
+    Teachers,
     TokenBatch,
     ce_loss,
     compute_anchor,
@@ -42,8 +43,8 @@ def batch_from(inst, teachers=0):
         gold_ids=inst["gold"],
         mask=inst["mask"],
         student_logits=inst["z_s"],
-        teacher1_logits=inst["z_t1"] if teachers >= 1 else None,
-        teacher2_logits=inst["z_t2"] if teachers >= 2 else None,
+        teachers=Teachers(inst["z_t1"] if teachers >= 1 else None,
+                          inst["z_t2"] if teachers >= 2 else None),
     )
 
 
@@ -115,7 +116,7 @@ class TestCeLoss:
 class TestKdLoss:
     def test_identical_logits(self):
         z = np.random.default_rng(0).standard_normal((3, 5))
-        b = TokenBatch([0] * 3, [True] * 3, z, teacher1_logits=z.copy())
+        b = TokenBatch([0] * 3, [True] * 3, z, teachers=Teachers(z.copy()))
         value, grad = kd_loss(b, 0.8)
         assert value == 0.0
         assert np.allclose(grad, 0.0, atol=1e-15)
@@ -125,10 +126,10 @@ class TestKdLoss:
         z_s = rng.standard_normal((4, 6))
         z_t = rng.standard_normal((4, 6))
         gold = rng.integers(0, 6, 4)
-        v1, _ = kd_loss(TokenBatch(gold, [True] * 4, z_s, teacher1_logits=z_t), 1.0)
+        v1, _ = kd_loss(TokenBatch(gold, [True] * 4, z_s, teachers=Teachers(z_t)), 1.0)
         # doubling the logits and the temperature leaves the softened
         # distributions unchanged, so the value scales by exactly tau^2
-        v2, _ = kd_loss(TokenBatch(gold, [True] * 4, 2 * z_s, teacher1_logits=2 * z_t), 2.0)
+        v2, _ = kd_loss(TokenBatch(gold, [True] * 4, 2 * z_s, teachers=Teachers(2 * z_t)), 2.0)
         assert abs(v2 - 4.0 * v1) < 1e-12 * max(1.0, abs(v1))
 
     def test_missing_teacher(self):
@@ -145,12 +146,17 @@ class TestKdLoss:
 
             def f(z, inst=inst, tau=tau):
                 v, _ = kd_loss(
-                    TokenBatch(inst["gold"], inst["mask"], z, teacher1_logits=inst["z_t1"]),
+                    TokenBatch(inst["gold"], inst["mask"], z, teachers=Teachers(inst["z_t1"])),
                     tau,
                 )
                 return v
 
             check_logit_gradient(f, grad, inst["z_s"])
+
+
+def hidden_batch(mask):
+    """A batch that only carries ``mask``, for the hidden-state match."""
+    return TokenBatch([0] * len(mask), mask, np.zeros((len(mask), 2)))
 
 
 def random_hidden_pair(rng, t=4, d_s=3, d_t=4):
@@ -168,7 +174,7 @@ class TestInterMatchLoss:
         ht = rng.standard_normal((3, 4))
         proj = np.eye(4)
         h = HiddenPair(student_hidden=2.5 * ht, teacher_hidden=ht, projection=proj)
-        value, gh, gw = inter_match_loss(h, [True] * 3)
+        value, gh, gw = inter_match_loss(hidden_batch([True] * 3), h)
         assert value < 1e-24
         assert np.allclose(gh, 0.0, atol=1e-10)
 
@@ -178,7 +184,7 @@ class TestInterMatchLoss:
             teacher_hidden=np.array([[0.0, 1.0]]),
             projection=np.eye(2),
         )
-        value, _, _ = inter_match_loss(h, [True])
+        value, _, _ = inter_match_loss(hidden_batch([True]), h)
         assert abs(value - 2.0) < 1e-12
 
     def test_zero_norm_error(self):
@@ -188,24 +194,24 @@ class TestInterMatchLoss:
             projection=np.eye(2),
         )
         with pytest.raises(ValueError):
-            inter_match_loss(h, [True])
+            inter_match_loss(hidden_batch([True]), h)
 
     def test_gradients(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             h = random_hidden_pair(rng)
             mask = np.array([True, True, False, True])
-            value, gh, gw = inter_match_loss(h, mask)
+            value, gh, gw = inter_match_loss(hidden_batch(mask), h)
 
             def f_hidden(x, h=h, mask=mask):
                 v, _, _ = inter_match_loss(
-                    HiddenPair(x, h.teacher_hidden, h.projection), mask
+                    hidden_batch(mask), HiddenPair(x, h.teacher_hidden, h.projection)
                 )
                 return v
 
             def f_proj(w, h=h, mask=mask):
                 v, _, _ = inter_match_loss(
-                    HiddenPair(h.student_hidden, h.teacher_hidden, w), mask
+                    hidden_batch(mask), HiddenPair(h.student_hidden, h.teacher_hidden, w)
                 )
                 return v
 
@@ -233,7 +239,7 @@ class TestStandardTotal:
         total, grads = standard_total(b, h, w, tau)
         ce_v, _ = ce_loss(b)
         kd_v, _ = kd_loss(b, tau)
-        iv, _, _ = inter_match_loss(h, b.mask)
+        iv, _, _ = inter_match_loss(b, h)
         assert abs(total - (0.89 * ce_v + 0.01 * kd_v + 0.1 * iv)) < 1e-12
 
     def test_gradient_full_objective(self):
@@ -248,7 +254,7 @@ class TestStandardTotal:
 
             def f(z, inst=inst, h=h, w=w):
                 v, _ = standard_total(
-                    TokenBatch(inst["gold"], inst["mask"], z, teacher1_logits=inst["z_t1"]),
+                    TokenBatch(inst["gold"], inst["mask"], z, teachers=Teachers(inst["z_t1"])),
                     h, w, 0.8,
                 )
                 return v
@@ -264,7 +270,7 @@ class TestEwadLoss:
         gold = np.array([1, 2, 0])
         z = np.zeros((3, 4))
         z[np.arange(3), gold] = 20.0
-        b = TokenBatch(gold, [True] * 3, z, teacher1_logits=z.copy(), teacher2_logits=z.copy())
+        b = TokenBatch(gold, [True] * 3, z, teachers=Teachers(z.copy(), z.copy()))
         value, _, trace = ewad_loss(b, RCFG, 1.0)
         ce_v, _ = ce_loss(b)
         assert np.allclose(trace.kd_term, 0.0, atol=1e-15)
@@ -278,7 +284,7 @@ class TestEwadLoss:
         z1[:, 1] = 40.0
         z2 = np.zeros((2, 4))
         z2[:, 2] = 40.0
-        b = TokenBatch(gold, [True] * 2, z_s, teacher1_logits=z1, teacher2_logits=z2)
+        b = TokenBatch(gold, [True] * 2, z_s, teachers=Teachers(z1, z2))
         value, _, trace = ewad_loss(b, RCFG, 1.0)
         assert np.allclose(trace.gate, SIG_M25, atol=1e-6)
         mix = trace.gate * trace.kd_term + (1 - trace.gate) * trace.ce_term
@@ -287,7 +293,7 @@ class TestEwadLoss:
     def test_missing_second_teacher(self):
         with pytest.raises(ValueError):
             ewad_loss(TokenBatch([0], [True], np.zeros((1, 3)),
-                                 teacher1_logits=np.zeros((1, 3))), RCFG, 1.0)
+                                 teachers=Teachers(np.zeros((1, 3)))), RCFG, 1.0)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(14)
@@ -333,8 +339,7 @@ class TestEwadLoss:
             def f(z, inst=inst, tau=tau):
                 v, _, _ = ewad_loss(
                     TokenBatch(inst["gold"], inst["mask"], z,
-                               teacher1_logits=inst["z_t1"],
-                               teacher2_logits=inst["z_t2"]),
+                               teachers=Teachers(inst["z_t1"], inst["z_t2"])),
                     RCFG, tau,
                 )
                 return v
@@ -351,8 +356,7 @@ class TestEwadLoss:
             def f(z, inst=inst, lam=lam, eq=eq):
                 v, _, _ = ewad_loss(
                     TokenBatch(inst["gold"], inst["mask"], z,
-                               teacher1_logits=inst["z_t1"],
-                               teacher2_logits=inst["z_t2"]),
+                               teachers=Teachers(inst["z_t1"], inst["z_t2"])),
                     RCFG, 1.2, lambda_override=lam, equal_weights=eq,
                 )
                 return v
@@ -365,7 +369,7 @@ class TestCpdpLoss:
         rng = np.random.default_rng(6)
         z_t = rng.standard_normal((4, 5))
         b = TokenBatch(rng.integers(0, 5, 4), [True] * 4, rng.standard_normal((4, 5)),
-                       teacher1_logits=z_t, teacher2_logits=z_t.copy())
+                       teachers=Teachers(z_t, z_t.copy()))
         value, grad, _ = cpdp_loss(b, CpdpAnchor(0.0), LossWeights())
         assert value == 0.0
         assert np.allclose(grad, 0.0, atol=1e-15)
@@ -430,7 +434,7 @@ class TestCpdpLoss:
         z1[:, 1] = 5.0
         z2 = np.zeros((2, 4))
         z2[:, 2] = 3.0
-        b = TokenBatch(gold, [True] * 2, z_s, teacher1_logits=z1, teacher2_logits=z2)
+        b = TokenBatch(gold, [True] * 2, z_s, teachers=Teachers(z1, z2))
         value, grad, trace = cpdp_loss(b, CpdpAnchor(0.0), LossWeights())
         assert np.all(trace.clamped)
         assert np.all(trace.entropy_floored)

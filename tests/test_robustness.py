@@ -3,6 +3,7 @@ atomically."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,37 @@ def test_a_topk_teacher_of_a_larger_vocabulary_fails_before_any_output(tmp_path,
     before = sorted(os.listdir(tmp_path))
     assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 1
     assert (f"corpus.vocab_size 64 differs from the vocabulary size 80 of checkpoint "
+            f"{tmp_path / 'teacher1.json'}") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_pseudo_teacher_token_outside_the_corpus_vocabulary_is_named(tmp_path, capsys):
+    # a V=80 pseudo teacher decodes tokens that the V=64 top-k teacher cannot score
+    save_checkpoint(tmp_path / "teacher1.json", init_params(64, 8, np.random.default_rng(0)))
+    save_checkpoint(tmp_path / "p80.json", init_params(80, 8, np.random.default_rng(1)))
+    cfg = write_config(tmp_path / "c.json", corpus={"vocab_size": 64, "n_train": 20},
+                       teacher2={"checkpoint": None},
+                       pseudo_teachers=[{"id": "p80", "checkpoint": "p80.json"}])
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 1
+    err = capsys.readouterr().err
+    found = re.search(r"pseudo teacher p80 \(checkpoint (\S+)\) emits token (\d+) for "
+                      r"example (tr\d{5}), outside corpus.vocab_size 64", err)
+    assert found, err
+    assert found[1] == str(tmp_path / "p80.json") and int(found[2]) >= 64
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_an_a5_teacher_checkpoint_that_cannot_read_the_corpus_fails(tmp_path, capsys):
+    save_checkpoint(tmp_path / "teacher1.json", init_params(16, 4, np.random.default_rng(0)))
+    cfg = write_config(tmp_path / "c.json", preset="A5", teacher2={"checkpoint": None},
+                       pseudo_teachers=[{"id": "p1", "checkpoint": "teacher1.json"}])
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    # the caches stay valid; only the checkpoint for hidden states is too small
+    save_checkpoint(tmp_path / "teacher1.json", init_params(8, 4, np.random.default_rng(0)))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
+    assert ("corpus.vocab_size 16 exceeds the vocabulary size 8 of checkpoint "
             f"{tmp_path / 'teacher1.json'}") in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before
 

@@ -70,6 +70,14 @@ class TestWriteRead:
         with pytest.raises(CacheFormatError):
             write_cache(topk(tmp_path, [bad]), tmp_path / "c.jsonl")
 
+    def test_pseudo_records_without_a_vocab_size_are_not_written(self, tmp_path):
+        # their tokens cannot be range-checked, and the header needs the size
+        path = tmp_path / "p.jsonl"
+        with pytest.raises(CacheFormatError, match="pseudo-label records are written with a "
+                                                   "vocab_size, the vocabulary their tokens"):
+            write_cache([pseudo_record()], path)
+        assert not path.exists()
+
     def test_empty_pseudo_rejected(self, tmp_path):
         bad = PseudoLabelRecord("ex0", "t1", [], "", 4)
         with pytest.raises(CacheFormatError):

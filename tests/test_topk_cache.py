@@ -240,6 +240,6 @@ def test_what_write_cache_does_not_take_is_not_written(tmp_path):
     cache = read_cache(write_raw(tmp_path / "raw.jsonl", [rec], 5, 1), "topk")
     with pytest.raises(CacheFormatError, match="its own vocab_size"):
         write_cache(cache, path, vocab_size=6)
-    with pytest.raises(CacheFormatError, match="vocab_size and k are required"):
+    with pytest.raises(CacheFormatError, match="written with a vocab_size"):
         write_cache([PseudoLabelRecord("ex0", "t1", [4], "4", 1)], path)
     assert not path.exists()

@@ -5,6 +5,7 @@ from relkd.losses import (
     CpdpAnchor,
     HiddenPair,
     LossWeights,
+    Teachers,
     TokenBatch,
     ce_loss,
     ewad_loss,
@@ -158,7 +159,7 @@ class TestEndToEndGradients:
         w = LossWeights(alpha_kd=0.3)
 
         def mode_fn(logits, hidden):
-            tb = TokenBatch(tgt, [True] * len(tgt), logits, teacher1_logits=z_t1)
+            tb = TokenBatch(tgt, [True] * len(tgt), logits, teachers=Teachers(z_t1))
             v, grads = standard_total(tb, None, w, 0.8)
             return v, grads.logits, None
 
@@ -177,7 +178,7 @@ class TestEndToEndGradients:
         assert 0.5 < tau < 2.0
 
         def mode_fn(logits, hidden):
-            tb = TokenBatch(tgt, [True] * len(tgt), logits, teacher1_logits=z_t1)
+            tb = TokenBatch(tgt, [True] * len(tgt), logits, teachers=Teachers(z_t1))
             v, grads = standard_total(tb, None, w, tau)
             return v, grads.logits, None
 
@@ -191,7 +192,7 @@ class TestEndToEndGradients:
         w = LossWeights(alpha_kd=0.2, alpha_inter=0.3)
 
         def mode_fn(logits, hidden):
-            tb = TokenBatch(tgt, [True] * len(tgt), logits, teacher1_logits=z_t1)
+            tb = TokenBatch(tgt, [True] * len(tgt), logits, teachers=Teachers(z_t1))
             hp = HiddenPair(hidden, teacher_hidden, proj)
             v, grads = standard_total(tb, hp, w, 0.8)
             return v, grads.logits, grads.hidden
@@ -202,11 +203,11 @@ class TestEndToEndGradients:
         logits, hidden, _ = self._run(params, doc, tgt)
 
         def f_proj(p):
-            tb = TokenBatch(tgt, [True] * len(tgt), logits[0], teacher1_logits=z_t1)
+            tb = TokenBatch(tgt, [True] * len(tgt), logits[0], teachers=Teachers(z_t1))
             v, _ = standard_total(tb, HiddenPair(hidden[0], teacher_hidden, p), w, 0.8)
             return v
 
-        tb = TokenBatch(tgt, [True] * len(tgt), logits[0], teacher1_logits=z_t1)
+        tb = TokenBatch(tgt, [True] * len(tgt), logits[0], teachers=Teachers(z_t1))
         _, grads = standard_total(tb, HiddenPair(hidden[0], teacher_hidden, proj), w, 0.8)
         assert max_rel_err(grads.projection, central_diff(f_proj, proj)) <= 1e-5
 
@@ -215,7 +216,7 @@ class TestEndToEndGradients:
 
         def mode_fn(logits, hidden):
             tb = TokenBatch(tgt, [True] * len(tgt), logits,
-                            teacher1_logits=z_t1, teacher2_logits=z_t2)
+                            teachers=Teachers(z_t1, z_t2))
             v, g, _ = ewad_loss(tb, RCFG, 1.0)
             return v, g, None
 
@@ -228,7 +229,7 @@ class TestEndToEndGradients:
 
         logits, hidden, cache = self._run(params, doc, tgt)
         tb = TokenBatch(tgt, [True] * len(tgt), logits[0],
-                        teacher1_logits=z_t1, teacher2_logits=z_t2)
+                        teachers=Teachers(z_t1, z_t2))
         value, dlog, etr, ctr = ewad_cpdp_step(tb, anchor, w, 1.0)
         grads = backward_batch(params, cache, dlog[None])
         frozen = ctr.student_entropy
