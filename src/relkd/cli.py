@@ -161,8 +161,8 @@ def _fits(value, expected: type) -> bool:
 
 
 def _config_problems(user: dict, defaults: dict, prefix: str = "") -> list[str]:
-    """The keys in ``user`` that ``defaults`` does not have, and the values
-    whose type is not their default's, by dotted path."""
+    """The keys in ``user`` that ``defaults`` does not have, the values whose
+    type is not their default's, and the keys a list entry lacks, by dotted path."""
     out = []
     for key, value in user.items():
         path = prefix + key
@@ -182,6 +182,8 @@ def _config_problems(user: dict, defaults: dict, prefix: str = "") -> list[str]:
                     out.append(f"{path}[{i}] must be an object")
                 else:
                     out.extend(_config_problems(entry, _LIST_ENTRIES[path], f"{path}[{i}]."))
+                    out.extend(f"{path}[{i}].{key} is missing"
+                               for key in _LIST_ENTRIES[path] if key not in entry)
     return out
 
 
@@ -225,6 +227,10 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
     except ValueError as exc:
         raise CliError(f"corpus.{exc}") from exc
     _train_config(cfg)
+    _chunk_config(cfg)
+    ids = [p["id"] for p in cfg["pseudo_teachers"]]
+    if len(set(ids)) < len(ids):
+        raise CliError(f"pseudo_teachers[].id must be unique, got {ids}")
     return cfg
 
 
@@ -259,6 +265,15 @@ def _train_config(cfg: dict) -> TrainConfig:
               "rng_seed": derive_seed(cfg["seed"], 3)}
     parts = {name: _build(cls, values) for name, cls in _TRAIN_PARTS.items()}
     return _build(TrainConfig, {**values, **parts})
+
+
+def _chunk_config(cfg: dict) -> ChunkConfig:
+    """The mapreduce section, with training.context_limit, as a ChunkConfig."""
+    try:
+        return _build(ChunkConfig, {**cfg["mapreduce"],
+                                    "context_limit": cfg["training"]["context_limit"]})
+    except ValueError as exc:
+        raise CliError(f"mapreduce.{exc}") from exc
 
 
 def _input(path: str | None, out_dir: str, what: str) -> str:
@@ -449,15 +464,9 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
             3000, vocab_size=cfg["corpus"]["vocab_size"], seed=cfg["seed"]
         )
 
-    limit = cfg["training"]["context_limit"]
-    ccfg = ChunkConfig(
-        chunk_capacity=mr["chunk_capacity"],
-        overlap_sentences=mr["overlap_sentences"],
-        jaccard_threshold=mr["jaccard_threshold"],
-        context_limit=limit,
-    )
+    ccfg = _chunk_config(cfg)
     gen_len = cfg["training"]["gen_max_len"]
-    decided = route(tokens, limit)
+    decided = route(tokens, ccfg.context_limit)
     trace_rows: list[dict] = []
     if decided == ROUTE_DIRECT:
         summary = generate(map_params, tokens, mode="greedy", max_len=gen_len)

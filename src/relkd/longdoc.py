@@ -32,11 +32,11 @@ class ChunkConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.chunk_capacity <= self.context_limit:
-            raise ValueError("require 0 < chunk_capacity <= context_limit")
+            raise ValueError(f"chunk_capacity must lie in [1, context_limit {self.context_limit}]")
         if self.overlap_sentences < 0:
-            raise ValueError("overlap_sentences must be >= 0")
+            raise ValueError(f"overlap_sentences must be >= 0, got {self.overlap_sentences}")
         if not 0.0 <= self.jaccard_threshold <= 1.0:
-            raise ValueError("jaccard_threshold must lie in [0, 1]")
+            raise ValueError(f"jaccard_threshold must lie in [0, 1], got {self.jaccard_threshold}")
 
 
 @dataclass(frozen=True)

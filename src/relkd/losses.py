@@ -21,12 +21,12 @@ Conventions shared by all losses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .distmath import entropy, kl, log_softmax_scaled, sigmoid, softmax_scaled, softmax_t
-from .reliability import ReliabilityConfig, token_reliability
+from .reliability import ReliabilityConfig, TokenReliability, token_reliability
 
 # Floor for the student entropy in the divergence-gap ratio; the ratio is
 # undefined at H = 0 and a (near-)deterministic student would otherwise blow
@@ -140,18 +140,12 @@ class Teachers:
             return softmax_scaled(self.logits(which) / tau)
         return self._get(("probs", which, float(tau)), lambda t: softmax_t(t.logits(which), tau))
 
-    def reliability(self, rcfg: ReliabilityConfig, lambda_override: float | None = None,
-                    equal_weights: bool = False) -> tuple[np.ndarray, ...]:
-        """Per-position (c1, c2, w1, w2, agreement, gate) from the raw
-        (temperature-1) softmaxes; the overrides pin the gate or the weights."""
-
-        def compute(t: Teachers) -> np.ndarray:
-            r = token_reliability(t.probs(1), t.probs(2), rcfg)
-            w1, w2 = (np.full(r.c1.shape, 0.5),) * 2 if equal_weights else (r.w1, r.w2)
-            lam = r.gate if lambda_override is None else np.full(r.gate.shape, lambda_override)
-            return np.stack([r.c1, r.c2, w1, w2, r.agreement, lam], axis=1)
-
-        return tuple(self._get(("reliability", rcfg, lambda_override, equal_weights), compute).T)
+    def reliability(self, rcfg: ReliabilityConfig) -> TokenReliability:
+        """``token_reliability`` of the raw (temperature-1) softmaxes, pins
+        included, one row per position; computed once per ``rcfg``."""
+        rows = self._get(("reliability", rcfg), lambda t: np.column_stack(
+            astuple(token_reliability(t.probs(1), t.probs(2), rcfg))))
+        return TokenReliability(*rows.T)
 
     def divergence_gap_direction(self) -> np.ndarray:
         """p_T2 - p_T1 at temperature 1: d(KL1 - KL2)/dz_S with H held fixed."""
@@ -257,17 +251,11 @@ class HiddenPair:
             raise ValueError("projection shape must be (d_S, d_T)")
 
 
-@dataclass
-class EwadTrace:
-    """Per-masked-position reliability and loss components, as arrays in the
-    order of ``TokenBatch.positions``."""
+@dataclass(frozen=True)
+class EwadTrace(TokenReliability):
+    """The reliability record and the two loss terms the gate mixes, as
+    arrays in the order of ``TokenBatch.positions``."""
 
-    c1: np.ndarray
-    c2: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    agreement: np.ndarray
-    gate: np.ndarray
     kd_term: np.ndarray
     ce_term: np.ndarray
 
@@ -383,9 +371,6 @@ def ewad_loss(
     batch: TokenBatch,
     rcfg: ReliabilityConfig,
     tau: float,
-    *,
-    lambda_override: float | None = None,
-    equal_weights: bool = False,
 ) -> tuple[float, np.ndarray, EwadTrace]:
     """Reliability-gated routing between weighted teacher KD and gold CE.
 
@@ -394,14 +379,13 @@ def ewad_loss(
     agreement come from raw (temperature-1) teacher softmaxes; the KL terms
     use the distillation temperature. Gate and weights are data-dependent
     constants: the gradient only flows through the student distributions.
-
-    ``lambda_override`` pins the gate (ablation arms); ``equal_weights``
-    pins w1 = w2 = 0.5.
+    ``rcfg`` forms them, its pins included (see ``ReliabilityConfig``).
     """
     tau = batch.temperature(tau)
     teachers = batch.teachers
     rows, gold = np.arange(batch.gold_ids.size), batch.gold_ids
-    c1, c2, w1, w2, a, lam = teachers.reliability(rcfg, lambda_override, equal_weights)
+    r = teachers.reliability(rcfg)
+    w1, w2, lam = r.w1, r.w2, r.gate
 
     t1_soft = teachers.probs(1, tau)
     t2_soft = teachers.probs(2, tau)
@@ -420,9 +404,7 @@ def ewad_loss(
     kd_g = (s_soft - mix) / tau
     grad = batch.expand(batch.weigh(lam[:, None] * kd_g + (1.0 - lam)[:, None] * ce_g))
 
-    trace = EwadTrace(c1=c1, c2=c2, w1=w1, w2=w2, agreement=a, gate=lam,
-                      kd_term=kd_term, ce_term=ce_term)
-    return value, grad, trace
+    return value, grad, EwadTrace(**vars(r), kd_term=kd_term, ce_term=ce_term)
 
 
 def cpdp_loss(

@@ -22,15 +22,18 @@ _OPEN_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
-    """Gate and weighting constants.
-
-    Defaults are the reference operating point: steepness 5.0, threshold 0.5,
-    weight temperature 1.0.
-    """
+    """How the gate and the teacher weights are formed. Defaults are the
+    reference operating point: steepness 5.0, threshold 0.5, weight
+    temperature 1.0, nothing pinned. The ablation arms pin the gate to
+    ``lambda_override`` and/or the weights to 0.5 (``equal_teacher_weights``);
+    ``token_reliability`` applies the pins, while ``gate`` and
+    ``confidence_weights`` stay the paper's unpinned formulas."""
 
     gate_steepness: float = 5.0
     gate_threshold: float = 0.5
     weight_temperature: float = 1.0
+    lambda_override: float | None = None
+    equal_teacher_weights: bool = False
 
     def __post_init__(self) -> None:
         if not self.gate_steepness > 0:
@@ -39,6 +42,8 @@ class ReliabilityConfig:
             raise ValueError("gate_threshold must lie in [0, 1]")
         if not self.weight_temperature > 0:
             raise ValueError("weight_temperature must be positive")
+        if self.lambda_override is not None and not 0.0 <= self.lambda_override <= 1.0:
+            raise ValueError(f"lambda_override must lie in [0, 1], got {self.lambda_override}")
 
 
 @dataclass(frozen=True)
@@ -91,10 +96,15 @@ def gate(a: float | np.ndarray, cfg: ReliabilityConfig) -> float | np.ndarray:
 def token_reliability(
     p1: np.ndarray, p2: np.ndarray, cfg: ReliabilityConfig
 ) -> TokenReliability:
-    """Full reliability decomposition, over the last axis."""
+    """Full reliability decomposition over the last axis, with ``cfg``'s pins
+    applied: w1 = w2 = 0.5 and the gate equal to ``lambda_override``."""
     c1 = confidence(p1)
     c2 = confidence(p2)
     w1, w2 = confidence_weights(c1, c2, cfg)
     a = agreement(p1, p2)
     lam = gate(a, cfg)
+    if cfg.equal_teacher_weights:
+        w1 = w2 = 0.0 * c1 + 0.5  # 0.5 in c1's shape, a float for a float
+    if cfg.lambda_override is not None:
+        lam = 0.0 * a + cfg.lambda_override
     return TokenReliability(c1=c1, c2=c2, w1=w1, w2=w2, agreement=a, gate=lam)

@@ -168,8 +168,8 @@ def _pack(example_ids, lengths, counts, ids, logprobs, vocab_size, k, context) -
 def _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context) -> np.ndarray:
     """Check every position at once; returns the probability mass each keeps.
     Raises on the fault that checking one record at a time meets first: in
-    each record its id, the vocabulary size, then each position through the
-    checks of ``_FAULTS`` in order."""
+    each record its id (a new non-empty string), the vocabulary size, then
+    each position through the checks of ``_FAULTS`` in order."""
     if not example_ids:
         return np.zeros(0)
     # one row per position, its entries left-aligned
@@ -193,9 +193,10 @@ def _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context) ->
         mass > 1.0 + MASS_TOL,
     ])
     faulty = np.flatnonzero(bad.any(axis=0))
-    n = len(example_ids)
+    n, first_of = len(example_ids), {}  # the first record of each id
     r = min(int(np.searchsorted(first, faulty[0], side="right")) - 1 if faulty.size else n,
-            next((r for r, eid in enumerate(example_ids) if type(eid) is not str or not eid), n),
+            next((r for r, eid in enumerate(example_ids)
+                  if type(eid) is not str or not eid or first_of.setdefault(eid, r) != r), n),
             0 if vocab_size < 2 else n)
     if r == n:
         return mass
@@ -204,6 +205,8 @@ def _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context) ->
         what = "record id must be a string"
     elif not eid:
         what = "record id must be non-empty"
+    elif eid in example_ids[:r]:
+        what = f"record id {eid} already names an earlier record"
     elif vocab_size < 2:
         what = f"{eid}: vocab_size must be >= 2"
     else:

@@ -355,8 +355,6 @@ class TrainConfig:
     hidden_dim: int = 16
     fixed_tau: float = 0.8
     anchor_tokens: int = 512
-    lambda_override: float | None = None
-    equal_teacher_weights: bool = False
     gen_max_len: int = 16
 
     def __post_init__(self) -> None:
@@ -374,8 +372,6 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.lambda_override is not None and not 0.0 <= self.lambda_override <= 1.0:
-            raise ValueError(f"lambda_override must lie in [0, 1], got {self.lambda_override}")
         if self.anchor_tokens < 1:
             raise ValueError(f"anchor_tokens must be >= 1, got {self.anchor_tokens}")
 
@@ -401,9 +397,7 @@ def _standard_step(config, tb, tau, hp, anchor):
 def _ewad_step(config, tb, tau, hp, anchor):
     """Gated routing, plus mu times the divergence-gap regularizer given an
     anchor: the one place where EWAD and CPDP are combined."""
-    value, g, tr = ewad_loss(tb, config.reliability, tau,
-                             lambda_override=config.lambda_override,
-                             equal_weights=config.equal_teacher_weights)
+    value, g, tr = ewad_loss(tb, config.reliability, tau)
     components = {"ce": tb.aggregate(tr.ce_term), "kd": tb.aggregate(tr.kd_term), "cpdp": 0.0}
     cp = None
     if anchor is not None:

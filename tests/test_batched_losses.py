@@ -217,10 +217,10 @@ def test_standard_total(seed, per_position):
 @pytest.mark.parametrize("lam, eq", [(None, False), (0.7, False), (None, True)])
 def test_ewad(seed, per_position, lam, eq):
     r = Ragged(seed)
-    kw = {"lambda_override": lam, "equal_weights": eq}
+    rcfg = ReliabilityConfig(lambda_override=lam, equal_teacher_weights=eq)
 
     def out(batch, tau):
-        value, grad, tr = ewad_loss(batch, RCFG, tau, **kw)
+        value, grad, tr = ewad_loss(batch, rcfg, tau)
         return value, grad, batch.aggregate(tr.kd_term), batch.aggregate(tr.ce_term)
 
     tau = r.tau if per_position else 1.3

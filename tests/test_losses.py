@@ -314,10 +314,10 @@ class TestEwadLoss:
         b = batch_from(inst, teachers=2)
         tau = 1.3
 
-        v_kd, _, tr = ewad_loss(b, RCFG, tau, lambda_override=1.0)
+        v_kd, _, tr = ewad_loss(b, ReliabilityConfig(lambda_override=1.0), tau)
         assert abs(v_kd - tr.kd_term.mean()) < 1e-12
 
-        v_ce, _, _ = ewad_loss(b, RCFG, tau, lambda_override=0.0)
+        v_ce, _, _ = ewad_loss(b, ReliabilityConfig(lambda_override=0.0), tau)
         ce_v, _ = ce_loss(b)
         assert abs(v_ce - ce_v) < 1e-14
 
@@ -325,7 +325,7 @@ class TestEwadLoss:
         rng = np.random.default_rng(16)
         inst = random_instance(rng)
         b = batch_from(inst, teachers=2)
-        _, _, tr = ewad_loss(b, RCFG, 1.0, equal_weights=True)
+        _, _, tr = ewad_loss(b, ReliabilityConfig(equal_teacher_weights=True), 1.0)
         assert np.all(tr.w1 == 0.5) and np.all(tr.w2 == 0.5)
 
     def test_gradient(self):
@@ -351,13 +351,14 @@ class TestEwadLoss:
         for lam, eq in ((1.0, True), (0.7, False), (None, True)):
             inst = random_instance(rng)
             b = batch_from(inst, teachers=2)
-            _, grad, _ = ewad_loss(b, RCFG, 1.2, lambda_override=lam, equal_weights=eq)
+            rcfg = ReliabilityConfig(lambda_override=lam, equal_teacher_weights=eq)
+            _, grad, _ = ewad_loss(b, rcfg, 1.2)
 
-            def f(z, inst=inst, lam=lam, eq=eq):
+            def f(z, inst=inst, rcfg=rcfg):
                 v, _, _ = ewad_loss(
                     TokenBatch(inst["gold"], inst["mask"], z,
                                teachers=Teachers(inst["z_t1"], inst["z_t2"])),
-                    RCFG, 1.2, lambda_override=lam, equal_weights=eq,
+                    rcfg, 1.2,
                 )
                 return v
 
@@ -486,9 +487,7 @@ class TestEwadCpdpStep:
             w = LossWeights(mu=float(rng.uniform(0.01, 0.2)))
             b = batch_from(inst, teachers=2)
             value, grad, etr, ctr = ewad_cpdp_step(b, anchor, w, tau, **overrides)
-            v_e, g_e, etr_e = ewad_loss(
-                b, RCFG, tau, lambda_override=overrides.get("lambda_override"),
-                equal_weights=overrides.get("equal_teacher_weights", False))
+            v_e, g_e, etr_e = ewad_loss(b, ReliabilityConfig(**overrides), tau)
             v_p, g_p, ctr_p = cpdp_loss(b, anchor, w)
             assert value == v_e + w.mu * v_p
             assert np.array_equal(grad, g_e + w.mu * g_p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relkd.distmath import jsd
+from relkd.losses import Teachers
 from relkd.reliability import (
     ReliabilityConfig,
     agreement,
@@ -32,7 +33,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"gate_steepness": 0.0}, {"gate_threshold": 1.5}, {"weight_temperature": 0.0}],
+        [{"gate_steepness": 0.0}, {"gate_threshold": 1.5}, {"weight_temperature": 0.0},
+         {"lambda_override": 1.5}, {"lambda_override": -0.1}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -179,6 +181,47 @@ class TestTokenReliability:
             assert 0.0 <= r.w1 <= 1.0 and abs(r.w1 + r.w2 - 1.0) <= 1e-12
             assert 0.0 <= r.agreement <= 1.0
             assert 0.0 < r.gate < 1.0
+
+
+class TestPins:
+    """The ablation arms' pins: token_reliability fixes the weights and the
+    gate exactly, and leaves confidence and agreement as they are."""
+
+    PINS = [{"lambda_override": 0.7}, {"equal_teacher_weights": True},
+            {"lambda_override": 0.0, "equal_teacher_weights": True}]
+
+    @pytest.mark.parametrize("pins", PINS)
+    def test_pinned_values_at_every_position(self, pins):
+        rng = np.random.default_rng(11)
+        p1, p2 = rng.dirichlet(np.ones(7), size=(2, 40))
+        free = token_reliability(p1, p2, CFG)
+        r = token_reliability(p1, p2, ReliabilityConfig(**pins))
+        for name in ("c1", "c2", "agreement"):
+            assert np.array_equal(getattr(r, name), getattr(free, name)), name
+        lam = pins.get("lambda_override")
+        assert np.all(r.gate == lam) if lam is not None else np.array_equal(r.gate, free.gate)
+        if pins.get("equal_teacher_weights"):
+            assert np.all(r.w1 == 0.5) and np.all(r.w2 == 0.5)
+        else:
+            assert np.array_equal(r.w1, free.w1) and np.array_equal(r.w2, free.w2)
+        assert r.gate.shape == r.w1.shape == (40,)
+
+    def test_one_position_gives_floats(self):
+        pins = ReliabilityConfig(lambda_override=0.25, equal_teacher_weights=True)
+        r = token_reliability(np.array([0.7, 0.2, 0.1]), np.array([0.1, 0.1, 0.8]), pins)
+        assert (r.w1, r.w2, r.gate) == (0.5, 0.5, 0.25)
+        assert all(type(x) is float for x in (r.w1, r.w2, r.gate))
+
+    def test_teachers_memo_tells_the_pins_apart(self):
+        rng = np.random.default_rng(12)
+        teachers = Teachers(rng.standard_normal((9, 5)), rng.standard_normal((9, 5)))
+        free = teachers.reliability(CFG)
+        for pins in self.PINS:
+            r = teachers.reliability(ReliabilityConfig(**pins))
+            assert not (np.array_equal(r.gate, free.gate) and np.array_equal(r.w1, free.w1))
+        view = teachers.take([4, 1])
+        assert np.array_equal(view.reliability(CFG).gate, free.gate[[4, 1]])
+        assert teachers.reliability(ReliabilityConfig(lambda_override=0.7)).gate[0] == 0.7
 
 
 class TestBatches:

@@ -105,6 +105,27 @@ class TestConfigTypes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["cache-teacher", "distill", "mapreduce"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"pseudo_teachers": [{"id": "p", "checkpoint": "t1.json"},
+                              {"id": "p", "checkpoint": "t2.json"}]},
+         "pseudo_teachers[].id must be unique, got ['p', 'p']"),
+        ({"pseudo_teachers": [{"id": "p"}]}, "pseudo_teachers[0].checkpoint is missing"),
+        ({"pseudo_teachers": [{"id": "p", "checkpoint": "t.json"}, {"checkpoint": "t.json"}]},
+         "pseudo_teachers[1].id is missing"),
+        ({"mapreduce": {"chunk_capacity": 0}}, "mapreduce.chunk_capacity"),
+        ({"mapreduce": {"chunk_capacity": 65}}, "mapreduce.chunk_capacity"),
+        ({"mapreduce": {"overlap_sentences": -1}}, "mapreduce.overlap_sentences"),
+        ({"mapreduce": {"jaccard_threshold": 1.5}}, "mapreduce.jaccard_threshold"),
+    ])
+    def test_a_bad_pseudo_teacher_or_mapreduce_entry_fails_before_any_output(
+            self, tmp_path, capsys, command, overrides, message):
+        cfg = write_config(tmp_path / "c.json", preset="A3", **overrides)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ints_fit_floats_and_nullable_keys_take_their_type(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", preset="A1",
                            training={"epochs": 1, "learning_rate": 1, "lambda_override": 1},

@@ -164,6 +164,21 @@ def test_records_are_found_by_index_and_by_example_id(tmp_path):
         cache.index["ex9"]
 
 
+def test_a_repeated_record_id_is_named_at_its_line(tmp_path):
+    # an index keeps one record per id, so a repeat would hide the other's rows
+    recs = [("ex0", [[(1, -0.5)]]), ("ex1", [[(2, -0.5)]]), ("ex0", [[(3, -0.5)]] * 2)]
+    path = write_raw(tmp_path / "c.jsonl", recs, 5, 1)
+    with pytest.raises(CacheFormatError) as err:
+        read_cache(path, "topk")
+    assert str(err.value) == f"{path} line 4: record id ex0 already names an earlier record"
+    # a fault in an earlier record is still met first
+    recs[1] = ("ex1", [[(2, -0.5), (3, -0.1)]])
+    with pytest.raises(CacheFormatError, match="line 3: ex1 position 0: 2 entries exceed k=1"):
+        read_cache(write_raw(tmp_path / "c.jsonl", recs, 5, 1), "topk")
+    with pytest.raises(CacheFormatError, match="^record id a already names an earlier record$"):
+        topk_cache(["a", "b", "a"], [1, 1, 1], np.zeros((3, 1), int), np.zeros((3, 1)), 5, 1)
+
+
 def test_read_cache_of_kind_topk_rejects_a_pseudo_cache(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text('{"version": 1, "kind": "pseudo", "vocab_size": 5, "k": 0}\n')

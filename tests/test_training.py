@@ -53,7 +53,8 @@ RCFG = ReliabilityConfig()
 def ewad_cpdp_step(batch, anchor, weights, tau, **overrides):
     """The EWAD_CPDP mode's loss step on one batch: (value, logit gradient,
     EWAD trace, CPDP trace)."""
-    config = TrainConfig(loss_mode="EWAD_CPDP", weights=weights, reliability=RCFG, **overrides)
+    config = TrainConfig(loss_mode="EWAD_CPDP", weights=weights,
+                         reliability=ReliabilityConfig(**overrides))
     value, grads, etr, ctr = MODES["EWAD_CPDP"].step(config, batch, tau, None, anchor)
     return value, grads.logits, etr, ctr
 
@@ -308,7 +309,8 @@ class TestTrainLoop:
         corpus = tiny_corpus(n=12)
         bundle = teacher_and_bundle(corpus, two_teachers=True)
         base = dict(epochs=1, seed=3, hidden_dim=4, fixed_tau=1.0)
-        res = train(TrainConfig(loss_mode="EWAD", lambda_override=1.0, **base),
+        res = train(TrainConfig(loss_mode="EWAD",
+                                reliability=ReliabilityConfig(lambda_override=1.0), **base),
                     corpus, bundle)
         assert res.metrics[0]["lambda_mean"] == 1.0
 
