@@ -43,7 +43,6 @@ from .toymodel import (
     ROUTE_DIRECT,
     ROUTE_MAPREDUCE,
     ToyModelParams,
-    forward,
     generate,
     generate_batch,
     init_params,

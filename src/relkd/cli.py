@@ -25,12 +25,11 @@ import numpy as np
 from .atomic import write_text_atomic
 from .evalmetrics import retention
 from .longdoc import ChunkConfig, summarize_long
-from .losses import CpdpAnchor, TokenBatch
+from .losses import CpdpAnchor
 from .teachercache import read_cache, write_cache
 from .toymodel import (
     ROUTE_DIRECT,
     ToyModelParams,
-    forward,
     generate,
     generate_batch,
     load_checkpoint,
@@ -41,6 +40,7 @@ from .training import (
     CorpusConfig,
     SupervisionBundle,
     TrainConfig,
+    TrainingDiverged,
     build_pseudo_records,
     build_topk_cache,
     evaluate_rouge,
@@ -226,7 +226,10 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
         _corpus_cfg(cfg, "train")
     except ValueError as exc:
         raise CliError(f"corpus.{exc}") from exc
-    _train_config(cfg)
+    try:
+        _train_config(cfg)
+    except ValueError as exc:
+        raise CliError(f"training.{exc}") from exc
     _chunk_config(cfg)
     ids = [p["id"] for p in cfg["pseudo_teachers"]]
     if len(set(ids)) < len(ids):
@@ -513,17 +516,14 @@ def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
         if sid not in by_id:
             raise CliError(f"unknown sample id {sid!r}")
 
-    prepared, teachers, anchor = prepare_supervision(tc, corpus, bundle)
+    sup = prepare_supervision(tc, corpus, bundle)
     # report against the anchor the student was trained with, when it had one
-    if delta_star is not None:
-        anchor = CpdpAnchor(delta_star)
+    anchor = sup.anchor if delta_star is None else CpdpAnchor(delta_star)
 
     rows = []
     for sid in samples:
-        prep = prepared[by_id[sid]]
-        logits, _ = forward(params, corpus.examples[by_id[sid]].document, prep.target)
-        tb = TokenBatch(prep.target, [True] * len(prep.target), logits,
-                        teachers=teachers.take(prep.offset + np.arange(len(prep.target))))
+        # a batch of one: no padding, so the logits of the example alone
+        *_, tb = sup.batch(params, [by_id[sid]])
         _, _, etr, ctr = tc.spec.step(tc, tb, tc.fixed_tau, None, anchor)
         for i, pos in enumerate(tb.positions):
             rows.append({
@@ -594,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gate-trace":
             return cmd_gate_trace(cfg, args.out, [s for s in args.samples.split(",") if s])
         raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ValueError, OSError, KeyError) as exc:
+    except (CliError, ValueError, OSError, KeyError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,14 +54,14 @@ class LossWeights:
     alpha_hard: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.alpha_kd < 0 or self.alpha_inter < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("alpha_kd", "alpha_inter", "mu"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.alpha_kd + self.alpha_inter > 1.0:
-            raise ValueError("alpha_kd + alpha_inter must not exceed 1")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
+            raise ValueError(f"alpha_kd + alpha_inter must not exceed 1, got "
+                             f"{self.alpha_kd} + {self.alpha_inter}")
         if not self.cpdp_clamp > 0:
-            raise ValueError("cpdp_clamp must be positive")
+            raise ValueError(f"cpdp_clamp must be > 0, got {self.cpdp_clamp}")
         object.__setattr__(self, "alpha_hard", 1.0 - self.alpha_kd - self.alpha_inter)
 
 
@@ -74,7 +74,8 @@ class AdaptiveTauConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau_min < self.tau_max:
-            raise ValueError("require 0 < tau_min < tau_max")
+            raise ValueError(f"tau_min must lie in (0, tau_max {self.tau_max}), "
+                             f"got {self.tau_min}")
 
 
 @dataclass(frozen=True)

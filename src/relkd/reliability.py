@@ -37,11 +37,11 @@ class ReliabilityConfig:
 
     def __post_init__(self) -> None:
         if not self.gate_steepness > 0:
-            raise ValueError("gate_steepness must be positive")
+            raise ValueError(f"gate_steepness must be > 0, got {self.gate_steepness}")
         if not 0.0 <= self.gate_threshold <= 1.0:
-            raise ValueError("gate_threshold must lie in [0, 1]")
+            raise ValueError(f"gate_threshold must lie in [0, 1], got {self.gate_threshold}")
         if not self.weight_temperature > 0:
-            raise ValueError("weight_temperature must be positive")
+            raise ValueError(f"weight_temperature must be > 0, got {self.weight_temperature}")
         if self.lambda_override is not None and not 0.0 <= self.lambda_override <= 1.0:
             raise ValueError(f"lambda_override must lie in [0, 1], got {self.lambda_override}")
 

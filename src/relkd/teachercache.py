@@ -71,9 +71,9 @@ class MixingConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_pseudo <= 1.0:
-            raise ValueError("p_pseudo must lie in [0, 1]")
+            raise ValueError(f"p_pseudo must lie in [0, 1], got {self.p_pseudo}")
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _all_of(values, types) -> bool:

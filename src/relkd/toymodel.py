@@ -258,21 +258,6 @@ def backward_batch(
     return ParamGrads(embed=g_embed, recur=summed(dpre, h_in), out=summed(h_out[:lt], g_logits))
 
 
-def forward(
-    params: ToyModelParams, input_tokens, target_tokens
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-example teacher-forced pass: forward_batch on the batch of one
-    that ``forcing_rows`` lays out. Returns (logits, hidden) of shape (T, V)
-    and (T, d) aligned with target_tokens."""
-    src, _, tgt, tgt_in, _ = forcing_rows([list(input_tokens)], [list(target_tokens)])
-    _check_tokens(tgt, params.vocab_size)
-    if tgt.size < 1:
-        raise ValueError("target must contain at least one token")
-    logits, hidden, _ = forward_batch(params, src, np.ones(src.shape, dtype=bool),
-                                      tgt_in, np.ones(tgt.shape, dtype=bool))
-    return logits[0], hidden[0]
-
-
 def route(document, context_limit: int) -> str:
     """Length routing: documents within the context limit go direct."""
     if context_limit < 1:

@@ -50,7 +50,6 @@ from .toymodel import (
     ToyModelParams,
     backward_batch,
     forcing_rows,
-    forward,
     forward_batch,
     generate_batch,
     init_params,
@@ -311,8 +310,10 @@ def build_pseudo_records(
     records = []
     for ex, toks in zip(corpus.examples, summaries):
         if not toks:
-            logits, _ = forward(params, ex.document, [EOS_ID])
-            row = logits[0].copy()
+            src, _, _, tgt_in, _ = forcing_rows([ex.document], [[EOS_ID]])
+            logits, _, _ = forward_batch(params, src, np.ones_like(src, dtype=bool),
+                                         tgt_in, np.ones_like(tgt_in, dtype=bool))
+            row = logits[0, 0]
             row[EOS_ID] = -np.inf
             toks = [int(np.argmax(row))]
         records.append(
@@ -359,21 +360,16 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.loss_mode not in MODES:
-            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"loss_mode must be one of {', '.join(MODES)}, "
+                             f"got {self.loss_mode!r}")
+        for name, least in (("epochs", 0), ("seed", 0), ("batch_size", 1),
+                            ("context_limit", 1), ("hidden_dim", 1), ("anchor_tokens", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not self.fixed_tau > 0:
-            raise ValueError("fixed_tau must be positive")
-        if self.context_limit < 1:
-            raise ValueError("context_limit must be >= 1")
-        if self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+            raise ValueError(f"fixed_tau must be > 0, got {self.fixed_tau}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.anchor_tokens < 1:
-            raise ValueError(f"anchor_tokens must be >= 1, got {self.anchor_tokens}")
 
     @property
     def spec(self) -> ModeSpec:
@@ -461,26 +457,50 @@ def validate_supervision(config: TrainConfig, bundle: SupervisionBundle) -> None
 
 
 @dataclass
-class PreparedExample:
-    """Per-example supervision resolved once before the epoch loop."""
+class Supervision:
+    """The training split laid out once for teacher forcing: the
+    ``forcing_rows`` of every document and its chosen target, in corpus
+    order; each example's first row in ``teachers``; its mean teacher-1
+    entropy in the adaptive-tau modes (else None); and the CPDP anchor."""
 
-    target: list[int]            # selected summary + EOS
-    provenance: str
-    offset: int                  # row of the first target position in the teachers
-    teacher_entropy: float | None
+    src: np.ndarray
+    src_len: np.ndarray
+    tgt: np.ndarray
+    tgt_in: np.ndarray
+    tgt_len: np.ndarray
+    offsets: np.ndarray
+    entropy: np.ndarray | None
+    teachers: Teachers
+    anchor: CpdpAnchor | None
+
+    def batch(self, params: ToyModelParams, idx) -> tuple:
+        """Teacher-force ``params`` on the examples ``idx``, padded to the
+        longest of them: (logits, hidden, forward cache, TokenBatch)."""
+        idx = np.asarray(idx)
+        ls, lt = self.src_len[idx].max(), self.tgt_len[idx].max()
+        tgt_mask = np.arange(lt) < self.tgt_len[idx, None]
+        logits, hidden, fcache = forward_batch(
+            params, self.src[idx, :ls], np.arange(ls) < self.src_len[idx, None],
+            self.tgt_in[idx, :lt], tgt_mask,
+        )
+        # padded positions point at teacher row 0, which TokenBatch never reads
+        rows = np.where(tgt_mask, self.offsets[idx, None] + np.arange(lt), 0)
+        tb = TokenBatch(self.tgt[idx, :lt].ravel(), tgt_mask.ravel(),
+                        logits.reshape(rows.size, -1), self.teachers.take(rows.ravel()),
+                        sequence=np.repeat(np.arange(len(idx)), lt))
+        return logits, hidden, fcache, tb
 
 
 def prepare_supervision(
     config: TrainConfig, corpus: Corpus, bundle: SupervisionBundle
-) -> tuple[list[PreparedExample], Teachers, CpdpAnchor | None]:
+) -> Supervision:
     """Validate the bundle, then resolve every example's target and teacher
     logits in corpus order, plus the CPDP anchor when the mode uses one.
 
-    The teachers hold one row per target position, examples in corpus order.
-    Their logits are checked here, once; everything the losses derive from
-    them is computed once over all the rows (see ``Teachers``). The anchor
-    is the mean inter-teacher KL over the first ``config.anchor_tokens``
-    target positions, in corpus order.
+    The teachers' logits are checked here, once; everything the losses
+    derive from them is computed once over all the rows (see ``Teachers``).
+    The anchor is the mean inter-teacher KL over the first
+    ``config.anchor_tokens`` target positions, in corpus order.
     """
     validate_supervision(config, bundle)
     spec = config.spec
@@ -491,7 +511,7 @@ def prepare_supervision(
             raise ValueError(f"teacher {which} cache has vocab_size {topk.vocab_size}, "
                              f"corpus.vocab_size is {corpus.vocab_size}")
     firsts = {which: topk.first.tolist() for which, topk in wanted}
-    targets, provenances, starts = [], [], {1: [], 2: []}
+    targets, starts = [], {1: [], 2: []}
     for i, ex in enumerate(corpus.examples):
         summary, provenance = list(ex.summary), "gold"
         if config.mixes_pseudo:
@@ -514,30 +534,28 @@ def prepare_supervision(
                                  f"target has {len(target)}")
             starts[which].append(first)
         targets.append(target)
-        provenances.append(provenance)
 
+    src, src_len, tgt, tgt_in, lengths = forcing_rows([ex.document for ex in corpus.examples],
+                                                      targets)
     # every example's rows of each cache, densified in one step
-    lengths = np.array([len(t) for t in targets])
     offsets = np.cumsum(lengths) - lengths
     within = np.arange(lengths.sum()) - np.repeat(offsets, lengths)
     logits = {which: _floored_log(topk.densify(np.repeat(starts[which], lengths) + within))
               for which, topk in wanted}
-    h_bar = [None] * len(targets)
+    h_bar = None
     if spec.adaptive_tau:
         h = np.atleast_1d(entropy(_exp_normalized(logits[1])))
-        h_bar = [float(h[a:a + n].mean()) for a, n in zip(offsets.tolist(), lengths.tolist())]
-    examples = [PreparedExample(*fields)
-                for fields in zip(targets, provenances, offsets.tolist(), h_bar)]
+        h_bar = np.array([h[a:a + n].mean() for a, n in zip(offsets.tolist(), lengths.tolist())])
 
     teachers = Teachers(logits.get(1), logits.get(2))
-    if not spec.anchor:
-        return examples, teachers, None
-    n = min(config.anchor_tokens, int(lengths.sum()))
-    if n == 0:
-        raise ValueError("no calibration tokens available for the anchor")
-    anchor = compute_anchor(_exp_normalized(teachers.logits(1)[:n]),
-                            _exp_normalized(teachers.logits(2)[:n]))
-    return examples, teachers, anchor
+    anchor = None
+    if spec.anchor:
+        n = min(config.anchor_tokens, int(lengths.sum()))
+        if n == 0:
+            raise ValueError("no calibration tokens available for the anchor")
+        anchor = compute_anchor(_exp_normalized(teachers.logits(1)[:n]),
+                                _exp_normalized(teachers.logits(2)[:n]))
+    return Supervision(src, src_len, tgt, tgt_in, lengths, offsets, h_bar, teachers, anchor)
 
 
 @dataclass
@@ -568,24 +586,15 @@ def train(
     n = len(corpus.examples)
     if n == 0:
         raise ValueError("cannot train on an empty corpus")
-    prepared, teachers, anchor = prepare_supervision(config, corpus, bundle)
-    offsets = np.array([p.offset for p in prepared])
-    # every example padded once; a batch slices its rows to its longest one
-    src_all, src_len, tgt_all, tgt_in_all, tgt_len = forcing_rows(
-        [ex.document for ex in corpus.examples], [p.target for p in prepared]
-    )
-    entropies = np.array([p.teacher_entropy for p in prepared]) if spec.adaptive_tau else None
-    teacher_hidden = None
+    sup = prepare_supervision(config, corpus, bundle)
+    params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
+    projection = teacher_hidden = None
     if spec.hidden:
         # the teacher is frozen: its hidden state at every target position, once
         _, teacher_hidden, _ = forward_batch(
-            bundle.teacher_params, src_all, np.arange(src_all.shape[1]) < src_len[:, None],
-            tgt_in_all, np.arange(tgt_all.shape[1]) < tgt_len[:, None],
+            bundle.teacher_params, sup.src, np.arange(sup.src.shape[1]) < sup.src_len[:, None],
+            sup.tgt_in, np.arange(sup.tgt.shape[1]) < sup.tgt_len[:, None],
         )
-
-    params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
-    projection = None
-    if spec.hidden:
         d_t = bundle.teacher_params.hidden_dim
         projection = 0.2 * np.random.default_rng([config.seed, 3]).standard_normal(
             (config.hidden_dim, d_t)
@@ -605,31 +614,23 @@ def train(
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             bsz = len(batch_idx)
-            ls, lt = src_len[batch_idx].max(), tgt_len[batch_idx].max()
-            src, src_mask = src_all[batch_idx, :ls], np.arange(ls) < src_len[batch_idx, None]
-            tgt, tgt_in = tgt_all[batch_idx, :lt], tgt_in_all[batch_idx, :lt]
-            tgt_mask = np.arange(lt) < tgt_len[batch_idx, None]
-
-            logits, hidden, fcache = forward_batch(params, src, src_mask, tgt_in, tgt_mask)
+            logits, hidden, fcache, tb = sup.batch(params, batch_idx)
+            lt = logits.shape[1]
             tau = config.fixed_tau
             if spec.adaptive_tau:
-                h = entropies[batch_idx]
+                h = sup.entropy[batch_idx]
                 hbar_sum += float(np.sum(h))
                 hbar_count += bsz
                 tau = np.repeat(
                     tau_from_entropy(h, float(np.mean(h)), config.adaptive_tau_cfg), lt
                 )
-            # padded positions point at teacher row 0, which TokenBatch never reads
-            rows = np.where(tgt_mask, offsets[batch_idx, None] + np.arange(lt), 0)
-            tb = TokenBatch(tgt.ravel(), tgt_mask.ravel(), logits.reshape(bsz * lt, v),
-                            teachers.take(rows.ravel()), sequence=np.repeat(np.arange(bsz), lt))
             hp = None
             if spec.hidden:
                 hp = HiddenPair(hidden.reshape(bsz * lt, -1),
                                 teacher_hidden[batch_idx, :lt].reshape(bsz * lt, -1), projection)
 
             # the loss sums the per-sequence means; the objective is their mean
-            value, g, etr, ctr = spec.step(config, tb, tau, hp, anchor)
+            value, g, etr, ctr = spec.step(config, tb, tau, hp, sup.anchor)
             dlogits = g.logits.reshape(logits.shape) / bsz
             dhidden = None if g.hidden is None else g.hidden.reshape(hidden.shape) / bsz
 
@@ -681,7 +682,7 @@ def train(
     hbar = (hbar_sum / hbar_count) if hbar_count else None
     return TrainResult(
         params=params, projection=projection, hbar_batch=hbar,
-        anchor=anchor, metrics=metrics,
+        anchor=sup.anchor, metrics=metrics,
     )
 
 

@@ -16,7 +16,13 @@ import numpy as np
 
 from relkd.distmath import entropy
 from relkd.losses import tau_from_entropy
-from relkd.toymodel import BOUNDARY_ID, FIRST_CONTENT_ID
+from relkd.toymodel import (
+    BOUNDARY_ID,
+    FIRST_CONTENT_ID,
+    _check_tokens,
+    forcing_rows,
+    forward_batch,
+)
 from relkd.training import Corpus, CorpusConfig, CorpusExample, salient_threshold
 
 KL_FLOOR = 1e-12
@@ -400,6 +406,19 @@ def dedup_oracle(sentences: list[list[int]], cfg) -> list[list[int]]:
         if all(jaccard_oracle(s, k) <= cfg.jaccard_threshold for k in kept):
             kept.append(s)
     return kept
+
+
+def forward_one(params, input_tokens, target_tokens):
+    """Single-example teacher-forced pass: forward_batch on the batch of one
+    that ``forcing_rows`` lays out. Returns (logits, hidden) of shape (T, V)
+    and (T, d) aligned with target_tokens."""
+    src, _, tgt, tgt_in, _ = forcing_rows([list(input_tokens)], [list(target_tokens)])
+    _check_tokens(tgt, params.vocab_size)
+    if tgt.size < 1:
+        raise ValueError("target must contain at least one token")
+    logits, hidden, _ = forward_batch(params, src, np.ones(src.shape, dtype=bool),
+                                      tgt_in, np.ones(tgt.shape, dtype=bool))
+    return logits[0], hidden[0]
 
 
 def forward_batch_oracle(params, src, src_mask, tgt_in, tgt_mask):

@@ -313,8 +313,8 @@ def test_densify_all_positions_matches_each_position(tmp_path):
         assert np.allclose(rows[t], cache.densify([t])[0], rtol=0, atol=1e-16)
     # an example whose target (8 tokens, then EOS) covers the record's 9 positions
     corpus = Corpus([CorpusExample("x", [5, 6, 7], [6] * 8)], 12)
-    _, teachers, _ = prepare_supervision(TrainConfig(loss_mode="A2"), corpus,
-                                         SupervisionBundle(topk1=cache))
+    teachers = prepare_supervision(TrainConfig(loss_mode="A2"), corpus,
+                                   SupervisionBundle(topk1=cache)).teachers
     assert np.array_equal(teachers.logits(1), np.log(np.maximum(rows, 1e-12)))
 
 

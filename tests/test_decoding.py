@@ -11,7 +11,6 @@ from relkd.toymodel import (
     BOS_ID,
     EOS_ID,
     ToyModelParams,
-    forward,
     generate,
     generate_batch,
     init_params,
@@ -27,7 +26,7 @@ from relkd.training import (
     topk_from_logits,
 )
 
-from oracles import records_of, topk_pairs
+from oracles import forward_one, records_of, topk_pairs
 
 
 def oracle_generate(params, document, mode="greedy", beam_width=4, max_len=32):
@@ -185,7 +184,7 @@ def test_topk_records_match_one_forward_per_example():
     records = records_of(build_topk_cache(params, corpus, 4))
     assert [eid for eid, _ in records] == [ex.example_id for ex in corpus.examples]
     for (_, positions), ex in zip(records, corpus.examples):
-        logits, _ = forward(params, ex.document, list(ex.summary) + [EOS_ID])
+        logits, _ = forward_one(params, ex.document, list(ex.summary) + [EOS_ID])
         assert_same_topk(positions, oracle_topk(logits, 4))
 
     pseudo = index_pseudo(build_pseudo_records(params, "p1", corpus, beam_width=3, max_len=5)
@@ -195,7 +194,7 @@ def test_topk_records_match_one_forward_per_example():
     assert len(variants) == 2 * len(corpus.examples)
     for (var_id, positions), (ex, rec) in zip(variants, expected):
         assert var_id == pseudo_variant_id(ex.example_id, rec.teacher_id)
-        logits, _ = forward(params, ex.document, rec.tokens + [EOS_ID])
+        logits, _ = forward_one(params, ex.document, rec.tokens + [EOS_ID])
         assert_same_topk(positions, oracle_topk(logits, 4))
     assert records_of(build_topk_cache(params, corpus, 4, {})) == records
 
@@ -208,6 +207,22 @@ def test_pseudo_records_are_the_per_document_beam():
         expected = oracle_generate(params, ex.document, "beam", 3, 5)
         # an empty beam falls back to the best non-terminal first token
         assert rec.tokens == expected or (not expected and len(rec.tokens) == 1)
+
+
+def test_an_empty_beam_falls_back_to_the_strongest_first_token():
+    corpus = small_corpus()
+    params = init_params(16, 5, np.random.default_rng(3), scale=1.0)
+    # BOS saturates state 0, which scores EOS far above every other token; the
+    # other states, and so the fallback token, still depend on the document
+    params.embed[BOS_ID] = 0.0
+    params.embed[BOS_ID, 0], params.out[0, EOS_ID] = 20.0, 50.0
+    records = build_pseudo_records(params, "p1", corpus, beam_width=3, max_len=5)
+    for rec, ex in zip(records, corpus.examples):
+        assert oracle_generate(params, ex.document, "beam", 3, 5) == []
+        row = forward_one(params, ex.document, [EOS_ID])[0][0]
+        row[EOS_ID] = -np.inf
+        assert rec.tokens == [int(np.argmax(row))]
+    assert len({rec.tokens[0] for rec in records}) > 1
 
 
 def test_each_map_phase_is_one_call():

@@ -64,13 +64,22 @@ class TestConfigTypes:
         ({"lambda_override": -2.0}, "lambda_override"),
         ({"anchor_tokens": -3}, "anchor_tokens"),
         ({"anchor_tokens": 0}, "anchor_tokens"),
+        ({"tau_min": 3.0}, "tau_min"),
+        ({"context_limit": 0}, "context_limit"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"alpha_kd": 0.6, "alpha_inter": 0.6}, "alpha_kd"),
+        ({"fixed_tau": 0}, "fixed_tau"),
+        ({"loss_mode": "A9"}, "loss_mode"),
+        ({"mu": -1.0}, "mu"),
+        ({"p_pseudo": 1.5}, "p_pseudo"),
+        ({"gate_steepness": 0}, "gate_steepness"),
     ])
     def test_out_of_range_training_value_fails_before_any_output(self, tmp_path, capsys,
                                                                  training, key):
         cfg = write_config(tmp_path / "c.json", preset="ewad_cpdp", training=training)
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "distill"]) == 1
-        assert key in capsys.readouterr().err
+        assert f"error: training.{key} " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("teacher", ["teacher1", "teacher2"])
@@ -381,6 +390,30 @@ def test_an_a5_teacher_checkpoint_that_cannot_read_the_corpus_fails(tmp_path, ca
     assert ("corpus.vocab_size 16 exceeds the vocabulary size 8 of checkpoint "
             f"{tmp_path / 'teacher1.json'}") in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_an_a5_teacher_checkpoint_of_a_larger_vocabulary_trains(tmp_path):
+    save_checkpoint(tmp_path / "teacher1.json", init_params(16, 4, np.random.default_rng(0)))
+    cfg = write_config(tmp_path / "c.json", preset="A5", teacher2={"checkpoint": None},
+                       pseudo_teachers=[{"id": "p1", "checkpoint": "teacher1.json"}])
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    # hidden states come from a V=20 checkpoint; the caches stay those of the V=16 one
+    save_checkpoint(tmp_path / "t20.json", init_params(20, 5, np.random.default_rng(1)))
+    cfg = write_config(tmp_path / "c.json", preset="A5",
+                       teacher1={"checkpoint": "t20.json"}, teacher2={"checkpoint": None})
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 0
+    assert (tmp_path / "student.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_a_diverged_distill_is_an_error_without_output(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": "A1", "corpus": {"n_train": 40, "n_test": 10},
+                               "training": {"epochs": 3, "learning_rate": 1e307}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "distill"]) == 1
+    assert "error: training diverged at epoch" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def _gate_trace_inputs(tmp_path, student_vocab, meta):

@@ -12,7 +12,6 @@ from relkd.toymodel import (
     ROUTE_MAPREDUCE,
     ToyModelParams,
     backward_batch,
-    forward,
     forward_batch,
     generate,
     init_params,
@@ -21,7 +20,13 @@ from relkd.toymodel import (
     save_checkpoint,
 )
 
-from oracles import backward_batch_oracle, central_diff, forward_batch_oracle, max_rel_err
+from oracles import (
+    backward_batch_oracle,
+    central_diff,
+    forward_batch_oracle,
+    forward_one,
+    max_rel_err,
+)
 
 
 def small_params(seed=0, vocab=6, dim=3):
@@ -40,14 +45,14 @@ def ragged_batch(rng, vocab, src_len, tgt_len):
 class TestForward:
     def test_zero_params_give_uniform(self):
         p = ToyModelParams(np.zeros((5, 3)), np.zeros((3, 3)), np.zeros((3, 5)))
-        logits, _ = forward(p, [3, 4], [2, 1])
+        logits, _ = forward_one(p, [3, 4], [2, 1])
         assert np.all(logits == 0.0)
 
     def test_matches_scalar_recurrence(self):
         # independent elementwise recomputation of the tanh recurrence
         params = small_params(1, vocab=4, dim=2)
         doc, tgt = [3, 2], [1, 0]
-        logits, hidden = forward(params, doc, tgt)
+        logits, hidden = forward_one(params, doc, tgt)
 
         h = [0.0, 0.0]
         seq = doc + [BOS_ID, tgt[0]]
@@ -66,21 +71,21 @@ class TestForward:
 
     def test_output_length_matches_target(self):
         params = small_params(2)
-        logits, hidden = forward(params, [3, 4, 5], [1, 2, 3, 4])
+        logits, hidden = forward_one(params, [3, 4, 5], [1, 2, 3, 4])
         assert logits.shape[0] == 4 and hidden.shape[0] == 4
 
     def test_rejects_out_of_range_tokens(self):
         params = small_params(3)
         with pytest.raises(ValueError):
-            forward(params, [99], [1])
+            forward_one(params, [99], [1])
         with pytest.raises(ValueError):
-            forward(params, [1], [99])
+            forward_one(params, [1], [99])
 
     def test_padding_matches_unpadded(self):
         # a padded batched run must reproduce the unpadded per-example pass
         params = small_params(4)
         doc, tgt = [3, 4, 5], [2, 1, 0]
-        logits_ref, hidden_ref = forward(params, doc, tgt)
+        logits_ref, hidden_ref = forward_one(params, doc, tgt)
 
         src = np.array([[3, 4, 5, 0, 0]])
         src_mask = np.array([[True, True, True, False, False]])

@@ -43,6 +43,7 @@ from oracles import (
     central_diff,
     cpdp_forward_scalar,
     ewad_forward_scalar,
+    forward_one,
     max_rel_err,
 )
 
@@ -390,16 +391,15 @@ class TestTrainLoop:
 class TestCacheBridge:
     def test_full_k_cache_reproduces_teacher_distributions(self):
         from relkd.distmath import softmax_t
-        from relkd.toymodel import forward
 
         corpus = tiny_corpus(n=4)
         t1 = init_params(corpus.vocab_size, 5, np.random.default_rng(0))
         records = build_topk_cache(t1, corpus, corpus.vocab_size)
         ex = corpus.examples[0]
         target = ex.summary + [EOS_ID]
-        logits, _ = forward(t1, ex.document, target)
-        _, teachers, _ = prepare_supervision(TrainConfig(loss_mode="A2"), corpus,
-                                             SupervisionBundle(topk1=records))
+        logits, _ = forward_one(t1, ex.document, target)
+        teachers = prepare_supervision(TrainConfig(loss_mode="A2"), corpus,
+                                       SupervisionBundle(topk1=records)).teachers
         cached = teachers.logits(1)[:len(target)]  # the first example's rows
         assert np.allclose(softmax_t(cached, 1.0), softmax_t(logits, 1.0), atol=1e-12)
 
@@ -424,6 +424,31 @@ class TestCacheBridge:
         with pytest.raises(ValueError, match="positions"):
             prepare_supervision(TrainConfig(loss_mode="A2"), longer,
                                 SupervisionBundle(topk1=records))
+
+
+class TestSupervisionBatch:
+    def setup_method(self):
+        self.corpus = tiny_corpus(n=6)
+        bundle = teacher_and_bundle(self.corpus, two_teachers=True)
+        self.params = init_params(self.corpus.vocab_size, 4, np.random.default_rng(9))
+        self.sup = prepare_supervision(TrainConfig(loss_mode="EWAD"), self.corpus, bundle)
+
+    def test_a_batch_gathers_each_example_s_teacher_rows_in_order(self):
+        idx = [4, 0, 3]
+        assert len(set(self.sup.tgt_len[idx].tolist())) > 1  # padding is exercised
+        *_, tb = self.sup.batch(self.params, idx)
+        for which in (1, 2):
+            rows = self.sup.teachers.logits(which)
+            expected = [rows[self.sup.offsets[i]:self.sup.offsets[i] + self.sup.tgt_len[i]]
+                        for i in idx]
+            assert np.array_equal(tb.teachers.logits(which), np.concatenate(expected))
+
+    def test_a_batch_of_one_is_the_example_alone(self):
+        for i, ex in enumerate(self.corpus.examples):
+            logits, hidden, _, tb = self.sup.batch(self.params, [i])
+            ref_logits, ref_hidden = forward_one(self.params, ex.document, ex.summary + [EOS_ID])
+            assert np.all(logits[0] == ref_logits) and np.all(hidden[0] == ref_hidden)
+            assert tb.positions.tolist() == list(range(len(ex.summary) + 1))
 
 
 class TestModeTable:
