@@ -145,19 +145,22 @@ def _deep_merge(base: dict, override: dict) -> dict:
 _NULLABLE = {"preset": str, "teacher2.checkpoint": str, "mapreduce.map_checkpoint": str,
              "mapreduce.reduce_checkpoint": str, "training.lambda_override": float}
 _LIST_ENTRIES = {"pseudo_teachers": {"id": "", "checkpoint": ""}}
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
                dict: "an object", list: "an array"}
-# The least value of some settings. A decoding length of 0 scores every
-# summary as empty, and a beam, a top-k cache or a student of width 0 keeps nothing.
-_MINIMUM = {"training.gen_max_len": 1, "beam_width": 1, "cache_k": 1, "student.hidden_dim": 1,
+# The least value of some settings. A beam, a top-k cache or a student of
+# width 0 keeps nothing.
+_MINIMUM = {"beam_width": 1, "cache_k": 1, "student.hidden_dim": 1,
             "corpus.n_train": 0, "corpus.n_test": 0, "corpus.n_val": 0}
 
 
 def _fits(value, expected: type) -> bool:
-    """Whether a JSON value has the type: an int is a float, a bool is neither."""
+    """Whether a JSON value has the type: an int is a float, a bool is neither,
+    and NaN and Infinity are not numbers."""
     if isinstance(value, bool) or expected is bool:
         return type(value) is expected
-    return isinstance(value, (int, float) if expected is float else expected)
+    if expected is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, expected)
 
 
 def _config_problems(user: dict, defaults: dict, prefix: str = "") -> list[str]:
@@ -389,8 +392,6 @@ def cmd_distill(cfg: dict, out_dir: str) -> int:
 
     save_checkpoint(
         os.path.join(out_dir, cfg["outputs"]["checkpoint"]), result.params,
-        hbar_batch=result.hbar_batch,
-        projection=result.projection,
         meta={"loss_mode": tc.loss_mode, "seed": cfg["seed"],
               "preset": cfg.get("preset"),
               "delta_star": None if result.anchor is None else result.anchor.delta_star},
@@ -503,11 +504,10 @@ def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
     tc = replace(_train_config(cfg), loss_mode=PRESETS["ewad_cpdp"]["loss_mode"])
     bundle = _load_bundle(cfg, out_dir, tc)
     path = _input(cfg["outputs"]["checkpoint"], out_dir, "checkpoint")
-    params, extras = load_checkpoint(path)
+    params, meta = load_checkpoint(path)
     _check_vocab(cfg, params, path)
-    delta_star = extras["meta"].get("delta_star")
-    if delta_star is not None and (type(delta_star) not in (int, float)
-                                   or not abs(delta_star) <= sys.float_info.max):
+    delta_star = meta.get("delta_star")
+    if delta_star is not None and not _fits(delta_star, float):
         raise ValueError(f"{path}: meta.delta_star must be a finite number or null, "
                          f"got {delta_star!r}")
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))

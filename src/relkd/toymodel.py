@@ -361,16 +361,8 @@ def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[
     return [list(min(row, key=lambda e: (-e[0], e[1]))[1]) for row in done]
 
 
-def save_checkpoint(
-    path,
-    params: ToyModelParams,
-    *,
-    hbar_batch: float | None = None,
-    projection: np.ndarray | None = None,
-    meta: dict | None = None,
-) -> None:
-    """Write a JSON checkpoint: dimensions, flat parameter arrays, and the
-    persisted running mean of teacher batch entropy when available."""
+def save_checkpoint(path, params: ToyModelParams, *, meta: dict | None = None) -> None:
+    """Write a JSON checkpoint: dimensions, flat parameter arrays and meta."""
     obj = {
         "version": CHECKPOINT_VERSION,
         "vocab_size": params.vocab_size,
@@ -378,19 +370,14 @@ def save_checkpoint(
         "embed": params.embed.ravel().tolist(),
         "recur": params.recur.ravel().tolist(),
         "out": params.out.ravel().tolist(),
-        "hbar_batch": hbar_batch,
-        "projection": None
-        if projection is None
-        else {"shape": list(projection.shape), "data": np.ravel(projection).tolist()},
         "meta": meta or {},
     }
     write_text_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
-    """Read a checkpoint; returns (params, extras) where extras carries
-    hbar_batch, the projection matrix (if any), and meta. A malformed
-    checkpoint raises ValueError naming ``path``."""
+    """Read a checkpoint; returns (params, meta). Keys it does not read are
+    ignored. A malformed checkpoint raises ValueError naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
@@ -404,19 +391,11 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
             recur=np.array(obj["recur"]).reshape(d, d),
             out=np.array(obj["out"]).reshape(d, v),
         )
-        proj = None
-        if obj.get("projection") is not None:
-            shape = tuple(obj["projection"]["shape"])
-            proj = np.array(obj["projection"]["data"]).reshape(shape)
-        if not isinstance(obj.get("meta", {}), dict):
+        meta = obj.get("meta", {})
+        if not isinstance(meta, dict):
             raise ValueError("checkpoint meta must be a JSON object")
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    extras = {
-        "hbar_batch": obj.get("hbar_batch"),
-        "projection": proj,
-        "meta": obj.get("meta", {}),
-    }
-    return params, extras
+    return params, meta

@@ -362,8 +362,8 @@ class TrainConfig:
         if self.loss_mode not in MODES:
             raise ValueError(f"loss_mode must be one of {', '.join(MODES)}, "
                              f"got {self.loss_mode!r}")
-        for name, least in (("epochs", 0), ("seed", 0), ("batch_size", 1),
-                            ("context_limit", 1), ("hidden_dim", 1), ("anchor_tokens", 1)):
+        for name, least in (("epochs", 0), ("seed", 0), ("batch_size", 1), ("context_limit", 1),
+                            ("hidden_dim", 1), ("anchor_tokens", 1), ("gen_max_len", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not self.fixed_tau > 0:
@@ -561,8 +561,6 @@ def prepare_supervision(
 @dataclass
 class TrainResult:
     params: ToyModelParams
-    projection: np.ndarray | None
-    hbar_batch: float | None
     anchor: CpdpAnchor | None
     metrics: list[dict]
 
@@ -601,7 +599,6 @@ def train(
         )
     order_rng = np.random.default_rng([config.seed, 2])
 
-    hbar_sum, hbar_count = 0.0, 0
     metrics: list[dict] = []
 
     for epoch in range(config.epochs):
@@ -619,8 +616,6 @@ def train(
             tau = config.fixed_tau
             if spec.adaptive_tau:
                 h = sup.entropy[batch_idx]
-                hbar_sum += float(np.sum(h))
-                hbar_count += bsz
                 tau = np.repeat(
                     tau_from_entropy(h, float(np.mean(h)), config.adaptive_tau_cfg), lt
                 )
@@ -679,11 +674,7 @@ def train(
             ).rougeL
         metrics.append(row)
 
-    hbar = (hbar_sum / hbar_count) if hbar_count else None
-    return TrainResult(
-        params=params, projection=projection, hbar_batch=hbar,
-        anchor=sup.anchor, metrics=metrics,
-    )
+    return TrainResult(params=params, anchor=sup.anchor, metrics=metrics)
 
 
 def evaluate_rouge(

@@ -96,9 +96,9 @@ class TestCacheTeacher:
 
 class TestDistill:
     def test_checkpoint_and_metrics_written(self, workspace):
-        params, extras = load_checkpoint(workspace / "student.json")
+        params, meta = load_checkpoint(workspace / "student.json")
         assert params.hidden_dim == 6
-        assert extras["meta"]["loss_mode"] == "A2"
+        assert meta["loss_mode"] == "A2"
         lines = (workspace / "metrics.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
         assert header["version"] == 1 and header["kind"] == "metrics"
@@ -422,7 +422,7 @@ class TestGateTraceAnchor:
             training={"epochs": 2, "batch_size": 8},
         )
         assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 0
-        delta_star = load_checkpoint(tmp_path / "cpdp.json")[1]["meta"]["delta_star"]
+        delta_star = load_checkpoint(tmp_path / "cpdp.json")[1]["delta_star"]
         assert delta_star is not None
 
         def traced(checkpoint):

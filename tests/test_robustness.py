@@ -28,6 +28,12 @@ class TestConfigTypes:
         ('{"pseudo_teachers": [{"id": 1, "checkpoint": "t.json"}]}', "pseudo_teachers[0].id"),
         ('{"pseudo_teachers": ["t.json"]}', "pseudo_teachers[0] must be an object"),
         ('{"mapreduce": []}', "mapreduce must be an object"),
+        ('{"preset": "A1", "corpus": {"n_train": 20, "n_test": 5}, '
+         '"training": {"epochs": 1, "alpha_kd": NaN}}', "training.alpha_kd must be a finite number"),
+        ('{"training": {"mu": NaN}}', "training.mu must be a finite number"),
+        ('{"training": {"learning_rate": Infinity}}',
+         "training.learning_rate must be a finite number"),
+        ('{"training": {"cpdp_clamp": Infinity}}', "training.cpdp_clamp must be a finite number"),
     ])
     def test_ill_typed_value_fails_before_any_output(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "c.json"

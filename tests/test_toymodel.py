@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -350,17 +351,36 @@ class TestRoute:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = small_params(7)
-        proj = np.random.default_rng(8).standard_normal((3, 4))
         path = tmp_path / "m.json"
-        save_checkpoint(path, params, hbar_batch=1.234, projection=proj,
-                        meta={"loss_mode": "A5"})
-        loaded, extras = load_checkpoint(path)
+        save_checkpoint(path, params, meta={"loss_mode": "A5"})
+        loaded, meta = load_checkpoint(path)
         assert np.array_equal(loaded.embed, params.embed)
         assert np.array_equal(loaded.recur, params.recur)
         assert np.array_equal(loaded.out, params.out)
-        assert extras["hbar_batch"] == 1.234
-        assert np.array_equal(extras["projection"], proj)
-        assert extras["meta"]["loss_mode"] == "A5"
+        assert meta == {"loss_mode": "A5"}
+
+    def test_holds_only_the_model_and_meta(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_checkpoint(path, small_params(), meta={"seed": 3})
+        assert set(json.loads(path.read_text())) == {
+            "version", "vocab_size", "hidden_dim", "embed", "recur", "out", "meta"}
+
+    def test_reads_a_file_with_the_retired_keys(self, tmp_path):
+        # earlier checkpoints also carried A4/A5's hbar_batch and projection
+        params = small_params(8)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "version": 1, "vocab_size": params.vocab_size, "hidden_dim": params.hidden_dim,
+            "embed": params.embed.ravel().tolist(), "recur": params.recur.ravel().tolist(),
+            "out": params.out.ravel().tolist(), "hbar_batch": 1.234,
+            "projection": {"shape": [3, 4], "data": [0.5] * 12},
+            "meta": {"loss_mode": "A5"},
+        }))
+        loaded, meta = load_checkpoint(path)
+        assert np.array_equal(loaded.embed, params.embed)
+        assert np.array_equal(loaded.recur, params.recur)
+        assert np.array_equal(loaded.out, params.out)
+        assert meta == {"loss_mode": "A5"}
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "m.json"
