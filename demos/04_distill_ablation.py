@@ -1,6 +1,8 @@
 # A small end-to-end distillation study: train two toy teachers, cache their
 # top-k logits offline, then run the experiment arms and compare retention.
 
+from dataclasses import replace
+
 from relkd import LossWeights, retention
 from relkd.training import (
     CorpusConfig,
@@ -55,10 +57,7 @@ teacher_score = evaluate_rouge(t1.params, test_corpus)
 print(f"\nteacher ROUGE-L: {teacher_score.rougeL:.4f}\n")
 print(f"{'arm':<20} {'R-1':>7} {'R-2':>7} {'R-L':>7} {'ret%':>7}")
 for name, cfg in arms.items():
-    cfg.epochs = 30
-    cfg.seed = 0
-    cfg.hidden_dim = 16
-    cfg.learning_rate = 0.5
+    cfg = replace(cfg, epochs=30, seed=0, hidden_dim=16, learning_rate=0.5)
     result = train(cfg, train_corpus, bundle)
     s = evaluate_rouge(result.params, test_corpus)
     ret = retention(s, teacher_score).retention_pct if teacher_score.rougeL > 0 else float("nan")

@@ -100,6 +100,11 @@ def jsd(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     return 0.5 * kl(p, m) + 0.5 * kl(q, m)
 
 
+# Margin that keeps a clipped sigmoid strictly inside (0, 1) where float64
+# saturates it (|x| >~ 37): the trust gate and the adaptive temperature.
+OPEN_EPS = 1e-12
+
+
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=float)

@@ -25,17 +25,13 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .distmath import entropy, kl, log_softmax_scaled, sigmoid, softmax_scaled, softmax_t
+from .distmath import OPEN_EPS, entropy, kl, log_softmax_scaled, sigmoid, softmax_scaled, softmax_t
 from .reliability import ReliabilityConfig, TokenReliability, token_reliability
 
 # Floor for the student entropy in the divergence-gap ratio; the ratio is
 # undefined at H = 0 and a (near-)deterministic student would otherwise blow
 # it up. Floored positions are flagged in the trace.
 ENTROPY_FLOOR = 1e-8
-
-# Keeps the adaptive temperature strictly inside (tau_min, tau_max) when the
-# sigmoid saturates in float64.
-_OPEN_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -462,5 +458,5 @@ def tau_from_entropy(sample_entropy, batch_mean_entropy: float, cfg: AdaptiveTau
     elementwise over ``sample_entropy``; the interpolant is clipped so tau
     stays strictly inside the open interval."""
     t = sigmoid(np.asarray(sample_entropy, dtype=float) - batch_mean_entropy)
-    t = np.clip(t, _OPEN_EPS, 1.0 - _OPEN_EPS)
+    t = np.clip(t, OPEN_EPS, 1.0 - OPEN_EPS)
     return cfg.tau_min + (cfg.tau_max - cfg.tau_min) * t

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmath import check_prob_dist, entropy, jsd, sigmoid
-
-# Keeps gate values strictly inside (0, 1) even when the sigmoid saturates
-# in float64 (|x| >~ 37).
-_OPEN_EPS = 1e-12
+from .distmath import OPEN_EPS, check_prob_dist, entropy, jsd, sigmoid
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ def gate(a: float | np.ndarray, cfg: ReliabilityConfig) -> float | np.ndarray:
     """sigmoid(k * (a - delta)); strictly increasing, clipped to stay
     strictly inside (0, 1)."""
     g = sigmoid(cfg.gate_steepness * (np.asarray(a, dtype=float) - cfg.gate_threshold))
-    g = np.clip(g, _OPEN_EPS, 1.0 - _OPEN_EPS)
+    g = np.clip(g, OPEN_EPS, 1.0 - OPEN_EPS)
     return float(g) if g.ndim == 0 else g
 
 

@@ -15,7 +15,7 @@ sentence boundaries for the long-document pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,24 +33,33 @@ ROUTE_MAPREDUCE = "mapreduce"
 CHECKPOINT_VERSION = 1
 
 
+def param_shapes(vocab_size: int, hidden_dim: int) -> dict[str, tuple[int, int]]:
+    """The model's arrays by name and shape, in the order init_params draws them."""
+    return {"embed": (vocab_size, hidden_dim), "recur": (hidden_dim, hidden_dim),
+            "out": (hidden_dim, vocab_size)}
+
+
 @dataclass
 class ToyModelParams:
-    """Embedding (V, d), recurrence (d, d), output (d, V)."""
+    """The model's arrays, shaped as ``param_shapes`` declares."""
 
     embed: np.ndarray
     recur: np.ndarray
     out: np.ndarray
 
     def __post_init__(self) -> None:
-        self.embed = np.asarray(self.embed, dtype=float)
-        self.recur = np.asarray(self.recur, dtype=float)
-        self.out = np.asarray(self.out, dtype=float)
+        for name, a in self.arrays().items():
+            setattr(self, name, np.asarray(a, dtype=float))
         v, d = self.embed.shape
-        if self.recur.shape != (d, d) or self.out.shape != (d, v):
+        shapes = param_shapes(v, d)
+        if any(a.shape != shapes[name] for name, a in self.arrays().items()):
             raise ValueError("parameter shapes are inconsistent")
-        for a in (self.embed, self.recur, self.out):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("parameters must be finite")
+        if not all(np.all(np.isfinite(a)) for a in self.arrays().values()):
+            raise ValueError("parameters must be finite")
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The model's arrays by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def vocab_size(self) -> int:
@@ -61,7 +70,7 @@ class ToyModelParams:
         return self.embed.shape[1]
 
     def copy(self) -> "ToyModelParams":
-        return ToyModelParams(self.embed.copy(), self.recur.copy(), self.out.copy())
+        return ToyModelParams(**{name: a.copy() for name, a in self.arrays().items()})
 
 
 @dataclass
@@ -74,11 +83,8 @@ class ParamGrads:
 def init_params(
     vocab_size: int, hidden_dim: int, rng: np.random.Generator, scale: float = 0.2
 ) -> ToyModelParams:
-    return ToyModelParams(
-        embed=scale * rng.standard_normal((vocab_size, hidden_dim)),
-        recur=scale * rng.standard_normal((hidden_dim, hidden_dim)),
-        out=scale * rng.standard_normal((hidden_dim, vocab_size)),
-    )
+    return ToyModelParams(**{name: scale * rng.standard_normal(shape)
+                             for name, shape in param_shapes(vocab_size, hidden_dim).items()})
 
 
 def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
@@ -367,10 +373,8 @@ def save_checkpoint(path, params: ToyModelParams, *, meta: dict | None = None) -
         "version": CHECKPOINT_VERSION,
         "vocab_size": params.vocab_size,
         "hidden_dim": params.hidden_dim,
-        "embed": params.embed.ravel().tolist(),
-        "recur": params.recur.ravel().tolist(),
-        "out": params.out.ravel().tolist(),
         "meta": meta or {},
+        **{name: a.ravel().tolist() for name, a in params.arrays().items()},
     }
     write_text_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
 
@@ -386,11 +390,8 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
         if obj.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
         v, d = obj["vocab_size"], obj["hidden_dim"]
-        params = ToyModelParams(
-            embed=np.array(obj["embed"]).reshape(v, d),
-            recur=np.array(obj["recur"]).reshape(d, d),
-            out=np.array(obj["out"]).reshape(d, v),
-        )
+        params = ToyModelParams(**{name: np.array(obj[name]).reshape(shape)
+                                   for name, shape in param_shapes(v, d).items()})
         meta = obj.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError("checkpoint meta must be a JSON object")

@@ -341,7 +341,7 @@ def _exp_normalized(z: np.ndarray) -> np.ndarray:
 # Training
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     loss_mode: str = "CE"
     weights: LossWeights = field(default_factory=LossWeights)
@@ -446,9 +446,9 @@ MODES: dict[str, ModeSpec] = {
 def validate_supervision(config: TrainConfig, bundle: SupervisionBundle) -> None:
     """Check the bundle supplies what the loss mode consumes, before any work."""
     spec, mode = config.spec, config.loss_mode
-    if spec.teacher1 and not bundle.topk1:
+    if spec.teacher1 and bundle.topk1 is None:
         raise ValueError(f"loss_mode {mode} requires a first-teacher top-k cache")
-    if spec.teacher2 and not bundle.topk2:
+    if spec.teacher2 and bundle.topk2 is None:
         raise ValueError(f"loss_mode {mode} requires a second-teacher top-k cache")
     if config.mixes_pseudo and not bundle.pseudo:
         raise ValueError(f"loss_mode {mode} requires pseudo-label records")
@@ -515,9 +515,10 @@ def prepare_supervision(
     for i, ex in enumerate(corpus.examples):
         summary, provenance = list(ex.summary), "gold"
         if config.mixes_pseudo:
-            summary, provenance = sample_target(
-                ex.summary, bundle.pseudo.get(ex.example_id, []), config.mixing, i
-            )
+            records = bundle.pseudo.get(ex.example_id)
+            if not records:
+                raise ValueError(f"missing pseudo-label record for {ex.example_id}")
+            summary, provenance = sample_target(ex.summary, records, config.mixing, i)
         target = _target_with_eos(summary)
 
         rec_id = ex.example_id
@@ -630,9 +631,8 @@ def train(
             dhidden = None if g.hidden is None else g.hidden.reshape(hidden.shape) / bsz
 
             grads = backward_batch(params, fcache, dlogits, dhidden)
-            params.embed -= config.learning_rate * grads.embed
-            params.recur -= config.learning_rate * grads.recur
-            params.out -= config.learning_rate * grads.out
+            for name, a in params.arrays().items():
+                a -= config.learning_rate * getattr(grads, name)
             if g.projection is not None:
                 projection -= config.learning_rate * (g.projection / bsz)
             n_batches += 1
@@ -646,12 +646,8 @@ def train(
                 clamped += int(ctr.clamped.sum())
                 floored += int(ctr.entropy_floored.sum())
                 cpdp_count += ctr.clamped.size
-            if not (
-                np.isfinite(sums["loss"])
-                and np.all(np.isfinite(params.out))
-                and np.all(np.isfinite(params.recur))
-                and np.all(np.isfinite(params.embed))
-            ):
+            if not (np.isfinite(sums["loss"])
+                    and all(np.all(np.isfinite(a)) for a in params.arrays().values())):
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}, batch {n_batches - 1}: "
                     "non-finite loss or parameters"
@@ -659,11 +655,7 @@ def train(
 
         row = {
             "epoch": epoch,
-            "loss": sums["loss"] / n,
-            "ce": sums["ce"] / n,
-            "kd": sums["kd"] / n,
-            "inter": sums["inter"] / n,
-            "cpdp": sums["cpdp"] / n,
+            **{key: total / n for key, total in sums.items()},
             "lambda_mean": (lam_sum / lam_count) if lam_count else None,
             "cpdp_clamped_frac": (clamped / cpdp_count) if cpdp_count else None,
             "entropy_floored_frac": (floored / cpdp_count) if cpdp_count else None,

@@ -463,3 +463,24 @@ def test_a_topk_cache_of_another_vocabulary_is_named(tmp_path, capsys, command):
     assert ("teacher 1 cache has vocab_size 80, corpus.vocab_size is 16"
             in capsys.readouterr().err)
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("preset, cache, keep, message", [
+    # the header alone: a cache that exists and was read, with no records
+    ("A2", "teacher1_topk.jsonl", lambda line: '"kind": "topk"' in line,
+     "missing cache record tr00000 for teacher 1"),
+    ("A3", "pseudo_labels.jsonl", lambda line: '"tr00003"' not in line,
+     "missing pseudo-label record for tr00003"),
+], ids=["empty-topk", "pseudo-gap"])
+def test_a_cache_without_an_example_s_record_names_it(tmp_path, capsys, preset, cache, keep,
+                                                      message):
+    save_checkpoint(tmp_path / "teacher1.json", init_params(16, 8, np.random.default_rng(8)))
+    cfg = write_config(tmp_path / "c.json", preset=preset, teacher2={"checkpoint": None},
+                       pseudo_teachers=[{"id": "p1", "checkpoint": "teacher1.json"}])
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    path = tmp_path / cache
+    path.write_text("".join(line for line in path.read_text().splitlines(True) if keep(line)))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before

@@ -17,6 +17,7 @@ from relkd.toymodel import (
     generate,
     init_params,
     load_checkpoint,
+    param_shapes,
     route,
     save_checkpoint,
 )
@@ -41,6 +42,27 @@ def ragged_batch(rng, vocab, src_len, tgt_len):
     ls, lt = src_len.max(initial=0), tgt_len.max(initial=0)
     return (rng.integers(0, vocab, (len(src_len), ls)), np.arange(ls) < src_len[:, None],
             rng.integers(0, vocab, (len(tgt_len), lt)), np.arange(lt) < tgt_len[:, None])
+
+
+class TestParams:
+    def test_init_draws_the_declared_arrays_in_order(self):
+        params = init_params(7, 3, np.random.default_rng(4), scale=0.3)
+        twin = np.random.default_rng(4)
+        shapes = param_shapes(7, 3)
+        # every initial model, and so the golden record, depends on this order
+        assert list(shapes) == list(params.arrays()) == ["embed", "recur", "out"]
+        for name, shape in shapes.items():
+            assert np.array_equal(getattr(params, name), 0.3 * twin.standard_normal(shape)), name
+
+    def test_shapes_are_checked_before_finiteness(self):
+        arrays = small_params().arrays()
+        with pytest.raises(ValueError, match="parameter shapes are inconsistent"):
+            ToyModelParams(**{**arrays, "recur": np.full((2, 2), np.nan)})
+        for name, a in arrays.items():
+            bad = a.copy()
+            bad.flat[-1] = np.inf
+            with pytest.raises(ValueError, match="parameters must be finite"):
+                ToyModelParams(**{**arrays, name: bad})
 
 
 class TestForward:
@@ -117,14 +139,14 @@ class TestBackward:
             tgt = rng.integers(0, 5, 4).tolist()
             _, grads = self._loss_and_grads(params, doc, tgt)
 
-            for name in ("embed", "recur", "out"):
+            for name, a in params.arrays().items():
                 def f(x, name=name):
                     trial_params = params.copy()
                     setattr(trial_params, name, x)
                     v, _ = self._loss_and_grads(trial_params, doc, tgt)
                     return v
 
-                numeric = central_diff(f, getattr(params, name))
+                numeric = central_diff(f, a)
                 assert max_rel_err(getattr(grads, name), numeric) <= 1e-5
 
     def test_near_zero_gradients_for_perfect_predictor(self):
@@ -163,13 +185,13 @@ class TestBackward:
 
         _, cache, dlogits, dhidden = objective(params)
         grads = backward_batch(params, cache, dlogits, dhidden)
-        for name in ("embed", "recur", "out"):
+        for name, a in params.arrays().items():
             def f(x, name=name):
                 trial_params = params.copy()
                 setattr(trial_params, name, x)
                 return objective(trial_params)[0]
 
-            numeric = central_diff(f, getattr(params, name))
+            numeric = central_diff(f, a)
             assert max_rel_err(getattr(grads, name), numeric) <= 1e-5, name
 
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,7 @@ class TestEndToEndGradients:
             params, cache, dlog[None], None if dhid is None else dhid[None]
         )
 
-        for name in ("embed", "recur", "out"):
+        for name, a in params.arrays().items():
             def f(x, name=name):
                 p2 = params.copy()
                 setattr(p2, name, x)
@@ -144,7 +146,7 @@ class TestEndToEndGradients:
                 v, _, _ = mode_fn(lg[0], hd[0])
                 return v
 
-            numeric = central_diff(f, getattr(params, name))
+            numeric = central_diff(f, a)
             assert max_rel_err(getattr(grads, name), numeric) <= tol, name
 
     def test_ce_mode(self):
@@ -236,7 +238,7 @@ class TestEndToEndGradients:
         grads = backward_batch(params, cache, dlog[None])
         frozen = ctr.student_entropy
 
-        for name in ("embed", "recur", "out"):
+        for name, a in params.arrays().items():
             def f(x, name=name):
                 p2 = params.copy()
                 setattr(p2, name, x)
@@ -246,7 +248,7 @@ class TestEndToEndGradients:
                                         anchor.delta_star, frozen_entropy=frozen)
                 return e + w.mu * c
 
-            numeric = central_diff(f, getattr(params, name))
+            numeric = central_diff(f, a)
             assert max_rel_err(getattr(grads, name), numeric) <= 1e-5, name
 
 
@@ -256,9 +258,8 @@ class TestTrainLoop:
         cfg = TrainConfig(loss_mode="CE", epochs=0, seed=5, hidden_dim=4)
         res = train(cfg, corpus)
         init = init_params(corpus.vocab_size, 4, np.random.default_rng([5, 1]))
-        assert np.array_equal(res.params.embed, init.embed)
-        assert np.array_equal(res.params.recur, init.recur)
-        assert np.array_equal(res.params.out, init.out)
+        for name, a in init.arrays().items():
+            assert np.array_equal(getattr(res.params, name), a), name
         assert res.metrics == []
 
     def test_same_seed_is_bit_identical(self):
@@ -381,6 +382,13 @@ class TestTrainLoop:
     def test_empty_decoding_length_rejected(self, gen_max_len):
         with pytest.raises(ValueError, match=f"gen_max_len must be >= 1, got {gen_max_len}"):
             TrainConfig(loss_mode="CE", gen_max_len=gen_max_len)
+
+    def test_a_checked_config_cannot_be_changed(self):
+        cfg = TrainConfig(loss_mode="CE")
+        with pytest.raises(FrozenInstanceError):
+            cfg.batch_size = 0
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            replace(cfg, batch_size=0)
 
 
 class TestCacheBridge:
