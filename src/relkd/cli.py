@@ -347,6 +347,8 @@ def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
     if not corpus.examples:
         raise CliError("training split is empty; configure corpus.n_train > 0")
     k = cfg["cache_k"]
+    topk_params = {t: _check_vocab(cfg, load_checkpoint(path)[0], path, exact=True)
+                   for t, path in teachers.items()}
 
     # build and check every record first so a failure cannot leave partial cache files
     pseudo_records = []
@@ -361,9 +363,8 @@ def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
                                f"corpus.vocab_size {corpus.vocab_size}")
         pseudo_records.extend(records)
     pseudo_idx = index_pseudo(pseudo_records)
-    caches = {t: build_topk_cache(_check_vocab(cfg, load_checkpoint(path)[0], path, exact=True),
-                                  corpus, k, pseudo_idx)
-              for t, path in teachers.items()}
+    caches = {t: build_topk_cache(params, corpus, k, pseudo_idx)
+              for t, params in topk_params.items()}
 
     if pseudo_records:
         n = write_cache(
@@ -505,7 +506,7 @@ def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
     bundle = _load_bundle(cfg, out_dir, tc)
     path = _input(cfg["outputs"]["checkpoint"], out_dir, "checkpoint")
     params, meta = load_checkpoint(path)
-    _check_vocab(cfg, params, path)
+    _check_vocab(cfg, params, path, exact=True)  # scored against the caches
     delta_star = meta.get("delta_star")
     if delta_star is not None and not _fits(delta_star, float):
         raise ValueError(f"{path}: meta.delta_star must be a finite number or null, "

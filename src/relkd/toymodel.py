@@ -73,13 +73,6 @@ class ToyModelParams:
         return ToyModelParams(**{name: a.copy() for name, a in self.arrays().items()})
 
 
-@dataclass
-class ParamGrads:
-    embed: np.ndarray
-    recur: np.ndarray
-    out: np.ndarray
-
-
 def init_params(
     vocab_size: int, hidden_dim: int, rng: np.random.Generator, scale: float = 0.2
 ) -> ToyModelParams:
@@ -208,10 +201,11 @@ def backward_batch(
     cache: ForwardCache,
     dlogits: np.ndarray,
     dhidden: np.ndarray | None = None,
-) -> ParamGrads:
+) -> dict[str, np.ndarray]:
     """Backpropagate per-position logit (B, Lt, V) and optional hidden-state
     (B, Lt, d) gradients through the recurrence; padded steps pass gradients
-    through untouched. Gradients of any other shape raise ValueError.
+    through untouched. Returns each array's gradient, keyed and ordered as in
+    ``param_shapes``. Gradients of any other shape raise ValueError.
 
     Steps are visited last to first: the target steps, then the source
     steps. Reversed views of the cache's time-major arrays give every step
@@ -261,7 +255,7 @@ def backward_batch(
 
     index = (cache.tokens[::-1, :, None] * d + np.arange(d)).ravel()
     g_embed = np.bincount(index, dpre.ravel(), minlength=v * d).reshape(v, d)
-    return ParamGrads(embed=g_embed, recur=summed(dpre, h_in), out=summed(h_out[:lt], g_logits))
+    return {"embed": g_embed, "recur": summed(dpre, h_in), "out": summed(h_out[:lt], g_logits)}
 
 
 def route(document, context_limit: int) -> str:

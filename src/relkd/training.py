@@ -450,7 +450,7 @@ def validate_supervision(config: TrainConfig, bundle: SupervisionBundle) -> None
         raise ValueError(f"loss_mode {mode} requires a first-teacher top-k cache")
     if spec.teacher2 and bundle.topk2 is None:
         raise ValueError(f"loss_mode {mode} requires a second-teacher top-k cache")
-    if config.mixes_pseudo and not bundle.pseudo:
+    if config.mixes_pseudo and bundle.pseudo is None:
         raise ValueError(f"loss_mode {mode} requires pseudo-label records")
     if spec.hidden and bundle.teacher_params is None:
         raise ValueError(f"loss_mode {mode} requires teacher parameters for hidden states")
@@ -461,7 +461,8 @@ class Supervision:
     """The training split laid out once for teacher forcing: the
     ``forcing_rows`` of every document and its chosen target, in corpus
     order; each example's first row in ``teachers``; its mean teacher-1
-    entropy in the adaptive-tau modes (else None); and the CPDP anchor."""
+    entropy in the adaptive-tau modes (else None); A5's frozen-teacher hidden
+    states over those rows (else None); and the CPDP anchor."""
 
     src: np.ndarray
     src_len: np.ndarray
@@ -471,6 +472,7 @@ class Supervision:
     offsets: np.ndarray
     entropy: np.ndarray | None
     teachers: Teachers
+    teacher_hidden: np.ndarray | None
     anchor: CpdpAnchor | None
 
     def batch(self, params: ToyModelParams, idx) -> tuple:
@@ -495,12 +497,13 @@ def prepare_supervision(
     config: TrainConfig, corpus: Corpus, bundle: SupervisionBundle
 ) -> Supervision:
     """Validate the bundle, then resolve every example's target and teacher
-    logits in corpus order, plus the CPDP anchor when the mode uses one.
+    logits in corpus order, plus the teacher hidden states and the CPDP
+    anchor when the mode uses them.
 
     The teachers' logits are checked here, once; everything the losses
-    derive from them is computed once over all the rows (see ``Teachers``).
-    The anchor is the mean inter-teacher KL over the first
-    ``config.anchor_tokens`` target positions, in corpus order.
+    derive from them is computed once over all the rows (see ``Teachers``),
+    as are the hidden states. The anchor is the mean inter-teacher KL over
+    the first ``config.anchor_tokens`` target positions, in corpus order.
     """
     validate_supervision(config, bundle)
     spec = config.spec
@@ -549,6 +552,11 @@ def prepare_supervision(
         h_bar = np.array([h[a:a + n].mean() for a, n in zip(offsets.tolist(), lengths.tolist())])
 
     teachers = Teachers(logits.get(1), logits.get(2))
+    teacher_hidden = None
+    if spec.hidden:  # the teacher is frozen: its state at every target position
+        teacher_hidden = forward_batch(
+            bundle.teacher_params, src, np.arange(src.shape[1]) < src_len[:, None],
+            tgt_in, np.arange(tgt.shape[1]) < lengths[:, None])[1]
     anchor = None
     if spec.anchor:
         n = min(config.anchor_tokens, int(lengths.sum()))
@@ -556,7 +564,8 @@ def prepare_supervision(
             raise ValueError("no calibration tokens available for the anchor")
         anchor = compute_anchor(_exp_normalized(teachers.logits(1)[:n]),
                                 _exp_normalized(teachers.logits(2)[:n]))
-    return Supervision(src, src_len, tgt, tgt_in, lengths, offsets, h_bar, teachers, anchor)
+    return Supervision(src, src_len, tgt, tgt_in, lengths, offsets, h_bar, teachers,
+                       teacher_hidden, anchor)
 
 
 @dataclass
@@ -575,9 +584,10 @@ def train(
     """Plain gradient descent under the configured loss mode.
 
     Each batch is one loss call over its padded target positions; the
-    objective is the mean of the per-sequence means. Deterministic for
-    a fixed (config, corpus, bundle). Raises TrainingDiverged if the loss
-    leaves the finite range.
+    objective is the mean of the per-sequence means. One update and one
+    finiteness check cover every trained array: the model's, then A5's
+    projection. Deterministic for a fixed (config, corpus, bundle). Raises
+    TrainingDiverged if the loss or an array leaves the finite range.
     """
     bundle = bundle or SupervisionBundle()
     spec = config.spec
@@ -587,17 +597,10 @@ def train(
         raise ValueError("cannot train on an empty corpus")
     sup = prepare_supervision(config, corpus, bundle)
     params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
-    projection = teacher_hidden = None
+    trained = params.arrays()
     if spec.hidden:
-        # the teacher is frozen: its hidden state at every target position, once
-        _, teacher_hidden, _ = forward_batch(
-            bundle.teacher_params, sup.src, np.arange(sup.src.shape[1]) < sup.src_len[:, None],
-            sup.tgt_in, np.arange(sup.tgt.shape[1]) < sup.tgt_len[:, None],
-        )
-        d_t = bundle.teacher_params.hidden_dim
-        projection = 0.2 * np.random.default_rng([config.seed, 3]).standard_normal(
-            (config.hidden_dim, d_t)
-        )
+        trained["projection"] = 0.2 * np.random.default_rng([config.seed, 3]).standard_normal(
+            (config.hidden_dim, sup.teacher_hidden.shape[2]))
     order_rng = np.random.default_rng([config.seed, 2])
 
     metrics: list[dict] = []
@@ -623,7 +626,8 @@ def train(
             hp = None
             if spec.hidden:
                 hp = HiddenPair(hidden.reshape(bsz * lt, -1),
-                                teacher_hidden[batch_idx, :lt].reshape(bsz * lt, -1), projection)
+                                sup.teacher_hidden[batch_idx, :lt].reshape(bsz * lt, -1),
+                                trained["projection"])
 
             # the loss sums the per-sequence means; the objective is their mean
             value, g, etr, ctr = spec.step(config, tb, tau, hp, sup.anchor)
@@ -631,10 +635,10 @@ def train(
             dhidden = None if g.hidden is None else g.hidden.reshape(hidden.shape) / bsz
 
             grads = backward_batch(params, fcache, dlogits, dhidden)
-            for name, a in params.arrays().items():
-                a -= config.learning_rate * getattr(grads, name)
-            if g.projection is not None:
-                projection -= config.learning_rate * (g.projection / bsz)
+            if g.projection is not None:  # None when alpha_inter is 0
+                grads["projection"] = g.projection / bsz
+            for name, grad in grads.items():
+                trained[name] -= config.learning_rate * grad
             n_batches += 1
             sums["loss"] += value
             for key, component in g.components.items():
@@ -647,7 +651,7 @@ def train(
                 floored += int(ctr.entropy_floored.sum())
                 cpdp_count += ctr.clamped.size
             if not (np.isfinite(sums["loss"])
-                    and all(np.all(np.isfinite(a)) for a in params.arrays().values())):
+                    and all(np.all(np.isfinite(a)) for a in trained.values())):
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}, batch {n_batches - 1}: "
                     "non-finite loss or parameters"

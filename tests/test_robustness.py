@@ -384,6 +384,21 @@ def test_a_pseudo_teacher_token_outside_the_corpus_vocabulary_is_named(tmp_path,
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def test_a_topk_teacher_is_checked_before_any_pseudo_teacher_decodes(tmp_path, capsys):
+    # with both checkpoints at V=80, the top-k teacher's vocabulary is the
+    # fault named, not a token that the pseudo teacher decodes
+    save_checkpoint(tmp_path / "teacher1.json", init_params(80, 8, np.random.default_rng(0)))
+    save_checkpoint(tmp_path / "p80.json", init_params(80, 8, np.random.default_rng(1)))
+    cfg = write_config(tmp_path / "c.json", corpus={"vocab_size": 64, "n_train": 20},
+                       teacher2={"checkpoint": None},
+                       pseudo_teachers=[{"id": "p80", "checkpoint": "p80.json"}])
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 1
+    assert (f"corpus.vocab_size 64 differs from the vocabulary size 80 of checkpoint "
+            f"{tmp_path / 'teacher1.json'}") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_an_a5_teacher_checkpoint_that_cannot_read_the_corpus_fails(tmp_path, capsys):
     save_checkpoint(tmp_path / "teacher1.json", init_params(16, 4, np.random.default_rng(0)))
     cfg = write_config(tmp_path / "c.json", preset="A5", teacher2={"checkpoint": None},
@@ -449,6 +464,14 @@ def test_gate_trace_on_a_student_that_cannot_read_the_corpus_fails(tmp_path, cap
     assert not (tmp_path / "gate_trace.jsonl").exists()
 
 
+def test_gate_trace_on_a_student_of_another_vocabulary_fails(tmp_path, capsys):
+    # the student is scored against the V=16 caches, so a V=20 one cannot be
+    assert main(_gate_trace_inputs(tmp_path, 20, None)) == 1
+    assert ("corpus.vocab_size 16 differs from the vocabulary size 20 of checkpoint "
+            f"{tmp_path / 'student.json'}") in capsys.readouterr().err
+    assert not (tmp_path / "gate_trace.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", [["distill"], ["gate-trace", "--samples", "tr00000"]])
 def test_a_topk_cache_of_another_vocabulary_is_named(tmp_path, capsys, command):
     _gate_trace_inputs(tmp_path, 16, None)
@@ -471,7 +494,9 @@ def test_a_topk_cache_of_another_vocabulary_is_named(tmp_path, capsys, command):
      "missing cache record tr00000 for teacher 1"),
     ("A3", "pseudo_labels.jsonl", lambda line: '"tr00003"' not in line,
      "missing pseudo-label record for tr00003"),
-], ids=["empty-topk", "pseudo-gap"])
+    ("A3", "pseudo_labels.jsonl", lambda line: '"kind": "pseudo"' in line,
+     "missing pseudo-label record for tr00000"),
+], ids=["empty-topk", "pseudo-gap", "empty-pseudo"])
 def test_a_cache_without_an_example_s_record_names_it(tmp_path, capsys, preset, cache, keep,
                                                       message):
     save_checkpoint(tmp_path / "teacher1.json", init_params(16, 8, np.random.default_rng(8)))

@@ -147,7 +147,13 @@ class TestBackward:
                     return v
 
                 numeric = central_diff(f, a)
-                assert max_rel_err(getattr(grads, name), numeric) <= 1e-5
+                assert max_rel_err(grads[name], numeric) <= 1e-5
+
+    def test_gradients_are_keyed_and_ordered_as_the_declaration(self):
+        params = small_params(seed=3, vocab=5, dim=3)
+        _, grads = self._loss_and_grads(params, [3, 4], [2, 0])
+        assert list(grads) == list(param_shapes(5, 3))
+        assert {name: g.shape for name, g in grads.items()} == param_shapes(5, 3)
 
     def test_near_zero_gradients_for_perfect_predictor(self):
         # point the output matrix at the gold token so CE (and hence every
@@ -158,7 +164,7 @@ class TestBackward:
         params.out = np.outer(h1, np.eye(4)[gold]) * (50.0 / (h1 @ h1))
         value, grads = self._loss_and_grads(params, [], [gold])
         assert value < 1e-12
-        for g in (grads.embed, grads.recur, grads.out):
+        for g in grads.values():
             assert np.abs(g).max() < 1e-9
 
     def test_padded_ragged_batch_matches_finite_differences(self):
@@ -192,7 +198,7 @@ class TestBackward:
                 return objective(trial_params)[0]
 
             numeric = central_diff(f, a)
-            assert max_rel_err(getattr(grads, name), numeric) <= 1e-5, name
+            assert max_rel_err(grads[name], numeric) <= 1e-5, name
 
 
 @st.composite
@@ -219,7 +225,7 @@ def against_oracle(params, batch, dlogits, dhidden):
     grads = backward_batch(params, cache, dlogits, dhidden)
     o_logits, o_hidden, o_cache = forward_batch_oracle(params, *batch)
     o_grads = backward_batch_oracle(params, o_cache, dlogits, dhidden)
-    return zip((logits, hidden, grads.embed, grads.recur, grads.out),
+    return zip((logits, hidden, *grads.values()),
                (o_logits, o_hidden, *o_grads))
 
 

@@ -19,6 +19,7 @@ from relkd.toymodel import (
     BOS_ID,
     EOS_ID,
     backward_batch,
+    forcing_rows,
     forward_batch,
     init_params,
 )
@@ -147,7 +148,7 @@ class TestEndToEndGradients:
                 return v
 
             numeric = central_diff(f, a)
-            assert max_rel_err(getattr(grads, name), numeric) <= tol, name
+            assert max_rel_err(grads[name], numeric) <= tol, name
 
     def test_ce_mode(self):
         params, doc, tgt, _, _ = self._setup(0)
@@ -249,7 +250,7 @@ class TestEndToEndGradients:
                 return e + w.mu * c
 
             numeric = central_diff(f, a)
-            assert max_rel_err(getattr(grads, name), numeric) <= 1e-5, name
+            assert max_rel_err(grads[name], numeric) <= 1e-5, name
 
 
 class TestTrainLoop:
@@ -452,6 +453,25 @@ class TestSupervisionBatch:
             ref_logits, ref_hidden = forward_one(self.params, ex.document, ex.summary + [EOS_ID])
             assert np.all(logits[0] == ref_logits) and np.all(hidden[0] == ref_hidden)
             assert tb.positions.tolist() == list(range(len(ex.summary) + 1))
+
+    def test_a5_teacher_hidden_states_are_one_teacher_pass_over_the_targets(self):
+        bundle = teacher_and_bundle(self.corpus, pseudo=True)
+        sup = prepare_supervision(TrainConfig(loss_mode="A5"), self.corpus, bundle)
+        targets = [row[:n] for row, n in zip(sup.tgt, sup.tgt_len)]
+        src, src_len, tgt, tgt_in, tgt_len = forcing_rows(
+            [ex.document for ex in self.corpus.examples], targets)
+        _, hidden, _ = forward_batch(
+            bundle.teacher_params, src, np.arange(src.shape[1]) < src_len[:, None],
+            tgt_in, np.arange(tgt.shape[1]) < tgt_len[:, None])
+        assert sup.teacher_hidden.shape == (len(self.corpus), tgt.shape[1], 5)
+        assert np.array_equal(sup.teacher_hidden, hidden)
+
+    @pytest.mark.parametrize("mode", ["CE", "A2", "EWAD_CPDP"])
+    def test_only_a5_runs_the_teacher_for_hidden_states(self, mode):
+        # the bundle holds teacher parameters, which only A5 reads
+        bundle = teacher_and_bundle(self.corpus, two_teachers=True)
+        sup = prepare_supervision(TrainConfig(loss_mode=mode), self.corpus, bundle)
+        assert sup.teacher_hidden is None
 
 
 class TestModeTable:
