@@ -165,7 +165,8 @@ def _fits(value, expected: type) -> bool:
 
 def _config_problems(user: dict, defaults: dict, prefix: str = "") -> list[str]:
     """The keys in ``user`` that ``defaults`` does not have, the values whose
-    type is not their default's, and the keys a list entry lacks, by dotted path."""
+    type is not their default's, the empty strings, and the keys a list entry
+    lacks, by dotted path."""
     out = []
     for key, value in user.items():
         path = prefix + key
@@ -177,6 +178,8 @@ def _config_problems(user: dict, defaults: dict, prefix: str = "") -> list[str]:
         if not ((default is None and value is None) or _fits(value, expected)):
             null = " or null" if default is None else ""
             out.append(f"{path} must be {_JSON_TYPES[expected]}{null}")
+        elif value == "":
+            out.append(f"{path} must be a non-empty string")
         elif isinstance(value, dict):
             out.extend(_config_problems(value, default, path + "."))
         elif isinstance(value, list):

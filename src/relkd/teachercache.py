@@ -306,8 +306,8 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
         header = json.loads(raw[0])
     except json.JSONDecodeError as exc:
         raise CacheFormatError(f"{path} line 1: malformed header ({exc})") from exc
-    if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
-        version = header.get("version") if isinstance(header, dict) else None
+    version = header.get("version") if isinstance(header, dict) else None
+    if type(version) is not int or version != CACHE_VERSION:  # True == 1.0 == 1
         raise CacheFormatError(f"{path} line 1: unsupported cache version {version!r}")
     found = header.get("kind")
     if found not in _KINDS:

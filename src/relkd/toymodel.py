@@ -6,8 +6,9 @@ emitting logits at every target position:
 
     h_t = tanh(R h_{t-1} + E[prev_token]),   logits_t = h_t O
 
-The batched paths carry boolean masks; padded steps leave the hidden state
-untouched so padded and unpadded runs of the same example agree exactly.
+The batched paths take padded token rows and their lengths; padded steps
+leave the hidden state untouched so padded and unpadded runs of the same
+example agree exactly.
 Token id 0 is the end-of-sequence marker, 1 starts decoding, and 2 marks
 sentence boundaries for the long-document pipeline.
 """
@@ -129,23 +130,14 @@ def padded_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
     return rows, lengths
 
 
-def forcing_rows(documents, targets):
-    """Documents and their targets as padded rows for teacher forcing:
-    (src, src_len, tgt, tgt_in, tgt_len), where tgt_in is BOS followed by
-    the target shifted right."""
-    src, src_len = padded_rows(documents)
-    tgt, tgt_len = padded_rows(targets)
-    tgt_in = np.concatenate([np.full((len(tgt), 1), BOS_ID), tgt[:, :-1]], axis=1)
-    return src, src_len, tgt, tgt_in, tgt_len
-
-
 @dataclass
 class ForwardCache:
     """Per-step activations retained for backpropagation, time-major so that
     each step's (B, d) block is contiguous. The source and the target input
-    are one run of the recurrence: ``tokens`` and ``mask`` are (Ls + Lt, B),
-    the source steps first, and ``states`` is (Ls + Lt + 1, B, d), with
-    ``states[s]`` every row's state after s steps (``states[0]`` is zero)."""
+    (BOS, then the target shifted right) are one run of the recurrence:
+    ``tokens`` and ``mask`` are (Ls + Lt, B), the source steps first, and
+    ``states`` is (Ls + Lt + 1, B, d), with ``states[s]`` every row's state
+    after s steps (``states[0]`` is zero)."""
 
     tokens: np.ndarray
     mask: np.ndarray
@@ -153,47 +145,51 @@ class ForwardCache:
     target_steps: int
 
 
-def _check_mask(mask: np.ndarray, tokens: np.ndarray, name: str) -> None:
-    if mask.shape != tokens.shape:
-        raise ValueError(f"{name}_mask has shape {mask.shape}, but {name} has shape "
-                         f"{tokens.shape}")
+def _length_mask(lengths, rows: np.ndarray, name: str) -> np.ndarray:
+    """The time-major (L, B) mask of the first ``lengths[b]`` cells of each
+    of the (B, L) rows."""
+    lengths = np.asarray(lengths)
+    width = rows.shape[1]
+    if (lengths.shape != (len(rows),) or lengths.min(initial=0) < 0
+            or lengths.max(initial=0) > width):
+        raise ValueError(f"{name}_len {lengths.tolist()} must hold one length in "
+                         f"[0, {width}] for each of the {len(rows)} rows")
+    return np.arange(width)[:, None] < lengths
 
 
 def forward_batch(
     params: ToyModelParams,
     src: np.ndarray,
-    src_mask: np.ndarray,
-    tgt_in: np.ndarray,
-    tgt_mask: np.ndarray,
+    src_len,
+    tgt: np.ndarray,
+    tgt_len,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Teacher-forced pass over a padded batch.
+    """Teacher-forced pass over a padded batch: read the first ``src_len[b]``
+    tokens of each source row, then predict the first ``tgt_len[b]`` tokens
+    of each target row from BOS and the target tokens before them.
 
     Returns per-position logits (B, Lt, V), the hidden states that produced
     them (B, Lt, d; a view of the cache's time-major states), and the
     activation cache for backward_batch. Token arrays that are not 2-D with
-    one row per example, or a mask whose shape differs from its token
-    array's, raise ValueError.
+    one row per example, or lengths that are not one per row in [0, width],
+    raise ValueError.
     """
     src = np.asarray(src, dtype=int)
-    src_mask = np.asarray(src_mask, dtype=bool)
-    tgt_in = np.asarray(tgt_in, dtype=int)
-    tgt_mask = np.asarray(tgt_mask, dtype=bool)
-    if src.ndim != 2 or tgt_in.ndim != 2 or len(src) != len(tgt_in):
-        raise ValueError(f"src {src.shape} and tgt_in {tgt_in.shape} must be 2-D "
+    tgt = np.asarray(tgt, dtype=int)
+    if src.ndim != 2 or tgt.ndim != 2 or len(src) != len(tgt):
+        raise ValueError(f"src {src.shape} and tgt {tgt.shape} must be 2-D "
                          "with the same number of rows")
-    _check_mask(src_mask, src, "src")
-    _check_mask(tgt_mask, tgt_in, "tgt")
-    _check_tokens(src, params.vocab_size)
-    _check_tokens(tgt_in, params.vocab_size)
-
-    tokens = np.concatenate([src.T, tgt_in.T])
-    mask = np.concatenate([src_mask.T, tgt_mask.T])
+    mask = np.concatenate([_length_mask(src_len, src, "src"),
+                           _length_mask(tgt_len, tgt, "tgt")])
+    # the target input: BOS, then every target token but the last
+    tokens = np.concatenate([src.T, np.full((1, len(tgt)), BOS_ID), tgt.T])[:-1]
+    _check_tokens(tokens, params.vocab_size)
     states = np.zeros((len(tokens) + 1, len(src), params.hidden_dim))
     _recur(params, states[0], tokens, mask, states)
 
     hidden = states[src.shape[1] + 1:].transpose(1, 0, 2)
     logits = hidden @ params.out
-    return logits, hidden, ForwardCache(tokens, mask, states, tgt_in.shape[1])
+    return logits, hidden, ForwardCache(tokens, mask, states, tgt.shape[1])
 
 
 def backward_batch(
@@ -381,8 +377,9 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
             obj = json.load(f)
         if not isinstance(obj, dict):
             raise ValueError("checkpoint must be a JSON object")
-        if obj.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
+        version = obj.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:  # True == 1.0 == 1
+            raise ValueError(f"unsupported checkpoint version {version!r}")
         v, d = obj["vocab_size"], obj["hidden_dim"]
         params = ToyModelParams(**{name: np.array(obj[name]).reshape(shape)
                                    for name, shape in param_shapes(v, d).items()})

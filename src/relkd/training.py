@@ -49,10 +49,10 @@ from .toymodel import (
     FIRST_CONTENT_ID,
     ToyModelParams,
     backward_batch,
-    forcing_rows,
     forward_batch,
     generate_batch,
     init_params,
+    padded_rows,
 )
 
 _LOGIT_FLOOR = 1e-12
@@ -267,8 +267,9 @@ def build_topk_cache(
     sequence in ``pseudo`` (so logit distillation can target whichever
     sequence the mixer selects), and cache the top-k logprobs of each target
     position. The gold targets and the pseudo-label sequences are two
-    batches: another batch composition can move the logits in the last bit,
-    and with them the cache bytes."""
+    batches, each one ``forward_batch`` over the padded rows of its
+    documents and targets: another batch composition can move the logits in
+    the last bit, and with them the cache bytes."""
     exs = corpus.examples
     pairs = [(ex, rec) for ex in exs for rec in (pseudo or {}).get(ex.example_id, [])]
     batches = (
@@ -279,16 +280,11 @@ def build_topk_cache(
     example_ids, lengths, rows = [], [], [np.zeros((0, corpus.vocab_size))]
     for ids, documents, summaries in batches:
         if ids:
-            src, src_len, _, tgt_in, tgt_len = forcing_rows(
-                documents, [_target_with_eos(s) for s in summaries]
-            )
-            tgt_mask = np.arange(tgt_in.shape[1]) < tgt_len[:, None]
-            logits, _, _ = forward_batch(
-                params, src, np.arange(src.shape[1]) < src_len[:, None], tgt_in, tgt_mask
-            )
+            tgt, tgt_len = padded_rows([_target_with_eos(s) for s in summaries])
+            logits, _, _ = forward_batch(params, *padded_rows(documents), tgt, tgt_len)
             example_ids += ids
             lengths += tgt_len.tolist()
-            rows.append(logits[tgt_mask])
+            rows.append(logits[np.arange(tgt.shape[1]) < tgt_len[:, None]])
     return topk_cache(example_ids, lengths, *topk_from_logits(np.concatenate(rows), k),
                       corpus.vocab_size, k)
 
@@ -310,9 +306,7 @@ def build_pseudo_records(
     records = []
     for ex, toks in zip(corpus.examples, summaries):
         if not toks:
-            src, _, _, tgt_in, _ = forcing_rows([ex.document], [[EOS_ID]])
-            logits, _, _ = forward_batch(params, src, np.ones_like(src, dtype=bool),
-                                         tgt_in, np.ones_like(tgt_in, dtype=bool))
+            logits, _, _ = forward_batch(params, *padded_rows([ex.document]), [[EOS_ID]], [1])
             row = logits[0, 0]
             row[EOS_ID] = -np.inf
             toks = [int(np.argmax(row))]
@@ -458,8 +452,8 @@ def validate_supervision(config: TrainConfig, bundle: SupervisionBundle) -> None
 
 @dataclass
 class Supervision:
-    """The training split laid out once for teacher forcing: the
-    ``forcing_rows`` of every document and its chosen target, in corpus
+    """The training split laid out once for teacher forcing: every document
+    and its chosen target as ``padded_rows`` and their lengths, in corpus
     order; each example's first row in ``teachers``; its mean teacher-1
     entropy in the adaptive-tau modes (else None); A5's frozen-teacher hidden
     states over those rows (else None); and the CPDP anchor."""
@@ -467,7 +461,6 @@ class Supervision:
     src: np.ndarray
     src_len: np.ndarray
     tgt: np.ndarray
-    tgt_in: np.ndarray
     tgt_len: np.ndarray
     offsets: np.ndarray
     entropy: np.ndarray | None
@@ -479,12 +472,11 @@ class Supervision:
         """Teacher-force ``params`` on the examples ``idx``, padded to the
         longest of them: (logits, hidden, forward cache, TokenBatch)."""
         idx = np.asarray(idx)
-        ls, lt = self.src_len[idx].max(), self.tgt_len[idx].max()
-        tgt_mask = np.arange(lt) < self.tgt_len[idx, None]
+        src_len, tgt_len = self.src_len[idx], self.tgt_len[idx]
+        lt = tgt_len.max()
         logits, hidden, fcache = forward_batch(
-            params, self.src[idx, :ls], np.arange(ls) < self.src_len[idx, None],
-            self.tgt_in[idx, :lt], tgt_mask,
-        )
+            params, self.src[idx, :src_len.max()], src_len, self.tgt[idx, :lt], tgt_len)
+        tgt_mask = np.arange(lt) < tgt_len[:, None]
         # padded positions point at teacher row 0, which TokenBatch never reads
         rows = np.where(tgt_mask, self.offsets[idx, None] + np.arange(lt), 0)
         tb = TokenBatch(self.tgt[idx, :lt].ravel(), tgt_mask.ravel(),
@@ -505,6 +497,8 @@ def prepare_supervision(
     as are the hidden states. The anchor is the mean inter-teacher KL over
     the first ``config.anchor_tokens`` target positions, in corpus order.
     """
+    if not corpus.examples:
+        raise ValueError("cannot supervise an empty corpus")
     validate_supervision(config, bundle)
     spec = config.spec
     wanted = [(which, topk) for which, flag, topk in
@@ -539,8 +533,8 @@ def prepare_supervision(
             starts[which].append(first)
         targets.append(target)
 
-    src, src_len, tgt, tgt_in, lengths = forcing_rows([ex.document for ex in corpus.examples],
-                                                      targets)
+    src, src_len = padded_rows([ex.document for ex in corpus.examples])
+    tgt, lengths = padded_rows(targets)
     # every example's rows of each cache, densified in one step
     offsets = np.cumsum(lengths) - lengths
     within = np.arange(lengths.sum()) - np.repeat(offsets, lengths)
@@ -554,17 +548,13 @@ def prepare_supervision(
     teachers = Teachers(logits.get(1), logits.get(2))
     teacher_hidden = None
     if spec.hidden:  # the teacher is frozen: its state at every target position
-        teacher_hidden = forward_batch(
-            bundle.teacher_params, src, np.arange(src.shape[1]) < src_len[:, None],
-            tgt_in, np.arange(tgt.shape[1]) < lengths[:, None])[1]
+        teacher_hidden = forward_batch(bundle.teacher_params, src, src_len, tgt, lengths)[1]
     anchor = None
     if spec.anchor:
-        n = min(config.anchor_tokens, int(lengths.sum()))
-        if n == 0:
-            raise ValueError("no calibration tokens available for the anchor")
+        n = config.anchor_tokens
         anchor = compute_anchor(_exp_normalized(teachers.logits(1)[:n]),
                                 _exp_normalized(teachers.logits(2)[:n]))
-    return Supervision(src, src_len, tgt, tgt_in, lengths, offsets, h_bar, teachers,
+    return Supervision(src, src_len, tgt, lengths, offsets, h_bar, teachers,
                        teacher_hidden, anchor)
 
 
@@ -593,8 +583,6 @@ def train(
     spec = config.spec
     v = corpus.vocab_size
     n = len(corpus.examples)
-    if n == 0:
-        raise ValueError("cannot train on an empty corpus")
     sup = prepare_supervision(config, corpus, bundle)
     params = init_params(v, config.hidden_dim, np.random.default_rng([config.seed, 1]))
     trained = params.arrays()

@@ -20,8 +20,8 @@ from relkd.toymodel import (
     BOUNDARY_ID,
     FIRST_CONTENT_ID,
     _check_tokens,
-    forcing_rows,
     forward_batch,
+    padded_rows,
 )
 from relkd.training import Corpus, CorpusConfig, CorpusExample, salient_threshold
 
@@ -410,14 +410,13 @@ def dedup_oracle(sentences: list[list[int]], cfg) -> list[list[int]]:
 
 def forward_one(params, input_tokens, target_tokens):
     """Single-example teacher-forced pass: forward_batch on the batch of one
-    that ``forcing_rows`` lays out. Returns (logits, hidden) of shape (T, V)
+    that ``padded_rows`` lays out. Returns (logits, hidden) of shape (T, V)
     and (T, d) aligned with target_tokens."""
-    src, _, tgt, tgt_in, _ = forcing_rows([list(input_tokens)], [list(target_tokens)])
+    tgt, tgt_len = padded_rows([list(target_tokens)])
     _check_tokens(tgt, params.vocab_size)
     if tgt.size < 1:
         raise ValueError("target must contain at least one token")
-    logits, hidden, _ = forward_batch(params, src, np.ones(src.shape, dtype=bool),
-                                      tgt_in, np.ones(tgt.shape, dtype=bool))
+    logits, hidden, _ = forward_batch(params, *padded_rows([list(input_tokens)]), tgt, tgt_len)
     return logits[0], hidden[0]
 
 

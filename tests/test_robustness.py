@@ -141,6 +141,22 @@ class TestConfigTypes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("cache-teacher", {"pseudo_teachers": [{"id": "", "checkpoint": "p.json"}]},
+         "pseudo_teachers[0].id"),
+        ("cache-teacher", {"pseudo_teachers": [{"id": "p", "checkpoint": ""}]},
+         "pseudo_teachers[0].checkpoint"),
+        ("distill", {"outputs": {"checkpoint": ""}}, "outputs.checkpoint"),
+        ("mapreduce", {"mapreduce": {"map_checkpoint": ""}}, "mapreduce.map_checkpoint"),
+    ], ids=["pseudo-id", "pseudo-checkpoint", "outputs-checkpoint", "map-checkpoint"])
+    def test_an_empty_string_fails_before_any_output(self, tmp_path, capsys, command,
+                                                     overrides, key):
+        cfg = write_config(tmp_path / "c.json", preset="A1", **overrides)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+        assert f"{key} must be a non-empty string" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ints_fit_floats_and_nullable_keys_take_their_type(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", preset="A1",
                            training={"epochs": 1, "learning_rate": 1, "lambda_override": 1},

@@ -97,6 +97,15 @@ class TestWriteRead:
         with pytest.raises(CacheFormatError, match="version"):
             read_cache(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_integer(self, tmp_path, version):
+        # Python compares True == 1.0 == 1; JSON tells them apart
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"version": version, "kind": "topk", "vocab_size": 5, "k": 2})
+                        + "\n")
+        with pytest.raises(CacheFormatError, match=f"unsupported cache version {version!r}"):
+            read_cache(path)
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"version": 1, "kind": "blobs", "vocab_size": 5, "k": 2}) + "\n")

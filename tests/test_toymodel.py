@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,12 +37,20 @@ def small_params(seed=0, vocab=6, dim=3):
 
 
 def ragged_batch(rng, vocab, src_len, tgt_len):
-    """Random src, src_mask, tgt_in, tgt_mask padded to the longest row;
-    the padded cells hold random tokens too."""
+    """Random src, src_len, tgt, tgt_len padded to the longest row; the
+    padded cells hold random tokens too."""
     src_len, tgt_len = np.asarray(src_len), np.asarray(tgt_len)
     ls, lt = src_len.max(initial=0), tgt_len.max(initial=0)
-    return (rng.integers(0, vocab, (len(src_len), ls)), np.arange(ls) < src_len[:, None],
-            rng.integers(0, vocab, (len(tgt_len), lt)), np.arange(lt) < tgt_len[:, None])
+    return (rng.integers(0, vocab, (len(src_len), ls)), src_len,
+            rng.integers(0, vocab, (len(tgt_len), lt)), tgt_len)
+
+
+def oracle_inputs(src, src_len, tgt, tgt_len):
+    """A ragged batch as forward_batch_oracle takes it: src, src_mask, the
+    target input (BOS, then the target shifted right) and tgt_mask."""
+    tgt_in = np.concatenate([np.full((len(tgt), 1), BOS_ID), tgt], axis=1)[:, :-1]
+    return (src, np.arange(src.shape[1]) < src_len[:, None],
+            tgt_in, np.arange(tgt.shape[1]) < tgt_len[:, None])
 
 
 class TestParams:
@@ -111,21 +120,16 @@ class TestForward:
         logits_ref, hidden_ref = forward_one(params, doc, tgt)
 
         src = np.array([[3, 4, 5, 0, 0]])
-        src_mask = np.array([[True, True, True, False, False]])
-        tgt_in = np.array([[BOS_ID, 2, 1, 0, 0]])
-        tgt_mask = np.array([[True, True, True, False, False]])
-        logits, hidden, _ = forward_batch(params, src, src_mask, tgt_in, tgt_mask)
+        tgt = np.array([[2, 1, 0, 0, 0]])
+        logits, hidden, _ = forward_batch(params, src, [3], tgt, [3])
         assert np.allclose(logits[0, :3], logits_ref, atol=1e-14)
         assert np.allclose(hidden[0, :3], hidden_ref, atol=1e-14)
 
 
 class TestBackward:
     def _loss_and_grads(self, params, doc, tgt):
-        logits, _, cache = forward_batch(
-            params,
-            np.array([doc]), np.ones((1, len(doc)), dtype=bool),
-            np.array([[BOS_ID] + tgt[:-1]]), np.ones((1, len(tgt)), dtype=bool),
-        )
+        logits, _, cache = forward_batch(params, np.array([doc], dtype=int), [len(doc)],
+                                         np.array([tgt]), [len(tgt)])
         tb = TokenBatch(tgt, [True] * len(tgt), logits[0])
         value, dlog = ce_loss(tb)
         grads = backward_batch(params, cache, dlog[None])
@@ -223,7 +227,7 @@ def against_oracle(params, batch, dlogits, dhidden):
     """(new, oracle) pairs of logits, hidden states and the three gradients."""
     logits, hidden, cache = forward_batch(params, *batch)
     grads = backward_batch(params, cache, dlogits, dhidden)
-    o_logits, o_hidden, o_cache = forward_batch_oracle(params, *batch)
+    o_logits, o_hidden, o_cache = forward_batch_oracle(params, *oracle_inputs(*batch))
     o_grads = backward_batch_oracle(params, o_cache, dlogits, dhidden)
     return zip((logits, hidden, *grads.values()),
                (o_logits, o_hidden, *o_grads))
@@ -279,26 +283,24 @@ class TestBatchShapes:
         with pytest.raises(ValueError, match="dhidden has shape"):
             backward_batch(params, cache, np.ones((2, 3, 8)), np.ones(shape))
 
-    @pytest.mark.parametrize("which,shape", [
-        ("src", (2, 4)), ("src", (2, 2)), ("src", (1, 3)),
-        ("tgt", (2, 4)), ("tgt", (2, 2)), ("tgt", (3, 3)),
-    ])
-    def test_forward_rejects_a_mask_of_another_shape(self, which, shape):
+    @pytest.mark.parametrize("which", ["src", "tgt"])
+    @pytest.mark.parametrize("lengths", [[2], [2, 3, 1], [2, -1], [2, 4]],
+                             ids=["too-few", "too-many", "negative", "beyond-width"])
+    def test_forward_rejects_lengths_that_do_not_fit(self, which, lengths):
+        # two rows of width 3: one length per row, each in [0, 3]
         params = small_params(3, vocab=8)
-        src, src_mask, tgt_in, tgt_mask = ragged_batch(np.random.default_rng(4), 8,
-                                                       [2, 3], [3, 1])
-        if which == "src":
-            src_mask = np.ones(shape, dtype=bool)
-        else:
-            tgt_mask = np.ones(shape, dtype=bool)
-        with pytest.raises(ValueError, match=f"{which}_mask has shape"):
-            forward_batch(params, src, src_mask, tgt_in, tgt_mask)
+        src, src_len, tgt, tgt_len = ragged_batch(np.random.default_rng(4), 8, [2, 3], [3, 1])
+        batch = {"src": src, "src_len": src_len, "tgt": tgt, "tgt_len": tgt_len,
+                 f"{which}_len": lengths}
+        message = f"{which}_len {lengths} must hold one length in [0, 3] for each of the 2 rows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            forward_batch(params, **batch)
 
     def test_forward_rejects_row_counts_that_differ(self):
         params = small_params(3, vocab=8)
         with pytest.raises(ValueError, match="same number of rows"):
-            forward_batch(params, np.ones((2, 3), dtype=int), np.ones((2, 3), dtype=bool),
-                          np.ones((3, 2), dtype=int), np.ones((3, 2), dtype=bool))
+            forward_batch(params, np.ones((2, 3), dtype=int), [3, 3],
+                          np.ones((3, 2), dtype=int), [2, 2, 2])
 
 
 class TestGenerate:
@@ -416,6 +418,15 @@ class TestCheckpoint:
         text = path.read_text().replace('"version": 1', '"version": 9')
         path.write_text(text)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text, shown", [("true", "True"), ("1.0", "1.0")])
+    def test_version_must_be_the_integer(self, tmp_path, text, shown):
+        # Python compares True == 1.0 == 1; JSON tells them apart
+        path = tmp_path / "m.json"
+        save_checkpoint(path, small_params())
+        path.write_text(path.read_text().replace('"version": 1', f'"version": {text}'))
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {shown}$"):
             load_checkpoint(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path):

@@ -16,12 +16,11 @@ from relkd.losses import (
 from relkd.reliability import ReliabilityConfig
 from relkd.teachercache import MixingConfig
 from relkd.toymodel import (
-    BOS_ID,
     EOS_ID,
     backward_batch,
-    forcing_rows,
     forward_batch,
     init_params,
+    padded_rows,
 )
 from relkd.training import (
     MODES,
@@ -127,10 +126,7 @@ class TestEndToEndGradients:
         return params, doc, tgt, z_t1, (z_t2 if two_teachers else None)
 
     def _run(self, params, doc, tgt):
-        src = np.array([doc])
-        tgt_in = np.array([[BOS_ID] + tgt[:-1]])
-        ones = np.ones((1, len(doc)), dtype=bool), np.ones((1, len(tgt)), dtype=bool)
-        return forward_batch(params, src, ones[0], tgt_in, ones[1])
+        return forward_batch(params, np.array([doc]), [len(doc)], np.array([tgt]), [len(tgt)])
 
     def _check(self, mode_fn, params, doc, tgt, tol=1e-5, dhidden_fn=None):
         logits, hidden, cache = self._run(params, doc, tgt)
@@ -370,6 +366,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty corpus"):
             train(TrainConfig(loss_mode="CE", epochs=1), empty)
 
+    def test_supervision_for_an_empty_corpus_is_rejected(self):
+        empty = Corpus(examples=[], vocab_size=16)
+        with pytest.raises(ValueError, match="empty corpus"):
+            prepare_supervision(TrainConfig(), empty, SupervisionBundle())
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(loss_mode="CE", seed=-1)
@@ -458,11 +459,10 @@ class TestSupervisionBatch:
         bundle = teacher_and_bundle(self.corpus, pseudo=True)
         sup = prepare_supervision(TrainConfig(loss_mode="A5"), self.corpus, bundle)
         targets = [row[:n] for row, n in zip(sup.tgt, sup.tgt_len)]
-        src, src_len, tgt, tgt_in, tgt_len = forcing_rows(
-            [ex.document for ex in self.corpus.examples], targets)
-        _, hidden, _ = forward_batch(
-            bundle.teacher_params, src, np.arange(src.shape[1]) < src_len[:, None],
-            tgt_in, np.arange(tgt.shape[1]) < tgt_len[:, None])
+        tgt, tgt_len = padded_rows(targets)
+        _, hidden, _ = forward_batch(bundle.teacher_params,
+                                     *padded_rows([ex.document for ex in self.corpus.examples]),
+                                     tgt, tgt_len)
         assert sup.teacher_hidden.shape == (len(self.corpus), tgt.shape[1], 5)
         assert np.array_equal(sup.teacher_hidden, hidden)
 
