@@ -222,11 +222,8 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
     if cfg["seed"] < 0:
         raise CliError("seed must be non-negative")
     for path, least in _MINIMUM.items():
-        value = cfg
-        for key in path.split("."):
-            value = value[key]
-        if value < least:
-            raise CliError(f"{path} must be >= {least}, got {value}")
+        if _setting(cfg, path) < least:
+            raise CliError(f"{path} must be >= {least}, got {_setting(cfg, path)}")
     # the corpus and training settings' own range checks, before any output exists
     try:
         _corpus_cfg(cfg, "train")
@@ -240,6 +237,13 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
     ids = [p["id"] for p in cfg["pseudo_teachers"]]
     if len(set(ids)) < len(ids):
         raise CliError(f"pseudo_teachers[].id must be unique, got {ids}")
+    return cfg
+
+
+def _setting(cfg: dict, key: str):
+    """The config value at a dotted key."""
+    for part in key.split("."):
+        cfg = cfg[part]
     return cfg
 
 
@@ -285,14 +289,27 @@ def _chunk_config(cfg: dict) -> ChunkConfig:
         raise CliError(f"mapreduce.{exc}") from exc
 
 
-def _input(path: str | None, out_dir: str, what: str) -> str:
-    """An input file: ``path`` under ``out_dir`` (or absolute), which must exist."""
+def _input(path: str | None, out_dir: str, key: str, reads: dict[str, str]) -> str:
+    """An input file: ``path`` under ``out_dir`` (or absolute), which must
+    exist; ``reads`` records it under its config key (or flag)."""
     if path is None:
-        raise CliError(f"{what} is not configured")
-    path = os.path.join(out_dir, path)
+        raise CliError(f"{key} is not configured")
+    path = reads[key] = os.path.join(out_dir, path)
     if not os.path.exists(path):
-        raise CliError(f"{what} not found: {path}")
+        raise CliError(f"{key} not found: {path}")
     return path
+
+
+def _check_outputs(cfg: dict, out_dir: str, outputs: list[str], reads: dict[str, str]) -> None:
+    """Reject, before any write, an output that two keys name or that the run reads."""
+    named: dict[str, str] = {}
+    for key, path in reads.items():
+        named.setdefault(os.path.realpath(path), key)
+    for key in outputs:
+        path = os.path.realpath(os.path.join(out_dir, _setting(cfg, key)))
+        if path in named:
+            raise CliError(f"{key} and {named[path]} name the same file {path}")
+        named[path] = key
 
 
 def _check_vocab(cfg: dict, params: ToyModelParams, path: str,
@@ -317,21 +334,21 @@ def _write_json(path: str, obj: dict) -> None:
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
+def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig, reads: dict) -> SupervisionBundle:
     """Read whatever caches the loss mode consumes, validating first."""
     spec = tc.spec
     bundle = SupervisionBundle()
     if spec.teacher1:
-        path = _input(cfg["teacher1"]["cache"], out_dir, "teacher1 cache")
+        path = _input(cfg["teacher1"]["cache"], out_dir, "teacher1.cache", reads)
         bundle.topk1 = read_cache(path, "topk")
     if spec.teacher2:
-        path = _input(cfg["teacher2"]["cache"], out_dir, "teacher2 cache")
+        path = _input(cfg["teacher2"]["cache"], out_dir, "teacher2.cache", reads)
         bundle.topk2 = read_cache(path, "topk")
     if tc.mixes_pseudo:
-        path = _input(cfg["pseudo_cache"], out_dir, "pseudo-label cache")
+        path = _input(cfg["pseudo_cache"], out_dir, "pseudo_cache", reads)
         bundle.pseudo = index_pseudo(read_cache(path, "pseudo"))
     if spec.hidden:
-        path = _input(cfg["teacher1"]["checkpoint"], out_dir, "teacher1 checkpoint")
+        path = _input(cfg["teacher1"]["checkpoint"], out_dir, "teacher1.checkpoint", reads)
         bundle.teacher_params = _check_vocab(cfg, load_checkpoint(path)[0], path)
     return bundle
 
@@ -340,11 +357,16 @@ def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig) -> SupervisionBundle:
 # Subcommands
 
 
-def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
-    teachers = {t: _input(cfg[t]["checkpoint"], out_dir, f"{t} checkpoint")
+def cmd_cache_teacher(cfg: dict, out_dir: str, reads: dict[str, str]) -> int:
+    teachers = {t: _input(cfg[t]["checkpoint"], out_dir, f"{t}.checkpoint", reads)
                 for t in ("teacher1", "teacher2") if cfg[t]["checkpoint"] is not None}
-    pseudo_teachers = [(p["id"], _input(p["checkpoint"], out_dir, f"pseudo teacher {p['id']}"))
-                       for p in cfg["pseudo_teachers"]]
+    pseudo_teachers = [(p["id"], _input(p["checkpoint"], out_dir,
+                                        f"pseudo_teachers[{i}].checkpoint", reads))
+                       for i, p in enumerate(cfg["pseudo_teachers"])]
+    if cfg["teacher1"] == cfg["teacher2"]:
+        teachers.pop("teacher2", None)  # the same teacher named twice writes its cache once
+    _check_outputs(cfg, out_dir, [f"{t}.cache" for t in teachers]
+                   + (["pseudo_cache"] if pseudo_teachers else []), reads)
 
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
     if not corpus.examples:
@@ -384,9 +406,10 @@ def cmd_cache_teacher(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def cmd_distill(cfg: dict, out_dir: str) -> int:
+def cmd_distill(cfg: dict, out_dir: str, reads: dict[str, str]) -> int:
     tc = _train_config(cfg)
-    bundle = _load_bundle(cfg, out_dir, tc)
+    bundle = _load_bundle(cfg, out_dir, tc, reads)
+    _check_outputs(cfg, out_dir, ["outputs.checkpoint", "outputs.metrics"], reads)
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
     val_corpus = None
     if cfg["corpus"]["n_val"] > 0:
@@ -410,13 +433,15 @@ def cmd_distill(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: dict, out_dir: str, checkpoint: str | None,
+def cmd_evaluate(cfg: dict, out_dir: str, reads: dict[str, str], checkpoint: str | None,
                  teacher_checkpoint: str | None) -> int:
-    path = _input(checkpoint or cfg["outputs"]["checkpoint"], out_dir, "checkpoint")
+    path = _input(checkpoint or cfg["outputs"]["checkpoint"], out_dir,
+                  "--checkpoint" if checkpoint else "outputs.checkpoint", reads)
     params = _check_vocab(cfg, load_checkpoint(path)[0], path)
     if teacher_checkpoint is not None:
-        path = _input(teacher_checkpoint, out_dir, "teacher checkpoint")
+        path = _input(teacher_checkpoint, out_dir, "--teacher-checkpoint", reads)
         t_params = _check_vocab(cfg, load_checkpoint(path)[0], path)
+    _check_outputs(cfg, out_dir, ["outputs.report"], reads)
     corpus = synthetic_corpus(_corpus_cfg(cfg, "test"))
     if not corpus.examples:
         raise CliError("test split is empty; configure corpus.n_test > 0")
@@ -440,18 +465,19 @@ def cmd_evaluate(cfg: dict, out_dir: str, checkpoint: str | None,
     return 0
 
 
-def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) -> int:
+def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
+                  document: str | None) -> int:
     mr = cfg["mapreduce"]
-    map_ckpt = _input(mr["map_checkpoint"] or cfg["outputs"]["checkpoint"], out_dir,
-                      "map checkpoint")
+    map_key = "mapreduce.map_checkpoint" if mr["map_checkpoint"] else "outputs.checkpoint"
+    map_ckpt = _input(_setting(cfg, map_key), out_dir, map_key, reads)
     reduce_ckpt = map_ckpt
     if mr["reduce_checkpoint"] is not None:
-        reduce_ckpt = _input(mr["reduce_checkpoint"], out_dir, "reduce checkpoint")
+        reduce_ckpt = _input(mr["reduce_checkpoint"], out_dir, "mapreduce.reduce_checkpoint", reads)
     map_params, _ = load_checkpoint(map_ckpt)
     reduce_params = map_params if reduce_ckpt == map_ckpt else load_checkpoint(reduce_ckpt)[0]
 
     if document is not None:
-        with open(_input(document, "", "document file"), "r", encoding="utf-8") as f:
+        with open(_input(document, "", "--document", reads), "r", encoding="utf-8") as f:
             try:
                 obj = json.load(f)
             except json.JSONDecodeError as exc:
@@ -472,6 +498,7 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
             3000, vocab_size=cfg["corpus"]["vocab_size"], seed=cfg["seed"]
         )
 
+    _check_outputs(cfg, out_dir, ["outputs.summary"] + ["outputs.mapreduce_trace"] * trace, reads)
     ccfg = _chunk_config(cfg)
     gen_len = cfg["training"]["gen_max_len"]
     decided = route(tokens, ccfg.context_limit)
@@ -501,13 +528,14 @@ def cmd_mapreduce(cfg: dict, out_dir: str, trace: bool, document: str | None) ->
     return 0
 
 
-def cmd_gate_trace(cfg: dict, out_dir: str, samples: list[str]) -> int:
+def cmd_gate_trace(cfg: dict, out_dir: str, reads: dict[str, str], samples: list[str]) -> int:
     if not samples:
         raise CliError("gate-trace requires at least one sample id")
     # tracing always needs both teachers and the CPDP anchor
     tc = replace(_train_config(cfg), loss_mode=PRESETS["ewad_cpdp"]["loss_mode"])
-    bundle = _load_bundle(cfg, out_dir, tc)
-    path = _input(cfg["outputs"]["checkpoint"], out_dir, "checkpoint")
+    bundle = _load_bundle(cfg, out_dir, tc, reads)
+    path = _input(cfg["outputs"]["checkpoint"], out_dir, "outputs.checkpoint", reads)
+    _check_outputs(cfg, out_dir, ["outputs.gate_trace"], reads)
     params, meta = load_checkpoint(path)
     _check_vocab(cfg, params, path, exact=True)  # scored against the caches
     delta_star = meta.get("delta_star")
@@ -587,16 +615,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.seed)
         os.makedirs(args.out, exist_ok=True)
+        out, reads = args.out, {}
         if args.command == "cache-teacher":
-            return cmd_cache_teacher(cfg, args.out)
+            return cmd_cache_teacher(cfg, out, reads)
         if args.command == "distill":
-            return cmd_distill(cfg, args.out)
+            return cmd_distill(cfg, out, reads)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.out, args.checkpoint, args.teacher_checkpoint)
+            return cmd_evaluate(cfg, out, reads, args.checkpoint, args.teacher_checkpoint)
         if args.command == "mapreduce":
-            return cmd_mapreduce(cfg, args.out, args.trace, args.document)
+            return cmd_mapreduce(cfg, out, reads, args.trace, args.document)
         if args.command == "gate-trace":
-            return cmd_gate_trace(cfg, args.out, [s for s in args.samples.split(",") if s])
+            return cmd_gate_trace(cfg, out, reads, [s for s in args.samples.split(",") if s])
         raise CliError(f"unknown command {args.command!r}")
     except (CliError, ValueError, OSError, KeyError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)

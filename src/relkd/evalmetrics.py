@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
+import numpy as np
+
+from .toymodel import padded_rows
+
 
 @dataclass(frozen=True)
 class RougeScores:
@@ -40,25 +44,12 @@ def _f1(match: float, hyp_total: int, ref_total: int) -> float:
 
 
 def rouge_n(hyp, ref, n: int) -> float:
-    """Clipped n-gram overlap F1 (n in {1, 2}): the match count is the sum over
-    n-grams g of min(count_hyp(g), count_ref(g)) (Lin 2004), found by a merge
-    of the two sorted n-gram lists; each side's total is its n-gram count."""
+    """Clipped n-gram overlap F1 (n in {1, 2}) of one pair: the match count is
+    the sum over n-grams g of min(count_hyp(g), count_ref(g)) (Lin 2004), as
+    ``score_pairs`` counts it; each side's total is its n-gram count."""
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    hyp, ref = list(hyp), list(ref)
-    if n == 2:
-        hyp, ref = zip(hyp, hyp[1:]), zip(ref, ref[1:])
-    hyp, ref = sorted(hyp), sorted(ref)
-    n_hyp, n_ref = len(hyp), len(ref)
-    i = j = match = 0
-    while i < n_hyp and j < n_ref:
-        if hyp[i] < ref[j]:
-            i += 1
-        elif ref[j] < hyp[i]:
-            j += 1
-        else:
-            match, i, j = match + 1, i + 1, j + 1
-    return _f1(match, n_hyp, n_ref)
+    return getattr(score_pairs([(list(hyp), list(ref))]), f"rouge{n}")
 
 
 def lcs_length(a, b) -> int:
@@ -80,17 +71,45 @@ def rouge_l(hyp, ref) -> float:
     return _f1(lcs_length(hyp, ref), len(hyp), len(ref))
 
 
+def _overlap(grams: np.ndarray) -> np.ndarray:
+    """sum_g min(count_hyp(g), count_ref(g)) for each pair of interleaved
+    hypothesis and reference rows of n-gram codes; a code <= 0 is padding."""
+    width = grams.max(initial=0) + 1
+    keys = np.arange(len(grams))[:, None] // 2 * width + grams
+    (hyp, n_hyp), (ref, n_ref) = (np.unique(keys[side::2][grams[side::2] > 0],
+                                            return_counts=True) for side in (0, 1))
+    both, i, j = np.intersect1d(hyp, ref, assume_unique=True, return_indices=True)
+    return np.bincount(both // width, np.minimum(n_hyp[i], n_ref[j]), minlength=len(grams) // 2)
+
+
 def score_pairs(pairs) -> RougeScores:
-    """Mean ROUGE-1/2/L F1 over (hypothesis, reference) token sequences."""
+    """Mean ROUGE-1/2/L F1 over (hypothesis, reference) token sequences: the
+    means of ``rouge_n`` and ``rouge_l``, float for float, over all pairs at once.
+
+    Integer tokens become dense codes from 1 in interleaved 0-padded rows, and
+    a bigram one int. The LCS row of each pair takes one step per hypothesis
+    position (padded with -1), a running maximum: an LCS row never decreases
+    and grows by at most one at a match. F1 is ``_f1`` elementwise; means sum
+    in pair order.
+    """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot score an empty set of pairs")
-    n = len(pairs)
-    return RougeScores(
-        rouge1=sum(rouge_n(h, r, 1) for h, r in pairs) / n,
-        rouge2=sum(rouge_n(h, r, 2) for h, r in pairs) / n,
-        rougeL=sum(rouge_l(h, r) for h, r in pairs) / n,
-    )
+    rows, lengths = padded_rows([seq for pair in pairs for seq in pair])
+    valid = np.arange(rows.shape[1]) < lengths[:, None]
+    rows[valid] = np.unique(rows[valid], return_inverse=True)[1] + 1
+    bigrams = np.where(rows[:, 1:] > 0, rows[:, :-1] * (rows.max(initial=0) + 1) + rows[:, 1:], 0)
+    ref = rows[1::2, :lengths[1::2].max(initial=0)]
+    lcs = np.zeros((len(pairs), ref.shape[1] + 1), dtype=int)
+    for column in np.where(valid[0::2], rows[0::2], -1).T[:lengths[0::2].max(initial=0)]:
+        np.maximum.accumulate(np.where(column[:, None] == ref, lcs[:, :-1] + 1, lcs[:, 1:]),
+                              axis=1, out=lcs[:, 1:])
+    match = np.stack([_overlap(rows), _overlap(bigrams), lcs[:, -1]])
+    totals = np.stack([lengths, np.maximum(lengths - 1, 0), lengths])
+    f1, ok = np.zeros(match.shape), match > 0
+    p, r = match[ok] / totals[:, 0::2][ok], match[ok] / totals[:, 1::2][ok]
+    f1[ok] = 2.0 * p * r / (p + r)
+    return RougeScores(*(sum(row) / len(pairs) for row in f1.tolist()))
 
 
 def retention(student: RougeScores, teacher: RougeScores) -> RetentionReport:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -122,11 +123,13 @@ def _recur(
 
 
 def padded_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Token sequences as EOS-padded rows of one int array, and their lengths."""
-    seqs = [np.asarray(seq, dtype=int) for seq in seqs]
-    lengths = np.array([seq.size for seq in seqs], dtype=int)
+    """Token sequences as EOS-padded rows of one int array, and their lengths.
+    The rows are filled from one pass over all the tokens, in order."""
+    seqs = list(seqs)
+    lengths = np.array([len(seq) for seq in seqs], dtype=int)
     rows = np.full((len(seqs), lengths.max(initial=0)), EOS_ID, dtype=int)
-    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.concatenate(seqs)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(seqs), dtype=int, count=lengths.sum())
     return rows, lengths
 
 
@@ -317,7 +320,7 @@ def _greedy(params: ToyModelParams, h: np.ndarray, max_len: int) -> list[list[in
             break
         toks[:, t] = prev
         n_out += alive
-    return [row[:n].tolist() for row, n in zip(toks, n_out)]
+    return [row[:n] for row, n in zip(toks.tolist(), n_out.tolist())]
 
 
 def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[list[int]]:

@@ -13,7 +13,6 @@ gradient reductions run in fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -134,55 +133,79 @@ _WORD = 1 << 32
 _BLOCK = 1024  # words fetched from the generator at a time
 
 
-def _draws(rng: np.random.Generator) -> Callable[[int, int, int], list[int]]:
-    """``take(low, high, n)``: the next ``n`` values that ``n`` calls of
-    ``rng.integers(low, high)`` would return, for ``high - low < 2**32``.
+class _Words:
+    """numpy's ``rng.integers(low, high)`` values for ``high - low < 2**32``,
+    decoded a block of the 32-bit stream at a time by Lemire's rule: a word
+    ``w`` is kept iff ``(w * span) % 2**32 >= 2**32 % span`` and gives ``low +
+    (w * span >> 32)``; a span of 1 reads no word. ``values[k]`` holds each
+    word's value in the k-th range, ``None`` where the rule rejects it, and a
+    ``None`` past the last word; a walk that reads a ``None`` calls ``draw``."""
 
-    numpy draws such a value by Lemire's multiply-and-reject rule on the
-    generator's 32-bit stream: a word ``w`` is kept iff ``(w * span) % 2**32
-    >= 2**32 % span`` and gives ``low + (w * span >> 32)``; a span of 1 reads
-    no word. ``take`` applies the rule to words fetched ``_BLOCK`` at a time,
-    so ``rng`` runs ahead of the values handed out and must not be used again.
-    """
-    word = chain.from_iterable(iter(
-        lambda: rng.integers(0, _WORD, _BLOCK, dtype=np.uint32).tolist(), None)).__next__
+    def __init__(self, rng: np.random.Generator, *ranges: tuple[int, int]):
+        for low, high in ranges:
+            if not 0 < high - low < _WORD:
+                raise ValueError(f"cannot draw integers from [{low}, {high})")
+        self.rng, self.ranges = rng, ranges
+        self.values: list[list[int | None]] = [[None] for _ in ranges]
 
-    def take(low: int, high: int, n: int) -> list[int]:
-        span = high - low
-        if not 0 < span < _WORD or n < 0:
-            raise ValueError(f"cannot draw {n} integers from [{low}, {high})")
-        if span == 1:
-            return [low] * n
-        reject_below = _WORD % span
-        out: list[int] = []
+    def draw(self, k: int, at: int, n: int) -> tuple[list[int], int]:
+        """The next ``n`` values of range ``k`` from word ``at`` on, and the index
+        after them. At the end it decodes the next block, so old indices go stale."""
+        low, high = self.ranges[k]
+        if n < 0:
+            raise ValueError(f"cannot draw {n} integers")
+        if high - low == 1:
+            return [low] * n, at
+        mine, out = self.values[k], []
         while len(out) < n:
-            m = word() * span
-            if m & 0xFFFFFFFF >= reject_below:
-                out.append(low + (m >> 32))
-        return out
-
-    return take
+            if at == len(mine) - 1:
+                words = self.rng.integers(0, _WORD, _BLOCK, dtype=np.uint32).astype(np.uint64)
+                for (lo, hi), values in zip(self.ranges, self.values):
+                    m = words * np.uint64(hi - lo)
+                    values[:] = ((m >> np.uint64(32)).astype(np.int64) + lo).tolist() + [None]
+                    for j in np.flatnonzero(m & np.uint64(_WORD - 1) < _WORD % (hi - lo)):
+                        values[j] = None
+                at = 0
+            if mine[at] is not None:
+                out.append(mine[at])
+            at += 1
+        return out, at
 
 
 def synthetic_corpus(cfg: CorpusConfig) -> Corpus:
     """Deterministic toy corpus; identical config gives identical examples.
     Each value is the one that a call of ``rng.integers`` per draw on
-    ``default_rng([seed, 11])`` would give."""
-    take = _draws(np.random.default_rng([cfg.seed, 11]))
-    thresh = salient_threshold(cfg.vocab_size)
+    ``default_rng([seed, 11])`` would give: a count is one lookup in
+    ``_Words``'s lists, a sentence one slice. A copy document is one sentence."""
+    copy = cfg.task == "copy"
+    sentences = (1, 2) if copy else (cfg.min_sentences, cfg.max_sentences + 1)
     lens = (cfg.min_sentence_len, cfg.max_sentence_len + 1)
-    examples = []
+    words = _Words(np.random.default_rng([cfg.seed, 11]),
+                   sentences, lens, (FIRST_CONTENT_ID, cfg.vocab_size))
+    n_sentences, n_tokens, tokens = words.values
+    sentence_step, len_step = (int(high - low > 1) for low, high in (sentences, lens))
+    tail = [] if copy else [BOUNDARY_ID]
+    thresh = salient_threshold(cfg.vocab_size)
+    at, examples = 0, []
     for i in range(cfg.n_examples):
         while True:
-            if cfg.task == "copy":
-                doc = take(FIRST_CONTENT_ID, cfg.vocab_size, take(*lens, 1)[0])
-                summary = list(doc)
-            else:
-                doc = []
-                for _ in range(take(cfg.min_sentences, cfg.max_sentences + 1, 1)[0]):
-                    doc += take(FIRST_CONTENT_ID, cfg.vocab_size, take(*lens, 1)[0])
-                    doc.append(BOUNDARY_ID)
-                summary = [t for t in doc if t >= thresh][:: cfg.stride]
+            count = n_sentences[at]
+            at += sentence_step
+            if count is None:
+                (count,), at = words.draw(0, at - sentence_step, 1)
+            doc = []
+            for _ in range(count):
+                n = n_tokens[at]
+                at += len_step
+                if n is None:
+                    (n,), at = words.draw(1, at - len_step, 1)
+                run = tokens[at:at + n]
+                at += n
+                if None in run:
+                    run, at = words.draw(2, at - n, n)
+                doc += run
+                doc += tail
+            summary = list(doc) if copy else [t for t in doc if t >= thresh][:: cfg.stride]
             if summary:
                 break
         examples.append(CorpusExample(f"{cfg.id_prefix}{i:05d}", doc, summary))
@@ -201,21 +224,26 @@ def synthetic_document(
 
     With ``distinct_sentences`` set, sentences repeat from that small pool so
     deduplication has real work to do. Values are drawn as in
-    ``synthetic_corpus``, from ``default_rng([seed, 13])``.
+    ``synthetic_corpus``, from ``default_rng([seed, 13])``, by ``_Words.draw``.
     """
-    take = _draws(np.random.default_rng([seed, 13]))
-    lens = (min_sentence_len, max_sentence_len + 1)
-    pool = None
-    if distinct_sentences is not None:
-        pool = [take(FIRST_CONTENT_ID, vocab_size, take(*lens, 1)[0]) + [BOUNDARY_ID]
-                for _ in range(distinct_sentences)]
+    picks = 1 if distinct_sentences is None else distinct_sentences
+    words = _Words(np.random.default_rng([seed, 13]), (min_sentence_len, max_sentence_len + 1),
+                   (FIRST_CONTENT_ID, vocab_size), (0, picks))
+    pool: list[list[int]] = []
     doc: list[int] = []
+    at = 0
     while len(doc) < n_tokens:
-        if pool is not None:
-            doc += pool[take(0, len(pool), 1)[0]]
+        if len(pool) == distinct_sentences:
+            (k,), at = words.draw(2, at, 1)
+            doc += pool[k]
+            continue
+        (n,), at = words.draw(0, at, 1)
+        run, at = words.draw(1, at, n)
+        run.append(BOUNDARY_ID)
+        if distinct_sentences is None:
+            doc += run
         else:
-            doc += take(FIRST_CONTENT_ID, vocab_size, take(*lens, 1)[0])
-            doc.append(BOUNDARY_ID)
+            pool.append(run)
     return doc[:n_tokens]
 
 

@@ -394,7 +394,8 @@ class TestLoadBundle:
         for name in ("teacher1_topk.jsonl", "teacher2_topk.jsonl", "pseudo_labels.jsonl",
                      "teacher1.json"):
             (tmp_path / name).write_text("")
-        bundle = cli._load_bundle(cfg, str(tmp_path), cli._train_config(cfg))
+        reads = {}
+        bundle = cli._load_bundle(cfg, str(tmp_path), cli._train_config(cfg), reads)
 
         spec = MODES[mode]
         expected = [name for flag, name in (
@@ -402,6 +403,7 @@ class TestLoadBundle:
             (spec.pseudo, "pseudo_labels.jsonl"), (spec.hidden, "teacher1.json"),
         ) if flag]
         assert [os.path.basename(p) for p in read] == expected
+        assert [os.path.basename(p) for p in reads.values()] == expected
         assert kinds == [kind for flag, kind in ((spec.teacher1, "topk"), (spec.teacher2, "topk"),
                                                  (spec.pseudo, "pseudo")) if flag]
         assert (bundle.topk1 is not None) == spec.teacher1

@@ -53,8 +53,23 @@ class TestAgainstOracles:
         assert lcs_length(*pair) == lcs_length_oracle(*pair)
         assert rouge_l(*pair) == rouge_l_oracle(*pair)
 
-    @given(pairs=st.lists(seq_pairs, min_size=1, max_size=8))
+    # up to 64 pairs, so that one batch mixes empty, 1-token and 60-token
+    # sequences of ints and numpy ints
+    @given(pairs=st.lists(seq_pairs, min_size=1, max_size=64))
     def test_score_pairs(self, pairs):
+        s = score_pairs(pairs)
+        assert (s.rouge1, s.rouge2, s.rougeL) == score_pairs_oracle(pairs)
+
+    @given(refs=st.lists(token_seqs(4), min_size=1, max_size=16))
+    def test_score_pairs_with_every_hypothesis_empty(self, refs):
+        pairs = [([], r) for r in refs]
+        s = score_pairs(pairs)
+        assert (s.rouge1, s.rouge2, s.rougeL) == score_pairs_oracle(pairs) == (0.0, 0.0, 0.0)
+
+    @given(pairs=st.lists(st.tuples(*[st.lists(st.integers(-3, 2), max_size=12)] * 2),
+                          min_size=1, max_size=16))
+    def test_score_pairs_with_negative_tokens(self, pairs):
+        # the batched arrays pad with -1 and 0, so tokens are recoded before padding
         s = score_pairs(pairs)
         assert (s.rouge1, s.rouge2, s.rougeL) == score_pairs_oracle(pairs)
 

@@ -525,3 +525,40 @@ def test_a_cache_without_an_example_s_record_names_it(tmp_path, capsys, preset, 
     assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def _files(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@pytest.mark.parametrize("command, fields, message", [
+    ("distill", dict(preset="A1", outputs={"metrics": "student.json"}),
+     "outputs.metrics and outputs.checkpoint name the same file"),
+    ("distill", dict(preset="A2", outputs={"checkpoint": "teacher1_topk.jsonl"}),
+     "outputs.checkpoint and teacher1.cache name the same file"),
+    ("cache-teacher", dict(pseudo_teachers=[{"id": "p1", "checkpoint": "teacher1.json"}],
+                           pseudo_cache="teacher1_topk.jsonl"),
+     "pseudo_cache and teacher1.cache name the same file"),
+], ids=["metrics-as-checkpoint", "a2-checkpoint-as-teacher1-cache", "pseudo-as-teacher1-cache"])
+def test_an_output_that_names_another_file_of_the_run_fails_before_any_output(
+        tmp_path, capsys, command, fields, message):
+    for name, dim in (("teacher1.json", 8), ("teacher2.json", 7), ("student.json", 6)):
+        save_checkpoint(tmp_path / name, init_params(16, dim, np.random.default_rng(dim)))
+    cache_cfg = write_config(tmp_path / "cache.json")
+    assert main(["--config", str(cache_cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    cfg = write_config(tmp_path / "c.json", **fields)
+    before = _files(tmp_path)
+    capsys.readouterr()
+
+    assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 1
+    assert message in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+def test_a_ce_distill_may_write_over_a_teacher_it_does_not_read(tmp_path):
+    # how teachers are trained: CE reads no teacher file
+    save_checkpoint(tmp_path / "teacher1.json", init_params(16, 8, np.random.default_rng(8)))
+    before = (tmp_path / "teacher1.json").read_bytes()
+    cfg = write_config(tmp_path / "c.json", preset="A1", outputs={"checkpoint": "teacher1.json"})
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 0
+    assert (tmp_path / "teacher1.json").read_bytes() != before
