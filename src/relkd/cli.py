@@ -300,16 +300,26 @@ def _input(path: str | None, out_dir: str, key: str, reads: dict[str, str]) -> s
     return path
 
 
-def _check_outputs(cfg: dict, out_dir: str, outputs: list[str], reads: dict[str, str]) -> None:
-    """Reject, before any write, an output that two keys name or that the run reads."""
+def _check_outputs(cfg: dict, out_dir: str, outputs: list[str],
+                   reads: dict[str, str]) -> dict[str, str]:
+    """The path under ``out_dir`` of each output key, checked before any write:
+    it must name a file in an existing directory, and no other output, nor a
+    file that the run reads."""
     named: dict[str, str] = {}
     for key, path in reads.items():
         named.setdefault(os.path.realpath(path), key)
+    paths = {}
     for key in outputs:
-        path = os.path.realpath(os.path.join(out_dir, _setting(cfg, key)))
-        if path in named:
-            raise CliError(f"{key} and {named[path]} name the same file {path}")
-        named[path] = key
+        path = paths[key] = os.path.join(out_dir, _setting(cfg, key))
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise CliError(f"{key} names a directory: {path}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise CliError(f"{key} lies in a directory that does not exist: {path}")
+        real = os.path.realpath(path)
+        if real in named:
+            raise CliError(f"{key} and {named[real]} name the same file {real}")
+        named[real] = key
+    return paths
 
 
 def _check_vocab(cfg: dict, params: ToyModelParams, path: str,
@@ -365,8 +375,8 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, reads: dict[str, str]) -> int:
                        for i, p in enumerate(cfg["pseudo_teachers"])]
     if cfg["teacher1"] == cfg["teacher2"]:
         teachers.pop("teacher2", None)  # the same teacher named twice writes its cache once
-    _check_outputs(cfg, out_dir, [f"{t}.cache" for t in teachers]
-                   + (["pseudo_cache"] if pseudo_teachers else []), reads)
+    paths = _check_outputs(cfg, out_dir, [f"{t}.cache" for t in teachers]
+                           + (["pseudo_cache"] if pseudo_teachers else []), reads)
 
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
     if not corpus.examples:
@@ -392,13 +402,10 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, reads: dict[str, str]) -> int:
               for t, params in topk_params.items()}
 
     if pseudo_records:
-        n = write_cache(
-            pseudo_records, os.path.join(out_dir, cfg["pseudo_cache"]),
-            vocab_size=corpus.vocab_size,
-        )
+        n = write_cache(pseudo_records, paths["pseudo_cache"], vocab_size=corpus.vocab_size)
         print(f"wrote {n} pseudo-label records to {cfg['pseudo_cache']}")
     for teacher, cache in caches.items():
-        n = write_cache(cache, os.path.join(out_dir, cfg[teacher]["cache"]))
+        n = write_cache(cache, paths[f"{teacher}.cache"])
         mass = cache.mass_kept
         kept = ("" if mass is None
                 else f" (top-{k} mass kept: mean {mass['mean']:.4f}, min {mass['min']:.4f})")
@@ -409,7 +416,7 @@ def cmd_cache_teacher(cfg: dict, out_dir: str, reads: dict[str, str]) -> int:
 def cmd_distill(cfg: dict, out_dir: str, reads: dict[str, str]) -> int:
     tc = _train_config(cfg)
     bundle = _load_bundle(cfg, out_dir, tc, reads)
-    _check_outputs(cfg, out_dir, ["outputs.checkpoint", "outputs.metrics"], reads)
+    paths = _check_outputs(cfg, out_dir, ["outputs.checkpoint", "outputs.metrics"], reads)
     corpus = synthetic_corpus(_corpus_cfg(cfg, "train"))
     val_corpus = None
     if cfg["corpus"]["n_val"] > 0:
@@ -418,13 +425,13 @@ def cmd_distill(cfg: dict, out_dir: str, reads: dict[str, str]) -> int:
     result = train(tc, corpus, bundle, val_corpus=val_corpus)
 
     save_checkpoint(
-        os.path.join(out_dir, cfg["outputs"]["checkpoint"]), result.params,
+        paths["outputs.checkpoint"], result.params,
         meta={"loss_mode": tc.loss_mode, "seed": cfg["seed"],
               "preset": cfg.get("preset"),
               "delta_star": None if result.anchor is None else result.anchor.delta_star},
     )
     _write_jsonl(
-        os.path.join(out_dir, cfg["outputs"]["metrics"]),
+        paths["outputs.metrics"],
         {"version": 1, "kind": "metrics", "loss_mode": tc.loss_mode, "seed": cfg["seed"]},
         result.metrics,
     )
@@ -441,7 +448,7 @@ def cmd_evaluate(cfg: dict, out_dir: str, reads: dict[str, str], checkpoint: str
     if teacher_checkpoint is not None:
         path = _input(teacher_checkpoint, out_dir, "--teacher-checkpoint", reads)
         t_params = _check_vocab(cfg, load_checkpoint(path)[0], path)
-    _check_outputs(cfg, out_dir, ["outputs.report"], reads)
+    paths = _check_outputs(cfg, out_dir, ["outputs.report"], reads)
     corpus = synthetic_corpus(_corpus_cfg(cfg, "test"))
     if not corpus.examples:
         raise CliError("test split is empty; configure corpus.n_test > 0")
@@ -460,7 +467,7 @@ def cmd_evaluate(cfg: dict, out_dir: str, reads: dict[str, str], checkpoint: str
         rep = retention(scores, t_scores)
         report["teacher_rougeL"] = rep.teacher
         report["retention_pct"] = rep.retention_pct
-    _write_json(os.path.join(out_dir, cfg["outputs"]["report"]), report)
+    _write_json(paths["outputs.report"], report)
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -498,7 +505,8 @@ def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
             3000, vocab_size=cfg["corpus"]["vocab_size"], seed=cfg["seed"]
         )
 
-    _check_outputs(cfg, out_dir, ["outputs.summary"] + ["outputs.mapreduce_trace"] * trace, reads)
+    paths = _check_outputs(cfg, out_dir,
+                           ["outputs.summary"] + ["outputs.mapreduce_trace"] * trace, reads)
     ccfg = _chunk_config(cfg)
     gen_len = cfg["training"]["gen_max_len"]
     decided = route(tokens, ccfg.context_limit)
@@ -514,13 +522,13 @@ def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
             trace=trace_rows if trace else None,
         )
     _write_json(
-        os.path.join(out_dir, cfg["outputs"]["summary"]),
+        paths["outputs.summary"],
         {"version": 1, "kind": "summary", "route": decided,
          "n_input_tokens": len(tokens), "summary": [int(t) for t in summary]},
     )
     if trace:
         _write_jsonl(
-            os.path.join(out_dir, cfg["outputs"]["mapreduce_trace"]),
+            paths["outputs.mapreduce_trace"],
             {"version": 1, "kind": "mapreduce_trace", "route": decided},
             trace_rows,
         )
@@ -535,7 +543,7 @@ def cmd_gate_trace(cfg: dict, out_dir: str, reads: dict[str, str], samples: list
     tc = replace(_train_config(cfg), loss_mode=PRESETS["ewad_cpdp"]["loss_mode"])
     bundle = _load_bundle(cfg, out_dir, tc, reads)
     path = _input(cfg["outputs"]["checkpoint"], out_dir, "outputs.checkpoint", reads)
-    _check_outputs(cfg, out_dir, ["outputs.gate_trace"], reads)
+    paths = _check_outputs(cfg, out_dir, ["outputs.gate_trace"], reads)
     params, meta = load_checkpoint(path)
     _check_vocab(cfg, params, path, exact=True)  # scored against the caches
     delta_star = meta.get("delta_star")
@@ -572,7 +580,7 @@ def cmd_gate_trace(cfg: dict, out_dir: str, reads: dict[str, str], samples: list
                 "cpdp_term": float(ctr.value[i]),
             })
     _write_jsonl(
-        os.path.join(out_dir, cfg["outputs"]["gate_trace"]),
+        paths["outputs.gate_trace"],
         {"version": 1, "kind": "gate_trace", "delta_star": anchor.delta_star},
         rows,
     )

@@ -1,14 +1,15 @@
 """Token-level ROUGE F1 scores and teacher-retention reporting.
 
-Scores operate on token id sequences; there is no stemming or stopword
-handling (meaningless for synthetic vocabularies). Corpus-level scores are
-plain means of per-example F1.
+Scores operate on integer token id sequences; there is no stemming or
+stopword handling (meaningless for synthetic vocabularies). ``score_pairs``
+is the one implementation: ``rouge_n`` and ``rouge_l`` score one pair
+through it, and corpus-level scores are plain means of per-example F1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -35,40 +36,24 @@ class RetentionReport:
     retention_pct: float
 
 
-def _f1(match: float, hyp_total: int, ref_total: int) -> float:
-    if match == 0 or hyp_total == 0 or ref_total == 0:
-        return 0.0
-    p = match / hyp_total
-    r = match / ref_total
-    return 2.0 * p * r / (p + r)
+def _integral(kind: type) -> bool:
+    """Whether values of ``kind`` are integers: int or a numpy integer, not bool."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
 
 
 def rouge_n(hyp, ref, n: int) -> float:
     """Clipped n-gram overlap F1 (n in {1, 2}) of one pair: the match count is
     the sum over n-grams g of min(count_hyp(g), count_ref(g)) (Lin 2004), as
     ``score_pairs`` counts it; each side's total is its n-gram count."""
-    if n not in (1, 2):
+    if not (_integral(type(n)) and n in (1, 2)):
         raise ValueError("n must be 1 or 2")
     return getattr(score_pairs([(list(hyp), list(ref))]), f"rouge{n}")
 
 
-def lcs_length(a, b) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    a, b = list(a), list(b)
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur, left = [0], 0
-        for y, diag, up in zip(b, prev, islice(prev, 1, None)):
-            left = diag + 1 if x == y else (up if up > left else left)
-            cur.append(left)
-        prev = cur
-    return prev[-1]
-
-
 def rouge_l(hyp, ref) -> float:
-    """LCS-based F1: P = LCS/|hyp|, R = LCS/|ref|."""
-    hyp, ref = list(hyp), list(ref)
-    return _f1(lcs_length(hyp, ref), len(hyp), len(ref))
+    """LCS-based F1 of one pair, P = LCS/|hyp| and R = LCS/|ref| (Lin 2004),
+    as ``score_pairs`` computes it."""
+    return score_pairs([(list(hyp), list(ref))]).rougeL
 
 
 def _overlap(grams: np.ndarray) -> np.ndarray:
@@ -83,19 +68,25 @@ def _overlap(grams: np.ndarray) -> np.ndarray:
 
 
 def score_pairs(pairs) -> RougeScores:
-    """Mean ROUGE-1/2/L F1 over (hypothesis, reference) token sequences: the
-    means of ``rouge_n`` and ``rouge_l``, float for float, over all pairs at once.
+    """Mean ROUGE-1/2/L F1 over (hypothesis, reference) token sequences, all
+    pairs at once: each mean is that of the pairs' F1, summed in pair order.
 
-    Integer tokens become dense codes from 1 in interleaved 0-padded rows, and
-    a bigram one int. The LCS row of each pair takes one step per hypothesis
+    A token that is not an integer (a bool, float or str) raises ValueError.
+    Tokens become dense codes from 1 in interleaved 0-padded rows, and a
+    bigram one int. The LCS row of each pair takes one step per hypothesis
     position (padded with -1), a running maximum: an LCS row never decreases
-    and grows by at most one at a match. F1 is ``_f1`` elementwise; means sum
-    in pair order.
+    and grows by at most one at a match. F1 is 0 where nothing matches, else
+    2PR/(P + R) elementwise.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot score an empty set of pairs")
-    rows, lengths = padded_rows([seq for pair in pairs for seq in pair])
+    seqs = [seq for pair in pairs for seq in pair]
+    bad = sorted(kind.__name__ for kind in set(map(type, chain.from_iterable(seqs)))
+                 if not _integral(kind))
+    if bad:
+        raise ValueError(f"tokens must be integers, got {', '.join(bad)}")
+    rows, lengths = padded_rows(seqs)
     valid = np.arange(rows.shape[1]) < lengths[:, None]
     rows[valid] = np.unique(rows[valid], return_inverse=True)[1] + 1
     bigrams = np.where(rows[:, 1:] > 0, rows[:, :-1] * (rows.max(initial=0) + 1) + rows[:, 1:], 0)

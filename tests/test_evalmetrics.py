@@ -1,23 +1,29 @@
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from relkd.cli import _corpus_cfg, load_config, main
 from relkd.evalmetrics import (
     RougeScores,
-    lcs_length,
     retention,
     rouge_l,
     rouge_n,
     score_pairs,
 )
+from relkd.teachercache import read_cache
+from relkd.toymodel import init_params, save_checkpoint
+from relkd.training import synthetic_corpus
 
 from oracles import (
+    _f1_oracle,
     lcs_bruteforce,
-    lcs_length_oracle,
     rouge_l_oracle,
     rouge_n_oracle,
     score_pairs_oracle,
 )
+from test_cli import write_config
 
 
 def token_seqs(alphabet: int):
@@ -38,8 +44,8 @@ def with_edges(test):
 
 
 class TestAgainstOracles:
-    """The merge-based counts and the append-built DP rows give exactly the
-    values of the Counter and max() versions they replaced."""
+    """``score_pairs``, and ``rouge_n`` and ``rouge_l`` through it, give exactly
+    the values of the Counter and dynamic-programming oracles."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @given(pair=seq_pairs)
@@ -49,8 +55,7 @@ class TestAgainstOracles:
 
     @given(pair=seq_pairs)
     @with_edges
-    def test_rouge_l_and_lcs(self, pair):
-        assert lcs_length(*pair) == lcs_length_oracle(*pair)
+    def test_rouge_l(self, pair):
         assert rouge_l(*pair) == rouge_l_oracle(*pair)
 
     # up to 64 pairs, so that one batch mixes empty, 1-token and 60-token
@@ -94,9 +99,13 @@ class TestRougeN:
         assert rouge_n([1], [1, 2], 2) == 0.0
         assert rouge_n([], [1], 1) == 0.0
 
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            rouge_n([1], [1], 3)
+    @pytest.mark.parametrize("n", [0, 3, True, 1.0, 2.0, "1"])
+    def test_invalid_n(self, n):
+        with pytest.raises(ValueError, match="n must be 1 or 2"):
+            rouge_n([1], [1], n)
+
+    def test_numpy_integer_n(self):
+        assert rouge_n([1, 2], [1, 2], np.int64(2)) == 1.0
 
 
 class TestRougeL:
@@ -118,14 +127,14 @@ class TestRougeL:
                 seqs.append([bits >> i & 1 for i in range(ln)])
         for a in seqs:
             for b in seqs:
-                assert lcs_length(a, b) == lcs_bruteforce(a, b)
+                assert rouge_l(a, b) == _f1_oracle(lcs_bruteforce(a, b), len(a), len(b))
 
     def test_lcs_matches_bruteforce_random(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             a = rng.integers(0, 3, rng.integers(0, 7)).tolist()
             b = rng.integers(0, 3, rng.integers(0, 7)).tolist()
-            assert lcs_length(a, b) == lcs_bruteforce(a, b)
+            assert rouge_l(a, b) == _f1_oracle(lcs_bruteforce(a, b), len(a), len(b))
 
     def test_rouge_l_never_exceeds_rouge_1(self):
         rng = np.random.default_rng(1)
@@ -157,6 +166,51 @@ class TestScorePairs:
             s = score_pairs(pairs)
             for v in (s.rouge1, s.rouge2, s.rougeL):
                 assert 0.0 <= v <= 1.0
+
+
+SCORERS = {
+    "rouge_n": lambda hyp, ref: rouge_n(hyp, ref, 1),
+    "rouge_l": rouge_l,
+    "score_pairs": lambda hyp, ref: score_pairs([([1], [1]), (hyp, ref)]).rouge1,
+}
+
+
+class TestTokenTypes:
+    """Every scorer compares integer tokens only: a token that padding would
+    truncate (3.5), parse ('4') or read as 1 (True) is rejected, on either side."""
+
+    @pytest.mark.parametrize("scorer", SCORERS.values(), ids=SCORERS)
+    @pytest.mark.parametrize("token", [3.5, "4", True, np.float64(3)],
+                             ids=["float", "str", "bool", "float64"])
+    def test_a_token_that_is_not_an_integer_is_rejected(self, scorer, token):
+        for pair in (([token], [3]), ([3], [token])):
+            with pytest.raises(ValueError, match="tokens must be integers, got "):
+                scorer(*pair)
+
+    @pytest.mark.parametrize("scorer", SCORERS.values(), ids=SCORERS)
+    def test_numpy_integer_tokens_are_accepted(self, scorer):
+        assert scorer([np.int64(3)], [3]) == scorer([3], [np.int64(3)]) == 1.0
+
+    def test_the_message_names_each_type(self):
+        with pytest.raises(ValueError, match="got float, str$"):
+            score_pairs([(["4"], [3.5]), ([4], [4])])
+
+
+def test_the_mean_over_cached_pseudo_labels_equals_the_oracle(tmp_path):
+    # the benchmark's pseudo_rougeL: the mean rouge_l of each pseudo-label
+    # against the gold summary of its training example
+    save_checkpoint(tmp_path / "teacher1.json", init_params(16, 8, np.random.default_rng(3)))
+    cfg = write_config(tmp_path / "c.json", teacher2={"checkpoint": None},
+                       pseudo_teachers=[{"id": "p1", "checkpoint": "teacher1.json"}])
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    gold = {ex.example_id: ex.summary
+            for ex in synthetic_corpus(_corpus_cfg(load_config(str(cfg), None), "train")).examples}
+    pseudo = read_cache(tmp_path / "pseudo_labels.jsonl", "pseudo")
+    assert len(pseudo) == len(gold)
+    scores = [rouge_l(r.tokens, gold[r.example_id]) for r in pseudo]
+    oracle = [rouge_l_oracle(r.tokens, gold[r.example_id]) for r in pseudo]
+    assert scores == oracle and len(set(scores)) > 1
+    assert statistics.fmean(scores) == statistics.fmean(oracle)
 
 
 class TestRetention:

@@ -555,6 +555,30 @@ def test_an_output_that_names_another_file_of_the_run_fails_before_any_output(
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize("command, fields, message", [
+    ("distill", dict(preset="A1", outputs={"metrics": "."}), "outputs.metrics names a directory"),
+    ("distill", dict(preset="A1", outputs={"metrics": "m"}), "outputs.metrics names a directory"),
+    ("distill", dict(preset="A1", outputs={"metrics": "new/"}), "outputs.metrics names a directory"),
+    ("distill", dict(preset="A1", outputs={"checkpoint": "sub/student.json"}),
+     "outputs.checkpoint lies in a directory that does not exist"),
+    ("cache-teacher", dict(teacher1={"cache": "sub/teacher1_topk.jsonl"}),
+     "teacher1.cache lies in a directory that does not exist"),
+], ids=["metrics-as-out-dir", "metrics-as-subdir", "metrics-as-missing-subdir",
+        "checkpoint-in-missing-dir", "cache-in-missing-dir"])
+def test_an_output_that_is_not_a_file_in_an_existing_directory_fails_before_any_output(
+        tmp_path, capsys, command, fields, message):
+    out = tmp_path / "o"
+    (out / "m").mkdir(parents=True)
+    for name, dim in (("teacher1.json", 8), ("teacher2.json", 7)):
+        save_checkpoint(out / name, init_params(16, dim, np.random.default_rng(dim)))
+    cfg = write_config(tmp_path / "c.json", **fields)
+    before = sorted(tmp_path.rglob("*"))
+
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_a_ce_distill_may_write_over_a_teacher_it_does_not_read(tmp_path):
     # how teachers are trained: CE reads no teacher file
     save_checkpoint(tmp_path / "teacher1.json", init_params(16, 8, np.random.default_rng(8)))
