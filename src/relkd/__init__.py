@@ -29,7 +29,6 @@ from .reliability import (
     token_reliability,
 )
 from .teachercache import (
-    MixingConfig,
     PseudoLabelRecord,
     TopKCache,
     read_cache,

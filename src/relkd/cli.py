@@ -20,8 +20,6 @@ import os
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 
-import numpy as np
-
 from .atomic import write_text_atomic
 from .evalmetrics import retention
 from .longdoc import ChunkConfig, summarize_long
@@ -43,6 +41,7 @@ from .training import (
     TrainingDiverged,
     build_pseudo_records,
     build_topk_cache,
+    derive_seed,
     evaluate_rouge,
     index_pseudo,
     prepare_supervision,
@@ -57,7 +56,7 @@ CONFIG_VERSION = 1
 _TRAIN_PARTS = {f.name: f.default_factory for f in fields(TrainConfig)
                 if is_dataclass(f.default_factory)}
 # Training fields set from outside the "training" section.
-_DERIVED_TRAINING = ("seed", "hidden_dim", "rng_seed")
+_DERIVED_TRAINING = ("seed", "hidden_dim")
 
 
 def _field_defaults(cls, skip=()) -> dict:
@@ -86,14 +85,12 @@ DEFAULT_CONFIG = {
     "training": {
         **{k: v for cls in (TrainConfig, *_TRAIN_PARTS.values())
            for k, v in _field_defaults(cls, skip=_DERIVED_TRAINING).items()},
-        # MixingConfig's 0.3 would make a config that names A3-A5 without a
+        # TrainConfig's 0.3 would make a config that names A3-A5 without a
         # preset require a pseudo-label cache; the presets set it instead.
         "p_pseudo": 0.0,
     },
     "mapreduce": {
-        "chunk_capacity": 60,
-        "overlap_sentences": 3,
-        "jaccard_threshold": 0.75,
+        **_field_defaults(ChunkConfig),
         "map_checkpoint": None,
         "reduce_checkpoint": None,
     },
@@ -247,11 +244,6 @@ def _setting(cfg: dict, key: str):
     return cfg
 
 
-def derive_seed(root: int, stream: int) -> int:
-    """Deterministic child seed for one named consumer of the root seed."""
-    return int(np.random.SeedSequence([root, stream]).generate_state(1)[0])
-
-
 # seed stream and example id prefix of each corpus split
 _SPLITS = {"train": (0, "tr"), "test": (1, "te"), "val": (2, "va")}
 
@@ -274,29 +266,29 @@ def _train_config(cfg: dict) -> TrainConfig:
     """Route each training key to the TrainConfig field, or the field of one
     of its nested config objects, of the same name."""
     values = {**cfg["training"], "seed": cfg["seed"],
-              "hidden_dim": cfg["student"]["hidden_dim"],
-              "rng_seed": derive_seed(cfg["seed"], 3)}
+              "hidden_dim": cfg["student"]["hidden_dim"]}
     parts = {name: _build(cls, values) for name, cls in _TRAIN_PARTS.items()}
     return _build(TrainConfig, {**values, **parts})
 
 
 def _chunk_config(cfg: dict) -> ChunkConfig:
-    """The mapreduce section, with training.context_limit, as a ChunkConfig."""
+    """The mapreduce section as a ChunkConfig."""
     try:
-        return _build(ChunkConfig, {**cfg["mapreduce"],
-                                    "context_limit": cfg["training"]["context_limit"]})
+        return _build(ChunkConfig, cfg["mapreduce"])
     except ValueError as exc:
         raise CliError(f"mapreduce.{exc}") from exc
 
 
 def _input(path: str | None, out_dir: str, key: str, reads: dict[str, str]) -> str:
     """An input file: ``path`` under ``out_dir`` (or absolute), which must
-    exist; ``reads`` records it under its config key (or flag)."""
+    exist and be a file; ``reads`` records it under its config key (or flag)."""
     if path is None:
         raise CliError(f"{key} is not configured")
     path = reads[key] = os.path.join(out_dir, path)
     if not os.path.exists(path):
         raise CliError(f"{key} not found: {path}")
+    if not os.path.isfile(path):
+        raise CliError(f"{key} is not a file: {path}")
     return path
 
 

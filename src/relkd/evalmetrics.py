@@ -9,11 +9,10 @@ through it, and corpus-level scores are plain means of per-example F1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .toymodel import padded_rows
+from .toymodel import integral, padded_rows
 
 
 @dataclass(frozen=True)
@@ -36,16 +35,11 @@ class RetentionReport:
     retention_pct: float
 
 
-def _integral(kind: type) -> bool:
-    """Whether values of ``kind`` are integers: int or a numpy integer, not bool."""
-    return kind is not bool and issubclass(kind, (int, np.integer))
-
-
 def rouge_n(hyp, ref, n: int) -> float:
     """Clipped n-gram overlap F1 (n in {1, 2}) of one pair: the match count is
     the sum over n-grams g of min(count_hyp(g), count_ref(g)) (Lin 2004), as
     ``score_pairs`` counts it; each side's total is its n-gram count."""
-    if not (_integral(type(n)) and n in (1, 2)):
+    if not (integral(type(n)) and n in (1, 2)):
         raise ValueError("n must be 1 or 2")
     return getattr(score_pairs([(list(hyp), list(ref))]), f"rouge{n}")
 
@@ -71,7 +65,8 @@ def score_pairs(pairs) -> RougeScores:
     """Mean ROUGE-1/2/L F1 over (hypothesis, reference) token sequences, all
     pairs at once: each mean is that of the pairs' F1, summed in pair order.
 
-    A token that is not an integer (a bool, float or str) raises ValueError.
+    A token that is not an integer (a bool, float or str) raises ValueError
+    (``padded_rows`` checks them).
     Tokens become dense codes from 1 in interleaved 0-padded rows, and a
     bigram one int. The LCS row of each pair takes one step per hypothesis
     position (padded with -1), a running maximum: an LCS row never decreases
@@ -81,12 +76,7 @@ def score_pairs(pairs) -> RougeScores:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot score an empty set of pairs")
-    seqs = [seq for pair in pairs for seq in pair]
-    bad = sorted(kind.__name__ for kind in set(map(type, chain.from_iterable(seqs)))
-                 if not _integral(kind))
-    if bad:
-        raise ValueError(f"tokens must be integers, got {', '.join(bad)}")
-    rows, lengths = padded_rows(seqs)
+    rows, lengths = padded_rows(seq for pair in pairs for seq in pair)
     valid = np.arange(rows.shape[1]) < lengths[:, None]
     rows[valid] = np.unique(rows[valid], return_inverse=True)[1] + 1
     bigrams = np.where(rows[:, 1:] > 0, rows[:, :-1] * (rows.max(initial=0) + 1) + rows[:, 1:], 0)

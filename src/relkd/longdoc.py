@@ -23,14 +23,18 @@ MAX_REDUCE_DEPTH = 8
 
 @dataclass(frozen=True)
 class ChunkConfig:
-    """Chunking capacity, sentence overlap, dedup threshold, context limit."""
+    """Chunking capacity, sentence overlap, dedup threshold, and the context
+    limit, the longest input summarized in one call; the CLI's ``mapreduce``
+    section takes its defaults from these."""
 
-    chunk_capacity: int = 900
+    chunk_capacity: int = 60
     overlap_sentences: int = 3
     jaccard_threshold: float = 0.75
-    context_limit: int = 1024
+    context_limit: int = 64
 
     def __post_init__(self) -> None:
+        if self.context_limit < 1:
+            raise ValueError(f"context_limit must be >= 1, got {self.context_limit}")
         if not 0 < self.chunk_capacity <= self.context_limit:
             raise ValueError(f"chunk_capacity must lie in [1, context_limit {self.context_limit}]")
         if self.overlap_sentences < 0:
@@ -154,7 +158,7 @@ def summarize_long(
     is capped at MAX_REDUCE_DEPTH levels; either failure aborts with a
     diagnostic.
     """
-    sentences = split_sentences(map(int, document))
+    sentences = split_sentences(document)
     return _summarize_sentences(sentences, map_fn, reduce_fn, cfg, trace, 1)
 
 

@@ -62,20 +62,6 @@ class PseudoLabelRecord:
     beam_width: int
 
 
-@dataclass(frozen=True)
-class MixingConfig:
-    """Gold/pseudo target mixing: replacement probability and seed."""
-
-    p_pseudo: float = 0.3
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_pseudo <= 1.0:
-            raise ValueError(f"p_pseudo must lie in [0, 1], got {self.p_pseudo}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-
-
 def _all_of(values, types) -> bool:
     """Whether every value is an instance of ``types``; a bool never is."""
     return all(t is not bool and issubclass(t, types) for t in set(map(type, values)))
@@ -354,21 +340,23 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
 def sample_target(
     gold: list[int],
     pseudo: list[PseudoLabelRecord],
-    cfg: MixingConfig,
+    p_pseudo: float,
+    seed: int,
     example_index: int,
 ) -> tuple[list[int], str]:
-    """Pick the training target: gold, or a pseudo-label with p_pseudo.
-
-    A pure function of (rng_seed, example_index): the draw stream is derived
-    from both, so repeated runs see identical target choices. Returns the
-    token sequence and a provenance flag ("gold" or "pseudo:<teacher_id>").
-    """
+    """Pick the training target: gold, or a pseudo-label with probability
+    ``p_pseudo``. A pure function of (seed, example_index), so repeated runs
+    see identical target choices; training passes ``derive_seed(seed, 3)`` of
+    its run's seed. Returns the token sequence and a provenance flag ("gold"
+    or "pseudo:<teacher_id>")."""
+    if not 0.0 <= p_pseudo <= 1.0:
+        raise ValueError(f"p_pseudo must lie in [0, 1], got {p_pseudo}")
     if len(gold) == 0:
         raise ValueError("gold target must be non-empty")
-    if cfg.p_pseudo > 0 and len(pseudo) == 0:
+    if p_pseudo > 0 and len(pseudo) == 0:
         raise ValueError("p_pseudo > 0 but no pseudo-labels are available")
-    rng = np.random.default_rng([cfg.rng_seed, example_index])
-    if cfg.p_pseudo > 0 and rng.random() < cfg.p_pseudo:
+    rng = np.random.default_rng([seed, example_index])
+    if p_pseudo > 0 and rng.random() < p_pseudo:
         rec = pseudo[int(rng.integers(len(pseudo)))]
         return list(rec.tokens), f"pseudo:{rec.teacher_id}"
     return list(gold), "gold"

@@ -122,10 +122,20 @@ def _recur(
     return h
 
 
+def integral(kind: type) -> bool:
+    """Whether values of ``kind`` are integers: int or a numpy integer, not bool."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
 def padded_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
     """Token sequences as EOS-padded rows of one int array, and their lengths.
-    The rows are filled from one pass over all the tokens, in order."""
+    The rows are filled from one pass over all the tokens, in order. A token
+    that is not an integer (a bool, float or str) raises ValueError."""
     seqs = list(seqs)
+    bad = sorted(kind.__name__ for kind in set(map(type, chain.from_iterable(seqs)))
+                 if not integral(kind))
+    if bad:
+        raise ValueError(f"tokens must be integers, got {', '.join(bad)}")
     lengths = np.array([len(seq) for seq in seqs], dtype=int)
     rows = np.full((len(seqs), lengths.max(initial=0)), EOS_ID, dtype=int)
     rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.fromiter(

@@ -36,7 +36,6 @@ from .losses import (
 )
 from .reliability import ReliabilityConfig
 from .teachercache import (
-    MixingConfig,
     PseudoLabelRecord,
     TopKCache,
     sample_target,
@@ -59,6 +58,11 @@ _LOGIT_FLOOR = 1e-12
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite."""
+
+
+def derive_seed(root: int, stream: int) -> int:
+    """Deterministic child seed for one named consumer of the root seed."""
+    return int(np.random.SeedSequence([root, stream]).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +369,19 @@ def _exp_normalized(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """What one ``train`` run reads. ``seed`` determines the run: the initial
+    weights, the batch order, A5's projection and the pseudo-label draws
+    (each example's with probability ``p_pseudo``) come from streams of it."""
+
     loss_mode: str = "CE"
     weights: LossWeights = field(default_factory=LossWeights)
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     adaptive_tau_cfg: AdaptiveTauConfig = field(default_factory=AdaptiveTauConfig)
-    mixing: MixingConfig = field(default_factory=MixingConfig)
+    p_pseudo: float = 0.3
     learning_rate: float = 0.2
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    context_limit: int = 64
     hidden_dim: int = 16
     fixed_tau: float = 0.8
     anchor_tokens: int = 512
@@ -384,10 +391,12 @@ class TrainConfig:
         if self.loss_mode not in MODES:
             raise ValueError(f"loss_mode must be one of {', '.join(MODES)}, "
                              f"got {self.loss_mode!r}")
-        for name, least in (("epochs", 0), ("seed", 0), ("batch_size", 1), ("context_limit", 1),
-                            ("hidden_dim", 1), ("anchor_tokens", 1), ("gen_max_len", 1)):
+        for name, least in (("epochs", 0), ("seed", 0), ("batch_size", 1), ("hidden_dim", 1),
+                            ("anchor_tokens", 1), ("gen_max_len", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not 0.0 <= self.p_pseudo <= 1.0:
+            raise ValueError(f"p_pseudo must lie in [0, 1], got {self.p_pseudo}")
         if not self.fixed_tau > 0:
             raise ValueError(f"fixed_tau must be > 0, got {self.fixed_tau}")
         if not self.learning_rate > 0:
@@ -400,7 +409,7 @@ class TrainConfig:
     @property
     def mixes_pseudo(self) -> bool:
         """Whether the mode mixes pseudo-labels in with a positive rate."""
-        return self.spec.pseudo and self.mixing.p_pseudo > 0
+        return self.spec.pseudo and self.p_pseudo > 0
 
 
 def _ce_step(config, tb, tau, hp, anchor):
@@ -518,7 +527,8 @@ def prepare_supervision(
 ) -> Supervision:
     """Validate the bundle, then resolve every example's target and teacher
     logits in corpus order, plus the teacher hidden states and the CPDP
-    anchor when the mode uses them.
+    anchor when the mode uses them. In the pseudo-label modes the targets
+    are drawn by ``sample_target`` from ``derive_seed(config.seed, 3)``.
 
     The teachers' logits are checked here, once; everything the losses
     derive from them is computed once over all the rows (see ``Teachers``),
@@ -536,6 +546,7 @@ def prepare_supervision(
             raise ValueError(f"teacher {which} cache has vocab_size {topk.vocab_size}, "
                              f"corpus.vocab_size is {corpus.vocab_size}")
     firsts = {which: topk.first.tolist() for which, topk in wanted}
+    mix_seed = derive_seed(config.seed, 3)
     targets, starts = [], {1: [], 2: []}
     for i, ex in enumerate(corpus.examples):
         summary, provenance = list(ex.summary), "gold"
@@ -543,7 +554,7 @@ def prepare_supervision(
             records = bundle.pseudo.get(ex.example_id)
             if not records:
                 raise ValueError(f"missing pseudo-label record for {ex.example_id}")
-            summary, provenance = sample_target(ex.summary, records, config.mixing, i)
+            summary, provenance = sample_target(ex.summary, records, config.p_pseudo, mix_seed, i)
         target = _target_with_eos(summary)
 
         rec_id = ex.example_id

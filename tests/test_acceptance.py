@@ -37,7 +37,6 @@ from relkd.losses import (
 )
 from relkd.reliability import ReliabilityConfig, gate, token_reliability
 from relkd.teachercache import (
-    MixingConfig,
     PseudoLabelRecord,
     read_cache,
     sample_target,
@@ -411,11 +410,10 @@ class TestCriterion7DirectionalDeskScale:
 
 class TestCriterion8PseudoMixingRate:
     def test_mixing_rate_concentrates(self):
-        cfg = MixingConfig(p_pseudo=0.3, rng_seed=0)
         pseudo = [PseudoLabelRecord("e", "t1", [5], "5", 4),
                   PseudoLabelRecord("e", "t2", [6], "6", 4)]
         hits = sum(
-            sample_target([9, 9], pseudo, cfg, i)[1] != "gold" for i in range(10_000)
+            sample_target([9, 9], pseudo, 0.3, 0, i)[1] != "gold" for i in range(10_000)
         )
         frac = hits / 10_000
         assert 0.285 <= frac <= 0.315

@@ -24,7 +24,7 @@ from relkd.losses import (
     standard_total,
 )
 from relkd.reliability import ReliabilityConfig
-from relkd.teachercache import MixingConfig, read_cache
+from relkd.teachercache import read_cache
 from relkd.toymodel import EOS_ID
 from relkd.training import (
     Corpus,
@@ -282,7 +282,7 @@ def test_training_tau_equals_adaptive_tau_per_sequence(monkeypatch, mode):
     monkeypatch.setattr(training, "standard_total", record)
     cfg = TrainConfig(loss_mode=mode, epochs=2, seed=1, hidden_dim=4, batch_size=6,
                       weights=LossWeights(alpha_kd=0.01, alpha_inter=0.1 if mode == "A5" else 0.0),
-                      mixing=MixingConfig(p_pseudo=0.3, rng_seed=5))
+                      p_pseudo=0.3)
     train(cfg, corpus, bundle)
     assert len(calls) == 2 * 4
     for tb, tau in calls:

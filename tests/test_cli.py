@@ -196,6 +196,16 @@ class TestMapReduce:
         assert rows[0]["kind"] == "mapreduce_trace"
         assert len(rows[1]["chunks"]) >= 2
 
+    def test_context_limit_decides_the_route(self, workspace, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            mapreduce={"map_checkpoint": str(workspace / "teacher1.json"),
+                       "context_limit": 3000},
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "mapreduce"]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["route"] == "direct" and summary["n_input_tokens"] == 3000
+
     @pytest.mark.parametrize("command", [["cache-teacher"], ["distill"], ["evaluate"],
                                          ["mapreduce"], ["gate-trace", "--samples", "tr00001"]])
     def test_trace_is_a_mapreduce_option_not_a_global_flag(self, tmp_path, capsys, command):
@@ -340,6 +350,7 @@ class TestConfigKeys:
         ({"training": {"epoch": 1, "epochs": 2}}, "training.epoch"),
         ({"trainig": {"epochs": 2}}, "trainig"),
         ({"pseudo_teachers": [{"id": "p1", "ckpt": "t.json"}]}, "pseudo_teachers[0].ckpt"),
+        ({"training": {"context_limit": 64}}, "training.context_limit"),
     ])
     def test_unknown_key_fails_before_any_output(self, tmp_path, capsys, overrides, path):
         cfg = write_config(tmp_path / "c.json", preset="A1", **overrides)
@@ -355,7 +366,7 @@ class TestConfigKeys:
         "cpdp_clamp": 10.0, "p_pseudo": 0.5, "gate_steepness": 2.0,
         "gate_threshold": 0.25, "weight_temperature": 2.0, "tau_min": 0.25,
         "tau_max": 3.0, "anchor_tokens": 7, "lambda_override": 0.5,
-        "equal_teacher_weights": True, "context_limit": 32, "gen_max_len": 5,
+        "equal_teacher_weights": True, "gen_max_len": 5,
     }
 
     def test_every_training_key_reaches_its_train_config_field(self):
@@ -367,8 +378,20 @@ class TestConfigKeys:
             cfg = load_config(None, None)
             cfg["training"][key] = value
             tc = _train_config(cfg)
-            holders = (tc, tc.weights, tc.reliability, tc.adaptive_tau_cfg, tc.mixing)
+            holders = (tc, tc.weights, tc.reliability, tc.adaptive_tau_cfg)
             assert [getattr(h, key) for h in holders if hasattr(h, key)] == [value], key
+
+    def test_every_chunking_key_reaches_its_chunk_config_field(self):
+        from relkd.cli import DEFAULT_CONFIG, _chunk_config, load_config
+        from relkd.longdoc import ChunkConfig
+
+        assert DEFAULT_CONFIG["mapreduce"] == {**vars(ChunkConfig()), "map_checkpoint": None,
+                                               "reduce_checkpoint": None}
+        for key, value in {"chunk_capacity": 30, "overlap_sentences": 1,
+                           "jaccard_threshold": 0.5, "context_limit": 100}.items():
+            cfg = load_config(None, None)
+            cfg["mapreduce"][key] = value
+            assert getattr(_chunk_config(cfg), key) == value, key
 
     def test_every_preset_key_is_a_training_key(self):
         from relkd.cli import DEFAULT_CONFIG, PRESETS

@@ -16,10 +16,15 @@ from relkd.toymodel import (
     init_params,
 )
 from relkd.training import (
+    Corpus,
     CorpusConfig,
+    CorpusExample,
+    SupervisionBundle,
+    TrainConfig,
     build_pseudo_records,
     build_topk_cache,
     index_pseudo,
+    prepare_supervision,
     pseudo_variant_id,
     synthetic_corpus,
     synthetic_document,
@@ -247,3 +252,34 @@ def test_a_summarizer_must_answer_every_input():
     cfg = ChunkConfig(chunk_capacity=30, context_limit=32, overlap_sentences=1)
     with pytest.raises(PipelineError, match="summaries for"):
         summarize_long(doc, lambda docs: docs[:1], lambda docs: docs, cfg)
+
+
+def _read_document(entry: str, document):
+    """What ``entry`` makes of a one-example corpus or document."""
+    params = init_params(16, 4, np.random.default_rng(0))
+
+    def decode(docs):
+        return generate_batch(params, docs, max_len=4)
+
+    if entry == "generate_batch":
+        return decode([document])
+    if entry == "prepare_supervision":
+        corpus = Corpus([CorpusExample("ex0", document, [5])], vocab_size=16)
+        return prepare_supervision(TrainConfig(), corpus, SupervisionBundle()).src.tolist()
+    return summarize_long(document, decode, decode, ChunkConfig())
+
+
+ENTRIES = ["generate_batch", "prepare_supervision", "summarize_long"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("token, kind", [(3.5, "float"), ("4", "str"), (True, "bool")])
+def test_a_token_that_is_not_an_integer_is_rejected(entry, token, kind):
+    with pytest.raises(ValueError, match=f"tokens must be integers, got {kind}"):
+        _read_document(entry, [token])
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_numpy_integer_tokens_read_as_ints(entry):
+    doc = [3, 4, 2, 5]
+    assert _read_document(entry, [np.int64(t) for t in doc]) == _read_document(entry, doc)

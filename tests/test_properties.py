@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from relkd.longdoc import ChunkConfig, dedup
 from relkd.teachercache import (
-    MixingConfig,
     PseudoLabelRecord,
     read_cache,
     sample_target,
@@ -93,11 +92,10 @@ def test_dedup_is_idempotent(sentences, threshold):
 def test_sample_target_is_a_function_of_seed_and_index(seed, p, indices, noise):
     gold = [7, 8, 9]
     pseudo = [PseudoLabelRecord("e", "t1", [5], "5", 4), PseudoLabelRecord("e", "t2", [6], "6", 4)]
-    cfg = MixingConfig(p_pseudo=p, rng_seed=seed)
-    first = [sample_target(gold, pseudo, cfg, i) for i in indices]
+    first = [sample_target(gold, pseudo, p, seed, i) for i in indices]
     # other draws in between, in another order, with the global numpy state moved
     np.random.seed(noise % 2**32)
     np.random.random()
-    sample_target(gold, pseudo, MixingConfig(p_pseudo=p, rng_seed=noise), 0)
-    again = [sample_target(gold, pseudo, cfg, i) for i in reversed(indices)][::-1]
+    sample_target(gold, pseudo, p, noise, 0)
+    again = [sample_target(gold, pseudo, p, seed, i) for i in reversed(indices)][::-1]
     assert again == first

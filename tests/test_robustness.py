@@ -71,7 +71,7 @@ class TestConfigTypes:
         ({"anchor_tokens": -3}, "anchor_tokens"),
         ({"anchor_tokens": 0}, "anchor_tokens"),
         ({"tau_min": 3.0}, "tau_min"),
-        ({"context_limit": 0}, "context_limit"),
+        ({"p_pseudo": -0.1}, "p_pseudo"),
         ({"batch_size": 0}, "batch_size"),
         ({"alpha_kd": 0.6, "alpha_inter": 0.6}, "alpha_kd"),
         ({"fixed_tau": 0}, "fixed_tau"),
@@ -132,6 +132,7 @@ class TestConfigTypes:
         ({"mapreduce": {"chunk_capacity": 65}}, "mapreduce.chunk_capacity"),
         ({"mapreduce": {"overlap_sentences": -1}}, "mapreduce.overlap_sentences"),
         ({"mapreduce": {"jaccard_threshold": 1.5}}, "mapreduce.jaccard_threshold"),
+        ({"mapreduce": {"context_limit": 0}}, "mapreduce.context_limit must be >= 1, got 0"),
     ])
     def test_a_bad_pseudo_teacher_or_mapreduce_entry_fails_before_any_output(
             self, tmp_path, capsys, command, overrides, message):
@@ -576,6 +577,24 @@ def test_an_output_that_is_not_a_file_in_an_existing_directory_fails_before_any_
 
     assert main(["--config", str(cfg), "--out", str(out), command]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, fields, key", [
+    (["cache-teacher"], dict(teacher1={"checkpoint": "."}), "teacher1.checkpoint"),
+    (["evaluate", "--checkpoint", "."], {}, "--checkpoint"),
+], ids=["cache-teacher-checkpoint", "evaluate-checkpoint"])
+def test_an_input_that_is_a_directory_fails_before_any_output(tmp_path, capsys, command,
+                                                              fields, key):
+    out = tmp_path / "o"
+    out.mkdir()
+    for name, dim in (("teacher1.json", 8), ("teacher2.json", 7)):
+        save_checkpoint(out / name, init_params(16, dim, np.random.default_rng(dim)))
+    cfg = write_config(tmp_path / "c.json", **fields)
+    before = sorted(tmp_path.rglob("*"))
+
+    assert main(["--config", str(cfg), "--out", str(out), *command]) == 1
+    assert f"error: {key} is not a file: {os.path.join(out, '.')}" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
 

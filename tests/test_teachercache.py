@@ -6,7 +6,6 @@ import pytest
 
 from relkd.teachercache import (
     CacheFormatError,
-    MixingConfig,
     PseudoLabelRecord,
     read_cache,
     sample_target,
@@ -166,46 +165,40 @@ class TestSampleTarget:
     PSEUDO = [pseudo_record(teacher="t1"), pseudo_record(teacher="t2")]
 
     def test_p_zero_always_gold(self):
-        cfg = MixingConfig(p_pseudo=0.0, rng_seed=1)
         for i in range(50):
-            toks, prov = sample_target(self.GOLD, [], cfg, i)
+            toks, prov = sample_target(self.GOLD, [], 0.0, 1, i)
             assert toks == self.GOLD and prov == "gold"
 
     def test_p_one_single_teacher(self):
-        cfg = MixingConfig(p_pseudo=1.0, rng_seed=1)
         for i in range(50):
-            toks, prov = sample_target(self.GOLD, [self.PSEUDO[0]], cfg, i)
+            toks, prov = sample_target(self.GOLD, [self.PSEUDO[0]], 1.0, 1, i)
             assert toks == self.PSEUDO[0].tokens and prov == "pseudo:t1"
 
     def test_deterministic_per_seed_and_index(self):
-        cfg = MixingConfig(p_pseudo=0.5, rng_seed=3)
-        first = [sample_target(self.GOLD, self.PSEUDO, cfg, i) for i in range(200)]
-        second = [sample_target(self.GOLD, self.PSEUDO, cfg, i) for i in range(200)]
+        first = [sample_target(self.GOLD, self.PSEUDO, 0.5, 3, i) for i in range(200)]
+        second = [sample_target(self.GOLD, self.PSEUDO, 0.5, 3, i) for i in range(200)]
         assert first == second
 
     def test_empty_pseudo_with_positive_p(self):
         with pytest.raises(ValueError):
-            sample_target(self.GOLD, [], MixingConfig(p_pseudo=0.3, rng_seed=0), 0)
+            sample_target(self.GOLD, [], 0.3, 0, 0)
 
     def test_empty_gold(self):
         with pytest.raises(ValueError):
-            sample_target([], self.PSEUDO, MixingConfig(p_pseudo=0.0, rng_seed=0), 0)
+            sample_target([], self.PSEUDO, 0.0, 0, 0)
 
     def test_binomial_concentration(self):
-        cfg = MixingConfig(p_pseudo=0.3, rng_seed=0)
         hits = sum(
-            sample_target(self.GOLD, self.PSEUDO, cfg, i)[1] != "gold"
+            sample_target(self.GOLD, self.PSEUDO, 0.3, 0, i)[1] != "gold"
             for i in range(10_000)
         )
         assert 0.285 <= hits / 10_000 <= 0.315
 
-
-class TestMixingConfig:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            MixingConfig(p_pseudo=1.5)
+            sample_target(self.GOLD, self.PSEUDO, 1.5, 0, 0)
         with pytest.raises(ValueError):
-            MixingConfig(p_pseudo=-0.1)
+            sample_target(self.GOLD, self.PSEUDO, -0.1, 0, 0)
 
 
 class TestMassKept:

@@ -14,7 +14,7 @@ from relkd.losses import (
     standard_total,
 )
 from relkd.reliability import ReliabilityConfig
-from relkd.teachercache import MixingConfig
+from relkd.teachercache import sample_target
 from relkd.toymodel import (
     EOS_ID,
     backward_batch,
@@ -32,6 +32,7 @@ from relkd.training import (
     TrainingDiverged,
     build_pseudo_records,
     build_topk_cache,
+    derive_seed,
     index_pseudo,
     prepare_supervision,
     synthetic_corpus,
@@ -317,16 +318,31 @@ class TestTrainLoop:
         corpus = tiny_corpus(n=40, seed=9)
         bundle = teacher_and_bundle(corpus, pseudo=True)
         cfg = TrainConfig(loss_mode="A3", epochs=1, seed=1, hidden_dim=4,
-                          mixing=MixingConfig(p_pseudo=1.0, rng_seed=5))
+                          p_pseudo=1.0)
         res = train(cfg, corpus, bundle)  # must not raise: variant caches exist
         assert len(res.metrics) == 1
+
+    def test_pseudo_targets_follow_the_run_seed(self):
+        corpus = tiny_corpus(n=40, seed=9)
+        bundle = teacher_and_bundle(corpus, pseudo=True)
+        targets = {}
+        for seed in (0, 1):
+            sup = prepare_supervision(TrainConfig(loss_mode="A3", seed=seed, p_pseudo=0.5),
+                                      corpus, bundle)
+            targets[seed] = [row[:n].tolist() for row, n in zip(sup.tgt, sup.tgt_len)]
+            # each target is sample_target's pick from the run's mixing seed
+            assert targets[seed] == [
+                sample_target(ex.summary, bundle.pseudo[ex.example_id], 0.5,
+                              derive_seed(seed, 3), i)[0] + [EOS_ID]
+                for i, ex in enumerate(corpus.examples)]
+        assert targets[0] != targets[1]
 
     def test_a5_trains_projection(self):
         corpus = tiny_corpus(n=16)
         bundle = teacher_and_bundle(corpus, pseudo=True)
         cfg = TrainConfig(loss_mode="A5", epochs=2, seed=1, hidden_dim=4,
                           weights=LossWeights(alpha_kd=0.01, alpha_inter=0.1),
-                          mixing=MixingConfig(p_pseudo=0.3, rng_seed=5))
+                          p_pseudo=0.3)
         res = train(cfg, corpus, bundle)
         assert all(m["inter"] > 0.0 for m in res.metrics)
 
@@ -379,6 +395,11 @@ class TestTrainLoop:
     def test_student_without_width_rejected(self, hidden_dim):
         with pytest.raises(ValueError, match=f"hidden_dim must be >= 1, got {hidden_dim}"):
             TrainConfig(loss_mode="CE", hidden_dim=hidden_dim)
+
+    @pytest.mark.parametrize("p_pseudo", [1.5, -0.1])
+    def test_pseudo_rate_outside_the_unit_interval_rejected(self, p_pseudo):
+        with pytest.raises(ValueError, match=f"p_pseudo must lie in \\[0, 1\\], got {p_pseudo}"):
+            TrainConfig(loss_mode="A3", p_pseudo=p_pseudo)
 
     @pytest.mark.parametrize("gen_max_len", [0, -3])
     def test_empty_decoding_length_rejected(self, gen_max_len):
@@ -481,7 +502,7 @@ class TestModeTable:
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_validation_requires_exactly_what_the_row_names(self, mode):
-        cfg = TrainConfig(loss_mode=mode, mixing=MixingConfig(p_pseudo=0.3))
+        cfg = TrainConfig(loss_mode=mode, p_pseudo=0.3)
         full = {"topk1": {"x": None}, "topk2": {"x": None}, "pseudo": {"x": []},
                 "teacher_params": object()}
         validate_supervision(cfg, SupervisionBundle(**full))
@@ -495,6 +516,6 @@ class TestModeTable:
 
     @pytest.mark.parametrize("mode", [m for m in sorted(MODES) if MODES[m].pseudo])
     def test_pseudo_labels_are_optional_without_mixing(self, mode):
-        cfg = TrainConfig(loss_mode=mode, mixing=MixingConfig(p_pseudo=0.0))
+        cfg = TrainConfig(loss_mode=mode, p_pseudo=0.0)
         validate_supervision(cfg, SupervisionBundle(
             topk1={"x": None}, topk2={"x": None}, teacher_params=object()))
