@@ -4,7 +4,7 @@
 import numpy as np
 
 from relkd import ChunkConfig, jaccard, route, split_sentences, summarize_long
-from relkd.toymodel import generate_batch, init_params
+from relkd.toymodel import decode_rows, init_params
 from relkd.training import synthetic_document
 
 LIMIT = 64  # desk-scale context window
@@ -19,9 +19,9 @@ cfg = ChunkConfig(chunk_capacity=60, overlap_sentences=3,
 params = init_params(64, 12, np.random.default_rng(11))
 
 
-def summarizer(chunks):
-    # one batched greedy decode over every chunk of a level
-    return generate_batch(params, chunks, mode="greedy", max_len=16)
+def summarizer(rows, lengths):
+    # one batched greedy decode over every chunk of a level: EOS-padded rows
+    return decode_rows(params, rows, lengths, mode="greedy", max_len=16)
 
 
 trace = []

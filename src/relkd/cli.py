@@ -19,17 +19,18 @@ import json
 import os
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
+from functools import partial
 
 from .atomic import write_text_atomic
 from .evalmetrics import retention
-from .longdoc import ChunkConfig, summarize_long
+from .longdoc import ChunkConfig, PipelineError, summarize_long
 from .losses import CpdpAnchor
 from .teachercache import read_cache, write_cache
 from .toymodel import (
     ROUTE_DIRECT,
     ToyModelParams,
+    decode_rows,
     generate,
-    generate_batch,
     load_checkpoint,
     route,
     save_checkpoint,
@@ -485,7 +486,7 @@ def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
         if not isinstance(tokens, list) or not tokens or set(map(type, tokens)) != {int}:
             raise CliError(f"document {document} must be a non-empty list of integer tokens, "
                            'bare or as {"tokens": [...]}')
-        vocab = min(map_params.vocab_size, reduce_params.vocab_size)
+        vocab = map_params.vocab_size
         if min(tokens) < 0 or max(tokens) >= vocab:
             bad = next(t for t in tokens if not 0 <= t < vocab)
             raise CliError(f"document {document} has token {bad}, outside the checkpoints' "
@@ -496,6 +497,10 @@ def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
         tokens = synthetic_document(
             3000, vocab_size=cfg["corpus"]["vocab_size"], seed=cfg["seed"]
         )
+    if reduce_params.vocab_size < map_params.vocab_size:  # REDUCE reads MAP's summaries
+        raise CliError(f"mapreduce.reduce_checkpoint {reduce_ckpt} has vocabulary size "
+                       f"{reduce_params.vocab_size}, smaller than the vocabulary size "
+                       f"{map_params.vocab_size} of {map_key} {map_ckpt}")
 
     paths = _check_outputs(cfg, out_dir,
                            ["outputs.summary"] + ["outputs.mapreduce_trace"] * trace, reads)
@@ -508,8 +513,8 @@ def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
     else:
         summary = summarize_long(
             tokens,
-            lambda docs: generate_batch(map_params, docs, mode="greedy", max_len=gen_len),
-            lambda docs: generate_batch(reduce_params, docs, mode="greedy", max_len=gen_len),
+            partial(decode_rows, map_params, mode="greedy", max_len=gen_len),
+            partial(decode_rows, reduce_params, mode="greedy", max_len=gen_len),
             ccfg,
             trace=trace_rows if trace else None,
         )
@@ -627,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gate-trace":
             return cmd_gate_trace(cfg, out, reads, [s for s in args.samples.split(",") if s])
         raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ValueError, OSError, KeyError, TrainingDiverged) as exc:
+    except (CliError, ValueError, OSError, KeyError, TrainingDiverged, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,22 +1,27 @@
 """Long-document MapReduce pipeline: sentence-aligned chunking with overlap,
 batched MAP summarization, Jaccard deduplication, recursive REDUCE.
 
-MAP and REDUCE are injected as batch callables so any model (or a stub) can
-fill the roles: each takes a list of token lists and returns one summary
-(a token list) per input, in order. Every MAP phase is one call over all of
-its level's chunks.
+Each level is one int token array and the lengths of its sentences; a chunk
+is a span of sentences. MAP and REDUCE are injected as batch callables so any
+model (or a stub) can fill the roles: each takes EOS-padded token rows and
+their lengths, as ``toymodel.decode_rows`` does, and returns one summary (a
+token list) per row, in order. Every MAP phase is one call over all of its
+level's chunks, gathered from the level's array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_right
+from dataclasses import asdict, dataclass
+from itertools import accumulate, chain
 from typing import Callable
 
-from .toymodel import BOUNDARY_ID
+import numpy as np
 
-# a batch of token lists in, one summary per input out, in order
-Summarizer = Callable[[list[list[int]]], list[list[int]]]
+from .toymodel import BOUNDARY_ID, EOS_ID, padded_rows
+
+# EOS-padded (B, L) int rows and their B lengths in, one summary per row out
+Summarizer = Callable[[np.ndarray, np.ndarray], list[list[int]]]
 
 MAX_REDUCE_DEPTH = 8
 
@@ -45,11 +50,12 @@ class ChunkConfig:
 
 @dataclass(frozen=True)
 class Chunk:
-    """A contiguous run of sentences; indices are inclusive."""
+    """A contiguous run of sentences; indices are inclusive. Its fields are
+    its entry in the trace's ``chunks``."""
 
     first_sentence: int
     last_sentence: int
-    tokens: tuple[int, ...]
+    n_tokens: int
 
 
 class PipelineError(RuntimeError):
@@ -77,41 +83,38 @@ def split_sentences(tokens) -> list[list[int]]:
     return sentences
 
 
-def chunk(sentences: list[list[int]], cfg: ChunkConfig) -> list[Chunk]:
-    """Greedy accumulation of sentences into capacity-bounded chunks.
+def chunk(lengths, cfg: ChunkConfig) -> list[Chunk]:
+    """Greedy accumulation of sentences, given by their token counts, into
+    capacity-bounded chunks.
 
     Consecutive chunks overlap by ``overlap_sentences`` (or the whole previous
     chunk when shorter). Every chunk must admit at least one new sentence; if
     the overlap block would crowd it out, the oldest overlap sentences are
     dropped until it fits. A single sentence over capacity is an error.
     """
-    if not sentences:
+    lengths = list(lengths)
+    if not lengths:
         raise ValueError("no sentences to chunk")
-    lens = [len(s) for s in sentences]
-    for i, ln in enumerate(lens):
+    for i, ln in enumerate(lengths):
         if ln > cfg.chunk_capacity:
             raise ValueError(
                 f"sentence {i} has {ln} tokens, exceeding chunk capacity "
                 f"{cfg.chunk_capacity}; no splitting rule is defined"
             )
 
+    ends = list(accumulate(lengths, initial=0))  # sentences [i, j) hold ends[j] - ends[i]
     chunks: list[Chunk] = []
-    n = len(sentences)
+    n = len(lengths)
     start = 0
     while True:
-        end = start
-        total = lens[start]
-        while end + 1 < n and total + lens[end + 1] <= cfg.chunk_capacity:
-            end += 1
-            total += lens[end]
-        toks = tuple(chain.from_iterable(sentences[start : end + 1]))
-        chunks.append(Chunk(first_sentence=start, last_sentence=end, tokens=toks))
+        end = bisect_right(ends, ends[start] + cfg.chunk_capacity) - 2
+        chunks.append(Chunk(start, end, ends[end + 1] - ends[start]))
         if end >= n - 1:
             return chunks
         # Overlap counts against the next chunk's capacity; shed the oldest
         # overlap sentences if they would crowd out the first new sentence.
         overlap = min(cfg.overlap_sentences, end - start + 1)
-        while overlap > 0 and sum(lens[end - overlap + 1 : end + 2]) > cfg.chunk_capacity:
+        while overlap > 0 and ends[end + 2] - ends[end - overlap + 1] > cfg.chunk_capacity:
             overlap -= 1
         start = end - overlap + 1
 
@@ -149,84 +152,97 @@ def summarize_long(
 ) -> list[int]:
     """Chunk, MAP-summarize, deduplicate, then REDUCE (recursively if needed).
 
-    Each level's chunks go to ``map_fn`` in one call. The single-chunk case
-    degenerates to one direct MAP call. When the deduplicated concatenation
-    still exceeds the context limit, the kept sentences are re-chunked and
-    summarized again with the REDUCE model in the MAP role (model summaries
-    need not contain boundary tokens, so their sentence structure is carried
-    forward rather than re-derived). Recursion requires strict shrinkage and
-    is capped at MAX_REDUCE_DEPTH levels; either failure aborts with a
+    The document is read once into an int array (``padded_rows`` rejects a
+    token that is not an integer), and its sentences end at its boundary
+    tokens. Each level's chunks go to ``map_fn`` in one call, as rows
+    gathered from the level's array. The single-chunk case degenerates to
+    one direct MAP call. When the deduplicated concatenation still exceeds
+    the context limit, the kept sentences are re-chunked and summarized
+    again with the REDUCE model in the MAP role (model summaries need not
+    contain boundary tokens, so their sentence structure is carried forward
+    rather than re-derived). Recursion requires strict shrinkage and is
+    capped at MAX_REDUCE_DEPTH levels; either failure aborts with a
     diagnostic.
     """
-    sentences = split_sentences(document)
-    return _summarize_sentences(sentences, map_fn, reduce_fn, cfg, trace, 1)
+    tokens = padded_rows([document])[0][0]
+    if not tokens.size:
+        raise ValueError("document must be non-empty")
+    ends = np.union1d(np.flatnonzero(tokens == BOUNDARY_ID) + 1, [tokens.size])
+    return _summarize_level(tokens, np.diff(ends, prepend=0).tolist(),
+                            map_fn, reduce_fn, cfg, trace, 1)
 
 
-def _summarize_sentences(
-    sentences: list[list[int]],
+def _summarize_level(
+    tokens: np.ndarray,
+    lengths: list[int],
     map_fn: Summarizer,
     reduce_fn: Summarizer,
     cfg: ChunkConfig,
     trace: list | None,
     depth: int,
 ) -> list[int]:
+    """Summarize one level: ``tokens`` holds sentences of ``lengths`` tokens."""
     if depth > MAX_REDUCE_DEPTH:
         raise PipelineError(f"reduce recursion exceeded depth {MAX_REDUCE_DEPTH}")
-    n_input_tokens = sum(map(len, sentences))
 
-    chunks = chunk(sentences, cfg)
+    chunks = chunk(lengths, cfg)
+    # each chunk's row: its tokens from the level's array, then EOS
+    starts = np.cumsum([0, *lengths])[[c.first_sentence for c in chunks]]
+    sizes = np.array([c.n_tokens for c in chunks])
+    cols = np.arange(sizes.max())
+    live = cols < sizes[:, None]
+    rows = np.full(live.shape, EOS_ID, dtype=int)
+    rows[live] = tokens[(starts[:, None] + cols)[live]]
+    map_outputs = _summarize(map_fn, rows, sizes)
     if len(chunks) == 1:
-        summary, = _summarize(map_fn, [list(chain.from_iterable(sentences))])
+        summary, = map_outputs
         if trace is not None:
             trace.append(
-                {"depth": depth, "chunks": [_chunk_info(chunks[0])],
+                {"depth": depth, "chunks": [asdict(chunks[0])],
                  "map_lengths": [len(summary)], "kept_sentences": None,
                  "concat_length": len(summary), "recursed": False}
             )
         return summary
-
-    map_outputs = _summarize(map_fn, [list(c.tokens) for c in chunks])
 
     candidate_sentences: list[list[int]] = []
     for out in map_outputs:
         if out:
             candidate_sentences.extend(split_sentences(out))
     kept = dedup(candidate_sentences, cfg)
-    concat_length = sum(map(len, kept))
+    concat = list(chain.from_iterable(kept))
 
     if trace is not None:
         trace.append(
-            {"depth": depth, "chunks": [_chunk_info(c) for c in chunks],
+            {"depth": depth, "chunks": list(map(asdict, chunks)),
              "map_lengths": [len(o) for o in map_outputs],
              "kept_sentences": len(kept),
              "dropped_sentences": len(candidate_sentences) - len(kept),
-             "concat_length": concat_length,
-             "recursed": concat_length > cfg.context_limit}
+             "concat_length": len(concat),
+             "recursed": len(concat) > cfg.context_limit}
         )
 
     if not kept:
         return []
-    if concat_length > cfg.context_limit:
-        if concat_length >= n_input_tokens:
+    rows, sizes = padded_rows([concat])
+    if len(concat) > cfg.context_limit:
+        if len(concat) >= tokens.size:
             raise PipelineError(
                 f"reduce step did not shrink its input "
-                f"({n_input_tokens} -> {concat_length} tokens)"
+                f"({tokens.size} -> {len(concat)} tokens)"
             )
-        return _summarize_sentences(kept, reduce_fn, reduce_fn, cfg, trace, depth + 1)
-    summary, = _summarize(reduce_fn, [list(chain.from_iterable(kept))])
+        return _summarize_level(rows[0], list(map(len, kept)), reduce_fn, reduce_fn,
+                                cfg, trace, depth + 1)
+    summary, = _summarize(reduce_fn, rows, sizes)
     return summary
 
 
-def _summarize(fn: Summarizer, batch: list[list[int]]) -> list[list[int]]:
-    """Apply a batch summarizer, checking that it answered every input."""
-    outputs = [list(out) for out in fn(batch)]
-    if len(outputs) != len(batch):
+def _summarize(fn: Summarizer, rows: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
+    """Apply a batch summarizer, checking that it answered every row."""
+    outputs = [list(out) for out in fn(rows, lengths)]
+    if len(outputs) != len(rows):
         raise PipelineError(
-            f"summarizer returned {len(outputs)} summaries for {len(batch)} inputs"
+            f"summarizer returned {len(outputs)} summaries for {len(rows)} inputs"
         )
     return outputs
 
 
-def _chunk_info(c: Chunk) -> dict:
-    return {"first_sentence": c.first_sentence, "last_sentence": c.last_sentence,
-            "n_tokens": len(c.tokens)}

@@ -33,6 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .atomic import write_text_atomic
+from .toymodel import integral
 
 CACHE_VERSION = 1
 
@@ -43,8 +44,6 @@ MASS_TOL = 1e-6
 _FAULTS = ("empty pair list", "{n} entries exceed k={k}", "duplicate token ids",
            "token id out of range", "non-finite logprob", "logprobs not sorted descending",
            "probability mass exceeds 1")
-_INTEGER = (int, np.integer)
-_NUMBER = (int, float, np.integer, np.floating)
 
 
 class CacheFormatError(ValueError):
@@ -62,9 +61,10 @@ class PseudoLabelRecord:
     beam_width: int
 
 
-def _all_of(values, types) -> bool:
-    """Whether every value is an instance of ``types``; a bool never is."""
-    return all(t is not bool and issubclass(t, types) for t in set(map(type, values)))
+def _all_of(values, accepts) -> bool:
+    """Whether the type of every value passes ``accepts``, a test of types
+    such as ``toymodel.integral``."""
+    return all(map(accepts, set(map(type, values))))
 
 
 class TopKCache:
@@ -119,9 +119,9 @@ def _entries(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("each entry must be a [token_id, logprob] pair")
     flat = list(chain.from_iterable(pairs))
     ids, logprobs = flat[0::2], flat[1::2]
-    if not _all_of(ids, _INTEGER):
+    if not _all_of(ids, integral):
         raise TypeError("token ids must be integers")
-    if not _all_of(logprobs, _NUMBER):
+    if not _all_of(logprobs, lambda t: integral(t) or issubclass(t, (float, np.floating))):
         raise TypeError("logprobs must be numbers")
     return (np.array(list(map(len, positions)), dtype=np.int64),
             np.array(ids, dtype=np.int64), np.array(logprobs, dtype=float))
@@ -223,11 +223,11 @@ def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None
         raise CacheFormatError(f"{rec.example_id}: teacher id must be non-empty")
     if len(rec.tokens) == 0:
         raise CacheFormatError(f"{rec.example_id}: pseudo summary must be non-empty")
-    if not _all_of(rec.tokens, _INTEGER):
+    if not _all_of(rec.tokens, integral):
         raise CacheFormatError(f"{rec.example_id}: pseudo tokens must be integers")
     if vocab_size is not None and not all(0 <= t < vocab_size for t in rec.tokens):
         raise CacheFormatError(f"{rec.example_id}: pseudo token outside [0, {vocab_size})")
-    if not _all_of([rec.beam_width], _INTEGER):
+    if not _all_of([rec.beam_width], integral):
         raise CacheFormatError(f"{rec.example_id}: beam_width must be an integer")
     if rec.beam_width < 1:
         raise CacheFormatError(f"{rec.example_id}: beam_width must be >= 1")
@@ -259,7 +259,7 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         if vocab_size is None:
             raise CacheFormatError("pseudo-label records are written with a vocab_size, "
                                    "the vocabulary their tokens must lie in")
-        if not _all_of([vocab_size], _INTEGER):
+        if not _all_of([vocab_size], integral):
             raise CacheFormatError("vocab_size must be an integer")
         for rec in records:
             validate_pseudo_record(rec, vocab_size)
@@ -303,7 +303,7 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
             f"{path} line 1: a {_KINDS[found]} cache, not a {_KINDS[kind]} cache")
     vocab_size = header.get("vocab_size")
     k = header.get("k")
-    if not _all_of([vocab_size, k], int):
+    if not _all_of([vocab_size, k], integral):
         raise CacheFormatError(f"{path} line 1: vocab_size and k must be integers")
 
     records: list = []

@@ -106,18 +106,20 @@ def _recur(
 
     ``recur.T`` is taken once. Each step gathers its embeddings from one
     contiguous row of ``tokens``, adds them and applies tanh in place on
-    its product, and copies the previous state back onto masked-off rows.
+    its product, and copies the previous state back onto masked-off rows,
+    on the steps that have any.
     The gather stays inside the loop: evaluation encodes thousands of rows
     at once, and gathering every step ahead of time costs more than it
     saves. Without ``states`` each product gets a fresh array: with
     thousands of rows that measured faster than reusing two blocks in turn.
     """
     recur_t = params.recur.T
-    for s, (tok, keep) in enumerate(zip(tokens, ~mask[:, :, None])):
+    for s, (tok, keep, full) in enumerate(zip(tokens, ~mask[:, :, None], mask.all(axis=1))):
         step = h @ recur_t if states is None else np.matmul(h, recur_t, out=states[s + 1])
         step += params.embed[tok]
         np.tanh(step, out=step)
-        np.copyto(step, h, where=keep)
+        if not full:
+            np.copyto(step, h, where=keep)
         h = step
     return h
 
@@ -285,18 +287,21 @@ def generate(
     return generate_batch(params, [document], mode, beam_width, max_len)[0]
 
 
-def generate_batch(
-    params: ToyModelParams,
-    documents,
-    mode: str = "greedy",
-    beam_width: int = 4,
-    max_len: int = 32,
-) -> list[list[int]]:
-    """Decode a summary for each document; EOS terminates and is stripped.
+def generate_batch(params: ToyModelParams, documents, mode: str = "greedy",
+                   beam_width: int = 4, max_len: int = 32) -> list[list[int]]:
+    """Decode a summary for each document: decode_rows on its padded rows."""
+    return decode_rows(params, *padded_rows(documents), mode, beam_width, max_len)
 
-    The documents are encoded as one padded, masked batch, and each decoding
-    step is one product over every row. Greedy takes the argmax at every
-    step. Beam keeps ``beam_width`` hypotheses per document ranked by summed
+
+def decode_rows(params: ToyModelParams, rows: np.ndarray, lengths, mode: str = "greedy",
+                beam_width: int = 4, max_len: int = 32) -> list[list[int]]:
+    """Decode a summary for the first ``lengths[b]`` tokens of each EOS-padded
+    row of ``rows`` (as ``padded_rows`` gives them); EOS terminates and is
+    stripped.
+
+    The rows are encoded as one masked batch, and each decoding step is one
+    product over every row. Greedy takes the argmax at every step. Beam
+    keeps ``beam_width`` hypotheses per row ranked by summed
     log-probability, breaking ties toward the lexicographically smallest
     token sequence.
     """
@@ -304,13 +309,11 @@ def generate_batch(
         raise ValueError(f"unknown generation mode {mode!r}")
     if mode == "beam" and beam_width < 1:
         raise ValueError("beam width must be >= 1")
-    documents = [list(doc) for doc in documents]
-    if not documents:
+    if not len(rows):
         return []
-    rows, lengths = padded_rows(documents)
     _check_tokens(rows, params.vocab_size)
-    h0 = _recur(params, np.zeros((len(documents), params.hidden_dim)),
-                np.ascontiguousarray(rows.T), np.arange(rows.shape[1])[:, None] < lengths)
+    h0 = _recur(params, np.zeros((len(rows), params.hidden_dim)),
+                np.ascontiguousarray(rows.T), _length_mask(lengths, rows, "row"))
     if mode == "greedy":
         return _greedy(params, h0, max_len)
     return _beam(params, h0, beam_width, max_len)

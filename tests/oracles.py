@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from relkd.distmath import entropy
+from relkd.longdoc import MAX_REDUCE_DEPTH, PipelineError
 from relkd.losses import tau_from_entropy
 from relkd.toymodel import (
     BOUNDARY_ID,
@@ -406,6 +409,119 @@ def dedup_oracle(sentences: list[list[int]], cfg) -> list[list[int]]:
         if all(jaccard_oracle(s, k) <= cfg.jaccard_threshold for k in kept):
             kept.append(s)
     return kept
+
+
+class OracleChunk(NamedTuple):
+    """A contiguous run of sentences with its tokens; indices are inclusive."""
+
+    first_sentence: int
+    last_sentence: int
+    tokens: tuple
+
+
+def chunk_oracle(sentences: list[list[int]], cfg) -> list[OracleChunk]:
+    """Greedy accumulation of sentences (token lists) into capacity-bounded
+    chunks, overlapping by ``overlap_sentences`` with the oldest overlap
+    sentences shed while they crowd out the first new one."""
+    if not sentences:
+        raise ValueError("no sentences to chunk")
+    lens = [len(s) for s in sentences]
+    for i, ln in enumerate(lens):
+        if ln > cfg.chunk_capacity:
+            raise ValueError(
+                f"sentence {i} has {ln} tokens, exceeding chunk capacity "
+                f"{cfg.chunk_capacity}; no splitting rule is defined"
+            )
+
+    chunks: list[OracleChunk] = []
+    n = len(sentences)
+    start = 0
+    while True:
+        end = start
+        total = lens[start]
+        while end + 1 < n and total + lens[end + 1] <= cfg.chunk_capacity:
+            end += 1
+            total += lens[end]
+        toks = tuple(chain.from_iterable(sentences[start : end + 1]))
+        chunks.append(OracleChunk(start, end, toks))
+        if end >= n - 1:
+            return chunks
+        overlap = min(cfg.overlap_sentences, end - start + 1)
+        while overlap > 0 and sum(lens[end - overlap + 1 : end + 2]) > cfg.chunk_capacity:
+            overlap -= 1
+        start = end - overlap + 1
+
+
+def listwise(fn):
+    """A summarizer over padded rows and their lengths that hands ``fn`` the
+    rows as token lists, the way summarize_long_oracle calls its summarizers."""
+    return lambda rows, lengths: fn([row[:n] for row, n in zip(rows.tolist(), lengths.tolist())])
+
+
+def summarize_long_oracle(document, map_fn, reduce_fn, cfg, trace=None) -> list[int]:
+    """The MapReduce pipeline over token lists: ``map_fn`` and ``reduce_fn``
+    take a list of token lists and return one summary per list."""
+    return _summarize_sentences_oracle(split_sentences_oracle(document), map_fn, reduce_fn,
+                                       cfg, trace, 1)
+
+
+def _summarize_sentences_oracle(sentences, map_fn, reduce_fn, cfg, trace, depth):
+    if depth > MAX_REDUCE_DEPTH:
+        raise PipelineError(f"reduce recursion exceeded depth {MAX_REDUCE_DEPTH}")
+    n_input_tokens = sum(map(len, sentences))
+
+    def info(c):
+        return {"first_sentence": c.first_sentence, "last_sentence": c.last_sentence,
+                "n_tokens": len(c.tokens)}
+
+    def summarize(fn, batch):
+        outputs = [list(out) for out in fn(batch)]
+        if len(outputs) != len(batch):
+            raise PipelineError(
+                f"summarizer returned {len(outputs)} summaries for {len(batch)} inputs")
+        return outputs
+
+    chunks = chunk_oracle(sentences, cfg)
+    if len(chunks) == 1:
+        summary, = summarize(map_fn, [list(chain.from_iterable(sentences))])
+        if trace is not None:
+            trace.append(
+                {"depth": depth, "chunks": [info(chunks[0])],
+                 "map_lengths": [len(summary)], "kept_sentences": None,
+                 "concat_length": len(summary), "recursed": False}
+            )
+        return summary
+
+    map_outputs = summarize(map_fn, [list(c.tokens) for c in chunks])
+
+    candidate_sentences: list[list[int]] = []
+    for out in map_outputs:
+        if out:
+            candidate_sentences.extend(split_sentences_oracle(out))
+    kept = dedup_oracle(candidate_sentences, cfg)
+    concat_length = sum(map(len, kept))
+
+    if trace is not None:
+        trace.append(
+            {"depth": depth, "chunks": [info(c) for c in chunks],
+             "map_lengths": [len(o) for o in map_outputs],
+             "kept_sentences": len(kept),
+             "dropped_sentences": len(candidate_sentences) - len(kept),
+             "concat_length": concat_length,
+             "recursed": concat_length > cfg.context_limit}
+        )
+
+    if not kept:
+        return []
+    if concat_length > cfg.context_limit:
+        if concat_length >= n_input_tokens:
+            raise PipelineError(
+                f"reduce step did not shrink its input "
+                f"({n_input_tokens} -> {concat_length} tokens)"
+            )
+        return _summarize_sentences_oracle(kept, reduce_fn, reduce_fn, cfg, trace, depth + 1)
+    summary, = summarize(reduce_fn, [list(chain.from_iterable(kept))])
+    return summary
 
 
 def forward_one(params, input_tokens, target_tokens):

@@ -7,7 +7,7 @@ import pytest
 from relkd import cli
 from relkd.cli import main
 from relkd.teachercache import read_cache
-from relkd.toymodel import generate, generate_batch, load_checkpoint
+from relkd.toymodel import decode_rows, generate, load_checkpoint
 from relkd.training import MODES
 
 from oracles import write_raw
@@ -227,12 +227,12 @@ class TestMapReduce:
             loads.append((path, result[0]))
             return result
 
-        def decode(params, docs, **kw):
+        def decode(params, rows, lengths, **kw):
             decoders.append(params)
-            return generate_batch(params, docs, **kw)
+            return decode_rows(params, rows, lengths, **kw)
 
         monkeypatch.setattr(cli, "load_checkpoint", load)
-        monkeypatch.setattr(cli, "generate_batch", decode)
+        monkeypatch.setattr(cli, "decode_rows", decode)
         map_path = str(workspace / "teacher1.json")
         reduce_path = map_path if reduce is None else str(workspace / reduce)
         cfg = write_config(tmp_path / "c.json",

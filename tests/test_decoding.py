@@ -11,6 +11,7 @@ from relkd.toymodel import (
     BOS_ID,
     EOS_ID,
     ToyModelParams,
+    decode_rows,
     generate,
     generate_batch,
     init_params,
@@ -31,7 +32,7 @@ from relkd.training import (
     topk_from_logits,
 )
 
-from oracles import forward_one, records_of, topk_pairs
+from oracles import forward_one, listwise, records_of, topk_pairs
 
 
 def oracle_generate(params, document, mode="greedy", beam_width=4, max_len=32):
@@ -154,6 +155,16 @@ def test_a_batch_of_one_is_generate_and_errors_are_kept():
         generate_batch(params, [[3], [6]])
 
 
+def test_decode_rows_reads_the_first_length_tokens_of_each_row():
+    params = init_params(6, 3, np.random.default_rng(0))
+    rows = np.array([[3, 4, 5], [5, 5, 5]])
+    for mode in ("greedy", "beam"):
+        assert decode_rows(params, rows, np.array([3, 1]), mode, 3, 5) \
+            == generate_batch(params, [[3, 4, 5], [5]], mode, 3, 5)
+    with pytest.raises(ValueError, match=r"row_len \[4, 1\] must hold one length in \[0, 3\]"):
+        decode_rows(params, rows, [4, 1])
+
+
 def small_corpus(n=12, seed=4):
     return synthetic_corpus(CorpusConfig(n_examples=n, vocab_size=16, seed=seed))
 
@@ -233,6 +244,7 @@ def test_an_empty_beam_falls_back_to_the_strongest_first_token():
 def test_each_map_phase_is_one_call():
     calls = []
 
+    @listwise
     def echo(docs):
         calls.append(len(docs))
         return [toks[: len(toks) // 2] for toks in docs]
@@ -251,7 +263,7 @@ def test_a_summarizer_must_answer_every_input():
     doc = synthetic_document(600, vocab_size=16, seed=8)
     cfg = ChunkConfig(chunk_capacity=30, context_limit=32, overlap_sentences=1)
     with pytest.raises(PipelineError, match="summaries for"):
-        summarize_long(doc, lambda docs: docs[:1], lambda docs: docs, cfg)
+        summarize_long(doc, listwise(lambda docs: docs[:1]), listwise(lambda docs: docs), cfg)
 
 
 def _read_document(entry: str, document):
@@ -266,7 +278,7 @@ def _read_document(entry: str, document):
     if entry == "prepare_supervision":
         corpus = Corpus([CorpusExample("ex0", document, [5])], vocab_size=16)
         return prepare_supervision(TrainConfig(), corpus, SupervisionBundle()).src.tolist()
-    return summarize_long(document, decode, decode, ChunkConfig())
+    return summarize_long(document, listwise(decode), listwise(decode), ChunkConfig())
 
 
 ENTRIES = ["generate_batch", "prepare_supervision", "summarize_long"]

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relkd.longdoc import (
     ChunkConfig,
@@ -11,10 +13,17 @@ from relkd.longdoc import (
     split_sentences,
     summarize_long,
 )
-from relkd.toymodel import BOUNDARY_ID
+from relkd.toymodel import BOUNDARY_ID, padded_rows
 from relkd.training import synthetic_document
 
-from oracles import dedup_oracle, jaccard_oracle, split_sentences_oracle
+from oracles import (
+    chunk_oracle,
+    dedup_oracle,
+    jaccard_oracle,
+    listwise,
+    split_sentences_oracle,
+    summarize_long_oracle,
+)
 
 B = BOUNDARY_ID
 
@@ -53,20 +62,20 @@ class TestChunk:
         # ten 100-token sentences at capacity 900 with 3-sentence overlap:
         # first chunk takes nine sentences, second restarts three back
         sentences = [[9] * 100 for _ in range(10)]
-        out = chunk(sentences, cfg())
+        out = chunk(list(map(len, sentences)), cfg())
         assert [(c.first_sentence, c.last_sentence) for c in out] == [(0, 8), (6, 9)]
-        assert len(out[0].tokens) == 900
-        assert len(out[1].tokens) == 400
+        assert out[0].n_tokens == 900
+        assert out[1].n_tokens == 400
 
     def test_everything_fits_in_one_chunk(self):
         sentences = [[9] * 10 for _ in range(5)]
-        out = chunk(sentences, cfg())
+        out = chunk(list(map(len, sentences)), cfg())
         assert len(out) == 1
         assert (out[0].first_sentence, out[0].last_sentence) == (0, 4)
 
     def test_zero_overlap_is_disjoint_partition(self):
         sentences = [[9] * 60 for _ in range(10)]
-        out = chunk(sentences, cfg(chunk_capacity=120, overlap_sentences=0))
+        out = chunk(list(map(len, sentences)), cfg(chunk_capacity=120, overlap_sentences=0))
         covered = []
         for c in out:
             covered.extend(range(c.first_sentence, c.last_sentence + 1))
@@ -74,7 +83,7 @@ class TestChunk:
 
     def test_oversized_sentence_is_an_error(self):
         with pytest.raises(ValueError, match="sentence 1"):
-            chunk([[9] * 10, [9] * 1000], cfg())
+            chunk([10, 1000], cfg())
 
     def test_coverage_and_capacity_random(self):
         rng = np.random.default_rng(1)
@@ -86,16 +95,17 @@ class TestChunk:
                 rng.integers(3, 9, rng.integers(1, c.chunk_capacity // 2)).tolist()
                 for _ in range(int(rng.integers(1, 12)))
             ]
-            out = chunk(sentences, c)
+            out = chunk(list(map(len, sentences)), c)
             seen = set()
             for ch in out:
-                assert len(ch.tokens) <= c.chunk_capacity
+                assert ch.n_tokens <= c.chunk_capacity
                 seen.update(range(ch.first_sentence, ch.last_sentence + 1))
             assert seen == set(range(len(sentences)))
 
     def test_overlap_exactly_min_of_o_and_prev_length(self):
         sentences = [[9] * 50 for _ in range(8)]
-        out = chunk(sentences, cfg(chunk_capacity=200, overlap_sentences=3, context_limit=400))
+        out = chunk(list(map(len, sentences)),
+                    cfg(chunk_capacity=200, overlap_sentences=3, context_limit=400))
         for prev, nxt in zip(out, out[1:]):
             prev_len = prev.last_sentence - prev.first_sentence + 1
             overlap = prev.last_sentence - nxt.first_sentence + 1
@@ -193,14 +203,14 @@ class TestAgainstOracles:
 
 
 class TestSummarizeLong:
-    # MAP and REDUCE are batch callables: a list of token lists in, one
-    # summary per input out
-    ECHO = staticmethod(lambda docs: [list(toks) for toks in docs])
+    # MAP and REDUCE are batch callables: padded rows and their lengths in,
+    # one summary per row out; listwise hands a stub the rows as token lists
+    ECHO = staticmethod(listwise(lambda docs: [list(toks) for toks in docs]))
 
     def test_single_chunk_degenerates_to_direct_map(self):
         doc = [5, 6, B, 7, 8]
-        out = summarize_long(doc, lambda docs: [t[:2] for t in docs], self.ECHO, cfg(chunk_capacity=50,
-                                                                  context_limit=64))
+        out = summarize_long(doc, listwise(lambda docs: [t[:2] for t in docs]), self.ECHO,
+                             cfg(chunk_capacity=50, context_limit=64))
         assert out == [5, 6]
 
     def test_echo_pipeline_on_repetitive_document(self):
@@ -220,6 +230,7 @@ class TestSummarizeLong:
         c = cfg(chunk_capacity=30, context_limit=32, overlap_sentences=1)
         doc = synthetic_document(600, vocab_size=16, seed=8, distinct_sentences=40)
 
+        @listwise
         def shrink(docs):
             # keep every third sentence: slow enough to need two levels
             return [[t for s in split_sentences(toks)[::3] for t in s] for toks in docs]
@@ -242,3 +253,114 @@ class TestSummarizeLong:
         a = summarize_long(doc, self.ECHO, self.ECHO, c)
         b = summarize_long(doc, self.ECHO, self.ECHO, c)
         assert a == b
+
+
+def chunk_configs(min_capacity: int = 1, max_capacity: int = 64):
+    return st.builds(
+        lambda cap, extra, overlap, threshold: cfg(chunk_capacity=cap, context_limit=cap + extra,
+                                                   overlap_sentences=overlap,
+                                                   jaccard_threshold=threshold),
+        st.integers(min_capacity, max_capacity), st.integers(0, 16), st.integers(0, 4),
+        st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+
+
+def streams(alphabet: int):
+    """Sentences of up to 9 content ids from ``alphabet`` ids, each closed by
+    a boundary, then up to 9 content ids without one."""
+    content = st.lists(st.integers(B + 1, B + alphabet), max_size=9)
+    return st.tuples(st.lists(content.map(lambda s: s + [B]), max_size=60), content).map(
+        lambda parts: [t for s in parts[0] for t in s] + parts[1]).filter(bool)
+
+
+# random streams, with boundaries or without any, and long synthetic
+# documents whose sentences repeat from a small pool; chunked at small
+# capacities, so that most of them take several chunks
+pipeline_configs = chunk_configs(8, 30)
+documents = st.one_of(
+    st.integers(1, 5).flatmap(streams),
+    st.lists(st.integers(B + 1, B + 4), min_size=1, max_size=80),
+    st.builds(synthetic_document, st.integers(1, 30).map(lambda k: 50 * k),
+              vocab_size=st.just(16), seed=st.integers(0, 99),
+              distinct_sentences=st.sampled_from([None, 4, 12])),
+)
+
+
+def echo(docs):
+    return [list(toks) for toks in docs]
+
+
+def truncate(docs):
+    return [toks[:5] for toks in docs]
+
+
+def shrink(docs):
+    return [[t for s in split_sentences(toks)[::3] for t in s] if toks else [] for toks in docs]
+
+
+def outcome(pipeline, document, map_fn, reduce_fn, c):
+    """The summary and trace of a run, or the error it raised and the trace
+    written before it."""
+    trace = []
+    try:
+        return pipeline(document, map_fn, reduce_fn, c, trace=trace), trace
+    except (ValueError, PipelineError) as exc:
+        return type(exc), str(exc), trace
+
+
+class TestPipelineAgainstOracle:
+    """Chunk spans, the rows MAP and REDUCE receive, summaries and traces
+    are those of the pipeline over token lists (``tests/oracles.py``)."""
+
+    @given(lengths=st.lists(st.integers(0, 70), max_size=40), c=chunk_configs())
+    @example(lengths=[], c=cfg())
+    @example(lengths=[100] * 10, c=cfg())
+    def test_chunk_spans(self, lengths, c):
+        try:
+            want = [(ch.first_sentence, ch.last_sentence, len(ch.tokens))
+                    for ch in chunk_oracle([[9] * n for n in lengths], c)]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                chunk(lengths, c)
+            return
+        got = chunk(lengths, c)
+        assert [(ch.first_sentence, ch.last_sentence, ch.n_tokens) for ch in got] == want
+
+    @settings(max_examples=200)
+    @given(document=documents, c=pipeline_configs, stub=st.sampled_from([truncate, shrink]))
+    def test_summarizers_receive_the_padded_rows_of_the_chunk_lists(self, document, c, stub):
+        rows_seen, lists_seen = [], []
+
+        def record_rows(rows, lengths):
+            rows_seen.append((rows.copy(), lengths.copy()))
+            return listwise(stub)(rows, lengths)
+
+        def record_lists(docs):
+            lists_seen.append(docs)
+            return stub(docs)
+
+        got = outcome(summarize_long, document, record_rows, record_rows, c)
+        assert got == outcome(summarize_long_oracle, document, record_lists, record_lists, c)
+        assert len(rows_seen) == len(lists_seen)
+        for (rows, lengths), docs in zip(rows_seen, lists_seen):
+            want_rows, want_lengths = padded_rows(docs)
+            assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+            assert rows.tobytes() == want_rows.tobytes()
+            assert lengths.dtype == want_lengths.dtype
+            assert lengths.tobytes() == want_lengths.tobytes()
+
+    @settings(max_examples=200)
+    @given(document=documents, c=pipeline_configs,
+           stubs=st.tuples(*[st.sampled_from([echo, truncate, shrink])] * 2))
+    @example(document=[5, 6, 7], c=cfg(chunk_capacity=2, context_limit=2), stubs=(echo, echo))
+    def test_summaries_and_traces(self, document, c, stubs):
+        map_fn, reduce_fn = stubs
+        assert outcome(summarize_long, document, listwise(map_fn), listwise(reduce_fn), c) \
+            == outcome(summarize_long_oracle, document, map_fn, reduce_fn, c)
+
+    @given(document=documents, data=st.data())
+    def test_a_token_that_is_not_an_integer_is_rejected(self, document, data):
+        at = data.draw(st.integers(0, len(document) - 1))
+        token, kind = data.draw(st.sampled_from([(3.5, "float"), ("4", "str"), (True, "bool")]))
+        document = document[:at] + [token] + document[at + 1:]
+        with pytest.raises(ValueError, match=f"tokens must be integers, got {kind}"):
+            summarize_long(document, listwise(echo), listwise(echo), cfg())

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import relkd.atomic
+from relkd import cli
 from relkd.cli import DEFAULT_CONFIG, _NULLABLE, _write_json, _write_jsonl, main
 from relkd.teachercache import PseudoLabelRecord, write_cache
 from relkd.toymodel import init_params, save_checkpoint
+from relkd.training import synthetic_document
 
 from test_cli import write_config
 
@@ -370,6 +372,45 @@ def test_a_checkpoint_that_cannot_read_the_corpus_fails_before_any_output(tmp_pa
     assert main(["--config", str(cfg), "--out", str(tmp_path), *command]) == 1
     assert (f"corpus.vocab_size 64 exceeds the vocabulary size 16 of checkpoint "
             f"{tmp_path / small}") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("document", [False, True], ids=["synthetic", "document"])
+def test_a_reduce_checkpoint_of_a_smaller_vocabulary_fails_before_any_decoding(
+        tmp_path, capsys, monkeypatch, document):
+    # REDUCE reads MAP's summaries, whose tokens may lie beyond its vocabulary
+    save_checkpoint(tmp_path / "map.json", init_params(64, 8, np.random.default_rng(0)))
+    save_checkpoint(tmp_path / "reduce.json", init_params(32, 8, np.random.default_rng(1)))
+    cfg = write_config(tmp_path / "c.json", corpus={"vocab_size": 32},
+                       mapreduce={"map_checkpoint": "map.json",
+                                  "reduce_checkpoint": "reduce.json"})
+    decoded = []
+    for name in ("decode_rows", "generate"):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: decoded.append(a), raising=False)
+    args = []
+    if document:
+        (tmp_path / "doc.json").write_text(json.dumps(synthetic_document(3000, vocab_size=32)))
+        args = ["--document", str(tmp_path / "doc.json")]
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "mapreduce", "--trace",
+                 *args]) == 1
+    assert (f"error: mapreduce.reduce_checkpoint {tmp_path / 'reduce.json'} has vocabulary "
+            f"size 32, smaller than the vocabulary size 64 of mapreduce.map_checkpoint "
+            f"{tmp_path / 'map.json'}") in capsys.readouterr().err
+    assert decoded == []
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_pipeline_failure_is_an_error_before_any_output(tmp_path, capsys):
+    # 20-token chunks summarized into longer MAP outputs cannot shrink
+    save_checkpoint(tmp_path / "m.json",
+                    init_params(64, 16, np.random.default_rng(5), scale=0.6))
+    cfg = write_config(tmp_path / "c.json", corpus={"vocab_size": 64},
+                       mapreduce={"map_checkpoint": "m.json", "chunk_capacity": 20,
+                                  "overlap_sentences": 1, "context_limit": 24})
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "mapreduce", "--trace"]) == 1
+    assert "error: reduce step did not shrink its input (3000 -> " in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before
 
 
