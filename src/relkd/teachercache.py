@@ -2,15 +2,18 @@
 
 Cache files are UTF-8 JSON Lines. The first line is a header::
 
-    {"version": 1, "kind": "topk"|"pseudo", "vocab_size": int, "k": int}
+    {"version": 2, "kind": "topk"|"pseudo", "vocab_size": int, "k": int}
 
 A top-k header also records ``"mass_kept": {"mean": float, "min": float}``,
 the probability mass the cached entries keep per position (null for a cache
-without positions); readers ignore it. Top-k data lines carry per-position
-(token_id, logprob) pairs sorted by descending log-probability; pseudo data
-lines carry a teacher-generated summary as token ids plus its decoded text.
-Token ids, pseudo tokens and beam widths are JSON integers, logprobs JSON
-numbers. Files are written atomically and are immutable once written;
+without positions); readers ignore it. A top-k data line holds one record
+as ``{"counts": [int], "id": str, "ids": [int], "logprobs": str}``: each
+position's entry count, every entry's token id (position after position,
+each position's entries by descending log-probability), and the base64 of
+those entries' logprobs as little-endian float64, which keeps every bit.
+Pseudo data lines carry a teacher-generated summary as token ids plus its
+decoded text. Counts, token ids, pseudo tokens and beam widths are JSON
+integers. Files are written atomically and are immutable once written;
 readers validate every line and report failures by line number.
 
 A top-k cache is held as one ``TopKCache``: every cached entry in flat
@@ -19,14 +22,14 @@ one step. Two builders make one, both through the same checks:
 ``read_cache`` from a file (rejecting one of the wrong ``kind`` at line 1),
 and ``topk_cache`` from a model's top-k rows, one row per position.
 ``write_cache`` takes either a ``TopKCache`` or a list of
-``PseudoLabelRecord``s. Only this module knows the (token_id, logprob) pairs
-of the file format.
+``PseudoLabelRecord``s.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from itertools import chain
 
@@ -35,13 +38,13 @@ import numpy as np
 from .atomic import write_text_atomic
 from .toymodel import integral
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 # exp(logprobs) at one position may exceed 1 by at most this much.
 MASS_TOL = 1e-6
 
 # What is wrong with a position, one entry per check of ``_check`` in order.
-_FAULTS = ("empty pair list", "{n} entries exceed k={k}", "duplicate token ids",
+_FAULTS = ("no entries", "{n} entries exceed k={k}", "duplicate token ids",
            "token id out of range", "non-finite logprob", "logprobs not sorted descending",
            "probability mass exceeds 1")
 
@@ -109,38 +112,6 @@ class TopKCache:
         p = np.zeros((pos.size, self.vocab_size))
         p[rows, self.ids[entries]] = np.exp(self.logprobs[entries]) / self.mass[pos][rows]
         return p
-
-
-def _entries(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entry count of each position, and every entry's token id and
-    logprob, position after position; raises on an ill-typed entry."""
-    pairs = list(chain.from_iterable(positions))
-    if set(map(len, pairs)) - {2}:
-        raise ValueError("each entry must be a [token_id, logprob] pair")
-    flat = list(chain.from_iterable(pairs))
-    ids, logprobs = flat[0::2], flat[1::2]
-    if not _all_of(ids, integral):
-        raise TypeError("token ids must be integers")
-    if not _all_of(logprobs, lambda t: integral(t) or issubclass(t, (float, np.floating))):
-        raise TypeError("logprobs must be numbers")
-    return (np.array(list(map(len, positions)), dtype=np.int64),
-            np.array(ids, dtype=np.int64), np.array(logprobs, dtype=float))
-
-
-def _build(example_ids: list, positions: list, vocab_size, k, context) -> TopKCache:
-    """Pack and check records given as their ids and position lists.
-    ``context(r)`` starts each message about record r."""
-    try:
-        counts, ids, logprobs = _entries(list(chain.from_iterable(positions)))
-    except (TypeError, ValueError, OverflowError):
-        for r, pos in enumerate(positions):  # name the first record at fault
-            try:
-                _entries(pos)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise CacheFormatError(f"{context(r)}{exc}") from exc
-        raise
-    return _pack(example_ids, list(map(len, positions)), counts, ids, logprobs, vocab_size, k,
-                 context)
 
 
 def _pack(example_ids, lengths, counts, ids, logprobs, vocab_size, k, context) -> TopKCache:
@@ -246,10 +217,12 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         cache, vocab_size, k = records, records.vocab_size, records.k
         # the mass the cached entries keep, before densify renormalizes it
         header = {"version": CACHE_VERSION, "kind": "topk", "mass_kept": cache.mass_kept}
-        pairs = list(zip(cache.ids.tolist(), cache.logprobs.tolist()))
+        counts, ids = np.diff(cache.bounds).tolist(), cache.ids.tolist()
         cuts, first = cache.bounds.tolist(), cache.first.tolist()
-        positions = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
-        lines = [json.dumps({"id": eid, "positions": positions[a:b]}, sort_keys=True)
+        blob = cache.logprobs.astype("<f8").tobytes()
+        lines = [json.dumps({"counts": counts[a:b], "id": eid, "ids": ids[cuts[a]:cuts[b]],
+                             "logprobs": b64encode(blob[8 * cuts[a]:8 * cuts[b]]).decode("ascii")},
+                            sort_keys=True)
                  for eid, a, b in zip(cache.example_ids, first, first[1:])]
     else:
         records, header, k = list(records), {"version": CACHE_VERSION, "kind": "pseudo"}, 0
@@ -275,6 +248,26 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
     return len(records)
 
 
+def _topk_fields(obj) -> tuple[list, list, bytes]:
+    """A top-k data line's entry counts, token ids and logprob bytes, checked
+    to be well typed, to fit in int64 and to agree in length."""
+    counts, ids, blob = obj["counts"], obj["ids"], obj["logprobs"]
+    if not (type(counts) is type(ids) is list and _all_of(counts + ids, integral)):
+        raise TypeError("counts and ids must be lists of integers")
+    if type(blob) is not str:
+        raise TypeError("logprobs must be a base64 string")
+    try:
+        blob = b64decode(blob, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"logprobs must be a base64 string ({exc})") from None
+    if min(counts, default=0) < 0 or sum(counts) != len(ids) or len(blob) != 8 * len(ids):
+        raise ValueError("counts, ids and logprobs disagree: need counts >= 0 summing to "
+                         "the number of ids, and 8 logprob bytes per id")
+    if ids and not -2**63 <= min(ids) <= max(ids) < 2**63:
+        raise ValueError("ids must fit in 64 bits")
+    return counts, ids, blob
+
+
 def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRecord]:
     """Read and validate a cache file: a top-k cache as one TopKCache, a
     pseudo-label cache as its records. A file that is not of the ``kind``
@@ -294,7 +287,8 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
         raise CacheFormatError(f"{path} line 1: malformed header ({exc})") from exc
     version = header.get("version") if isinstance(header, dict) else None
     if type(version) is not int or version != CACHE_VERSION:  # True == 1.0 == 1
-        raise CacheFormatError(f"{path} line 1: unsupported cache version {version!r}")
+        raise CacheFormatError(f"{path} line 1: unsupported cache version {version!r} (this "
+                               f"relkd reads version {CACHE_VERSION}; rerun cache-teacher)")
     found = header.get("kind")
     if found not in _KINDS:
         raise CacheFormatError(f"{path} line 1: unknown kind {found!r}")
@@ -317,7 +311,7 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
             raise CacheFormatError(f"{path} line {lineno}: malformed record ({exc})") from exc
         try:
             if found == "topk":
-                records.append((obj["id"], obj["positions"]))
+                records.append((obj["id"], *_topk_fields(obj)))
             else:
                 rec = PseudoLabelRecord(
                     example_id=obj["id"],
@@ -333,8 +327,12 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
         lines.append(lineno)
     if found == "pseudo":
         return records
-    return _build([eid for eid, _ in records], [pos for _, pos in records], vocab_size, k,
-                  lambda r: f"{path} line {lines[r]}: ")
+    eids, counts, ids, blobs = zip(*records) if records else ((),) * 4
+    return _pack(list(eids), list(map(len, counts)),
+                 np.fromiter(chain.from_iterable(counts), np.int64),
+                 np.fromiter(chain.from_iterable(ids), np.int64),
+                 np.frombuffer(b"".join(blobs), "<f8").astype(float), vocab_size, k,
+                 lambda r: f"{path} line {lines[r]}: ")
 
 
 def sample_target(

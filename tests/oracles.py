@@ -8,8 +8,10 @@ differences at double precision.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import struct
 from collections import Counter
 from itertools import chain
 from typing import NamedTuple
@@ -195,7 +197,7 @@ def validate_topk_record_oracle(example_id, positions, vocab_size, k=None, mass_
     masses = []
     for pos, pairs in enumerate(positions):
         if len(pairs) == 0:
-            raise ValueError(f"{example_id} position {pos}: empty pair list")
+            raise ValueError(f"{example_id} position {pos}: no entries")
         if k is not None and len(pairs) > k:
             raise ValueError(f"{example_id} position {pos}: {len(pairs)} entries exceed k={k}")
         ids = [t for t, _ in pairs]
@@ -228,12 +230,32 @@ def records_of(cache):
     return records
 
 
+def topk_line(example_id, positions):
+    """One (example_id, positions) record as the fields of a top-k data
+    line: each position's entry count, every entry's token id, and the
+    base64 of every entry's logprob as little-endian float64."""
+    pairs = [pair for pairs in positions for pair in pairs]
+    blob = struct.pack(f"<{len(pairs)}d", *(logprob for _, logprob in pairs))
+    return {"id": example_id, "counts": [len(pairs) for pairs in positions],
+            "ids": [token for token, _ in pairs], "logprobs": base64.b64encode(blob).decode()}
+
+
+def line_positions(line):
+    """A top-k data line's fields as per-position (token_id, logprob) pairs."""
+    blob = base64.b64decode(line["logprobs"])
+    pairs = list(zip(line["ids"], struct.unpack(f"<{len(blob) // 8}d", blob)))
+    positions, start = [], 0
+    for count in line["counts"]:
+        positions.append(pairs[start:start + count])
+        start += count
+    return positions
+
+
 def write_raw(path, records, vocab_size, k):
     """(example_id, positions) records as a top-k cache file, unchecked, so
     that faults reach the reader; returns the path."""
-    header = {"version": 1, "kind": "topk", "vocab_size": vocab_size, "k": k}
-    lines = [json.dumps({"id": example_id, "positions": positions})
-             for example_id, positions in records]
+    header = {"version": 2, "kind": "topk", "vocab_size": vocab_size, "k": k}
+    lines = [json.dumps(topk_line(example_id, positions)) for example_id, positions in records]
     path.write_text("\n".join([json.dumps(header), *lines]) + "\n")
     return path
 

@@ -2,6 +2,7 @@
 atomically."""
 
 import json
+import math
 import os
 import re
 
@@ -15,6 +16,7 @@ from relkd.teachercache import PseudoLabelRecord, write_cache
 from relkd.toymodel import init_params, save_checkpoint
 from relkd.training import synthetic_document
 
+from oracles import line_positions, topk_line
 from test_cli import write_config
 
 
@@ -229,18 +231,35 @@ def test_written_files_get_the_usual_mode(tmp_path):
     assert (tmp_path / "f.json").stat().st_mode & 0o777 == 0o644
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda rec: '{"id": "' + rec["id"],                                   # truncated line
-    lambda rec: json.dumps({**rec, "positions": rec["positions"][::-1] + [[]]}),  # empty position
-    lambda rec: json.dumps({**rec, "positions": [[[3.7, -0.5]]]}),       # ill-typed token id
-    lambda rec: json.dumps({**rec, "positions": [p[::-1] for p in rec["positions"]]}),  # unsorted
-])
-def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, capsys, corrupt):
+def _through_positions(corrupt):
+    """A corruption of a top-k data line made on its (token_id, logprob)
+    positions, written back as a data line."""
+    return lambda rec: json.dumps(topk_line(rec["id"], corrupt(line_positions(rec))))
+
+
+def _cache_teacher(tmp_path):
+    """Two teacher checkpoints and their caches under ``tmp_path``; returns
+    an A2 config and teacher 1's top-k cache."""
     for name, dim in (("teacher1.json", 8), ("teacher2.json", 7)):
         save_checkpoint(tmp_path / name, init_params(16, dim, np.random.default_rng(dim)))
     cfg = write_config(tmp_path / "c.json", preset="A2")
     assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
-    cache = tmp_path / "teacher1_topk.jsonl"
+    return cfg, tmp_path / "teacher1_topk.jsonl"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rec: '{"id": "' + rec["id"],                                   # truncated line
+    _through_positions(lambda pos: pos[::-1] + [[]]),                     # empty position
+    lambda rec: json.dumps({**rec, "ids": [3.7, *rec["ids"][1:]]}),       # ill-typed token id
+    _through_positions(lambda pos: [p[::-1] for p in pos]),               # unsorted
+    _through_positions(lambda pos: [[(pos[0][0][0], math.nan)], *pos[1:]]),  # NaN bits
+    lambda rec: json.dumps({**rec, "logprobs": "%" + rec["logprobs"][1:]}),   # not base64
+    lambda rec: json.dumps({**rec, "logprobs": rec["logprobs"][:-4]}),    # blob too short
+    lambda rec: json.dumps({**rec, "counts": [*rec["counts"], 1]}),       # counts beyond ids
+    lambda rec: json.dumps({**rec, "ids": [2**70, *rec["ids"][1:]]}),     # beyond 64 bits
+])
+def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, capsys, corrupt):
+    cfg, cache = _cache_teacher(tmp_path)
     lines = cache.read_text().splitlines()
     lines[4] = corrupt(json.loads(lines[4]))
     cache.write_text("\n".join(lines) + "\n")
@@ -249,6 +268,23 @@ def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, ca
     assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
     err = capsys.readouterr().err
     assert f"{cache} line 5:" in err
+    assert not (tmp_path / "student.json").exists()
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
+def test_distill_on_a_version_1_teacher_cache_fails_before_any_output(tmp_path, capsys):
+    cfg, cache = _cache_teacher(tmp_path)
+    header, *lines = map(json.loads, cache.read_text().splitlines())
+    # version 1 held each position as [token_id, logprob] pairs of JSON numbers
+    v1 = [{**header, "version": 1},
+          *({"id": rec["id"], "positions": line_positions(rec)} for rec in lines)]
+    cache.write_text("".join(json.dumps(obj) + "\n" for obj in v1))
+    capsys.readouterr()
+
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
+    err = capsys.readouterr().err
+    assert (f"{cache} line 1: unsupported cache version 1 (this relkd reads version 2; "
+            "rerun cache-teacher)") in err
     assert not (tmp_path / "student.json").exists()
     assert not (tmp_path / "metrics.jsonl").exists()
 

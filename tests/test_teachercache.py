@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from relkd.teachercache import (
 )
 from relkd.training import topk_from_logits
 
-from oracles import records_of, topk_pairs, write_raw
+from oracles import records_of, topk_line, topk_pairs, write_raw
 
 
 def topk_record(example_id="ex0"):
@@ -86,7 +87,7 @@ class TestWriteRead:
         path = tmp_path / "c.jsonl"
         write_cache(topk(tmp_path, [topk_record("ex0"), topk_record("ex1")]), path)
         text = path.read_text()
-        path.write_text(text[: text.rindex('"positions"') + 4])
+        path.write_text(text[: text.rindex('"logprobs"') + 4])
         with pytest.raises(CacheFormatError, match="line 3"):
             read_cache(path)
 
@@ -95,6 +96,16 @@ class TestWriteRead:
         path.write_text(json.dumps({"version": 99, "kind": "topk", "vocab_size": 5, "k": 2}) + "\n")
         with pytest.raises(CacheFormatError, match="version"):
             read_cache(path)
+
+    def test_a_version_1_cache_is_rejected_with_its_remedy(self, tmp_path):
+        # version 1 held [token_id, logprob] pairs as JSON numbers
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"version": 1, "kind": "topk", "vocab_size": 5, "k": 2}) + "\n"
+                        + json.dumps({"id": "ex0", "positions": [[[1, -0.5]]]}) + "\n")
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert str(err.value) == (f"{path} line 1: unsupported cache version 1 (this relkd reads "
+                                  "version 2; rerun cache-teacher)")
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_the_integer(self, tmp_path, version):
@@ -107,7 +118,7 @@ class TestWriteRead:
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps({"version": 1, "kind": "blobs", "vocab_size": 5, "k": 2}) + "\n")
+        path.write_text(json.dumps({"version": 2, "kind": "blobs", "vocab_size": 5, "k": 2}) + "\n")
         with pytest.raises(CacheFormatError, match="kind"):
             read_cache(path)
 
@@ -121,6 +132,24 @@ class TestWriteRead:
         write_cache(topk(tmp_path, records), a)
         write_cache(topk(tmp_path, records), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestExactLogprobs:
+    def test_extreme_logprobs_come_back_bit_for_bit(self, tmp_path):
+        tiny = 5e-324  # the smallest subnormal
+        rec = ("ex0", [[(1, -0.0), (2, -1e308)], [(3, tiny), (0, -1e308)], [(4, -tiny)]])
+        path = tmp_path / "c.jsonl"
+        write_cache(topk(tmp_path, [rec]), path)
+        logprobs = read_cache(path).logprobs
+        assert logprobs.tobytes() == np.array([-0.0, -1e308, tiny, -1e308, -tiny]).tobytes()
+
+    def test_rewriting_a_read_cache_is_byte_identical(self, tmp_path):
+        logits = np.random.default_rng(3).standard_normal((40, 9)) * 4.0
+        path, again = tmp_path / "c.jsonl", tmp_path / "again.jsonl"
+        write_cache(topk_cache([f"ex{i}" for i in range(8)], [5] * 8,
+                               *topk_from_logits(logits, 4), 9, 4), path)
+        write_cache(read_cache(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestDensify:
@@ -232,34 +261,72 @@ class TestMassKept:
 
 
 class TestIllTypedValues:
-    """Token ids, pseudo tokens and beam widths must be JSON integers (never a
-    bool, a float or a string), logprobs JSON numbers, and pseudo tokens must
-    lie in the vocabulary; bad values fail on read with their line and on
-    write before any file exists."""
+    """Counts, token ids, pseudo tokens and beam widths must be JSON integers
+    (never a bool, a float or a string), top-k logprobs a base64 string of 8
+    bytes per token id, and pseudo tokens must lie in the vocabulary; bad
+    values fail on read with their line and on write before any file exists."""
 
     def _lines(self, path, header, *records):
         path.write_text("\n".join(json.dumps(o) for o in (header, *records)) + "\n")
         return path
 
-    def _topk(self, tmp_path, positions, **header):
+    def _topk(self, tmp_path, header=(), **fields):
         return self._lines(tmp_path / "c.jsonl",
-                           {"version": 1, "kind": "topk", "vocab_size": 5, "k": 2, **header},
-                           {"id": "ok", "positions": [[[1, -0.5]]]},
-                           {"id": "ex1", "positions": positions})
+                           {"version": 2, "kind": "topk", "vocab_size": 5, "k": 2, **dict(header)},
+                           topk_line("ok", [[(1, -0.5)]]),
+                           {**topk_line("ex1", [[(2, -0.5)]]), **fields})
 
     def _pseudo(self, tmp_path, **fields):
         return self._lines(tmp_path / "p.jsonl",
-                           {"version": 1, "kind": "pseudo", "vocab_size": 64, "k": 0},
+                           {"version": 2, "kind": "pseudo", "vocab_size": 64, "k": 0},
                            {"id": "ok", "teacher": "t1", "tokens": [5], "text": "5", "beam": 4},
                            {"id": "ex1", "teacher": "t1", "tokens": [5, 7], "text": "5 7",
                             "beam": 4, **fields})
 
-    @pytest.mark.parametrize("pair", [[3.7, -0.5], [True, -0.5], ["2", "-0.5"], [2, "-0.5"],
-                                      [2, True], [2, None], [2], [2, -0.5, 1], [2, -10**400],
-                                      [2**70, -0.5]])
-    def test_ill_typed_topk_entry_names_its_line(self, tmp_path, pair):
-        with pytest.raises(CacheFormatError, match="line 3"):
-            read_cache(self._topk(tmp_path, [[pair]]))
+    INTEGERS = "counts and ids must be lists of integers"
+    INT64 = "ids must fit in 64 bits"
+    BASE64 = "logprobs must be a base64 string"
+    LENGTHS = "counts, ids and logprobs disagree"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"ids": [3.7]}, INTEGERS), ({"ids": [True]}, INTEGERS), ({"ids": ["2"]}, INTEGERS),
+        ({"ids": [None]}, INTEGERS), ({"ids": 2}, INTEGERS), ({"counts": [1.0]}, INTEGERS),
+        ({"counts": [True]}, INTEGERS), ({"counts": ["1"]}, INTEGERS), ({"counts": 1}, INTEGERS),
+        ({"ids": [2**70]}, INT64), ({"ids": [-2**63 - 1]}, INT64),
+        ({"logprobs": -0.5}, BASE64), ({"logprobs": None}, BASE64),
+        ({"logprobs": ["AAAAAAAA4L8="]}, BASE64), ({"logprobs": "AAAAAAAA4L8"}, BASE64),
+        ({"logprobs": "AAAA!AAA4L8="}, BASE64), ({"logprobs": "ééé="}, BASE64),
+        ({"counts": [2]}, LENGTHS), ({"counts": [1, 1]}, LENGTHS), ({"counts": [-1, 2]}, LENGTHS),
+        ({"ids": [2, 3]}, LENGTHS), ({"logprobs": "AAAAAAAA4L8AAAAAAADgvw=="}, LENGTHS),
+        ({"logprobs": "AAAAAAAA4A=="}, LENGTHS), ({"logprobs": ""}, LENGTHS),
+        ({"counts": [], "ids": []}, LENGTHS)],
+        ids=["float-id", "bool-id", "str-id", "null-id", "ids-not-a-list", "float-count",
+             "bool-count", "str-count", "counts-not-a-list", "2**70-id", "below-int64-id",
+             "number-blob", "null-blob", "list-blob", "unpadded-blob", "non-base64-blob",
+             "non-ascii-blob",
+             "count-over-ids", "extra-count", "negative-count", "extra-id", "16-byte-blob",
+             "7-byte-blob", "empty-blob", "no-entries-but-a-blob"])
+    def test_ill_typed_topk_line_names_its_line(self, tmp_path, fields, message):
+        path = self._topk(tmp_path, **fields)
+        with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 3: {message}")):
+            read_cache(path)
+
+    @pytest.mark.parametrize("missing", ["counts", "ids", "logprobs"])
+    def test_topk_line_without_a_field_names_its_line(self, tmp_path, missing):
+        path = self._lines(tmp_path / "c.jsonl",
+                           {"version": 2, "kind": "topk", "vocab_size": 5, "k": 2},
+                           topk_line("ok", [[(1, -0.5)]]),
+                           {key: value for key, value in topk_line("ex1", [[(2, -0.5)]]).items()
+                            if key != missing})
+        with pytest.raises(CacheFormatError, match=f"line 3: '{missing}'"):
+            read_cache(path)
+
+    @pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bits_in_the_blob_name_their_line(self, tmp_path, bits):
+        path = self._topk(tmp_path, **topk_line("ex1", [[(2, -0.5), (3, bits)]]))
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert str(err.value) == f"{path} line 3: ex1 position 0: non-finite logprob"
 
     @pytest.mark.parametrize("fields", [{"tokens": [5.5, 7]}, {"tokens": [True]},
                                         {"tokens": ["5"]}, {"beam": 4.9}, {"beam": True},
@@ -276,7 +343,7 @@ class TestIllTypedValues:
     @pytest.mark.parametrize("header", [{"vocab_size": True}, {"k": True}, {"k": 2.0}])
     def test_ill_typed_header_is_rejected(self, tmp_path, header):
         with pytest.raises(CacheFormatError, match="line 1"):
-            read_cache(self._topk(tmp_path, [[[1, -0.5]]], **header))
+            read_cache(self._topk(tmp_path, header))
 
     def test_header_that_is_not_an_object_is_rejected(self, tmp_path):
         path = self._lines(tmp_path / "c.jsonl", [1, "topk"])

@@ -181,7 +181,7 @@ def test_a_repeated_record_id_is_named_at_its_line(tmp_path):
 
 def test_read_cache_of_kind_topk_rejects_a_pseudo_cache(tmp_path):
     path = tmp_path / "p.jsonl"
-    path.write_text('{"version": 1, "kind": "pseudo", "vocab_size": 5, "k": 0}\n')
+    path.write_text('{"version": 2, "kind": "pseudo", "vocab_size": 5, "k": 0}\n')
     with pytest.raises(CacheFormatError, match="line 1: a pseudo-label cache"):
         read_cache(path, "topk")
     assert read_cache(path, "pseudo") == read_cache(path) == []
