@@ -45,10 +45,11 @@ arms = {
     "A2 +logit KD": TrainConfig(loss_mode="A2", weights=LossWeights(alpha_kd=0.01),
                                 fixed_tau=0.8),
     "A3 +pseudo-labels": TrainConfig(loss_mode="A3", weights=LossWeights(alpha_kd=0.01),
-                                     fixed_tau=0.8),
-    "A4 +adaptive tau": TrainConfig(loss_mode="A4", weights=LossWeights(alpha_kd=0.01)),
+                                     fixed_tau=0.8, p_pseudo=0.3),
+    "A4 +adaptive tau": TrainConfig(loss_mode="A4", weights=LossWeights(alpha_kd=0.01),
+                                    p_pseudo=0.3),
     "A5 +hidden match": TrainConfig(
-        loss_mode="A5", weights=LossWeights(alpha_kd=0.01, alpha_inter=0.1)),
+        loss_mode="A5", weights=LossWeights(alpha_kd=0.01, alpha_inter=0.1), p_pseudo=0.3),
     "EWAD (gated dual)": TrainConfig(loss_mode="EWAD", fixed_tau=1.0),
     "EWAD+CPDP": TrainConfig(loss_mode="EWAD_CPDP", fixed_tau=1.0),
 }

@@ -66,30 +66,28 @@ def _field_defaults(cls, skip=()) -> dict:
             if f.init and f.default is not MISSING and f.name not in skip}
 
 
+# Every training default, read from TrainConfig and its parts.
+_TRAINING = {k: v for cls in (TrainConfig, *_TRAIN_PARTS.values())
+             for k, v in _field_defaults(cls).items()}
+
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
     "preset": None,
-    "seed": 0,
+    "seed": _TRAINING["seed"],
     "corpus": {
         "n_train": 200,
         "n_test": 50,
         "n_val": 0,
         **_field_defaults(CorpusConfig, skip=("seed", "id_prefix")),
     },
-    "student": {"hidden_dim": 16},
+    "student": {"hidden_dim": _TRAINING["hidden_dim"]},
     "teacher1": {"checkpoint": "teacher1.json", "cache": "teacher1_topk.jsonl"},
     "teacher2": {"checkpoint": None, "cache": "teacher2_topk.jsonl"},
     "pseudo_teachers": [],
     "pseudo_cache": "pseudo_labels.jsonl",
     "cache_k": 8,
     "beam_width": 4,
-    "training": {
-        **{k: v for cls in (TrainConfig, *_TRAIN_PARTS.values())
-           for k, v in _field_defaults(cls, skip=_DERIVED_TRAINING).items()},
-        # TrainConfig's 0.3 would make a config that names A3-A5 without a
-        # preset require a pseudo-label cache; the presets set it instead.
-        "p_pseudo": 0.0,
-    },
+    "training": {k: v for k, v in _TRAINING.items() if k not in _DERIVED_TRAINING},
     "mapreduce": {
         **_field_defaults(ChunkConfig),
         "map_checkpoint": None,
@@ -105,14 +103,14 @@ DEFAULT_CONFIG = {
     },
 }
 
-# Experiment arms. Staged presets follow the five-stage ablation; the
-# dual-teacher arms pin the gate and/or the teacher weights.
+# Experiment arms, as the training values that differ from the defaults: the
+# five-stage ablation, and dual-teacher arms that pin the gate and/or weights.
 PRESETS = {
     "A1": {"loss_mode": "CE"},
-    "A2": {"loss_mode": "A2", "fixed_tau": 0.8, "alpha_kd": 0.01},
-    "A3": {"loss_mode": "A3", "fixed_tau": 0.8, "alpha_kd": 0.01, "p_pseudo": 0.3},
-    "A4": {"loss_mode": "A4", "alpha_kd": 0.01, "p_pseudo": 0.3},
-    "A5": {"loss_mode": "A5", "alpha_kd": 0.01, "alpha_inter": 0.1, "p_pseudo": 0.3},
+    "A2": {"loss_mode": "A2"},
+    "A3": {"loss_mode": "A3", "p_pseudo": 0.3},
+    "A4": {"loss_mode": "A4", "p_pseudo": 0.3},
+    "A5": {"loss_mode": "A5", "alpha_inter": 0.1, "p_pseudo": 0.3},
     "baseline": {"loss_mode": "CE"},
     "fixed_weights": {
         "loss_mode": "EWAD", "fixed_tau": 1.0,
@@ -537,7 +535,7 @@ def cmd_gate_trace(cfg: dict, out_dir: str, reads: dict[str, str], samples: list
     if not samples:
         raise CliError("gate-trace requires at least one sample id")
     # tracing always needs both teachers and the CPDP anchor
-    tc = replace(_train_config(cfg), loss_mode=PRESETS["ewad_cpdp"]["loss_mode"])
+    tc = replace(_train_config(cfg), loss_mode="EWAD_CPDP")
     bundle = _load_bundle(cfg, out_dir, tc, reads)
     path = _input(cfg["outputs"]["checkpoint"], out_dir, "outputs.checkpoint", reads)
     paths = _check_outputs(cfg, out_dir, ["outputs.gate_trace"], reads)

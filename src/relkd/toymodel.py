@@ -281,20 +281,20 @@ def generate(
     document,
     mode: str = "greedy",
     beam_width: int = 4,
-    max_len: int = 32,
+    max_len: int = 16,
 ) -> list[int]:
     """Decode a summary for one document: generate_batch on a batch of one."""
     return generate_batch(params, [document], mode, beam_width, max_len)[0]
 
 
 def generate_batch(params: ToyModelParams, documents, mode: str = "greedy",
-                   beam_width: int = 4, max_len: int = 32) -> list[list[int]]:
+                   beam_width: int = 4, max_len: int = 16) -> list[list[int]]:
     """Decode a summary for each document: decode_rows on its padded rows."""
     return decode_rows(params, *padded_rows(documents), mode, beam_width, max_len)
 
 
 def decode_rows(params: ToyModelParams, rows: np.ndarray, lengths, mode: str = "greedy",
-                beam_width: int = 4, max_len: int = 32) -> list[list[int]]:
+                beam_width: int = 4, max_len: int = 16) -> list[list[int]]:
     """Decode a summary for the first ``lengths[b]`` tokens of each EOS-padded
     row of ``rows`` (as ``padded_rows`` gives them); EOS terminates and is
     stripped.

@@ -371,13 +371,14 @@ def _exp_normalized(z: np.ndarray) -> np.ndarray:
 class TrainConfig:
     """What one ``train`` run reads. ``seed`` determines the run: the initial
     weights, the batch order, A5's projection and the pseudo-label draws
-    (each example's with probability ``p_pseudo``) come from streams of it."""
+    (each example's with probability ``p_pseudo``) come from streams of it.
+    ``p_pseudo`` defaults to 0: A3-A5 mix in pseudo-labels only at a given rate."""
 
     loss_mode: str = "CE"
     weights: LossWeights = field(default_factory=LossWeights)
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     adaptive_tau_cfg: AdaptiveTauConfig = field(default_factory=AdaptiveTauConfig)
-    p_pseudo: float = 0.3
+    p_pseudo: float = 0.0
     learning_rate: float = 0.2
     epochs: int = 20
     batch_size: int = 32

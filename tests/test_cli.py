@@ -369,8 +369,25 @@ class TestConfigKeys:
         "equal_teacher_weights": True, "gen_max_len": 5,
     }
 
-    def test_every_training_key_reaches_its_train_config_field(self):
+    def test_every_training_key_reaches_its_train_config_field(self, tmp_path):
+        from dataclasses import fields, is_dataclass
+
         from relkd.cli import DEFAULT_CONFIG, _train_config, load_config
+        from relkd.training import TrainConfig
+
+        # the defaults are the dataclasses' own, with no override
+        tc = TrainConfig()
+        defaults = {f.name: getattr(h, f.name)
+                    for h in (tc, tc.weights, tc.reliability, tc.adaptive_tau_cfg)
+                    for f in fields(h) if f.init and not is_dataclass(getattr(h, f.name))}
+        assert (DEFAULT_CONFIG["seed"], DEFAULT_CONFIG["student"]["hidden_dim"]) \
+            == (defaults.pop("seed"), defaults.pop("hidden_dim"))
+        assert DEFAULT_CONFIG["training"] == defaults
+        # so a mode named without a preset is the Python API's run of it
+        for mode in MODES:
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps({"training": {"loss_mode": mode}}))
+            assert _train_config(load_config(str(path), None)) == TrainConfig(loss_mode=mode)
 
         assert set(self.NON_DEFAULT) == set(DEFAULT_CONFIG["training"])
         for key, value in self.NON_DEFAULT.items():
@@ -399,6 +416,10 @@ class TestConfigKeys:
         for name, preset in PRESETS.items():
             assert set(preset) <= set(DEFAULT_CONFIG["training"]), name
             assert preset["loss_mode"] in MODES, name
+            # every preset names its mode; its other values differ from the defaults
+            for key, value in preset.items():
+                if key != "loss_mode":
+                    assert value != DEFAULT_CONFIG["training"][key], (name, key)
 
 
 class TestLoadBundle:

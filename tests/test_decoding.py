@@ -155,6 +155,18 @@ def test_a_batch_of_one_is_generate_and_errors_are_kept():
         generate_batch(params, [[3], [6]])
 
 
+def test_the_default_decode_length_is_the_training_one():
+    # every state is positive, so token 3 always outscores EOS
+    V, d = 6, 3
+    out = np.zeros((d, V))
+    out[:, 3], out[:, EOS_ID] = 1.0, -1.0
+    params = ToyModelParams(np.full((V, d), 5.0), np.zeros((d, d)), out)
+    docs = [[3, 4], [5]]
+    got = generate_batch(params, docs)
+    assert got == generate_batch(params, docs, max_len=TrainConfig().gen_max_len)
+    assert [len(s) for s in got] == [TrainConfig().gen_max_len] * 2
+
+
 def test_decode_rows_reads_the_first_length_tokens_of_each_row():
     params = init_params(6, 3, np.random.default_rng(0))
     rows = np.array([[3, 4, 5], [5, 5, 5]])

@@ -478,7 +478,8 @@ class TestSupervisionBatch:
 
     def test_a5_teacher_hidden_states_are_one_teacher_pass_over_the_targets(self):
         bundle = teacher_and_bundle(self.corpus, pseudo=True)
-        sup = prepare_supervision(TrainConfig(loss_mode="A5"), self.corpus, bundle)
+        sup = prepare_supervision(TrainConfig(loss_mode="A5", p_pseudo=0.3), self.corpus,
+                                  bundle)
         targets = [row[:n] for row, n in zip(sup.tgt, sup.tgt_len)]
         tgt, tgt_len = padded_rows(targets)
         _, hidden, _ = forward_batch(bundle.teacher_params,
