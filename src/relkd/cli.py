@@ -220,15 +220,9 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
     for path, least in _MINIMUM.items():
         if _setting(cfg, path) < least:
             raise CliError(f"{path} must be >= {least}, got {_setting(cfg, path)}")
-    # the corpus and training settings' own range checks, before any output exists
-    try:
-        _corpus_cfg(cfg, "train")
-    except ValueError as exc:
-        raise CliError(f"corpus.{exc}") from exc
-    try:
-        _train_config(cfg)
-    except ValueError as exc:
-        raise CliError(f"training.{exc}") from exc
+    # the corpus, training and mapreduce settings' own range checks, before any output exists
+    _corpus_cfg(cfg, "train")
+    _train_config(cfg)
     _chunk_config(cfg)
     ids = [p["id"] for p in cfg["pseudo_teachers"]]
     if len(set(ids)) < len(ids):
@@ -247,10 +241,14 @@ def _setting(cfg: dict, key: str):
 _SPLITS = {"train": (0, "tr"), "test": (1, "te"), "val": (2, "va")}
 
 
-def _build(cls, values: dict):
-    """Construct a dataclass from the entries of ``values`` naming its fields."""
+def _build(cls, values: dict, section: str):
+    """Construct a dataclass from the entries of ``values`` naming its fields;
+    a value it rejects is reported under the config ``section`` it came from."""
     names = {f.name for f in fields(cls) if f.init}
-    return cls(**{k: v for k, v in values.items() if k in names})
+    try:
+        return cls(**{k: v for k, v in values.items() if k in names})
+    except ValueError as exc:
+        raise CliError(f"{section}.{exc}") from exc
 
 
 def _corpus_cfg(cfg: dict, split: str) -> CorpusConfig:
@@ -258,7 +256,7 @@ def _corpus_cfg(cfg: dict, split: str) -> CorpusConfig:
     c = cfg["corpus"]
     return _build(CorpusConfig, {**c, "n_examples": c[f"n_{split}"],
                                  "seed": derive_seed(cfg["seed"], stream),
-                                 "id_prefix": prefix})
+                                 "id_prefix": prefix}, "corpus")
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -266,16 +264,13 @@ def _train_config(cfg: dict) -> TrainConfig:
     of its nested config objects, of the same name."""
     values = {**cfg["training"], "seed": cfg["seed"],
               "hidden_dim": cfg["student"]["hidden_dim"]}
-    parts = {name: _build(cls, values) for name, cls in _TRAIN_PARTS.items()}
-    return _build(TrainConfig, {**values, **parts})
+    parts = {name: _build(cls, values, "training") for name, cls in _TRAIN_PARTS.items()}
+    return _build(TrainConfig, {**values, **parts}, "training")
 
 
 def _chunk_config(cfg: dict) -> ChunkConfig:
     """The mapreduce section as a ChunkConfig."""
-    try:
-        return _build(ChunkConfig, cfg["mapreduce"])
-    except ValueError as exc:
-        raise CliError(f"mapreduce.{exc}") from exc
+    return _build(ChunkConfig, cfg["mapreduce"], "mapreduce")
 
 
 def _input(path: str | None, out_dir: str, key: str, reads: dict[str, str]) -> str:
@@ -560,20 +555,12 @@ def cmd_gate_trace(cfg: dict, out_dir: str, reads: dict[str, str], samples: list
         # a batch of one: no padding, so the logits of the example alone
         *_, tb = sup.batch(params, [by_id[sid]])
         _, _, etr, ctr = tc.spec.step(tc, tb, tc.fixed_tau, None, anchor)
-        for i, pos in enumerate(tb.positions):
-            rows.append({
-                "id": sid,
-                "position": int(pos),
-                "c1": float(etr.c1[i]),
-                "c2": float(etr.c2[i]),
-                "w1": float(etr.w1[i]),
-                "w2": float(etr.w2[i]),
-                "agreement": float(etr.agreement[i]),
-                "lambda": float(etr.gate[i]),
-                "kd_term": float(etr.kd_term[i]),
-                "ce_term": float(etr.ce_term[i]),
-                "cpdp_term": float(ctr.value[i]),
-            })
+        columns = {"c1": etr.c1, "c2": etr.c2, "w1": etr.w1, "w2": etr.w2,
+                   "agreement": etr.agreement, "lambda": etr.gate, "kd_term": etr.kd_term,
+                   "ce_term": etr.ce_term, "cpdp_term": ctr.value}
+        rows += ({"id": sid, "position": int(pos),
+                  **{name: float(column[i]) for name, column in columns.items()}}
+                 for i, pos in enumerate(tb.positions))
     _write_jsonl(
         paths["outputs.gate_trace"],
         {"version": 1, "kind": "gate_trace", "delta_star": anchor.delta_star},

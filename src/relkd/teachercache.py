@@ -17,10 +17,10 @@ integers. Files are written atomically and are immutable once written;
 readers validate every line and report failures by line number.
 
 A top-k cache is held as one ``TopKCache``: every cached entry in flat
-arrays, checked by one vectorized pass over all positions and densified in
-one step. Two builders make one, both through the same checks:
-``read_cache`` from a file (rejecting one of the wrong ``kind`` at line 1),
-and ``topk_cache`` from a model's top-k rows, one row per position.
+arrays, densified in one step. Its constructor is the one place a top-k
+cache is checked, by one vectorized pass over all positions. Two builders
+call it: ``read_cache`` from a file (rejecting one of the wrong ``kind`` at
+line 1), and ``topk_cache`` from a model's top-k rows, one row per position.
 ``write_cache`` takes either a ``TopKCache`` or a list of
 ``PseudoLabelRecord``s.
 """
@@ -43,7 +43,8 @@ CACHE_VERSION = 2
 # exp(logprobs) at one position may exceed 1 by at most this much.
 MASS_TOL = 1e-6
 
-# What is wrong with a position, one entry per check of ``_check`` in order.
+# What is wrong with a position, one entry per position check of the
+# ``TopKCache`` constructor, in order.
 _FAULTS = ("no entries", "{n} entries exceed k={k}", "duplicate token ids",
            "token id out of range", "non-finite logprob", "logprobs not sorted descending",
            "probability mass exceeds 1")
@@ -71,14 +72,67 @@ def _all_of(values, accepts) -> bool:
 
 
 class TopKCache:
-    """Checked top-k records as flat arrays (build one with ``read_cache`` or
-    ``topk_cache``). ``ids``/``logprobs`` hold every entry, position after
-    position; position j has entries ``bounds[j]:bounds[j + 1]`` and keeps
-    mass ``mass[j]``; record r has positions ``first[r]:first[r + 1]``, and
-    ``index`` maps example ids to records. Its length is its record count.
+    """Top-k records as flat arrays, checked as they are built: ``read_cache``
+    builds one from a file, ``topk_cache`` from a model's rows. ``ids`` and
+    ``logprobs`` hold every entry, position after position; position j has
+    entries ``bounds[j]:bounds[j + 1]`` and keeps mass ``mass[j]``; record r
+    has positions ``first[r]:first[r + 1]``, and ``index`` maps example ids
+    to records. Its length is its record count.
     """
 
-    def __init__(self, example_ids, first, counts, ids, logprobs, mass, vocab_size, k):
+    def __init__(self, example_ids, lengths, counts, ids, logprobs, vocab_size, k, context):
+        """Check and hold flat entries, ``counts[j]`` of them for position j
+        and ``lengths[r]`` positions for record r. Every position is checked
+        at once; the error is the fault that checking one record at a time
+        meets first: in each record its id (a new non-empty string), the
+        vocabulary size, then each position through the checks of ``_FAULTS``
+        in order, prefixed by ``context(r)``."""
+        example_ids, lengths = list(example_ids), list(lengths)
+        if (len(lengths) != len(example_ids) or not _all_of(lengths, integral)
+                or min(lengths, default=0) < 0 or sum(lengths) != len(counts)):
+            raise CacheFormatError("lengths must be one non-negative integer per record id, "
+                                   "summing to one row per position")
+        first = np.cumsum([0, *lengths], dtype=np.int64)
+        # one row per position, its entries left-aligned
+        cell = np.arange(counts.max(initial=0)) < counts[:, None]
+        tok = np.full(cell.shape, np.nan)
+        tok[cell] = ids
+        lp = np.zeros(cell.shape)
+        lp[cell] = logprobs
+        p = np.zeros(cell.shape)
+        with np.errstate(over="ignore"):
+            p[cell] = np.exp(logprobs)
+        mass = p.sum(axis=1)
+        ordered = np.sort(tok, axis=1)
+        bad = np.stack([
+            counts == 0,
+            counts > k,
+            (ordered[:, 1:] == ordered[:, :-1]).any(axis=1),
+            ((tok < 0) | (tok >= vocab_size)).any(axis=1),
+            (cell & ~np.isfinite(lp)).any(axis=1),
+            (cell[:, 1:] & (lp[:, :-1] < lp[:, 1:])).any(axis=1),
+            mass > 1.0 + MASS_TOL,
+        ])
+        faulty = np.flatnonzero(bad.any(axis=0))
+        # the record that holds the first faulty position, if any
+        worst = int(np.searchsorted(first, faulty[0], side="right")) - 1 if faulty.size else -1
+        index: dict[str, int] = {}
+        for r, eid in enumerate(example_ids):
+            if type(eid) is not str:
+                what = "record id must be a string"
+            elif not eid:
+                what = "record id must be non-empty"
+            elif index.setdefault(eid, r) != r:
+                what = f"record id {eid} already names an earlier record"
+            elif vocab_size < 2:
+                what = f"{eid}: vocab_size must be >= 2"
+            elif r == worst:
+                j = faulty[0]
+                what = (f"{eid} position {j - first[r]}: "
+                        + _FAULTS[int(np.argmax(bad[:, j]))].format(n=counts[j], k=k))
+            else:
+                continue
+            raise CacheFormatError(context(r) + what)
         self.example_ids = example_ids
         self.first = first
         self.bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -87,7 +141,7 @@ class TopKCache:
         self.mass = mass
         self.vocab_size = vocab_size
         self.k = k
-        self.index = {eid: r for r, eid in enumerate(example_ids)}
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.example_ids)
@@ -114,73 +168,15 @@ class TopKCache:
         return p
 
 
-def _pack(example_ids, lengths, counts, ids, logprobs, vocab_size, k, context) -> TopKCache:
-    """Check flat entries, ``counts[j]`` of them for position j and
-    ``lengths[r]`` positions for record r, and hold them as one TopKCache."""
-    first = np.cumsum([0, *lengths], dtype=np.int64)
-    mass = _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context)
-    return TopKCache(example_ids, first, counts, ids, logprobs, mass, vocab_size, k)
-
-
-def _check(example_ids, first, counts, ids, logprobs, vocab_size, k, context) -> np.ndarray:
-    """Check every position at once; returns the probability mass each keeps.
-    Raises on the fault that checking one record at a time meets first: in
-    each record its id (a new non-empty string), the vocabulary size, then
-    each position through the checks of ``_FAULTS`` in order."""
-    if not example_ids:
-        return np.zeros(0)
-    # one row per position, its entries left-aligned
-    cell = np.arange(counts.max(initial=0)) < counts[:, None]
-    tok = np.full(cell.shape, np.nan)
-    tok[cell] = ids
-    lp = np.zeros(cell.shape)
-    lp[cell] = logprobs
-    p = np.zeros(cell.shape)
-    with np.errstate(over="ignore"):
-        p[cell] = np.exp(logprobs)
-    mass = p.sum(axis=1)
-    ordered = np.sort(tok, axis=1)
-    bad = np.stack([
-        counts == 0,
-        counts > k,
-        (ordered[:, 1:] == ordered[:, :-1]).any(axis=1),
-        ((tok < 0) | (tok >= vocab_size)).any(axis=1),
-        (cell & ~np.isfinite(lp)).any(axis=1),
-        (cell[:, 1:] & (lp[:, :-1] < lp[:, 1:])).any(axis=1),
-        mass > 1.0 + MASS_TOL,
-    ])
-    faulty = np.flatnonzero(bad.any(axis=0))
-    n, first_of = len(example_ids), {}  # the first record of each id
-    r = min(int(np.searchsorted(first, faulty[0], side="right")) - 1 if faulty.size else n,
-            next((r for r, eid in enumerate(example_ids)
-                  if type(eid) is not str or not eid or first_of.setdefault(eid, r) != r), n),
-            0 if vocab_size < 2 else n)
-    if r == n:
-        return mass
-    eid, j = example_ids[r], faulty[0] if faulty.size else None
-    if not isinstance(eid, str):
-        what = "record id must be a string"
-    elif not eid:
-        what = "record id must be non-empty"
-    elif eid in example_ids[:r]:
-        what = f"record id {eid} already names an earlier record"
-    elif vocab_size < 2:
-        what = f"{eid}: vocab_size must be >= 2"
-    else:
-        what = (f"{eid} position {j - first[r]}: "
-                + _FAULTS[int(np.argmax(bad[:, j]))].format(n=counts[j], k=k))
-    raise CacheFormatError(context(r) + what)
-
-
 def topk_cache(example_ids, lengths, ids, logprobs, vocab_size: int, k: int) -> TopKCache:
-    """Pack and check rows of equal width as one TopKCache: row j of the
-    (positions, width) arrays ``ids``/``logprobs`` is position j's entries,
-    and record r has the next ``lengths[r]`` positions."""
+    """Rows of equal width as one TopKCache: row j of the (positions, width)
+    arrays ``ids``/``logprobs`` is position j's entries, and record r has the
+    next ``lengths[r]`` positions."""
     ids, logprobs = np.asarray(ids), np.asarray(logprobs, dtype=float)
-    if ids.shape != logprobs.shape or ids.ndim != 2 or sum(lengths) != len(ids):
+    if ids.shape != logprobs.shape or ids.ndim != 2:
         raise CacheFormatError("rows must be two equal 2-D arrays, one row per position")
-    return _pack(list(example_ids), lengths, np.full(len(ids), ids.shape[1], dtype=np.int64),
-                 ids.ravel(), logprobs.ravel(), vocab_size, k, lambda r: "")
+    return TopKCache(example_ids, lengths, np.full(len(ids), ids.shape[1], dtype=np.int64),
+                     ids.ravel(), logprobs.ravel(), vocab_size, k, lambda r: "")
 
 
 def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None) -> None:
@@ -328,11 +324,10 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
     if found == "pseudo":
         return records
     eids, counts, ids, blobs = zip(*records) if records else ((),) * 4
-    return _pack(list(eids), list(map(len, counts)),
-                 np.fromiter(chain.from_iterable(counts), np.int64),
-                 np.fromiter(chain.from_iterable(ids), np.int64),
-                 np.frombuffer(b"".join(blobs), "<f8").astype(float), vocab_size, k,
-                 lambda r: f"{path} line {lines[r]}: ")
+    return TopKCache(eids, map(len, counts), np.fromiter(chain.from_iterable(counts), np.int64),
+                     np.fromiter(chain.from_iterable(ids), np.int64),
+                     np.frombuffer(b"".join(blobs), "<f8").astype(float), vocab_size, k,
+                     lambda r: f"{path} line {lines[r]}: ")
 
 
 def sample_target(

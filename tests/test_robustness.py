@@ -542,8 +542,8 @@ def _gate_trace_inputs(tmp_path, student_vocab, meta):
     return ["--config", str(cfg), "--out", str(tmp_path), "gate-trace", "--samples", "tr00000"]
 
 
-@pytest.mark.parametrize("delta_star", ["abc", True, [1.0], float("nan")],
-                         ids=["string", "bool", "array", "nan"])
+@pytest.mark.parametrize("delta_star", ["abc", True, [1.0], float("nan"), -float("inf")],
+                         ids=["string", "bool", "array", "nan", "infinity"])
 def test_gate_trace_rejects_a_delta_star_that_is_not_a_number(tmp_path, capsys, delta_star):
     assert main(_gate_trace_inputs(tmp_path, 16, {"delta_star": delta_star})) == 1
     assert (f"error: {tmp_path / 'student.json'}: meta.delta_star must be a finite number "

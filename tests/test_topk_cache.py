@@ -55,19 +55,30 @@ def caches(draw, uniform=False):
 
 @st.composite
 def faulty_caches(draw):
-    """A cache, unchanged or with one fault of FAULTS at a drawn spot."""
+    """A cache, unchanged or with up to two faults of FAULTS at drawn spots,
+    each at its own record: the checks must name the one met first."""
     records, vocab, k = draw(caches())
-    fault = draw(st.sampled_from((None, *FAULTS)))
-    if fault == "empty_id":
-        r = draw(st.integers(0, len(records) - 1))
-        records[r] = ("", records[r][1])
-    elif fault == "small_vocab":
-        vocab = 1
-    elif fault is not None:
-        spots = [(r, p) for r, (_, positions) in enumerate(records)
-                 for p in range(len(positions))]
-        assume(spots)
+    taken = set()  # the records that hold a fault
+    # often an empty id, before or after a position fault
+    second = st.none() | st.just("empty_id") | st.sampled_from(FAULTS)
+    for fault in (draw(st.sampled_from((None, *FAULTS))), draw(second)):
+        if fault is None:
+            continue
+        if fault == "small_vocab":
+            vocab = 1
+            continue
+        free = [r for r in range(len(records)) if r not in taken]
+        spots = [(r, p) for r in free for p in range(len(records[r][1]))]
+        if not (free if fault == "empty_id" else spots):
+            assume(taken)  # only a second fault may find no place
+            break
+        if fault == "empty_id":
+            r = draw(st.sampled_from(free))
+            records[r] = ("", records[r][1])
+            taken.add(r)
+            continue
         r, p = draw(st.sampled_from(spots))
+        taken.add(r)
         pairs = records[r][1][p]
         j = draw(st.integers(0, len(pairs) - 1))
         if fault == "unsorted":
@@ -241,10 +252,15 @@ def test_rows_pack_as_their_pairs_do(tmp_path_factory, case):
 
 def test_rows_must_match_the_record_lengths():
     ids, logprobs = topk_from_logits(np.zeros((3, 5)), 2)
-    for lengths, rows in (([2], (ids, logprobs)), ([3], (ids, logprobs[:, :1])),
-                          ([3], (ids.ravel(), logprobs.ravel()))):
+    for eids, lengths, rows in ((["ex0"], [2], (ids, logprobs)),
+                                (["ex0"], [3], (ids, logprobs[:, :1])),
+                                (["ex0"], [3], (ids.ravel(), logprobs.ravel())),
+                                # a negative length lets an earlier record claim too many rows
+                                (["a", "b"], [3, -1], (ids[:2], logprobs[:2])),
+                                # a length with no record id leaves its rows unowned
+                                (["a"], [1, 1], (ids[:2], logprobs[:2]))):
         with pytest.raises(CacheFormatError, match="one row per position"):
-            topk_cache(["ex0"], lengths, *rows, 5, 2)
+            topk_cache(eids, lengths, *rows, 5, 2)
 
 
 def test_what_write_cache_does_not_take_is_not_written(tmp_path):
