@@ -1,5 +1,5 @@
 # Length-routed long-document summarization: sentence-aligned chunking with
-# overlap, batched MAP summaries, Jaccard dedup, recursive REDUCE.
+# overlap, batched MAP summaries, Jaccard dedup, REDUCE levels in one loop.
 
 import numpy as np
 

@@ -605,7 +605,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.seed)
         os.makedirs(args.out, exist_ok=True)
-        out, reads = args.out, {}
+        # the config is read too: no output may name it
+        out, reads = args.out, {} if args.config is None else {"--config": args.config}
         if args.command == "cache-teacher":
             return cmd_cache_teacher(cfg, out, reads)
         if args.command == "distill":

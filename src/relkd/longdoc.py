@@ -1,5 +1,5 @@
 """Long-document MapReduce pipeline: sentence-aligned chunking with overlap,
-batched MAP summarization, Jaccard deduplication, recursive REDUCE.
+batched MAP summarization, Jaccard deduplication, REDUCE levels in one loop.
 
 Each level is one int token array and the lengths of its sentences; a chunk
 is a span of sentences. MAP and REDUCE are injected as batch callables so any
@@ -59,7 +59,8 @@ class Chunk:
 
 
 class PipelineError(RuntimeError):
-    """The reduce recursion failed to make progress or exceeded its depth."""
+    """The REDUCE levels in one loop failed: a level did not shrink its input,
+    the levels exceeded MAX_REDUCE_DEPTH, or a summarizer missed a row."""
 
 
 def split_sentences(tokens) -> list[list[int]]:
@@ -150,90 +151,75 @@ def summarize_long(
     cfg: ChunkConfig,
     trace: list | None = None,
 ) -> list[int]:
-    """Chunk, MAP-summarize, deduplicate, then REDUCE (recursively if needed).
+    """Chunk, MAP-summarize, deduplicate, then REDUCE levels in one loop.
 
     The document is read once into an int array (``padded_rows`` rejects a
     token that is not an integer), and its sentences end at its boundary
-    tokens. Each level's chunks go to ``map_fn`` in one call, as rows
-    gathered from the level's array. The single-chunk case degenerates to
-    one direct MAP call. When the deduplicated concatenation still exceeds
-    the context limit, the kept sentences are re-chunked and summarized
-    again with the REDUCE model in the MAP role (model summaries need not
+    tokens. Each level's chunks go to its summarizer in one call, as rows
+    gathered from the level's array: ``map_fn`` on level 1, ``reduce_fn`` on
+    every later level. The single-chunk case degenerates to one direct call.
+    When the deduplicated concatenation still exceeds the context limit, the
+    kept sentences become the next level's array (model summaries need not
     contain boundary tokens, so their sentence structure is carried forward
-    rather than re-derived). Recursion requires strict shrinkage and is
-    capped at MAX_REDUCE_DEPTH levels; either failure aborts with a
+    rather than re-derived). Each level must strictly shrink its input, and
+    there are at most MAX_REDUCE_DEPTH levels; either failure aborts with a
     diagnostic.
     """
     tokens = padded_rows([document])[0][0]
     if not tokens.size:
         raise ValueError("document must be non-empty")
     ends = np.union1d(np.flatnonzero(tokens == BOUNDARY_ID) + 1, [tokens.size])
-    return _summarize_level(tokens, np.diff(ends, prepend=0).tolist(),
-                            map_fn, reduce_fn, cfg, trace, 1)
+    lengths = np.diff(ends, prepend=0).tolist()
+    for depth in range(1, MAX_REDUCE_DEPTH + 1):
+        chunks = chunk(lengths, cfg)
+        # each chunk's row: its tokens from the level's array, then EOS
+        starts = np.cumsum([0, *lengths])[[c.first_sentence for c in chunks]]
+        sizes = np.array([c.n_tokens for c in chunks])
+        cols = np.arange(sizes.max())
+        live = cols < sizes[:, None]
+        rows = np.full(live.shape, EOS_ID, dtype=int)
+        rows[live] = tokens[(starts[:, None] + cols)[live]]
+        map_outputs = _summarize(map_fn if depth == 1 else reduce_fn, rows, sizes)
+        if len(chunks) == 1:
+            summary, = map_outputs
+            if trace is not None:
+                trace.append(
+                    {"depth": depth, "chunks": [asdict(chunks[0])],
+                     "map_lengths": [len(summary)], "kept_sentences": None,
+                     "concat_length": len(summary), "recursed": False}
+                )
+            return summary
 
+        candidate_sentences: list[list[int]] = []
+        for out in map_outputs:
+            if out:
+                candidate_sentences.extend(split_sentences(out))
+        kept = dedup(candidate_sentences, cfg)
+        concat = list(chain.from_iterable(kept))
 
-def _summarize_level(
-    tokens: np.ndarray,
-    lengths: list[int],
-    map_fn: Summarizer,
-    reduce_fn: Summarizer,
-    cfg: ChunkConfig,
-    trace: list | None,
-    depth: int,
-) -> list[int]:
-    """Summarize one level: ``tokens`` holds sentences of ``lengths`` tokens."""
-    if depth > MAX_REDUCE_DEPTH:
-        raise PipelineError(f"reduce recursion exceeded depth {MAX_REDUCE_DEPTH}")
-
-    chunks = chunk(lengths, cfg)
-    # each chunk's row: its tokens from the level's array, then EOS
-    starts = np.cumsum([0, *lengths])[[c.first_sentence for c in chunks]]
-    sizes = np.array([c.n_tokens for c in chunks])
-    cols = np.arange(sizes.max())
-    live = cols < sizes[:, None]
-    rows = np.full(live.shape, EOS_ID, dtype=int)
-    rows[live] = tokens[(starts[:, None] + cols)[live]]
-    map_outputs = _summarize(map_fn, rows, sizes)
-    if len(chunks) == 1:
-        summary, = map_outputs
         if trace is not None:
             trace.append(
-                {"depth": depth, "chunks": [asdict(chunks[0])],
-                 "map_lengths": [len(summary)], "kept_sentences": None,
-                 "concat_length": len(summary), "recursed": False}
+                {"depth": depth, "chunks": list(map(asdict, chunks)),
+                 "map_lengths": [len(o) for o in map_outputs],
+                 "kept_sentences": len(kept),
+                 "dropped_sentences": len(candidate_sentences) - len(kept),
+                 "concat_length": len(concat),
+                 "recursed": len(concat) > cfg.context_limit}
             )
-        return summary
 
-    candidate_sentences: list[list[int]] = []
-    for out in map_outputs:
-        if out:
-            candidate_sentences.extend(split_sentences(out))
-    kept = dedup(candidate_sentences, cfg)
-    concat = list(chain.from_iterable(kept))
-
-    if trace is not None:
-        trace.append(
-            {"depth": depth, "chunks": list(map(asdict, chunks)),
-             "map_lengths": [len(o) for o in map_outputs],
-             "kept_sentences": len(kept),
-             "dropped_sentences": len(candidate_sentences) - len(kept),
-             "concat_length": len(concat),
-             "recursed": len(concat) > cfg.context_limit}
-        )
-
-    if not kept:
-        return []
-    rows, sizes = padded_rows([concat])
-    if len(concat) > cfg.context_limit:
+        if not kept:
+            return []
+        rows, sizes = padded_rows([concat])
+        if len(concat) <= cfg.context_limit:
+            summary, = _summarize(reduce_fn, rows, sizes)
+            return summary
         if len(concat) >= tokens.size:
             raise PipelineError(
                 f"reduce step did not shrink its input "
                 f"({tokens.size} -> {len(concat)} tokens)"
             )
-        return _summarize_level(rows[0], list(map(len, kept)), reduce_fn, reduce_fn,
-                                cfg, trace, depth + 1)
-    summary, = _summarize(reduce_fn, rows, sizes)
-    return summary
+        tokens, lengths = rows[0], list(map(len, kept))
+    raise PipelineError(f"reduce recursion exceeded depth {MAX_REDUCE_DEPTH}")
 
 
 def _summarize(fn: Summarizer, rows: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
@@ -244,5 +230,3 @@ def _summarize(fn: Summarizer, rows: np.ndarray, lengths: np.ndarray) -> list[li
             f"summarizer returned {len(outputs)} summaries for {len(rows)} inputs"
         )
     return outputs
-
-

@@ -51,8 +51,8 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         for name in ("alpha_kd", "alpha_inter", "mu"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
         if self.alpha_kd + self.alpha_inter > 1.0:
             raise ValueError(f"alpha_kd + alpha_inter must not exceed 1, got "
                              f"{self.alpha_kd} + {self.alpha_inter}")

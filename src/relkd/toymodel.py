@@ -397,6 +397,9 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
         if type(version) is not int or version != CHECKPOINT_VERSION:  # True == 1.0 == 1
             raise ValueError(f"unsupported checkpoint version {version!r}")
         v, d = obj["vocab_size"], obj["hidden_dim"]
+        for name, size in (("vocab_size", v), ("hidden_dim", d)):  # reshape infers a -1
+            if not (integral(type(size)) and size > 0):
+                raise ValueError(f"{name} must be a positive integer, got {size!r}")
         params = ToyModelParams(**{name: np.array(obj[name]).reshape(shape)
                                    for name, shape in param_shapes(v, d).items()})
         meta = obj.get("meta", {})

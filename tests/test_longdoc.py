@@ -352,6 +352,10 @@ class TestPipelineAgainstOracle:
     @given(document=documents, c=pipeline_configs,
            stubs=st.tuples(*[st.sampled_from([echo, truncate, shrink])] * 2))
     @example(document=[5, 6, 7], c=cfg(chunk_capacity=2, context_limit=2), stubs=(echo, echo))
+    # each level is 5 tokens shorter than the last: 8 trace rows, then the depth limit
+    @example(document=synthetic_document(100, vocab_size=16, seed=0),
+             c=cfg(chunk_capacity=10, context_limit=10, overlap_sentences=1),
+             stubs=(truncate, truncate))
     def test_summaries_and_traces(self, document, c, stubs):
         map_fn, reduce_fn = stubs
         assert outcome(summarize_long, document, listwise(map_fn), listwise(reduce_fn), c) \

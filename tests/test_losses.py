@@ -76,11 +76,14 @@ class TestLossWeights:
         with pytest.raises(ValueError):
             LossWeights(alpha_kd=0.6, alpha_inter=0.5)
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LossWeights(alpha_kd=-0.1)
-        with pytest.raises(ValueError):
-            LossWeights(mu=-1.0)
+    @pytest.mark.parametrize("field, value", [
+        ("alpha_kd", -0.1), ("mu", -1.0), ("alpha_kd", math.nan), ("alpha_inter", math.nan),
+        ("mu", math.nan), ("mu", math.inf),
+    ])
+    def test_rejects_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0, "
+                                             f"got {value}$"):
+            LossWeights(**{field: value})
 
 
 class TestCeLoss:

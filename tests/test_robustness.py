@@ -351,13 +351,15 @@ def _malformed_checkpoint(text, fault):
         del obj["recur"]
     if fault == "hidden-dim-5":
         obj["hidden_dim"] = 5
+    if fault == "vocab-size--1":  # numpy's reshape would infer it
+        obj["vocab_size"] = -1
     if fault == "meta-array":
         obj["meta"] = []
     return json.dumps(obj)
 
 
 @pytest.mark.parametrize("fault", ["array", "truncated", "no-recur", "hidden-dim-5",
-                                   "meta-array"])
+                                   "vocab-size--1", "meta-array"])
 def test_evaluate_on_a_malformed_checkpoint_names_it_before_any_output(tmp_path, capsys, fault):
     ckpt = tmp_path / "student.json"
     save_checkpoint(ckpt, init_params(64, 16, np.random.default_rng(0)))
@@ -617,7 +619,10 @@ def _files(path):
     ("cache-teacher", dict(pseudo_teachers=[{"id": "p1", "checkpoint": "teacher1.json"}],
                            pseudo_cache="teacher1_topk.jsonl"),
      "pseudo_cache and teacher1.cache name the same file"),
-], ids=["metrics-as-checkpoint", "a2-checkpoint-as-teacher1-cache", "pseudo-as-teacher1-cache"])
+    ("distill", dict(preset="A1", outputs={"metrics": "c.json"}),
+     "outputs.metrics and --config name the same file"),
+], ids=["metrics-as-checkpoint", "a2-checkpoint-as-teacher1-cache", "pseudo-as-teacher1-cache",
+        "metrics-as-config"])
 def test_an_output_that_names_another_file_of_the_run_fails_before_any_output(
         tmp_path, capsys, command, fields, message):
     for name, dim in (("teacher1.json", 8), ("teacher2.json", 7), ("student.json", 6)):
