@@ -9,8 +9,9 @@ the probability mass the cached entries keep per position (null for a cache
 without positions); readers ignore it. A top-k data line holds one record
 as ``{"counts": [int], "id": str, "ids": [int], "logprobs": str}``: each
 position's entry count, every entry's token id (position after position,
-each position's entries by descending log-probability), and the base64 of
-those entries' logprobs as little-endian float64, which keeps every bit.
+each position's entries by descending log-probability), and those entries'
+logprobs as base64 of little-endian float64, which keeps every bit: the
+codec ``toymodel.encode_floats``/``decode_floats`` that checkpoints use too.
 Pseudo data lines carry a teacher-generated summary as token ids plus its
 decoded text. Counts, token ids, pseudo tokens and beam widths are JSON
 integers. Files are written atomically and are immutable once written;
@@ -29,14 +30,13 @@ from __future__ import annotations
 
 import json
 import math
-from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .atomic import write_text_atomic
-from .toymodel import integral
+from .toymodel import decode_floats, encode_floats, integral
 
 CACHE_VERSION = 2
 
@@ -215,9 +215,8 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         header = {"version": CACHE_VERSION, "kind": "topk", "mass_kept": cache.mass_kept}
         counts, ids = np.diff(cache.bounds).tolist(), cache.ids.tolist()
         cuts, first = cache.bounds.tolist(), cache.first.tolist()
-        blob = cache.logprobs.astype("<f8").tobytes()
         lines = [json.dumps({"counts": counts[a:b], "id": eid, "ids": ids[cuts[a]:cuts[b]],
-                             "logprobs": b64encode(blob[8 * cuts[a]:8 * cuts[b]]).decode("ascii")},
+                             "logprobs": encode_floats(cache.logprobs[cuts[a]:cuts[b]])},
                             sort_keys=True)
                  for eid, a, b in zip(cache.example_ids, first, first[1:])]
     else:
@@ -244,24 +243,20 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
     return len(records)
 
 
-def _topk_fields(obj) -> tuple[list, list, bytes]:
-    """A top-k data line's entry counts, token ids and logprob bytes, checked
-    to be well typed, to fit in int64 and to agree in length."""
-    counts, ids, blob = obj["counts"], obj["ids"], obj["logprobs"]
+def _topk_fields(obj) -> tuple[list, list, np.ndarray]:
+    """A top-k data line's entry counts, token ids and logprobs, checked to
+    be well typed, to fit in int64 and to agree in length."""
+    counts, ids = obj["counts"], obj["ids"]
     if not (type(counts) is type(ids) is list and _all_of(counts + ids, integral)):
         raise TypeError("counts and ids must be lists of integers")
-    if type(blob) is not str:
-        raise TypeError("logprobs must be a base64 string")
-    try:
-        blob = b64decode(blob, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"logprobs must be a base64 string ({exc})") from None
-    if min(counts, default=0) < 0 or sum(counts) != len(ids) or len(blob) != 8 * len(ids):
-        raise ValueError("counts, ids and logprobs disagree: need counts >= 0 summing to "
-                         "the number of ids, and 8 logprob bytes per id")
+    disagree = ("counts, ids and logprobs disagree: need counts >= 0 summing to "
+                "the number of ids, and 8 logprob bytes per id")
+    logprobs = decode_floats(obj["logprobs"], (len(ids),), "logprobs", disagree)
+    if min(counts, default=0) < 0 or sum(counts) != len(ids):
+        raise ValueError(disagree)
     if ids and not -2**63 <= min(ids) <= max(ids) < 2**63:
         raise ValueError("ids must fit in 64 bits")
-    return counts, ids, blob
+    return counts, ids, logprobs
 
 
 def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRecord]:
@@ -323,10 +318,10 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
         lines.append(lineno)
     if found == "pseudo":
         return records
-    eids, counts, ids, blobs = zip(*records) if records else ((),) * 4
+    eids, counts, ids, logprobs = zip(*records) if records else ((),) * 4
     return TopKCache(eids, map(len, counts), np.fromiter(chain.from_iterable(counts), np.int64),
                      np.fromiter(chain.from_iterable(ids), np.int64),
-                     np.frombuffer(b"".join(blobs), "<f8").astype(float), vocab_size, k,
+                     np.concatenate([np.zeros(0), *logprobs]), vocab_size, k,
                      lambda r: f"{path} line {lines[r]}: ")
 
 

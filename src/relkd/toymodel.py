@@ -11,11 +11,17 @@ leave the hidden state untouched so padded and unpadded runs of the same
 example agree exactly.
 Token id 0 is the end-of-sequence marker, 1 starts decoding, and 2 marks
 sentence boundaries for the long-document pipeline.
+
+A checkpoint is one JSON object of its version, the dimensions, ``meta`` and
+each array as ``encode_floats`` text: base64 of little-endian float64, which
+keeps every bit. The top-k caches store their logprobs through the same codec.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from base64 import b64decode, b64encode
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -32,7 +38,7 @@ FIRST_CONTENT_ID = 3
 ROUTE_DIRECT = "direct"
 ROUTE_MAPREDUCE = "mapreduce"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def param_shapes(vocab_size: int, hidden_dim: int) -> dict[str, tuple[int, int]]:
@@ -373,21 +379,49 @@ def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[
     return [list(min(row, key=lambda e: (-e[0], e[1]))[1]) for row in done]
 
 
+def encode_floats(a) -> str:
+    """The base64 of ``a``'s values as little-endian float64 bytes."""
+    return b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_floats(text, shape: tuple, name: str, mismatch: str = "") -> np.ndarray:
+    """``encode_floats`` text as a new writable array of ``shape``. Text that
+    is not base64 raises TypeError or ValueError naming ``name``, and text of
+    other than 8 bytes per value ValueError(``mismatch``) if one is given."""
+    if type(text) is not str:
+        raise TypeError(f"{name} must be a base64 string")
+    try:
+        blob = b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be a base64 string ({exc})") from None
+    if len(blob) != 8 * math.prod(shape):
+        raise ValueError(mismatch or f"{name} must hold 8 bytes per value of shape {shape}")
+    return np.frombuffer(blob, "<f8").reshape(shape).astype(float)  # a copy: writable
+
+
 def save_checkpoint(path, params: ToyModelParams, *, meta: dict | None = None) -> None:
-    """Write a JSON checkpoint: dimensions, flat parameter arrays and meta."""
+    """Write a checkpoint: one JSON object of the version, the dimensions,
+    ``meta`` and each array as its ``encode_floats`` text. A meta that is not
+    standard JSON (a NaN or an infinity) raises ValueError naming ``path``
+    before any file is written."""
     obj = {
         "version": CHECKPOINT_VERSION,
         "vocab_size": params.vocab_size,
         "hidden_dim": params.hidden_dim,
         "meta": meta or {},
-        **{name: a.ravel().tolist() for name, a in params.arrays().items()},
+        **{name: encode_floats(a) for name, a in params.arrays().items()},
     }
-    write_text_atomic(path, json.dumps(obj, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint meta must be standard JSON ({exc})") from None
+    write_text_atomic(path, text + "\n")
 
 
 def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
     """Read a checkpoint; returns (params, meta). Keys it does not read are
-    ignored. A malformed checkpoint raises ValueError naming ``path``."""
+    ignored. A malformed checkpoint, or one of another version, raises
+    ValueError naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
@@ -395,12 +429,13 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
             raise ValueError("checkpoint must be a JSON object")
         version = obj.get("version")
         if type(version) is not int or version != CHECKPOINT_VERSION:  # True == 1.0 == 1
-            raise ValueError(f"unsupported checkpoint version {version!r}")
+            raise ValueError(f"unsupported checkpoint version {version!r} (this relkd reads "
+                             f"version {CHECKPOINT_VERSION}; retrain it with distill)")
         v, d = obj["vocab_size"], obj["hidden_dim"]
-        for name, size in (("vocab_size", v), ("hidden_dim", d)):  # reshape infers a -1
+        for name, size in (("vocab_size", v), ("hidden_dim", d)):
             if not (integral(type(size)) and size > 0):
                 raise ValueError(f"{name} must be a positive integer, got {size!r}")
-        params = ToyModelParams(**{name: np.array(obj[name]).reshape(shape)
+        params = ToyModelParams(**{name: decode_floats(obj[name], shape, name)
                                    for name, shape in param_shapes(v, d).items()})
         meta = obj.get("meta", {})
         if not isinstance(meta, dict):

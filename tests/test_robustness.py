@@ -1,10 +1,14 @@
 """Ill-typed configs fail before any output; every writer replaces its file
 atomically."""
 
+import base64
+import dataclasses
 import json
 import math
 import os
 import re
+import struct
+import types
 
 import numpy as np
 import pytest
@@ -355,11 +359,34 @@ def _malformed_checkpoint(text, fault):
         obj["vocab_size"] = -1
     if fault == "meta-array":
         obj["meta"] = []
+
+    def raw(name):  # an array's little-endian float64 bytes
+        return base64.b64decode(obj[name])
+
+    def b64(data):
+        return base64.b64encode(data).decode()
+
+    if fault == "embed-as-a-list":
+        obj["embed"] = np.frombuffer(raw("embed"), "<f8").tolist()
+    if fault == "embed-not-base64":
+        obj["embed"] = "%" + obj["embed"][1:]
+    if fault == "embed-a-byte-short":
+        obj["embed"] = b64(raw("embed")[:-1])
+    if fault == "embed-a-value-short":
+        obj["embed"] = b64(raw("embed")[:-8])
+    if fault == "embed-holds-nan":
+        obj["embed"] = b64(struct.pack("<d", math.nan) + raw("embed")[8:])
+    if fault == "version-1":  # the arrays as flat lists of JSON numbers
+        return json.dumps({**obj, "version": 1, **{
+            name: np.frombuffer(raw(name), "<f8").tolist() for name in ("embed", "recur", "out")}},
+            sort_keys=True) + "\n"
     return json.dumps(obj)
 
 
 @pytest.mark.parametrize("fault", ["array", "truncated", "no-recur", "hidden-dim-5",
-                                   "vocab-size--1", "meta-array"])
+                                   "vocab-size--1", "meta-array", "embed-as-a-list",
+                                   "embed-not-base64", "embed-a-byte-short",
+                                   "embed-a-value-short", "embed-holds-nan", "version-1"])
 def test_evaluate_on_a_malformed_checkpoint_names_it_before_any_output(tmp_path, capsys, fault):
     ckpt = tmp_path / "student.json"
     save_checkpoint(ckpt, init_params(64, 16, np.random.default_rng(0)))
@@ -533,14 +560,33 @@ def test_a_diverged_distill_is_an_error_without_output(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+def test_a_distill_whose_meta_is_not_standard_json_writes_no_output(tmp_path, capsys,
+                                                                    monkeypatch):
+    train = cli.train
+
+    def nan_anchor(*args, **kwargs):
+        return dataclasses.replace(train(*args, **kwargs),
+                                   anchor=types.SimpleNamespace(delta_star=math.nan))
+
+    monkeypatch.setattr(cli, "train", nan_anchor)
+    cfg = write_config(tmp_path / "c.json", preset="A1", corpus={"n_train": 16})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "distill"]) == 1
+    assert (f"error: {out / 'student.json'}: checkpoint meta must be standard JSON"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
+
+
 def _gate_trace_inputs(tmp_path, student_vocab, meta):
     """Two teachers, their caches, and a student.json for ``gate-trace``."""
     for i, name in enumerate(("teacher1.json", "teacher2.json")):
         save_checkpoint(tmp_path / name, init_params(16, 4, np.random.default_rng(i)))
     cfg = write_config(tmp_path / "c.json")
     assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
-    save_checkpoint(tmp_path / "student.json",
-                    init_params(student_vocab, 4, np.random.default_rng(1)), meta=meta)
+    # written by hand: save_checkpoint writes no meta that is not standard JSON
+    student = tmp_path / "student.json"
+    save_checkpoint(student, init_params(student_vocab, 4, np.random.default_rng(1)))
+    student.write_text(json.dumps({**json.loads(student.read_text()), "meta": meta or {}}))
     return ["--config", str(cfg), "--out", str(tmp_path), "gate-trace", "--samples", "tr00000"]
 
 

@@ -1,12 +1,18 @@
+import base64
+import itertools
 import json
 import math
+import os
 import re
+import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relkd.losses import TokenBatch, ce_loss
+from relkd.teachercache import read_cache, topk_cache, write_cache
 from relkd.toymodel import (
     BOS_ID,
     EOS_ID,
@@ -14,6 +20,8 @@ from relkd.toymodel import (
     ROUTE_MAPREDUCE,
     ToyModelParams,
     backward_batch,
+    decode_floats,
+    encode_floats,
     forward_batch,
     generate,
     init_params,
@@ -400,10 +408,10 @@ class TestCheckpoint:
         params = small_params(8)
         path = tmp_path / "old.json"
         path.write_text(json.dumps({
-            "version": 1, "vocab_size": params.vocab_size, "hidden_dim": params.hidden_dim,
-            "embed": params.embed.ravel().tolist(), "recur": params.recur.ravel().tolist(),
-            "out": params.out.ravel().tolist(), "hbar_batch": 1.234,
-            "projection": {"shape": [3, 4], "data": [0.5] * 12},
+            "version": 2, "vocab_size": params.vocab_size, "hidden_dim": params.hidden_dim,
+            **{name: base64.b64encode(a.astype("<f8").tobytes()).decode()
+               for name, a in params.arrays().items()},
+            "hbar_batch": 1.234, "projection": {"shape": [3, 4], "data": [0.5] * 12},
             "meta": {"loss_mode": "A5"},
         }))
         loaded, meta = load_checkpoint(path)
@@ -415,18 +423,20 @@ class TestCheckpoint:
     def test_version_check(self, tmp_path):
         path = tmp_path / "m.json"
         save_checkpoint(path, small_params())
-        text = path.read_text().replace('"version": 1', '"version": 9')
+        text = path.read_text().replace('"version": 2', '"version": 9')
         path.write_text(text)
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("text, shown", [("true", "True"), ("1.0", "1.0")])
+    @pytest.mark.parametrize("text, shown", [("true", "True"), ("2.0", "2.0")])
     def test_version_must_be_the_integer(self, tmp_path, text, shown):
         # Python compares True == 1.0 == 1; JSON tells them apart
         path = tmp_path / "m.json"
         save_checkpoint(path, small_params())
-        path.write_text(path.read_text().replace('"version": 1', f'"version": {text}'))
-        with pytest.raises(ValueError, match=f"unsupported checkpoint version {shown}$"):
+        path.write_text(path.read_text().replace('"version": 2', f'"version": {text}'))
+        with pytest.raises(ValueError, match=re.escape(
+                f"unsupported checkpoint version {shown} (this relkd reads version 2; "
+                "retrain it with distill)") + "$"):
             load_checkpoint(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -435,3 +445,103 @@ class TestCheckpoint:
         save_checkpoint(a, params)
         save_checkpoint(b, params)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_meta_that_is_not_standard_json_writes_no_file(self, tmp_path, value):
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: checkpoint meta must be standard JSON")):
+            save_checkpoint(path, small_params(), meta={"delta_star": value})
+        assert os.listdir(tmp_path) == []
+
+
+# float64 values at the edges of the format: signed zeros, the smallest
+# subnormal, the smallest normal and the largest finite magnitude
+EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+         sys.float_info.max, -sys.float_info.max]
+finite_floats = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+fixture_per_test = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def any_params(draw):
+    """Params of a drawn shape, every value a drawn finite float."""
+    v, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return ToyModelParams(**{
+        name: np.reshape(draw(st.lists(finite_floats, min_size=a * b, max_size=a * b)), (a, b))
+        for name, (a, b) in param_shapes(v, d).items()})
+
+
+@st.composite
+def topk_rows(draw):
+    """(lengths, ids, logprobs) of a valid top-k cache over 8 tokens: rows
+    of distinct ids and descending logprobs of at most log(1 / width)."""
+    lengths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    width = draw(st.integers(1, 3))
+    top = -math.log(width)
+    logprob = st.one_of(st.sampled_from([v for v in EDGES if v <= top]),
+                        st.floats(-sys.float_info.max, top))
+    rows = [draw(st.lists(logprob, min_size=width, max_size=width)) for _ in range(sum(lengths))]
+    ids = [draw(st.permutations(range(8)))[:width] for _ in rows]
+    return lengths, np.reshape(ids, (-1, width)), np.reshape(
+        [sorted(row, reverse=True) for row in rows], (-1, width))
+
+
+class TestFloatCodec:
+    """``encode_floats``/``decode_floats``: the one float64 codec of
+    checkpoints and top-k caches."""
+
+    @fixture_per_test
+    @given(params=any_params())
+    def test_checkpoint_arrays_come_back_bit_for_bit(self, tmp_path, params):
+        save_checkpoint(tmp_path / "m.json", params)
+        loaded, _ = load_checkpoint(tmp_path / "m.json")
+        for name, a in params.arrays().items():
+            assert loaded.arrays()[name].shape == a.shape
+            assert loaded.arrays()[name].tobytes() == a.tobytes()
+
+    @fixture_per_test
+    @given(params=any_params())
+    def test_loaded_arrays_are_writable_and_their_own(self, tmp_path, params):
+        save_checkpoint(tmp_path / "m.json", params)
+        first, second = (list(load_checkpoint(tmp_path / "m.json")[0].arrays().values())
+                         for _ in range(2))
+        assert all(a.flags.writeable and a.flags.owndata for a in first)
+        for a, b in itertools.combinations(first + second, 2):
+            assert not np.shares_memory(a, b)
+
+    @fixture_per_test
+    @given(rows=topk_rows())
+    def test_cache_logprobs_round_trip_through_the_same_pair(self, tmp_path, rows):
+        lengths, ids, logprobs = rows
+        cache = topk_cache([f"ex{r}" for r in range(len(lengths))], lengths, ids, logprobs,
+                           8, ids.shape[1])
+        write_cache(cache, tmp_path / "c.jsonl")
+        lines = [json.loads(line) for line in (tmp_path / "c.jsonl").read_text().splitlines()]
+        per_record = np.split(logprobs, np.cumsum(lengths)[:-1])
+        for line, expected in zip(lines[1:], per_record, strict=True):
+            assert line["logprobs"] == encode_floats(expected)
+            assert decode_floats(line["logprobs"], (expected.size,), "logprobs").tobytes() \
+                == expected.ravel().tobytes()
+        assert read_cache(tmp_path / "c.jsonl").logprobs.tobytes() == logprobs.tobytes()
+
+    def test_text_is_little_endian_float64_whatever_the_array_byte_order(self, tmp_path):
+        values = [1.0, -2.0, 0.5]
+        text = base64.b64encode(struct.pack("<3d", *values)).decode()
+        for dtype in ("<f8", ">f8", float):
+            assert encode_floats(np.array(values, dtype=dtype)) == text
+        assert decode_floats(text, (3,), "x").tolist() == values
+        save_checkpoint(tmp_path / "m.json", ToyModelParams(*np.reshape(values, (3, 1, 1))))
+        obj = json.loads((tmp_path / "m.json").read_text())
+        assert [obj[name] for name in ("embed", "recur", "out")] == [
+            "AAAAAAAA8D8=", "AAAAAAAAAMA=", "AAAAAAAA4D8="]
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "x must be a base64 string"), ([1.0], "x must be a base64 string"),
+        ("AAAA!AAA8D8=", "x must be a base64 string ("),
+        ("AAAAAAAA8A==", "x must hold 8 bytes per value of shape (1,)"),
+        ("AAAAAAAA8D8AAAAAAADwPw==", "x must hold 8 bytes per value of shape (1,)")],
+        ids=["null", "list", "not-base64", "7-bytes", "16-bytes"])
+    def test_decode_rejects_text_that_is_not_one_value(self, text, message):
+        with pytest.raises((TypeError, ValueError), match=re.escape(message)):
+            decode_floats(text, (1,), "x")
