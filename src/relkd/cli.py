@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import os
 import sys
@@ -573,6 +574,7 @@ def cmd_gate_trace(cfg: dict, out_dir: str, reads: dict[str, str], samples: list
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process, which every call of main shares and none changes
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relkd",

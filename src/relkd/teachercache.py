@@ -10,8 +10,7 @@ without positions); readers ignore it. A top-k data line holds one record
 as ``{"counts": [int], "id": str, "ids": [int], "logprobs": str}``: each
 position's entry count, every entry's token id (position after position,
 each position's entries by descending log-probability), and those entries'
-logprobs as base64 of little-endian float64, which keeps every bit: the
-codec ``toymodel.encode_floats``/``decode_floats`` that checkpoints use too.
+logprobs as base64 of little-endian float64, which keeps every bit.
 Pseudo data lines carry a teacher-generated summary as token ids plus its
 decoded text. Counts, token ids, pseudo tokens and beam widths are JSON
 integers. Files are written atomically and are immutable once written;
@@ -23,20 +22,25 @@ cache is checked, by one vectorized pass over all positions. Two builders
 call it: ``read_cache`` from a file (rejecting one of the wrong ``kind`` at
 line 1), and ``topk_cache`` from a model's top-k rows, one row per position.
 ``write_cache`` takes either a ``TopKCache`` or a list of
-``PseudoLabelRecord``s.
+``PseudoLabelRecord``s; it formats each top-k line from text made once per
+cache (ids, counts and one float64 buffer) into the bytes that
+``json.dumps(record, sort_keys=True)`` gives. ``read_cache`` parses every
+top-k line, then screens them all at once by the checks of ``_topk_fields``;
+only if that fails are the lines checked one by one, the first faulty one named.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .atomic import write_text_atomic
-from .toymodel import decode_floats, encode_floats, integral
+from .toymodel import decode_floats, integral
 
 CACHE_VERSION = 2
 
@@ -213,11 +217,14 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         cache, vocab_size, k = records, records.vocab_size, records.k
         # the mass the cached entries keep, before densify renormalizes it
         header = {"version": CACHE_VERSION, "kind": "topk", "mass_kept": cache.mass_kept}
-        counts, ids = np.diff(cache.bounds).tolist(), cache.ids.tolist()
+        # json.dumps(record, sort_keys=True) of each record, from strings made once
+        counts = list(map(str, np.diff(cache.bounds).tolist()))
+        ids = list(map(str, cache.ids.tolist()))
+        blob = memoryview(cache.logprobs.astype("<f8").tobytes())
         cuts, first = cache.bounds.tolist(), cache.first.tolist()
-        lines = [json.dumps({"counts": counts[a:b], "id": eid, "ids": ids[cuts[a]:cuts[b]],
-                             "logprobs": encode_floats(cache.logprobs[cuts[a]:cuts[b]])},
-                            sort_keys=True)
+        lines = [f'{{"counts": [{", ".join(counts[a:b])}], "id": {json.dumps(eid)}, '
+                 f'"ids": [{", ".join(ids[cuts[a]:cuts[b]])}], '
+                 f'"logprobs": "{b64encode(blob[8 * cuts[a]:8 * cuts[b]]).decode("ascii")}"}}'
                  for eid, a, b in zip(cache.example_ids, first, first[1:])]
     else:
         records, header, k = list(records), {"version": CACHE_VERSION, "kind": "pseudo"}, 0
@@ -291,37 +298,44 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
     if not _all_of([vocab_size, k], integral):
         raise CacheFormatError(f"{path} line 1: vocab_size and k must be integers")
 
-    records: list = []
-    lines: list[int] = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
+    def record(lineno):
+        """Line ``lineno`` parsed and checked on its own; errors name it."""
         try:
-            obj = json.loads(line)
+            obj = json.loads(raw[lineno - 1])
         except json.JSONDecodeError as exc:
             raise CacheFormatError(f"{path} line {lineno}: malformed record ({exc})") from exc
         try:
             if found == "topk":
-                records.append((obj["id"], *_topk_fields(obj)))
-            else:
-                rec = PseudoLabelRecord(
-                    example_id=obj["id"],
-                    teacher_id=obj["teacher"],
-                    tokens=list(obj["tokens"]),
-                    text=obj["text"],
-                    beam_width=obj["beam"],
-                )
-                validate_pseudo_record(rec, vocab_size)
-                records.append(rec)
+                return (obj["id"], *_topk_fields(obj))
+            rec = PseudoLabelRecord(obj["id"], obj["teacher"], list(obj["tokens"]), obj["text"],
+                                    obj["beam"])
+            validate_pseudo_record(rec, vocab_size)
+            return rec
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"{path} line {lineno}: {exc}") from exc
-        lines.append(lineno)
+
+    lines = [n for n, line in enumerate(raw[1:], start=2) if line.strip()]
     if found == "pseudo":
-        return records
-    eids, counts, ids, logprobs = zip(*records) if records else ((),) * 4
-    return TopKCache(eids, map(len, counts), np.fromiter(chain.from_iterable(counts), np.int64),
-                     np.fromiter(chain.from_iterable(ids), np.int64),
-                     np.concatenate([np.zeros(0), *logprobs]), vocab_size, k,
+        return [record(n) for n in lines]
+    # the screen passes exactly when every line passes _topk_fields
+    try:
+        rows = [(obj["id"], obj["counts"], obj["ids"], obj["logprobs"])
+                for obj in (json.loads(raw[n - 1]) for n in lines)]
+        eids, counts, ids, texts = zip(*rows) if rows else ((),) * 4
+        blobs = [b64decode(text, validate=True) for text in texts]
+        flat_counts, flat_ids = list(chain.from_iterable(counts)), list(chain.from_iterable(ids))
+        ok = (set(map(type, counts + ids)) <= {list} and _all_of(flat_counts + flat_ids, integral)
+              and list(map(len, blobs)) == [8 * len(row) for row in ids]
+              and min(flat_counts, default=0) >= 0
+              and list(map(sum, counts)) == list(map(len, ids)))
+        flat_ids = np.array(flat_ids, dtype=np.int64)  # OverflowError past 64 bits
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        ok = False
+    if not ok:
+        for n in lines:
+            record(n)
+    return TopKCache(eids, map(len, counts), np.array(flat_counts, dtype=np.int64), flat_ids,
+                     np.frombuffer(b"".join(blobs), "<f8").astype(float), vocab_size, k,
                      lambda r: f"{path} line {lines[r]}: ")
 
 

@@ -206,6 +206,50 @@ def test_topk_from_logits_breaks_ties_toward_lower_ids():
     assert topk_from_logits(logits, 9)[0].shape == (20, 7)
 
 
+# few values, so rows tie often; 1.5e308 against -1.5e308 in one row gives a
+# log-probability of -inf
+TIE_VALUES = (-2.0, -1.0, 0.0, 1.0, 2.0, -1.5e308, 1.5e308)
+
+
+@st.composite
+def tie_heavy_logits(draw):
+    """Rows of few integer values over a vocabulary of 1 to 6, some of them
+    all equal, and a k from 1 to V + 1."""
+    vocab = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from(TIE_VALUES), min_size=vocab, max_size=vocab)
+    rows = draw(st.lists(row | st.sampled_from(TIE_VALUES).map(lambda x: [x] * vocab),
+                         min_size=1, max_size=6))
+    return np.array(rows), draw(st.integers(1, vocab + 1))
+
+
+def test_topk_from_logits_is_the_stable_argsort_on_tie_heavy_rows(monkeypatch):
+    argsort, calls, seen = np.argsort, [], set()
+
+    def spy(a, *args, kind=None, **kwargs):
+        calls.append((kind, len(a)))
+        return argsort(a, *args, kind=kind, **kwargs)
+
+    @given(tie_heavy_logits())
+    def check(case):
+        logits, k = case
+        with np.errstate(over="ignore"):  # -1.5e308 - 1.5e308
+            logp = log_softmax_t(logits, 1.0)
+            calls.clear()
+            ids, logprobs = topk_from_logits(logits, k)
+        order = argsort(-logp, axis=-1, kind="stable")[:, :k]
+        assert ids.tolist() == order.tolist()
+        assert logprobs.tobytes() == np.take_along_axis(logp, order, axis=-1).tobytes()
+        # one sort of every row, then the stable sort of the tied ones
+        (first, rows), (second, tied) = calls
+        assert (first, second, rows) == (None, "stable", len(logits))
+        seen.update(["tie-free"] * (tied < rows) + ["tied"] * (tied > 0)
+                    + ["-inf"] * bool(np.isneginf(logp).any()))
+
+    monkeypatch.setattr(np, "argsort", spy)
+    check()
+    assert seen == {"tie-free", "tied", "-inf"}
+
+
 def test_topk_records_match_one_forward_per_example():
     corpus = small_corpus()
     params = init_params(16, 5, np.random.default_rng(2))

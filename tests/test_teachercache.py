@@ -321,6 +321,38 @@ class TestIllTypedValues:
         with pytest.raises(CacheFormatError, match=f"line 3: '{missing}'"):
             read_cache(path)
 
+    # one faulty top-k line each, as text, and the start of its message
+    LINE_FAULTS = {
+        "malformed-json": (lambda fields: json.dumps(fields)[:-1], "malformed record ("),
+        "missing-key": (lambda fields: json.dumps({key: value for key, value in fields.items()
+                                                   if key != "logprobs"}), "'logprobs'"),
+        "non-integers": (lambda fields: json.dumps({**fields, "ids": [2.5]}), INTEGERS),
+        "bad-base64": (lambda fields: json.dumps({**fields, "logprobs": "AAAA!AAA4L8="}), BASE64),
+        "disagreeing-counts": (lambda fields: json.dumps({**fields, "counts": [2]}), LENGTHS),
+        "id-past-64-bits": (lambda fields: json.dumps({**fields, "ids": [2**70]}), INT64),
+    }
+
+    @pytest.mark.parametrize("second", LINE_FAULTS)
+    @pytest.mark.parametrize("first", LINE_FAULTS)
+    def test_of_two_faulty_topk_lines_the_earlier_is_named(self, tmp_path, first, second):
+        header = {"version": 2, "kind": "topk", "vocab_size": 5, "k": 2}
+        records = [topk_line(f"ex{i}", [[(2, -0.5)]]) for i in range(5)]  # lines 2 to 6
+
+        def read(faults):
+            """The error of reading the records with ``faults`` at their lines."""
+            lines = [self.LINE_FAULTS[faults[n]][0](fields) if n in faults else json.dumps(fields)
+                     for n, fields in enumerate(records, start=2)]
+            path = tmp_path / f"{len(faults)}.jsonl"
+            path.write_text("\n".join([json.dumps(header), *lines]) + "\n")
+            with pytest.raises(CacheFormatError) as err:
+                read_cache(path)
+            return path, str(err.value)
+
+        alone, message = read({3: first})
+        assert message.startswith(f"{alone} line 3: {self.LINE_FAULTS[first][1]}")
+        path, both = read({3: first, 5: second})
+        assert both == message.replace(str(alone), str(path))
+
     @pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
     def test_non_finite_bits_in_the_blob_name_their_line(self, tmp_path, bits):
         path = self._topk(tmp_path, **topk_line("ex1", [[(2, -0.5), (3, bits)]]))

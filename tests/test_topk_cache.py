@@ -2,6 +2,7 @@
 inputs accepted and rejected, the same line and position named, and the
 same densified rows."""
 
+import json
 import math
 import re
 
@@ -21,6 +22,7 @@ from relkd.training import topk_from_logits
 from oracles import (
     densify_oracle,
     records_of,
+    topk_line,
     topk_pairs,
     validate_topk_record_oracle,
     write_raw,
@@ -160,6 +162,24 @@ def test_ragged_densify_is_the_oracle_to_rounding(tmp_path_factory, case):
             rows = read_cache(write_raw(tmp / f"{r}.jsonl", [rec], vocab, k), "topk").densify()
             assert np.allclose(rows, densify_oracle(rec[1], vocab), rtol=0, atol=1e-15)
             assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+
+
+# ids that JSON escapes: a quote, a backslash, a newline, a non-ASCII letter
+# and U+2028, a line separator to str.splitlines
+ESCAPED_IDS = ('"', "\\", "\n", "é", "\u2028", 'a"b\\c\ndé\u2028')
+
+
+@given(caches(), st.permutations(ESCAPED_IDS))
+def test_each_written_line_is_json_dumps_of_its_record(tmp_path_factory, case, names):
+    drawn, vocab, k = case
+    records = [(name, positions) for name, (_, positions) in zip(names, drawn)]
+    tmp = tmp_path_factory.mktemp("c")
+    path = tmp / "written.jsonl"
+    write_cache(read_cache(write_raw(tmp / "raw.jsonl", records, vocab, k), "topk"), path)
+    _, *lines, end = path.read_bytes().split(b"\n")
+    assert end == b""
+    assert lines == [json.dumps(topk_line(*rec), sort_keys=True).encode() for rec in records]
+    assert records_of(read_cache(path, "topk")) == records
 
 
 def test_records_are_found_by_index_and_by_example_id(tmp_path):
