@@ -34,8 +34,8 @@ t2 = train(TrainConfig(loss_mode="CE", epochs=30, seed=101, hidden_dim=20,
 print("caching top-8 logits and beam-4 pseudo-labels offline ...")
 pseudo = index_pseudo(build_pseudo_records(t1.params, "p1", train_corpus, beam_width=4))
 bundle = SupervisionBundle(
-    topk1=build_topk_cache(t1.params, train_corpus, 8, pseudo),
-    topk2=build_topk_cache(t2.params, train_corpus, 8, pseudo),
+    topk=(build_topk_cache(t1.params, train_corpus, 8, pseudo),
+          build_topk_cache(t2.params, train_corpus, 8, pseudo)),
     pseudo=pseudo,
     teacher_params=t1.params,
 )

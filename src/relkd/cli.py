@@ -59,6 +59,9 @@ _TRAIN_PARTS = {f.name: f.default_factory for f in fields(TrainConfig)
                 if is_dataclass(f.default_factory)}
 # Training fields set from outside the "training" section.
 _DERIVED_TRAINING = ("seed", "hidden_dim")
+# The top-k teachers' config sections, in teacher order: a loss mode reads the
+# first ``ModeSpec.teachers`` of them.
+_TEACHERS = ("teacher1", "teacher2")
 
 
 def _field_defaults(cls, skip=()) -> dict:
@@ -333,18 +336,13 @@ def _write_json(path: str, obj: dict) -> None:
 
 def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig, reads: dict) -> SupervisionBundle:
     """Read whatever caches the loss mode consumes, validating first."""
-    spec = tc.spec
-    bundle = SupervisionBundle()
-    if spec.teacher1:
-        path = _input(cfg["teacher1"]["cache"], out_dir, "teacher1.cache", reads)
-        bundle.topk1 = read_cache(path, "topk")
-    if spec.teacher2:
-        path = _input(cfg["teacher2"]["cache"], out_dir, "teacher2.cache", reads)
-        bundle.topk2 = read_cache(path, "topk")
+    bundle = SupervisionBundle(topk=tuple(
+        read_cache(_input(cfg[t]["cache"], out_dir, f"{t}.cache", reads), "topk")
+        for t in _TEACHERS[:tc.spec.teachers]))
     if tc.mixes_pseudo:
         path = _input(cfg["pseudo_cache"], out_dir, "pseudo_cache", reads)
         bundle.pseudo = index_pseudo(read_cache(path, "pseudo"))
-    if spec.hidden:
+    if tc.spec.hidden:
         path = _input(cfg["teacher1"]["checkpoint"], out_dir, "teacher1.checkpoint", reads)
         bundle.teacher_params = _check_vocab(cfg, load_checkpoint(path)[0], path)
     return bundle
@@ -355,13 +353,13 @@ def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig, reads: dict) -> Super
 
 
 def cmd_cache_teacher(cfg: dict, out_dir: str, reads: dict[str, str]) -> int:
+    # the same teacher named twice writes its cache once
     teachers = {t: _input(cfg[t]["checkpoint"], out_dir, f"{t}.checkpoint", reads)
-                for t in ("teacher1", "teacher2") if cfg[t]["checkpoint"] is not None}
+                for i, t in enumerate(_TEACHERS) if cfg[t]["checkpoint"] is not None
+                and cfg[t] not in [cfg[u] for u in _TEACHERS[:i]]}
     pseudo_teachers = [(p["id"], _input(p["checkpoint"], out_dir,
                                         f"pseudo_teachers[{i}].checkpoint", reads))
                        for i, p in enumerate(cfg["pseudo_teachers"])]
-    if cfg["teacher1"] == cfg["teacher2"]:
-        teachers.pop("teacher2", None)  # the same teacher named twice writes its cache once
     paths = _check_outputs(cfg, out_dir, [f"{t}.cache" for t in teachers]
                            + (["pseudo_cache"] if pseudo_teachers else []), reads)
 

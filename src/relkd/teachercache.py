@@ -179,6 +179,8 @@ def topk_cache(example_ids, lengths, ids, logprobs, vocab_size: int, k: int) -> 
     ids, logprobs = np.asarray(ids), np.asarray(logprobs, dtype=float)
     if ids.shape != logprobs.shape or ids.ndim != 2:
         raise CacheFormatError("rows must be two equal 2-D arrays, one row per position")
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):  # an empty list is float
+        raise CacheFormatError(f"token ids must be integers, got dtype {ids.dtype}")
     return TopKCache(example_ids, lengths, np.full(len(ids), ids.shape[1], dtype=np.int64),
                      ids.ravel(), logprobs.ravel(), vocab_size, k, lambda r: "")
 

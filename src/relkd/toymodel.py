@@ -418,13 +418,18 @@ def save_checkpoint(path, params: ToyModelParams, *, meta: dict | None = None) -
     write_text_atomic(path, text + "\n")
 
 
+def _not_standard_json(constant: str):
+    raise ValueError(f"checkpoint must be standard JSON, got {constant}")
+
+
 def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
     """Read a checkpoint; returns (params, meta). Keys it does not read are
-    ignored. A malformed checkpoint, or one of another version, raises
+    ignored. A malformed checkpoint, one of another version, or one that
+    ``save_checkpoint`` would not write (a NaN or an infinity) raises
     ValueError naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
+            obj = json.load(f, parse_constant=_not_standard_json)
         if not isinstance(obj, dict):
             raise ValueError("checkpoint must be a JSON object")
         version = obj.get("version")

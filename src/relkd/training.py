@@ -259,8 +259,7 @@ def synthetic_document(
 class SupervisionBundle:
     """Everything the trainer may consume besides the gold corpus."""
 
-    topk1: TopKCache | None = None
-    topk2: TopKCache | None = None
+    topk: tuple[TopKCache, ...] = ()  # in teacher order
     pseudo: dict[str, list[PseudoLabelRecord]] | None = None
     teacher_params: ToyModelParams | None = None
 
@@ -452,8 +451,7 @@ class ModeSpec:
     """
 
     step: Callable[..., tuple]
-    teacher1: bool = False      # first-teacher top-k cache
-    teacher2: bool = False      # second-teacher top-k cache
+    teachers: int = 0           # top-k caches of this many leading teachers
     pseudo: bool = False        # pseudo-label target mixing (when p_pseudo > 0)
     adaptive_tau: bool = False  # per-sample temperature from teacher entropy
     hidden: bool = False        # teacher hidden states and a learned projection
@@ -464,28 +462,26 @@ MODES: dict[str, ModeSpec] = {
     # gold cross-entropy only (baseline)
     "CE": ModeSpec(_ce_step),
     # + fixed-temperature logit distillation from teacher 1
-    "A2": ModeSpec(_standard_step, teacher1=True),
+    "A2": ModeSpec(_standard_step, teachers=1),
     # + stochastic pseudo-label target replacement
-    "A3": ModeSpec(_standard_step, teacher1=True, pseudo=True),
+    "A3": ModeSpec(_standard_step, teachers=1, pseudo=True),
     # + per-sample adaptive temperature
-    "A4": ModeSpec(_standard_step, teacher1=True, pseudo=True, adaptive_tau=True),
+    "A4": ModeSpec(_standard_step, teachers=1, pseudo=True, adaptive_tau=True),
     # + projected hidden-state matching
-    "A5": ModeSpec(_standard_step, teacher1=True, pseudo=True, adaptive_tau=True,
-                   hidden=True),
+    "A5": ModeSpec(_standard_step, teachers=1, pseudo=True, adaptive_tau=True, hidden=True),
     # reliability-gated dual-teacher routing
-    "EWAD": ModeSpec(_ewad_step, teacher1=True, teacher2=True),
+    "EWAD": ModeSpec(_ewad_step, teachers=2),
     # gated routing plus the divergence-gap regularizer
-    "EWAD_CPDP": ModeSpec(_ewad_step, teacher1=True, teacher2=True, anchor=True),
+    "EWAD_CPDP": ModeSpec(_ewad_step, teachers=2, anchor=True),
 }
 
 
 def validate_supervision(config: TrainConfig, bundle: SupervisionBundle) -> None:
     """Check the bundle supplies what the loss mode consumes, before any work."""
     spec, mode = config.spec, config.loss_mode
-    if spec.teacher1 and bundle.topk1 is None:
-        raise ValueError(f"loss_mode {mode} requires a first-teacher top-k cache")
-    if spec.teacher2 and bundle.topk2 is None:
-        raise ValueError(f"loss_mode {mode} requires a second-teacher top-k cache")
+    if len(bundle.topk) < spec.teachers:
+        raise ValueError(f"loss_mode {mode} requires {spec.teachers} top-k cache(s), one per "
+                         f"teacher, got {len(bundle.topk)}")
     if config.mixes_pseudo and bundle.pseudo is None:
         raise ValueError(f"loss_mode {mode} requires pseudo-label records")
     if spec.hidden and bundle.teacher_params is None:
@@ -544,15 +540,14 @@ def prepare_supervision(
         raise ValueError("cannot supervise an empty corpus")
     validate_supervision(config, bundle)
     spec = config.spec
-    wanted = [(which, topk) for which, flag, topk in
-              ((1, spec.teacher1, bundle.topk1), (2, spec.teacher2, bundle.topk2)) if flag]
-    for which, topk in wanted:
+    caches = bundle.topk[:spec.teachers]
+    for which, topk in enumerate(caches, 1):
         if topk.vocab_size != corpus.vocab_size:
             raise ValueError(f"teacher {which} cache has vocab_size {topk.vocab_size}, "
                              f"corpus.vocab_size is {corpus.vocab_size}")
-    firsts = {which: topk.first.tolist() for which, topk in wanted}
+    firsts = [topk.first.tolist() for topk in caches]
     mix_seed = derive_seed(config.seed, 3)
-    targets, starts = [], {1: [], 2: []}
+    targets, starts = [], [[] for _ in caches]
     for i, ex in enumerate(corpus.examples):
         summary, provenance = list(ex.summary), "gold"
         if config.mixes_pseudo:
@@ -566,15 +561,15 @@ def prepare_supervision(
         if provenance.startswith("pseudo:"):
             rec_id = pseudo_variant_id(ex.example_id, provenance.split(":", 1)[1])
 
-        for which, topk in wanted:
+        for which, (topk, first_of, start) in enumerate(zip(caches, firsts, starts), 1):
             r = topk.index.get(rec_id)
             if r is None:
                 raise ValueError(f"missing cache record {rec_id} for teacher {which}")
-            first, end = firsts[which][r], firsts[which][r + 1]
+            first, end = first_of[r], first_of[r + 1]
             if end - first != len(target):
                 raise ValueError(f"cache record {rec_id} covers {end - first} positions, "
                                  f"target has {len(target)}")
-            starts[which].append(first)
+            start.append(first)
         targets.append(target)
 
     src, src_len = padded_rows([ex.document for ex in corpus.examples])
@@ -582,14 +577,14 @@ def prepare_supervision(
     # every example's rows of each cache, densified in one step
     offsets = np.cumsum(lengths) - lengths
     within = np.arange(lengths.sum()) - np.repeat(offsets, lengths)
-    logits = {which: _floored_log(topk.densify(np.repeat(starts[which], lengths) + within))
-              for which, topk in wanted}
+    logits = [_floored_log(topk.densify(np.repeat(start, lengths) + within))
+              for topk, start in zip(caches, starts)]
     h_bar = None
     if spec.adaptive_tau:
-        h = np.atleast_1d(entropy(_exp_normalized(logits[1])))
+        h = np.atleast_1d(entropy(_exp_normalized(logits[0])))
         h_bar = np.array([h[a:a + n].mean() for a, n in zip(offsets.tolist(), lengths.tolist())])
 
-    teachers = Teachers(logits.get(1), logits.get(2))
+    teachers = Teachers(*logits)
     teacher_hidden = None
     if spec.hidden:  # the teacher is frozen: its state at every target position
         teacher_hidden = forward_batch(bundle.teacher_params, src, src_len, tgt, lengths)[1]

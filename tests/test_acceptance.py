@@ -384,7 +384,7 @@ class TestCriterion7DirectionalDeskScale:
                 train_corpus,
             )
             bundle = SupervisionBundle(
-                topk1=build_topk_cache(teacher.params, train_corpus, 8)
+                topk=(build_topk_cache(teacher.params, train_corpus, 8),)
             )
             a1 = train(
                 TrainConfig(loss_mode="CE", epochs=40, seed=seed, hidden_dim=16,

@@ -314,7 +314,7 @@ def test_densify_all_positions_matches_each_position(tmp_path):
     # an example whose target (8 tokens, then EOS) covers the record's 9 positions
     corpus = Corpus([CorpusExample("x", [5, 6, 7], [6] * 8)], 12)
     teachers = prepare_supervision(TrainConfig(loss_mode="A2"), corpus,
-                                   SupervisionBundle(topk1=cache)).teachers
+                                   SupervisionBundle(topk=(cache,))).teachers
     assert np.array_equal(teachers.logits(1), np.log(np.maximum(rows, 1e-12)))
 
 

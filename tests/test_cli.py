@@ -442,18 +442,21 @@ class TestLoadBundle:
         bundle = cli._load_bundle(cfg, str(tmp_path), cli._train_config(cfg), reads)
 
         spec = MODES[mode]
-        expected = [name for flag, name in (
-            (spec.teacher1, "teacher1_topk.jsonl"), (spec.teacher2, "teacher2_topk.jsonl"),
-            (spec.pseudo, "pseudo_labels.jsonl"), (spec.hidden, "teacher1.json"),
-        ) if flag]
+        teachers = cli._TEACHERS[:spec.teachers]
+        expected = [f"{t}_topk.jsonl" for t in teachers] + [name for flag, name in (
+            (spec.pseudo, "pseudo_labels.jsonl"), (spec.hidden, "teacher1.json")) if flag]
         assert [os.path.basename(p) for p in read] == expected
         assert [os.path.basename(p) for p in reads.values()] == expected
-        assert kinds == [kind for flag, kind in ((spec.teacher1, "topk"), (spec.teacher2, "topk"),
-                                                 (spec.pseudo, "pseudo")) if flag]
-        assert (bundle.topk1 is not None) == spec.teacher1
-        assert (bundle.topk2 is not None) == spec.teacher2
+        assert list(reads)[:spec.teachers] == [f"{t}.cache" for t in teachers]
+        assert kinds == ["topk"] * spec.teachers + ["pseudo"] * spec.pseudo
+        assert len(bundle.topk) == spec.teachers
         assert (bundle.pseudo is not None) == spec.pseudo
         assert (bundle.teacher_params is not None) == spec.hidden
+
+    def test_every_mode_reads_teachers_that_the_config_names(self):
+        import relkd.cli as cli
+
+        assert all(spec.teachers <= len(cli._TEACHERS) for spec in MODES.values())
 
 
 class TestGateTraceAnchor:

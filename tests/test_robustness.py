@@ -590,12 +590,19 @@ def _gate_trace_inputs(tmp_path, student_vocab, meta):
     return ["--config", str(cfg), "--out", str(tmp_path), "gate-trace", "--samples", "tr00000"]
 
 
-@pytest.mark.parametrize("delta_star", ["abc", True, [1.0], float("nan"), -float("inf")],
-                         ids=["string", "bool", "array", "nan", "infinity"])
-def test_gate_trace_rejects_a_delta_star_that_is_not_a_number(tmp_path, capsys, delta_star):
+NOT_A_NUMBER = "meta.delta_star must be a finite number or null"
+
+
+# NaN and infinities are not standard JSON: load_checkpoint refuses them first
+@pytest.mark.parametrize("delta_star, message", [
+    ("abc", NOT_A_NUMBER), (True, NOT_A_NUMBER), ([1.0], NOT_A_NUMBER),
+    (float("nan"), "checkpoint must be standard JSON, got NaN"),
+    (-float("inf"), "checkpoint must be standard JSON, got -Infinity"),
+], ids=["string", "bool", "array", "nan", "infinity"])
+def test_gate_trace_rejects_a_delta_star_that_is_not_a_number(tmp_path, capsys, delta_star,
+                                                              message):
     assert main(_gate_trace_inputs(tmp_path, 16, {"delta_star": delta_star})) == 1
-    assert (f"error: {tmp_path / 'student.json'}: meta.delta_star must be a finite number "
-            "or null") in capsys.readouterr().err
+    assert f"error: {tmp_path / 'student.json'}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "gate_trace.jsonl").exists()
 
 

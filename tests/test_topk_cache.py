@@ -283,6 +283,14 @@ def test_rows_must_match_the_record_lengths():
             topk_cache(eids, lengths, *rows, 5, 2)
 
 
+@pytest.mark.parametrize("ids", [np.array([[1.5]]), np.array([[math.nan]]),
+                                 np.array([[True]])], ids=["float", "nan", "bool"])
+def test_token_ids_that_are_not_integers_are_rejected(ids):
+    # such ids would be written as lines that read back as malformed
+    with pytest.raises(CacheFormatError, match="token ids must be integers"):
+        topk_cache(["a"], [1], ids, np.array([[-0.5]]), 5, 1)
+
+
 def test_what_write_cache_does_not_take_is_not_written(tmp_path):
     path = tmp_path / "c.jsonl"
     rec = ("ex0", [[(1, -0.5)]])

@@ -454,6 +454,16 @@ class TestCheckpoint:
             save_checkpoint(path, small_params(), meta={"delta_star": value})
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_a_checkpoint_that_save_would_not_write_does_not_load(self, tmp_path, constant):
+        path = tmp_path / "m.json"
+        save_checkpoint(path, small_params())
+        obj = {**json.loads(path.read_text()), "meta": {"delta_star": "here"}}
+        path.write_text(json.dumps(obj).replace('"here"', constant))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: checkpoint must be standard JSON, got {constant}")):
+            load_checkpoint(path)
+
 
 # float64 values at the edges of the format: signed zeros, the smallest
 # subnormal, the smallest normal and the largest finite magnitude

@@ -80,10 +80,10 @@ def teacher_and_bundle(corpus, seed=7, dim=5, k=None, two_teachers=False,
         recs = build_pseudo_records(t1, "p1", corpus, beam_width=2, max_len=8)
         pseudo_idx = index_pseudo(recs)
         bundle.pseudo = pseudo_idx
-    bundle.topk1 = build_topk_cache(t1, corpus, k, pseudo_idx)
+    bundle.topk = (build_topk_cache(t1, corpus, k, pseudo_idx),)
     if two_teachers:
         t2 = init_params(corpus.vocab_size, dim - 1, np.random.default_rng([seed, 1]))
-        bundle.topk2 = build_topk_cache(t2, corpus, k, pseudo_idx)
+        bundle.topk += (build_topk_cache(t2, corpus, k, pseudo_idx),)
     return bundle
 
 
@@ -281,6 +281,17 @@ class TestTrainLoop:
         drops = sum(b < a for a, b in zip(losses, losses[1:]))
         assert drops >= 0.9 * (len(losses) - 1)
 
+    def test_ce_trains_the_same_with_two_caches_in_its_bundle(self):
+        corpus = tiny_corpus()
+        cfg = TrainConfig(loss_mode="CE", epochs=3, seed=1, hidden_dim=4)
+        bare = train(cfg, corpus)
+        bundle = teacher_and_bundle(corpus, two_teachers=True)
+        assert len(bundle.topk) == 2
+        bundled = train(cfg, corpus, bundle)
+        assert bundled.metrics == bare.metrics
+        for name, a in bare.params.arrays().items():
+            assert np.array_equal(getattr(bundled.params, name), a), name
+
     def test_a1_trace_has_zero_kd_and_inter(self):
         corpus = tiny_corpus()
         res = train(TrainConfig(loss_mode="CE", epochs=3, seed=1, hidden_dim=4), corpus)
@@ -298,7 +309,7 @@ class TestTrainLoop:
     def test_identical_teacher_caches_gate_near_sigmoid_25(self):
         corpus = tiny_corpus(n=12)
         bundle = teacher_and_bundle(corpus)
-        bundle.topk2 = bundle.topk1  # same records: perfect agreement
+        bundle.topk *= 2  # same records: perfect agreement
         cfg = TrainConfig(loss_mode="EWAD", epochs=2, seed=3, hidden_dim=4,
                           fixed_tau=1.0)
         res = train(cfg, corpus, bundle)
@@ -425,7 +436,7 @@ class TestCacheBridge:
         target = ex.summary + [EOS_ID]
         logits, _ = forward_one(t1, ex.document, target)
         teachers = prepare_supervision(TrainConfig(loss_mode="A2"), corpus,
-                                       SupervisionBundle(topk1=records)).teachers
+                                       SupervisionBundle(topk=(records,))).teachers
         cached = teachers.logits(1)[:len(target)]  # the first example's rows
         assert np.allclose(softmax_t(cached, 1.0), softmax_t(logits, 1.0), atol=1e-12)
 
@@ -438,7 +449,7 @@ class TestCacheBridge:
         with pytest.raises(ValueError, match=f"teacher 1 cache has vocab_size {corpus.vocab_size}, "
                                              f"corpus.vocab_size is {corpus.vocab_size + 4}"):
             prepare_supervision(TrainConfig(loss_mode=mode), wider,
-                                SupervisionBundle(topk1=cache, topk2=cache))
+                                SupervisionBundle(topk=(cache, cache)))
 
     def test_length_mismatch_rejected(self):
         corpus = tiny_corpus(n=2)
@@ -449,7 +460,7 @@ class TestCacheBridge:
         longer = Corpus([CorpusExample(ex.example_id, ex.document, summary)], corpus.vocab_size)
         with pytest.raises(ValueError, match="positions"):
             prepare_supervision(TrainConfig(loss_mode="A2"), longer,
-                                SupervisionBundle(topk1=records))
+                                SupervisionBundle(topk=(records,)))
 
 
 class TestSupervisionBatch:
@@ -497,16 +508,25 @@ class TestSupervisionBatch:
 
 
 class TestModeTable:
-    # (ModeSpec flag, SupervisionBundle field it requires)
-    REQUIREMENTS = (("teacher1", "topk1"), ("teacher2", "topk2"),
-                    ("pseudo", "pseudo"), ("hidden", "teacher_params"))
+    # (ModeSpec flag, SupervisionBundle field it requires besides the caches)
+    REQUIREMENTS = (("pseudo", "pseudo"), ("hidden", "teacher_params"))
+
+    @staticmethod
+    def full(mode):
+        """A bundle of everything a mode may read: as many top-k caches as its
+        row names, pseudo-labels and teacher parameters."""
+        return {"topk": ({"x": None},) * MODES[mode].teachers, "pseudo": {"x": []},
+                "teacher_params": object()}
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_validation_requires_exactly_what_the_row_names(self, mode):
         cfg = TrainConfig(loss_mode=mode, p_pseudo=0.3)
-        full = {"topk1": {"x": None}, "topk2": {"x": None}, "pseudo": {"x": []},
-                "teacher_params": object()}
+        full = self.full(mode)
         validate_supervision(cfg, SupervisionBundle(**full))
+        n = MODES[mode].teachers
+        if n:  # one cache fewer
+            with pytest.raises(ValueError, match=f"loss_mode {mode} requires {n} top-k cache"):
+                validate_supervision(cfg, SupervisionBundle(**{**full, "topk": full["topk"][1:]}))
         for flag, attr in self.REQUIREMENTS:
             lacking = SupervisionBundle(**{**full, attr: None})
             if getattr(MODES[mode], flag):
@@ -518,5 +538,4 @@ class TestModeTable:
     @pytest.mark.parametrize("mode", [m for m in sorted(MODES) if MODES[m].pseudo])
     def test_pseudo_labels_are_optional_without_mixing(self, mode):
         cfg = TrainConfig(loss_mode=mode, p_pseudo=0.0)
-        validate_supervision(cfg, SupervisionBundle(
-            topk1={"x": None}, topk2={"x": None}, teacher_params=object()))
+        validate_supervision(cfg, SupervisionBundle(**{**self.full(mode), "pseudo": None}))
