@@ -54,34 +54,42 @@ def log_softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
 def softmax_scaled(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of finite logits already divided by the
     temperature. Unchecked: callers validate their logits once, up front."""
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax_scaled(x: np.ndarray) -> np.ndarray:
     """log(softmax_scaled(x)), computed without exponentiating first."""
     x = x - x.max(axis=-1, keepdims=True)
-    return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+    x -= np.log(np.exp(x).sum(axis=-1, keepdims=True))
+    return x
 
 
 def entropy(p: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in nats over the last axis; 0*log(0) counts as 0."""
     p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    x = np.where(p > 0, p, 1.0)  # off the support the term is 1 * log(1) = 0.0
+    terms = np.log(x)
+    terms *= x
     out = -terms.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
 def kl(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
-    """KL(p || q) in nats over the last axis; q floored at KL_Q_FLOOR."""
+    """KL(p || q) in nats over the last axis; q floored at KL_Q_FLOOR. Terms
+    off the support (p <= 0, or NaN) are 0.0; the log reads 1 there, not 0."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape[-1] != q.shape[-1]:
         raise ValueError(f"dimension mismatch: {p.shape[-1]} vs {q.shape[-1]}")
-    qf = np.maximum(q, KL_Q_FLOOR)
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0) / qf), 0.0)
+    off = ~(p > 0)
+    terms = np.divide(p, np.maximum(q, KL_Q_FLOOR))
+    np.copyto(terms, 1.0, where=off)
+    np.log(terms, out=terms)
+    terms *= p
+    np.copyto(terms, 0.0, where=off)
     out = terms.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 

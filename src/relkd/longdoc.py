@@ -133,14 +133,21 @@ def _set_jaccard(sa: set, sb: set) -> float:
 
 def dedup(sentences: list[list[int]], cfg: ChunkConfig) -> list[list[int]]:
     """Scan in order, dropping any sentence too similar to one already kept.
-    Each sentence's token set is built once and kept with the sentence."""
+    Each token set is built once. Below threshold 1 a set seen before is
+    dropped unscanned: it was kept, and matches itself with Jaccard 1, or
+    dropped by a sentence still kept. At threshold 1 all are kept."""
+    if cfg.jaccard_threshold >= 1.0:
+        return list(sentences)
     kept: list[list[int]] = []
-    kept_sets: list[set] = []
+    kept_sets: list[frozenset] = []
+    seen: set[frozenset] = set()
     for s in sentences:
-        ss = set(s)
-        if all(_set_jaccard(ss, k) <= cfg.jaccard_threshold for k in kept_sets):
+        ss = frozenset(s)
+        if ss not in seen and all(_set_jaccard(ss, k) <= cfg.jaccard_threshold
+                                  for k in kept_sets):
             kept.append(s)
             kept_sets.append(ss)
+        seen.add(ss)
     return kept
 
 

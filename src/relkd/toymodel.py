@@ -107,22 +107,22 @@ def _recur(
 ) -> np.ndarray:
     """Consume time-major token rows (L, B) from hidden states h (B, d);
     masked-off steps keep h. Returns the final states. When ``states``, a
-    time-major (L + 1, B, d) array, is given, step s computes in its
-    contiguous block ``states[s + 1]``.
+    time-major (L + 1, B, d) array, is given, ``states[s + 1]`` holds step
+    s's embeddings on entry and its state on return.
 
-    ``recur.T`` is taken once. Each step gathers its embeddings from one
-    contiguous row of ``tokens``, adds them and applies tanh in place on
-    its product, and copies the previous state back onto masked-off rows,
-    on the steps that have any.
-    The gather stays inside the loop: evaluation encodes thousands of rows
-    at once, and gathering every step ahead of time costs more than it
-    saves. Without ``states`` each product gets a fresh array: with
-    thousands of rows that measured faster than reusing two blocks in turn.
+    ``recur.T`` is taken once. With ``states`` a step adds ``h @ recur.T``,
+    written into one scratch block, to its embeddings in place (addition
+    commutes: the bits are kept). Without, it adds the embeddings gathered
+    from one row of ``tokens`` to a fresh product: decoding encodes
+    thousands of rows at once, and gathering ahead or reusing blocks
+    measured slower there. Then tanh runs in place, and the previous state
+    is copied back onto masked-off rows, on the steps that have any.
     """
     recur_t = params.recur.T
+    scratch = None if states is None else np.empty_like(h)
     for s, (tok, keep, full) in enumerate(zip(tokens, ~mask[:, :, None], mask.all(axis=1))):
-        step = h @ recur_t if states is None else np.matmul(h, recur_t, out=states[s + 1])
-        step += params.embed[tok]
+        step = h @ recur_t if states is None else states[s + 1]
+        step += params.embed[tok] if states is None else np.matmul(h, recur_t, out=scratch)
         np.tanh(step, out=step)
         if not full:
             np.copyto(step, h, where=keep)
@@ -206,6 +206,8 @@ def forward_batch(
     tokens = np.concatenate([src.T, np.full((1, len(tgt)), BOS_ID), tgt.T])[:-1]
     _check_tokens(tokens, params.vocab_size)
     states = np.zeros((len(tokens) + 1, len(src), params.hidden_dim))
+    # the ids are checked: "clip" writes straight into out, "raise" buffers it
+    np.take(params.embed, tokens, axis=0, out=states[1:], mode="clip")
     _recur(params, states[0], tokens, mask, states)
 
     hidden = states[src.shape[1] + 1:].transpose(1, 0, 2)
@@ -226,19 +228,21 @@ def backward_batch(
 
     Steps are visited last to first: the target steps, then the source
     steps. Reversed views of the cache's time-major arrays give every step
-    in that order without a copy. Only what depends on the step before stays
-    in the loop: adding the step's output gradient to dh, ``dpre = dh *
-    deriv``, ``dpre @ recur`` and the pass-through of padded rows. The rest
-    runs once per call: the output gradients ``dlogits @ out.T``, the tanh
-    derivative ``1 - h**2`` zeroed on padded steps, and the ``out`` and
-    ``recur`` gradients as one stacked product per step, summed in visit
-    order from zero. The embedding gradient is one ``np.bincount`` over
-    ``token * d + column``, with the weights in visit order, then row order.
-    Each bin thus receives the same additions in the same order as a
-    per-step ``np.add.at`` gave it, and the gradients keep their bits.
+    in that order without a copy. The tanh derivative ``1 - h**2`` is
+    computed once, in visit order, and zeroed on padded cells; the loop
+    turns each step's block of it into ``dpre = dh * deriv`` in place. Only
+    what depends on the step before stays in the loop: adding the step's
+    output gradient to dh, dpre, and ``dpre @ recur``, into dh, or on a
+    step with padded rows into a scratch block copied onto dh's other rows.
+    The rest runs once: the output gradients ``dlogits @ out.T``, and the
+    ``out`` and ``recur`` gradients as one stacked product per step, summed
+    in visit order from zero. The embedding gradient is one ``np.bincount``
+    over ``token * d + column``, weights in visit order, then row order: each
+    bin receives a per-step ``np.add.at``'s additions in its order. So the
+    gradients keep their bits.
     """
     lt = cache.target_steps
-    n, b = cache.tokens.shape
+    b = cache.tokens.shape[1]
     v, d = params.vocab_size, params.hidden_dim
     if dlogits.shape != (b, lt, v):
         raise ValueError(f"dlogits has shape {dlogits.shape}, expected {(b, lt, v)}")
@@ -247,23 +251,25 @@ def backward_batch(
 
     h_out = cache.states[:0:-1]    # the state each visited step produced
     h_in = cache.states[-2::-1]    # and the state it started from
-    mask = cache.mask[::-1, :, None]
-    deriv = np.square(h_out)
-    np.subtract(1.0, deriv, out=deriv)
-    deriv *= mask
+    mask = cache.mask[::-1]
+    dpre = np.square(h_out)
+    np.subtract(1.0, dpre, out=dpre)
+    dpre[~mask] = 0.0
     g_logits = dlogits.transpose(1, 0, 2)[::-1]
     g_lin = np.matmul(g_logits, params.out.T)
     g_hid = None if dhidden is None else dhidden.transpose(1, 0, 2)[::-1]
 
-    dpre = np.empty((n, b, d))
     dh = np.zeros((b, d))
-    for i in range(n):
+    scratch = np.empty((b, d))
+    for i, full in enumerate(mask.all(axis=1)):
         if i < lt:
             dh += g_lin[i]
             if g_hid is not None:
                 dh += g_hid[i]
-        np.multiply(dh, deriv[i], out=dpre[i])
-        dh = np.where(mask[i], dpre[i] @ params.recur, dh)
+        np.multiply(dh, dpre[i], out=dpre[i])
+        prod = np.matmul(dpre[i], params.recur, out=dh if full else scratch)
+        if not full:
+            np.copyto(dh, prod, where=mask[i, :, None])
 
     def summed(x, y):
         # products laid out in visit order, so the sum runs in visit order
@@ -342,13 +348,23 @@ def _greedy(params: ToyModelParams, h: np.ndarray, max_len: int) -> list[list[in
     return [row[:n] for row, n in zip(toks.tolist(), n_out.tolist())]
 
 
+def topk_order(x: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of a stable argsort of each row of ``-x``: only
+    rows with a tie (-inf ties -inf) in their first k + 1 are sorted stably."""
+    order = np.argsort(-x, axis=-1)[:, :k + 1]
+    top = np.take_along_axis(x, order, axis=-1)
+    tied = ~(top[:, :-1] > top[:, 1:]).all(axis=1)
+    order[tied] = np.argsort(-x[tied], axis=-1, kind="stable")[:, :k + 1]
+    return order[:, :k]
+
+
 def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[list[int]]:
     """Beam search over (B, k) hypothesis slots; a dead slot scores -inf.
 
     The live hypotheses of a document all have the same length, and its
     slots hold them in lexicographic order. So the order of the flattened
-    (slot, token) candidates is the order of their token sequences: a stable
-    sort by score breaks ties toward the smaller sequence, and the selected
+    (slot, token) candidates is the order of their token sequences:
+    ``topk_order`` breaks ties toward the smaller sequence, and the selected
     candidates, put back in flattened order, keep the slots sorted.
     """
     b, v = h0.shape[0], params.vocab_size
@@ -361,7 +377,7 @@ def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[
     for _ in range(max_len):
         h = _step(params, h, prev)
         cand = (score[:, :, None] + log_softmax_t(h @ params.out, 1.0)).reshape(b, k * v)
-        pick = np.sort(np.argsort(-cand, axis=1, kind="stable")[:, :k], axis=1)
+        pick = np.sort(topk_order(cand, k), axis=1)
         parent, prev = pick // v, pick % v
         score = np.take_along_axis(cand, pick, axis=1)
         h = np.take_along_axis(h, parent[:, :, None], axis=1)

@@ -51,6 +51,7 @@ from .toymodel import (
     generate_batch,
     init_params,
     padded_rows,
+    topk_order,
 )
 
 _LOGIT_FLOOR = 1e-12
@@ -282,14 +283,10 @@ def _target_with_eos(summary: list[int]) -> list[int]:
 def topk_from_logits(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-position top-k token ids and their logprobs, each of shape
     (positions, min(k, V)), sorted by descending log-probability with ties
-    broken toward lower token ids. Any sort finds the top k of a row whose
-    first k + 1 values hold no tie (-inf ties -inf); tied rows get the stable one."""
+    broken toward lower token ids, as ``topk_order`` picks them."""
     logp = log_softmax_t(np.asarray(logits, dtype=float), 1.0)
-    order = np.argsort(-logp, axis=-1)[:, :k + 1]
-    top = np.take_along_axis(logp, order, axis=-1)
-    tied = ~(top[:, :-1] > top[:, 1:]).all(axis=1)
-    order[tied] = np.argsort(-logp[tied], axis=-1, kind="stable")[:, :k + 1]
-    return order[:, :k], np.take_along_axis(logp, order[:, :k], axis=-1)
+    order = topk_order(logp, k)
+    return order, np.take_along_axis(logp, order, axis=-1)
 
 
 def build_topk_cache(

@@ -59,6 +59,38 @@ def jsd_scalar(p, q):
     return 0.5 * kl_scalar(p, m) + 0.5 * kl_scalar(q, m)
 
 
+def softmax_scaled_where(x):
+    """distmath.softmax_scaled as first written: a new array per step."""
+    x = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(x)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax_scaled_where(x):
+    """distmath.log_softmax_scaled as first written."""
+    x = x - x.max(axis=-1, keepdims=True)
+    return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+
+
+def entropy_where(p):
+    """distmath.entropy as first written, off-support terms chosen by np.where."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    out = -terms.sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def kl_where(p, q):
+    """distmath.kl as first written, off-support terms chosen by np.where."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    qf = np.maximum(q, KL_FLOOR)
+    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0) / qf), 0.0)
+    out = terms.sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
 def sigmoid_scalar(x):
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))

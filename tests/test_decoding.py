@@ -81,11 +81,16 @@ def oracle_generate(params, document, mode="greedy", beam_width=4, max_len=32):
 @st.composite
 def decoding_cases(draw):
     vocab = draw(st.integers(2, 9))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["random", "rounded", "units"]))
+    if kind != "units":
         dim = draw(st.integers(1, 5))
         scale = draw(st.sampled_from([0.2, 1.0, 3.0]))
         params = init_params(vocab, dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                              scale=scale)
+        if kind == "rounded":
+            # integer output weights: tokens whose columns agree tie exactly
+            # at every step, while the recurrence moves the state
+            params = ToyModelParams(params.embed, params.recur, np.round(params.out))
     else:
         # entries in {-1, 0, 1} and no recurrence: every logit is an exact
         # small multiple of tanh(1), so hypotheses tie exactly and the

@@ -2,10 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relkd.distmath import check_prob_dist, entropy, jsd, kl, log_softmax_t, softmax_t
+from relkd.distmath import (
+    KL_Q_FLOOR,
+    check_prob_dist,
+    entropy,
+    jsd,
+    kl,
+    log_softmax_scaled,
+    log_softmax_t,
+    softmax_scaled,
+    softmax_t,
+)
 
-from oracles import jsd_scalar, kl_scalar, softmax_scalar
+from oracles import (
+    entropy_where,
+    jsd_scalar,
+    kl_scalar,
+    kl_where,
+    log_softmax_scaled_where,
+    softmax_scalar,
+    softmax_scaled_where,
+)
 
 
 def random_dist(rng, v):
@@ -142,6 +161,68 @@ class TestInvariants:
             q = random_dist(rng, v)
             d = jsd(p, q)
             assert -1e-12 <= d <= math.log(2) + 1e-12
+
+
+# (V,) vectors and (T, V) batches as the losses, the reliability signals and
+# the CPDP anchor pass them, and a vector against a batch
+SHAPES = [((2,), (2,)), ((8,), (8,)), ((64,), (64,)), ((1, 5), (1, 5)), ((7, 3), (7, 3)),
+          ((32, 64), (32, 64)), ((5, 6), (6,)), ((6,), (5, 6))]
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def dist_pairs(draw):
+    """p and q of the drawn shapes: rows normalized, with exact zeros in p at
+    the drawn rate (whole rows of them too), and q holding values below
+    KL_Q_FLOOR, zero and subnormals included."""
+    p_shape, q_shape = draw(st.sampled_from(SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random(p_shape) ** draw(st.sampled_from([1.0, 8.0]))
+    p[rng.random(p_shape) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))] = 0.0
+    p = p / np.maximum(p.sum(axis=-1, keepdims=True), 1e-300)
+    q = rng.random(q_shape)
+    q = q / q.sum(axis=-1, keepdims=True)
+    tiny = rng.random(q_shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    q[tiny] = rng.choice([0.0, 5e-324, 1e-300, 1e-15, KL_Q_FLOOR / 2], tiny.sum())
+    return p, q
+
+
+class TestInPlaceFormsKeepTheBits:
+    """kl, entropy and the scaled softmaxes work in place, and give the bytes
+    their np.where forms gave, signs of zeros included."""
+
+    @settings(max_examples=300)
+    @given(dist_pairs())
+    def test_kl_entropy_and_jsd(self, pair):
+        p, q = pair
+        assert same_bits(kl(p, q), kl_where(p, q))
+        assert same_bits(kl(q, p), kl_where(q, p))
+        assert same_bits(entropy(p), entropy_where(p))
+        assert same_bits(entropy(q), entropy_where(q))
+        m = 0.5 * (p + q)
+        assert same_bits(jsd(p, q), 0.5 * kl_where(p, m) + 0.5 * kl_where(q, m))
+
+    @pytest.mark.parametrize("p", [[1.0, 0.0, 0.0], [0.0, 0.0], [-0.0, 1.0], [0.5, -0.5],
+                                   [np.nan, 1.0], [np.inf, 0.0]])
+    def test_off_support_terms_are_exactly_zero(self, p):
+        q = np.array([0.25, 0.75, 0.0][:len(p)])
+        assert same_bits(kl(p, q), kl_where(p, q))
+        assert same_bits(entropy(p), entropy_where(p))
+
+    @settings(max_examples=200)
+    @given(shape=st.sampled_from([s for s, _ in SHAPES]), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.1, 1.0, 30.0, 700.0]), rounded=st.booleans())
+    def test_scaled_softmaxes(self, shape, seed, scale, rounded):
+        x = scale * np.random.default_rng(seed).standard_normal(shape)
+        if rounded:  # exact ties, and rows whose max is repeated
+            x = np.round(x / scale)
+        before = x.copy()
+        assert same_bits(softmax_scaled(x), softmax_scaled_where(x))
+        assert same_bits(log_softmax_scaled(x), log_softmax_scaled_where(x))
+        assert same_bits(x, before)
 
 
 class TestCheckProbDist:

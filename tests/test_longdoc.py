@@ -197,6 +197,8 @@ class TestAgainstOracles:
     @example(sentences=[])
     @example(sentences=[[], []])
     @example(sentences=[[], [5], []])
+    @example(sentences=[[5, 6], [6, 5, 5], [5, 7], [5, 6], [7, 5], [5, 6, 7], [6, 5]])
+    @example(sentences=[[], [], [5], [], [5, 5], []])
     def test_dedup(self, threshold, sentences):
         c = cfg(jaccard_threshold=threshold)
         assert dedup(sentences, c) == dedup_oracle(sentences, c)

@@ -261,6 +261,21 @@ class TestBatchedOracle:
                                           dhidden):
             assert np.array_equal(new, oracle)
 
+    @pytest.mark.parametrize("src_len,tgt_len,hidden", [
+        ([24] * 32, [8] * 32, False), ([0, 12] + [24] * 30, [8] * 32, True),
+    ], ids=["every-step-full", "empty-source-row"])
+    def test_bit_identical_with_and_without_padded_rows(self, src_len, tgt_len, hidden):
+        # every step full takes the unmasked branch of both loops; an empty
+        # source row puts a padded row in every source step, and a half-full
+        # one carries its gradient through padded steps to real ones
+        rng = np.random.default_rng(5)
+        params = init_params(64, 16, rng)
+        batch = ragged_batch(rng, 64, src_len, tgt_len)
+        dhidden = rng.standard_normal((32, 8, 16)) if hidden else None
+        for new, oracle in against_oracle(params, batch, rng.standard_normal((32, 8, 64)),
+                                          dhidden):
+            assert np.array_equal(new, oracle)
+
     @settings(max_examples=100)
     @given(ragged_problems(dims=st.just(1)))
     def test_width_one_within_rounding(self, problem):
