@@ -366,6 +366,14 @@ def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[
     (slot, token) candidates is the order of their token sequences:
     ``topk_order`` breaks ties toward the smaller sequence, and the selected
     candidates, put back in flattened order, keep the slots sorted.
+
+    A document leaves the batch (``docs`` maps the rows left to ``done``)
+    once no live slot scores at least ``best``, its best finished score. That
+    is exact: scores never rise, as a log-softmax is <= 0 (``x - max`` <= 0,
+    and the log of a sum holding exp(0) = 1 is >= 0); a tie with ``best``
+    stays (``>=``) for the lexicographic tie-break; and the rows left keep
+    their bits, as matmul on the (B, k, d) state runs one product per
+    document and the log-softmax, ``topk_order`` and the sorts go row by row.
     """
     b, v = h0.shape[0], params.vocab_size
     score = np.full((b, k), -np.inf)
@@ -373,10 +381,12 @@ def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[
     h = np.repeat(h0[:, None], k, axis=1)
     prev = np.full((b, k), BOS_ID)
     seqs = np.zeros((b, k, 0), dtype=int)
+    best = np.full((b, 1), -np.inf)
+    docs = np.arange(b)
     done: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(b)]
     for _ in range(max_len):
         h = _step(params, h, prev)
-        cand = (score[:, :, None] + log_softmax_t(h @ params.out, 1.0)).reshape(b, k * v)
+        cand = (score[:, :, None] + log_softmax_t(h @ params.out, 1.0)).reshape(-1, k * v)
         pick = np.sort(topk_order(cand, k), axis=1)
         parent, prev = pick // v, pick % v
         score = np.take_along_axis(cand, pick, axis=1)
@@ -386,12 +396,15 @@ def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[
         )
         ended = (prev == EOS_ID) & np.isfinite(score)
         for i, j in zip(*np.nonzero(ended)):
-            done[i].append((float(score[i, j]), tuple(seqs[i, j, :-1].tolist())))
+            done[docs[i]].append((float(score[i, j]), tuple(seqs[i, j, :-1].tolist())))
+        best = np.maximum(best, score.max(axis=1, keepdims=True, where=ended, initial=-np.inf))
         score[ended] = -np.inf
-        if not np.isfinite(score).any():
+        keep = (score >= best).any(axis=1)
+        docs, score, h, prev, seqs, best = (a[keep] for a in (docs, score, h, prev, seqs, best))
+        if not len(docs):
             break
     for i, j in zip(*np.nonzero(np.isfinite(score))):
-        done[i].append((float(score[i, j]), tuple(seqs[i, j].tolist())))
+        done[docs[i]].append((float(score[i, j]), tuple(seqs[i, j].tolist())))
     return [list(min(row, key=lambda e: (-e[0], e[1]))[1]) for row in done]
 
 

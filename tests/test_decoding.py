@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relkd import toymodel
 from relkd.distmath import log_softmax_t
 from relkd.longdoc import ChunkConfig, PipelineError, summarize_long
 from relkd.toymodel import (
@@ -81,7 +82,7 @@ def oracle_generate(params, document, mode="greedy", beam_width=4, max_len=32):
 @st.composite
 def decoding_cases(draw):
     vocab = draw(st.integers(2, 9))
-    kind = draw(st.sampled_from(["random", "rounded", "units"]))
+    kind = draw(st.sampled_from(["random", "rounded", "saturated", "units"]))
     if kind != "units":
         dim = draw(st.integers(1, 5))
         scale = draw(st.sampled_from([0.2, 1.0, 3.0]))
@@ -91,6 +92,11 @@ def decoding_cases(draw):
             # integer output weights: tokens whose columns agree tie exactly
             # at every step, while the recurrence moves the state
             params = ToyModelParams(params.embed, params.recur, np.round(params.out))
+        if kind == "saturated":
+            # output weights in multiples of 1000 saturate the softmax: the top
+            # log-probability is often exactly 0.0, so a live hypothesis can
+            # tie the best finished one
+            params = ToyModelParams(params.embed, params.recur, np.round(params.out) * 1000)
     else:
         # entries in {-1, 0, 1} and no recurrence: every logit is an exact
         # small multiple of tanh(1), so hypotheses tie exactly and the
@@ -104,7 +110,7 @@ def decoding_cases(draw):
     docs = draw(st.lists(st.lists(st.integers(0, vocab - 1), max_size=6),
                          min_size=1, max_size=6))
     mode = draw(st.sampled_from(["greedy", "beam"]))
-    return params, docs, mode, draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    return params, docs, mode, draw(st.integers(1, 4)), draw(st.integers(0, 16))
 
 
 @settings(max_examples=300)
@@ -136,6 +142,12 @@ def test_exact_ties_go_to_the_smallest_sequence():
     # order differ; the slots must stay in sequence order for a later tie to
     # go to the smaller sequence
     ([[-1], [1], [-1], [1]], [[-1, 0, 0, 1]], 3, 3, [2]),
+    # (3) and (4) tie at step 1; at step 2 (4, EOS) finishes with the score
+    # of the live (3, 2), which each later step keeps (its top log-probability
+    # is 0.0), so the smaller (3, 2, 2, 2) wins only if a live hypothesis
+    # that ties the best finished one stays in the beam
+    ([[0, 0], [1, 0], [0, 1], [0, 1], [0, -1]],
+     [[0, 0, 0, 1000, 1000], [-1000, 0, 1000, 0, 0]], 2, 4, [3, 2, 2, 2]),
 ])
 def test_a_tied_cut_keeps_the_smaller_sequences(embed, out, width, max_len, expected):
     d = len(embed[0])
@@ -144,6 +156,63 @@ def test_a_tied_cut_keeps_the_smaller_sequences(embed, out, width, max_len, expe
     got = generate_batch(params, docs, mode="beam", beam_width=width, max_len=max_len)
     assert got == [oracle_generate(params, doc, "beam", width, max_len) for doc in docs]
     assert got == [expected, expected]
+
+
+def sticky_eos_params():
+    """V 8, d 2. Unit 0 keeps its sign through the recurrence: token 3 makes
+    it positive, and EOS then wins every step by a wide margin; token 4 makes
+    it negative, and EOS never enters a beam of two. Unit 1 is tanh(1) after
+    every step, and tokens 5 to 7 tie at logit 0 on it."""
+    embed = np.zeros((8, 2))
+    embed[:, 1] = 1.0
+    embed[3, 0], embed[4, 0] = 5.0, -5.0
+    out = np.zeros((2, 8))
+    out[0, EOS_ID] = 10.0
+    out[1, 1:5] = -10.0
+    return ToyModelParams(embed, np.array([[3.0, 0.0], [0.0, 0.0]]), out)
+
+
+@pytest.mark.parametrize("docs, rows", [
+    # EOS wins at step 1, and no live hypothesis can reach its score
+    ([[3], [3, 5]], [2]),
+    # the documents that finish leave; the last steps run on [4]'s rows only
+    ([[3], [4], [3, 6]], [3] + [1] * 15),
+    # a document with no finished hypothesis runs to max_len
+    ([[4]], [1] * 16),
+])
+def test_beam_search_drops_each_document_once_it_is_finished(monkeypatch, docs, rows):
+    params, seen = sticky_eos_params(), []
+    step = toymodel._step
+
+    def spy(params, h, tokens):
+        seen.append(h.shape[:2])
+        return step(params, h, tokens)
+
+    monkeypatch.setattr(toymodel, "_step", spy)
+    got = generate_batch(params, docs, mode="beam", beam_width=2, max_len=16)
+    assert seen == [(n, 2) for n in rows]
+    assert got == [oracle_generate(params, doc, "beam", 2, 16) for doc in docs]
+    assert got == [[5] * 16 if doc == [4] else [] for doc in docs]
+
+
+def test_a_document_decodes_alike_alone_and_in_a_batch():
+    # beam search drops finished documents from its batch, which keeps the
+    # others' outputs only while every product is one per document
+    corpus = synthetic_corpus(CorpusConfig(n_examples=40, vocab_size=64, seed=5))
+    docs = [ex.document for ex in corpus.examples]
+    params = init_params(64, 32, np.random.default_rng(6))
+    assert generate_batch(params, docs, "beam", 4, 16) \
+        == [generate_batch(params, [doc], "beam", 4, 16)[0] for doc in docs]
+    rng = np.random.default_rng(7)
+    h = rng.uniform(-1.0, 1.0, (len(docs), 4, 32))
+    tokens = rng.integers(0, 64, (len(docs), 4))
+    step, logits = toymodel._step(params, h, tokens), h @ params.out
+    subsets = [slice(n) for n in range(1, len(docs))] + [rng.random(len(docs)) < 0.5]
+    for sub in subsets:
+        assert toymodel._step(params, h[sub], tokens[sub]).tobytes() == step[sub].tobytes() \
+            and (h[sub] @ params.out).tobytes() == logits[sub].tobytes(), \
+            "numpy's stacked matmul gave a subset of the documents other bits than the " \
+            "whole batch: beam search can no longer drop finished documents exactly"
 
 
 def test_a_batch_of_one_is_generate_and_errors_are_kept():
