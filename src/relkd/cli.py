@@ -201,7 +201,7 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
                 user = json.load(f)
         except OSError as exc:
             raise CliError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise CliError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise CliError(f"config {path} must be a JSON object")
@@ -339,7 +339,7 @@ def _load_bundle(cfg: dict, out_dir: str, tc: TrainConfig, reads: dict) -> Super
     bundle = SupervisionBundle(topk=tuple(
         read_cache(_input(cfg[t]["cache"], out_dir, f"{t}.cache", reads), "topk")
         for t in _TEACHERS[:tc.spec.teachers]))
-    if tc.mixes_pseudo:
+    if tc.p_pseudo > 0:
         path = _input(cfg["pseudo_cache"], out_dir, "pseudo_cache", reads)
         bundle.pseudo = index_pseudo(read_cache(path, "pseudo"))
     if tc.spec.hidden:
@@ -472,7 +472,7 @@ def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
         with open(_input(document, "", "--document", reads), "r", encoding="utf-8") as f:
             try:
                 obj = json.load(f)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise CliError(f"document {document} is not valid JSON: {exc}") from exc
         tokens = obj.get("tokens") if isinstance(obj, dict) else obj
         if not isinstance(tokens, list) or not tokens or set(map(type, tokens)) != {int}:
@@ -528,8 +528,8 @@ def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
 def cmd_gate_trace(cfg: dict, out_dir: str, reads: dict[str, str], samples: list[str]) -> int:
     if not samples:
         raise CliError("gate-trace requires at least one sample id")
-    # tracing always needs both teachers and the CPDP anchor
-    tc = replace(_train_config(cfg), loss_mode="EWAD_CPDP")
+    # tracing always needs both teachers and the CPDP anchor, over the gold targets
+    tc = replace(_train_config(cfg), loss_mode="EWAD_CPDP", p_pseudo=0.0)
     bundle = _load_bundle(cfg, out_dir, tc, reads)
     path = _input(cfg["outputs"]["checkpoint"], out_dir, "outputs.checkpoint", reads)
     paths = _check_outputs(cfg, out_dir, ["outputs.gate_trace"], reads)

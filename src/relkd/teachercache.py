@@ -278,12 +278,16 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
             raw = f.read().splitlines()
     except OSError as exc:
         raise OSError(f"failed to read cache {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # named at the line of its first byte that is not UTF-8
+        n = len((exc.object[:exc.start].decode() + ".").splitlines())
+        raise CacheFormatError(f"{path} line {n}: malformed "
+                               f"{'header' if n == 1 else 'record'} ({exc})") from exc
     if not raw:
         raise CacheFormatError(f"{path}: empty file, missing header")
 
     try:
         header = json.loads(raw[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CacheFormatError(f"{path} line 1: malformed header ({exc})") from exc
     version = header.get("version") if isinstance(header, dict) else None
     if type(version) is not int or version != CACHE_VERSION:  # True == 1.0 == 1
@@ -304,7 +308,7 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
         """Line ``lineno`` parsed and checked on its own; errors name it."""
         try:
             obj = json.loads(raw[lineno - 1])
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CacheFormatError(f"{path} line {lineno}: malformed record ({exc})") from exc
         try:
             if found == "topk":

@@ -476,6 +476,6 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
             raise ValueError("checkpoint meta must be a JSON object")
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no {exc} entry") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return params, meta

@@ -371,8 +371,8 @@ def _exp_normalized(z: np.ndarray) -> np.ndarray:
 class TrainConfig:
     """What one ``train`` run reads. ``seed`` determines the run: the initial
     weights, the batch order, A5's projection and the pseudo-label draws
-    (each example's with probability ``p_pseudo``) come from streams of it.
-    ``p_pseudo`` defaults to 0: A3-A5 mix in pseudo-labels only at a given rate."""
+    (each example's with probability ``p_pseudo``, in every loss mode; 0 by
+    default) come from streams of it."""
 
     loss_mode: str = "CE"
     weights: LossWeights = field(default_factory=LossWeights)
@@ -407,11 +407,6 @@ class TrainConfig:
     def spec(self) -> ModeSpec:
         return MODES[self.loss_mode]
 
-    @property
-    def mixes_pseudo(self) -> bool:
-        """Whether the mode mixes pseudo-labels in with a positive rate."""
-        return self.spec.pseudo and self.p_pseudo > 0
-
 
 def _ce_step(config, tb, tau, hp, anchor):
     value, g = ce_loss(tb)
@@ -437,7 +432,8 @@ def _ewad_step(config, tb, tau, hp, anchor):
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """What one loss mode consumes, and its loss step.
+    """What one loss mode consumes, and its loss step. Pseudo-label targets
+    are not a mode's: every mode mixes them in at ``TrainConfig.p_pseudo``.
 
     ``step(config, token_batch, tau, hidden_pair, anchor)`` takes one whole
     batch and returns its loss, its gradients with the logged loss
@@ -449,7 +445,6 @@ class ModeSpec:
 
     step: Callable[..., tuple]
     teachers: int = 0           # top-k caches of this many leading teachers
-    pseudo: bool = False        # pseudo-label target mixing (when p_pseudo > 0)
     adaptive_tau: bool = False  # per-sample temperature from teacher entropy
     hidden: bool = False        # teacher hidden states and a learned projection
     anchor: bool = False        # CPDP anchor over the first calibration tokens
@@ -460,12 +455,12 @@ MODES: dict[str, ModeSpec] = {
     "CE": ModeSpec(_ce_step),
     # + fixed-temperature logit distillation from teacher 1
     "A2": ModeSpec(_standard_step, teachers=1),
-    # + stochastic pseudo-label target replacement
-    "A3": ModeSpec(_standard_step, teachers=1, pseudo=True),
+    # A2's loss: the ablation's pseudo-label stage, named so that outputs record it
+    "A3": ModeSpec(_standard_step, teachers=1),
     # + per-sample adaptive temperature
-    "A4": ModeSpec(_standard_step, teachers=1, pseudo=True, adaptive_tau=True),
+    "A4": ModeSpec(_standard_step, teachers=1, adaptive_tau=True),
     # + projected hidden-state matching
-    "A5": ModeSpec(_standard_step, teachers=1, pseudo=True, adaptive_tau=True, hidden=True),
+    "A5": ModeSpec(_standard_step, teachers=1, adaptive_tau=True, hidden=True),
     # reliability-gated dual-teacher routing
     "EWAD": ModeSpec(_ewad_step, teachers=2),
     # gated routing plus the divergence-gap regularizer
@@ -479,8 +474,8 @@ def validate_supervision(config: TrainConfig, bundle: SupervisionBundle) -> None
     if len(bundle.topk) < spec.teachers:
         raise ValueError(f"loss_mode {mode} requires {spec.teachers} top-k cache(s), one per "
                          f"teacher, got {len(bundle.topk)}")
-    if config.mixes_pseudo and bundle.pseudo is None:
-        raise ValueError(f"loss_mode {mode} requires pseudo-label records")
+    if config.p_pseudo > 0 and bundle.pseudo is None:
+        raise ValueError(f"p_pseudo {config.p_pseudo} requires pseudo-label records")
     if spec.hidden and bundle.teacher_params is None:
         raise ValueError(f"loss_mode {mode} requires teacher parameters for hidden states")
 
@@ -525,7 +520,7 @@ def prepare_supervision(
 ) -> Supervision:
     """Validate the bundle, then resolve every example's target and teacher
     logits in corpus order, plus the teacher hidden states and the CPDP
-    anchor when the mode uses them. In the pseudo-label modes the targets
+    anchor when the mode uses them. When ``config.p_pseudo`` > 0 the targets
     are drawn by ``sample_target`` from ``derive_seed(config.seed, 3)``.
 
     The teachers' logits are checked here, once; everything the losses
@@ -547,7 +542,7 @@ def prepare_supervision(
     targets, starts = [], [[] for _ in caches]
     for i, ex in enumerate(corpus.examples):
         summary, provenance = list(ex.summary), "gold"
-        if config.mixes_pseudo:
+        if config.p_pseudo > 0:
             records = bundle.pseudo.get(ex.example_id)
             if not records:
                 raise ValueError(f"missing pseudo-label record for {ex.example_id}")

@@ -122,6 +122,22 @@ class TestDistill:
         assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
         assert not (tmp_path / "student.json").exists()
 
+    def test_ce_on_pseudo_labels_alone_reads_no_top_k_cache(self, workspace, tmp_path):
+        # sequence-level KD: every target is a teacher's label, and CE reads no teacher cache
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "pseudo_labels.jsonl").write_bytes((workspace / "pseudo_labels.jsonl").read_bytes())
+        cfg = write_config(tmp_path / "c.json", preset="A1",
+                           training={"epochs": 2, "batch_size": 8, "p_pseudo": 1.0})
+        assert main(["--config", str(cfg), "--out", str(out), "distill"]) == 0
+        header = json.loads((out / "metrics.jsonl").read_text().splitlines()[0])
+        assert header["loss_mode"] == "CE"
+        assert sorted(os.listdir(out)) == ["metrics.jsonl", "pseudo_labels.jsonl",
+                                           "student.json"]
+        # the targets are read from the pseudo-label cache
+        (out / "pseudo_labels.jsonl").unlink()
+        assert main(["--config", str(cfg), "--out", str(out), "distill"]) == 1
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", preset="A1",
                            training={"epochs": 2, "batch_size": 8})
@@ -291,6 +307,19 @@ class TestGateTrace:
             assert 0.0 <= row["agreement"] <= 1.0
             assert row["cpdp_term"] <= 100.0
 
+    def test_a3_config_traces_the_same_records_as_a2(self, workspace, tmp_path):
+        # A3's pseudo-label rate is not traced: the trace follows the gold targets
+        traces = {}
+        for preset in ("A2", "A3"):
+            cfg = json.loads(self._config(workspace, tmp_path / "c.json").read_text())
+            cfg.update(preset=preset, pseudo_cache=str(workspace / "pseudo_labels.jsonl"))
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            out = tmp_path / preset
+            assert main(["--config", str(tmp_path / "c.json"), "--out", str(out),
+                         "gate-trace", "--samples", "tr00000,tr00003"]) == 0
+            traces[preset] = (out / "gate_trace.jsonl").read_bytes()
+        assert traces["A3"] == traces["A2"]
+
     def test_identical_caches_give_full_agreement(self, workspace, tmp_path):
         cfg_path = self._config(
             workspace, tmp_path / "c.json",
@@ -434,24 +463,28 @@ class TestLoadBundle:
         # a stand-in checkpoint that covers the corpus vocabulary
         params = SimpleNamespace(vocab_size=cfg["corpus"]["vocab_size"])
         monkeypatch.setattr(cli, "load_checkpoint", lambda p: read.append(p) or (params, {}))
-        cfg["training"].update(loss_mode=mode, p_pseudo=0.3)
         for name in ("teacher1_topk.jsonl", "teacher2_topk.jsonl", "pseudo_labels.jsonl",
                      "teacher1.json"):
             (tmp_path / name).write_text("")
-        reads = {}
-        bundle = cli._load_bundle(cfg, str(tmp_path), cli._train_config(cfg), reads)
-
         spec = MODES[mode]
         teachers = cli._TEACHERS[:spec.teachers]
-        expected = [f"{t}_topk.jsonl" for t in teachers] + [name for flag, name in (
-            (spec.pseudo, "pseudo_labels.jsonl"), (spec.hidden, "teacher1.json")) if flag]
-        assert [os.path.basename(p) for p in read] == expected
-        assert [os.path.basename(p) for p in reads.values()] == expected
-        assert list(reads)[:spec.teachers] == [f"{t}.cache" for t in teachers]
-        assert kinds == ["topk"] * spec.teachers + ["pseudo"] * spec.pseudo
-        assert len(bundle.topk) == spec.teachers
-        assert (bundle.pseudo is not None) == spec.pseudo
-        assert (bundle.teacher_params is not None) == spec.hidden
+        # the pseudo-labels are read by the rate, whatever the mode
+        for p_pseudo in (0.0, 0.3):
+            del read[:], kinds[:]
+            cfg["training"].update(loss_mode=mode, p_pseudo=p_pseudo)
+            reads = {}
+            bundle = cli._load_bundle(cfg, str(tmp_path), cli._train_config(cfg), reads)
+
+            mixes = p_pseudo > 0
+            expected = [f"{t}_topk.jsonl" for t in teachers] + [name for flag, name in (
+                (mixes, "pseudo_labels.jsonl"), (spec.hidden, "teacher1.json")) if flag]
+            assert [os.path.basename(p) for p in read] == expected
+            assert [os.path.basename(p) for p in reads.values()] == expected
+            assert list(reads)[:spec.teachers] == [f"{t}.cache" for t in teachers]
+            assert kinds == ["topk"] * spec.teachers + ["pseudo"] * mixes
+            assert len(bundle.topk) == spec.teachers
+            assert (bundle.pseudo is not None) == mixes
+            assert (bundle.teacher_params is not None) == spec.hidden
 
     def test_every_mode_reads_teachers_that_the_config_names(self):
         import relkd.cli as cli

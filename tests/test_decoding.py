@@ -88,15 +88,17 @@ def decoding_cases(draw):
         scale = draw(st.sampled_from([0.2, 1.0, 3.0]))
         params = init_params(vocab, dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                              scale=scale)
-        if kind == "rounded":
-            # integer output weights: tokens whose columns agree tie exactly
-            # at every step, while the recurrence moves the state
-            params = ToyModelParams(params.embed, params.recur, np.round(params.out))
-        if kind == "saturated":
-            # output weights in multiples of 1000 saturate the softmax: the top
+        if kind in ("rounded", "saturated"):
+            # embeddings beyond the recurrence's reach make every state entry
+            # exactly +-1.0, so with integer output weights each logit is a sum
+            # of +-integers, exact in any order on any BLAS kernel: tokens whose
+            # columns agree tie exactly at every step. Output weights in
+            # multiples of 1000 also saturate the softmax: the top
             # log-probability is often exactly 0.0, so a live hypothesis can
             # tie the best finished one
-            params = ToyModelParams(params.embed, params.recur, np.round(params.out) * 1000)
+            reach = np.abs(params.recur).sum(axis=1).max()
+            params = ToyModelParams(np.copysign(20 + reach, params.embed), params.recur,
+                                    np.round(params.out) * (1000 if kind == "saturated" else 1))
     else:
         # entries in {-1, 0, 1} and no recurrence: every logit is an exact
         # small multiple of tanh(1), so hypotheses tie exactly and the

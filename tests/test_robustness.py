@@ -397,6 +397,53 @@ def test_evaluate_on_a_malformed_checkpoint_names_it_before_any_output(tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["c.json", "student.json"]
 
 
+# Each JSON input: the command that reads it, the preset it runs under, its
+# file, the line corrupted (None: the whole file) and the error it gives.
+JSON_INPUTS = {
+    "config": ("distill", "A1", "c.json", None, "config {} is not valid JSON: "),
+    "checkpoint": ("evaluate", "A1", "teacher1.json", None, "{}: "),
+    "document": ("mapreduce", "A1", "doc.json", None, "document {} is not valid JSON: "),
+    "topk-header": ("distill", "A2", "teacher1_topk.jsonl", 0, "{} line 1: malformed header ("),
+    "topk-record": ("distill", "A2", "teacher1_topk.jsonl", 4, "{} line 5: malformed record ("),
+    "pseudo-record": ("distill", "A3", "pseudo_labels.jsonl", 4,
+                      "{} line 5: malformed record ("),
+}
+JSON_FAULTS = {
+    "deep": lambda text: b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": lambda text: text[:1] + b"\xff" + text[1:],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(JSON_FAULTS))
+@pytest.mark.parametrize("source", list(JSON_INPUTS))
+def test_a_json_input_that_cannot_be_parsed_is_one_named_error(tmp_path, capsys, source, fault):
+    command, preset, name, line, message = JSON_INPUTS[source]
+    for ckpt, dim in (("teacher1.json", 8), ("teacher2.json", 7)):
+        save_checkpoint(tmp_path / ckpt, init_params(16, dim, np.random.default_rng(dim)))
+    cfg = write_config(tmp_path / "c.json", pseudo_teachers=[{"id": "p1",
+                                                               "checkpoint": "teacher1.json"}])
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "cache-teacher"]) == 0
+    (tmp_path / "doc.json").write_text("[3, 4, 2, 5]")
+    write_config(cfg, preset=preset, mapreduce={"map_checkpoint": "teacher1.json"})
+    path = tmp_path / name
+    if line is None:
+        path.write_bytes(JSON_FAULTS[fault](path.read_bytes()))
+    else:
+        lines = path.read_bytes().split(b"\n")
+        lines[line] = JSON_FAULTS[fault](lines[line])
+        path.write_bytes(b"\n".join(lines))
+    before = _files(tmp_path)
+    capsys.readouterr()
+
+    args = {"evaluate": ["--checkpoint", name], "mapreduce": ["--document", str(path)]}
+    assert main(["--config", str(cfg), "--out", str(tmp_path), command,
+                 *args.get(command, [])]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert len(err.splitlines()) == 1 and err.startswith("error: " + message.format(path))
+    assert _files(tmp_path) == before
+
+
 def test_mapreduce_reads_integer_tokens_bare_or_as_an_object(tmp_path):
     save_checkpoint(tmp_path / "m.json", init_params(16, 4, np.random.default_rng(0)))
     cfg = write_config(tmp_path / "c.json", mapreduce={"map_checkpoint": "m.json"})

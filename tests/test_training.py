@@ -508,9 +508,6 @@ class TestSupervisionBatch:
 
 
 class TestModeTable:
-    # (ModeSpec flag, SupervisionBundle field it requires besides the caches)
-    REQUIREMENTS = (("pseudo", "pseudo"), ("hidden", "teacher_params"))
-
     @staticmethod
     def full(mode):
         """A bundle of everything a mode may read: as many top-k caches as its
@@ -527,15 +524,28 @@ class TestModeTable:
         if n:  # one cache fewer
             with pytest.raises(ValueError, match=f"loss_mode {mode} requires {n} top-k cache"):
                 validate_supervision(cfg, SupervisionBundle(**{**full, "topk": full["topk"][1:]}))
-        for flag, attr in self.REQUIREMENTS:
+        # (whether it is required, the SupervisionBundle field, the error's start)
+        for required, attr, message in ((True, "pseudo", "p_pseudo 0.3 requires"),
+                                        (MODES[mode].hidden, "teacher_params",
+                                         f"loss_mode {mode} requires")):
             lacking = SupervisionBundle(**{**full, attr: None})
-            if getattr(MODES[mode], flag):
-                with pytest.raises(ValueError, match=f"loss_mode {mode} requires"):
+            if required:
+                with pytest.raises(ValueError, match=message):
                     validate_supervision(cfg, lacking)
             else:
                 validate_supervision(cfg, lacking)
 
-    @pytest.mark.parametrize("mode", [m for m in sorted(MODES) if MODES[m].pseudo])
+    @pytest.mark.parametrize("mode", sorted(MODES))
     def test_pseudo_labels_are_optional_without_mixing(self, mode):
         cfg = TrainConfig(loss_mode=mode, p_pseudo=0.0)
         validate_supervision(cfg, SupervisionBundle(**{**self.full(mode), "pseudo": None}))
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_only_pseudo_targets_read_only_the_pseudo_rows(self, mode):
+        corpus = tiny_corpus(n=8)
+        bundle = teacher_and_bundle(corpus, two_teachers=True, pseudo=True)
+        for topk in bundle.topk:  # a gold row read would now be a missing record
+            topk.index = {eid: r for eid, r in topk.index.items() if "::pseudo:" in eid}
+        sup = prepare_supervision(TrainConfig(loss_mode=mode, p_pseudo=1.0), corpus, bundle)
+        assert [row[:n].tolist() for row, n in zip(sup.tgt, sup.tgt_len)] == [
+            bundle.pseudo[ex.example_id][0].tokens + [EOS_ID] for ex in corpus.examples]
