@@ -12,9 +12,11 @@ position's entry count, every entry's token id (position after position,
 each position's entries by descending log-probability), and those entries'
 logprobs as base64 of little-endian float64, which keeps every bit.
 Pseudo data lines carry a teacher-generated summary as token ids plus its
-decoded text. Counts, token ids, pseudo tokens and beam widths are JSON
-integers. Files are written atomically and are immutable once written;
-readers validate every line and report failures by line number.
+decoded text, at most one per (example id, teacher) pair. Counts, token
+ids, pseudo tokens and beam widths are JSON integers. Lines end at "\\n"
+alone, so a JSON string may hold a raw U+2028. Files are written atomically
+and are immutable once written; readers validate every line and report
+failures by line number.
 
 A top-k cache is held as one ``TopKCache``: every cached entry in flat
 arrays, densified in one step. Its constructor is the one place a top-k
@@ -24,9 +26,9 @@ line 1), and ``topk_cache`` from a model's top-k rows, one row per position.
 ``write_cache`` takes either a ``TopKCache`` or a list of
 ``PseudoLabelRecord``s; it formats each top-k line from text made once per
 cache (ids, counts and one float64 buffer) into the bytes that
-``json.dumps(record, sort_keys=True)`` gives. ``read_cache`` parses every
-top-k line, then screens them all at once by the checks of ``_topk_fields``;
-only if that fails are the lines checked one by one, the first faulty one named.
+``json.dumps(record, sort_keys=True)`` gives. ``read_cache`` runs its kind's
+one line checker over all data lines at once, and on each line alone only
+to name the first faulty one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from itertools import chain
 import numpy as np
 
 from .atomic import write_text_atomic
-from .toymodel import decode_floats, integral
+from .toymodel import integral
 
 CACHE_VERSION = 2
 
@@ -192,6 +194,8 @@ def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None
         raise CacheFormatError("record id must be a string")
     if not rec.example_id:
         raise CacheFormatError("record id must be non-empty")
+    if not isinstance(rec.teacher_id, str):
+        raise CacheFormatError(f"{rec.example_id}: teacher id must be a string")
     if not rec.teacher_id:
         raise CacheFormatError(f"{rec.example_id}: teacher id must be non-empty")
     if len(rec.tokens) == 0:
@@ -240,6 +244,7 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
             raise CacheFormatError("vocab_size must be an integer")
         for rec in records:
             validate_pseudo_record(rec, vocab_size)
+        _check_pairs(records, lambda r: "")
         lines = [json.dumps({"id": rec.example_id, "teacher": rec.teacher_id,
                              "beam": int(rec.beam_width), "tokens": [int(t) for t in rec.tokens],
                              "text": rec.text}, sort_keys=True)
@@ -252,38 +257,73 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
     return len(records)
 
 
-def _topk_fields(obj) -> tuple[list, list, np.ndarray]:
-    """A top-k data line's entry counts, token ids and logprobs, checked to
-    be well typed, to fit in int64 and to agree in length."""
-    counts, ids = obj["counts"], obj["ids"]
-    if not (type(counts) is type(ids) is list and _all_of(counts + ids, integral)):
+def _topk_lines(objs) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray]:
+    """Parsed top-k data lines as ``TopKCache``'s first five arguments. Each
+    check runs over every line at once: this raises if any line alone would,
+    and raises for one line what checking it alone raises."""
+    eids, counts, ids = ([obj[key] for obj in objs] for key in ("id", "counts", "ids"))
+    if not set(map(type, counts + ids)) <= {list}:
         raise TypeError("counts and ids must be lists of integers")
-    disagree = ("counts, ids and logprobs disagree: need counts >= 0 summing to "
-                "the number of ids, and 8 logprob bytes per id")
-    logprobs = decode_floats(obj["logprobs"], (len(ids),), "logprobs", disagree)
-    if min(counts, default=0) < 0 or sum(counts) != len(ids):
-        raise ValueError(disagree)
-    if ids and not -2**63 <= min(ids) <= max(ids) < 2**63:
-        raise ValueError("ids must fit in 64 bits")
-    return counts, ids, logprobs
+    flat_counts, flat_ids = list(chain.from_iterable(counts)), list(chain.from_iterable(ids))
+    if not _all_of(flat_counts + flat_ids, integral):
+        raise TypeError("counts and ids must be lists of integers")
+    texts = [obj["logprobs"] for obj in objs]
+    if not set(map(type, texts)) <= {str}:
+        raise TypeError("logprobs must be a base64 string")
+    try:
+        blobs = [b64decode(text, validate=True) for text in texts]
+    except ValueError as exc:
+        raise ValueError(f"logprobs must be a base64 string ({exc})") from None
+    if (list(map(len, blobs)) != [8 * len(row) for row in ids] or min(flat_counts, default=0) < 0
+            or list(map(sum, counts)) != list(map(len, ids))):
+        raise ValueError("counts, ids and logprobs disagree: need counts >= 0 summing to "
+                         "the number of ids, and 8 logprob bytes per id")
+    try:
+        flat_ids = np.array(flat_ids, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("ids must fit in 64 bits") from None
+    return (eids, list(map(len, counts)), np.array(flat_counts, dtype=np.int64), flat_ids,
+            np.frombuffer(b"".join(blobs), "<f8").astype(float))
+
+
+def _pseudo_lines(objs, vocab_size: int) -> list[PseudoLabelRecord]:
+    """Parsed pseudo-label data lines as records checked by ``validate_pseudo_record``."""
+    records = [PseudoLabelRecord(obj["id"], obj["teacher"], list(obj["tokens"]), obj["text"],
+                                 obj["beam"]) for obj in objs]
+    for rec in records:
+        validate_pseudo_record(rec, vocab_size)
+    return records
+
+
+def _check_pairs(records, context) -> None:
+    """Raise CacheFormatError, prefixed by ``context(r)``, at the first record
+    r whose (example id, teacher) pair an earlier record holds."""
+    seen = set()
+    for r, rec in enumerate(records):
+        if (rec.example_id, rec.teacher_id) in seen:
+            raise CacheFormatError(context(r) + f"{rec.example_id}: teacher {rec.teacher_id} "
+                                   "already has an earlier pseudo-label")
+        seen.add((rec.example_id, rec.teacher_id))
 
 
 def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRecord]:
     """Read and validate a cache file: a top-k cache as one TopKCache, a
     pseudo-label cache as its records. A file that is not of the ``kind``
     asked for ("topk" or "pseudo", default either) is rejected at its header.
-    Errors name the offending line."""
+    Lines end at "\\n" alone. Errors name the offending line."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = f.read().splitlines()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise OSError(f"failed to read cache {path}: {exc}") from exc
+    if not data:
+        raise CacheFormatError(f"{path}: empty file, missing header")
+    try:
+        raw = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:  # named at the line of its first byte that is not UTF-8
-        n = len((exc.object[:exc.start].decode() + ".").splitlines())
+        n = data.count(b"\n", 0, exc.start) + 1
         raise CacheFormatError(f"{path} line {n}: malformed "
                                f"{'header' if n == 1 else 'record'} ({exc})") from exc
-    if not raw:
-        raise CacheFormatError(f"{path}: empty file, missing header")
 
     try:
         header = json.loads(raw[0])
@@ -304,45 +344,28 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
     if not _all_of([vocab_size, k], integral):
         raise CacheFormatError(f"{path} line 1: vocab_size and k must be integers")
 
-    def record(lineno):
-        """Line ``lineno`` parsed and checked on its own; errors name it."""
-        try:
-            obj = json.loads(raw[lineno - 1])
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CacheFormatError(f"{path} line {lineno}: malformed record ({exc})") from exc
-        try:
-            if found == "topk":
-                return (obj["id"], *_topk_fields(obj))
-            rec = PseudoLabelRecord(obj["id"], obj["teacher"], list(obj["tokens"]), obj["text"],
-                                    obj["beam"])
-            validate_pseudo_record(rec, vocab_size)
-            return rec
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheFormatError(f"{path} line {lineno}: {exc}") from exc
-
-    lines = [n for n, line in enumerate(raw[1:], start=2) if line.strip()]
-    if found == "pseudo":
-        return [record(n) for n in lines]
-    # the screen passes exactly when every line passes _topk_fields
+    numbers = [n for n, line in enumerate(raw[1:], start=2) if line.strip()]
+    check = _topk_lines if found == "topk" else lambda objs: _pseudo_lines(objs, vocab_size)
     try:
-        rows = [(obj["id"], obj["counts"], obj["ids"], obj["logprobs"])
-                for obj in (json.loads(raw[n - 1]) for n in lines)]
-        eids, counts, ids, texts = zip(*rows) if rows else ((),) * 4
-        blobs = [b64decode(text, validate=True) for text in texts]
-        flat_counts, flat_ids = list(chain.from_iterable(counts)), list(chain.from_iterable(ids))
-        ok = (set(map(type, counts + ids)) <= {list} and _all_of(flat_counts + flat_ids, integral)
-              and list(map(len, blobs)) == [8 * len(row) for row in ids]
-              and min(flat_counts, default=0) >= 0
-              and list(map(sum, counts)) == list(map(len, ids)))
-        flat_ids = np.array(flat_ids, dtype=np.int64)  # OverflowError past 64 bits
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-        ok = False
-    if not ok:
-        for n in lines:
-            record(n)
-    return TopKCache(eids, map(len, counts), np.array(flat_counts, dtype=np.int64), flat_ids,
-                     np.frombuffer(b"".join(blobs), "<f8").astype(float), vocab_size, k,
-                     lambda r: f"{path} line {lines[r]}: ")
+        checked = check([json.loads(raw[n - 1]) for n in numbers])
+    except (KeyError, TypeError, ValueError, RecursionError):
+        # name the first faulty line, by the message it gets alone
+        for n in numbers:
+            try:
+                check([json.loads(raw[n - 1])])
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise CacheFormatError(f"{path} line {n}: malformed record ({exc})") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CacheFormatError(f"{path} line {n}: {exc}") from exc
+        raise
+
+    def context(r):
+        return f"{path} line {numbers[r]}: "
+
+    if found == "topk":
+        return TopKCache(*checked, vocab_size, k, context)
+    _check_pairs(checked, context)
+    return checked
 
 
 def sample_target(

@@ -44,7 +44,7 @@ pseudo_records = st.lists(st.builds(
     tokens=st.lists(st.integers(0, 11), min_size=1, max_size=8),
     text=st.text(),
     beam_width=st.integers(1, 8),
-), max_size=4)
+), max_size=4, unique_by=lambda rec: (rec.example_id, rec.teacher_id))
 
 
 @given(topk_records())

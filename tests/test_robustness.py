@@ -186,10 +186,11 @@ class TestConfigTypes:
 
 def _writers(tmp_path):
     params = init_params(6, 3, np.random.default_rng(0))
-    rec = PseudoLabelRecord("ex0", "p1", [3, 4], "3 4", 2)
     return {
         "save_checkpoint": lambda p, meta: save_checkpoint(p, params, meta={"m": meta}),
-        "write_cache": lambda p, meta: write_cache([rec] * meta, p, vocab_size=6),
+        "write_cache": lambda p, meta: write_cache(
+            [PseudoLabelRecord(f"ex{i}", "p1", [3, 4], "3 4", 2) for i in range(meta)], p,
+            vocab_size=6),
         "_write_json": lambda p, meta: _write_json(p, {"m": meta}),
         "_write_jsonl": lambda p, meta: _write_jsonl(p, {"m": meta}, [{"r": meta}]),
     }
@@ -233,6 +234,16 @@ def test_written_files_get_the_usual_mode(tmp_path):
     finally:
         os.umask(umask)
     assert (tmp_path / "f.json").stat().st_mode & 0o777 == 0o644
+
+
+def test_writing_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # another thread may create a file while the umask is changed
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(relkd.atomic.os, "umask", umask)
+    relkd.atomic.write_text_atomic(tmp_path / "f.json", json.dumps({}))
+    assert (tmp_path / "f.json").read_text() == "{}"
 
 
 def _through_positions(corrupt):

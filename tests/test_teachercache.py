@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from relkd.teachercache import (
     CacheFormatError,
@@ -30,6 +31,39 @@ def topk(tmp_path, records, vocab=5, k=2):
 
 def pseudo_record(example_id="ex0", teacher="t1"):
     return PseudoLabelRecord(example_id, teacher, [4, 3, 2], "4 3 2", 4)
+
+
+PSEUDO_HEADER = {"version": 2, "kind": "pseudo", "vocab_size": 64, "k": 0}
+
+
+def pseudo_line(example_id, teacher="t1", tokens=(5, 7), text="5 7", beam=4):
+    """The fields of a pseudo-label data line."""
+    return {"id": example_id, "teacher": teacher, "tokens": list(tokens), "text": text,
+            "beam": beam}
+
+
+# one faulty pseudo-label line each, as text from its fields, and the start
+# of its message when the faulty line is line 3, record ex1
+PSEUDO_FAULTS = {
+    "malformed-json": (lambda fields: json.dumps(fields)[:-1], "malformed record ("),
+    "missing-key": (lambda fields: json.dumps({key: value for key, value in fields.items()
+                                               if key != "tokens"}), "'tokens'"),
+    "bool-beam": (lambda fields: json.dumps({**fields, "beam": True}),
+                  "ex1: beam_width must be an integer"),
+    "empty-tokens": (lambda fields: json.dumps({**fields, "tokens": []}),
+                     "ex1: pseudo summary must be non-empty"),
+    "token-outside-vocabulary": (lambda fields: json.dumps({**fields, "tokens": [5, 64]}),
+                                 "ex1: pseudo token outside [0, 64)"),
+    "tokens-not-a-list": (lambda fields: json.dumps({**fields, "tokens": 5}),
+                          "'int' object is not iterable"),
+    "non-string-teacher": (lambda fields: json.dumps({**fields, "teacher": 1}),
+                           "ex1: teacher id must be a string"),
+    "zero-beam": (lambda fields: json.dumps({**fields, "beam": 0}),
+                  "ex1: beam_width must be >= 1"),
+    "not-an-object": (lambda fields: json.dumps(list(fields)), "list indices must be"),
+}
+TWIN_FAULTS = ("malformed-json", "missing-key", "bool-beam", "empty-tokens",
+               "token-outside-vocabulary")
 
 
 class TestWriteRead:
@@ -125,6 +159,55 @@ class TestWriteRead:
     def test_missing_file_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="nope.jsonl"):
             read_cache(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_raw_line_separators_in_strings_read_back(self, tmp_path, newline):
+        # JSON allows U+2028, U+2029 and U+0085 raw in a string; JSON Lines
+        # ends a line at "\n" alone
+        records = [PseudoLabelRecord(f"ex\u2028{i}", "t1", [4, 3], "4\u0085 3\u2029", 4)
+                   for i in range(2)]
+        topk_records = [(f"ex\u2029\u0085{i}", topk_record()[1]) for i in range(2)]
+        write_cache(records, tmp_path / "p.jsonl", vocab_size=5)
+        write_cache(topk(tmp_path, topk_records), tmp_path / "c.jsonl")
+        for path in (tmp_path / "p.jsonl", tmp_path / "c.jsonl"):
+            lines = [json.dumps(json.loads(line), ensure_ascii=False)
+                     for line in path.read_text().splitlines()]
+            text = newline.join(lines) + newline
+            assert len(text.splitlines()) > len(lines)  # str.splitlines would cut records
+            path.write_bytes(text.encode())
+        assert read_cache(tmp_path / "p.jsonl") == records
+        assert records_of(read_cache(tmp_path / "c.jsonl")) == topk_records
+
+    def test_a_byte_that_is_not_utf8_after_a_raw_separator_names_its_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        header = {"version": 2, "kind": "pseudo", "vocab_size": 5, "k": 0}
+        line = {"id": "ex\u2028\u0085", "teacher": "t1", "tokens": [4], "text": "4", "beam": 4}
+        path.write_bytes("\n".join([json.dumps(header), json.dumps(line, ensure_ascii=False),
+                                    '{"id": "ex1"']).encode() + b"\xff\n")
+        with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 3: malformed record")):
+            read_cache(path)
+
+    def test_a_repeated_pseudo_label_pair_is_not_written(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        records = [PseudoLabelRecord("ex0", "t1", [5], "5", 4),
+                   PseudoLabelRecord("ex0", "t1", [6], "6", 4),
+                   PseudoLabelRecord("ex0", "t2", [7], "7", 4)]
+        with pytest.raises(CacheFormatError) as err:
+            write_cache(records, path, vocab_size=8)
+        assert str(err.value) == "ex0: teacher t1 already has an earlier pseudo-label"
+        assert not path.exists()
+
+    def test_a_repeated_pseudo_label_pair_is_named_at_its_later_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        pairs = [("ex0", "t1"), ("ex0", "t2"), ("ex1", "t1"), ("ex0", "t2")]  # lines 2 to 5
+        lines = [{"version": 2, "kind": "pseudo", "vocab_size": 8, "k": 0}]
+        lines += [{"id": eid, "teacher": teacher, "tokens": [5 + i % 3], "text": "", "beam": 4}
+                  for i, (eid, teacher) in enumerate(pairs)]
+        path.write_text("\n".join(map(json.dumps, lines)) + "\n")
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert str(err.value) == (f"{path} line 5: ex0: teacher t2 already has an earlier "
+                                  "pseudo-label")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -353,6 +436,26 @@ class TestIllTypedValues:
         path, both = read({3: first, 5: second})
         assert both == message.replace(str(alone), str(path))
 
+    @pytest.mark.parametrize("second", TWIN_FAULTS)
+    @pytest.mark.parametrize("first", TWIN_FAULTS)
+    def test_of_two_faulty_pseudo_lines_the_earlier_is_named(self, tmp_path, first, second):
+        records = [pseudo_line(f"ex{i}") for i in range(5)]  # lines 2 to 6
+
+        def read(faults):
+            """The error of reading the records with ``faults`` at their lines."""
+            lines = [PSEUDO_FAULTS[faults[n]][0](fields) if n in faults else json.dumps(fields)
+                     for n, fields in enumerate(records, start=2)]
+            path = tmp_path / f"{len(faults)}.jsonl"
+            path.write_text("\n".join([json.dumps(PSEUDO_HEADER), *lines]) + "\n")
+            with pytest.raises(CacheFormatError) as err:
+                read_cache(path)
+            return path, str(err.value)
+
+        alone, message = read({3: first})
+        assert message.startswith(f"{alone} line 3: {PSEUDO_FAULTS[first][1]}")
+        path, both = read({3: first, 5: second})
+        assert both == message.replace(str(alone), str(path))
+
     @pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
     def test_non_finite_bits_in_the_blob_name_their_line(self, tmp_path, bits):
         path = self._topk(tmp_path, **topk_line("ex1", [[(2, -0.5), (3, bits)]]))
@@ -363,7 +466,8 @@ class TestIllTypedValues:
     @pytest.mark.parametrize("fields", [{"tokens": [5.5, 7]}, {"tokens": [True]},
                                         {"tokens": ["5"]}, {"beam": 4.9}, {"beam": True},
                                         {"beam": "4"}, {"tokens": [999]}, {"tokens": [-4]},
-                                        {"tokens": [5, 64]}])
+                                        {"tokens": [5, 64]}, {"teacher": 5},
+                                        {"teacher": ["t1"]}])
     def test_ill_typed_pseudo_value_names_its_line(self, tmp_path, fields):
         with pytest.raises(CacheFormatError, match="line 3"):
             read_cache(self._pseudo(tmp_path, **fields))
@@ -391,6 +495,14 @@ class TestIllTypedValues:
             write_cache([pseudo_record(), bad], path, vocab_size=64)
         assert not path.exists()
 
+    @pytest.mark.parametrize("teacher", [5, ["t1"], None])
+    def test_a_teacher_id_that_is_not_a_string_is_not_written(self, tmp_path, teacher):
+        path = tmp_path / "p.jsonl"
+        with pytest.raises(CacheFormatError, match="ex1: teacher id must be a string"):
+            write_cache([pseudo_record(), PseudoLabelRecord("ex1", teacher, [5], "5", 4)], path,
+                        vocab_size=64)
+        assert not path.exists()
+
     @pytest.mark.parametrize("header", [{"vocab_size": True}])
     def test_ill_typed_header_is_not_written(self, tmp_path, header):
         path = tmp_path / "p.jsonl"
@@ -404,3 +516,43 @@ class TestIllTypedValues:
                            np.array([[-0.5]], dtype=np.float64), 5, 1)
         write_cache(cache, path)
         assert records_of(read_cache(path)) == [("ex0", [[(1, -0.5)]])]
+
+
+@st.composite
+def pseudo_files(draw):
+    """The text of a pseudo-label file's data lines, any text raw in their
+    strings, with up to two lines faulty by PSEUDO_FAULTS; the indices of
+    the faulty lines; and the fields of every line."""
+    fields = [pseudo_line(f"ex{i}", draw(st.sampled_from(["t1", "t2\u2028"])),
+                          draw(st.lists(st.integers(0, 63), min_size=1, max_size=4)),
+                          draw(st.text(max_size=8)), draw(st.integers(1, 8)))
+              for i in range(draw(st.integers(1, 5)))]
+    faults = draw(st.dictionaries(st.integers(0, len(fields) - 1),
+                                  st.sampled_from(sorted(PSEUDO_FAULTS)), max_size=2))
+    lines = [PSEUDO_FAULTS[faults[i]][0](line) if i in faults
+             else json.dumps(line, ensure_ascii=False) for i, line in enumerate(fields)]
+    return lines, sorted(faults), fields
+
+
+@given(pseudo_files())
+def test_a_pseudo_file_fails_as_its_first_faulty_line_alone(tmp_path_factory, case):
+    lines, faulty, fields = case
+    tmp = tmp_path_factory.mktemp("p")
+
+    def read(path, data_lines):
+        path.write_text("\n".join([json.dumps(PSEUDO_HEADER), *data_lines]) + "\n",
+                        encoding="utf-8")
+        return read_cache(path, "pseudo")
+
+    path, one = tmp / "all.jsonl", tmp / "one.jsonl"
+    if not faulty:
+        assert read(path, lines) == [PseudoLabelRecord(f["id"], f["teacher"], f["tokens"],
+                                                       f["text"], f["beam"]) for f in fields]
+        return
+    with pytest.raises(CacheFormatError) as alone:
+        read(one, [lines[faulty[0]]])
+    with pytest.raises(CacheFormatError) as whole:
+        read(path, lines)
+    assert str(alone.value).startswith(f"{one} line 2: ")
+    assert str(whole.value) == str(alone.value).replace(f"{one} line 2: ",
+                                                        f"{path} line {faulty[0] + 2}: ")
