@@ -2,21 +2,21 @@
 
 Cache files are UTF-8 JSON Lines. The first line is a header::
 
-    {"version": 2, "kind": "topk"|"pseudo", "vocab_size": int, "k": int}
+    {"version": 3, "kind": "topk"|"pseudo", "vocab_size": int, "k": int}
 
 A top-k header also records ``"mass_kept": {"mean": float, "min": float}``,
 the probability mass the cached entries keep per position (null for a cache
 without positions); readers ignore it. A top-k data line holds one record
-as ``{"counts": [int], "id": str, "ids": [int], "logprobs": str}``: each
-position's entry count, every entry's token id (position after position,
-each position's entries by descending log-probability), and those entries'
-logprobs as base64 of little-endian float64, which keeps every bit.
-Pseudo data lines carry a teacher-generated summary as token ids plus its
-decoded text, at most one per (example id, teacher) pair. Counts, token
-ids, pseudo tokens and beam widths are JSON integers. Lines end at "\\n"
-alone, so a JSON string may hold a raw U+2028. Files are written atomically
-and are immutable once written; readers validate every line and report
-failures by line number.
+as ``{"counts": str, "id": str, "ids": str, "logprobs": str}``: the base64
+of each position's entry count and every entry's token id (position after
+position, each position's entries by descending log-probability) as
+little-endian int32, and of those entries' logprobs as little-endian
+float64, which keeps every bit. A pseudo-label data line is ``{"id": str,
+"teacher": str, "tokens": [int]}``, at most one per (example id, teacher)
+pair. Lines end at "\\n" alone, so a JSON string may hold a raw U+2028, and
+only JSON whitespace makes a blank line. Files are written atomically and
+are immutable once written; readers validate every line and report failures
+by line number.
 
 A top-k cache is held as one ``TopKCache``: every cached entry in flat
 arrays, densified in one step. Its constructor is the one place a top-k
@@ -24,18 +24,17 @@ cache is checked, by one vectorized pass over all positions. Two builders
 call it: ``read_cache`` from a file (rejecting one of the wrong ``kind`` at
 line 1), and ``topk_cache`` from a model's top-k rows, one row per position.
 ``write_cache`` takes either a ``TopKCache`` or a list of
-``PseudoLabelRecord``s; it formats each top-k line from text made once per
-cache (ids, counts and one float64 buffer) into the bytes that
-``json.dumps(record, sort_keys=True)`` gives. ``read_cache`` runs its kind's
-one line checker over all data lines at once, and on each line alone only
-to name the first faulty one.
+``PseudoLabelRecord``s; it formats each top-k line from three buffers made
+once per cache into the bytes that ``json.dumps(record, sort_keys=True)``
+gives. ``read_cache`` runs its kind's one line checker over all data lines
+at once, and on each line alone only to name the first faulty one.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from base64 import b64decode, b64encode
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from itertools import chain
 
@@ -44,7 +43,7 @@ import numpy as np
 from .atomic import write_text_atomic
 from .toymodel import integral
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 # exp(logprobs) at one position may exceed 1 by at most this much.
 MASS_TOL = 1e-6
@@ -55,6 +54,9 @@ _FAULTS = ("no entries", "{n} entries exceed k={k}", "duplicate token ids",
            "token id out of range", "non-finite logprob", "logprobs not sorted descending",
            "probability mass exceeds 1")
 
+_DISAGREE = ("counts, ids and logprobs disagree: need 4 bytes per count and per id, 8 logprob "
+             "bytes per id, and counts >= 0 summing to the number of ids")
+
 
 class CacheFormatError(ValueError):
     """A cache file or record violates the schema."""
@@ -62,13 +64,11 @@ class CacheFormatError(ValueError):
 
 @dataclass
 class PseudoLabelRecord:
-    """A teacher-generated summary stored as tokens plus decoded text."""
+    """A teacher-generated summary of one example, as token ids."""
 
     example_id: str
     teacher_id: str
     tokens: list[int]
-    text: str
-    beam_width: int
 
 
 def _all_of(values, accepts) -> bool:
@@ -187,30 +187,39 @@ def topk_cache(example_ids, lengths, ids, logprobs, vocab_size: int, k: int) -> 
                      ids.ravel(), logprobs.ravel(), vocab_size, k, lambda r: "")
 
 
-def validate_pseudo_record(rec: PseudoLabelRecord, vocab_size: int | None = None) -> None:
-    """Raise CacheFormatError unless the record is well formed, with every
-    token in [0, vocab_size) when a vocabulary size is given."""
-    if not isinstance(rec.example_id, str):
-        raise CacheFormatError("record id must be a string")
-    if not rec.example_id:
-        raise CacheFormatError("record id must be non-empty")
-    if not isinstance(rec.teacher_id, str):
-        raise CacheFormatError(f"{rec.example_id}: teacher id must be a string")
-    if not rec.teacher_id:
-        raise CacheFormatError(f"{rec.example_id}: teacher id must be non-empty")
-    if len(rec.tokens) == 0:
-        raise CacheFormatError(f"{rec.example_id}: pseudo summary must be non-empty")
-    if not _all_of(rec.tokens, integral):
-        raise CacheFormatError(f"{rec.example_id}: pseudo tokens must be integers")
-    if vocab_size is not None and not all(0 <= t < vocab_size for t in rec.tokens):
-        raise CacheFormatError(f"{rec.example_id}: pseudo token outside [0, {vocab_size})")
-    if not _all_of([rec.beam_width], integral):
-        raise CacheFormatError(f"{rec.example_id}: beam_width must be an integer")
-    if rec.beam_width < 1:
-        raise CacheFormatError(f"{rec.example_id}: beam_width must be >= 1")
+def _check_pseudo(records: list[PseudoLabelRecord], vocab_size: int) -> list[PseudoLabelRecord]:
+    """The records, each with non-empty string ids and a non-empty list of
+    integer tokens in [0, vocab_size). The checks run over all records at
+    once, and one record at a time only to name the first faulty one."""
+    names = [rec.example_id for rec in records] + [rec.teacher_id for rec in records]
+    tokens = list(chain.from_iterable(rec.tokens for rec in records))
+    if (set(map(type, names)) <= {str} and all(names) and all(len(rec.tokens) for rec in records)
+            and _all_of(tokens, integral)
+            and 0 <= min(tokens, default=0) and max(tokens, default=0) < vocab_size):
+        return records
+    for rec in records:
+        if not isinstance(rec.example_id, str):
+            raise CacheFormatError("record id must be a string")
+        if not rec.example_id:
+            raise CacheFormatError("record id must be non-empty")
+        if not isinstance(rec.teacher_id, str):
+            raise CacheFormatError(f"{rec.example_id}: teacher id must be a string")
+        if not rec.teacher_id:
+            raise CacheFormatError(f"{rec.example_id}: teacher id must be non-empty")
+        if len(rec.tokens) == 0:
+            raise CacheFormatError(f"{rec.example_id}: pseudo summary must be non-empty")
+        if not _all_of(rec.tokens, integral):
+            raise CacheFormatError(f"{rec.example_id}: pseudo tokens must be integers")
+        if not all(0 <= t < vocab_size for t in rec.tokens):
+            raise CacheFormatError(f"{rec.example_id}: pseudo token outside [0, {vocab_size})")
+    return records
 
 
 _KINDS = {"topk": "top-k", "pseudo": "pseudo-label"}
+
+
+def _b64(blob) -> str:
+    return b2a_base64(blob, newline=False).decode("ascii")
 
 
 def write_cache(records, path, *, vocab_size: int | None = None) -> int:
@@ -221,16 +230,18 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         if vocab_size not in (None, records.vocab_size):
             raise CacheFormatError("a TopKCache is written with its own vocab_size")
         cache, vocab_size, k = records, records.vocab_size, records.k
+        if vocab_size > 2**31 or k >= 2**31:
+            raise CacheFormatError(f"vocab_size {vocab_size} > 2**31 or k {k} >= 2**31: a cache "
+                                   "holds token ids and counts as int32")
         # the mass the cached entries keep, before densify renormalizes it
         header = {"version": CACHE_VERSION, "kind": "topk", "mass_kept": cache.mass_kept}
-        # json.dumps(record, sort_keys=True) of each record, from strings made once
-        counts = list(map(str, np.diff(cache.bounds).tolist()))
-        ids = list(map(str, cache.ids.tolist()))
-        blob = memoryview(cache.logprobs.astype("<f8").tobytes())
+        # json.dumps(record, sort_keys=True) of each record, from buffers made once
+        counts, ids, logprobs = (memoryview(values.astype(dtype).tobytes()) for values, dtype in (
+            (np.diff(cache.bounds), "<i4"), (cache.ids, "<i4"), (cache.logprobs, "<f8")))
         cuts, first = cache.bounds.tolist(), cache.first.tolist()
-        lines = [f'{{"counts": [{", ".join(counts[a:b])}], "id": {json.dumps(eid)}, '
-                 f'"ids": [{", ".join(ids[cuts[a]:cuts[b]])}], '
-                 f'"logprobs": "{b64encode(blob[8 * cuts[a]:8 * cuts[b]]).decode("ascii")}"}}'
+        lines = [f'{{"counts": "{_b64(counts[4 * a:4 * b])}", "id": {json.dumps(eid)}, '
+                 f'"ids": "{_b64(ids[4 * cuts[a]:4 * cuts[b]])}", '
+                 f'"logprobs": "{_b64(logprobs[8 * cuts[a]:8 * cuts[b]])}"}}'
                  for eid, a, b in zip(cache.example_ids, first, first[1:])]
     else:
         records, header, k = list(records), {"version": CACHE_VERSION, "kind": "pseudo"}, 0
@@ -242,12 +253,10 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
                                    "the vocabulary their tokens must lie in")
         if not _all_of([vocab_size], integral):
             raise CacheFormatError("vocab_size must be an integer")
-        for rec in records:
-            validate_pseudo_record(rec, vocab_size)
+        _check_pseudo(records, vocab_size)
         _check_pairs(records, lambda r: "")
-        lines = [json.dumps({"id": rec.example_id, "teacher": rec.teacher_id,
-                             "beam": int(rec.beam_width), "tokens": [int(t) for t in rec.tokens],
-                             "text": rec.text}, sort_keys=True)
+        lines = [f'{{"id": {json.dumps(rec.example_id)}, "teacher": {json.dumps(rec.teacher_id)}, '
+                 f'"tokens": [{", ".join(map(str, map(int, rec.tokens)))}]}}'
                  for rec in records]
     header.update(vocab_size=int(vocab_size), k=int(k))
     try:
@@ -261,38 +270,25 @@ def _topk_lines(objs) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray]:
     """Parsed top-k data lines as ``TopKCache``'s first five arguments. Each
     check runs over every line at once: this raises if any line alone would,
     and raises for one line what checking it alone raises."""
-    eids, counts, ids = ([obj[key] for obj in objs] for key in ("id", "counts", "ids"))
-    if not set(map(type, counts + ids)) <= {list}:
-        raise TypeError("counts and ids must be lists of integers")
-    flat_counts, flat_ids = list(chain.from_iterable(counts)), list(chain.from_iterable(ids))
-    if not _all_of(flat_counts + flat_ids, integral):
-        raise TypeError("counts and ids must be lists of integers")
-    texts = [obj["logprobs"] for obj in objs]
-    if not set(map(type, texts)) <= {str}:
-        raise TypeError("logprobs must be a base64 string")
-    try:
-        blobs = [b64decode(text, validate=True) for text in texts]
-    except ValueError as exc:
-        raise ValueError(f"logprobs must be a base64 string ({exc})") from None
-    if (list(map(len, blobs)) != [8 * len(row) for row in ids] or min(flat_counts, default=0) < 0
-            or list(map(sum, counts)) != list(map(len, ids))):
-        raise ValueError("counts, ids and logprobs disagree: need counts >= 0 summing to "
-                         "the number of ids, and 8 logprob bytes per id")
-    try:
-        flat_ids = np.array(flat_ids, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("ids must fit in 64 bits") from None
-    return (eids, list(map(len, counts)), np.array(flat_counts, dtype=np.int64), flat_ids,
-            np.frombuffer(b"".join(blobs), "<f8").astype(float))
-
-
-def _pseudo_lines(objs, vocab_size: int) -> list[PseudoLabelRecord]:
-    """Parsed pseudo-label data lines as records checked by ``validate_pseudo_record``."""
-    records = [PseudoLabelRecord(obj["id"], obj["teacher"], list(obj["tokens"]), obj["text"],
-                                 obj["beam"]) for obj in objs]
-    for rec in records:
-        validate_pseudo_record(rec, vocab_size)
-    return records
+    eids, *texts = ([obj[key] for obj in objs] for key in ("id", "counts", "ids", "logprobs"))
+    blobs = []
+    for key, fields in zip(("counts", "ids", "logprobs"), texts):
+        try:
+            blobs.append([a2b_base64(text, strict_mode=True) for text in fields])
+        except (TypeError, ValueError) as exc:  # not a string, not ASCII or not base64
+            raise ValueError(f"{key} must be a base64 string ({exc})") from None
+    count_bytes, id_bytes, logprob_bytes = (np.array(list(map(len, b)), dtype=np.int64)
+                                            for b in blobs)
+    if (count_bytes % 4).any() or (id_bytes % 4).any() or (logprob_bytes != 2 * id_bytes).any():
+        raise ValueError(_DISAGREE)
+    lengths = count_bytes // 4
+    counts, ids = (np.frombuffer(b"".join(b), "<i4").astype(np.int64) for b in blobs[:2])
+    # the entries before each line's first position and after its last
+    ends = np.concatenate([[0], np.cumsum(counts)])[np.concatenate([[0], np.cumsum(lengths)])]
+    if counts.min(initial=0) < 0 or (np.diff(ends) != id_bytes // 4).any():
+        raise ValueError(_DISAGREE)
+    return (eids, lengths.tolist(), counts, ids,
+            np.frombuffer(b"".join(blobs[2]), "<f8").astype(float))
 
 
 def _check_pairs(records, context) -> None:
@@ -344,8 +340,10 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
     if not _all_of([vocab_size, k], integral):
         raise CacheFormatError(f"{path} line 1: vocab_size and k must be integers")
 
-    numbers = [n for n, line in enumerate(raw[1:], start=2) if line.strip()]
-    check = _topk_lines if found == "topk" else lambda objs: _pseudo_lines(objs, vocab_size)
+    numbers = [n for n, line in enumerate(raw[1:], start=2) if line.strip(" \t\r")]
+    check = _topk_lines if found == "topk" else lambda objs: _check_pseudo(
+        [PseudoLabelRecord(obj["id"], obj["teacher"], list(obj["tokens"])) for obj in objs],
+        vocab_size)
     try:
         checked = check([json.loads(raw[n - 1]) for n in numbers])
     except (KeyError, TypeError, ValueError, RecursionError):

@@ -342,15 +342,7 @@ def build_pseudo_records(
             row = logits[0, 0]
             row[EOS_ID] = -np.inf
             toks = [int(np.argmax(row))]
-        records.append(
-            PseudoLabelRecord(
-                example_id=ex.example_id,
-                teacher_id=teacher_id,
-                tokens=toks,
-                text=" ".join(str(t) for t in toks),
-                beam_width=beam_width,
-            )
-        )
+        records.append(PseudoLabelRecord(ex.example_id, teacher_id, toks))
     return records
 
 

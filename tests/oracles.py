@@ -262,22 +262,30 @@ def records_of(cache):
     return records
 
 
+def packed(fmt, values):
+    """The base64 of ``values`` packed little-endian by the ``struct`` format
+    character ``fmt``."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{fmt}", *values)).decode()
+
+
 def topk_line(example_id, positions):
     """One (example_id, positions) record as the fields of a top-k data
-    line: each position's entry count, every entry's token id, and the
-    base64 of every entry's logprob as little-endian float64."""
+    line: the base64 of each position's entry count and of every entry's
+    token id as little-endian int32, and of every entry's logprob as
+    little-endian float64."""
     pairs = [pair for pairs in positions for pair in pairs]
-    blob = struct.pack(f"<{len(pairs)}d", *(logprob for _, logprob in pairs))
-    return {"id": example_id, "counts": [len(pairs) for pairs in positions],
-            "ids": [token for token, _ in pairs], "logprobs": base64.b64encode(blob).decode()}
+    return {"id": example_id, "counts": packed("i", [len(pairs) for pairs in positions]),
+            "ids": packed("i", [token for token, _ in pairs]),
+            "logprobs": packed("d", [logprob for _, logprob in pairs])}
 
 
 def line_positions(line):
     """A top-k data line's fields as per-position (token_id, logprob) pairs."""
-    blob = base64.b64decode(line["logprobs"])
-    pairs = list(zip(line["ids"], struct.unpack(f"<{len(blob) // 8}d", blob)))
+    counts, ids, logprobs = (base64.b64decode(line[key]) for key in ("counts", "ids", "logprobs"))
+    pairs = list(zip(struct.unpack(f"<{len(ids) // 4}i", ids),
+                     struct.unpack(f"<{len(logprobs) // 8}d", logprobs)))
     positions, start = [], 0
-    for count in line["counts"]:
+    for count in struct.unpack(f"<{len(counts) // 4}i", counts):
         positions.append(pairs[start:start + count])
         start += count
     return positions
@@ -286,7 +294,7 @@ def line_positions(line):
 def write_raw(path, records, vocab_size, k):
     """(example_id, positions) records as a top-k cache file, unchecked, so
     that faults reach the reader; returns the path."""
-    header = {"version": 2, "kind": "topk", "vocab_size": vocab_size, "k": k}
+    header = {"version": 3, "kind": "topk", "vocab_size": vocab_size, "k": k}
     lines = [json.dumps(topk_line(example_id, positions)) for example_id, positions in records]
     path.write_text("\n".join([json.dumps(header), *lines]) + "\n")
     return path

@@ -411,8 +411,7 @@ class TestCriterion7DirectionalDeskScale:
 
 class TestCriterion8PseudoMixingRate:
     def test_mixing_rate_concentrates(self):
-        pseudo = [PseudoLabelRecord("e", "t1", [5], "5", 4),
-                  PseudoLabelRecord("e", "t2", [6], "6", 4)]
+        pseudo = [PseudoLabelRecord("e", "t1", [5]), PseudoLabelRecord("e", "t2", [6])]
         hits = sum(
             sample_target([9, 9], pseudo, 0.3, 0, i)[1] != "gold" for i in range(10_000)
         )

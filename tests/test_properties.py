@@ -42,23 +42,33 @@ pseudo_records = st.lists(st.builds(
     example_id=st.text(min_size=1),
     teacher_id=st.text(min_size=1),
     tokens=st.lists(st.integers(0, 11), min_size=1, max_size=8),
-    text=st.text(),
-    beam_width=st.integers(1, 8),
 ), max_size=4, unique_by=lambda rec: (rec.example_id, rec.teacher_id))
 
 
-@given(topk_records())
-def test_topk_cache_round_trip(tmp_path_factory, case):
+@given(topk_records(), st.sampled_from([0, 2**31 - 12]))
+def test_topk_cache_round_trip(tmp_path_factory, case, shift):
+    # token ids moved up by ``shift`` reach the int32 bound, and a record of
+    # no positions and one at the vocabulary's last id are always there
     records, vocab = case
+    vocab += shift
+    records = [(eid, [[(t + shift, lp) for t, lp in pairs] for pairs in positions])
+               for eid, positions in records] + [("none", []), ("last", [[(vocab - 1, 0.0)]])]
     tmp = tmp_path_factory.mktemp("c")
-    k = max((len(p) for _, positions in records for p in positions), default=1)
-    path = tmp / "topk.jsonl"
-    write_cache(read_cache(write_raw(tmp / "raw.jsonl", records, vocab, k), "topk"), path)
-    assert records_of(read_cache(path)) == records
+    k = max(len(p) for _, positions in records for p in positions)
+    cache = read_cache(write_raw(tmp / "raw.jsonl", records, vocab, k), "topk")
+    write_cache(cache, tmp / "topk.jsonl")
+    again = read_cache(tmp / "topk.jsonl")
+    assert records_of(again) == records
+    for name in ("ids", "logprobs", "bounds", "first", "mass"):
+        assert getattr(again, name).tobytes() == getattr(cache, name).tobytes()
 
 
 @given(pseudo_records)
 def test_pseudo_cache_round_trip(tmp_path_factory, records):
+    # tokens at both ends of the vocabulary are always there
+    edges = PseudoLabelRecord("edges", "t", [11, 0])
+    records = [rec for rec in records if (rec.example_id, rec.teacher_id) != ("edges", "t")]
+    records.append(edges)
     path = tmp_path_factory.mktemp("c") / "pseudo.jsonl"
     write_cache(records, path, vocab_size=12)
     assert read_cache(path) == records
@@ -91,7 +101,7 @@ def test_dedup_is_idempotent(sentences, threshold):
        st.lists(st.integers(0, 10_000), min_size=1, max_size=20), st.integers(0, 2**32 - 1))
 def test_sample_target_is_a_function_of_seed_and_index(seed, p, indices, noise):
     gold = [7, 8, 9]
-    pseudo = [PseudoLabelRecord("e", "t1", [5], "5", 4), PseudoLabelRecord("e", "t2", [6], "6", 4)]
+    pseudo = [PseudoLabelRecord("e", "t1", [5]), PseudoLabelRecord("e", "t2", [6])]
     first = [sample_target(gold, pseudo, p, seed, i) for i in indices]
     # other draws in between, in another order, with the global numpy state moved
     np.random.seed(noise % 2**32)

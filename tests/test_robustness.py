@@ -20,7 +20,7 @@ from relkd.teachercache import PseudoLabelRecord, write_cache
 from relkd.toymodel import init_params, save_checkpoint
 from relkd.training import synthetic_document
 
-from oracles import line_positions, topk_line
+from oracles import line_positions, packed, topk_line
 from test_cli import write_config
 
 
@@ -189,7 +189,7 @@ def _writers(tmp_path):
     return {
         "save_checkpoint": lambda p, meta: save_checkpoint(p, params, meta={"m": meta}),
         "write_cache": lambda p, meta: write_cache(
-            [PseudoLabelRecord(f"ex{i}", "p1", [3, 4], "3 4", 2) for i in range(meta)], p,
+            [PseudoLabelRecord(f"ex{i}", "p1", [3, 4]) for i in range(meta)], p,
             vocab_size=6),
         "_write_json": lambda p, meta: _write_json(p, {"m": meta}),
         "_write_jsonl": lambda p, meta: _write_jsonl(p, {"m": meta}, [{"r": meta}]),
@@ -265,13 +265,15 @@ def _cache_teacher(tmp_path):
 @pytest.mark.parametrize("corrupt", [
     lambda rec: '{"id": "' + rec["id"],                                   # truncated line
     _through_positions(lambda pos: pos[::-1] + [[]]),                     # empty position
-    lambda rec: json.dumps({**rec, "ids": [3.7, *rec["ids"][1:]]}),       # ill-typed token id
+    # ids as JSON integers, as version 2 wrote them
+    lambda rec: json.dumps({**rec, "ids": [t for p in line_positions(rec) for t, _ in p]}),
     _through_positions(lambda pos: [p[::-1] for p in pos]),               # unsorted
     _through_positions(lambda pos: [[(pos[0][0][0], math.nan)], *pos[1:]]),  # NaN bits
     lambda rec: json.dumps({**rec, "logprobs": "%" + rec["logprobs"][1:]}),   # not base64
     lambda rec: json.dumps({**rec, "logprobs": rec["logprobs"][:-4]}),    # blob too short
-    lambda rec: json.dumps({**rec, "counts": [*rec["counts"], 1]}),       # counts beyond ids
-    lambda rec: json.dumps({**rec, "ids": [2**70, *rec["ids"][1:]]}),     # beyond 64 bits
+    # counts beyond ids
+    lambda rec: json.dumps({**rec, "counts": packed("i", [*map(len, line_positions(rec)), 1])}),
+    lambda rec: json.dumps({**rec, "ids": rec["ids"][:-4]}),              # ids not whole int32
 ])
 def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, capsys, corrupt):
     cfg, cache = _cache_teacher(tmp_path)
@@ -298,7 +300,7 @@ def test_distill_on_a_version_1_teacher_cache_fails_before_any_output(tmp_path, 
 
     assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
     err = capsys.readouterr().err
-    assert (f"{cache} line 1: unsupported cache version 1 (this relkd reads version 2; "
+    assert (f"{cache} line 1: unsupported cache version 1 (this relkd reads version 3; "
             "rerun cache-teacher)") in err
     assert not (tmp_path / "student.json").exists()
     assert not (tmp_path / "metrics.jsonl").exists()

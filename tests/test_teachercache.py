@@ -16,7 +16,7 @@ from relkd.teachercache import (
 )
 from relkd.training import topk_from_logits
 
-from oracles import records_of, topk_line, topk_pairs, write_raw
+from oracles import packed, records_of, topk_line, topk_pairs, write_raw
 
 
 def topk_record(example_id="ex0"):
@@ -30,16 +30,15 @@ def topk(tmp_path, records, vocab=5, k=2):
 
 
 def pseudo_record(example_id="ex0", teacher="t1"):
-    return PseudoLabelRecord(example_id, teacher, [4, 3, 2], "4 3 2", 4)
+    return PseudoLabelRecord(example_id, teacher, [4, 3, 2])
 
 
-PSEUDO_HEADER = {"version": 2, "kind": "pseudo", "vocab_size": 64, "k": 0}
+PSEUDO_HEADER = {"version": 3, "kind": "pseudo", "vocab_size": 64, "k": 0}
 
 
-def pseudo_line(example_id, teacher="t1", tokens=(5, 7), text="5 7", beam=4):
+def pseudo_line(example_id, teacher="t1", tokens=(5, 7)):
     """The fields of a pseudo-label data line."""
-    return {"id": example_id, "teacher": teacher, "tokens": list(tokens), "text": text,
-            "beam": beam}
+    return {"id": example_id, "teacher": teacher, "tokens": list(tokens)}
 
 
 # one faulty pseudo-label line each, as text from its fields, and the start
@@ -48,8 +47,8 @@ PSEUDO_FAULTS = {
     "malformed-json": (lambda fields: json.dumps(fields)[:-1], "malformed record ("),
     "missing-key": (lambda fields: json.dumps({key: value for key, value in fields.items()
                                                if key != "tokens"}), "'tokens'"),
-    "bool-beam": (lambda fields: json.dumps({**fields, "beam": True}),
-                  "ex1: beam_width must be an integer"),
+    "bool-token": (lambda fields: json.dumps({**fields, "tokens": [5, True]}),
+                   "ex1: pseudo tokens must be integers"),
     "empty-tokens": (lambda fields: json.dumps({**fields, "tokens": []}),
                      "ex1: pseudo summary must be non-empty"),
     "token-outside-vocabulary": (lambda fields: json.dumps({**fields, "tokens": [5, 64]}),
@@ -58,11 +57,11 @@ PSEUDO_FAULTS = {
                           "'int' object is not iterable"),
     "non-string-teacher": (lambda fields: json.dumps({**fields, "teacher": 1}),
                            "ex1: teacher id must be a string"),
-    "zero-beam": (lambda fields: json.dumps({**fields, "beam": 0}),
-                  "ex1: beam_width must be >= 1"),
+    "empty-teacher": (lambda fields: json.dumps({**fields, "teacher": ""}),
+                      "ex1: teacher id must be non-empty"),
     "not-an-object": (lambda fields: json.dumps(list(fields)), "list indices must be"),
 }
-TWIN_FAULTS = ("malformed-json", "missing-key", "bool-beam", "empty-tokens",
+TWIN_FAULTS = ("malformed-json", "missing-key", "bool-token", "empty-tokens",
                "token-outside-vocabulary")
 
 
@@ -113,7 +112,7 @@ class TestWriteRead:
         assert not path.exists()
 
     def test_empty_pseudo_rejected(self, tmp_path):
-        bad = PseudoLabelRecord("ex0", "t1", [], "", 4)
+        bad = PseudoLabelRecord("ex0", "t1", [])
         with pytest.raises(CacheFormatError):
             write_cache([bad], tmp_path / "p.jsonl", vocab_size=5)
 
@@ -139,7 +138,21 @@ class TestWriteRead:
         with pytest.raises(CacheFormatError) as err:
             read_cache(path)
         assert str(err.value) == (f"{path} line 1: unsupported cache version 1 (this relkd reads "
-                                  "version 2; rerun cache-teacher)")
+                                  "version 3; rerun cache-teacher)")
+
+    @pytest.mark.parametrize("kind, line", [
+        ("topk", {"counts": [1], "id": "ex0", "ids": [1], "logprobs": "AAAAAAAA4L8="}),
+        ("pseudo", {"beam": 4, "id": "ex0", "teacher": "t1", "text": "4", "tokens": [4]})])
+    def test_a_version_2_cache_is_rejected_with_its_remedy(self, tmp_path, kind, line):
+        # version 2 held top-k counts and ids as JSON integers, and a pseudo
+        # label's text and beam width
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"version": 2, "kind": kind, "vocab_size": 5, "k": 2}) + "\n"
+                        + json.dumps(line) + "\n")
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert str(err.value) == (f"{path} line 1: unsupported cache version 2 (this relkd reads "
+                                  "version 3; rerun cache-teacher)")
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_the_integer(self, tmp_path, version):
@@ -152,7 +165,7 @@ class TestWriteRead:
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps({"version": 2, "kind": "blobs", "vocab_size": 5, "k": 2}) + "\n")
+        path.write_text(json.dumps({"version": 3, "kind": "blobs", "vocab_size": 5, "k": 2}) + "\n")
         with pytest.raises(CacheFormatError, match="kind"):
             read_cache(path)
 
@@ -164,8 +177,7 @@ class TestWriteRead:
     def test_raw_line_separators_in_strings_read_back(self, tmp_path, newline):
         # JSON allows U+2028, U+2029 and U+0085 raw in a string; JSON Lines
         # ends a line at "\n" alone
-        records = [PseudoLabelRecord(f"ex\u2028{i}", "t1", [4, 3], "4\u0085 3\u2029", 4)
-                   for i in range(2)]
+        records = [PseudoLabelRecord(f"ex\u2028{i}", "t\u0085\u2029", [4, 3]) for i in range(2)]
         topk_records = [(f"ex\u2029\u0085{i}", topk_record()[1]) for i in range(2)]
         write_cache(records, tmp_path / "p.jsonl", vocab_size=5)
         write_cache(topk(tmp_path, topk_records), tmp_path / "c.jsonl")
@@ -180,8 +192,8 @@ class TestWriteRead:
 
     def test_a_byte_that_is_not_utf8_after_a_raw_separator_names_its_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
-        header = {"version": 2, "kind": "pseudo", "vocab_size": 5, "k": 0}
-        line = {"id": "ex\u2028\u0085", "teacher": "t1", "tokens": [4], "text": "4", "beam": 4}
+        header = {"version": 3, "kind": "pseudo", "vocab_size": 5, "k": 0}
+        line = {"id": "ex\u2028\u0085", "teacher": "t1", "tokens": [4]}
         path.write_bytes("\n".join([json.dumps(header), json.dumps(line, ensure_ascii=False),
                                     '{"id": "ex1"']).encode() + b"\xff\n")
         with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 3: malformed record")):
@@ -189,9 +201,8 @@ class TestWriteRead:
 
     def test_a_repeated_pseudo_label_pair_is_not_written(self, tmp_path):
         path = tmp_path / "p.jsonl"
-        records = [PseudoLabelRecord("ex0", "t1", [5], "5", 4),
-                   PseudoLabelRecord("ex0", "t1", [6], "6", 4),
-                   PseudoLabelRecord("ex0", "t2", [7], "7", 4)]
+        records = [PseudoLabelRecord("ex0", "t1", [5]), PseudoLabelRecord("ex0", "t1", [6]),
+                   PseudoLabelRecord("ex0", "t2", [7])]
         with pytest.raises(CacheFormatError) as err:
             write_cache(records, path, vocab_size=8)
         assert str(err.value) == "ex0: teacher t1 already has an earlier pseudo-label"
@@ -200,14 +211,26 @@ class TestWriteRead:
     def test_a_repeated_pseudo_label_pair_is_named_at_its_later_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
         pairs = [("ex0", "t1"), ("ex0", "t2"), ("ex1", "t1"), ("ex0", "t2")]  # lines 2 to 5
-        lines = [{"version": 2, "kind": "pseudo", "vocab_size": 8, "k": 0}]
-        lines += [{"id": eid, "teacher": teacher, "tokens": [5 + i % 3], "text": "", "beam": 4}
+        lines = [{"version": 3, "kind": "pseudo", "vocab_size": 8, "k": 0}]
+        lines += [{"id": eid, "teacher": teacher, "tokens": [5 + i % 3]}
                   for i, (eid, teacher) in enumerate(pairs)]
         path.write_text("\n".join(map(json.dumps, lines)) + "\n")
         with pytest.raises(CacheFormatError) as err:
             read_cache(path)
         assert str(err.value) == (f"{path} line 5: ex0: teacher t2 already has an earlier "
                                   "pseudo-label")
+
+    def test_only_json_whitespace_makes_a_blank_line(self, tmp_path):
+        # str.strip would also empty a line of U+0085, which json.loads rejects
+        path = tmp_path / "p.jsonl"
+        lines = [json.dumps(PSEUDO_HEADER), " \t\r", json.dumps(pseudo_line("ex0")), " \x85",
+                 json.dumps(pseudo_line("ex1"))]
+        path.write_bytes("\n".join(lines).encode() + b"\n")
+        with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 4: malformed record")):
+            read_cache(path)
+        lines[3] = "\t "
+        path.write_bytes("\n".join(lines).encode() + b"\n")
+        assert read_cache(path) == [PseudoLabelRecord(f"ex{i}", "t1", [5, 7]) for i in range(2)]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -344,10 +367,11 @@ class TestMassKept:
 
 
 class TestIllTypedValues:
-    """Counts, token ids, pseudo tokens and beam widths must be JSON integers
-    (never a bool, a float or a string), top-k logprobs a base64 string of 8
-    bytes per token id, and pseudo tokens must lie in the vocabulary; bad
-    values fail on read with their line and on write before any file exists."""
+    """Top-k counts and ids must be base64 strings of little-endian int32,
+    and logprobs a base64 string of 8 bytes per token id; pseudo tokens must
+    be JSON integers (never a bool, a float or a string) in the vocabulary;
+    bad values fail on read with their line and on write before any file
+    exists."""
 
     def _lines(self, path, header, *records):
         path.write_text("\n".join(json.dumps(o) for o in (header, *records)) + "\n")
@@ -355,40 +379,43 @@ class TestIllTypedValues:
 
     def _topk(self, tmp_path, header=(), **fields):
         return self._lines(tmp_path / "c.jsonl",
-                           {"version": 2, "kind": "topk", "vocab_size": 5, "k": 2, **dict(header)},
+                           {"version": 3, "kind": "topk", "vocab_size": 5, "k": 2, **dict(header)},
                            topk_line("ok", [[(1, -0.5)]]),
                            {**topk_line("ex1", [[(2, -0.5)]]), **fields})
 
     def _pseudo(self, tmp_path, **fields):
         return self._lines(tmp_path / "p.jsonl",
-                           {"version": 2, "kind": "pseudo", "vocab_size": 64, "k": 0},
-                           {"id": "ok", "teacher": "t1", "tokens": [5], "text": "5", "beam": 4},
-                           {"id": "ex1", "teacher": "t1", "tokens": [5, 7], "text": "5 7",
-                            "beam": 4, **fields})
+                           {"version": 3, "kind": "pseudo", "vocab_size": 64, "k": 0},
+                           {"id": "ok", "teacher": "t1", "tokens": [5]},
+                           {"id": "ex1", "teacher": "t1", "tokens": [5, 7], **fields})
 
-    INTEGERS = "counts and ids must be lists of integers"
-    INT64 = "ids must fit in 64 bits"
+    COUNTS = "counts must be a base64 string"
+    IDS = "ids must be a base64 string"
     BASE64 = "logprobs must be a base64 string"
     LENGTHS = "counts, ids and logprobs disagree"
 
     @pytest.mark.parametrize("fields, message", [
-        ({"ids": [3.7]}, INTEGERS), ({"ids": [True]}, INTEGERS), ({"ids": ["2"]}, INTEGERS),
-        ({"ids": [None]}, INTEGERS), ({"ids": 2}, INTEGERS), ({"counts": [1.0]}, INTEGERS),
-        ({"counts": [True]}, INTEGERS), ({"counts": ["1"]}, INTEGERS), ({"counts": 1}, INTEGERS),
-        ({"ids": [2**70]}, INT64), ({"ids": [-2**63 - 1]}, INT64),
+        ({"counts": [1]}, COUNTS), ({"counts": 1}, COUNTS), ({"counts": None}, COUNTS),
+        ({"counts": "AQAA!AA="}, COUNTS), ({"counts": "AQAAAA"}, COUNTS),
+        ({"ids": [2]}, IDS), ({"ids": 2}, IDS), ({"ids": True}, IDS), ({"ids": "AgAA!AA="}, IDS),
+        ({"ids": "AgAAAA"}, IDS), ({"ids": "ééé="}, IDS),
         ({"logprobs": -0.5}, BASE64), ({"logprobs": None}, BASE64),
         ({"logprobs": ["AAAAAAAA4L8="]}, BASE64), ({"logprobs": "AAAAAAAA4L8"}, BASE64),
         ({"logprobs": "AAAA!AAA4L8="}, BASE64), ({"logprobs": "ééé="}, BASE64),
-        ({"counts": [2]}, LENGTHS), ({"counts": [1, 1]}, LENGTHS), ({"counts": [-1, 2]}, LENGTHS),
-        ({"ids": [2, 3]}, LENGTHS), ({"logprobs": "AAAAAAAA4L8AAAAAAADgvw=="}, LENGTHS),
+        ({"counts": packed("i", [2])}, LENGTHS), ({"counts": packed("i", [1, 1])}, LENGTHS),
+        ({"counts": packed("i", [-1, 2])}, LENGTHS),
+        ({"counts": "AQAAAAA="}, LENGTHS), ({"counts": "AQA="}, LENGTHS),
+        ({"ids": "AgAAAAA="}, LENGTHS), ({"ids": "AgA="}, LENGTHS),
+        ({"ids": packed("i", [2, 3])}, LENGTHS), ({"logprobs": "AAAAAAAA4L8AAAAAAADgvw=="}, LENGTHS),
         ({"logprobs": "AAAAAAAA4A=="}, LENGTHS), ({"logprobs": ""}, LENGTHS),
-        ({"counts": [], "ids": []}, LENGTHS)],
-        ids=["float-id", "bool-id", "str-id", "null-id", "ids-not-a-list", "float-count",
-             "bool-count", "str-count", "counts-not-a-list", "2**70-id", "below-int64-id",
-             "number-blob", "null-blob", "list-blob", "unpadded-blob", "non-base64-blob",
-             "non-ascii-blob",
-             "count-over-ids", "extra-count", "negative-count", "extra-id", "16-byte-blob",
-             "7-byte-blob", "empty-blob", "no-entries-but-a-blob"])
+        ({"counts": "", "ids": ""}, LENGTHS)],
+        ids=["counts-list", "counts-number", "null-counts", "non-base64-counts",
+             "unpadded-counts", "ids-list", "ids-number", "bool-ids", "non-base64-ids",
+             "unpadded-ids", "non-ascii-ids", "number-blob", "null-blob", "list-blob",
+             "unpadded-blob", "non-base64-blob", "non-ascii-blob",
+             "count-over-ids", "extra-count", "negative-count",
+             "5-byte-counts", "2-byte-counts", "5-byte-ids", "2-byte-ids", "extra-id",
+             "16-byte-blob", "7-byte-blob", "empty-blob", "no-entries-but-a-blob"])
     def test_ill_typed_topk_line_names_its_line(self, tmp_path, fields, message):
         path = self._topk(tmp_path, **fields)
         with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 3: {message}")):
@@ -397,7 +424,7 @@ class TestIllTypedValues:
     @pytest.mark.parametrize("missing", ["counts", "ids", "logprobs"])
     def test_topk_line_without_a_field_names_its_line(self, tmp_path, missing):
         path = self._lines(tmp_path / "c.jsonl",
-                           {"version": 2, "kind": "topk", "vocab_size": 5, "k": 2},
+                           {"version": 3, "kind": "topk", "vocab_size": 5, "k": 2},
                            topk_line("ok", [[(1, -0.5)]]),
                            {key: value for key, value in topk_line("ex1", [[(2, -0.5)]]).items()
                             if key != missing})
@@ -409,16 +436,19 @@ class TestIllTypedValues:
         "malformed-json": (lambda fields: json.dumps(fields)[:-1], "malformed record ("),
         "missing-key": (lambda fields: json.dumps({key: value for key, value in fields.items()
                                                    if key != "logprobs"}), "'logprobs'"),
-        "non-integers": (lambda fields: json.dumps({**fields, "ids": [2.5]}), INTEGERS),
+        "ids-as-a-list": (lambda fields: json.dumps({**fields, "ids": [2]}), IDS),
+        "bad-base64-counts": (lambda fields: json.dumps({**fields, "counts": "AQAA!AA="}), COUNTS),
         "bad-base64": (lambda fields: json.dumps({**fields, "logprobs": "AAAA!AAA4L8="}), BASE64),
-        "disagreeing-counts": (lambda fields: json.dumps({**fields, "counts": [2]}), LENGTHS),
-        "id-past-64-bits": (lambda fields: json.dumps({**fields, "ids": [2**70]}), INT64),
+        "disagreeing-counts": (lambda fields: json.dumps({**fields, "counts": packed("i", [2])}),
+                               LENGTHS),
+        "negative-count": (lambda fields: json.dumps({**fields, "counts": packed("i", [-1, 2])}),
+                           LENGTHS),
     }
 
     @pytest.mark.parametrize("second", LINE_FAULTS)
     @pytest.mark.parametrize("first", LINE_FAULTS)
     def test_of_two_faulty_topk_lines_the_earlier_is_named(self, tmp_path, first, second):
-        header = {"version": 2, "kind": "topk", "vocab_size": 5, "k": 2}
+        header = {"version": 3, "kind": "topk", "vocab_size": 5, "k": 2}
         records = [topk_line(f"ex{i}", [[(2, -0.5)]]) for i in range(5)]  # lines 2 to 6
 
         def read(faults):
@@ -464,8 +494,7 @@ class TestIllTypedValues:
         assert str(err.value) == f"{path} line 3: ex1 position 0: non-finite logprob"
 
     @pytest.mark.parametrize("fields", [{"tokens": [5.5, 7]}, {"tokens": [True]},
-                                        {"tokens": ["5"]}, {"beam": 4.9}, {"beam": True},
-                                        {"beam": "4"}, {"tokens": [999]}, {"tokens": [-4]},
+                                        {"tokens": ["5"]}, {"tokens": [999]}, {"tokens": [-4]},
                                         {"tokens": [5, 64]}, {"teacher": 5},
                                         {"teacher": ["t1"]}])
     def test_ill_typed_pseudo_value_names_its_line(self, tmp_path, fields):
@@ -474,7 +503,7 @@ class TestIllTypedValues:
 
     def test_pseudo_tokens_at_the_vocabulary_edges_are_read(self, tmp_path):
         [_, rec] = read_cache(self._pseudo(tmp_path, tokens=[0, 63]))
-        assert rec.tokens == [0, 63] and rec.beam_width == 4
+        assert rec.tokens == [0, 63]
 
     @pytest.mark.parametrize("header", [{"vocab_size": True}, {"k": True}, {"k": 2.0}])
     def test_ill_typed_header_is_rejected(self, tmp_path, header):
@@ -486,11 +515,10 @@ class TestIllTypedValues:
         with pytest.raises(CacheFormatError, match="line 1"):
             read_cache(path)
 
-    @pytest.mark.parametrize("tokens, beam", [([5.5, 7], 4), ([True], 4), ([5], 4.9),
-                                              ([5], True), ([999], 4), ([-4], 4), ([64], 4)])
-    def test_ill_typed_pseudo_record_is_not_written(self, tmp_path, tokens, beam):
+    @pytest.mark.parametrize("tokens", [[5.5, 7], [True], ["5"], [999], [-4], [64]])
+    def test_ill_typed_pseudo_record_is_not_written(self, tmp_path, tokens):
         path = tmp_path / "p.jsonl"
-        bad = PseudoLabelRecord("ex1", "t1", tokens, "x", beam)
+        bad = PseudoLabelRecord("ex1", "t1", tokens)
         with pytest.raises(CacheFormatError):
             write_cache([pseudo_record(), bad], path, vocab_size=64)
         assert not path.exists()
@@ -499,7 +527,7 @@ class TestIllTypedValues:
     def test_a_teacher_id_that_is_not_a_string_is_not_written(self, tmp_path, teacher):
         path = tmp_path / "p.jsonl"
         with pytest.raises(CacheFormatError, match="ex1: teacher id must be a string"):
-            write_cache([pseudo_record(), PseudoLabelRecord("ex1", teacher, [5], "5", 4)], path,
+            write_cache([pseudo_record(), PseudoLabelRecord("ex1", teacher, [5])], path,
                         vocab_size=64)
         assert not path.exists()
 
@@ -516,6 +544,23 @@ class TestIllTypedValues:
                            np.array([[-0.5]], dtype=np.float64), 5, 1)
         write_cache(cache, path)
         assert records_of(read_cache(path)) == [("ex0", [[(1, -0.5)]])]
+        tokens = np.array([4, 0], dtype=np.int32)
+        write_cache([PseudoLabelRecord("ex0", "t1", list(tokens))], path, vocab_size=5)
+        assert json.loads(path.read_text().splitlines()[1])["tokens"] == [4, 0]
+        assert read_cache(path) == [PseudoLabelRecord("ex0", "t1", [4, 0])]
+
+    @pytest.mark.parametrize("vocab_size, k", [(2**31 + 1, 1), (5, 2**31)])
+    def test_a_cache_past_the_int32_bound_is_not_written(self, tmp_path, vocab_size, k):
+        # the cache only declares the size: its one entry allocates nothing large
+        path = tmp_path / "c.jsonl"
+        cache = topk_cache(["ex0"], [1], [[1]], [[-0.5]], vocab_size, k)
+        with pytest.raises(CacheFormatError, match=re.escape(
+                f"vocab_size {vocab_size} > 2**31 or k {k} >= 2**31: a cache holds token ids "
+                "and counts as int32")):
+            write_cache(cache, path)
+        assert not path.exists()
+        write_cache(topk_cache(["ex0"], [1], [[2**31 - 1]], [[-0.5]], 2**31, 2**31 - 1), path)
+        assert read_cache(path).ids.tolist() == [2**31 - 1]
 
 
 @st.composite
@@ -523,9 +568,9 @@ def pseudo_files(draw):
     """The text of a pseudo-label file's data lines, any text raw in their
     strings, with up to two lines faulty by PSEUDO_FAULTS; the indices of
     the faulty lines; and the fields of every line."""
-    fields = [pseudo_line(f"ex{i}", draw(st.sampled_from(["t1", "t2\u2028"])),
-                          draw(st.lists(st.integers(0, 63), min_size=1, max_size=4)),
-                          draw(st.text(max_size=8)), draw(st.integers(1, 8)))
+    fields = [pseudo_line(f"ex{i}{draw(st.text(max_size=8))}",
+                          draw(st.sampled_from(["t1", "t2\u2028"])),
+                          draw(st.lists(st.integers(0, 63), min_size=1, max_size=4)))
               for i in range(draw(st.integers(1, 5)))]
     faults = draw(st.dictionaries(st.integers(0, len(fields) - 1),
                                   st.sampled_from(sorted(PSEUDO_FAULTS)), max_size=2))
@@ -546,8 +591,8 @@ def test_a_pseudo_file_fails_as_its_first_faulty_line_alone(tmp_path_factory, ca
 
     path, one = tmp / "all.jsonl", tmp / "one.jsonl"
     if not faulty:
-        assert read(path, lines) == [PseudoLabelRecord(f["id"], f["teacher"], f["tokens"],
-                                                       f["text"], f["beam"]) for f in fields]
+        assert read(path, lines) == [PseudoLabelRecord(f["id"], f["teacher"], f["tokens"])
+                                     for f in fields]
         return
     with pytest.raises(CacheFormatError) as alone:
         read(one, [lines[faulty[0]]])

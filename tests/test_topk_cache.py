@@ -212,7 +212,7 @@ def test_a_repeated_record_id_is_named_at_its_line(tmp_path):
 
 def test_read_cache_of_kind_topk_rejects_a_pseudo_cache(tmp_path):
     path = tmp_path / "p.jsonl"
-    path.write_text('{"version": 2, "kind": "pseudo", "vocab_size": 5, "k": 0}\n')
+    path.write_text('{"version": 3, "kind": "pseudo", "vocab_size": 5, "k": 0}\n')
     with pytest.raises(CacheFormatError, match="line 1: a pseudo-label cache"):
         read_cache(path, "topk")
     assert read_cache(path, "pseudo") == read_cache(path) == []
@@ -300,5 +300,5 @@ def test_what_write_cache_does_not_take_is_not_written(tmp_path):
     with pytest.raises(CacheFormatError, match="its own vocab_size"):
         write_cache(cache, path, vocab_size=6)
     with pytest.raises(CacheFormatError, match="written with a vocab_size"):
-        write_cache([PseudoLabelRecord("ex0", "t1", [4], "4", 1)], path)
+        write_cache([PseudoLabelRecord("ex0", "t1", [4])], path)
     assert not path.exists()
