@@ -193,23 +193,26 @@ def _config_problems(user: dict, defaults: dict, prefix: str = "") -> list[str]:
     return out
 
 
+def _read_json(what: str, path: str):
+    """The file's JSON value; an unreadable file or invalid JSON raises CliError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise CliError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_config(path: str | None, seed_override: int | None) -> dict:
-    user: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                user = json.load(f)
-        except OSError as exc:
-            raise CliError(f"cannot read config {path}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise CliError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise CliError(f"config {path} must be a JSON object")
-        if user.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-            raise CliError(f"unsupported config version {user.get('version')!r}")
-        problems = _config_problems(user, DEFAULT_CONFIG)
-        if problems:
-            raise CliError(f"config {path}: {'; '.join(problems)}")
+    user = {} if path is None else _read_json("config", path)
+    if not isinstance(user, dict):
+        raise CliError(f"config {path} must be a JSON object")
+    if user.get("version", CONFIG_VERSION) != CONFIG_VERSION:
+        raise CliError(f"unsupported config version {user.get('version')!r}")
+    problems = _config_problems(user, DEFAULT_CONFIG)
+    if problems:
+        raise CliError(f"config {path}: {'; '.join(problems)}")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     preset = user.get("preset")
     if preset is not None:
@@ -469,11 +472,7 @@ def cmd_mapreduce(cfg: dict, out_dir: str, reads: dict[str, str], trace: bool,
     reduce_params = map_params if reduce_ckpt == map_ckpt else load_checkpoint(reduce_ckpt)[0]
 
     if document is not None:
-        with open(_input(document, "", "--document", reads), "r", encoding="utf-8") as f:
-            try:
-                obj = json.load(f)
-            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-                raise CliError(f"document {document} is not valid JSON: {exc}") from exc
+        obj = _read_json("document", _input(document, "", "--document", reads))
         tokens = obj.get("tokens") if isinstance(obj, dict) else obj
         if not isinstance(tokens, list) or not tokens or set(map(type, tokens)) != {int}:
             raise CliError(f"document {document} must be a non-empty list of integer tokens, "

@@ -25,7 +25,8 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .distmath import OPEN_EPS, entropy, kl, log_softmax_scaled, sigmoid, softmax_scaled, softmax_t
+from .distmath import OPEN_EPS, entropy, kl, log_softmax_scaled, sigmoid, softmax_scaled
+from .distmath import softmax_t  # noqa: F401 -- unused; bench/tests/test_tracer.py wraps it
 from .reliability import ReliabilityConfig, TokenReliability, token_reliability
 
 # Floor for the student entropy in the divergence-gap ratio; the ratio is
@@ -133,9 +134,9 @@ class Teachers:
     def probs(self, which: int, tau=1.0) -> np.ndarray:
         """Softmax of one teacher at ``tau``: a scalar, or a (T, 1) column of
         per-position temperatures (computed for these rows only)."""
-        if np.ndim(tau):
-            return softmax_scaled(self.logits(which) / tau)
-        return self._get(("probs", which, float(tau)), lambda t: softmax_t(t.logits(which), tau))
+        def scaled(t):
+            return softmax_scaled(t.logits(which) / tau)
+        return scaled(self) if np.ndim(tau) else self._get(("probs", which, float(tau)), scaled)
 
     def reliability(self, rcfg: ReliabilityConfig) -> TokenReliability:
         """``token_reliability`` of the raw (temperature-1) softmaxes, pins
@@ -282,15 +283,20 @@ class StandardGrads:
     components: dict[str, float] = field(default_factory=dict)
 
 
-def ce_loss(batch: TokenBatch) -> tuple[float, np.ndarray]:
-    """Gold negative log-likelihood, averaged over masked positions."""
+def _gold_nll(batch: TokenBatch) -> tuple[np.ndarray, np.ndarray]:
+    """-log p_S(gold) per masked position, and its logit-gradient rows p_S - onehot(gold)."""
     rows, gold = np.arange(batch.gold_ids.size), batch.gold_ids
     logp = log_softmax_scaled(batch.student_logits)
-    value = -batch.aggregate(logp[rows, gold])
+    nll = -logp[rows, gold]
+    np.exp(logp, out=logp)
+    logp[rows, gold] -= 1.0
+    return nll, logp
 
-    p = np.exp(logp)
-    p[rows, gold] -= 1.0
-    return value, batch.expand(batch.weigh(p))
+
+def ce_loss(batch: TokenBatch) -> tuple[float, np.ndarray]:
+    """Gold negative log-likelihood, averaged over masked positions."""
+    nll, grad = _gold_nll(batch)
+    return batch.aggregate(nll), batch.expand(batch.weigh(grad))
 
 
 def kd_loss(batch: TokenBatch, tau) -> tuple[float, np.ndarray]:
@@ -380,23 +386,17 @@ def ewad_loss(
     """
     tau = batch.temperature(tau)
     teachers = batch.teachers
-    rows, gold = np.arange(batch.gold_ids.size), batch.gold_ids
     r = teachers.reliability(rcfg)
     w1, w2, lam = r.w1, r.w2, r.gate
 
     t1_soft = teachers.probs(1, tau)
     t2_soft = teachers.probs(2, tau)
-    z = batch.student_logits
-    s_soft = softmax_scaled(z / tau)
+    s_soft = softmax_scaled(batch.student_logits / tau)
     kd_term = w1 * kl(t1_soft, s_soft) + w2 * kl(t2_soft, s_soft)
-
-    logp = log_softmax_scaled(z)
-    ce_term = -logp[rows, gold]
+    ce_term, ce_g = _gold_nll(batch)
 
     value = batch.aggregate(lam * kd_term + (1.0 - lam) * ce_term)
 
-    ce_g = np.exp(logp)
-    ce_g[rows, gold] -= 1.0
     mix = w1[:, None] * t1_soft + w2[:, None] * t2_soft
     kd_g = (s_soft - mix) / tau
     grad = batch.expand(batch.weigh(lam[:, None] * kd_g + (1.0 - lam)[:, None] * ce_g))

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import json
 import math
-from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .atomic import write_text_atomic
-from .toymodel import integral
+from .toymodel import decode_base64, encode_base64, integral
 
 CACHE_VERSION = 3
 
@@ -218,10 +217,6 @@ def _check_pseudo(records: list[PseudoLabelRecord], vocab_size: int) -> list[Pse
 _KINDS = {"topk": "top-k", "pseudo": "pseudo-label"}
 
 
-def _b64(blob) -> str:
-    return b2a_base64(blob, newline=False).decode("ascii")
-
-
 def write_cache(records, path, *, vocab_size: int | None = None) -> int:
     """Validate then write a TopKCache, or a list of PseudoLabelRecords over
     a vocabulary of ``vocab_size`` tokens, as a JSONL cache file; returns the
@@ -239,9 +234,9 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         counts, ids, logprobs = (memoryview(values.astype(dtype).tobytes()) for values, dtype in (
             (np.diff(cache.bounds), "<i4"), (cache.ids, "<i4"), (cache.logprobs, "<f8")))
         cuts, first = cache.bounds.tolist(), cache.first.tolist()
-        lines = [f'{{"counts": "{_b64(counts[4 * a:4 * b])}", "id": {json.dumps(eid)}, '
-                 f'"ids": "{_b64(ids[4 * cuts[a]:4 * cuts[b]])}", '
-                 f'"logprobs": "{_b64(logprobs[8 * cuts[a]:8 * cuts[b]])}"}}'
+        lines = [f'{{"counts": "{encode_base64(counts[4 * a:4 * b])}", "id": {json.dumps(eid)}, '
+                 f'"ids": "{encode_base64(ids[4 * cuts[a]:4 * cuts[b]])}", '
+                 f'"logprobs": "{encode_base64(logprobs[8 * cuts[a]:8 * cuts[b]])}"}}'
                  for eid, a, b in zip(cache.example_ids, first, first[1:])]
     else:
         records, header, k = list(records), {"version": CACHE_VERSION, "kind": "pseudo"}, 0
@@ -271,12 +266,7 @@ def _topk_lines(objs) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray]:
     check runs over every line at once: this raises if any line alone would,
     and raises for one line what checking it alone raises."""
     eids, *texts = ([obj[key] for obj in objs] for key in ("id", "counts", "ids", "logprobs"))
-    blobs = []
-    for key, fields in zip(("counts", "ids", "logprobs"), texts):
-        try:
-            blobs.append([a2b_base64(text, strict_mode=True) for text in fields])
-        except (TypeError, ValueError) as exc:  # not a string, not ASCII or not base64
-            raise ValueError(f"{key} must be a base64 string ({exc})") from None
+    blobs = list(map(decode_base64, texts, ("counts", "ids", "logprobs")))
     count_bytes, id_bytes, logprob_bytes = (np.array(list(map(len, b)), dtype=np.int64)
                                             for b in blobs)
     if (count_bytes % 4).any() or (id_bytes % 4).any() or (logprob_bytes != 2 * id_bytes).any():

@@ -14,21 +14,21 @@ sentence boundaries for the long-document pipeline.
 
 A checkpoint is one JSON object of its version, the dimensions, ``meta`` and
 each array as ``encode_floats`` text: base64 of little-endian float64, which
-keeps every bit. The top-k caches store their logprobs through the same codec.
+keeps every bit. Top-k caches use the same codec, ``encode_base64``/``decode_base64``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from base64 import b64decode, b64encode
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
 
 from .atomic import write_text_atomic
-from .distmath import log_softmax_t
+from .distmath import log_softmax_scaled
 
 EOS_ID = 0
 BOS_ID = 1
@@ -386,7 +386,7 @@ def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[
     done: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(b)]
     for _ in range(max_len):
         h = _step(params, h, prev)
-        cand = (score[:, :, None] + log_softmax_t(h @ params.out, 1.0)).reshape(-1, k * v)
+        cand = (score[:, :, None] + log_softmax_scaled(h @ params.out)).reshape(-1, k * v)
         pick = np.sort(topk_order(cand, k), axis=1)
         parent, prev = pick // v, pick % v
         score = np.take_along_axis(cand, pick, axis=1)
@@ -408,23 +408,31 @@ def _beam(params: ToyModelParams, h0: np.ndarray, k: int, max_len: int) -> list[
     return [list(min(row, key=lambda e: (-e[0], e[1]))[1]) for row in done]
 
 
+def encode_base64(blob) -> str:
+    """The base64 text of ``blob``'s bytes, without a newline."""
+    return b2a_base64(blob, newline=False).decode("ascii")
+
+
+def decode_base64(texts, name: str) -> list[bytes]:
+    """The bytes of each base64 text in ``texts``, decoded strictly; a text that
+    is not a base64 string raises ValueError naming ``name`` and the reason."""
+    try:
+        return [a2b_base64(text, strict_mode=True) for text in texts]
+    except (TypeError, ValueError) as exc:  # not a string, not ASCII or not base64
+        raise ValueError(f"{name} must be a base64 string ({exc})") from None
+
+
 def encode_floats(a) -> str:
     """The base64 of ``a``'s values as little-endian float64 bytes."""
-    return b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+    return encode_base64(np.asarray(a, dtype="<f8").tobytes())
 
 
-def decode_floats(text, shape: tuple, name: str, mismatch: str = "") -> np.ndarray:
-    """``encode_floats`` text as a new writable array of ``shape``. Text that
-    is not base64 raises TypeError or ValueError naming ``name``, and text of
-    other than 8 bytes per value ValueError(``mismatch``) if one is given."""
-    if type(text) is not str:
-        raise TypeError(f"{name} must be a base64 string")
-    try:
-        blob = b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be a base64 string ({exc})") from None
+def decode_floats(text, shape: tuple, name: str) -> np.ndarray:
+    """``encode_floats`` text as a new writable array of ``shape``; text that is not
+    base64, or not 8 bytes per value, raises ValueError naming ``name``."""
+    (blob,) = decode_base64([text], name)
     if len(blob) != 8 * math.prod(shape):
-        raise ValueError(mismatch or f"{name} must hold 8 bytes per value of shape {shape}")
+        raise ValueError(f"{name} must hold 8 bytes per value of shape {shape}")
     return np.frombuffer(blob, "<f8").reshape(shape).astype(float)  # a copy: writable
 
 

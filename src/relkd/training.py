@@ -131,7 +131,8 @@ class Corpus:
 
 
 def salient_threshold(vocab_size: int) -> int:
-    return vocab_size // 2
+    """The least token id a compress summary keeps: V // 2, never a special id."""
+    return max(vocab_size // 2, FIRST_CONTENT_ID)
 
 
 _WORD = 1 << 32

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relkd.toymodel import BOUNDARY_ID
 from relkd.training import CorpusConfig, _Words, synthetic_corpus, synthetic_document
 
 from oracles import synthetic_corpus_oracle, synthetic_document_oracle
@@ -158,6 +159,15 @@ def test_an_empty_sentence_pool_is_rejected_as_before():
         synthetic_document_oracle(10, distinct_sentences=0)
     with pytest.raises(ValueError):
         synthetic_document(10, distinct_sentences=0)
+
+
+def test_no_compress_summary_holds_a_boundary_token():
+    # at vocab_size 5, half the vocabulary is BOUNDARY_ID itself
+    for vocab in range(5, 65):
+        for seed in range(3):
+            corpus = synthetic_corpus(CorpusConfig(n_examples=20, vocab_size=vocab, seed=seed))
+            for ex in corpus.examples:
+                assert BOUNDARY_ID not in ex.summary, (vocab, seed, ex.example_id, ex.summary)
 
 
 @pytest.mark.parametrize("fields, message", [

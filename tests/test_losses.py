@@ -320,9 +320,11 @@ class TestEwadLoss:
         v_kd, _, tr = ewad_loss(b, ReliabilityConfig(lambda_override=1.0), tau)
         assert abs(v_kd - tr.kd_term.mean()) < 1e-12
 
-        v_ce, _, _ = ewad_loss(b, ReliabilityConfig(lambda_override=0.0), tau)
-        ce_v, _ = ce_loss(b)
-        assert abs(v_ce - ce_v) < 1e-14
+        # the gold side is ce_loss's own term, so the two agree bit for bit
+        v_ce, g_ewad, _ = ewad_loss(b, ReliabilityConfig(lambda_override=0.0), tau)
+        ce_v, g_ce = ce_loss(b)
+        assert v_ce == ce_v
+        assert g_ewad.tobytes() == g_ce.tobytes()
 
     def test_equal_weights_override(self):
         rng = np.random.default_rng(16)

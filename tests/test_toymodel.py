@@ -570,3 +570,21 @@ class TestFloatCodec:
     def test_decode_rejects_text_that_is_not_one_value(self, text, message):
         with pytest.raises((TypeError, ValueError), match=re.escape(message)):
             decode_floats(text, (1,), "x")
+
+    @pytest.mark.parametrize("text", [None, 5, [1.0], "AAAA!AAA8D8=", "AQAAAA", "ééé="],
+                             ids=["null", "number", "list", "not-base64", "unpadded", "non-ascii"])
+    def test_a_checkpoint_array_and_a_cache_field_reject_a_text_alike(self, tmp_path, text):
+        ckpt, cache = tmp_path / "m.json", tmp_path / "c.jsonl"
+        save_checkpoint(ckpt, ToyModelParams(*np.ones((3, 1, 1))))
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "embed": text}))
+        write_cache(topk_cache(["ex0"], [1], [[1]], [[-0.5]], 5, 2), cache)
+        header, line = cache.read_text().splitlines()
+        cache.write_text(f"{header}\n{json.dumps({**json.loads(line), 'counts': text})}\n")
+        with pytest.raises(ValueError) as from_checkpoint:
+            load_checkpoint(ckpt)
+        with pytest.raises(ValueError) as from_cache:
+            read_cache(cache)
+        reason = re.fullmatch(re.escape(f"{ckpt}: embed must be a base64 string ") + r"(\(.+\))",
+                              str(from_checkpoint.value))
+        assert reason, str(from_checkpoint.value)
+        assert str(from_cache.value) == f"{cache} line 2: counts must be a base64 string {reason[1]}"
