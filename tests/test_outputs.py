@@ -1,4 +1,4 @@
-"""Every CLI output file and all stdout is byte-identical to the record in
+r"""Every CLI output file and all stdout is byte-identical to the record in
 ``tests/golden/outputs.json``.
 
 One small workspace (40 training examples, V=24, k=6, two pseudo teachers)
@@ -7,8 +7,15 @@ and ``gate-trace`` for every preset, then ``mapreduce --trace``. The test
 compares the sha256 of each file the workspace holds afterwards, and of
 everything the commands printed, with the record.
 
-After a change that is meant to alter an output, regenerate the record with
-``PYTHONPATH=src python tests/test_outputs.py > tests/golden/outputs.json``
+The workspace runs in a fresh interpreter on the reference kernels of the
+root ``conftest.py`` (OpenBLAS's Nehalem kernels, numpy's AVX2 and AVX-512
+dispatch off), whatever kernels the suite runs on, and the record holds their
+digests. After a change that is meant to alter an output, regenerate the
+record on the same kernels, with::
+
+    OPENBLAS_CORETYPE=Nehalem NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
+        PYTHONPATH=src python tests/test_outputs.py > tests/golden/outputs.json
+
 and say which outputs changed and why.
 """
 
@@ -17,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -87,10 +95,14 @@ def outputs(root: str) -> dict[str, str]:
     return digests
 
 
-def test_every_output_matches_its_recorded_digest(tmp_path):
+def test_every_output_matches_its_recorded_digest(reference_env):
+    # in a fresh interpreter on the reference kernels, whatever the suite runs on
+    run = subprocess.run([sys.executable, __file__], env=reference_env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
     with open(GOLDEN, encoding="utf-8") as f:
         golden = json.load(f)
-    got = outputs(str(tmp_path))
+    got = json.loads(run.stdout)
     assert sorted(got) == sorted(golden)
     assert [name for name in golden if got[name] != golden[name]] == []
 
