@@ -20,7 +20,8 @@ Both fixtures give a subprocess the source tree on ``PYTHONPATH``.
 Both values name x86-64 kernels, so they are set on x86-64 only. Elsewhere
 numpy raises ImportWarning for a feature that is not in its dispatch list,
 which ``filterwarnings = ["error"]`` turns into a failed collection, and
-OpenBLAS does not know the core name.
+OpenBLAS does not know the core name. On an x86-64 host that lacks some of
+the named features, numpy 2.4 disables the rest and warns of nothing.
 """
 
 import os
