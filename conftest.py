@@ -1,56 +1,40 @@
-"""Run the suite on one reference kernel set, so that the goldens pass on any
-x86-64 host.
+"""The environment of the golden checks' subprocesses: reference kernels, so
+that the goldens pass on any x86-64 host, and the suite's warning rule.
 
 The goldens are sha256 digests of float64 bytes, and those bytes depend on
 the BLAS kernel and on numpy's SIMD dispatch as well as on the code. The
 reference set is OpenBLAS's Nehalem kernels with numpy's AVX2 and AVX-512
-dispatch off: a baseline that every x86-64 host has.
-
-- Before numpy loads, the suite's own process is set to the reference
-  kernels, unless the caller has set a variable: CI reruns the decoding
-  tests on the Haswell and Prescott kernels, and they must keep those.
-- The golden checks run in subprocesses given ``reference_env``, which
-  forces the reference kernels, so they pass whatever kernels the suite
-  itself runs on.
-- ``native_env`` removes both variables, for a subprocess that runs on
-  the host's own kernels.
-
-Both fixtures give a subprocess the source tree on ``PYTHONPATH``.
+dispatch off: a baseline that every x86-64 host has. The golden checks run in
+subprocesses given ``reference_env``; every other test runs on the host's own
+kernels.
 
 Both values name x86-64 kernels, so they are set on x86-64 only. Elsewhere
 numpy raises ImportWarning for a feature that is not in its dispatch list,
-which ``filterwarnings = ["error"]`` turns into a failed collection, and
-OpenBLAS does not know the core name. On an x86-64 host that lacks some of
-the named features, numpy 2.4 disables the rest and warns of nothing.
+which the warning rule turns into a failure, and OpenBLAS does not know the
+core name. On an x86-64 host that lacks some of the named features, numpy 2.4
+disables the rest and warns of nothing.
 """
 
 import os
 import platform
-import sys
+import tomllib
 
 import pytest
 
-assert "numpy" not in sys.modules, "numpy was imported before the kernels were set"
-
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+ROOT = os.path.dirname(os.path.abspath(__file__))
 REFERENCE_KERNELS = ({"OPENBLAS_CORETYPE": "Nehalem",
                       "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
                      if platform.machine().lower() in ("x86_64", "amd64") else {})
-for name, value in REFERENCE_KERNELS.items():
-    os.environ.setdefault(name, value)
 
-
-def _importing_src(env: dict[str, str]) -> dict[str, str]:
-    return {**env, "PYTHONPATH": os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)}
+with open(os.path.join(ROOT, "pyproject.toml"), "rb") as _f:
+    # pytest's filterwarnings entries share the syntax of python -W
+    WARNING_RULE = ",".join(tomllib.load(_f)["tool"]["pytest"]["ini_options"]["filterwarnings"])
 
 
 @pytest.fixture
 def reference_env() -> dict[str, str]:
-    """This process's environment, with the reference kernels forced."""
-    return _importing_src({**os.environ, **REFERENCE_KERNELS})
-
-
-@pytest.fixture
-def native_env() -> dict[str, str]:
-    """This process's environment, without the kernel variables."""
-    return _importing_src({k: v for k, v in os.environ.items() if k not in REFERENCE_KERNELS})
+    """This process's environment with the reference kernels forced, the
+    suite's warning rule, and the source tree on ``PYTHONPATH``."""
+    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
+                           if p)
+    return {**os.environ, **REFERENCE_KERNELS, "PYTHONWARNINGS": WARNING_RULE, "PYTHONPATH": path}

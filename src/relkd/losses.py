@@ -135,6 +135,8 @@ class Teachers:
         """Softmax of one teacher at ``tau``: a scalar, or a (T, 1) column of
         per-position temperatures (computed for these rows only)."""
         def scaled(t):
+            if not np.all(np.asarray(tau) > 0):
+                raise ValueError(f"temperature must be positive, got {tau}")
             return softmax_scaled(t.logits(which) / tau)
         return scaled(self) if np.ndim(tau) else self._get(("probs", which, float(tau)), scaled)
 

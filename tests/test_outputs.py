@@ -9,9 +9,9 @@ everything the commands printed, with the record.
 
 The workspace runs in a fresh interpreter on the reference kernels of the
 root ``conftest.py`` (OpenBLAS's Nehalem kernels, numpy's AVX2 and AVX-512
-dispatch off), whatever kernels the suite runs on, and the record holds their
-digests. After a change that is meant to alter an output, regenerate the
-record on the same kernels, with::
+dispatch off), with any warning an error as in the suite, and the record
+holds their digests. After a change that is meant to alter an output,
+regenerate the record on the same kernels, with::
 
     OPENBLAS_CORETYPE=Nehalem NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \
         PYTHONPATH=src python tests/test_outputs.py > tests/golden/outputs.json
@@ -96,7 +96,7 @@ def outputs(root: str) -> dict[str, str]:
 
 
 def test_every_output_matches_its_recorded_digest(reference_env):
-    # in a fresh interpreter on the reference kernels, whatever the suite runs on
+    # in a fresh interpreter: numpy's kernels are fixed when it is imported
     run = subprocess.run([sys.executable, __file__], env=reference_env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
