@@ -347,10 +347,6 @@ def build_pseudo_records(
     return records
 
 
-def _floored_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, _LOGIT_FLOOR))
-
-
 def _exp_normalized(z: np.ndarray) -> np.ndarray:
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -562,7 +558,7 @@ def prepare_supervision(
     # every example's rows of each cache, densified in one step
     offsets = np.cumsum(lengths) - lengths
     within = np.arange(lengths.sum()) - np.repeat(offsets, lengths)
-    logits = [_floored_log(topk.densify(np.repeat(start, lengths) + within))
+    logits = [np.log(np.maximum(topk.densify(np.repeat(start, lengths) + within), _LOGIT_FLOOR))
               for topk, start in zip(caches, starts)]
     h_bar = None
     if spec.adaptive_tau:

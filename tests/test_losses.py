@@ -76,10 +76,6 @@ class TestTeachers:
             with pytest.raises(ValueError, match="^temperature must be positive, got "):
                 teachers.probs(1, tau)
 
-    def test_probs_at_a_scalar_tau_is_softmax_t(self):
-        z = np.random.default_rng(0).standard_normal((3, 5))
-        assert np.array_equal(Teachers(z).probs(1, 0.7), softmax_t(z, 0.7))
-
 
 class TestLossWeights:
     def test_alpha_hard_derived(self):
