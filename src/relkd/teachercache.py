@@ -2,32 +2,36 @@
 
 Cache files are UTF-8 JSON Lines. The first line is a header::
 
-    {"version": 3, "kind": "topk"|"pseudo", "vocab_size": int, "k": int}
+    {"version": 4, "kind": "topk"|"pseudo", "vocab_size": int, "k": int}
 
-A top-k header also records ``"mass_kept": {"mean": float, "min": float}``,
-the probability mass the cached entries keep per position (null for a cache
-without positions); readers ignore it. A top-k data line holds one record
-as ``{"counts": str, "id": str, "ids": str, "logprobs": str}``: the base64
-of each position's entry count and every entry's token id (position after
-position, each position's entries by descending log-probability) as
-little-endian int32, and of those entries' logprobs as little-endian
-float64, which keeps every bit. A pseudo-label data line is ``{"id": str,
-"teacher": str, "tokens": [int]}``, at most one per (example id, teacher)
-pair. Lines end at "\\n" alone, so a JSON string may hold a raw U+2028, and
-only JSON whitespace makes a blank line. Files are written atomically and
-are immutable once written; readers validate every line and report failures
-by line number.
+Its ``vocab_size`` and ``k`` are integers, never bools, with 2 <= vocab_size
+<= 2**31 (token ids are stored as int32), and a top-k cache has k >= 1.
+Every top-k position holds exactly w = min(k, vocab_size) entries. A top-k
+header also records ``"mass_kept": {"mean": float, "min": float}``, the
+probability mass the cached entries keep per position (null for a cache
+without positions); readers ignore it. A top-k data line holds one record as
+``{"id": str, "ids": str, "logprobs": str}``: the base64 of every entry's
+token id (position after position, w per position, each position's entries
+by descending log-probability) as little-endian int32, and of those entries'
+logprobs as little-endian float64, which keeps every bit. A pseudo-label
+data line is ``{"id": str, "teacher": str, "tokens": [int]}``, at most one
+per (example id, teacher) pair. Lines end at "\\n" alone, so a JSON string
+may hold a raw U+2028, and only JSON whitespace makes a blank line. Files are
+written atomically and are immutable once written; readers validate every
+line and report failures by line number.
 
-A top-k cache is held as one ``TopKCache``: every cached entry in flat
+A top-k cache is held as one ``TopKCache``: its entries as (positions, w)
 arrays, densified in one step. Its constructor is the one place a top-k
-cache is checked, by one vectorized pass over all positions. Two builders
-call it: ``read_cache`` from a file (rejecting one of the wrong ``kind`` at
-line 1), and ``topk_cache`` from a model's top-k rows, one row per position.
-``write_cache`` takes either a ``TopKCache`` or a list of
-``PseudoLabelRecord``s; it formats each top-k line from three buffers made
+cache's entries are checked, by one vectorized pass over all positions. Two
+builders call it: ``read_cache`` from a file (rejecting one of the wrong
+``kind`` at line 1), and ``topk_cache`` from a model's top-k rows, one row
+per position. ``write_cache`` takes either a ``TopKCache`` or a list of
+``PseudoLabelRecord``s; it formats each top-k line from two buffers made
 once per cache into the bytes that ``json.dumps(record, sort_keys=True)``
-gives. ``read_cache`` runs its kind's one line checker over all data lines
-at once, and on each line alone only to name the first faulty one.
+gives. The header values are checked at line 1 on read, in ``topk_cache``
+and in ``write_cache``. ``read_cache`` runs its kind's one line checker over
+all data lines at once, and on each line alone only to name the first faulty
+one.
 """
 
 from __future__ import annotations
@@ -35,26 +39,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .atomic import write_text_atomic
 from .toymodel import decode_base64, encode_base64, integral
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 # exp(logprobs) at one position may exceed 1 by at most this much.
 MASS_TOL = 1e-6
 
 # What is wrong with a position, one entry per position check of the
 # ``TopKCache`` constructor, in order.
-_FAULTS = ("no entries", "{n} entries exceed k={k}", "duplicate token ids",
-           "token id out of range", "non-finite logprob", "logprobs not sorted descending",
-           "probability mass exceeds 1")
+_FAULTS = ("duplicate token ids", "token id out of range", "non-finite logprob",
+           "logprobs not sorted descending", "probability mass exceeds 1")
 
-_DISAGREE = ("counts, ids and logprobs disagree: need 4 bytes per count and per id, 8 logprob "
-             "bytes per id, and counts >= 0 summing to the number of ids")
+_DISAGREE = ("ids and logprobs disagree: need 4 bytes per id, {w} ids per position "
+             "(w = min(k, vocab_size)) and 8 logprob bytes per id")
 
 
 class CacheFormatError(ValueError):
@@ -76,46 +78,52 @@ def _all_of(values, accepts) -> bool:
     return all(map(accepts, set(map(type, values))))
 
 
+def _check_header(kind: str, vocab_size, k, context: str = "") -> None:
+    """Raise CacheFormatError, prefixed by ``context``, unless ``vocab_size``
+    and ``k`` are integers with 2 <= vocab_size <= 2**31 (a cache holds token
+    ids as int32) and, for a top-k cache, k >= 1."""
+    if not _all_of([vocab_size, k], integral):
+        what = "vocab_size and k must be integers"
+    elif not 2 <= vocab_size <= 2**31:
+        what = f"vocab_size {vocab_size} outside [2, 2**31]: a cache holds token ids as int32"
+    elif kind == "topk" and k < 1:
+        what = f"k {k} must be >= 1 in a top-k cache"
+    else:
+        return
+    raise CacheFormatError(context + what)
+
+
 class TopKCache:
-    """Top-k records as flat arrays, checked as they are built: ``read_cache``
-    builds one from a file, ``topk_cache`` from a model's rows. ``ids`` and
-    ``logprobs`` hold every entry, position after position; position j has
-    entries ``bounds[j]:bounds[j + 1]`` and keeps mass ``mass[j]``; record r
-    has positions ``first[r]:first[r + 1]``, and ``index`` maps example ids
-    to records. Its length is its record count.
+    """Top-k records as (positions, w) arrays, w = min(k, vocab_size),
+    checked as they are built: ``read_cache`` builds one from a file,
+    ``topk_cache`` from a model's rows. Row j of ``ids`` and ``logprobs``
+    holds position j's entries, and position j keeps mass ``mass[j]``;
+    record r has positions ``first[r]:first[r + 1]``, and ``index`` maps
+    example ids to records. Its length is its record count.
     """
 
-    def __init__(self, example_ids, lengths, counts, ids, logprobs, vocab_size, k, context):
-        """Check and hold flat entries, ``counts[j]`` of them for position j
-        and ``lengths[r]`` positions for record r. Every position is checked
-        at once; the error is the fault that checking one record at a time
-        meets first: in each record its id (a new non-empty string), the
-        vocabulary size, then each position through the checks of ``_FAULTS``
-        in order, prefixed by ``context(r)``."""
+    def __init__(self, example_ids, lengths, ids, logprobs, vocab_size, k, context):
+        """Check and hold the (positions, w) rows ``ids`` and ``logprobs``,
+        ``lengths[r]`` positions for record r, of a cache whose ``vocab_size``
+        and ``k`` have passed the header check. Every position is checked at
+        once; the error is the fault that checking one record at a time
+        meets first: in each record its id (a new non-empty string), then
+        each position through the checks of ``_FAULTS`` in order, prefixed by
+        ``context(r)``."""
         example_ids, lengths = list(example_ids), list(lengths)
         if (len(lengths) != len(example_ids) or not _all_of(lengths, integral)
-                or min(lengths, default=0) < 0 or sum(lengths) != len(counts)):
+                or min(lengths, default=0) < 0 or sum(lengths) != len(ids)):
             raise CacheFormatError("lengths must be one non-negative integer per record id, "
                                    "summing to one row per position")
         first = np.cumsum([0, *lengths], dtype=np.int64)
-        # one row per position, its entries left-aligned
-        cell = np.arange(counts.max(initial=0)) < counts[:, None]
-        tok = np.full(cell.shape, np.nan)
-        tok[cell] = ids
-        lp = np.zeros(cell.shape)
-        lp[cell] = logprobs
-        p = np.zeros(cell.shape)
         with np.errstate(over="ignore"):
-            p[cell] = np.exp(logprobs)
-        mass = p.sum(axis=1)
-        ordered = np.sort(tok, axis=1)
+            mass = np.exp(logprobs).sum(axis=1)
+        ordered = np.sort(ids, axis=1)
         bad = np.stack([
-            counts == 0,
-            counts > k,
             (ordered[:, 1:] == ordered[:, :-1]).any(axis=1),
-            ((tok < 0) | (tok >= vocab_size)).any(axis=1),
-            (cell & ~np.isfinite(lp)).any(axis=1),
-            (cell[:, 1:] & (lp[:, :-1] < lp[:, 1:])).any(axis=1),
+            ((ids < 0) | (ids >= vocab_size)).any(axis=1),
+            (~np.isfinite(logprobs)).any(axis=1),
+            (logprobs[:, :-1] < logprobs[:, 1:]).any(axis=1),
             mass > 1.0 + MASS_TOL,
         ])
         faulty = np.flatnonzero(bad.any(axis=0))
@@ -129,18 +137,14 @@ class TopKCache:
                 what = "record id must be non-empty"
             elif index.setdefault(eid, r) != r:
                 what = f"record id {eid} already names an earlier record"
-            elif vocab_size < 2:
-                what = f"{eid}: vocab_size must be >= 2"
             elif r == worst:
                 j = faulty[0]
-                what = (f"{eid} position {j - first[r]}: "
-                        + _FAULTS[int(np.argmax(bad[:, j]))].format(n=counts[j], k=k))
+                what = f"{eid} position {j - first[r]}: {_FAULTS[int(np.argmax(bad[:, j]))]}"
             else:
                 continue
             raise CacheFormatError(context(r) + what)
         self.example_ids = example_ids
         self.first = first
-        self.bounds = np.concatenate([[0], np.cumsum(counts)])
         self.ids = ids
         self.logprobs = logprobs
         self.mass = mass
@@ -164,38 +168,30 @@ class TopKCache:
         """Expand positions (all of them by default) into (n, V) rows: the
         cached masses renormalized over their own support, zero elsewhere."""
         pos = np.arange(self.mass.size) if positions is None else np.asarray(positions, dtype=int)
-        counts = self.bounds[pos + 1] - self.bounds[pos]
-        rows = np.repeat(np.arange(pos.size), counts)
-        entries = np.arange(rows.size) + np.repeat(self.bounds[pos] - np.cumsum(counts) + counts,
-                                                  counts)
         p = np.zeros((pos.size, self.vocab_size))
-        p[rows, self.ids[entries]] = np.exp(self.logprobs[entries]) / self.mass[pos][rows]
+        np.put_along_axis(p, self.ids[pos], np.exp(self.logprobs[pos]) / self.mass[pos, None],
+                          axis=1)
         return p
 
 
 def topk_cache(example_ids, lengths, ids, logprobs, vocab_size: int, k: int) -> TopKCache:
-    """Rows of equal width as one TopKCache: row j of the (positions, width)
+    """Rows as one TopKCache: row j of the (positions, min(k, vocab_size))
     arrays ``ids``/``logprobs`` is position j's entries, and record r has the
     next ``lengths[r]`` positions."""
+    _check_header("topk", vocab_size, k)
     ids, logprobs = np.asarray(ids), np.asarray(logprobs, dtype=float)
-    if ids.shape != logprobs.shape or ids.ndim != 2:
-        raise CacheFormatError("rows must be two equal 2-D arrays, one row per position")
+    w = min(k, vocab_size)
+    if ids.shape != logprobs.shape or ids.ndim != 2 or ids.shape[1] != w:
+        raise CacheFormatError(f"rows must be two equal 2-D arrays, one row per position of "
+                               f"min(k, vocab_size) = {w} entries")
     if ids.size and not np.issubdtype(ids.dtype, np.integer):  # an empty list is float
         raise CacheFormatError(f"token ids must be integers, got dtype {ids.dtype}")
-    return TopKCache(example_ids, lengths, np.full(len(ids), ids.shape[1], dtype=np.int64),
-                     ids.ravel(), logprobs.ravel(), vocab_size, k, lambda r: "")
+    return TopKCache(example_ids, lengths, ids, logprobs, vocab_size, k, lambda r: "")
 
 
 def _check_pseudo(records: list[PseudoLabelRecord], vocab_size: int) -> list[PseudoLabelRecord]:
     """The records, each with non-empty string ids and a non-empty list of
-    integer tokens in [0, vocab_size). The checks run over all records at
-    once, and one record at a time only to name the first faulty one."""
-    names = [rec.example_id for rec in records] + [rec.teacher_id for rec in records]
-    tokens = list(chain.from_iterable(rec.tokens for rec in records))
-    if (set(map(type, names)) <= {str} and all(names) and all(len(rec.tokens) for rec in records)
-            and _all_of(tokens, integral)
-            and 0 <= min(tokens, default=0) and max(tokens, default=0) < vocab_size):
-        return records
+    integer tokens in [0, vocab_size); the first faulty record raises."""
     for rec in records:
         if not isinstance(rec.example_id, str):
             raise CacheFormatError("record id must be a string")
@@ -225,19 +221,16 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         if vocab_size not in (None, records.vocab_size):
             raise CacheFormatError("a TopKCache is written with its own vocab_size")
         cache, vocab_size, k = records, records.vocab_size, records.k
-        if vocab_size > 2**31 or k >= 2**31:
-            raise CacheFormatError(f"vocab_size {vocab_size} > 2**31 or k {k} >= 2**31: a cache "
-                                   "holds token ids and counts as int32")
+        _check_header("topk", vocab_size, k)
         # the mass the cached entries keep, before densify renormalizes it
         header = {"version": CACHE_VERSION, "kind": "topk", "mass_kept": cache.mass_kept}
         # json.dumps(record, sort_keys=True) of each record, from buffers made once
-        counts, ids, logprobs = (memoryview(values.astype(dtype).tobytes()) for values, dtype in (
-            (np.diff(cache.bounds), "<i4"), (cache.ids, "<i4"), (cache.logprobs, "<f8")))
-        cuts, first = cache.bounds.tolist(), cache.first.tolist()
-        lines = [f'{{"counts": "{encode_base64(counts[4 * a:4 * b])}", "id": {json.dumps(eid)}, '
-                 f'"ids": "{encode_base64(ids[4 * cuts[a]:4 * cuts[b]])}", '
-                 f'"logprobs": "{encode_base64(logprobs[8 * cuts[a]:8 * cuts[b]])}"}}'
-                 for eid, a, b in zip(cache.example_ids, first, first[1:])]
+        ids, logprobs = (memoryview(values.astype(dtype).tobytes())
+                         for values, dtype in ((cache.ids, "<i4"), (cache.logprobs, "<f8")))
+        cuts = (cache.first * cache.ids.shape[1]).tolist()  # entries before each record
+        lines = [f'{{"id": {json.dumps(eid)}, "ids": "{encode_base64(ids[4 * a:4 * b])}", '
+                 f'"logprobs": "{encode_base64(logprobs[8 * a:8 * b])}"}}'
+                 for eid, a, b in zip(cache.example_ids, cuts, cuts[1:])]
     else:
         records, header, k = list(records), {"version": CACHE_VERSION, "kind": "pseudo"}, 0
         unknown = set(map(type, records)) - {PseudoLabelRecord}
@@ -246,8 +239,7 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
         if vocab_size is None:
             raise CacheFormatError("pseudo-label records are written with a vocab_size, "
                                    "the vocabulary their tokens must lie in")
-        if not _all_of([vocab_size], integral):
-            raise CacheFormatError("vocab_size must be an integer")
+        _check_header("pseudo", vocab_size, k)
         _check_pseudo(records, vocab_size)
         _check_pairs(records, lambda r: "")
         lines = [f'{{"id": {json.dumps(rec.example_id)}, "teacher": {json.dumps(rec.teacher_id)}, '
@@ -261,24 +253,19 @@ def write_cache(records, path, *, vocab_size: int | None = None) -> int:
     return len(records)
 
 
-def _topk_lines(objs) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray]:
-    """Parsed top-k data lines as ``TopKCache``'s first five arguments. Each
-    check runs over every line at once: this raises if any line alone would,
-    and raises for one line what checking it alone raises."""
-    eids, *texts = ([obj[key] for obj in objs] for key in ("id", "counts", "ids", "logprobs"))
-    blobs = list(map(decode_base64, texts, ("counts", "ids", "logprobs")))
-    count_bytes, id_bytes, logprob_bytes = (np.array(list(map(len, b)), dtype=np.int64)
-                                            for b in blobs)
-    if (count_bytes % 4).any() or (id_bytes % 4).any() or (logprob_bytes != 2 * id_bytes).any():
-        raise ValueError(_DISAGREE)
-    lengths = count_bytes // 4
-    counts, ids = (np.frombuffer(b"".join(b), "<i4").astype(np.int64) for b in blobs[:2])
-    # the entries before each line's first position and after its last
-    ends = np.concatenate([[0], np.cumsum(counts)])[np.concatenate([[0], np.cumsum(lengths)])]
-    if counts.min(initial=0) < 0 or (np.diff(ends) != id_bytes // 4).any():
-        raise ValueError(_DISAGREE)
-    return (eids, lengths.tolist(), counts, ids,
-            np.frombuffer(b"".join(blobs[2]), "<f8").astype(float))
+def _topk_lines(objs, w: int) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Parsed top-k data lines of ``w`` entries per position as
+    ``TopKCache``'s first four arguments. Each check runs over every line at
+    once: this raises if any line alone would, and raises for one line what
+    checking it alone raises."""
+    eids, *texts = ([obj[key] for obj in objs] for key in ("id", "ids", "logprobs"))
+    blobs = list(map(decode_base64, texts, ("ids", "logprobs")))
+    id_bytes, logprob_bytes = (np.array(list(map(len, b)), dtype=np.int64) for b in blobs)
+    if (id_bytes % (4 * w)).any() or (logprob_bytes != 2 * id_bytes).any():
+        raise ValueError(_DISAGREE.format(w=w))
+    ids, logprobs = (np.frombuffer(b"".join(b), dtype).reshape(-1, w)
+                     for b, dtype in zip(blobs, ("<i4", "<f8")))
+    return eids, (id_bytes // (4 * w)).tolist(), ids.astype(np.int64), logprobs.astype(float)
 
 
 def _check_pairs(records, context) -> None:
@@ -325,15 +312,14 @@ def read_cache(path, kind: str | None = None) -> TopKCache | list[PseudoLabelRec
     if kind not in (None, found):
         raise CacheFormatError(
             f"{path} line 1: a {_KINDS[found]} cache, not a {_KINDS[kind]} cache")
-    vocab_size = header.get("vocab_size")
-    k = header.get("k")
-    if not _all_of([vocab_size, k], integral):
-        raise CacheFormatError(f"{path} line 1: vocab_size and k must be integers")
+    vocab_size, k = header.get("vocab_size"), header.get("k")
+    _check_header(found, vocab_size, k, f"{path} line 1: ")
 
     numbers = [n for n, line in enumerate(raw[1:], start=2) if line.strip(" \t\r")]
-    check = _topk_lines if found == "topk" else lambda objs: _check_pseudo(
-        [PseudoLabelRecord(obj["id"], obj["teacher"], list(obj["tokens"])) for obj in objs],
-        vocab_size)
+    check = (lambda objs: _topk_lines(objs, min(k, vocab_size))) if found == "topk" else (
+        lambda objs: _check_pseudo(
+            [PseudoLabelRecord(obj["id"], obj["teacher"], list(obj["tokens"])) for obj in objs],
+            vocab_size))
     try:
         checked = check([json.loads(raw[n - 1]) for n in numbers])
     except (KeyError, TypeError, ValueError, RecursionError):

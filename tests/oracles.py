@@ -21,6 +21,7 @@ import numpy as np
 from relkd.distmath import entropy
 from relkd.longdoc import MAX_REDUCE_DEPTH, PipelineError
 from relkd.losses import tau_from_entropy
+from relkd.teachercache import CACHE_VERSION
 from relkd.toymodel import (
     BOUNDARY_ID,
     FIRST_CONTENT_ID,
@@ -218,20 +219,14 @@ def random_instance(rng, vocab=None, seq_len=None, scale=2.0):
     }
 
 
-def validate_topk_record_oracle(example_id, positions, vocab_size, k=None, mass_tol=1e-6):
+def validate_topk_record_oracle(example_id, positions, vocab_size, mass_tol=1e-6):
     """The per-record top-k checks, one position and one pair at a time.
     Raises ValueError naming the record and position of the first fault;
     returns the probability mass each position keeps."""
     if not example_id:
         raise ValueError("record id must be non-empty")
-    if vocab_size < 2:
-        raise ValueError(f"{example_id}: vocab_size must be >= 2")
     masses = []
     for pos, pairs in enumerate(positions):
-        if len(pairs) == 0:
-            raise ValueError(f"{example_id} position {pos}: no entries")
-        if k is not None and len(pairs) > k:
-            raise ValueError(f"{example_id} position {pos}: {len(pairs)} entries exceed k={k}")
         ids = [t for t, _ in pairs]
         lps = [lp for _, lp in pairs]
         if len(set(ids)) != len(ids):
@@ -250,14 +245,14 @@ def validate_topk_record_oracle(example_id, positions, vocab_size, k=None, mass_
 
 def records_of(cache):
     """A TopKCache's records as (example_id, positions) pairs, rebuilt from
-    its flat arrays one position and one entry at a time, token ids as ints
-    and logprobs as floats."""
+    its rows one position and one entry at a time, token ids as ints and
+    logprobs as floats."""
     records = []
     for r, example_id in enumerate(cache.example_ids):
         positions = []
         for j in range(int(cache.first[r]), int(cache.first[r + 1])):
-            entries = range(int(cache.bounds[j]), int(cache.bounds[j + 1]))
-            positions.append([(int(cache.ids[e]), float(cache.logprobs[e])) for e in entries])
+            positions.append([(int(t), float(lp))
+                              for t, lp in zip(cache.ids[j], cache.logprobs[j])])
         records.append((example_id, positions))
     return records
 
@@ -270,31 +265,26 @@ def packed(fmt, values):
 
 def topk_line(example_id, positions):
     """One (example_id, positions) record as the fields of a top-k data
-    line: the base64 of each position's entry count and of every entry's
-    token id as little-endian int32, and of every entry's logprob as
-    little-endian float64."""
+    line: the base64 of every entry's token id as little-endian int32, and
+    of every entry's logprob as little-endian float64."""
     pairs = [pair for pairs in positions for pair in pairs]
-    return {"id": example_id, "counts": packed("i", [len(pairs) for pairs in positions]),
-            "ids": packed("i", [token for token, _ in pairs]),
+    return {"id": example_id, "ids": packed("i", [token for token, _ in pairs]),
             "logprobs": packed("d", [logprob for _, logprob in pairs])}
 
 
-def line_positions(line):
-    """A top-k data line's fields as per-position (token_id, logprob) pairs."""
-    counts, ids, logprobs = (base64.b64decode(line[key]) for key in ("counts", "ids", "logprobs"))
+def line_positions(line, width):
+    """A top-k data line's fields as per-position (token_id, logprob) pairs,
+    ``width`` pairs per position."""
+    ids, logprobs = (base64.b64decode(line[key]) for key in ("ids", "logprobs"))
     pairs = list(zip(struct.unpack(f"<{len(ids) // 4}i", ids),
                      struct.unpack(f"<{len(logprobs) // 8}d", logprobs)))
-    positions, start = [], 0
-    for count in struct.unpack(f"<{len(counts) // 4}i", counts):
-        positions.append(pairs[start:start + count])
-        start += count
-    return positions
+    return [pairs[start:start + width] for start in range(0, len(pairs), width)]
 
 
 def write_raw(path, records, vocab_size, k):
     """(example_id, positions) records as a top-k cache file, unchecked, so
     that faults reach the reader; returns the path."""
-    header = {"version": 3, "kind": "topk", "vocab_size": vocab_size, "k": k}
+    header = {"version": CACHE_VERSION, "kind": "topk", "vocab_size": vocab_size, "k": k}
     lines = [json.dumps(topk_line(example_id, positions)) for example_id, positions in records]
     path.write_text("\n".join([json.dumps(header), *lines]) + "\n")
     return path

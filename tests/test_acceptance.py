@@ -300,8 +300,8 @@ class TestCriterion6InvariantSuites:
             cases += 1
 
         # cache round-trip: read -> write -> read, and a rewrite is byte-identical
-        # homogeneous vocab per file: bucket by vocabulary size
-        by_v = {}
+        # one vocabulary and k per file: bucket by both
+        by_vk = {}
         for i in range(300):
             v = int(rng.integers(3, 10))
             k = int(rng.integers(1, v + 1))
@@ -310,15 +310,15 @@ class TestCriterion6InvariantSuites:
                 logp = np.log(rng.dirichlet(np.ones(v)))
                 order = np.argsort(-logp)[:k]
                 positions.append([(int(t), float(logp[t])) for t in order])
-            by_v.setdefault(v, []).append((f"r{i}", positions))
-        cases += sum(map(len, by_v.values()))
+            by_vk.setdefault((v, k), []).append((f"r{i}", positions))
+        cases += sum(map(len, by_vk.values()))
 
         import tempfile
         from pathlib import Path
         with tempfile.TemporaryDirectory() as d:
-            for v, recs in by_v.items():
-                raw, out, again = (Path(d) / f"{name}{v}.jsonl" for name in ("raw", "a", "b"))
-                write_cache(read_cache(write_raw(raw, recs, v, v), "topk"), out)
+            for (v, k), recs in by_vk.items():
+                raw, out, again = (Path(d) / f"{name}{v}_{k}.jsonl" for name in ("raw", "a", "b"))
+                write_cache(read_cache(write_raw(raw, recs, v, k), "topk"), out)
                 back = read_cache(out, "topk")
                 assert records_of(back) == records_of(read_cache(raw, "topk")) == recs
                 write_cache(back, again)

@@ -302,9 +302,8 @@ def test_densify_all_positions_matches_each_position(tmp_path):
     rng = np.random.default_rng(4)
     positions = []
     for _ in range(9):
-        k = int(rng.integers(1, 9))
-        ids = rng.choice(12, size=k, replace=False)
-        lps = np.sort(np.log(rng.dirichlet(np.ones(k + 1))[:k]))[::-1]
+        ids = rng.choice(12, size=8, replace=False)
+        lps = np.sort(np.log(rng.dirichlet(np.ones(9))[:8]))[::-1]
         positions.append([(int(t), float(lp)) for t, lp in zip(ids, lps)])
     cache = read_cache(write_raw(tmp_path / "c.jsonl", [("x", positions)], 12, 8), "topk")
     rows = cache.densify()

@@ -17,11 +17,11 @@ from oracles import records_of, write_raw
 
 
 @st.composite
-def topk_positions(draw, vocab):
-    """One cached position: k distinct ids of a distribution over the
+def topk_positions(draw, vocab, width):
+    """One cached position: ``width`` distinct ids of a distribution over the
     vocabulary, sorted by descending log-probability."""
     weights = draw(st.lists(st.integers(1, 1000), min_size=vocab, max_size=vocab))
-    ids = draw(st.permutations(range(vocab)))[: draw(st.integers(1, vocab))]
+    ids = draw(st.permutations(range(vocab)))[:width]
     total = sum(weights)
     pairs = [(t, math.log(weights[t] / total)) for t in ids]
     return sorted(pairs, key=lambda e: -e[1])
@@ -29,12 +29,14 @@ def topk_positions(draw, vocab):
 
 @st.composite
 def topk_records(draw, min_positions=0):
-    """(example_id, positions) records over a drawn vocabulary, and its size."""
+    """(example_id, positions) records over a drawn vocabulary, its size and
+    a drawn k; each position holds min(k, vocab) entries."""
     vocab = draw(st.integers(2, 12))
+    k = draw(st.integers(1, vocab + 2))
     n = draw(st.integers(0, 4))
-    return [(f"ex{i}", draw(st.lists(topk_positions(vocab), min_size=min_positions,
-                                     max_size=5)))
-            for i in range(n)], vocab
+    return [(f"ex{i}", draw(st.lists(topk_positions(vocab, min(k, vocab)),
+                                     min_size=min_positions, max_size=5)))
+            for i in range(n)], vocab, k
 
 
 pseudo_records = st.lists(st.builds(
@@ -49,17 +51,18 @@ pseudo_records = st.lists(st.builds(
 def test_topk_cache_round_trip(tmp_path_factory, case, shift):
     # token ids moved up by ``shift`` reach the int32 bound, and a record of
     # no positions and one at the vocabulary's last id are always there
-    records, vocab = case
+    records, vocab, k = case
+    k = min(k, vocab)  # so that the shift keeps each position k wide
     vocab += shift
+    last = [(vocab - 1, 0.0), *((shift + t, -1000.0) for t in range(k - 1))]
     records = [(eid, [[(t + shift, lp) for t, lp in pairs] for pairs in positions])
-               for eid, positions in records] + [("none", []), ("last", [[(vocab - 1, 0.0)]])]
+               for eid, positions in records] + [("none", []), ("last", [last])]
     tmp = tmp_path_factory.mktemp("c")
-    k = max(len(p) for _, positions in records for p in positions)
     cache = read_cache(write_raw(tmp / "raw.jsonl", records, vocab, k), "topk")
     write_cache(cache, tmp / "topk.jsonl")
     again = read_cache(tmp / "topk.jsonl")
     assert records_of(again) == records
-    for name in ("ids", "logprobs", "bounds", "first", "mass"):
+    for name in ("ids", "logprobs", "first", "mass"):
         assert getattr(again, name).tobytes() == getattr(cache, name).tobytes()
 
 
@@ -76,10 +79,10 @@ def test_pseudo_cache_round_trip(tmp_path_factory, records):
 
 @given(topk_records(min_positions=1))
 def test_densify_rows_are_distributions_on_the_cached_support(tmp_path_factory, case):
-    records, vocab = case
+    records, vocab, k = case
     tmp = tmp_path_factory.mktemp("c")
     for r, (example_id, positions) in enumerate(records):
-        path = write_raw(tmp / f"{r}.jsonl", [(example_id, positions)], vocab, vocab)
+        path = write_raw(tmp / f"{r}.jsonl", [(example_id, positions)], vocab, k)
         p = read_cache(path, "topk").densify()
         assert p.shape == (len(positions), vocab)
         for row, pairs in zip(p, positions):

@@ -16,11 +16,11 @@ import pytest
 import relkd.atomic
 from relkd import cli
 from relkd.cli import DEFAULT_CONFIG, _NULLABLE, _write_json, _write_jsonl, main
-from relkd.teachercache import PseudoLabelRecord, write_cache
+from relkd.teachercache import CACHE_VERSION, PseudoLabelRecord, write_cache
 from relkd.toymodel import init_params, save_checkpoint
 from relkd.training import synthetic_document
 
-from oracles import line_positions, packed, topk_line
+from oracles import line_positions, topk_line
 from test_cli import write_config
 
 
@@ -247,9 +247,10 @@ def test_writing_leaves_the_process_umask_alone(tmp_path, monkeypatch):
 
 
 def _through_positions(corrupt):
-    """A corruption of a top-k data line made on its (token_id, logprob)
-    positions, written back as a data line."""
-    return lambda rec: json.dumps(topk_line(rec["id"], corrupt(line_positions(rec))))
+    """A corruption of a top-k data line of ``width`` entries per position
+    made on its (token_id, logprob) positions, written back as a data line."""
+    return lambda rec, width: json.dumps(topk_line(rec["id"],
+                                                   corrupt(line_positions(rec, width))))
 
 
 def _cache_teacher(tmp_path):
@@ -263,22 +264,23 @@ def _cache_teacher(tmp_path):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda rec: '{"id": "' + rec["id"],                                   # truncated line
-    _through_positions(lambda pos: pos[::-1] + [[]]),                     # empty position
+    lambda rec, width: '{"id": "' + rec["id"],                            # truncated line
+    _through_positions(lambda pos: [pos[0][1:], *pos[1:]]),               # a position short
     # ids as JSON integers, as version 2 wrote them
-    lambda rec: json.dumps({**rec, "ids": [t for p in line_positions(rec) for t, _ in p]}),
+    lambda rec, width: json.dumps({**rec, "ids": [t for p in line_positions(rec, width)
+                                                  for t, _ in p]}),
     _through_positions(lambda pos: [p[::-1] for p in pos]),               # unsorted
-    _through_positions(lambda pos: [[(pos[0][0][0], math.nan)], *pos[1:]]),  # NaN bits
-    lambda rec: json.dumps({**rec, "logprobs": "%" + rec["logprobs"][1:]}),   # not base64
-    lambda rec: json.dumps({**rec, "logprobs": rec["logprobs"][:-4]}),    # blob too short
-    # counts beyond ids
-    lambda rec: json.dumps({**rec, "counts": packed("i", [*map(len, line_positions(rec)), 1])}),
-    lambda rec: json.dumps({**rec, "ids": rec["ids"][:-4]}),              # ids not whole int32
+    _through_positions(lambda pos: [[(pos[0][0][0], math.nan), *pos[0][1:]], *pos[1:]]),  # NaN
+    lambda rec, width: json.dumps({**rec, "logprobs": "%" + rec["logprobs"][1:]}),  # not base64
+    lambda rec, width: json.dumps({**rec, "logprobs": rec["logprobs"][:-4]}),  # blob too short
+    _through_positions(lambda pos: [[*pos[0], pos[0][-1]], *pos[1:]]),    # a position over
+    lambda rec, width: json.dumps({**rec, "ids": rec["ids"][:-4]}),       # ids not whole int32
 ])
 def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, capsys, corrupt):
     cfg, cache = _cache_teacher(tmp_path)
     lines = cache.read_text().splitlines()
-    lines[4] = corrupt(json.loads(lines[4]))
+    header = json.loads(lines[0])
+    lines[4] = corrupt(json.loads(lines[4]), min(header["k"], header["vocab_size"]))
     cache.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
 
@@ -292,16 +294,17 @@ def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, ca
 def test_distill_on_a_version_1_teacher_cache_fails_before_any_output(tmp_path, capsys):
     cfg, cache = _cache_teacher(tmp_path)
     header, *lines = map(json.loads, cache.read_text().splitlines())
+    width = min(header["k"], header["vocab_size"])
     # version 1 held each position as [token_id, logprob] pairs of JSON numbers
     v1 = [{**header, "version": 1},
-          *({"id": rec["id"], "positions": line_positions(rec)} for rec in lines)]
+          *({"id": rec["id"], "positions": line_positions(rec, width)} for rec in lines)]
     cache.write_text("".join(json.dumps(obj) + "\n" for obj in v1))
     capsys.readouterr()
 
     assert main(["--config", str(cfg), "--out", str(tmp_path), "distill"]) == 1
     err = capsys.readouterr().err
-    assert (f"{cache} line 1: unsupported cache version 1 (this relkd reads version 3; "
-            "rerun cache-teacher)") in err
+    assert (f"{cache} line 1: unsupported cache version 1 (this relkd reads version "
+            f"{CACHE_VERSION}; rerun cache-teacher)") in err
     assert not (tmp_path / "student.json").exists()
     assert not (tmp_path / "metrics.jsonl").exists()
 

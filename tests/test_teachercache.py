@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relkd.teachercache import (
+    CACHE_VERSION,
     CacheFormatError,
     PseudoLabelRecord,
     read_cache,
@@ -33,7 +34,7 @@ def pseudo_record(example_id="ex0", teacher="t1"):
     return PseudoLabelRecord(example_id, teacher, [4, 3, 2])
 
 
-PSEUDO_HEADER = {"version": 3, "kind": "pseudo", "vocab_size": 64, "k": 0}
+PSEUDO_HEADER = {"version": CACHE_VERSION, "kind": "pseudo", "vocab_size": 64, "k": 0}
 
 
 def pseudo_line(example_id, teacher="t1", tokens=(5, 7)):
@@ -138,7 +139,7 @@ class TestWriteRead:
         with pytest.raises(CacheFormatError) as err:
             read_cache(path)
         assert str(err.value) == (f"{path} line 1: unsupported cache version 1 (this relkd reads "
-                                  "version 3; rerun cache-teacher)")
+                                  f"version {CACHE_VERSION}; rerun cache-teacher)")
 
     @pytest.mark.parametrize("kind, line", [
         ("topk", {"counts": [1], "id": "ex0", "ids": [1], "logprobs": "AAAAAAAA4L8="}),
@@ -152,7 +153,19 @@ class TestWriteRead:
         with pytest.raises(CacheFormatError) as err:
             read_cache(path)
         assert str(err.value) == (f"{path} line 1: unsupported cache version 2 (this relkd reads "
-                                  "version 3; rerun cache-teacher)")
+                                  f"version {CACHE_VERSION}; rerun cache-teacher)")
+
+    def test_a_version_3_cache_is_rejected_with_its_remedy(self, tmp_path):
+        # version 3 held each position's entry count as base64 int32
+        path = tmp_path / "c.jsonl"
+        line = {"counts": packed("i", [1]), "id": "ex0", "ids": packed("i", [1]),
+                "logprobs": packed("d", [-0.5])}
+        path.write_text(json.dumps({"version": 3, "kind": "topk", "vocab_size": 5, "k": 1}) + "\n"
+                        + json.dumps(line) + "\n")
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert str(err.value) == (f"{path} line 1: unsupported cache version 3 (this relkd reads "
+                                  f"version {CACHE_VERSION}; rerun cache-teacher)")
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_the_integer(self, tmp_path, version):
@@ -165,7 +178,8 @@ class TestWriteRead:
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps({"version": 3, "kind": "blobs", "vocab_size": 5, "k": 2}) + "\n")
+        path.write_text(json.dumps({"version": CACHE_VERSION, "kind": "blobs", "vocab_size": 5,
+                                    "k": 2}) + "\n")
         with pytest.raises(CacheFormatError, match="kind"):
             read_cache(path)
 
@@ -192,7 +206,7 @@ class TestWriteRead:
 
     def test_a_byte_that_is_not_utf8_after_a_raw_separator_names_its_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
-        header = {"version": 3, "kind": "pseudo", "vocab_size": 5, "k": 0}
+        header = {"version": CACHE_VERSION, "kind": "pseudo", "vocab_size": 5, "k": 0}
         line = {"id": "ex\u2028\u0085", "teacher": "t1", "tokens": [4]}
         path.write_bytes("\n".join([json.dumps(header), json.dumps(line, ensure_ascii=False),
                                     '{"id": "ex1"']).encode() + b"\xff\n")
@@ -211,7 +225,7 @@ class TestWriteRead:
     def test_a_repeated_pseudo_label_pair_is_named_at_its_later_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
         pairs = [("ex0", "t1"), ("ex0", "t2"), ("ex1", "t1"), ("ex0", "t2")]  # lines 2 to 5
-        lines = [{"version": 3, "kind": "pseudo", "vocab_size": 8, "k": 0}]
+        lines = [{"version": CACHE_VERSION, "kind": "pseudo", "vocab_size": 8, "k": 0}]
         lines += [{"id": eid, "teacher": teacher, "tokens": [5 + i % 3]}
                   for i, (eid, teacher) in enumerate(pairs)]
         path.write_text("\n".join(map(json.dumps, lines)) + "\n")
@@ -243,11 +257,13 @@ class TestWriteRead:
 class TestExactLogprobs:
     def test_extreme_logprobs_come_back_bit_for_bit(self, tmp_path):
         tiny = 5e-324  # the smallest subnormal
-        rec = ("ex0", [[(1, -0.0), (2, -1e308)], [(3, tiny), (0, -1e308)], [(4, -tiny)]])
+        rec = ("ex0", [[(1, -0.0), (2, -1e308)], [(3, tiny), (0, -1e308)],
+                       [(4, -tiny), (1, -1e308)]])
         path = tmp_path / "c.jsonl"
         write_cache(topk(tmp_path, [rec]), path)
         logprobs = read_cache(path).logprobs
-        assert logprobs.tobytes() == np.array([-0.0, -1e308, tiny, -1e308, -tiny]).tobytes()
+        assert logprobs.tobytes() == np.array([[-0.0, -1e308], [tiny, -1e308],
+                                               [-tiny, -1e308]]).tobytes()
 
     def test_rewriting_a_read_cache_is_byte_identical(self, tmp_path):
         logits = np.random.default_rng(3).standard_normal((40, 9)) * 4.0
@@ -288,11 +304,6 @@ class TestDensify:
     def test_position_out_of_range(self, tmp_path):
         with pytest.raises(IndexError):
             topk(tmp_path, [topk_record()]).densify([5])
-
-    def test_empty_position(self, tmp_path):
-        rec = ("ex0", [[]])
-        with pytest.raises(CacheFormatError):
-            topk(tmp_path, [rec]).densify([0])
 
 
 class TestSampleTarget:
@@ -367,8 +378,9 @@ class TestMassKept:
 
 
 class TestIllTypedValues:
-    """Top-k counts and ids must be base64 strings of little-endian int32,
-    and logprobs a base64 string of 8 bytes per token id; pseudo tokens must
+    """Top-k ids must be a base64 string of little-endian int32, w =
+    min(k, vocab_size) per position, and logprobs a base64 string of 8 bytes
+    per token id; pseudo tokens must
     be JSON integers (never a bool, a float or a string) in the vocabulary;
     bad values fail on read with their line and on write before any file
     exists."""
@@ -379,52 +391,58 @@ class TestIllTypedValues:
 
     def _topk(self, tmp_path, header=(), **fields):
         return self._lines(tmp_path / "c.jsonl",
-                           {"version": 3, "kind": "topk", "vocab_size": 5, "k": 2, **dict(header)},
+                           {"version": CACHE_VERSION, "kind": "topk", "vocab_size": 5, "k": 1,
+                            **dict(header)},
                            topk_line("ok", [[(1, -0.5)]]),
                            {**topk_line("ex1", [[(2, -0.5)]]), **fields})
 
     def _pseudo(self, tmp_path, **fields):
         return self._lines(tmp_path / "p.jsonl",
-                           {"version": 3, "kind": "pseudo", "vocab_size": 64, "k": 0},
+                           {"version": CACHE_VERSION, "kind": "pseudo", "vocab_size": 64, "k": 0},
                            {"id": "ok", "teacher": "t1", "tokens": [5]},
                            {"id": "ex1", "teacher": "t1", "tokens": [5, 7], **fields})
 
-    COUNTS = "counts must be a base64 string"
     IDS = "ids must be a base64 string"
     BASE64 = "logprobs must be a base64 string"
-    LENGTHS = "counts, ids and logprobs disagree"
+    LENGTHS = "ids and logprobs disagree"
 
     @pytest.mark.parametrize("fields, message", [
-        ({"counts": [1]}, COUNTS), ({"counts": 1}, COUNTS), ({"counts": None}, COUNTS),
-        ({"counts": "AQAA!AA="}, COUNTS), ({"counts": "AQAAAA"}, COUNTS),
         ({"ids": [2]}, IDS), ({"ids": 2}, IDS), ({"ids": True}, IDS), ({"ids": "AgAA!AA="}, IDS),
         ({"ids": "AgAAAA"}, IDS), ({"ids": "ééé="}, IDS),
         ({"logprobs": -0.5}, BASE64), ({"logprobs": None}, BASE64),
         ({"logprobs": ["AAAAAAAA4L8="]}, BASE64), ({"logprobs": "AAAAAAAA4L8"}, BASE64),
         ({"logprobs": "AAAA!AAA4L8="}, BASE64), ({"logprobs": "ééé="}, BASE64),
-        ({"counts": packed("i", [2])}, LENGTHS), ({"counts": packed("i", [1, 1])}, LENGTHS),
-        ({"counts": packed("i", [-1, 2])}, LENGTHS),
-        ({"counts": "AQAAAAA="}, LENGTHS), ({"counts": "AQA="}, LENGTHS),
         ({"ids": "AgAAAAA="}, LENGTHS), ({"ids": "AgA="}, LENGTHS),
         ({"ids": packed("i", [2, 3])}, LENGTHS), ({"logprobs": "AAAAAAAA4L8AAAAAAADgvw=="}, LENGTHS),
         ({"logprobs": "AAAAAAAA4A=="}, LENGTHS), ({"logprobs": ""}, LENGTHS),
-        ({"counts": "", "ids": ""}, LENGTHS)],
-        ids=["counts-list", "counts-number", "null-counts", "non-base64-counts",
-             "unpadded-counts", "ids-list", "ids-number", "bool-ids", "non-base64-ids",
+        ({"ids": ""}, LENGTHS)],
+        ids=["ids-list", "ids-number", "bool-ids", "non-base64-ids",
              "unpadded-ids", "non-ascii-ids", "number-blob", "null-blob", "list-blob",
              "unpadded-blob", "non-base64-blob", "non-ascii-blob",
-             "count-over-ids", "extra-count", "negative-count",
-             "5-byte-counts", "2-byte-counts", "5-byte-ids", "2-byte-ids", "extra-id",
+             "5-byte-ids", "2-byte-ids", "extra-id",
              "16-byte-blob", "7-byte-blob", "empty-blob", "no-entries-but-a-blob"])
     def test_ill_typed_topk_line_names_its_line(self, tmp_path, fields, message):
         path = self._topk(tmp_path, **fields)
         with pytest.raises(CacheFormatError, match=re.escape(f"{path} line 3: {message}")):
             read_cache(path)
 
-    @pytest.mark.parametrize("missing", ["counts", "ids", "logprobs"])
+    @pytest.mark.parametrize("vocab_size, k", [(5, 2), (2, 5)])
+    def test_ids_not_a_multiple_of_w_name_their_line(self, tmp_path, vocab_size, k):
+        # w = min(k, vocab_size) = 2: three entries make one and a half positions
+        path = self._lines(tmp_path / "c.jsonl", {"version": CACHE_VERSION, "kind": "topk",
+                                                  "vocab_size": vocab_size, "k": k},
+                           topk_line("ok", [[(1, -0.5), (0, -1.0)]]),
+                           topk_line("ex1", [[(1, -0.5), (0, -1.0), (1, -2.0)]]))
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert str(err.value) == (f"{path} line 3: ids and logprobs disagree: need 4 bytes per "
+                                  "id, 2 ids per position (w = min(k, vocab_size)) and 8 logprob "
+                                  "bytes per id")
+
+    @pytest.mark.parametrize("missing", ["ids", "logprobs"])
     def test_topk_line_without_a_field_names_its_line(self, tmp_path, missing):
         path = self._lines(tmp_path / "c.jsonl",
-                           {"version": 3, "kind": "topk", "vocab_size": 5, "k": 2},
+                           {"version": CACHE_VERSION, "kind": "topk", "vocab_size": 5, "k": 1},
                            topk_line("ok", [[(1, -0.5)]]),
                            {key: value for key, value in topk_line("ex1", [[(2, -0.5)]]).items()
                             if key != missing})
@@ -437,19 +455,20 @@ class TestIllTypedValues:
         "missing-key": (lambda fields: json.dumps({key: value for key, value in fields.items()
                                                    if key != "logprobs"}), "'logprobs'"),
         "ids-as-a-list": (lambda fields: json.dumps({**fields, "ids": [2]}), IDS),
-        "bad-base64-counts": (lambda fields: json.dumps({**fields, "counts": "AQAA!AA="}), COUNTS),
+        "bad-base64-ids": (lambda fields: json.dumps({**fields, "ids": "AgAA!AA="}), IDS),
         "bad-base64": (lambda fields: json.dumps({**fields, "logprobs": "AAAA!AAA4L8="}), BASE64),
-        "disagreeing-counts": (lambda fields: json.dumps({**fields, "counts": packed("i", [2])}),
-                               LENGTHS),
-        "negative-count": (lambda fields: json.dumps({**fields, "counts": packed("i", [-1, 2])}),
-                           LENGTHS),
+        "ids-past-the-logprobs": (
+            lambda fields: json.dumps({**fields, "ids": packed("i", [2, 3, 0, 1])}), LENGTHS),
+        "half-a-position": (lambda fields: json.dumps({**fields, "ids": packed("i", [2, 3, 0]),
+                                                       "logprobs": packed("d", [-0.5, -1, -2])}),
+                            LENGTHS),
     }
 
     @pytest.mark.parametrize("second", LINE_FAULTS)
     @pytest.mark.parametrize("first", LINE_FAULTS)
     def test_of_two_faulty_topk_lines_the_earlier_is_named(self, tmp_path, first, second):
-        header = {"version": 3, "kind": "topk", "vocab_size": 5, "k": 2}
-        records = [topk_line(f"ex{i}", [[(2, -0.5)]]) for i in range(5)]  # lines 2 to 6
+        header = {"version": CACHE_VERSION, "kind": "topk", "vocab_size": 5, "k": 2}
+        records = [topk_line(f"ex{i}", [[(2, -0.5), (3, -1.0)]]) for i in range(5)]  # lines 2-6
 
         def read(faults):
             """The error of reading the records with ``faults`` at their lines."""
@@ -488,10 +507,10 @@ class TestIllTypedValues:
 
     @pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
     def test_non_finite_bits_in_the_blob_name_their_line(self, tmp_path, bits):
-        path = self._topk(tmp_path, **topk_line("ex1", [[(2, -0.5), (3, bits)]]))
+        path = self._topk(tmp_path, **topk_line("ex1", [[(2, -0.5)], [(3, bits)]]))
         with pytest.raises(CacheFormatError) as err:
             read_cache(path)
-        assert str(err.value) == f"{path} line 3: ex1 position 0: non-finite logprob"
+        assert str(err.value) == f"{path} line 3: ex1 position 1: non-finite logprob"
 
     @pytest.mark.parametrize("fields", [{"tokens": [5.5, 7]}, {"tokens": [True]},
                                         {"tokens": ["5"]}, {"tokens": [999]}, {"tokens": [-4]},
@@ -549,18 +568,78 @@ class TestIllTypedValues:
         assert json.loads(path.read_text().splitlines()[1])["tokens"] == [4, 0]
         assert read_cache(path) == [PseudoLabelRecord("ex0", "t1", [4, 0])]
 
-    @pytest.mark.parametrize("vocab_size, k", [(2**31 + 1, 1), (5, 2**31)])
-    def test_a_cache_past_the_int32_bound_is_not_written(self, tmp_path, vocab_size, k):
+    def test_a_cache_past_the_int32_bound_is_not_built(self, tmp_path):
         # the cache only declares the size: its one entry allocates nothing large
         path = tmp_path / "c.jsonl"
-        cache = topk_cache(["ex0"], [1], [[1]], [[-0.5]], vocab_size, k)
         with pytest.raises(CacheFormatError, match=re.escape(
-                f"vocab_size {vocab_size} > 2**31 or k {k} >= 2**31: a cache holds token ids "
-                "and counts as int32")):
+                f"vocab_size {2**31 + 1} outside [2, 2**31]: a cache holds token ids as int32")):
+            topk_cache(["ex0"], [1], [[1]], [[-0.5]], 2**31 + 1, 1)
+        write_cache(topk_cache(["ex0"], [1], [[2**31 - 1]], [[-0.5]], 2**31, 1), path)
+        assert read_cache(path).ids.tolist() == [[2**31 - 1]]
+
+
+# header values that no cache holds, each as (vocab_size, k, what the header
+# check says of them); a pseudo-label cache may have any integer k
+INTEGERS = "vocab_size and k must be integers"
+OUT_OF_BOUNDS = "outside [2, 2**31]: a cache holds token ids as int32"
+BAD_HEADERS = {
+    "zero-sizes": (0, 0, f"vocab_size 0 {OUT_OF_BOUNDS}"),
+    "negative-vocabulary": (-3, 1, f"vocab_size -3 {OUT_OF_BOUNDS}"),
+    "one-token": (1, 1, f"vocab_size 1 {OUT_OF_BOUNDS}"),
+    "past-int32": (2**31 + 1, 1, f"vocab_size {2**31 + 1} {OUT_OF_BOUNDS}"),
+    "float-vocabulary": (5.5, 1, INTEGERS),
+    "string-vocabulary": ("5", 1, INTEGERS),
+    "bool-k": (5, True, INTEGERS),
+    "float-k": (5, 2.7, INTEGERS),
+    "zero-k": (5, 0, "k 0 must be >= 1 in a top-k cache"),
+}
+BAD_VOCABULARIES = [case for case in BAD_HEADERS if "k" not in case.split("-")]
+# integers outside their bounds; test_ill_typed_header_is_rejected reads the rest
+OUT_OF_RANGE = [case for case, (_, _, what) in BAD_HEADERS.items() if what != INTEGERS]
+
+
+class TestHeaderValues:
+    """The one header check, at line 1 on read, in ``topk_cache`` and in
+    ``write_cache`` before any file exists."""
+
+    @pytest.mark.parametrize("kind, case", [("topk", case) for case in OUT_OF_RANGE] + [
+        ("pseudo", case) for case in OUT_OF_RANGE if case in BAD_VOCABULARIES])
+    def test_a_header_no_cache_holds_is_rejected_at_line_1(self, tmp_path, kind, case):
+        vocab_size, k, message = BAD_HEADERS[case]
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "kind": kind,
+                                    "vocab_size": vocab_size, "k": k}) + "\n")
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path)
+        assert str(err.value) == f"{path} line 1: {message}"
+
+    @pytest.mark.parametrize("case", BAD_HEADERS)
+    def test_topk_cache_rejects_a_header_no_cache_holds(self, case):
+        vocab_size, k, message = BAD_HEADERS[case]
+        with pytest.raises(CacheFormatError) as err:
+            topk_cache(["a"], [1], [[1]], [[-0.5]], vocab_size, k)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("case", BAD_HEADERS)
+    def test_a_topk_cache_whose_header_values_changed_is_not_written(self, tmp_path, case):
+        vocab_size, k, message = BAD_HEADERS[case]
+        cache = topk_cache(["a"], [1], [[1]], [[-0.5]], 5, 1)
+        cache.vocab_size, cache.k = vocab_size, k
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(CacheFormatError) as err:
             write_cache(cache, path)
+        assert str(err.value) == message
         assert not path.exists()
-        write_cache(topk_cache(["ex0"], [1], [[2**31 - 1]], [[-0.5]], 2**31, 2**31 - 1), path)
-        assert read_cache(path).ids.tolist() == [2**31 - 1]
+
+    @pytest.mark.parametrize("case", BAD_VOCABULARIES)
+    def test_pseudo_labels_over_a_vocabulary_no_cache_holds_are_not_written(self, tmp_path,
+                                                                           case):
+        vocab_size, _, message = BAD_HEADERS[case]
+        path = tmp_path / "p.jsonl"
+        with pytest.raises(CacheFormatError) as err:
+            write_cache([PseudoLabelRecord("ex0", "t1", [1])], path, vocab_size=vocab_size)
+        assert str(err.value) == message
+        assert not path.exists()
 
 
 @st.composite

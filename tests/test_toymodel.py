@@ -577,9 +577,9 @@ class TestFloatCodec:
         ckpt, cache = tmp_path / "m.json", tmp_path / "c.jsonl"
         save_checkpoint(ckpt, ToyModelParams(*np.ones((3, 1, 1))))
         ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "embed": text}))
-        write_cache(topk_cache(["ex0"], [1], [[1]], [[-0.5]], 5, 2), cache)
+        write_cache(topk_cache(["ex0"], [1], [[1]], [[-0.5]], 5, 1), cache)
         header, line = cache.read_text().splitlines()
-        cache.write_text(f"{header}\n{json.dumps({**json.loads(line), 'counts': text})}\n")
+        cache.write_text(f"{header}\n{json.dumps({**json.loads(line), 'ids': text})}\n")
         with pytest.raises(ValueError) as from_checkpoint:
             load_checkpoint(ckpt)
         with pytest.raises(ValueError) as from_cache:
@@ -587,4 +587,4 @@ class TestFloatCodec:
         reason = re.fullmatch(re.escape(f"{ckpt}: embed must be a base64 string ") + r"(\(.+\))",
                               str(from_checkpoint.value))
         assert reason, str(from_checkpoint.value)
-        assert str(from_cache.value) == f"{cache} line 2: counts must be a base64 string {reason[1]}"
+        assert str(from_cache.value) == f"{cache} line 2: ids must be a base64 string {reason[1]}"
