@@ -22,16 +22,16 @@ line and report failures by line number.
 
 A top-k cache is held as one ``TopKCache``: its entries as (positions, w)
 arrays, densified in one step. Its constructor is the one place a top-k
-cache's entries are checked, by one vectorized pass over all positions. Two
-builders call it: ``read_cache`` from a file (rejecting one of the wrong
-``kind`` at line 1), and ``topk_cache`` from a model's top-k rows, one row
-per position. ``write_cache`` takes either a ``TopKCache`` or a list of
-``PseudoLabelRecord``s; it formats each top-k line from two buffers made
-once per cache into the bytes that ``json.dumps(record, sort_keys=True)``
-gives. The header values are checked at line 1 on read, in ``topk_cache``
-and in ``write_cache``. ``read_cache`` runs its kind's one line checker over
-all data lines at once, and on each line alone only to name the first faulty
-one.
+cache's rows are checked: their width, then one vectorized pass over all
+positions. Two builders call it: ``read_cache`` from a file (rejecting one
+of the wrong ``kind`` at line 1), and ``topk_cache`` from a model's top-k
+rows, one row per position. ``write_cache`` takes either a ``TopKCache`` or
+a list of ``PseudoLabelRecord``s; it formats each top-k line from two
+buffers made once per cache into the bytes that
+``json.dumps(record, sort_keys=True)`` gives. The header values are checked
+at line 1 on read, in the constructor and in ``write_cache``. ``read_cache``
+runs its kind's one line checker over all data lines at once, and on each
+line alone only to name the first faulty one.
 """
 
 from __future__ import annotations
@@ -105,11 +105,16 @@ class TopKCache:
     def __init__(self, example_ids, lengths, ids, logprobs, vocab_size, k, context):
         """Check and hold the (positions, w) rows ``ids`` and ``logprobs``,
         ``lengths[r]`` positions for record r, of a cache whose ``vocab_size``
-        and ``k`` have passed the header check. Every position is checked at
-        once; the error is the fault that checking one record at a time
-        meets first: in each record its id (a new non-empty string), then
-        each position through the checks of ``_FAULTS`` in order, prefixed by
+        and ``k`` pass the header check. Every position is checked at once;
+        the error is the fault that checking one record at a time meets
+        first: in each record its id (a new non-empty string), then each
+        position through the checks of ``_FAULTS`` in order, prefixed by
         ``context(r)``."""
+        _check_header("topk", vocab_size, k)
+        w = min(k, vocab_size)
+        if ids.shape != logprobs.shape or ids.ndim != 2 or ids.shape[1] != w:
+            raise CacheFormatError(f"rows must be two equal 2-D arrays, one row per position of "
+                                   f"min(k, vocab_size) = {w} entries")
         example_ids, lengths = list(example_ids), list(lengths)
         if (len(lengths) != len(example_ids) or not _all_of(lengths, integral)
                 or min(lengths, default=0) < 0 or sum(lengths) != len(ids)):
@@ -178,12 +183,7 @@ def topk_cache(example_ids, lengths, ids, logprobs, vocab_size: int, k: int) -> 
     """Rows as one TopKCache: row j of the (positions, min(k, vocab_size))
     arrays ``ids``/``logprobs`` is position j's entries, and record r has the
     next ``lengths[r]`` positions."""
-    _check_header("topk", vocab_size, k)
     ids, logprobs = np.asarray(ids), np.asarray(logprobs, dtype=float)
-    w = min(k, vocab_size)
-    if ids.shape != logprobs.shape or ids.ndim != 2 or ids.shape[1] != w:
-        raise CacheFormatError(f"rows must be two equal 2-D arrays, one row per position of "
-                               f"min(k, vocab_size) = {w} entries")
     if ids.size and not np.issubdtype(ids.dtype, np.integer):  # an empty list is float
         raise CacheFormatError(f"token ids must be integers, got dtype {ids.dtype}")
     return TopKCache(example_ids, lengths, ids, logprobs, vocab_size, k, lambda r: "")

@@ -380,10 +380,9 @@ class TestMassKept:
 class TestIllTypedValues:
     """Top-k ids must be a base64 string of little-endian int32, w =
     min(k, vocab_size) per position, and logprobs a base64 string of 8 bytes
-    per token id; pseudo tokens must
-    be JSON integers (never a bool, a float or a string) in the vocabulary;
-    bad values fail on read with their line and on write before any file
-    exists."""
+    per token id; pseudo tokens must be JSON integers (never a bool, a float
+    or a string) in the vocabulary; bad values fail on read with their line
+    and on write before any file exists."""
 
     def _lines(self, path, header, *records):
         path.write_text("\n".join(json.dumps(o) for o in (header, *records)) + "\n")

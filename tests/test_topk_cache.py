@@ -14,6 +14,7 @@ from relkd.teachercache import (
     CACHE_VERSION,
     CacheFormatError,
     PseudoLabelRecord,
+    TopKCache,
     read_cache,
     topk_cache,
     write_cache,
@@ -263,6 +264,13 @@ def test_rows_must_match_the_record_lengths():
                                 (["ex0"], [3], (ids[:, :1], logprobs[:, :1]))):
         with pytest.raises(CacheFormatError, match="one row per position"):
             topk_cache(eids, lengths, *rows, 5, 2)
+
+
+def test_the_constructor_rejects_rows_wider_than_w():
+    # written, such rows would read back as more positions than were built
+    with pytest.raises(CacheFormatError, match=re.escape("min(k, vocab_size) = 1 entries")):
+        TopKCache(["a"], [1], np.array([[0, 1, 2]]), np.array([[-1.5, -2.0, -3.0]]), 5, 1,
+                  lambda r: "")
 
 
 @pytest.mark.parametrize("ids", [np.array([[1.5]]), np.array([[math.nan]]),
