@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Floor applied to the second argument of kl() before the division. Sparse
-# distributions densified from a top-k cache carry exact zeros; without the
-# floor KL(p || q) would be infinite off the cached support.
+# Floor applied to the second argument of kl() before the division. In the
+# package q is always a softmax (training floors densified teacher rows
+# before their log) or jsd's midpoint of two, but a softmax underflows to
+# exact zeros where its logits lie ~745 apart; the floor keeps KL finite there.
 KL_Q_FLOOR = 1e-12
 
 PROB_SUM_ATOL = 1e-9

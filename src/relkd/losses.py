@@ -87,7 +87,9 @@ class CpdpAnchor:
 
 
 class Teachers:
-    """Frozen teacher logits, (T, V) each, and what the losses derive from them.
+    """Frozen logits of the leading teachers in order, (T, V) each, and the
+    one source of what is derived from them: the losses, the gate, the CPDP
+    anchor and the adaptive temperature all read ``probs``.
 
     Teachers receive no gradient, so each derived quantity is computed at
     most once: ``take(rows)`` gives the teachers at some of the positions,
@@ -95,19 +97,18 @@ class Teachers:
     on first use, then gathered. Logits are checked once, on construction.
     """
 
-    def __init__(self, teacher1_logits=None, teacher2_logits=None) -> None:
+    def __init__(self, *logits) -> None:
         self._parent, self._rows, self._memo = None, None, {}
-        for which, z in ((1, teacher1_logits), (2, teacher2_logits)):
-            if z is not None:
-                z = np.asarray(z, dtype=float)
-                if z.ndim != 2 or not np.all(np.isfinite(z)):
-                    raise ValueError(f"teacher{which} logits must be finite, of shape (T, V)")
-                self._memo[("logits", which)] = z
+        for which, z in enumerate(logits, 1):
+            z = np.asarray(z, dtype=float)
+            if z.ndim != 2 or not np.all(np.isfinite(z)):
+                raise ValueError(f"teacher{which} logits must be finite, of shape (T, V)")
+            self._memo[("logits", which)] = z
         shapes = {z.shape for z in self._memo.values()}
         if len(shapes) > 1:
             raise ValueError("teacher logits must share one shape")
         self.shape = shapes.pop() if shapes else None
-        self.present = frozenset(key[1] for key in self._memo)
+        self._count = len(logits)
 
     def take(self, rows) -> Teachers:
         """The teachers at ``rows``, sharing everything computed for these. A
@@ -116,7 +117,7 @@ class Teachers:
         if self._parent is not None:
             return self._parent.take(self._rows[rows])
         view = Teachers()
-        view._parent, view._rows, view.present = self, rows, self.present
+        view._parent, view._rows, view._count = self, rows, self._count
         view.shape = self.shape and (rows.size, self.shape[1])
         return view
 
@@ -127,7 +128,7 @@ class Teachers:
         return self._memo[key]
 
     def logits(self, which: int) -> np.ndarray:
-        if which not in self.present:
+        if not 0 < which <= self._count:
             raise ValueError(f"requires teacher{which} logits")
         return self._get(("logits", which), None)
 
@@ -146,10 +147,6 @@ class Teachers:
         rows = self._get(("reliability", rcfg), lambda t: np.column_stack(
             astuple(token_reliability(t.probs(1), t.probs(2), rcfg))))
         return TokenReliability(*rows.T)
-
-    def divergence_gap_direction(self) -> np.ndarray:
-        """p_T2 - p_T1 at temperature 1: d(KL1 - KL2)/dz_S with H held fixed."""
-        return self._get(("gap",), lambda t: t.probs(2) - t.probs(1))
 
 
 class TokenBatch:
@@ -265,10 +262,7 @@ class CpdpTrace:
     """Per-masked-position regularizer diagnostics, in the order of
     ``TokenBatch.positions``."""
 
-    kl_t1: np.ndarray
-    kl_t2: np.ndarray
     student_entropy: np.ndarray
-    ratio: np.ndarray
     value: np.ndarray
     clamped: np.ndarray
     entropy_floored: np.ndarray
@@ -418,10 +412,10 @@ def cpdp_loss(
     constant during differentiation, blocking the trivial raise-the-entropy
     escape; clamped positions contribute zero gradient.
     """
-    teachers = batch.teachers
+    p_t1, p_t2 = batch.teachers.probs(1), batch.teachers.probs(2)
     p_s = softmax_scaled(batch.student_logits)
-    kl1 = kl(teachers.probs(1), p_s)
-    kl2 = kl(teachers.probs(2), p_s)
+    kl1 = kl(p_t1, p_s)
+    kl2 = kl(p_t2, p_s)
     h_s = entropy(p_s)
     floored = h_s < ENTROPY_FLOOR
     h_eff = np.where(floored, ENTROPY_FLOOR, h_s)
@@ -435,11 +429,8 @@ def cpdp_loss(
     # With H held constant, d(KL1 - KL2)/dz_S = p_T2 - p_T1: the student
     # softmax cancels between the two divergences.
     coeff = np.where(clamped, 0.0, 2.0 * ratio / h_eff)
-    grad = batch.expand(batch.weigh(coeff[:, None] * teachers.divergence_gap_direction()))
-
-    trace = CpdpTrace(kl_t1=kl1, kl_t2=kl2, student_entropy=h_s, ratio=ratio,
-                      value=value_tok, clamped=clamped, entropy_floored=floored)
-    return value, grad, trace
+    grad = batch.expand(batch.weigh(coeff[:, None] * (p_t2 - p_t1)))
+    return value, grad, CpdpTrace(h_s, value_tok, clamped, floored)
 
 
 def compute_anchor(
@@ -452,7 +443,7 @@ def compute_anchor(
         raise ValueError("calibration set is empty")
     if p1.shape != p2.shape:
         raise ValueError("calibration sets must have matching shapes")
-    return CpdpAnchor(delta_star=float(np.atleast_1d(kl(p1, p2)).mean()))
+    return CpdpAnchor(delta_star=float(kl(p1, p2).mean()))
 
 
 def tau_from_entropy(sample_entropy, batch_mean_entropy: float, cfg: AdaptiveTauConfig):

@@ -53,7 +53,8 @@ MASS_TOL = 1e-6
 # What is wrong with a position, one entry per position check of the
 # ``TopKCache`` constructor, in order.
 _FAULTS = ("duplicate token ids", "token id out of range", "non-finite logprob",
-           "logprobs not sorted descending", "probability mass exceeds 1")
+           "logprobs not sorted descending", "probability mass exceeds 1",
+           "probability mass is zero")
 
 _DISAGREE = ("ids and logprobs disagree: need 4 bytes per id, {w} ids per position "
              "(w = min(k, vocab_size)) and 8 logprob bytes per id")
@@ -130,6 +131,7 @@ class TopKCache:
             (~np.isfinite(logprobs)).any(axis=1),
             (logprobs[:, :-1] < logprobs[:, 1:]).any(axis=1),
             mass > 1.0 + MASS_TOL,
+            ~(mass > 0),
         ])
         faulty = np.flatnonzero(bad.any(axis=0))
         # the record that holds the first faulty position, if any

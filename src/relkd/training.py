@@ -347,11 +347,6 @@ def build_pseudo_records(
     return records
 
 
-def _exp_normalized(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # Training
 
@@ -512,10 +507,12 @@ def prepare_supervision(
     anchor when the mode uses them. When ``config.p_pseudo`` > 0 the targets
     are drawn by ``sample_target`` from ``derive_seed(config.seed, 3)``.
 
-    The teachers' logits are checked here, once; everything the losses
-    derive from them is computed once over all the rows (see ``Teachers``),
-    as are the hidden states. The anchor is the mean inter-teacher KL over
-    the first ``config.anchor_tokens`` target positions, in corpus order.
+    The teachers' logits are checked here, once. Everything derived from
+    them is computed once over all the rows, by ``Teachers``, as are the
+    hidden states: the anchor is the mean inter-teacher KL over the first
+    ``config.anchor_tokens`` target positions, in corpus order, and the
+    adaptive temperature reads each example's mean teacher-1 entropy, both
+    of the temperature-1 softmaxes that the losses read.
     """
     if not corpus.examples:
         raise ValueError("cannot supervise an empty corpus")
@@ -560,20 +557,18 @@ def prepare_supervision(
     within = np.arange(lengths.sum()) - np.repeat(offsets, lengths)
     logits = [np.log(np.maximum(topk.densify(np.repeat(start, lengths) + within), _LOGIT_FLOOR))
               for topk, start in zip(caches, starts)]
+    teachers = Teachers(*logits)
     h_bar = None
     if spec.adaptive_tau:
-        h = np.atleast_1d(entropy(_exp_normalized(logits[0])))
+        h = entropy(teachers.probs(1))
         h_bar = np.array([h[a:a + n].mean() for a, n in zip(offsets.tolist(), lengths.tolist())])
-
-    teachers = Teachers(*logits)
     teacher_hidden = None
     if spec.hidden:  # the teacher is frozen: its state at every target position
         teacher_hidden = forward_batch(bundle.teacher_params, src, src_len, tgt, lengths)[1]
     anchor = None
     if spec.anchor:
         n = config.anchor_tokens
-        anchor = compute_anchor(_exp_normalized(teachers.logits(1)[:n]),
-                                _exp_normalized(teachers.logits(2)[:n]))
+        anchor = compute_anchor(teachers.probs(1)[:n], teachers.probs(2)[:n])
     return Supervision(src, src_len, tgt, lengths, offsets, h_bar, teachers,
                        teacher_hidden, anchor)
 

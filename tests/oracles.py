@@ -20,7 +20,7 @@ import numpy as np
 
 from relkd.distmath import entropy
 from relkd.longdoc import MAX_REDUCE_DEPTH, PipelineError
-from relkd.losses import tau_from_entropy
+from relkd.losses import Teachers, TokenBatch, tau_from_entropy
 from relkd.teachercache import CACHE_VERSION
 from relkd.toymodel import (
     BOUNDARY_ID,
@@ -219,6 +219,13 @@ def random_instance(rng, vocab=None, seq_len=None, scale=2.0):
     }
 
 
+def batch_from(inst, teachers=0):
+    """A ``random_instance`` as a TokenBatch over its first ``teachers``
+    teachers, in order."""
+    return TokenBatch(inst["gold"], inst["mask"], inst["z_s"],
+                      Teachers(*(inst[f"z_t{which}"] for which in range(1, teachers + 1))))
+
+
 def validate_topk_record_oracle(example_id, positions, vocab_size, mass_tol=1e-6):
     """The per-record top-k checks, one position and one pair at a time.
     Raises ValueError naming the record and position of the first fault;
@@ -240,6 +247,8 @@ def validate_topk_record_oracle(example_id, positions, vocab_size, mass_tol=1e-6
         masses.append(sum(math.exp(lp) for lp in lps))
         if masses[-1] > 1.0 + mass_tol:
             raise ValueError(f"{example_id} position {pos}: probability mass exceeds 1")
+        if not masses[-1] > 0:
+            raise ValueError(f"{example_id} position {pos}: probability mass is zero")
     return masses
 
 

@@ -56,6 +56,7 @@ from relkd.training import (
 
 from oracles import (
     _f1_oracle,
+    batch_from,
     central_diff,
     cpdp_forward_scalar,
     ewad_forward_scalar,
@@ -73,14 +74,6 @@ RCFG = ReliabilityConfig()
 
 def _report(n, text):
     print(f"\nACCEPTANCE {n} PASS: {text}")
-
-
-def _batch(inst, teachers=0):
-    return TokenBatch(
-        inst["gold"], inst["mask"], inst["z_s"],
-        teachers=Teachers(inst["z_t1"] if teachers >= 1 else None,
-                          inst["z_t2"] if teachers >= 2 else None),
-    )
 
 
 class TestCriterion1GradientCorrectness:
@@ -101,12 +94,12 @@ class TestCriterion1GradientCorrectness:
             inst = random_instance(rng)
             tau = float(rng.uniform(0.5, 2.0))
 
-            _, g = ce_loss(_batch(inst))
+            _, g = ce_loss(batch_from(inst))
             record("ce", g,
                    lambda z: ce_loss(TokenBatch(inst["gold"], inst["mask"], z))[0],
                    inst["z_s"])
 
-            _, g = kd_loss(_batch(inst, 1), tau)
+            _, g = kd_loss(batch_from(inst, 1), tau)
             record("kd", g,
                    lambda z: kd_loss(TokenBatch(inst["gold"], inst["mask"], z,
                                                 teachers=Teachers(inst["z_t1"])), tau)[0],
@@ -116,25 +109,25 @@ class TestCriterion1GradientCorrectness:
             hp = HiddenPair(rng.standard_normal((t, 3)) + 0.1,
                             rng.standard_normal((t, 4)) + 0.1,
                             rng.standard_normal((3, 4)))
-            _, gh, gw = inter_match_loss(_batch(inst), hp)
+            _, gh, gw = inter_match_loss(batch_from(inst), hp)
             record("inter/hidden", gh,
                    lambda x: inter_match_loss(
-                       _batch(inst), HiddenPair(x, hp.teacher_hidden, hp.projection))[0],
+                       batch_from(inst), HiddenPair(x, hp.teacher_hidden, hp.projection))[0],
                    hp.student_hidden)
             record("inter/proj", gw,
                    lambda w: inter_match_loss(
-                       _batch(inst), HiddenPair(hp.student_hidden, hp.teacher_hidden, w))[0],
+                       batch_from(inst), HiddenPair(hp.student_hidden, hp.teacher_hidden, w))[0],
                    hp.projection)
 
             weights = LossWeights(alpha_kd=0.2, alpha_inter=0.1)
-            _, grads = standard_total(_batch(inst, 1), hp, weights, tau)
+            _, grads = standard_total(batch_from(inst, 1), hp, weights, tau)
             record("standard", grads.logits,
                    lambda z: standard_total(
                        TokenBatch(inst["gold"], inst["mask"], z,
                                   teachers=Teachers(inst["z_t1"])), hp, weights, tau)[0],
                    inst["z_s"])
 
-            _, g, _ = ewad_loss(_batch(inst, 2), RCFG, tau)
+            _, g, _ = ewad_loss(batch_from(inst, 2), RCFG, tau)
             record("ewad", g,
                    lambda z: ewad_loss(TokenBatch(inst["gold"], inst["mask"], z,
                                                   teachers=Teachers(inst["z_t1"], inst["z_t2"])),
@@ -143,7 +136,7 @@ class TestCriterion1GradientCorrectness:
 
             anchor = CpdpAnchor(float(rng.uniform(-0.5, 0.5)))
             w = LossWeights(mu=0.05)
-            b = _batch(inst, 2)
+            b = batch_from(inst, 2)
             _, g, ctr = cpdp_loss(b, anchor, w)
             frozen = np.zeros(t)
             frozen[b.positions] = ctr.student_entropy
@@ -153,7 +146,7 @@ class TestCriterion1GradientCorrectness:
                                                  frozen_entropy=frozen),
                    inst["z_s"])
 
-            b = _batch(inst, 2)
+            b = batch_from(inst, 2)
             _, g, _, ctr = ewad_cpdp_step(b, anchor, w, tau)
             frozen = np.zeros(t)
             frozen[b.positions] = ctr.student_entropy
@@ -181,7 +174,7 @@ class TestCriterion2OracleEquivalence:
             inst = random_instance(rng, vocab=int(rng.integers(3, 9)))
             tau = float(rng.uniform(0.5, 2.0))
             delta = float(rng.uniform(-1.0, 1.0))
-            b = _batch(inst, 2)
+            b = batch_from(inst, 2)
             e_mod, _, _ = ewad_loss(b, RCFG, tau)
             e_orc = ewad_forward_scalar(inst["gold"], inst["mask"], inst["z_s"],
                                         inst["z_t1"], inst["z_t2"], tau=tau)
@@ -232,7 +225,7 @@ class TestCriterion5CpdpGuard:
         for _ in range(25):
             inst = random_instance(rng)
             anchor = CpdpAnchor(float(rng.uniform(-0.5, 0.5)))
-            b = _batch(inst, 2)
+            b = batch_from(inst, 2)
             _, g, ctr = cpdp_loss(b, anchor, LossWeights())
             frozen = np.zeros(len(inst["gold"]))
             frozen[b.positions] = ctr.student_entropy
@@ -248,7 +241,7 @@ class TestCriterion5CpdpGuard:
         for trial in range(50):
             inst = random_instance(rng, vocab=6, seq_len=4)
             inst["z_s"] = inst["z_s"] * float(rng.uniform(20.0, 60.0))
-            _, _, ctr = cpdp_loss(_batch(inst, 2), CpdpAnchor(0.0), LossWeights())
+            _, _, ctr = cpdp_loss(batch_from(inst, 2), CpdpAnchor(0.0), LossWeights())
             assert np.all(ctr.value <= 100.0)
             clamped_seen += int(ctr.clamped.sum())
         assert clamped_seen > 0

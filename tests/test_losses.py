@@ -23,6 +23,7 @@ from relkd.losses import (
 from relkd.reliability import ReliabilityConfig
 
 from oracles import (
+    batch_from,
     central_diff,
     cpdp_forward_scalar,
     entropy_scalar,
@@ -36,16 +37,6 @@ from test_training import ewad_cpdp_step
 RCFG = ReliabilityConfig()
 SIG_25 = 0.9241418199787566
 SIG_M25 = 0.07585818002124355
-
-
-def batch_from(inst, teachers=0):
-    return TokenBatch(
-        gold_ids=inst["gold"],
-        mask=inst["mask"],
-        student_logits=inst["z_s"],
-        teachers=Teachers(inst["z_t1"] if teachers >= 1 else None,
-                          inst["z_t2"] if teachers >= 2 else None),
-    )
 
 
 def check_logit_gradient(value_fn, grad, z0, tol=1e-5):
@@ -75,6 +66,31 @@ class TestTeachers:
         for _ in range(2):  # a rejected tau is not memoized
             with pytest.raises(ValueError, match="^temperature must be positive, got "):
                 teachers.probs(1, tau)
+
+    @pytest.mark.parametrize("logits, which", [
+        ((np.zeros(3),), 1),
+        ((np.zeros((1, 2, 3)),), 1),
+        ((np.zeros((2, 3)), np.array([[0.0, math.nan, 0.0], [0.0, 0.0, 0.0]])), 2),
+        ((np.array([[math.inf, 0.0]]), np.zeros((1, 2))), 1),
+    ], ids=["1-d", "3-d", "nan-in-teacher2", "inf-in-teacher1"])
+    def test_rejects_logits_that_are_not_finite_or_not_2d(self, logits, which):
+        with pytest.raises(ValueError,
+                           match=rf"^teacher{which} logits must be finite, of shape \(T, V\)$"):
+            Teachers(*logits)
+
+    def test_rejects_teachers_of_different_shapes(self):
+        for shapes in (((2, 3), (2, 4)), ((2, 3), (3, 3))):
+            with pytest.raises(ValueError, match="^teacher logits must share one shape$"):
+                Teachers(*map(np.zeros, shapes))
+
+    @pytest.mark.parametrize("count, which", [(0, 1), (1, 2), (2, 3), (2, 0)])
+    def test_logits_past_the_last_teacher_are_rejected(self, count, which):
+        teachers = Teachers(*(np.full((2, 3), float(t)) for t in range(count)))
+        for holder in (teachers, teachers.take([1, 0]).take([1])):  # views count alike
+            with pytest.raises(ValueError, match=f"^requires teacher{which} logits$"):
+                holder.logits(which)
+        for t in range(1, count + 1):  # the leading teachers keep their order
+            assert np.all(teachers.take([1]).logits(t) == t - 1)
 
 
 class TestLossWeights:

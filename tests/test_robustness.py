@@ -275,6 +275,9 @@ def _cache_teacher(tmp_path):
     lambda rec, width: json.dumps({**rec, "logprobs": rec["logprobs"][:-4]}),  # blob too short
     _through_positions(lambda pos: [[*pos[0], pos[0][-1]], *pos[1:]]),    # a position over
     lambda rec, width: json.dumps({**rec, "ids": rec["ids"][:-4]}),       # ids not whole int32
+    # every exp(logprob) of a position is 0.0, which densify would divide by
+    _through_positions(lambda pos: [pos[0], [(t, -800.0 - i) for i, (t, _) in enumerate(pos[1])],
+                                    *pos[2:]]),
 ])
 def test_distill_on_a_corrupt_teacher_cache_fails_before_any_output(tmp_path, capsys, corrupt):
     cfg, cache = _cache_teacher(tmp_path)

@@ -104,6 +104,14 @@ class TestWriteRead:
         with pytest.raises(CacheFormatError):
             write_cache(topk(tmp_path, [bad]), tmp_path / "c.jsonl")
 
+    def test_a_position_whose_mass_underflows_to_zero_names_its_line(self, tmp_path):
+        # exp(-800) is 0.0 in float64: densify would divide 0 by 0
+        records = [("ex0", [[(2, -0.1)]]), ("ex1", [[(1, -0.5)], [(7, -800.0)]])]
+        path = write_raw(tmp_path / "c.jsonl", records, 8, 1)
+        with pytest.raises(CacheFormatError) as err:
+            read_cache(path, "topk")
+        assert str(err.value) == f"{path} line 3: ex1 position 1: probability mass is zero"
+
     def test_pseudo_records_without_a_vocab_size_are_not_written(self, tmp_path):
         # their tokens cannot be range-checked, and the header needs the size
         path = tmp_path / "p.jsonl"

@@ -30,7 +30,8 @@ from oracles import (
     write_raw,
 )
 
-FAULTS = ("unsorted", "duplicate", "out_of_range", "non_finite", "excess_mass", "empty_id")
+FAULTS = ("unsorted", "duplicate", "out_of_range", "non_finite", "excess_mass", "zero_mass",
+          "empty_id")
 
 
 @st.composite
@@ -86,6 +87,8 @@ def faulty_caches(draw):
             pairs[j] = (draw(st.sampled_from((-1, vocab, vocab + 7))), pairs[j][1])
         elif fault == "non_finite":
             pairs[j] = (pairs[j][0], draw(st.sampled_from((math.nan, math.inf, -math.inf))))
+        elif fault == "zero_mass":  # every exp(logprob) underflows to 0.0
+            pairs[:] = [(t, -800.0 - i) for i, (t, _) in enumerate(pairs)]
         else:
             pairs[0] = (pairs[0][0], 0.5)
     return records, vocab, k
@@ -271,6 +274,14 @@ def test_the_constructor_rejects_rows_wider_than_w():
     with pytest.raises(CacheFormatError, match=re.escape("min(k, vocab_size) = 1 entries")):
         TopKCache(["a"], [1], np.array([[0, 1, 2]]), np.array([[-1.5, -2.0, -3.0]]), 5, 1,
                   lambda r: "")
+
+
+def test_rows_whose_mass_underflows_to_zero_are_rejected():
+    # densify would divide their 0.0 by 0.0 and return a NaN row
+    ids = np.array([[3, 1], [0, 2], [4, 5]])
+    logprobs = np.array([[-0.5, -1.5], [-800.0, -801.0], [-1.0, -2.0]])
+    with pytest.raises(CacheFormatError, match="^b position 0: probability mass is zero$"):
+        topk_cache(["a", "b"], [1, 2], ids, logprobs, 8, 2)
 
 
 @pytest.mark.parametrize("ids", [np.array([[1.5]]), np.array([[math.nan]]),

@@ -500,13 +500,18 @@ def any_params(draw):
 @st.composite
 def topk_rows(draw):
     """(lengths, ids, logprobs) of a valid top-k cache over 8 tokens: rows
-    of distinct ids and descending logprobs of at most log(1 / width)."""
+    of distinct ids and descending logprobs of at most log(1 / width), the
+    first of which keeps a mass that does not underflow to 0."""
     lengths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     width = draw(st.integers(1, 3))
     top = -math.log(width)
     logprob = st.one_of(st.sampled_from([v for v in EDGES if v <= top]),
                         st.floats(-sys.float_info.max, top))
-    rows = [draw(st.lists(logprob, min_size=width, max_size=width)) for _ in range(sum(lengths))]
+    leading = st.floats(-745.0, top)  # exp(-745.0) is the least subnormal
+    if edges := [v for v in EDGES if -745.0 <= v <= top]:
+        leading |= st.sampled_from(edges)
+    rows = [[draw(leading), *draw(st.lists(logprob, min_size=width - 1, max_size=width - 1))]
+            for _ in range(sum(lengths))]
     ids = [draw(st.permutations(range(8)))[:width] for _ in rows]
     return lengths, np.reshape(ids, (-1, width)), np.reshape(
         [sorted(row, reverse=True) for row in rows], (-1, width))

@@ -35,6 +35,7 @@ from relkd.training import (
     derive_seed,
     index_pseudo,
     prepare_supervision,
+    pseudo_variant_id,
     synthetic_corpus,
     synthetic_document,
     train,
@@ -45,9 +46,13 @@ from oracles import (
     adaptive_tau_oracle,
     central_diff,
     cpdp_forward_scalar,
+    densify_oracle,
+    entropy_scalar,
     ewad_forward_scalar,
     forward_one,
+    kl_scalar,
     max_rel_err,
+    records_of,
 )
 
 SIG_25 = 0.9241418199787566
@@ -461,6 +466,64 @@ class TestCacheBridge:
         with pytest.raises(ValueError, match="positions"):
             prepare_supervision(TrainConfig(loss_mode="A2"), longer,
                                 SupervisionBundle(topk=(records,)))
+
+
+class TestTeacherDerivedInputs:
+    """The CPDP anchor and the adaptive temperature's entropy against rows
+    built apart from the package: each example's target resolved as
+    ``sample_target`` draws it, its cache record densified by
+    ``densify_oracle``, floored at 1e-12 and renormalized."""
+
+    TOL = 1e-12
+
+    @staticmethod
+    def oracle_rows(config, corpus, bundle):
+        """Each teacher's rows of every example's target, one list per
+        teacher of one (T, V) array per example, and the number of examples
+        whose target is a pseudo-label."""
+        records = [dict(records_of(topk)) for topk in bundle.topk[:config.spec.teachers]]
+        rows, pseudo = [[] for _ in records], 0
+        for i, ex in enumerate(corpus.examples):
+            rec_id = ex.example_id
+            if config.p_pseudo > 0:
+                _, provenance = sample_target(ex.summary, bundle.pseudo[ex.example_id],
+                                              config.p_pseudo, derive_seed(config.seed, 3), i)
+                if provenance != "gold":
+                    rec_id = pseudo_variant_id(ex.example_id, provenance.split(":", 1)[1])
+                    pseudo += 1
+            for teacher, out in zip(records, rows):
+                p = np.maximum(densify_oracle(teacher[rec_id], corpus.vocab_size), 1e-12)
+                out.append(p / p.sum(axis=1, keepdims=True))
+        return rows, pseudo
+
+    @pytest.mark.parametrize("anchor_tokens", [17, 512])
+    @pytest.mark.parametrize("p_pseudo", [0.0, 0.3])
+    def test_the_anchor_is_the_mean_kl_over_the_first_target_positions(self, p_pseudo,
+                                                                      anchor_tokens):
+        corpus = tiny_corpus(n=10)
+        bundle = teacher_and_bundle(corpus, k=4, two_teachers=True, pseudo=True)
+        config = TrainConfig(loss_mode="EWAD_CPDP", p_pseudo=p_pseudo, seed=1,
+                             anchor_tokens=anchor_tokens)
+        (t1, t2), pseudo = self.oracle_rows(config, corpus, bundle)
+        assert (pseudo > 0) == (p_pseudo > 0)
+        p1, p2 = (np.concatenate(rows)[:anchor_tokens] for rows in (t1, t2))
+        assert (len(p1) == anchor_tokens) == (anchor_tokens == 17)  # 512 takes every position
+        expected = sum(kl_scalar(a, b) for a, b in zip(p1, p2)) / len(p1)
+        got = prepare_supervision(config, corpus, bundle).anchor.delta_star
+        assert abs(got - expected) <= self.TOL * abs(expected)
+
+    @pytest.mark.parametrize("p_pseudo", [0.0, 0.3])
+    def test_each_example_s_entropy_is_its_mean_teacher1_entropy(self, p_pseudo):
+        corpus = tiny_corpus(n=10)
+        bundle = teacher_and_bundle(corpus, k=4, pseudo=True)
+        config = TrainConfig(loss_mode="A4", p_pseudo=p_pseudo, seed=1)
+        (t1,), pseudo = self.oracle_rows(config, corpus, bundle)
+        assert (pseudo > 0) == (p_pseudo > 0)
+        got = prepare_supervision(config, corpus, bundle).entropy
+        assert got.shape == (len(corpus),)
+        for h, rows in zip(got, t1):
+            expected = sum(map(entropy_scalar, rows)) / len(rows)
+            assert abs(h - expected) <= self.TOL * abs(expected)
 
 
 class TestSupervisionBatch:
