@@ -128,7 +128,7 @@ class Teachers:
         return self._memo[key]
 
     def logits(self, which: int) -> np.ndarray:
-        if not 0 < which <= self._count:
+        if which not in range(1, self._count + 1):
             raise ValueError(f"requires teacher{which} logits")
         return self._get(("logits", which), None)
 

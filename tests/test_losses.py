@@ -83,7 +83,7 @@ class TestTeachers:
             with pytest.raises(ValueError, match="^teacher logits must share one shape$"):
                 Teachers(*map(np.zeros, shapes))
 
-    @pytest.mark.parametrize("count, which", [(0, 1), (1, 2), (2, 3), (2, 0)])
+    @pytest.mark.parametrize("count, which", [(0, 1), (1, 2), (2, 3), (2, 0), (2, 1.5)])
     def test_logits_past_the_last_teacher_are_rejected(self, count, which):
         teachers = Teachers(*(np.full((2, 3), float(t)) for t in range(count)))
         for holder in (teachers, teachers.take([1, 0]).take([1])):  # views count alike
